@@ -181,6 +181,22 @@ fn nondeterministic_fault_is_path_scoped() {
 }
 
 #[test]
+fn nondeterministic_fault_covers_the_batch_loop() {
+    // the batch loop's loss-recovery phase lives in batch.rs, a name
+    // the keyword scope misses — it is in scope by exact path, and its
+    // pipeline neighbours stay out
+    let fires = |rel: &str| {
+        analyze_str(rel, "pipeline", NONDET_TRIP)
+            .iter()
+            .any(|f| f.lint == "nondeterministic-fault-source")
+    };
+    assert!(fires("crates/pipeline/src/batch.rs"));
+    assert!(fires("crates/pipeline/src/resilient.rs"));
+    assert!(!fires("crates/pipeline/src/planner.rs"));
+    assert!(!fires("crates/bench/src/batch.rs"));
+}
+
+#[test]
 fn nondeterministic_fault_exempts_fault_rs() {
     // fault.rs *is* the seeded FaultPlan source — the exact path is
     // exempt (other lints, e.g. wall-clock in gpusim, still apply)

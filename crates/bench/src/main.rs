@@ -50,54 +50,15 @@ fn print_tables(ts: &[mdls_bench::TextTable]) {
     }
 }
 
-/// Write the machine-readable throughput results to
-/// `target/bench-throughput.json`, validating the document round-trips
-/// through the JSON reader first (the smoke contract).
-fn write_bench_json(jobs: usize) {
-    let doc = throughput::bench_json(jobs);
+/// Write machine-readable results to `target/bench-<name>.json`,
+/// validating the document round-trips through the JSON reader first
+/// (the smoke contract).
+fn write_json(name: &str, doc: String) {
     if let Err(e) = mdls_obs::json::parse(&doc) {
-        eprintln!("bench-throughput.json does not parse: {e}");
+        eprintln!("bench-{name}.json does not parse: {e}");
         std::process::exit(1);
     }
-    let path = std::path::Path::new("target").join("bench-throughput.json");
-    match std::fs::create_dir_all("target").and_then(|()| std::fs::write(&path, &doc)) {
-        Ok(()) => println!("machine-readable results written to {}", path.display()),
-        Err(e) => {
-            eprintln!("cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Write the machine-readable chaos A/B results to
-/// `target/bench-chaos.json`, validating the document round-trips
-/// through the JSON reader first (the smoke contract).
-fn write_chaos_json(jobs: usize) {
-    let doc = chaos::chaos_json(jobs);
-    if let Err(e) = mdls_obs::json::parse(&doc) {
-        eprintln!("bench-chaos.json does not parse: {e}");
-        std::process::exit(1);
-    }
-    let path = std::path::Path::new("target").join("bench-chaos.json");
-    match std::fs::create_dir_all("target").and_then(|()| std::fs::write(&path, &doc)) {
-        Ok(()) => println!("machine-readable results written to {}", path.display()),
-        Err(e) => {
-            eprintln!("cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Write the machine-readable service A/B results to
-/// `target/bench-service.json`, validating the document round-trips
-/// through the JSON reader first (the smoke contract).
-fn write_service_json(jobs: usize) {
-    let doc = service::service_json(jobs);
-    if let Err(e) = mdls_obs::json::parse(&doc) {
-        eprintln!("bench-service.json does not parse: {e}");
-        std::process::exit(1);
-    }
-    let path = std::path::Path::new("target").join("bench-service.json");
+    let path = std::path::Path::new("target").join(format!("bench-{name}.json"));
     match std::fs::create_dir_all("target").and_then(|()| std::fs::write(&path, &doc)) {
         Ok(()) => println!("machine-readable results written to {}", path.display()),
         Err(e) => {
@@ -141,7 +102,7 @@ fn run(cmd: &str) -> bool {
             println!("{}", throughput::timeline_ab(24).render());
             println!("{}", throughput::staging_ab(48).render());
             println!("{}", throughput::bursty_deadline_table(36).render());
-            write_bench_json(24);
+            write_json("throughput", throughput::bench_json(24));
         }
         "throughput-smoke" => {
             println!("{}", throughput::policy_ab(24).render());
@@ -152,11 +113,11 @@ fn run(cmd: &str) -> bool {
             println!("{}", throughput::rebooking_ab(12).render());
             println!("{}", throughput::timeline_ab(12).render());
             println!("{}", throughput::staging_ab(24).render());
-            write_bench_json(8);
+            write_json("throughput", throughput::bench_json(8));
         }
         "chaos" => {
             println!("{}", chaos::chaos_table(48).render());
-            write_chaos_json(24);
+            write_json("chaos", chaos::chaos_json(24));
         }
         "chaos-smoke" => {
             match chaos::chaos_smoke() {
@@ -166,11 +127,11 @@ fn run(cmd: &str) -> bool {
                     std::process::exit(1);
                 }
             }
-            write_chaos_json(12);
+            write_json("chaos", chaos::chaos_json(12));
         }
         "service" => {
             println!("{}", service::service_table(100_000).render());
-            write_service_json(20_000);
+            write_json("service", service::service_json(20_000));
         }
         "service-smoke" => {
             match service::service_smoke() {
@@ -180,7 +141,7 @@ fn run(cmd: &str) -> bool {
                     std::process::exit(1);
                 }
             }
-            write_service_json(2_000);
+            write_json("service", service::service_json(2_000));
         }
         "trace" => {
             let r = trace::trace_report(48);

@@ -137,8 +137,10 @@ pub enum Event {
         dev_start_ms: f64,
         dev_end_ms: f64,
     },
-    /// A whole-plan (non-staged) commitment of `jobs` fused jobs on
-    /// `device`'s compute lane.
+    /// A whole-plan commitment of `jobs` fused jobs on `device`'s
+    /// compute lane. The pipeline books every dispatch stage by stage
+    /// ([`Event::StageBooked`]) and emits none of these; the variant
+    /// stays for external observers that match on it.
     PlanSpan {
         device: usize,
         jobs: usize,
@@ -199,7 +201,9 @@ pub enum Event {
         at_ms: f64,
     },
     /// `device`'s lanes were held to `until_ms` for a not-yet-arrived
-    /// release time.
+    /// release time. The pipeline passes release times as the booking's
+    /// `not_before` bound and emits none of these; the variant stays for
+    /// external observers that match on it.
     Held { device: usize, until_ms: f64 },
     /// An adaptive job stalled above target and extended one
     /// correction pass past its plan (`pass` is 1-based); the extra

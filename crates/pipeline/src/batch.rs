@@ -1,10 +1,18 @@
-//! The batched solve service: plan, schedule, execute, aggregate.
+//! The batched solve service: admit, book, execute, settle, report.
 //!
-//! [`solve_batch`] is the pipeline's public entry point: it takes a
-//! device pool and a batch of [`Job`]s, schedules every job over the
-//! pool (see [`crate::scheduler`]), runs each job's [`ExecPlan`]
-//! through the **stage interpreter** [`solve_planned`], and returns
-//! per-job outcomes plus pool-level throughput.
+//! Every `solve_batch*` entry point is a thin wrapper over **one batch
+//! loop** (`run_batch`; its phases are listed on
+//! [`solve_batch_resilient`](crate::resilient::solve_batch_resilient)):
+//! it takes a device pool and a batch of [`Job`]s, books every fused
+//! group on the pool's stage timelines (see [`crate::microbatch`]),
+//! runs each group's [`ExecPlan`] through the **stage interpreter**
+//! ([`solve_planned`] and friends), settles bookings against what
+//! execution actually ran, and returns per-job outcomes plus pool-level
+//! throughput. Three config axes select behaviour, never a different
+//! code path: [`MicrobatchConfig`] (what fuses), [`StageSchedConfig`]
+//! (how stages book and re-book — [`solve_batch`] is the loop at
+//! [`StageSchedConfig::sequential`]), and [`ResilienceConfig`]
+//! (admission and fault recovery, both no-ops on a quiet pool).
 //!
 //! The interpreter executes a plan's stages in order, *functionally*
 //! (real multiple double arithmetic on the simulator):
@@ -26,8 +34,7 @@
 //! Promotion of a job's `f64` data to a working rung is memoized in a
 //! process-wide cache keyed by (matrix fingerprint, rung): power-series
 //! and tracker workloads re-solve against the same matrix many times,
-//! and re-promoting per job was pure waste (the ROADMAP's "host-side
-//! execution throughput" item). A fingerprint hit is verified against
+//! and re-promoting per job was pure waste. A fingerprint hit is verified against
 //! the original matrix before reuse, so a collision can never swap one
 //! system for another.
 
@@ -43,12 +50,16 @@ use multidouble::{convert_real, Dd, MdReal, Od, Qd};
 
 use crate::job::{Job, Precision, Solution, TenantId};
 use crate::microbatch::{
-    dispatch_group_staged, plan_groups, schedule_groups, GroupDispatch, MicrobatchConfig,
+    dispatch_group_staged, placement_order, plan_groups, GroupDispatch, MicrobatchConfig,
 };
 use crate::plan::ExecPlan;
 use crate::planner::{PlanCacheStats, Planner};
 use crate::pool::{DevicePool, DeviceStats, RebookMode};
-use crate::scheduler::{schedule, DispatchPolicy, JobShape, StageSchedConfig};
+use crate::resilient::{
+    admit_job, replay_transients, shed_tombstone, sticky_losses, tombstone_outcome,
+    AdmissionConfig, AdmissionDecision, ResilienceConfig,
+};
+use crate::scheduler::{DispatchPolicy, JobShape, StageSchedConfig};
 use mdls_obs::Event;
 
 /// How one job's service terminated. Every [`JobOutcome`] carries
@@ -127,16 +138,16 @@ pub struct JobOutcome {
     pub corrections_run: usize,
     /// This job's equal share of the booked stage time its whole
     /// dispatch group provably skipped, ms (see
-    /// [`DevicePool::reconcile`]). A fused launch runs as long as *any*
-    /// member still iterates, so a pass is refundable only once every
-    /// sibling has stopped — a member that finishes early while
-    /// siblings continue refunds nothing for the passes they still run.
+    /// [`DevicePool::rebook`] / [`DevicePool::reconcile`]). A fused
+    /// launch runs as long as *any* member still iterates, so a pass is
+    /// refundable only once every sibling has stopped — a member that
+    /// finishes early while siblings continue refunds nothing for the
+    /// passes they still run.
     pub refunded_ms: f64,
     /// This job's equal share of stage time booked *beyond* the
     /// group's original booking, ms: expected-pass booking that had to
     /// grow to the actual pass count, or extra passes a stalled job ran
-    /// past its plan (see [`solve_batch_staged`]). Zero on the per-plan
-    /// paths.
+    /// past its plan (see [`StageSchedConfig::max_extra_passes`]).
     pub extended_ms: f64,
     /// The job's scheduling priority, carried through from [`Job`] so
     /// latency summaries can slice by class.
@@ -146,10 +157,9 @@ pub struct JobOutcome {
     pub release_ms: f64,
     /// The job's completion deadline, if it had one.
     pub deadline_ms: Option<f64>,
-    /// How the job's service terminated (see [`Disposition`]). The
-    /// fault-free engines always report [`Disposition::Ok`]; the
-    /// resilient engine patches in the terminal state recovery and
-    /// admission actually reached.
+    /// How the job's service terminated (see [`Disposition`]): the
+    /// terminal state admission and fault recovery actually reached,
+    /// [`Disposition::Ok`] on a quiet run.
     pub disposition: Disposition,
     /// The digits the caller originally asked for. Equal to
     /// `plan.target_digits` unless admission down-laddered the job
@@ -176,22 +186,17 @@ pub struct PlannedSolve {
 }
 
 impl JobOutcome {
-    /// Assemble a whole group's outcomes from its dispatch slot and the
-    /// interpreter's results (shared by the batch and stream paths),
-    /// one per member in group order. The adaptive refund is computed
-    /// here, at group granularity: a fused stage runs as long as any
-    /// member still iterates, so only the tail every member skipped is
-    /// provably unexecuted — that tail's booked time is split equally
-    /// among the members. (A singleton group degenerates to refunding
-    /// exactly its own skipped stages.)
+    /// Assemble a whole group's outcomes from its settled dispatch, the
+    /// interpreter's results and the per-job `(refunded, extended)`
+    /// shares settlement returned (shared by the batch loop, the stream
+    /// and the service shell), one per member in group order.
     pub(crate) fn assemble_group(
         members: &[&Job],
         g: &GroupDispatch,
         solved: Vec<PlannedSolve>,
+        (refunded_ms, extended_ms): (f64, f64),
     ) -> Vec<JobOutcome> {
         assert_eq!(members.len(), solved.len());
-        let group_passes = solved.iter().map(|s| s.corrections_run).max().unwrap_or(0);
-        let refunded_ms = g.fused.per_job_tail_ms(2 + 2 * group_passes);
         members
             .iter()
             .zip(solved)
@@ -207,7 +212,7 @@ impl JobOutcome {
                 fused_group: g.jobs.len(),
                 corrections_run: s.corrections_run,
                 refunded_ms,
-                extended_ms: 0.0,
+                extended_ms,
                 priority: job.priority,
                 release_ms: job.release(),
                 deadline_ms: job.deadline_ms,
@@ -266,33 +271,33 @@ pub struct LatencySummary {
 /// Percentiles and misses cover completed jobs only; shed and failed
 /// jobs are tallied in their own counters.
 pub fn latency_summary(outcomes: &[JobOutcome]) -> LatencySummary {
-    let mut turnaround: Vec<f64> = outcomes
-        .iter()
+    let [p50_ms, p99_ms, p999_ms] = turnaround_percentiles(outcomes.iter());
+    let count = |d: Disposition| outcomes.iter().filter(|o| o.disposition == d).count();
+    LatencySummary {
+        p50_ms,
+        p99_ms,
+        p999_ms,
+        deadline_misses: outcomes.iter().filter(|o| o.missed_deadline()).count(),
+        shed: count(Disposition::Shed),
+        failed: count(Disposition::Failed),
+    }
+}
+
+/// Nearest-rank turnaround percentiles (p50, p99, p99.9; zeros when
+/// nothing completed) over the completed jobs of `outcomes` — the one
+/// percentile every report in the crate uses.
+pub(crate) fn turnaround_percentiles<'o>(
+    outcomes: impl Iterator<Item = &'o JobOutcome>,
+) -> [f64; 3] {
+    let mut turn: Vec<f64> = outcomes
         .filter(|o| o.disposition.completed())
         .map(JobOutcome::turnaround_ms)
         .collect();
-    turnaround.sort_by(f64::total_cmp);
-    let pct = |q: f64| -> f64 {
-        if turnaround.is_empty() {
-            return 0.0;
-        }
-        let rank = ((q * turnaround.len() as f64).ceil() as usize).clamp(1, turnaround.len());
-        turnaround[rank - 1]
-    };
-    LatencySummary {
-        p50_ms: pct(0.50),
-        p99_ms: pct(0.99),
-        p999_ms: pct(0.999),
-        deadline_misses: outcomes.iter().filter(|o| o.missed_deadline()).count(),
-        shed: outcomes
-            .iter()
-            .filter(|o| o.disposition == Disposition::Shed)
-            .count(),
-        failed: outcomes
-            .iter()
-            .filter(|o| o.disposition == Disposition::Failed)
-            .count(),
-    }
+    turn.sort_by(f64::total_cmp);
+    [0.50, 0.99, 0.999].map(|q| match turn.len() {
+        0 => 0.0,
+        n => turn[((q * n as f64).ceil() as usize).clamp(1, n) - 1],
+    })
 }
 
 /// Outcomes plus aggregates for one batch.
@@ -322,11 +327,43 @@ pub struct BatchReport {
     /// [`promoted_cache_stats`]).
     pub plan_cache: PlanCacheStats,
     /// Number of micro-batched fused groups (of ≥ 2 jobs) this batch
-    /// ran; 0 on the unfused paths.
+    /// ran.
     pub fused_groups: usize,
     /// Turnaround percentiles and deadline misses over `outcomes`,
     /// computed once via [`latency_summary`].
     pub latency: LatencySummary,
+}
+
+impl BatchReport {
+    /// Aggregate one batch's outcomes (submission order) into its
+    /// report: throughput counts the *completed* jobs over the batch's
+    /// own `makespan_ms`, not the pool's cumulative clock.
+    pub(crate) fn from_outcomes(
+        pool: &DevicePool,
+        planner: &Planner,
+        outcomes: Vec<JobOutcome>,
+        makespan_ms: f64,
+        fused_groups: usize,
+    ) -> BatchReport {
+        let completed = outcomes
+            .iter()
+            .filter(|o| o.disposition.completed())
+            .count();
+        BatchReport {
+            makespan_ms,
+            solves_per_sec: if makespan_ms > 0.0 {
+                completed as f64 / (makespan_ms * 1.0e-3)
+            } else {
+                0.0
+            },
+            device_stats: pool.stats(),
+            distinct_plans: planner.cached_plans(),
+            plan_cache: planner.cache_stats(),
+            fused_groups,
+            latency: latency_summary(&outcomes),
+            outcomes,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -602,9 +639,9 @@ fn refine_fused_as<F: MdReal, H: MdReal>(
 /// the per-pass digit gain — up to `extra_passes` further
 /// residual/correct pairs run, as long as each pass still improves the
 /// measured residual (a genuinely stuck iteration stops rather than
-/// spinning). `extra_passes = 0` reproduces the legacy
-/// stop-at-the-plan behavior exactly. The extension rule, like the
-/// stop rule, reads only device-independent bits.
+/// spinning). `extra_passes = 0` stops at the plan's pass count. The
+/// extension rule, like the stop rule, reads only device-independent
+/// bits.
 ///
 /// Returns the iterate, its last measured residual, and the passes
 /// actually executed.
@@ -688,7 +725,7 @@ pub fn solve_planned_traced(gpu: &Gpu, job: &Job, plan: &ExecPlan) -> PlannedSol
 /// residual stalls above target at the plan's structural pass count
 /// may run up to `extra_passes` further residual/correct pairs while
 /// each still improves the measured residual. `extra_passes = 0` is
-/// bit-identical to the legacy interpreter.
+/// [`solve_planned_traced`].
 pub fn solve_planned_traced_with(
     gpu: &Gpu,
     job: &Job,
@@ -813,193 +850,38 @@ pub fn solve_planned_fused_with(
     }
 }
 
+/// Interpret one dispatched group: the singleton interpreter for a
+/// group of one, the micro-batched one otherwise — the single place
+/// every engine (batch loop, stream, service) turns a booking into
+/// solutions.
+pub(crate) fn execute_group(
+    gpu: &Gpu,
+    members: &[&Job],
+    plan: &ExecPlan,
+    extra_passes: usize,
+) -> Vec<PlannedSolve> {
+    match members {
+        [job] => vec![solve_planned_traced_with(gpu, job, plan, extra_passes)],
+        _ => solve_planned_fused_with(gpu, members, plan, extra_passes),
+    }
+}
+
 /// Solve a batch of jobs over the pool under the default
-/// [`DispatchPolicy::LeastLoaded`], using up to
-/// `available_parallelism` host worker threads for the functional
-/// execution.
+/// [`DispatchPolicy::LeastLoaded`] with contiguous stage booking
+/// ([`StageSchedConfig::sequential`]): [`solve_batch_staged`] at its
+/// simplest configuration.
 ///
 /// Device micro-batching is **on by default**: jobs sharing a shape
 /// key fuse into batched launch sequences at the occupancy sweet spot
 /// (bit-identical to solving each job alone — fusing packs launches,
-/// never changes arithmetic). Pass [`MicrobatchConfig::off`] through
-/// [`solve_batch_fused`] to reproduce the legacy per-job launch
-/// timing.
+/// never changes arithmetic).
 pub fn solve_batch(pool: &mut DevicePool, jobs: &[Job]) -> BatchReport {
-    solve_batch_policy(pool, jobs, DispatchPolicy::LeastLoaded)
-}
-
-/// [`solve_batch`] with an explicit dispatch policy
-/// (`DispatchPolicy::ShortestExpectedCompletion` pays off on
-/// heterogeneous pools; solutions are bit-identical either way).
-/// Micro-batching is on by default, like [`solve_batch`].
-pub fn solve_batch_policy(
-    pool: &mut DevicePool,
-    jobs: &[Job],
-    policy: DispatchPolicy,
-) -> BatchReport {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    solve_batch_with(pool, jobs, workers, policy)
-}
-
-/// [`solve_batch`] with an explicit host worker-thread count
-/// (`host_threads = 1` executes jobs on the calling thread) and
-/// dispatch policy. The spawned worker count is clamped to
-/// `min(host_threads, jobs.len())` — a tiny batch never pays for a
-/// full `available_parallelism` thread set. Micro-batching is on by
-/// default, like [`solve_batch`].
-pub fn solve_batch_with(
-    pool: &mut DevicePool,
-    jobs: &[Job],
-    host_threads: usize,
-    policy: DispatchPolicy,
-) -> BatchReport {
-    solve_batch_engine(
-        pool,
-        jobs,
-        host_threads,
-        policy,
-        Some(&MicrobatchConfig::default()),
-    )
-}
-
-/// [`solve_batch`] with device-level micro-batching: jobs sharing a
-/// shape key fuse into batched launch sequences sized at the occupancy
-/// sweet spot, and the scheduler books one fused profile per group
-/// instead of `k` singletons (see [`crate::microbatch`]). Every job
-/// still gets its own [`JobOutcome`], bit-identical to the unfused
-/// path; fused siblings share their group's simulated interval.
-pub fn solve_batch_fused(
-    pool: &mut DevicePool,
-    jobs: &[Job],
-    policy: DispatchPolicy,
-    cfg: &MicrobatchConfig,
-) -> BatchReport {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    solve_batch_fused_with(pool, jobs, workers, policy, cfg)
-}
-
-/// [`solve_batch_fused`] with an explicit host worker-thread count.
-pub fn solve_batch_fused_with(
-    pool: &mut DevicePool,
-    jobs: &[Job],
-    host_threads: usize,
-    policy: DispatchPolicy,
-    cfg: &MicrobatchConfig,
-) -> BatchReport {
-    solve_batch_engine(pool, jobs, host_threads, policy, Some(cfg))
-}
-
-/// The shared batch engine: schedule (fused groups or singletons),
-/// execute groups on host worker threads, reconcile adaptive refunds,
-/// aggregate. The unfused path flows through the same group machinery
-/// as singleton groups priced straight off their plans, so the two
-/// paths differ only in grouping and booking — never in per-job
-/// arithmetic.
-fn solve_batch_engine(
-    pool: &mut DevicePool,
-    jobs: &[Job],
-    host_threads: usize,
-    policy: DispatchPolicy,
-    micro: Option<&MicrobatchConfig>,
-) -> BatchReport {
-    let mut planner = Planner::new();
-    if let Some(obs) = pool.observer() {
-        planner.attach_observer(obs.clone());
-    }
-    let shapes: Vec<JobShape> = jobs.iter().map(JobShape::from).collect();
-    let groups: Vec<GroupDispatch> = match micro {
-        Some(cfg) if !cfg.is_off() => schedule_groups(pool, &planner, &shapes, policy, cfg),
-        // fusion off: the exact legacy singleton schedule, in
-        // submission order — the timing baseline of the fusion A/Bs
-        _ => schedule(pool, &planner, &shapes, policy)
-            .into_iter()
-            .map(GroupDispatch::singleton)
-            .collect(),
-    };
-
-    let mut outcomes: Vec<Option<JobOutcome>> = Vec::new();
-    outcomes.resize_with(jobs.len(), || None);
-    let outcomes_mx = std::sync::Mutex::new(outcomes);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let run_group = |gi: usize| {
-        let g: &GroupDispatch = &groups[gi];
-        let gpu = pool.gpu(g.device);
-        let members: Vec<&Job> = g.jobs.iter().map(|&j| &jobs[j]).collect();
-        let solved: Vec<PlannedSolve> = if members.len() == 1 {
-            vec![solve_planned_traced(gpu, members[0], &g.plan)]
-        } else {
-            solve_planned_fused(gpu, &members, &g.plan)
-        };
-        let assembled = JobOutcome::assemble_group(&members, g, solved);
-        let mut out = outcomes_mx.lock().unwrap();
-        for (&j, o) in g.jobs.iter().zip(assembled) {
-            out[j] = Some(o);
-        }
-    };
-
-    let workers = host_threads.max(1).min(groups.len().max(1));
-    if workers <= 1 {
-        for gi in 0..groups.len() {
-            run_group(gi);
-        }
-    } else {
-        let total = groups.len();
-        let run_group = &run_group;
-        let next = &next;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(move || loop {
-                    let gi = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if gi >= total {
-                        break;
-                    }
-                    run_group(gi);
-                });
-            }
-        });
-    }
-
-    let outcomes: Vec<JobOutcome> = outcomes_mx
-        .into_inner()
-        .unwrap()
-        .into_iter()
-        .map(|o| o.expect("every job executed"))
-        .collect();
-    // adaptive refinement may have finished under its booked pass
-    // count: hand the unused booked time back so utilization reports
-    // what actually ran
-    for o in &outcomes {
-        if o.refunded_ms > 0.0 {
-            pool.reconcile(o.device, o.refunded_ms);
-        }
-    }
-    emit_settled(pool, &outcomes);
-    // batch-relative aggregates: the completion time of *this* batch's
-    // last job, not the pool's cumulative clock
-    let makespan_ms = groups.iter().map(|g| g.end_ms).fold(0.0, f64::max);
-    let solves_per_sec = if makespan_ms > 0.0 {
-        outcomes.len() as f64 / (makespan_ms * 1.0e-3)
-    } else {
-        0.0
-    };
-    BatchReport {
-        makespan_ms,
-        solves_per_sec,
-        device_stats: pool.stats(),
-        distinct_plans: planner.cached_plans(),
-        plan_cache: planner.cache_stats(),
-        fused_groups: groups.iter().filter(|g| g.jobs.len() > 1).count(),
-        latency: latency_summary(&outcomes),
-        outcomes,
-    }
+    let (micro, seq) = (MicrobatchConfig::default(), StageSchedConfig::sequential());
+    solve_batch_staged(pool, jobs, DispatchPolicy::LeastLoaded, &micro, &seq)
 }
 
 /// Emit one [`Event::JobSettled`] per outcome, in submission order —
-/// shared by every batch engine so the settled stream is deterministic
+/// shared by every engine so the settled stream is deterministic
 /// regardless of host-thread interleaving during execution.
 pub(crate) fn emit_settled(pool: &DevicePool, outcomes: &[JobOutcome]) {
     for o in outcomes {
@@ -1022,13 +904,13 @@ pub(crate) fn emit_settled(pool: &DevicePool, outcomes: &[JobOutcome]) {
     }
 }
 
-/// Settle a staged dispatch against what execution actually ran:
-/// refund the booked tail when the group stopped early (freeing the
-/// timeline spans under [`StageSchedConfig::rebook`], so later
-/// dispatches use the freed time — and, under
-/// [`StageSchedConfig::compact`], sliding queued dispatches left into
-/// the hole), or book the extra passes an expected-pass booking
-/// under-estimated / a stalled job extended into. Slide-left
+/// Settle a dispatch against what execution actually ran: refund the
+/// booked tail when the group stopped early (freeing the timeline
+/// spans under [`StageSchedConfig::rebook`], so later dispatches use
+/// the freed time — and, under [`StageSchedConfig::compact`], sliding
+/// queued dispatches left into the hole; otherwise the tail only comes
+/// off the busy books), or book the extra passes an expected-pass
+/// booking under-estimated / a stalled job extended into. Slide-left
 /// compaction may have *moved* this dispatch since it was booked, so
 /// settlement first refreshes the placement from the pool's
 /// live-booking registry; every settle path marks the booking settled,
@@ -1044,20 +926,16 @@ pub(crate) fn settle_staged_dispatch(
 ) -> (f64, f64) {
     let booked = g.booked_passes();
     let k = g.jobs.len().max(1) as f64;
-    if let Some(current) = g.booking.as_ref().and_then(|b| pool.live_booking(b.id)) {
+    if let Some(current) = pool.live_booking(g.booking.id) {
         g.start_ms = current.start_ms();
         g.end_ms = current.end_ms();
-        g.booking = Some(current);
+        g.booking = current;
     }
-    let booking = g
-        .booking
-        .clone()
-        .expect("staged dispatches carry a booking");
     // calibration records for the stages that actually ran: the
     // planner's singleton per-stage prediction against this group's
     // realized per-job share of the fused booking
-    let executed = ExecPlan::booked_stages(passes_run.min(booked)).min(booking.stages.len());
-    for (ps, iv) in g.plan.stages.iter().zip(&booking.stages).take(executed) {
+    let executed = ExecPlan::booked_stages(passes_run.min(booked)).min(g.booking.stages.len());
+    for (ps, iv) in g.plan.stages.iter().zip(&g.booking.stages).take(executed) {
         pool.emit(|| Event::StageTime {
             device: g.device,
             rows: shape.rows,
@@ -1070,34 +948,35 @@ pub(crate) fn settle_staged_dispatch(
     }
     if passes_run < booked {
         let from = ExecPlan::booked_stages(passes_run);
-        let executed_end = booking.stages[from - 1].end_ms();
         if sched.rebook {
             let mode = if sched.compact {
                 RebookMode::Compact
             } else {
                 RebookMode::TailOnly
             };
-            let refund = pool.rebook(&booking, from, mode);
-            g.end_ms = executed_end;
+            let refund = pool.rebook(&g.booking, from, mode);
+            g.end_ms = g.booking.stages[from - 1].end_ms();
             (refund.refunded_ms / k, 0.0)
         } else {
             // write the skipped tail off the busy books only — the
-            // schedule keeps the booked intervals (legacy refunds)
-            let tail: f64 = booking.stages[from..].iter().map(|s| s.wall_ms()).sum();
+            // schedule keeps the booked intervals
+            let tail: f64 = g.booking.stages[from..].iter().map(|s| s.wall_ms()).sum();
             pool.reconcile(g.device, tail);
-            pool.mark_settled(booking.id);
+            pool.mark_settled(g.booking.id);
             (tail / k, 0.0)
         }
-    } else if passes_run > booked {
+    } else if passes_run == booked {
+        pool.mark_settled(g.booking.id);
+        (0.0, 0.0)
+    } else {
         // grow the booking pass by pass: each extra pass replays the
         // plan's steady-state residual/correct pair at the earliest
         // fit no sooner than the executed end of the booking so far
-        pool.mark_settled(booking.id);
+        pool.mark_settled(g.booking.id);
         let pair = g.fused.extension_reqs();
         let mut extended = 0.0;
-        let mut end = g.end_ms;
         for pass in booked..passes_run {
-            let ext = pool.commit_stages(g.device, &pair, 0.0, 0.0, 0, sched.overlap, end);
+            let ext = pool.commit_stages(g.device, &pair, 0.0, 0.0, 0, sched.overlap, g.end_ms);
             pool.mark_settled(ext.id);
             pool.emit(|| Event::PassExtended {
                 device: g.device,
@@ -1106,47 +985,26 @@ pub(crate) fn settle_staged_dispatch(
                 end_ms: ext.end_ms(),
             });
             extended += pair.iter().map(|r| r.wall_ms()).sum::<f64>();
-            end = end.max(ext.end_ms());
+            g.end_ms = g.end_ms.max(ext.end_ms());
         }
-        g.end_ms = end;
         (0.0, extended / k)
-    } else {
-        pool.mark_settled(booking.id);
-        (0.0, 0.0)
     }
 }
 
-/// The **stage-level online batch engine**: book every fused group on
-/// the interval timelines up front, execute per-device queues
-/// concurrently, then settle in booking order.
+/// Solve a batch through the **one batch loop** with every fault phase
+/// quiet unless the pool carries a [`gpusim::FaultPlan`] and ingress
+/// admission off — the plain staged entry point. `micro` chooses the
+/// fused groups, `sched` how their stages are booked
+/// ([`StageSchedConfig::sequential`] for one contiguous interval per
+/// dispatch, [`StageSchedConfig::staged`] for overlapped lanes,
+/// expected-pass booking, online re-booking and pass extension). See
+/// [`solve_batch_resilient`](crate::resilient::solve_batch_resilient)
+/// for the loop's phases.
 ///
-/// 1. **Book** (main thread, in the shared — for SECT: longest-first —
-///    placement order): every group's stages land as lane-split
-///    intervals on the device the policy picks *from the stage
-///    timeline* ([`dispatch_group_staged`]) — under
-///    [`StageSchedConfig::overlap`] a group's factorization prep hides
-///    under whatever the device is still computing (and books a host
-///    staging worker); under [`StageSchedConfig::book_expected`] only
-///    the planner's expected pass count is booked.
-/// 2. **Execute** with per-device queues: one scoped host thread per
-///    device with work, each running its queue in booking order.
-///    Execution is purely functional (the same interpreter as every
-///    other path, against an immutable device model), so host
-///    parallelism cannot perturb placements, events or bits — it only
-///    shortens *our* wall clock. Up to
-///    [`StageSchedConfig::max_extra_passes`] extension passes run for
-///    jobs whose residual stalls above target.
-/// 3. **Settle** (main thread, global booking order — refund causality
-///    and the event stream stay deterministic): refund each group's
-///    unexecuted tail online ([`DevicePool::rebook`]; under
-///    [`StageSchedConfig::compact`] queued dispatches slide left into
-///    the hole and settlement reads their refreshed placements) or
-///    book the extra passes execution actually ran.
-///
-/// Outcomes are bit-identical to [`solve_batch`] whenever
-/// `max_extra_passes` matches (extension is the one knob that adds
-/// arithmetic, and it only fires on jobs the legacy path would have
-/// returned *under target*).
+/// Outcomes are bit-identical across every `micro`/`sched`/`policy`
+/// whenever `max_extra_passes` matches (extension is the one knob that
+/// adds arithmetic, and it only fires on jobs that would otherwise
+/// return *under target*).
 pub fn solve_batch_staged(
     pool: &mut DevicePool,
     jobs: &[Job],
@@ -1170,135 +1028,264 @@ pub fn solve_batch_staged_with(
     sched: &StageSchedConfig,
     host_parallel: bool,
 ) -> BatchReport {
+    let cfg = ResilienceConfig {
+        admission: AdmissionConfig {
+            enabled: false,
+            ..AdmissionConfig::default()
+        },
+        ..ResilienceConfig::default()
+    };
+    run_batch(pool, jobs, policy, micro, sched, &cfg, host_parallel)
+}
+
+/// One booked group of the batch loop.
+struct Slot {
+    shape: JobShape,
+    /// The live dispatch; `g.jobs` are indices into the submitted batch.
+    g: GroupDispatch,
+    /// Set when a loss killed this group and recovery is off: the loss
+    /// time, which becomes the members' terminal `end_ms`.
+    dead: Option<f64>,
+}
+
+/// The **one batch loop** behind every `solve_batch*` entry point:
+///
+/// 0. **Admit** (no-op without deadlines or with admission off):
+///    preview every deadlined job against the surviving pool and
+///    down-ladder or shed what cannot meet its deadline. Down-laddering
+///    is a per-job digits override — the jobs themselves are never
+///    cloned.
+/// 1. **Book** (main thread, in the shared — for SECT: longest-first —
+///    placement order): every group's stages land on the device the
+///    policy picks *from the stage timeline*
+///    ([`dispatch_group_staged`]), as `sched` says.
+/// 2. **Recover sticky losses** (no-op on a quiet pool), oldest first:
+///    each loss interrupts the unfinished bookings on the dying device;
+///    they re-dispatch immediately onto the survivors — never before
+///    the loss instant, never moving a surviving device's spans — so a
+///    *later* loss can interrupt the re-booked work too. With
+///    re-dispatch off the interrupted jobs end [`Disposition::Failed`].
+/// 3. **Execute** with per-device queues: one scoped host thread per
+///    device with work (`host_parallel`), each running its queue in
+///    booking order, results landing in per-slot cells. Execution is
+///    purely functional against an immutable device model, so host
+///    parallelism cannot perturb placements, events or bits.
+/// 4. **Settle** (main thread, global booking order — refund causality
+///    and the event stream stay deterministic): refund each group's
+///    unexecuted tail or book the extra passes execution ran
+///    ([`settle_staged_dispatch`]), then replay the transient faults
+///    that hit the executed interval (no-op on a quiet pool).
+/// 5. **Report** in submission order.
+pub(crate) fn run_batch(
+    pool: &mut DevicePool,
+    jobs: &[Job],
+    policy: DispatchPolicy,
+    micro: &MicrobatchConfig,
+    sched: &StageSchedConfig,
+    cfg: &ResilienceConfig,
+    host_parallel: bool,
+) -> BatchReport {
     let mut planner = Planner::new();
     if let Some(obs) = pool.observer() {
         planner.attach_observer(obs.clone());
     }
-    let shapes: Vec<JobShape> = jobs.iter().map(JobShape::from).collect();
-    let groups_idx: Vec<Vec<usize>> = if micro.is_off() {
-        (0..jobs.len()).map(|i| vec![i]).collect()
-    } else {
-        plan_groups(&planner, &shapes, micro)
+    let mut outcomes: Vec<Option<JobOutcome>> = Vec::new();
+    outcomes.resize_with(jobs.len(), || None);
+    let mut dispo = vec![Disposition::Ok; jobs.len()];
+    let retried = |dispo: &mut [Disposition], members: &[usize]| {
+        for &j in members {
+            if dispo[j] == Disposition::Ok {
+                dispo[j] = Disposition::Retried;
+            }
+        }
     };
-    let order = crate::microbatch::placement_order(pool, &planner, &shapes, &groups_idx, policy);
 
-    // phase 1: book everything, in placement order, on the main thread
-    struct Slot {
-        gi: usize,
-        shape: JobShape,
-        g: GroupDispatch,
+    // ---- phase 0: admission at the door ------------------------------
+    let mut active: Vec<usize> = Vec::with_capacity(jobs.len());
+    let mut shapes: Vec<JobShape> = Vec::with_capacity(jobs.len());
+    for (i, job) in jobs.iter().enumerate() {
+        let mut shape = JobShape::from(job);
+        match admit_job(
+            pool,
+            &planner,
+            job,
+            sched.overlap,
+            job.release(),
+            &cfg.admission,
+        ) {
+            AdmissionDecision::Admit => {}
+            AdmissionDecision::Degrade(digits) => {
+                pool.emit(|| Event::JobDegraded {
+                    job: job.id,
+                    from_digits: job.target_digits,
+                    to_digits: digits,
+                });
+                shape.target_digits = digits;
+                dispo[i] = Disposition::Degraded;
+            }
+            AdmissionDecision::Shed(predicted_end_ms) => {
+                let ev = || Event::JobShed {
+                    job: job.id,
+                    deadline_ms: job.deadline_ms.unwrap_or(0.0),
+                    predicted_end_ms,
+                };
+                let digits = job.target_digits;
+                outcomes[i] = Some(shed_tombstone(
+                    pool,
+                    &planner,
+                    job,
+                    digits,
+                    job.release(),
+                    ev,
+                ));
+                continue;
+            }
+        }
+        active.push(i);
+        shapes.push(shape);
     }
-    let mut slots: Vec<Slot> = Vec::with_capacity(order.len());
-    for &gi in &order {
-        let idxs = &groups_idx[gi];
-        let shape = shapes[idxs[0]];
-        let release = idxs
+
+    // ---- phase 1: book the admitted work in placement order ----------
+    let release_of = |members: &[usize], floor: f64| {
+        members
             .iter()
             .map(|&j| jobs[j].release())
-            .fold(0.0f64, f64::max);
-        let g = dispatch_group_staged(pool, &planner, idxs.clone(), &shape, policy, sched, release);
-        slots.push(Slot { gi, shape, g });
+            .fold(floor, f64::max)
+    };
+    let groups = plan_groups(&planner, &shapes, micro);
+    let order = placement_order(pool, &planner, &shapes, &groups, policy);
+    let mut slots: Vec<Slot> = Vec::with_capacity(order.len());
+    for &gi in &order {
+        let shape = shapes[groups[gi][0]];
+        let members: Vec<usize> = groups[gi].iter().map(|&a| active[a]).collect();
+        let release = release_of(&members, 0.0);
+        let g = dispatch_group_staged(pool, &planner, members, &shape, policy, sched, release);
+        slots.push(Slot {
+            shape,
+            g,
+            dead: None,
+        });
     }
 
-    // phase 2: execute — per-device queues, one scoped thread each
+    // ---- phase 2: sticky losses, oldest first ------------------------
+    for (id, t) in sticky_losses(pool) {
+        let hit = pool.fail_device(id, t).interrupted;
+        for slot in slots.iter_mut().filter(|s| hit.contains(&s.g.booking.id)) {
+            let members = slot.g.jobs.clone();
+            if cfg.recovery.redispatch && pool.alive_count() > 0 {
+                retried(&mut dispo, &members);
+                let release = release_of(&members, t);
+                slot.g = dispatch_group_staged(
+                    pool,
+                    &planner,
+                    members,
+                    &slot.shape,
+                    policy,
+                    sched,
+                    release,
+                );
+            } else {
+                slot.dead = Some(t);
+                for &j in &members {
+                    dispo[j] = Disposition::Failed;
+                }
+            }
+        }
+    }
+
+    // ---- phase 3: execute — per-device queues ------------------------
     let mut solved: Vec<Option<Vec<PlannedSolve>>> = Vec::new();
     solved.resize_with(slots.len(), || None);
     {
-        let pool_ref: &DevicePool = pool;
-        let exec = |slot: &Slot| -> Vec<PlannedSolve> {
-            let members: Vec<&Job> = groups_idx[slot.gi].iter().map(|&j| &jobs[j]).collect();
-            if members.len() == 1 {
-                vec![solve_planned_traced_with(
-                    pool_ref.gpu(slot.g.device),
-                    members[0],
-                    &slot.g.plan,
-                    sched.max_extra_passes,
-                )]
-            } else {
-                solve_planned_fused_with(
-                    pool_ref.gpu(slot.g.device),
-                    &members,
-                    &slot.g.plan,
-                    sched.max_extra_passes,
-                )
-            }
+        let pool: &DevicePool = pool;
+        let slots = &slots;
+        let exec = |i: usize| {
+            let g = &slots[i].g;
+            let members: Vec<&Job> = g.jobs.iter().map(|&j| &jobs[j]).collect();
+            let extra = sched.max_extra_passes;
+            (
+                i,
+                execute_group(pool.gpu(g.device), &members, &g.plan, extra),
+            )
         };
-        if host_parallel && pool_ref.len() > 1 && slots.len() > 1 {
-            let mut queues: Vec<Vec<usize>> = vec![Vec::new(); pool_ref.len()];
-            for (i, slot) in slots.iter().enumerate() {
-                queues[slot.g.device].push(i);
-            }
-            let results: Mutex<Vec<(usize, Vec<PlannedSolve>)>> =
-                Mutex::new(Vec::with_capacity(slots.len()));
-            let slots_ref = &slots;
-            let exec_ref = &exec;
-            let results_ref = &results;
+        // one queue per device, or a single queue when serial
+        let lanes = if host_parallel { pool.len() } else { 1 };
+        let mut queues: Vec<Vec<usize>> = vec![Vec::new(); lanes];
+        for (i, slot) in slots.iter().enumerate().filter(|(_, s)| s.dead.is_none()) {
+            queues[slot.g.device % lanes].push(i);
+        }
+        queues.retain(|q| !q.is_empty());
+        let run = |queue: Vec<usize>| queue.into_iter().map(exec).collect::<Vec<_>>();
+        let done: Vec<Vec<(usize, Vec<PlannedSolve>)>> = if queues.len() > 1 {
             std::thread::scope(|scope| {
-                for queue in queues.into_iter().filter(|q| !q.is_empty()) {
-                    scope.spawn(move || {
-                        for i in queue {
-                            let r = exec_ref(&slots_ref[i]);
-                            results_ref.lock().unwrap().push((i, r));
-                        }
-                    });
-                }
-            });
-            for (i, r) in results.into_inner().unwrap() {
-                solved[i] = Some(r);
-            }
+                let workers: Vec<_> = queues
+                    .into_iter()
+                    .map(|q| scope.spawn(move || run(q)))
+                    .collect();
+                workers
+                    .into_iter()
+                    .map(|w| w.join().expect("device queue worker panicked"))
+                    .collect()
+            })
         } else {
-            for (i, slot) in slots.iter().enumerate() {
-                solved[i] = Some(exec(slot));
-            }
+            queues.into_iter().map(run).collect()
+        };
+        for (i, r) in done.into_iter().flatten() {
+            solved[i] = Some(r);
         }
     }
 
-    // phase 3: settle in global booking order, on the main thread
-    let mut outcomes: Vec<Option<JobOutcome>> = Vec::new();
-    outcomes.resize_with(jobs.len(), || None);
+    // ---- phase 4: settle in booking order, replay transients ---------
     let mut makespan_ms = 0.0f64;
     let mut fused_groups = 0;
     for (slot, solved) in slots.iter_mut().zip(solved) {
-        let solved = solved.expect("every group executed");
-        let idxs = &groups_idx[slot.gi];
-        let members: Vec<&Job> = idxs.iter().map(|&j| &jobs[j]).collect();
-        if members.len() > 1 {
-            fused_groups += 1;
-        }
+        let members: Vec<&Job> = slot.g.jobs.iter().map(|&j| &jobs[j]).collect();
+        let Some(solved) = solved else {
+            let t = slot.dead.expect("every surviving group executed");
+            for (&j, &job) in slot.g.jobs.iter().zip(&members) {
+                let mut o = tombstone_outcome(
+                    job,
+                    slot.g.plan.clone(),
+                    slot.g.device,
+                    Disposition::Failed,
+                    t,
+                );
+                o.start_ms = slot.g.start_ms.min(t);
+                o.fused_group = members.len();
+                outcomes[j] = Some(o);
+            }
+            continue;
+        };
+        fused_groups += usize::from(members.len() > 1);
         let passes_run = solved.iter().map(|s| s.corrections_run).max().unwrap_or(0);
-        let (refunded, extended) =
-            settle_staged_dispatch(pool, &mut slot.g, &slot.shape, passes_run, sched);
-        makespan_ms = makespan_ms.max(slot.g.end_ms);
-        let mut assembled = JobOutcome::assemble_group(&members, &slot.g, solved);
-        for o in &mut assembled {
-            o.refunded_ms = refunded;
-            o.extended_ms = extended;
+        let shares = settle_staged_dispatch(pool, &mut slot.g, &slot.shape, passes_run, sched);
+        let r = &cfg.recovery;
+        let hits = replay_transients(
+            pool,
+            &mut slot.g,
+            members[0].id,
+            r.max_transient_retries,
+            r.backoff_ms,
+            sched.overlap,
+        );
+        if !hits.is_empty() {
+            retried(&mut dispo, &slot.g.jobs);
         }
-        for (&j, o) in idxs.iter().zip(assembled) {
+        makespan_ms = makespan_ms.max(slot.g.end_ms);
+        let assembled = JobOutcome::assemble_group(&members, &slot.g, solved, shares);
+        for (&j, mut o) in slot.g.jobs.iter().zip(assembled) {
+            o.disposition = dispo[j];
             outcomes[j] = Some(o);
         }
     }
 
+    // ---- phase 5: report ---------------------------------------------
     let outcomes: Vec<JobOutcome> = outcomes
         .into_iter()
-        .map(|o| o.expect("every job executed"))
+        .map(|o| o.expect("every job has a terminal disposition"))
         .collect();
     emit_settled(pool, &outcomes);
-    let solves_per_sec = if makespan_ms > 0.0 {
-        outcomes.len() as f64 / (makespan_ms * 1.0e-3)
-    } else {
-        0.0
-    };
-    BatchReport {
-        makespan_ms,
-        solves_per_sec,
-        device_stats: pool.stats(),
-        distinct_plans: planner.cached_plans(),
-        plan_cache: planner.cache_stats(),
-        fused_groups,
-        latency: latency_summary(&outcomes),
-        outcomes,
-    }
+    BatchReport::from_outcomes(pool, &planner, outcomes, makespan_ms, fused_groups)
 }
 
 #[cfg(test)]
@@ -1306,6 +1293,18 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The batch loop with contiguous stage booking.
+    fn batch_seq(
+        pool: &mut DevicePool,
+        jobs: &[Job],
+        policy: DispatchPolicy,
+        cfg: &MicrobatchConfig,
+        host_parallel: bool,
+    ) -> BatchReport {
+        let seq = StageSchedConfig::sequential();
+        solve_batch_staged_with(pool, jobs, policy, cfg, &seq, host_parallel)
+    }
 
     fn little_jobs(count: usize, seed: u64) -> Vec<Job> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1351,8 +1350,20 @@ mod tests {
         let jobs = little_jobs(12, 78);
         let mut pool_a = DevicePool::homogeneous(&Gpu::v100(), 3);
         let mut pool_b = DevicePool::homogeneous(&Gpu::v100(), 3);
-        let serial = solve_batch_with(&mut pool_a, &jobs, 1, DispatchPolicy::LeastLoaded);
-        let parallel = solve_batch_with(&mut pool_b, &jobs, 4, DispatchPolicy::LeastLoaded);
+        let serial = batch_seq(
+            &mut pool_a,
+            &jobs,
+            DispatchPolicy::LeastLoaded,
+            &MicrobatchConfig::default(),
+            false,
+        );
+        let parallel = batch_seq(
+            &mut pool_b,
+            &jobs,
+            DispatchPolicy::LeastLoaded,
+            &MicrobatchConfig::default(),
+            true,
+        );
         assert_eq!(serial.makespan_ms, parallel.makespan_ms);
         for (s, p) in serial.outcomes.iter().zip(&parallel.outcomes) {
             assert_eq!(s.x, p.x, "job {} diverged across host threads", s.job_id);
@@ -1362,12 +1373,17 @@ mod tests {
 
     #[test]
     fn worker_spawn_is_clamped_to_the_batch() {
-        // regression guard: an absurd host_threads request on a tiny
-        // batch must clamp to the job count instead of trying to spawn
-        // that many threads (which would abort the process)
+        // regression guard: a tiny batch on a wider pool must not
+        // spawn a worker for devices that hold no work
         let jobs = little_jobs(1, 82);
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 2);
-        let report = solve_batch_with(&mut pool, &jobs, 1_000_000, DispatchPolicy::LeastLoaded);
+        let report = batch_seq(
+            &mut pool,
+            &jobs,
+            DispatchPolicy::LeastLoaded,
+            &MicrobatchConfig::default(),
+            true,
+        );
         assert_eq!(report.outcomes.len(), 1);
     }
 
@@ -1398,7 +1414,13 @@ mod tests {
             .collect();
         let (hits_before, _) = promoted_cache_stats();
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-        let report = solve_batch_with(&mut pool, &jobs, 1, DispatchPolicy::LeastLoaded);
+        let report = batch_seq(
+            &mut pool,
+            &jobs,
+            DispatchPolicy::LeastLoaded,
+            &MicrobatchConfig::default(),
+            false,
+        );
         let (hits_after, _) = promoted_cache_stats();
         // the 25-digit plan refines a d1 factorization at the dd rung;
         // only the dd promotion goes through the cache (f64 bypasses
@@ -1419,8 +1441,20 @@ mod tests {
     fn reused_pool_reports_per_batch_aggregates() {
         let jobs = little_jobs(4, 80);
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 2);
-        let first = solve_batch_with(&mut pool, &jobs, 1, DispatchPolicy::LeastLoaded);
-        let second = solve_batch_with(&mut pool, &jobs, 1, DispatchPolicy::LeastLoaded);
+        let first = batch_seq(
+            &mut pool,
+            &jobs,
+            DispatchPolicy::LeastLoaded,
+            &MicrobatchConfig::default(),
+            false,
+        );
+        let second = batch_seq(
+            &mut pool,
+            &jobs,
+            DispatchPolicy::LeastLoaded,
+            &MicrobatchConfig::default(),
+            false,
+        );
         // clocks carry across batches: the second batch finishes later...
         assert!(second.makespan_ms > first.makespan_ms);
         // ...but its rate counts only its own four jobs over that time
@@ -1435,13 +1469,20 @@ mod tests {
         let jobs = little_jobs(10, 81);
         let gpus = || vec![Gpu::v100(), Gpu::p100()];
         let mut pool_g = DevicePool::new(gpus());
-        let greedy = solve_batch_with(&mut pool_g, &jobs, 1, DispatchPolicy::LeastLoaded);
+        let greedy = batch_seq(
+            &mut pool_g,
+            &jobs,
+            DispatchPolicy::LeastLoaded,
+            &MicrobatchConfig::default(),
+            false,
+        );
         let mut pool_s = DevicePool::new(gpus());
-        let sect = solve_batch_with(
+        let sect = batch_seq(
             &mut pool_s,
             &jobs,
-            1,
             DispatchPolicy::ShortestExpectedCompletion,
+            &MicrobatchConfig::default(),
+            false,
         );
         for (g, s) in greedy.outcomes.iter().zip(&sect.outcomes) {
             assert_eq!(g.job_id, s.job_id);
@@ -1456,13 +1497,14 @@ mod tests {
         let report = solve_batch(&mut pool, &[]);
         assert!(report.outcomes.is_empty());
         assert_eq!(report.makespan_ms, 0.0);
-        let fused = solve_batch_fused(
+        let staged = solve_batch_staged(
             &mut pool,
             &[],
             DispatchPolicy::LeastLoaded,
             &MicrobatchConfig::default(),
+            &StageSchedConfig::staged(),
         );
-        assert!(fused.outcomes.is_empty());
+        assert!(staged.outcomes.is_empty());
     }
 
     /// Jobs with repeated shapes so the micro-batcher has something to
@@ -1489,20 +1531,20 @@ mod tests {
     fn fused_batch_is_bit_identical_to_unfused() {
         let jobs = fusible_jobs(8, 90);
         let mut pool_u = DevicePool::homogeneous(&Gpu::v100(), 2);
-        let unfused = solve_batch_fused_with(
+        let unfused = batch_seq(
             &mut pool_u,
             &jobs,
-            1,
             DispatchPolicy::LeastLoaded,
             &MicrobatchConfig::off(),
+            false,
         );
         let mut pool_f = DevicePool::homogeneous(&Gpu::v100(), 2);
-        let fused = solve_batch_fused_with(
+        let fused = batch_seq(
             &mut pool_f,
             &jobs,
-            1,
             DispatchPolicy::LeastLoaded,
             &MicrobatchConfig::default(),
+            false,
         );
         assert!(fused.fused_groups > 0, "nothing fused");
         for (u, f) in unfused.outcomes.iter().zip(&fused.outcomes) {
@@ -1556,11 +1598,9 @@ mod tests {
         let jobs = fusible_jobs(6, 91);
         let cfg = MicrobatchConfig::default();
         let mut pool_s = DevicePool::homogeneous(&Gpu::v100(), 2);
-        let serial =
-            solve_batch_fused_with(&mut pool_s, &jobs, 1, DispatchPolicy::LeastLoaded, &cfg);
+        let serial = batch_seq(&mut pool_s, &jobs, DispatchPolicy::LeastLoaded, &cfg, false);
         let mut pool_p = DevicePool::homogeneous(&Gpu::v100(), 2);
-        let parallel =
-            solve_batch_fused_with(&mut pool_p, &jobs, 4, DispatchPolicy::LeastLoaded, &cfg);
+        let parallel = batch_seq(&mut pool_p, &jobs, DispatchPolicy::LeastLoaded, &cfg, true);
         assert_eq!(serial.makespan_ms, parallel.makespan_ms);
         for (s, p) in serial.outcomes.iter().zip(&parallel.outcomes) {
             assert_eq!(s.x, p.x, "job {} diverged across host threads", s.job_id);
@@ -1582,12 +1622,12 @@ mod tests {
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 2);
         // fusion off: the per-job refund arithmetic below checks the
         // singleton plan's stage walls, not a fused group's shares
-        let report = solve_batch_fused_with(
+        let report = batch_seq(
             &mut pool,
             &jobs,
-            1,
             DispatchPolicy::LeastLoaded,
             &MicrobatchConfig::off(),
+            false,
         );
         for out in &report.outcomes {
             assert!(out.corrections_run <= out.plan.corrections());

@@ -115,7 +115,6 @@ impl SloClass {
     }
 }
 
-
 /// One least squares solve request: minimize `‖b − A x‖₂` to at least
 /// `target_digits` decimal digits.
 #[derive(Clone, Debug)]
@@ -139,17 +138,12 @@ pub struct Job {
     pub deadline_ms: Option<f64>,
     /// Optional simulated arrival time in ms: the solve cannot start
     /// before this instant (fed through [`crate::pool::DevicePool`]'s
-    /// booking as an earliest-start bound, with any idle gap modeled by
-    /// `hold_until` semantics — the clock advances, busy time does
-    /// not). Lets the stream model bursty queues and count real
-    /// deadline *misses* instead of just deadline ordering. `None`
-    /// means available immediately.
-    ///
-    /// Honored by the stream entry points and the staged batch engine
-    /// (`solve_batch_staged`), which dispatch job by job. The plain
-    /// batch paths (`solve_batch` and friends) model a queue handed
-    /// over whole at t = 0 and ignore arrivals — stream jobs that
-    /// trickle in belong on the stream.
+    /// booking as its `not_before` bound; the idle gap before it stays
+    /// off the busy books, and an earlier-released job may still
+    /// gap-fill ahead of it). Lets the stream model bursty queues and
+    /// count real deadline *misses* instead of just deadline ordering.
+    /// `None` means available immediately. Honored by every batch and
+    /// stream entry point and by the service shell.
     pub release_ms: Option<f64>,
     /// Submitting tenant, for the multi-tenant service shell
     /// ([`crate::service`]): selects the bounded ingress queue, the

@@ -4,7 +4,62 @@
 //! power-flow embeddings — issue *millions of small solves*, not one
 //! big one. This crate turns the workspace's single-solve stack
 //! (`gpusim` + `mdls-qr` + `mdls-backsub` + `mdls-core`) into a solve
-//! *service* with three layers:
+//! *service* built around **one batch loop**:
+//!
+//! ```text
+//! admit → book → recover sticky losses → execute → settle (+ transient replays) → report
+//! ```
+//!
+//! Every batch entry point ([`solve_batch`], [`solve_batch_staged`],
+//! [`solve_batch_staged_with`], [`solve_batch_resilient`]) is a wrapper
+//! of a few lines over that loop, and every stream entry point
+//! ([`solve_stream`], [`solve_stream_with`], [`solve_stream_staged`],
+//! [`solve_stream_admitted`]) is a constructor of the one
+//! [`BatchStream`], which runs the same steps one group per pull.
+//! Behaviour is selected by three **config values**, never by a
+//! different code path:
+//!
+//! * [`MicrobatchConfig`] — *what fuses*. The paper's small systems
+//!   underfill one GPU; jobs sharing a shape key fuse into batched
+//!   launch sequences sized at the occupancy sweet spot, booking one
+//!   fused profile per group instead of `k` singletons (40–60×
+//!   predicted per-job gain on 32–128-unknown d/dd shapes). On by
+//!   default; [`MicrobatchConfig::off`] launches per job. Stream fusion
+//!   takes drain-order prefixes only (shrunk further when the front
+//!   member's deadline is tight), so priority/deadline ordering is
+//!   preserved; every member job keeps its own outcome, bit-identical
+//!   to the unfused run.
+//! * [`StageSchedConfig`] — *how stages book and re-book*. Bookings are
+//!   per *stage*, split into a prep lane (host overhead + PCIe) and a
+//!   compute lane (kernels + gaps) per device, each a real interval
+//!   list ([`Timeline`]) whose placement searches gaps, with host prep
+//!   a pool-wide resource ([`HostStagingPool`]).
+//!   [`StageSchedConfig::sequential`] tiles a dispatch's stages into
+//!   one contiguous interval and only writes refunds off the busy books
+//!   ([`DevicePool::reconcile`]) — what [`solve_batch`] and
+//!   [`solve_stream`] use. [`StageSchedConfig::staged`] overlaps the
+//!   next job's factorization prep under the current job's
+//!   residual/correct passes (40%+ makespan cuts on refinement-heavy
+//!   mixes), books the planner's *expected* pass count, re-books
+//!   adaptive early stops **online** ([`DevicePool::rebook`]; under
+//!   [`RebookMode::Compact`] queued dispatches *slide left* into the
+//!   hole) and extends stalled jobs pass by pass until the measured
+//!   residual certifies the target. ([`Job::release_ms`] models bursty
+//!   arrivals in every mode.)
+//! * [`ResilienceConfig`] — *admission and fault recovery*, both no-ops
+//!   on a quiet pool. Each pooled device may carry a seeded
+//!   [`gpusim::FaultPlan`] (transient kernel faults and a sticky
+//!   `DeviceLost` threshold; pure data, no clocks or entropy). The loop
+//!   previews every deadlined job at ingress and sheds or down-ladders
+//!   unmeetable requests, re-plans work interrupted by a device loss
+//!   onto the survivors ([`DevicePool::fail_device`] turns the dead
+//!   device's unexecuted spans into refunds), and books bounded,
+//!   backed-off replays for transient faults. Every job ends in an
+//!   explicit [`Disposition`]; completed jobs are bit-identical to the
+//!   fault-free run. [`solve_batch_staged`] passes admission off;
+//!   [`solve_batch_resilient`] takes the whole config.
+//!
+//! Around the loop:
 //!
 //! 1. **Planner** ([`planner`], [`plan`]) — per job `(m, n, target
 //!    digits)`, *searches* over staged [`ExecPlan`]s: direct solves at
@@ -16,75 +71,31 @@
 //!    cheapest predicted wall clock wins. Plan *structure* is tuned on a
 //!    reference device model so solutions stay placement-invariant;
 //!    plans are memoized per shape, target and device.
-//! 2. **Device pool + scheduler** ([`pool`], [`scheduler`]) — N
-//!    simulated GPUs (`Gpu::v100()`, `Gpu::a100()`, …, cloned or
-//!    mixed), each with a simulated-time clock; queued jobs dispatch
-//!    under a pluggable [`DispatchPolicy`] — greedy least-loaded, or
-//!    shortest-expected-completion for heterogeneous pools — and the
-//!    pool aggregates solves/sec, gigaflops and utilization per device.
-//! 3. **Batched API** ([`batch`], [`stream`]) — [`solve_batch`] for a
-//!    whole queue at once (host worker threads shorten real wall time;
-//!    simulated timing is unaffected), [`solve_stream`] as the lazy,
-//!    iterator-style variant for live queues, and
-//!    [`solve_stream_with`] adding a priority/deadline reorder buffer
-//!    (corrector solves overtake speculative predictor solves) plus
-//!    policy selection.
-//! 4. **Device micro-batching** ([`microbatch`]) — the paper's small
-//!    systems underfill one GPU; jobs sharing a shape key fuse into
-//!    batched launch sequences sized at the occupancy sweet spot,
-//!    booking one fused profile per group instead of `k` singletons
-//!    (40–60× predicted per-job gain on 32–128-unknown d/dd shapes).
-//!    Fusion is **on by default** in [`solve_batch`] and
-//!    [`solve_stream`]; [`MicrobatchConfig::off`] restores per-job
-//!    launches. Stream fusion takes drain-order prefixes only (shrunk
-//!    further when the front member's deadline is tight), so
-//!    priority/deadline ordering is preserved; every member job keeps
-//!    its own outcome, bit-identical to the unfused path. Refinement
-//!    passes stop adaptively once the measured residual certifies the
-//!    target, with the unused booked time refunded to the pool
-//!    ([`DevicePool::reconcile`]).
-//! 5. **Stage-level scheduling** ([`pool`] timelines,
-//!    [`StageSchedConfig`], [`solve_batch_staged`],
-//!    [`solve_stream_staged`]) — bookings are per *stage*, not per
-//!    plan, split into a prep lane (host overhead + PCIe) and a
-//!    compute lane (kernels + gaps) per device: the next job's
-//!    factorization prep books under the current job's
-//!    residual/correct passes (40%+ makespan cuts on refinement-heavy
-//!    mixes), SECT costs completion by previewing the booking on each
-//!    device's timeline, and adaptive early stops are **re-booked
-//!    online** ([`DevicePool::rebook`]) so queued dispatches use the
-//!    freed time — under [`RebookMode::Compact`] they *slide left*
-//!    into mid-schedule holes. Each lane is a real interval list
-//!    ([`Timeline`]): placement searches gaps, not just the tail, and
-//!    host prep is a pool-wide resource ([`HostStagingPool`] — `k`
-//!    CPU staging workers feed all devices). The planner books its
-//!    *expected* pass count and
-//!    the engine extends stalled jobs pass by pass until the measured
-//!    residual certifies the target ([`Job::release_ms`] models bursty
-//!    arrivals along the way). Booking modes move work through
-//!    simulated time only — bits stay identical across all of them.
-//! 6. **Fault tolerance & admission** ([`resilient`]) — each pooled
-//!    device may carry a seeded [`gpusim::FaultPlan`] (transient
-//!    kernel faults and a sticky `DeviceLost` threshold; pure data, no
-//!    clocks or entropy). [`solve_batch_resilient`] previews every
-//!    deadlined job at ingress and sheds or down-ladders unmeetable
-//!    requests, re-plans work interrupted by a device loss onto the
-//!    survivors ([`DevicePool::fail_device`] turns the dead device's
-//!    unexecuted spans into refunds), and books bounded, backed-off
-//!    replays for transient faults. Every job ends in an explicit
-//!    [`Disposition`]; completed jobs are bit-identical to the
-//!    fault-free run.
-//! 7. **Multi-tenant service shell** ([`service`]) — [`serve`] fronts
-//!    the staged engines for many callers at once: per-tenant
-//!    *bounded* ingress queues with a [`Backpressure`] policy,
-//!    deficit-round-robin weighted-fair dispatch with token-bucket
-//!    quotas in predicted device-ms (settle-time refunds credit the
-//!    bucket back), an overload ladder that sheds or down-ladders the
-//!    cheapest [`SloClass`] first, and per-device circuit breakers
-//!    keyed off each device's transient-fault rate (quarantine via
-//!    [`DevicePool::fail_device`], probe-based re-admission after a
-//!    seeded backoff). Entirely simulated time; bit- and
-//!    schedule-deterministic across runs and host worker counts.
+//! 2. **Device pool** ([`pool`]) — N simulated GPUs (`Gpu::v100()`,
+//!    `Gpu::a100()`, …, cloned or mixed), each a pair of simulated-time
+//!    timelines; the pool aggregates solves/sec, gigaflops and
+//!    utilization per device.
+//! 3. **The dispatch step** ([`scheduler`], [`microbatch`]) — place one
+//!    group under a pluggable [`DispatchPolicy`] (greedy least-loaded,
+//!    or shortest-expected-completion by previewing the booking on each
+//!    device's timeline), then book its stages
+//!    ([`dispatch_group_staged`]; [`dispatch_one`] and [`schedule`] are
+//!    the single-job, contiguous-booking forms).
+//! 4. **The stage interpreter** ([`batch`]) — [`solve_planned`] and
+//!    friends execute a plan functionally; refinement passes stop
+//!    adaptively once the measured residual certifies the target.
+//! 5. **Multi-tenant service shell** ([`service`]) — [`serve`] fronts
+//!    the same booking, execution and settlement steps for many callers
+//!    at once: per-tenant *bounded* ingress queues with a
+//!    [`Backpressure`] policy, deficit-round-robin weighted-fair
+//!    dispatch with token-bucket quotas in predicted device-ms
+//!    (reserved at dispatch, reconciled at settle), an overload ladder
+//!    that sheds or down-ladders the cheapest [`SloClass`] first, and
+//!    per-device circuit breakers keyed off each device's
+//!    transient-fault rate (quarantine via [`DevicePool::fail_device`],
+//!    probe-based re-admission after a seeded backoff). Entirely
+//!    simulated time; bit- and schedule-deterministic across runs and
+//!    host worker counts.
 //!
 //! Policies and priorities move jobs across devices and through time;
 //! they never change numerics — every outcome stays bit-identical to
@@ -93,10 +104,27 @@
 //! digits their measured residual certifies plus the per-stage
 //! predicted breakdown of the plan they ran under.
 //!
+//! ## Which call for which need
+//!
+//! | need | call |
+//! |---|---|
+//! | defaults (greedy, fused, contiguous booking) | `solve_batch(p, j)` / `solve_stream(p, j)` |
+//! | explicit dispatch policy | `solve_batch_staged(p, j, pol, &MicrobatchConfig::default(), &StageSchedConfig::sequential())` |
+//! | serial host execution (the bit-identity reference) | `solve_batch_staged_with(p, j, pol, &micro, &sched, false)` |
+//! | per-job launches (fusion A/B control) | pass `&MicrobatchConfig::off()` as `micro` |
+//! | overlap, expected-pass booking, online re-booking, extension | pass `&StageSchedConfig::staged()` as `sched` |
+//! | deadlines that shed/down-ladder, fault recovery | `solve_batch_resilient(p, j, pol, &micro, &sched, &ResilienceConfig::default())` |
+//! | stream with a reorder window | `solve_stream_with(p, j, pol, w)`; explicit configs: `solve_stream_staged(p, j, pol, w, micro, sched)` |
+//! | one model-only dispatch / a whole model-only schedule | `dispatch_group_staged(p, pl, jobs, s, pol, &sched, release)` / `schedule_staged(p, pl, shapes, pol, &micro, &sched)` |
+//! | one opaque interval on a device timeline | `commit_stages(id, &[StageReq { host_ms: 0.0, device_ms: wall }], k, f, n, false, not_before)` |
+//!
+//! (CHANGES.md, PR 12, maps every entry point that was folded into
+//! these onto its replacement call.)
+//!
 //! **Observability** ([`mdls_obs`], re-exported as `obs` from the
 //! workspace root): attach any [`mdls_obs::Observer`] to a pool via
 //! [`DevicePool::attach_observer`] and every layer — planner cache and
-//! search, SECT previews, stage bookings, refunds, holds, extensions,
+//! search, SECT previews, stage bookings, refunds, extensions,
 //! settlements — emits typed events through it. With no observer
 //! attached (the default) no event is even constructed; observation
 //! never changes solutions or simulated timing.
@@ -131,15 +159,13 @@ pub mod workload;
 
 pub use batch::{
     digits_from_residual, latency_summary, promoted_cache_stats, promoted_cache_warm_insert,
-    solve_batch, solve_batch_fused, solve_batch_fused_with, solve_batch_policy, solve_batch_staged,
-    solve_batch_staged_with, solve_batch_with, solve_planned, solve_planned_fused,
+    solve_batch, solve_batch_staged, solve_batch_staged_with, solve_planned, solve_planned_fused,
     solve_planned_fused_with, solve_planned_traced, solve_planned_traced_with, BatchReport,
     Disposition, JobOutcome, LatencySummary, PlannedSolve,
 };
 pub use job::{Job, Precision, SloClass, Solution, TenantId};
 pub use microbatch::{
-    dispatch_group, dispatch_group_at, dispatch_group_staged, plan_groups, schedule_groups,
-    schedule_staged, GroupDispatch, MicrobatchConfig,
+    dispatch_group_staged, plan_groups, schedule_staged, GroupDispatch, MicrobatchConfig,
 };
 pub use plan::{ExecPlan, FusedProfile, PlannedStage, Stage};
 pub use planner::{plan_cache_stats, PlanCacheStats, Planner};
@@ -155,8 +181,7 @@ pub use service::{
     TenantSummary,
 };
 pub use stream::{
-    solve_stream, solve_stream_admitted, solve_stream_fused, solve_stream_staged,
-    solve_stream_with, BatchStream,
+    solve_stream, solve_stream_admitted, solve_stream_staged, solve_stream_with, BatchStream,
 };
 pub use workload::{
     bursty_tracker_jobs, jobs_for_shapes, power_flow_jobs, refinement_mix, tracker_jobs,

@@ -1,5 +1,6 @@
-//! Device-level micro-batching: fuse small same-shaped solves into
-//! batched launch sequences.
+//! Device-level micro-batching and the one dispatch step: fuse small
+//! same-shaped solves into batched launch sequences and book them on
+//! the pool's stage timelines.
 //!
 //! The paper's workloads are dominated by systems small enough that a
 //! single QR badly underfills one GPU — wave quantization leaves most
@@ -17,23 +18,22 @@
 //!   group whose fused grid reaches the per-job cost plateau of the
 //!   device's wave structure. Bigger groups would only add latency (a
 //!   fused group completes as a whole).
-//! * **Dispatch** ([`dispatch_group`]): a fused group is placed like
-//!   one job, under the same [`DispatchPolicy`] rules, but booked at
-//!   its *fused* price ([`Planner::plan_fused`]) — one pool booking of
-//!   the group's [`FusedProfile`] instead of `k` singleton bookings.
-//!   Every member job still gets its own outcome; members share the
-//!   group's simulated interval.
-//! * **Execution** (`solve_planned_fused` in [`crate::batch`]): each
+//! * **Dispatch** ([`dispatch_group_staged`]): a fused group is placed
+//!   like one job, under the same [`DispatchPolicy`] rules, and booked
+//!   at its *fused* price ([`Planner::plan_fused`]) — one stage booking
+//!   of the group's [`FusedProfile`] instead of `k` singleton bookings.
+//!   A group of one books exactly the singleton plan; every batch,
+//!   stream and service dispatch goes through this step (the service
+//!   shell pins the device and calls the booking half directly).
+//! * **Execution** (`execute_group` in [`crate::batch`]): each
 //!   member's functional launch sequence is exactly the singleton
 //!   sequence, so solutions are bit-identical to the unfused path —
 //!   fusing is launch packing, never different arithmetic.
 
 use crate::plan::{ExecPlan, FusedProfile};
 use crate::planner::Planner;
-use crate::pool::{DevicePool, StageBooking};
-use crate::scheduler::{
-    place_by_end, place_release, Dispatch, DispatchPolicy, JobShape, StageSchedConfig,
-};
+use crate::pool::{DevicePool, StageBooking, StageReq};
+use crate::scheduler::{place_by_end, DispatchPolicy, JobShape, StageSchedConfig};
 use mdls_obs::Event;
 
 /// Configuration of the micro-batcher.
@@ -60,8 +60,7 @@ impl Default for MicrobatchConfig {
 
 impl MicrobatchConfig {
     /// Fusion disabled: every job dispatches as a singleton group,
-    /// booked at its singleton price — the legacy-timing escape hatch
-    /// now that the default entry points fuse.
+    /// booked at its singleton price.
     pub fn off() -> Self {
         MicrobatchConfig {
             max_group: 1,
@@ -82,10 +81,9 @@ impl MicrobatchConfig {
 #[derive(Clone, Debug)]
 pub struct GroupDispatch {
     /// Member job slots, in dispatch order. On the batch path these
-    /// are indices into the submitted job slice (like
-    /// [`Dispatch::job`]); on the stream path — where jobs come from
-    /// an iterator, not a slice — they are running dispatch sequence
-    /// numbers and index nothing.
+    /// are indices into the submitted job slice; on the stream path —
+    /// where jobs come from an iterator, not a slice — they are running
+    /// dispatch sequence numbers and index nothing.
     pub jobs: Vec<usize>,
     /// Pool id of the device the group runs on.
     pub device: usize,
@@ -99,11 +97,9 @@ pub struct GroupDispatch {
     /// Simulated completion of the whole group, ms (shared by every
     /// member — a fused sequence completes as a whole).
     pub end_ms: f64,
-    /// The stage-granular booking behind this dispatch, when it was
-    /// placed by a stage-level scheduler (`None` on the per-plan
-    /// paths). Carries the per-stage intervals online re-booking
-    /// rewinds.
-    pub booking: Option<StageBooking>,
+    /// The stage booking behind this dispatch: the per-stage intervals
+    /// online re-booking rewinds.
+    pub booking: StageBooking,
 }
 
 impl GroupDispatch {
@@ -112,30 +108,10 @@ impl GroupDispatch {
         self.jobs.len()
     }
 
-    /// Wrap a singleton [`Dispatch`] as a group of one, priced exactly
-    /// at its plan — the seam that lets the unfused batch and stream
-    /// paths run through the shared group executor.
-    pub fn singleton(d: Dispatch) -> GroupDispatch {
-        GroupDispatch {
-            jobs: vec![d.job],
-            device: d.device,
-            fused: FusedProfile::singleton(&d.plan),
-            plan: d.plan,
-            start_ms: d.start_ms,
-            end_ms: d.end_ms,
-            booking: None,
-        }
-    }
-
-    /// Number of refinement passes this dispatch actually booked:
-    /// derived from the stage booking when one exists (expected-pass
-    /// booking books fewer stages than the plan holds), the plan's
-    /// structural count otherwise.
+    /// Number of refinement passes this dispatch actually booked
+    /// (expected-pass booking books fewer stages than the plan holds).
     pub fn booked_passes(&self) -> usize {
-        match &self.booking {
-            Some(b) => (b.stages.len().saturating_sub(2)) / 2,
-            None => self.plan.corrections(),
-        }
+        self.booking.stages.len().saturating_sub(2) / 2
     }
 }
 
@@ -143,12 +119,16 @@ impl GroupDispatch {
 /// submission order, then chunk each bucket at the occupancy-aware
 /// preferred group size for that shape. Jobs with unique shapes (or
 /// tail remainders) come out as singleton groups. The partition covers
-/// every index exactly once.
+/// every index exactly once. With fusion off ([`MicrobatchConfig::off`])
+/// every job is its own group, in submission order.
 pub fn plan_groups(
     planner: &Planner,
     shapes: &[JobShape],
     cfg: &MicrobatchConfig,
 ) -> Vec<Vec<usize>> {
+    if cfg.is_off() {
+        return (0..shapes.len()).map(|i| vec![i]).collect();
+    }
     // hash-bucketed, first-appearance ordered: the map finds the
     // bucket in O(1), the Vec keeps the deterministic output order
     let mut buckets: Vec<(JobShape, Vec<usize>)> = Vec::new();
@@ -191,103 +171,46 @@ pub fn plan_groups(
     groups
 }
 
-/// Dispatch one fused group: pick a device for the *group* under
-/// `policy` — least-loaded takes the earliest-idle clock; shortest-
-/// expected-completion prices the fused group on every device model and
-/// commits where `clock + fused_ms` is minimal — then book the group's
-/// fused profile onto the device clock as a single commitment covering
-/// all members.
-pub fn dispatch_group(
-    pool: &mut DevicePool,
+/// A group priced for one device: the shared plan, its fused profile,
+/// and the lane-split stage requests `sched` books — the planner's
+/// *expected* pass count under [`StageSchedConfig::book_expected`], the
+/// structural worst case otherwise.
+type PricedGroup = (ExecPlan, FusedProfile, Vec<StageReq>);
+
+fn price_group(
     planner: &Planner,
-    jobs: Vec<usize>,
+    gpu: &gpusim::Gpu,
     shape: &JobShape,
-    policy: DispatchPolicy,
-) -> GroupDispatch {
-    dispatch_group_at(pool, planner, jobs, shape, policy, 0.0)
+    k: usize,
+    sched: &StageSchedConfig,
+) -> PricedGroup {
+    let (plan, fused) = planner.plan_fused(gpu, shape.rows, shape.cols, shape.target_digits, k);
+    let passes = if sched.book_expected {
+        plan.expected_corrections
+    } else {
+        plan.corrections()
+    };
+    let reqs = fused.stage_reqs(ExecPlan::booked_stages(passes));
+    (plan, fused, reqs)
 }
 
-/// [`dispatch_group`] with a simulated release time: the group cannot
-/// start before `release_ms` (the latest member arrival), so SECT
-/// ranks devices by `max(clock, release) + fused cost` and the chosen
-/// device is held idle through the gap ([`DevicePool::hold_until`] —
-/// the clock advances, the busy aggregate does not).
-pub fn dispatch_group_at(
+/// Book an already-priced group on `device`: one
+/// [`DevicePool::commit_stages`] for the whole group, plus one labeled
+/// [`Event::StageBooked`] per booked stage.
+fn book_priced(
     pool: &mut DevicePool,
-    planner: &Planner,
     jobs: Vec<usize>,
-    shape: &JobShape,
-    policy: DispatchPolicy,
-    release_ms: f64,
-) -> GroupDispatch {
-    assert!(!jobs.is_empty(), "a fused group needs at least one job");
-    let k = jobs.len();
-    let (device, (plan, fused)) = place_release(pool, policy, release_ms, |gpu| {
-        let priced = planner.plan_fused(gpu, shape.rows, shape.cols, shape.target_digits, k);
-        let cost_ms = priced.1.predicted_ms;
-        (priced, cost_ms)
-    });
-    if release_ms > 0.0 {
-        pool.hold_until(device, release_ms);
-    }
-    let (start_ms, end_ms) = pool.commit_group(
-        device,
-        fused.predicted_ms,
-        fused.predicted_kernel_ms,
-        fused.flops_paper,
-        k as u64,
-    );
-    GroupDispatch {
-        jobs,
-        device,
-        plan,
-        fused,
-        start_ms,
-        end_ms,
-        booking: None,
-    }
-}
-
-/// Dispatch one group with **stage-granular booking**: the group's
-/// stages (factor, initial correct, and the booked residual/correct
-/// passes — the planner's *expected* count under
-/// [`StageSchedConfig::book_expected`], the structural worst case
-/// otherwise) are booked as individual lane-split intervals on the
-/// chosen device's timeline ([`DevicePool::commit_stages`]). SECT
-/// costs completion by *previewing the booking on each device's
-/// timeline* instead of adding a composed total to the clock, so a
-/// device whose compute lane can hide this group's prep wins the
-/// placement it deserves. `release_ms` is the earliest admissible
-/// start (latest member arrival).
-pub fn dispatch_group_staged(
-    pool: &mut DevicePool,
-    planner: &Planner,
-    jobs: Vec<usize>,
-    shape: &JobShape,
-    policy: DispatchPolicy,
+    device: usize,
+    (plan, fused, reqs): PricedGroup,
     sched: &StageSchedConfig,
     release_ms: f64,
 ) -> GroupDispatch {
-    assert!(!jobs.is_empty(), "a fused group needs at least one job");
-    let k = jobs.len();
-    let (device, (plan, fused, reqs)) = place_by_end(pool, policy, |d| {
-        let (plan, fused) =
-            planner.plan_fused(&d.gpu, shape.rows, shape.cols, shape.target_digits, k);
-        let passes = if sched.book_expected {
-            plan.expected_corrections
-        } else {
-            plan.corrections()
-        };
-        let reqs = fused.stage_reqs(ExecPlan::booked_stages(passes));
-        let end_ms = pool.preview_stages(d.id, &reqs, sched.overlap, release_ms);
-        ((plan, fused, reqs), end_ms)
-    });
     let booking = pool.commit_stages(
         device,
         &reqs,
         fused.predicted_kernel_ms,
         fused.flops_paper,
-        k as u64,
+        jobs.len() as u64,
         sched.overlap,
         release_ms,
     );
@@ -313,16 +236,61 @@ pub fn dispatch_group_staged(
         fused,
         start_ms: booking.start_ms(),
         end_ms: booking.end_ms(),
-        booking: Some(booking),
+        booking,
     }
+}
+
+/// The booking half of the dispatch step, with the device already
+/// chosen: price the group for `device`'s model and book its stages as
+/// lane-split intervals no earlier than `release_ms`. What
+/// [`dispatch_group_staged`] does after placement, and what the
+/// service shell calls directly (its probes must land on the suspect
+/// device).
+pub(crate) fn book_group_on(
+    pool: &mut DevicePool,
+    planner: &Planner,
+    jobs: Vec<usize>,
+    shape: &JobShape,
+    device: usize,
+    sched: &StageSchedConfig,
+    release_ms: f64,
+) -> GroupDispatch {
+    let priced = price_group(planner, pool.gpu(device), shape, jobs.len(), sched);
+    book_priced(pool, jobs, device, priced, sched, release_ms)
+}
+
+/// The dispatch step: place one group under `policy`, then book its
+/// stages (factor, initial correct, and the booked residual/correct
+/// passes) as individual lane-split intervals on the chosen device's
+/// timeline ([`DevicePool::commit_stages`]). SECT costs completion by
+/// *previewing the booking on each device's timeline*, so a device
+/// whose compute lane can hide this group's prep wins the placement it
+/// deserves. `release_ms` is the earliest admissible start (latest
+/// member arrival).
+pub fn dispatch_group_staged(
+    pool: &mut DevicePool,
+    planner: &Planner,
+    jobs: Vec<usize>,
+    shape: &JobShape,
+    policy: DispatchPolicy,
+    sched: &StageSchedConfig,
+    release_ms: f64,
+) -> GroupDispatch {
+    assert!(!jobs.is_empty(), "a fused group needs at least one job");
+    let (device, priced) = place_by_end(pool, policy, |d| {
+        let priced = price_group(planner, &d.gpu, shape, jobs.len(), sched);
+        let end_ms = pool.preview_stages(d.id, &priced.2, sched.overlap, release_ms);
+        (priced, end_ms)
+    });
+    book_priced(pool, jobs, device, priced, sched, release_ms)
 }
 
 /// The placement order of a partitioned batch: under
 /// shortest-expected-completion, groups go longest-first (LPT over the
 /// *fused* group cost on the pool's first device model —
-/// device-count-free, like the singleton sort key); least-loaded keeps
-/// submission order. One definition shared by every batch scheduler,
-/// staged or not, so the A/B paths can never drift apart on ordering.
+/// device-count-free); least-loaded keeps submission order. One
+/// definition shared by the batch loop and [`schedule_staged`], so the
+/// A/B arms can never drift apart on ordering.
 pub(crate) fn placement_order(
     pool: &DevicePool,
     planner: &Planner,
@@ -346,40 +314,13 @@ pub(crate) fn placement_order(
     order
 }
 
-/// Schedule a whole batch as fused groups under `policy`: partition via
-/// [`plan_groups`], order via the shared placement rule (LPT under
-/// SECT, submission order otherwise), then dispatch group by group.
-pub fn schedule_groups(
-    pool: &mut DevicePool,
-    planner: &Planner,
-    shapes: &[JobShape],
-    policy: DispatchPolicy,
-    cfg: &MicrobatchConfig,
-) -> Vec<GroupDispatch> {
-    let groups = plan_groups(planner, shapes, cfg);
-    let order = placement_order(pool, planner, shapes, &groups, policy);
-    let mut dispatched: Vec<Option<GroupDispatch>> = Vec::new();
-    dispatched.resize_with(groups.len(), || None);
-    for &gi in &order {
-        let shape = shapes[groups[gi][0]];
-        dispatched[gi] = Some(dispatch_group(
-            pool,
-            planner,
-            groups[gi].clone(),
-            &shape,
-            policy,
-        ));
-    }
-    dispatched.into_iter().map(|d| d.unwrap()).collect()
-}
-
-/// [`schedule_groups`] with **stage-granular booking**: the same
-/// partition and (for SECT) the same longest-first placement order,
-/// but every group books its stages as lane-split intervals through
-/// [`dispatch_group_staged`] — the model-level entry point of the
-/// stage-overlap A/B. With [`StageSchedConfig::sequential`] the
-/// schedule is timing-identical to [`schedule_groups`]; with overlap
-/// on, consecutive groups pipeline prep under compute.
+/// Schedule a whole batch model-only: partition via [`plan_groups`],
+/// order via the shared placement rule (LPT under SECT, submission
+/// order otherwise), then dispatch group by group through
+/// [`dispatch_group_staged`]. Returns the groups in partition order.
+/// With [`StageSchedConfig::sequential`] every group is one contiguous
+/// interval; with overlap on, consecutive groups pipeline prep under
+/// compute.
 pub fn schedule_staged(
     pool: &mut DevicePool,
     planner: &Planner,
@@ -467,12 +408,24 @@ mod tests {
         assert_eq!(groups.iter().map(|g| g.len()).sum::<usize>(), 40);
     }
 
+    /// Dispatch with contiguous (sequential) stage booking.
+    fn dispatch_seq(
+        pool: &mut DevicePool,
+        planner: &Planner,
+        jobs: Vec<usize>,
+        s: &JobShape,
+        policy: DispatchPolicy,
+    ) -> GroupDispatch {
+        let seq = StageSchedConfig::sequential();
+        dispatch_group_staged(pool, planner, jobs, s, policy, &seq, 0.0)
+    }
+
     #[test]
     fn group_dispatch_books_one_fused_interval() {
         let planner = Planner::new();
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 2);
         let s = shape(32, 25);
-        let d = dispatch_group(
+        let d = dispatch_seq(
             &mut pool,
             &planner,
             (0..8).collect(),
@@ -500,7 +453,7 @@ mod tests {
         let planner = Planner::new();
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
         let s = shape(24, 50);
-        let d = dispatch_group(
+        let d = dispatch_seq(
             &mut pool,
             &planner,
             vec![0],
@@ -520,8 +473,12 @@ mod tests {
         let planner = Planner::new();
         let s = shape(128, 100);
         let mut pool = DevicePool::new(vec![Gpu::a100(), Gpu::p100()]);
-        pool.commit(0, 1.0, 0.8, 1.0e6);
-        let d = dispatch_group(
+        let busy = StageReq {
+            host_ms: 0.0,
+            device_ms: 1.0,
+        };
+        pool.commit_stages(0, &[busy], 0.8, 1.0e6, 1, false, 0.0);
+        let d = dispatch_seq(
             &mut pool,
             &planner,
             (0..16).collect(),
@@ -529,5 +486,12 @@ mod tests {
             DispatchPolicy::ShortestExpectedCompletion,
         );
         assert_eq!(d.device, 0, "SECT parked the group on the slow idle P100");
+    }
+
+    #[test]
+    fn fusion_off_partitions_into_submission_order_singletons() {
+        let shapes: Vec<JobShape> = (0..6).map(|i| shape([16, 24][i % 2], 25)).collect();
+        let groups = plan_groups(&Planner::new(), &shapes, &MicrobatchConfig::off());
+        assert_eq!(groups, (0..6).map(|i| vec![i]).collect::<Vec<_>>());
     }
 }

@@ -169,9 +169,9 @@ pub struct ExecPlan {
     /// Refinement passes the planner *expects* to run, under its
     /// optimistic digits-per-pass posterior — at most
     /// [`ExecPlan::corrections`], which stays the conservative
-    /// worst-case structure. Stage-level schedulers book only the
-    /// expected passes and re-book online when execution diverges;
-    /// per-plan booking keeps charging the worst case.
+    /// worst-case structure. [`crate::StageSchedConfig::book_expected`]
+    /// books only the expected passes and re-books online when
+    /// execution diverges; otherwise the worst case is booked.
     pub expected_corrections: usize,
 }
 
@@ -315,25 +315,6 @@ pub struct FusedProfile {
 }
 
 impl FusedProfile {
-    /// The exact fused-shaped pricing of a singleton dispatch: group 1,
-    /// stage walls straight off the plan's per-stage profiles. Lets
-    /// unfused dispatches share the group executor (and its refund
-    /// arithmetic) without any model re-evaluation.
-    pub fn singleton(plan: &ExecPlan) -> FusedProfile {
-        FusedProfile {
-            group: 1,
-            predicted_ms: plan.predicted_ms,
-            predicted_kernel_ms: plan.predicted_kernel_ms,
-            flops_paper: plan.flops_paper,
-            stage_wall_ms: plan.stages.iter().map(|s| s.wall_ms()).collect(),
-            stage_host_ms: plan
-                .stages
-                .iter()
-                .map(|s| s.profile.lane_split_ms().0)
-                .collect(),
-        }
-    }
-
     /// Booked wall clock per member job, ms.
     pub fn per_job_ms(&self) -> f64 {
         self.predicted_ms / self.group as f64
@@ -374,14 +355,6 @@ impl FusedProfile {
         (n - 2..n)
             .map(|i| StageReq::split(self.stage_wall_ms[i], 0.0))
             .collect()
-    }
-
-    /// One member job's booked share of every stage from index
-    /// `from_stage` on, ms — what reconciliation refunds when an
-    /// adaptive plan stops before those stages.
-    pub fn per_job_tail_ms(&self, from_stage: usize) -> f64 {
-        let from = from_stage.min(self.stage_wall_ms.len());
-        self.stage_wall_ms[from..].iter().sum::<f64>() / self.group as f64
     }
 }
 
@@ -479,10 +452,6 @@ mod tests {
             stage_host_ms: vec![12.0, 1.0, 2.0, 1.0],
         };
         assert_eq!(f.per_job_ms(), 10.0);
-        // skipping the last residual/correct pair refunds its share
-        assert_eq!(f.per_job_tail_ms(2), 3.0);
-        assert_eq!(f.per_job_tail_ms(4), 0.0);
-        assert_eq!(f.per_job_tail_ms(99), 0.0);
         // lane-split requests line up with the walls
         let reqs = f.stage_reqs(4);
         assert_eq!(reqs.len(), 4);

@@ -993,7 +993,7 @@ mod tests {
     #[test]
     fn shallow_targets_stay_direct_single_rung() {
         // a hardware-double target has no cheaper rung to refine from:
-        // the plan must be the legacy direct solve
+        // the plan must be the direct solve
         let plan = Planner::new().plan(&Gpu::v100(), 37, 37, 10);
         assert!(plan.is_direct());
         assert_eq!(plan.factor_precision(), Precision::D1);

@@ -15,8 +15,8 @@
 //! searches *gaps* — [`Timeline::earliest_fit`] returns the earliest
 //! admissible start, which may sit mid-schedule inside a hole an
 //! adaptive early stop left behind — so previews
-//! ([`DevicePool::preview_stages`], [`DevicePool::preview_wall`]) and
-//! commits agree on gap-filling placement.
+//! ([`DevicePool::preview_stages`]) and commits
+//! ([`DevicePool::commit_stages`]) agree on gap-filling placement.
 //!
 //! A booking splits each stage across two *lanes* per device —
 //!
@@ -175,8 +175,8 @@ impl Timeline {
 }
 
 /// Earliest start `>= not_before` at which one `dur_ms` interval fits
-/// on *every* lane simultaneously (a composed per-plan booking occupies
-/// both device lanes exclusively). Fixed-point iteration over per-lane
+/// on *every* lane simultaneously (a sequential booking occupies both
+/// device lanes exclusively). Fixed-point iteration over per-lane
 /// earliest fits; terminates because the candidate only ever jumps
 /// forward to one of finitely many interval endpoints.
 fn joint_fit(lanes: &[&Timeline], dur_ms: f64, not_before: f64) -> f64 {
@@ -342,7 +342,7 @@ impl StageBooking {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RebookMode {
     /// Free skipped spans only while they are still the exact lane
-    /// tails — the cursor-timeline semantics, kept as the A/B baseline.
+    /// tails — the A/B baseline of compaction.
     /// Mid-schedule holes strand.
     TailOnly,
     /// Free every skipped span wherever it sits, then slide later
@@ -402,8 +402,8 @@ pub struct PoolDevice {
     host: Timeline,
     /// Compute-lane timeline (kernels + launch gaps).
     device: Timeline,
-    /// Idle floor: [`DevicePool::hold_until`] raises this, so no later
-    /// booking starts below it and the clock never reads below it.
+    /// Idle floor: [`DevicePool::restore_device`] raises this, so no
+    /// later booking starts below it and the clock never reads below it.
     floor_ms: f64,
     /// Accumulated solve time, ms. Distinct from the clock: holding a
     /// device idle (a gap before a delayed job) advances the clock but
@@ -603,8 +603,8 @@ impl DevicePool {
     }
 
     /// Attach an event observer: every later timeline mutation
-    /// (commits, stage bookings via the dispatch paths, refunds,
-    /// compactions, holds) emits through it, and each pooled device and
+    /// (stage bookings via the dispatch step, refunds, compactions)
+    /// emits through it, and each pooled device and
     /// staging worker is announced immediately so trace exports can
     /// name its tracks.
     ///
@@ -700,66 +700,6 @@ impl DevicePool {
             .min(f64::MAX)
     }
 
-    /// Preview the `(start, end)` a composed `wall_ms` booking on
-    /// device `id` would get, starting no earlier than `not_before`: a
-    /// joint gap search over both lanes (a composed booking occupies
-    /// the device exclusively). Gap-aware: mid-schedule holes left by
-    /// re-booking are candidates, not just the tail.
-    pub fn preview_wall(&self, id: usize, wall_ms: f64, not_before: f64) -> (f64, f64) {
-        let d = &self.devices[id];
-        if wall_ms <= 0.0 {
-            let at = d.clock_ms().max(not_before);
-            return (at, at);
-        }
-        let start = joint_fit(&[&d.host, &d.device], wall_ms, not_before.max(d.floor_ms));
-        (start, start + wall_ms)
-    }
-
-    /// Commit one solve to device `id`: book `wall_ms` at the earliest
-    /// joint fit and fold the solve's accounting into the aggregates.
-    /// Returns the simulated `(start, end)` interval of the solve.
-    pub fn commit(
-        &mut self,
-        id: usize,
-        wall_ms: f64,
-        kernel_ms: f64,
-        flops_paper: f64,
-    ) -> (f64, f64) {
-        self.commit_group(id, wall_ms, kernel_ms, flops_paper, 1)
-    }
-
-    /// Commit a fused group of `solves` micro-batched solves to device
-    /// `id` as *one* booking: one interval on both lanes covering the
-    /// group's fused wall clock, with the aggregates counting every
-    /// member solve. Returns the group's simulated `(start, end)`
-    /// interval — all member jobs share it, because a fused launch
-    /// sequence completes as a whole.
-    pub fn commit_group(
-        &mut self,
-        id: usize,
-        wall_ms: f64,
-        kernel_ms: f64,
-        flops_paper: f64,
-        solves: u64,
-    ) -> (f64, f64) {
-        let (start, end) = self.preview_wall(id, wall_ms, 0.0);
-        let d = &mut self.devices[id];
-        // a composed (per-plan) booking occupies both lanes exclusively
-        d.host.book(start, end);
-        d.device.book(start, end);
-        d.busy_ms += wall_ms;
-        d.solves += solves;
-        d.kernel_ms += kernel_ms;
-        d.flops_paper += flops_paper;
-        self.emit(|| Event::PlanSpan {
-            device: id,
-            jobs: solves as usize,
-            start_ms: start,
-            end_ms: end,
-        });
-        (start, end)
-    }
-
     /// Plan where `reqs` would land on device `device` with overlap
     /// enabled: each stage's prep books at the earliest slot free on
     /// the device prep lane *and* a staging worker (after the previous
@@ -804,9 +744,9 @@ impl DevicePool {
     }
 
     /// Plan where `reqs` would land with overlap disabled: the stages
-    /// tile one contiguous interval (exactly what a composed commit
-    /// would book), placed at the earliest joint fit over both lanes
-    /// that also finds a free staging worker for every prep part.
+    /// tile one contiguous interval, placed at the earliest joint fit
+    /// over both lanes that also finds a free staging worker for every
+    /// prep part.
     fn plan_sequential(&self, device: usize, reqs: &[StageReq], not_before: f64) -> PlannedBooking {
         let d = &self.devices[device];
         let total: f64 = reqs.iter().map(|r| r.wall_ms()).sum();
@@ -897,8 +837,8 @@ impl DevicePool {
     /// and folding `kernel_ms`/`flops_paper` into the aggregates once
     /// for the whole booking. `not_before` is the earliest admissible
     /// start (a job's simulated release time); `overlap = false` books
-    /// the same contiguous interval a composed commit would. Every prep
-    /// part also books a host staging worker.
+    /// the stages as one contiguous interval. Every prep part also
+    /// books a host staging worker.
     ///
     /// The busy aggregate counts every lane's booked time, so a device
     /// whose prep lane hides under its compute lane can report
@@ -1030,8 +970,8 @@ impl DevicePool {
     /// is written off the busy aggregate either way.
     ///
     /// Under [`RebookMode::TailOnly`] only spans still at the exact
-    /// lane tail are freed (the cursor-timeline baseline: an interval
-    /// another booking already landed behind strands). Under
+    /// lane tail are freed (an interval another booking already landed
+    /// behind strands). Under
     /// [`RebookMode::Compact`] every skipped span is freed wherever it
     /// sits, and later queued, unexecuted dispatches on the device
     /// slide left into the hole — never a dispatch whose device work
@@ -1401,24 +1341,6 @@ impl DevicePool {
         d.floor_ms = d.floor_ms.max(at_ms);
     }
 
-    /// Hold device `id` idle until simulated time `until_ms` (no-op if
-    /// its clock is already past): raises the device's idle floor, so
-    /// no later booking starts below it. Advances the clock without
-    /// touching the busy aggregate — the modeled idle gap before a
-    /// delayed or deadline-held job.
-    pub fn hold_until(&mut self, id: usize, until_ms: f64) {
-        let d = &mut self.devices[id];
-        let advanced =
-            until_ms > d.floor_ms && until_ms > d.host.cursor_ms().min(d.device.cursor_ms());
-        d.floor_ms = d.floor_ms.max(until_ms);
-        if advanced {
-            self.emit(|| Event::Held {
-                device: id,
-                until_ms,
-            });
-        }
-    }
-
     /// Batch makespan: the latest clock over the pool, ms.
     pub fn makespan_ms(&self) -> f64 {
         self.devices
@@ -1495,14 +1417,32 @@ impl DevicePool {
 mod tests {
     use super::*;
 
+    fn req(host_ms: f64, device_ms: f64) -> StageReq {
+        StageReq { host_ms, device_ms }
+    }
+
+    /// Book one solve of `wall_ms` on device `id`, no earlier than
+    /// `not_before`, as a single sequential stage.
+    fn book(pool: &mut DevicePool, id: usize, wall_ms: f64, kernel_ms: f64, not_before: f64) {
+        pool.commit_stages(
+            id,
+            &[req(0.0, wall_ms)],
+            kernel_ms,
+            1.0e9,
+            1,
+            false,
+            not_before,
+        );
+    }
+
     #[test]
     fn least_loaded_prefers_earliest_then_lowest_id() {
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 3);
         assert_eq!(pool.least_loaded(), 0);
-        pool.commit(0, 10.0, 8.0, 1.0e9);
+        book(&mut pool, 0, 10.0, 8.0, 0.0);
         assert_eq!(pool.least_loaded(), 1);
-        pool.commit(1, 4.0, 3.0, 1.0e9);
-        pool.commit(2, 4.0, 3.0, 1.0e9);
+        book(&mut pool, 1, 4.0, 3.0, 0.0);
+        book(&mut pool, 2, 4.0, 3.0, 0.0);
         // devices 1 and 2 tie at 4.0 ms: lowest id wins
         assert_eq!(pool.least_loaded(), 1);
     }
@@ -1510,8 +1450,8 @@ mod tests {
     #[test]
     fn makespan_and_throughput() {
         let mut pool = DevicePool::homogeneous(&Gpu::a100(), 2);
-        pool.commit(0, 100.0, 80.0, 1.0e9);
-        pool.commit(1, 250.0, 200.0, 2.0e9);
+        book(&mut pool, 0, 100.0, 80.0, 0.0);
+        book(&mut pool, 1, 250.0, 200.0, 0.0);
         assert_eq!(pool.makespan_ms(), 250.0);
         assert_eq!(pool.total_solves(), 2);
         // 2 solves / 0.25 s = 8 solves/s
@@ -1527,9 +1467,8 @@ mod tests {
         // any idle gap counted as busy time and over-reported
         // utilization (and under-reported solves/busy-sec)
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 2);
-        pool.hold_until(0, 60.0); // 60 ms idle gap before the first solve
-        pool.commit(0, 40.0, 30.0, 1.0e9);
-        pool.commit(1, 100.0, 80.0, 1.0e9);
+        book(&mut pool, 0, 40.0, 30.0, 60.0); // 60 ms idle gap before the first solve
+        book(&mut pool, 1, 100.0, 80.0, 0.0);
         assert_eq!(pool.makespan_ms(), 100.0);
         let stats = pool.stats();
         assert_eq!(stats[0].busy_ms, 40.0);
@@ -1537,16 +1476,12 @@ mod tests {
         assert!((stats[1].utilization - 1.0).abs() < 1e-12);
         // 1 solve / 0.04 busy-sec = 25 solves per busy second
         assert!((stats[0].solves_per_busy_sec - 25.0).abs() < 1e-9);
-        // holding a device never rewinds its clock
-        pool.hold_until(1, 10.0);
-        assert_eq!(pool.devices()[1].clock_ms(), 100.0);
     }
 
     #[test]
     fn reset_clears_everything() {
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-        pool.hold_until(0, 2.0);
-        pool.commit(0, 5.0, 4.0, 1.0);
+        book(&mut pool, 0, 5.0, 4.0, 2.0);
         pool.reset();
         assert_eq!(pool.makespan_ms(), 0.0);
         assert_eq!(pool.total_solves(), 0);
@@ -1554,22 +1489,9 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_books_once_counts_all() {
-        let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-        let (start, end) = pool.commit_group(0, 30.0, 20.0, 6.0e9, 8);
-        assert_eq!((start, end), (0.0, 30.0));
-        assert_eq!(pool.total_solves(), 8);
-        // one fused interval, not eight
-        assert_eq!(pool.makespan_ms(), 30.0);
-        // 8 solves / 0.03 busy-sec
-        let s = &pool.stats()[0];
-        assert!((s.solves_per_busy_sec - 8.0 / 0.030).abs() < 1e-9);
-    }
-
-    #[test]
     fn reconcile_refunds_busy_time_not_the_clock() {
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-        pool.commit(0, 100.0, 80.0, 1.0e9);
+        book(&mut pool, 0, 100.0, 80.0, 0.0);
         pool.reconcile(0, 25.0);
         // the schedule keeps the booked clock...
         assert_eq!(pool.makespan_ms(), 100.0);
@@ -1639,10 +1561,6 @@ mod tests {
         assert_eq!(pool.devices()[2].gpu.name, "P100");
     }
 
-    fn req(host_ms: f64, device_ms: f64) -> StageReq {
-        StageReq { host_ms, device_ms }
-    }
-
     #[test]
     fn timeline_invariants_and_gap_search() {
         let mut tl = Timeline::default();
@@ -1663,29 +1581,6 @@ mod tests {
         assert!(tl.free((10.0, 20.0)));
         assert!(tl.is_free(4.0, 30.0));
         assert!(!tl.free((10.0, 20.0)));
-    }
-
-    #[test]
-    fn sequential_stage_booking_matches_composed_commit() {
-        // overlap off: stage intervals tile the exact interval one
-        // composed commit would book — per-plan and stage-granular
-        // sequential bookings are timing-identical
-        let reqs = [req(12.0, 2.0), req(0.0, 0.5), req(0.1, 0.4)];
-        let wall: f64 = reqs.iter().map(|r| r.wall_ms()).sum();
-        let mut a = DevicePool::homogeneous(&Gpu::v100(), 1);
-        a.commit(0, wall, 0.0, 0.0);
-        let mut b = DevicePool::homogeneous(&Gpu::v100(), 1);
-        let booking = b.commit_stages(0, &reqs, 0.0, 0.0, 1, false, 0.0);
-        assert_eq!(booking.start_ms(), 0.0);
-        assert!((booking.end_ms() - wall).abs() < 1e-12);
-        assert!((a.makespan_ms() - b.makespan_ms()).abs() < 1e-12);
-        assert_eq!(a.devices()[0].busy_ms(), b.devices()[0].busy_ms());
-        // stages are contiguous
-        let mut clock = 0.0;
-        for s in &booking.stages {
-            assert_eq!(s.start_ms(), clock);
-            clock = s.end_ms();
-        }
     }
 
     #[test]
@@ -1866,8 +1761,7 @@ mod tests {
         assert_eq!(fit.end_ms(), 10.0);
         // and previews agree with commits on gap placement
         assert_eq!(pool.preview_stages(0, &[req(0.0, 2.0)], true, 0.0), 12.0);
-        let (s, e) = pool.preview_wall(0, 2.0, 0.0);
-        assert_eq!((s, e), (10.0, 12.0));
+        assert_eq!(pool.preview_stages(0, &[req(0.0, 2.0)], false, 0.0), 12.0);
     }
 
     #[test]
@@ -1910,19 +1804,5 @@ mod tests {
         assert_eq!(a.stages[0].host, (0.0, 3.0));
         // device 1 is free but the worker is busy until 3
         assert!(b.stages[0].host.0 >= 3.0);
-    }
-
-    #[test]
-    fn hold_floor_delays_later_bookings() {
-        let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-        pool.hold_until(0, 60.0);
-        let (s, _) = pool.preview_wall(0, 5.0, 0.0);
-        assert_eq!(s, 60.0);
-        let b = pool.commit_stages(0, &[req(0.0, 5.0)], 0.0, 0.0, 1, true, 0.0);
-        assert_eq!(b.start_ms(), 60.0);
-        // the floor-delayed booking now owns [60,65): the next preview
-        // queues behind it
-        let (s2, _) = pool.preview_wall(0, 5.0, 0.0);
-        assert_eq!(s2, 65.0);
     }
 }

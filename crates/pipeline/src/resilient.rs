@@ -1,34 +1,38 @@
-//! Fault-tolerant batch execution: deadline-driven admission at
-//! ingress, seeded device-fault injection, and retry/re-dispatch
-//! recovery.
+//! Fault tolerance and admission: the phases of the batch loop that are
+//! no-ops on a quiet pool — deadline-driven admission at ingress,
+//! seeded device-fault injection, and retry/re-dispatch recovery.
 //!
-//! The driver here wraps the staged batch engine with three concerns
-//! the happy-path engines deliberately do not carry:
+//! [`solve_batch_resilient`] is the one batch loop (`run_batch` in
+//! [`crate::batch`]) with every phase switched on by a
+//! [`ResilienceConfig`]; this module holds the configuration and the
+//! steps the loop, the stream and the service shell share:
 //!
-//! * **Admission** — before anything is booked, every deadlined job is
-//!   previewed against the surviving pool
+//! * **Admission** (`admit_job`) — before anything is booked, every
+//!   deadlined job is previewed against the surviving pool
 //!   ([`DevicePool::preview_stages`]). A job whose requested digits
 //!   cannot meet its deadline on *any* surviving device is down-laddered
 //!   to the cheapest precision rung that can
 //!   ([`Disposition::Degraded`], with the original request kept on
 //!   [`JobOutcome::requested_digits`]) or, when no rung fits, shed at
-//!   the door ([`Disposition::Shed`]) instead of burning device time on
-//!   a guaranteed miss.
-//! * **Sticky device loss** — each device model may carry a seeded
-//!   [`FaultPlan`](gpusim::FaultPlan). When a plan says the device dies
-//!   at `t`, the pool marks it lost ([`DevicePool::fail_device`]):
-//!   unexecuted booked spans become refunds and every interrupted or
-//!   queued group is re-planned and re-dispatched onto the survivors
-//!   ([`Disposition::Retried`]) — a started-but-lost stage re-runs from
-//!   its factorization, reusing the promoted-matrix cache, so recovery
-//!   costs time but never changes arithmetic. With
-//!   [`RecoveryPolicy::redispatch`] off (the fail-the-batch A/B
-//!   baseline) interrupted jobs end [`Disposition::Failed`].
-//! * **Transient kernel faults** — à la ECC replay: each transient in
-//!   the device's seeded schedule that lands inside a group's executed
-//!   interval books one bounded, exponentially backed-off replay of the
-//!   group's steady-state pass. Retries only extend *simulated time*;
-//!   the solution bits are exactly the fault-free solve's.
+//!   the door ([`Disposition::Shed`], `shed_tombstone`) instead of
+//!   burning device time on a guaranteed miss.
+//! * **Sticky device loss** (`sticky_losses`) — each device model may
+//!   carry a seeded [`FaultPlan`](gpusim::FaultPlan). When a plan says
+//!   the device dies at `t`, the pool marks it lost
+//!   ([`DevicePool::fail_device`]): unexecuted booked spans become
+//!   refunds and every interrupted or queued group is re-planned and
+//!   re-dispatched onto the survivors ([`Disposition::Retried`]) — a
+//!   started-but-lost stage re-runs from its factorization, reusing the
+//!   promoted-matrix cache, so recovery costs time but never changes
+//!   arithmetic. With [`RecoveryPolicy::redispatch`] off (the
+//!   fail-the-batch A/B baseline) interrupted jobs end
+//!   [`Disposition::Failed`].
+//! * **Transient kernel faults** (`replay_transients`) — à la ECC
+//!   replay: each transient in the device's seeded schedule that lands
+//!   inside a group's executed interval books one bounded,
+//!   exponentially backed-off replay of the group's steady-state pass.
+//!   Retries only extend *simulated time*; the solution bits are
+//!   exactly the fault-free solve's.
 //!
 //! Faults are **data, not entropy**: the schedule is fixed by
 //! [`FaultPlan::seeded`](gpusim::FaultPlan::seeded) before the batch
@@ -36,18 +40,13 @@
 //! whole run — losses, retries, down-ladders, sheds — replays
 //! bit-identically from the same seeds.
 
-use std::collections::HashSet;
-
-use crate::batch::{
-    emit_settled, latency_summary, settle_staged_dispatch, solve_planned_fused_with,
-    solve_planned_traced_with, BatchReport, Disposition, JobOutcome, PlannedSolve,
-};
+use crate::batch::{run_batch, BatchReport, Disposition, JobOutcome};
 use crate::job::{Job, Precision, Solution};
-use crate::microbatch::{dispatch_group_staged, plan_groups, GroupDispatch, MicrobatchConfig};
+use crate::microbatch::{GroupDispatch, MicrobatchConfig};
 use crate::plan::ExecPlan;
 use crate::planner::Planner;
 use crate::pool::DevicePool;
-use crate::scheduler::{DispatchPolicy, JobShape, StageSchedConfig};
+use crate::scheduler::{DispatchPolicy, StageSchedConfig};
 use mdls_obs::Event;
 
 /// Ingress admission control for deadlined jobs.
@@ -248,13 +247,100 @@ pub(crate) fn tombstone_outcome(
     }
 }
 
-/// Solve `jobs` on `pool` with admission, fault injection and recovery
-/// — the staged batch engine ([`crate::batch::solve_batch_staged`])
-/// wrapped in the resilience loop described in the module docs. Fault
-/// schedules are read from each pooled device's
-/// [`Gpu::fault`](gpusim::Gpu) plan (attach one with
+/// The tombstone of a job turned away before it ran: emit `ev` (the
+/// caller's shed event), price the reference plan at `digits` on the
+/// first surviving device's model, and build the [`Disposition::Shed`]
+/// outcome stamped `at_ms` — shared by batch admission, the stream's
+/// pop-time and loss-time previews, and the service shell.
+pub(crate) fn shed_tombstone(
+    pool: &DevicePool,
+    planner: &Planner,
+    job: &Job,
+    digits: u32,
+    at_ms: f64,
+    ev: impl FnOnce() -> Event,
+) -> JobOutcome {
+    pool.emit(ev);
+    let device = pool
+        .devices()
+        .iter()
+        .find(|d| !d.is_lost())
+        .map_or(0, |d| d.id);
+    let (plan, _) = planner.plan_fused(pool.gpu(device), job.rows(), job.cols(), digits, 1);
+    tombstone_outcome(job, plan, device, Disposition::Shed, at_ms)
+}
+
+/// The sticky losses the pool's fault plans schedule, oldest first
+/// (ties to the lowest device id).
+pub(crate) fn sticky_losses(pool: &DevicePool) -> Vec<(usize, f64)> {
+    let mut losses: Vec<(usize, f64)> = pool
+        .devices()
+        .iter()
+        .filter_map(|d| d.gpu.fault.lost_at_ms().map(|t| (d.id, t)))
+        .collect();
+    losses.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    losses
+}
+
+/// Replay the transient kernel faults that hit a settled dispatch:
+/// every scheduled transient of the device inside `[start_ms, end_ms)`
+/// (at most `max_retries`) costs one backed-off replay of the group's
+/// steady-state pass (or, for direct plans, the whole booking) booked
+/// after the group's end — time moves, bits do not. Extends
+/// `g.end_ms` past the last replay and returns the fault instants, so
+/// callers can mark the members retried (and the service shell can
+/// strike its breaker). Empty on a quiet device.
+pub(crate) fn replay_transients(
+    pool: &mut DevicePool,
+    g: &mut GroupDispatch,
+    job_id: u64,
+    max_retries: usize,
+    backoff_ms: f64,
+    overlap: bool,
+) -> Vec<f64> {
+    let device = g.device;
+    let hits: Vec<f64> = pool
+        .gpu(device)
+        .fault
+        .transients()
+        .iter()
+        .copied()
+        .filter(|t| *t >= g.start_ms && *t < g.end_ms)
+        .take(max_retries)
+        .collect();
+    for (retry, &at_ms) in hits.iter().enumerate() {
+        pool.emit(|| Event::FaultInjected {
+            device,
+            job: job_id,
+            at_ms,
+            retry,
+        });
+        let mut reqs = g.fused.extension_reqs();
+        if reqs.is_empty() {
+            reqs = g.fused.stage_reqs(usize::MAX);
+        }
+        let backoff_ms = backoff_ms * (1u64 << retry) as f64;
+        let b = pool.commit_stages(device, &reqs, 0.0, 0.0, 0, overlap, g.end_ms + backoff_ms);
+        pool.mark_settled(b.id);
+        g.end_ms = b.end_ms();
+        pool.emit(|| Event::RetryBooked {
+            device,
+            job: job_id,
+            end_ms: g.end_ms,
+            backoff_ms,
+        });
+    }
+    hits
+}
+
+/// Solve `jobs` on `pool` with admission, fault injection and recovery:
+/// the one batch loop with every phase live —
+/// admit → book → recover sticky losses → execute → settle (+ transient
+/// replays) → report. Fault schedules are read from each pooled
+/// device's [`Gpu::fault`](gpusim::Gpu) plan (attach one with
 /// [`DevicePool::set_fault_plan`]); with every plan quiet and no
-/// deadlines this degenerates to the plain staged solve.
+/// deadlines the extra phases do nothing and this *is*
+/// [`crate::batch::solve_batch_staged`], outcomes and timelines alike.
 ///
 /// Every job ends in an explicit [`Disposition`] on its outcome, and
 /// every *completed* job's solution is bit-identical to the fault-free
@@ -267,285 +353,7 @@ pub fn solve_batch_resilient(
     sched: &StageSchedConfig,
     cfg: &ResilienceConfig,
 ) -> BatchReport {
-    let mut planner = Planner::new();
-    if let Some(obs) = pool.observer() {
-        planner.attach_observer(obs.clone());
-    }
-
-    // ---- phase 0: admission at the door ------------------------------
-    let mut outcomes: Vec<Option<JobOutcome>> = Vec::new();
-    outcomes.resize_with(jobs.len(), || None);
-    let mut active: Vec<usize> = Vec::new(); // original index per admitted job
-    let mut ajobs: Vec<Job> = Vec::new(); // admitted jobs, digits possibly lowered
-    let mut dispo: Vec<Disposition> = Vec::new(); // per admitted job
-    for (i, job) in jobs.iter().enumerate() {
-        let release = job.release();
-        match admit_job(pool, &planner, job, sched.overlap, release, &cfg.admission) {
-            AdmissionDecision::Admit => {
-                active.push(i);
-                ajobs.push(job.clone());
-                dispo.push(Disposition::Ok);
-            }
-            AdmissionDecision::Degrade(digits) => {
-                pool.emit(|| Event::JobDegraded {
-                    job: job.id,
-                    from_digits: job.target_digits,
-                    to_digits: digits,
-                });
-                let mut degraded = job.clone();
-                degraded.target_digits = digits;
-                active.push(i);
-                ajobs.push(degraded);
-                dispo.push(Disposition::Degraded);
-            }
-            AdmissionDecision::Shed(predicted_end) => {
-                pool.emit(|| Event::JobShed {
-                    job: job.id,
-                    deadline_ms: job.deadline_ms.unwrap_or(0.0),
-                    predicted_end_ms: predicted_end,
-                });
-                let device = pool
-                    .devices()
-                    .iter()
-                    .find(|d| !d.is_lost())
-                    .map(|d| d.id)
-                    .unwrap_or(0);
-                let (plan, _) = planner.plan_fused(
-                    pool.gpu(device),
-                    job.rows(),
-                    job.cols(),
-                    job.target_digits,
-                    1,
-                );
-                outcomes[i] = Some(tombstone_outcome(
-                    job,
-                    plan,
-                    device,
-                    Disposition::Shed,
-                    release,
-                ));
-            }
-        }
-    }
-
-    // ---- phase 1: book the admitted work in placement order ----------
-    let shapes: Vec<JobShape> = ajobs.iter().map(JobShape::from).collect();
-    let groups_idx: Vec<Vec<usize>> = if micro.is_off() {
-        (0..ajobs.len()).map(|i| vec![i]).collect()
-    } else {
-        plan_groups(&planner, &shapes, micro)
-    };
-    let order = crate::microbatch::placement_order(pool, &planner, &shapes, &groups_idx, policy);
-    struct Slot {
-        gi: usize,
-        shape: JobShape,
-        g: GroupDispatch,
-        /// Set when a loss killed this group and recovery is off: the
-        /// loss time, which becomes the members' terminal `end_ms`.
-        dead: Option<f64>,
-    }
-    let mut slots: Vec<Slot> = Vec::with_capacity(order.len());
-    for &gi in &order {
-        let idxs = &groups_idx[gi];
-        let shape = shapes[idxs[0]];
-        let release = idxs
-            .iter()
-            .map(|&j| ajobs[j].release())
-            .fold(0.0f64, f64::max);
-        let g = dispatch_group_staged(pool, &planner, idxs.clone(), &shape, policy, sched, release);
-        slots.push(Slot {
-            gi,
-            shape,
-            g,
-            dead: None,
-        });
-    }
-
-    // ---- phase 1.5: sticky losses, oldest first ----------------------
-    // Each loss interrupts the unfinished bookings on the dying device;
-    // re-dispatch immediately so a *later* loss can interrupt the
-    // re-booked work too (it is live again). Recovery only books onto
-    // survivors — their existing spans are never moved or re-run.
-    let mut losses: Vec<(usize, f64)> = pool
-        .devices()
-        .iter()
-        .filter_map(|d| d.gpu.fault.lost_at_ms().map(|t| (d.id, t)))
-        .collect();
-    losses.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    for (id, t) in losses {
-        let report = pool.fail_device(id, t);
-        let hit: HashSet<u64> = report.interrupted.iter().copied().collect();
-        if hit.is_empty() {
-            continue;
-        }
-        for slot in slots.iter_mut() {
-            let Some(bid) = slot.g.booking.as_ref().map(|b| b.id) else {
-                continue;
-            };
-            if !hit.contains(&bid) {
-                continue;
-            }
-            let idxs = groups_idx[slot.gi].clone();
-            if cfg.recovery.redispatch && pool.alive_count() > 0 {
-                let release = idxs.iter().map(|&j| ajobs[j].release()).fold(t, f64::max);
-                slot.g = dispatch_group_staged(
-                    pool,
-                    &planner,
-                    idxs.clone(),
-                    &slot.shape,
-                    policy,
-                    sched,
-                    release,
-                );
-                for &j in &idxs {
-                    if dispo[j] == Disposition::Ok {
-                        dispo[j] = Disposition::Retried;
-                    }
-                }
-            } else {
-                slot.dead = Some(t);
-                for &j in &idxs {
-                    dispo[j] = Disposition::Failed;
-                }
-            }
-        }
-    }
-
-    // ---- phase 2: execute (sequentially; numerics are device-free) ---
-    let mut solved: Vec<Option<Vec<PlannedSolve>>> = Vec::new();
-    solved.resize_with(slots.len(), || None);
-    for (i, slot) in slots.iter().enumerate() {
-        if slot.dead.is_some() {
-            continue;
-        }
-        let members: Vec<&Job> = groups_idx[slot.gi].iter().map(|&j| &ajobs[j]).collect();
-        solved[i] = Some(if members.len() == 1 {
-            vec![solve_planned_traced_with(
-                pool.gpu(slot.g.device),
-                members[0],
-                &slot.g.plan,
-                sched.max_extra_passes,
-            )]
-        } else {
-            solve_planned_fused_with(
-                pool.gpu(slot.g.device),
-                &members,
-                &slot.g.plan,
-                sched.max_extra_passes,
-            )
-        });
-    }
-
-    // ---- phase 3: settle, then replay transient faults ---------------
-    let mut makespan_ms = 0.0f64;
-    let mut fused_groups = 0;
-    for (slot, solved) in slots.iter_mut().zip(solved) {
-        let idxs = &groups_idx[slot.gi];
-        let members: Vec<&Job> = idxs.iter().map(|&j| &ajobs[j]).collect();
-        if let Some(t) = slot.dead {
-            for (&j, &job) in idxs.iter().zip(&members) {
-                let mut o = tombstone_outcome(
-                    job,
-                    slot.g.plan.clone(),
-                    slot.g.device,
-                    Disposition::Failed,
-                    t,
-                );
-                o.start_ms = slot.g.start_ms.min(t);
-                o.fused_group = idxs.len();
-                outcomes[active[j]] = Some(o);
-            }
-            continue;
-        }
-        let solved = solved.expect("every surviving group executed");
-        if members.len() > 1 {
-            fused_groups += 1;
-        }
-        let passes_run = solved.iter().map(|s| s.corrections_run).max().unwrap_or(0);
-        let (refunded, extended) =
-            settle_staged_dispatch(pool, &mut slot.g, &slot.shape, passes_run, sched);
-
-        // transient kernel faults: every scheduled transient inside the
-        // executed interval costs one backed-off replay of the group's
-        // steady-state pass (or, for direct plans, the whole booking) —
-        // time moves, bits do not
-        let device = slot.g.device;
-        let fplan = pool.gpu(device).fault.clone();
-        let hits: Vec<f64> = fplan
-            .transients()
-            .iter()
-            .copied()
-            .filter(|t| *t >= slot.g.start_ms && *t < slot.g.end_ms)
-            .take(cfg.recovery.max_transient_retries)
-            .collect();
-        let mut end = slot.g.end_ms;
-        let front = members[0].id;
-        for (r, at) in hits.iter().enumerate() {
-            pool.emit(|| Event::FaultInjected {
-                device,
-                job: front,
-                at_ms: *at,
-                retry: r,
-            });
-            let mut reqs = slot.g.fused.extension_reqs();
-            if reqs.is_empty() {
-                reqs = slot.g.fused.stage_reqs(usize::MAX);
-            }
-            let backoff = cfg.recovery.backoff_ms * (1u64 << r) as f64;
-            let b = pool.commit_stages(device, &reqs, 0.0, 0.0, 0, sched.overlap, end + backoff);
-            pool.mark_settled(b.id);
-            pool.emit(|| Event::RetryBooked {
-                device,
-                job: front,
-                end_ms: b.end_ms(),
-                backoff_ms: backoff,
-            });
-            end = b.end_ms();
-            for &j in idxs {
-                if dispo[j] == Disposition::Ok {
-                    dispo[j] = Disposition::Retried;
-                }
-            }
-        }
-        slot.g.end_ms = end;
-
-        makespan_ms = makespan_ms.max(slot.g.end_ms);
-        let mut assembled = JobOutcome::assemble_group(&members, &slot.g, solved);
-        for (o, &j) in assembled.iter_mut().zip(idxs.iter()) {
-            o.refunded_ms = refunded;
-            o.extended_ms = extended;
-            o.disposition = dispo[j];
-            o.requested_digits = jobs[active[j]].target_digits;
-        }
-        for (&j, o) in idxs.iter().zip(assembled) {
-            outcomes[active[j]] = Some(o);
-        }
-    }
-
-    let outcomes: Vec<JobOutcome> = outcomes
-        .into_iter()
-        .map(|o| o.expect("every job has a terminal disposition"))
-        .collect();
-    emit_settled(pool, &outcomes);
-    let completed = outcomes
-        .iter()
-        .filter(|o| o.disposition.completed())
-        .count();
-    let solves_per_sec = if makespan_ms > 0.0 {
-        completed as f64 / (makespan_ms * 1.0e-3)
-    } else {
-        0.0
-    };
-    BatchReport {
-        makespan_ms,
-        solves_per_sec,
-        device_stats: pool.stats(),
-        distinct_plans: planner.cached_plans(),
-        plan_cache: planner.cache_stats(),
-        fused_groups,
-        latency: latency_summary(&outcomes),
-        outcomes,
-    }
+    run_batch(pool, jobs, policy, micro, sched, cfg, true)
 }
 
 #[cfg(test)]

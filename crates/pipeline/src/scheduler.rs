@@ -1,25 +1,26 @@
-//! The scheduler: policy-driven dispatch of planned jobs onto the
+//! The scheduler: policy-driven placement of planned jobs onto the
 //! device pool.
 //!
-//! Dispatch is a pluggable [`DispatchPolicy`]:
+//! Placement is a pluggable [`DispatchPolicy`]:
 //!
-//! * [`DispatchPolicy::LeastLoaded`] — the legacy greedy rule: the job
-//!   goes to the earliest-idle simulated clock (ties to the lowest id),
-//!   then is planned *for that device's model*. Cheap (one plan per
-//!   dispatch) but blind to device speed: on a mixed pool an idle P100
-//!   wins over an A100 that would finish the job sooner.
+//! * [`DispatchPolicy::LeastLoaded`] — the greedy rule: the job goes to
+//!   the earliest-idle simulated clock (ties to the lowest id), then is
+//!   planned *for that device's model*. Cheap (one plan per dispatch)
+//!   but blind to device speed: on a mixed pool an idle P100 wins over
+//!   an A100 that would finish the job sooner.
 //! * [`DispatchPolicy::ShortestExpectedCompletion`] — plans the job on
-//!   *every* device model and commits where `clock + predicted_ms` is
-//!   minimal (ties to the lowest id). The planner's memo table makes
-//!   the extra plans nearly free — a pool mixes a handful of device
-//!   models, so each (shape, model) pair is planned once per run.
+//!   *every* device model, previews the booking on each device's
+//!   timeline ([`DevicePool::preview_stages`]) and commits where it
+//!   completes first (ties to the lowest id). The planner's memo table
+//!   makes the extra plans nearly free — a pool mixes a handful of
+//!   device models, so each (shape, model) pair is planned once per run.
 //!
-//! Either way, each dispatch prices the job's staged [`ExecPlan`] for
-//! the chosen device's model — a heterogeneous pool prices the same
-//! stage structure differently on a V100 than on an A100 — and advances
-//! that device's clock by the plan's *composed* predicted wall clock
-//! (every Factor/Residual/Correct stage absorbed into one total, so a
-//! refinement plan is costed as a whole, not as its first stage).
+//! There is one dispatch step — place, then book the group's stages on
+//! the chosen device's timeline ([`crate::microbatch`]) — and
+//! [`StageSchedConfig`] says *how* the stages are booked.
+//! [`dispatch_one`] and [`schedule`] are that step for single jobs with
+//! [`StageSchedConfig::sequential`]: each job's stages tile one
+//! contiguous interval, so a refinement plan is costed as a whole.
 //!
 //! Because the analytic timing model is data-independent, the predicted
 //! wall clock of a plan *is* the modeled wall clock of the functional
@@ -29,6 +30,7 @@
 //! per-device plan, solutions are bit-identical across policies.
 
 use crate::job::Job;
+use crate::microbatch::{dispatch_group_staged, schedule_staged, GroupDispatch, MicrobatchConfig};
 use crate::plan::ExecPlan;
 use crate::planner::Planner;
 use crate::pool::DevicePool;
@@ -36,16 +38,13 @@ use crate::pool::DevicePool;
 /// How the scheduler picks a device for the next job.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum DispatchPolicy {
-    /// Greedy: earliest-idle device clock wins, ties to the lowest id —
-    /// the same placement decisions as the pipeline's original
-    /// hard-wired dispatch. (Solution bits on non-V100 devices may
-    /// still differ from pre-policy releases: tilings are now tuned on
-    /// the reference model instead of per device, so numerics are
-    /// placement-invariant — see [`crate::planner`].)
+    /// Greedy: earliest-idle device clock wins, ties to the lowest id.
+    /// (Tilings are tuned on the reference model, not per device, so
+    /// numerics are placement-invariant — see [`crate::planner`].)
     #[default]
     LeastLoaded,
-    /// Plan the job on every device and commit where
-    /// `clock + predicted_ms` is minimal, ties to the lowest id.
+    /// Plan the job on every device and commit where the previewed
+    /// booking completes first, ties to the lowest id.
     /// Strictly better informed on heterogeneous pools.
     ShortestExpectedCompletion,
 }
@@ -60,11 +59,11 @@ impl DispatchPolicy {
     }
 }
 
-/// How stage-granular scheduling books, overlaps and re-books plan
-/// stages on the pool's timelines. The default ([`StageSchedConfig::staged`])
-/// turns everything on; [`StageSchedConfig::sequential`] books the same
-/// stage intervals contiguously — timing-identical to per-plan booking,
-/// the A/B control. None of these knobs ever changes which arithmetic
+/// How the dispatch step books, overlaps and re-books plan stages on
+/// the pool's timelines. The default ([`StageSchedConfig::staged`])
+/// turns everything on; [`StageSchedConfig::sequential`] books each
+/// dispatch's stages as one contiguous interval — one opaque span per
+/// plan, the A/B control. None of these knobs ever changes which arithmetic
 /// runs for a *booked* pass: overlap and re-booking move work through
 /// simulated time only. `max_extra_passes` is the one exception by
 /// design — it lets a stalled refinement run extra passes past its
@@ -92,7 +91,7 @@ pub struct StageSchedConfig {
     pub book_expected: bool,
     /// Extra residual/correct passes a stalled job may run past its
     /// plan when the measured residual is still improving but has not
-    /// certified the target (0 = legacy stop-at-plan behavior).
+    /// certified the target (0 = stop at the plan's pass count).
     pub max_extra_passes: usize,
 }
 
@@ -110,8 +109,8 @@ impl StageSchedConfig {
     }
 
     /// Stage overlap only — worst-case booking, no re-booking, no
-    /// extension. Isolates the cross-job overlap win in A/Bs, with
-    /// execution semantics identical to the per-plan path.
+    /// extension. Isolates the cross-job overlap win in A/Bs: it
+    /// executes exactly what [`StageSchedConfig::sequential`] does.
     pub fn overlap_only() -> Self {
         StageSchedConfig {
             overlap: true,
@@ -122,9 +121,11 @@ impl StageSchedConfig {
         }
     }
 
-    /// Contiguous stage booking: timing-identical to per-plan booking
-    /// (the stage intervals tile the same composed interval) — the
-    /// baseline every staged schedule is compared against.
+    /// Contiguous stage booking: a dispatch's stage intervals tile one
+    /// composed interval, refunds only come off the busy books, and
+    /// nothing extends — the baseline every other schedule is compared
+    /// against, and what [`crate::solve_batch`] / [`crate::solve_stream`]
+    /// book with.
     pub fn sequential() -> Self {
         StageSchedConfig {
             overlap: false,
@@ -173,10 +174,8 @@ pub struct Dispatch {
     pub job: usize,
     /// Pool id of the device the job runs on.
     pub device: usize,
-    /// The staged plan chosen for this job on that device. The
-    /// scheduler consumes its composed totals (`predicted_ms`,
-    /// `predicted_kernel_ms`, `flops_paper`); the executor interprets
-    /// its stages.
+    /// The staged plan chosen for this job on that device; the
+    /// executor interprets its stages.
     pub plan: ExecPlan,
     /// Simulated start time on the device, ms.
     pub start_ms: f64,
@@ -184,58 +183,15 @@ pub struct Dispatch {
     pub end_ms: f64,
 }
 
-/// Policy-driven device selection shared by singleton and fused
-/// dispatch: `price` is the per-device pricing oracle, returning an
-/// arbitrary payload (a plan, a plan-plus-fused-profile, …) and the
-/// predicted cost the policy ranks by. Least-loaded prices only the
-/// chosen earliest-idle device; shortest-expected-completion prices
-/// every device and commits where `clock + cost` is minimal, ties to
-/// the lowest id. Keeping this in one place means a policy change
-/// lands on the fused path for free.
-pub(crate) fn place_with<T>(
-    pool: &DevicePool,
-    policy: DispatchPolicy,
-    price: impl Fn(&gpusim::Gpu) -> (T, f64),
-) -> (usize, T) {
-    place_release(pool, policy, 0.0, price)
-}
-
-/// [`place_with`] with a simulated release time: the job cannot start
-/// before `release_ms`, so shortest-expected-completion ranks devices
-/// by `max(clock, release) + cost` — an idle device that must wait for
-/// the release no longer beats a busy one that would start (and
-/// finish) right after it.
-pub(crate) fn place_release<T>(
-    pool: &DevicePool,
-    policy: DispatchPolicy,
-    release_ms: f64,
-    price: impl Fn(&gpusim::Gpu) -> (T, f64),
-) -> (usize, T) {
-    match policy {
-        DispatchPolicy::LeastLoaded => {
-            let device = pool.least_loaded();
-            let (payload, _) = price(pool.gpu(device));
-            (device, payload)
-        }
-        DispatchPolicy::ShortestExpectedCompletion => {
-            assert!(!pool.is_empty(), "empty device pool");
-            pool.devices()
-                .iter()
-                .filter(|d| !d.is_lost())
-                .map(|d| {
-                    let (payload, cost_ms) = price(&d.gpu);
-                    // gap-aware: a composed booking may fit into a
-                    // mid-schedule hole, and the commit will take it
-                    let (_, end_ms) = pool.preview_wall(d.id, cost_ms, release_ms);
-                    pool.emit(|| mdls_obs::Event::SectPreview {
-                        device: d.id,
-                        end_ms,
-                    });
-                    (end_ms, d.id, payload)
-                })
-                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-                .map(|(_, id, payload)| (id, payload))
-                .expect("no surviving device in the pool")
+impl From<GroupDispatch> for Dispatch {
+    /// The single-job view of a group of one.
+    fn from(g: GroupDispatch) -> Dispatch {
+        Dispatch {
+            job: g.jobs[0],
+            device: g.device,
+            plan: g.plan,
+            start_ms: g.start_ms,
+            end_ms: g.end_ms,
         }
     }
 }
@@ -276,25 +232,10 @@ pub(crate) fn place_by_end<T>(
     }
 }
 
-/// Pick the device and plan for one job under `policy`, without
-/// committing anything to the pool.
-fn place(
-    pool: &DevicePool,
-    planner: &Planner,
-    shape: &JobShape,
-    policy: DispatchPolicy,
-) -> (usize, ExecPlan) {
-    place_with(pool, policy, |gpu| {
-        let plan = planner.plan(gpu, shape.rows, shape.cols, shape.target_digits);
-        let cost_ms = plan.predicted_ms;
-        (plan, cost_ms)
-    })
-}
-
 /// Dispatch one job: pick a device under `policy`, plan the job for
-/// that device's model, and commit the predicted cost to its clock.
-/// The single dispatch step shared by [`schedule`] and the streaming
-/// API — scheduling-policy changes happen here, once.
+/// that device's model, and book its stages contiguously
+/// ([`StageSchedConfig::sequential`]) — a group of one through
+/// [`dispatch_group_staged`].
 pub fn dispatch_one(
     pool: &mut DevicePool,
     planner: &Planner,
@@ -302,25 +243,14 @@ pub fn dispatch_one(
     shape: &JobShape,
     policy: DispatchPolicy,
 ) -> Dispatch {
-    let (device, plan) = place(pool, planner, shape, policy);
-    let (start_ms, end_ms) = pool.commit(
-        device,
-        plan.predicted_ms,
-        plan.predicted_kernel_ms,
-        plan.flops_paper,
-    );
-    Dispatch {
-        job,
-        device,
-        plan,
-        start_ms,
-        end_ms,
-    }
+    let seq = StageSchedConfig::sequential();
+    dispatch_group_staged(pool, planner, vec![job], shape, policy, &seq, 0.0).into()
 }
 
-/// Schedule `shapes` over `pool` under `policy`, committing each job's
-/// predicted cost to its device clock. Returns one [`Dispatch`] per
-/// shape, in submission order.
+/// Schedule `shapes` over `pool` under `policy`, one contiguous
+/// booking per job. Returns one [`Dispatch`] per shape, in submission
+/// order — [`schedule_staged`] with fusion off and
+/// [`StageSchedConfig::sequential`].
 ///
 /// Unlike the streaming path, the batch scheduler sees the whole queue
 /// up front, so under [`DispatchPolicy::ShortestExpectedCompletion`] it
@@ -336,23 +266,9 @@ pub fn schedule(
     shapes: &[JobShape],
     policy: DispatchPolicy,
 ) -> Vec<Dispatch> {
-    let mut order: Vec<usize> = (0..shapes.len()).collect();
-    if policy == DispatchPolicy::ShortestExpectedCompletion && !pool.is_empty() {
-        let flops: Vec<f64> = shapes
-            .iter()
-            .map(|s| {
-                planner
-                    .plan(pool.gpu(0), s.rows, s.cols, s.target_digits)
-                    .flops_paper
-            })
-            .collect();
-        order.sort_by(|&a, &b| flops[b].total_cmp(&flops[a]));
-    }
-    let mut dispatches: Vec<Option<Dispatch>> = vec![None; shapes.len()];
-    for &job in &order {
-        dispatches[job] = Some(dispatch_one(pool, planner, job, &shapes[job], policy));
-    }
-    dispatches.into_iter().map(|d| d.unwrap()).collect()
+    let (off, seq) = (MicrobatchConfig::off(), StageSchedConfig::sequential());
+    let groups = schedule_staged(pool, planner, shapes, policy, &off, &seq);
+    groups.into_iter().map(Dispatch::from).collect()
 }
 
 #[cfg(test)]
@@ -502,14 +418,18 @@ mod tests {
             target_digits: 100,
         };
         let planner = Planner::new();
+        let busy = crate::pool::StageReq {
+            host_ms: 0.0,
+            device_ms: 1.0,
+        };
 
         let mut pool = DevicePool::new(vec![Gpu::a100(), Gpu::p100()]);
-        pool.commit(0, 1.0, 0.8, 1.0e6);
+        pool.commit_stages(0, &[busy], 0.8, 1.0e6, 1, false, 0.0);
         let g = dispatch_one(&mut pool, &planner, 0, &shape, DispatchPolicy::LeastLoaded);
         assert_eq!(g.device, 1, "greedy must take the idle P100");
 
         let mut pool = DevicePool::new(vec![Gpu::a100(), Gpu::p100()]);
-        pool.commit(0, 1.0, 0.8, 1.0e6);
+        pool.commit_stages(0, &[busy], 0.8, 1.0e6, 1, false, 0.0);
         let s = dispatch_one(
             &mut pool,
             &planner,

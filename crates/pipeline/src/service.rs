@@ -19,8 +19,10 @@
 //!   device-ms and a tenant's head job dispatches once its deficit
 //!   covers the job's predicted cost. Optional per-tenant token-bucket
 //!   quotas cap sustained consumption (also in predicted device-ms,
-//!   priced on the pool's reference device model); settle-time refunds
-//!   credit the bucket back, extensions debit it.
+//!   priced on the pool's reference device model): a dispatch reserves
+//!   its predicted cost from the bucket, settlement reconciles
+//!   (refunds credit back, extensions debit further), and a job a
+//!   device loss re-queues gets its reservation returned.
 //!   [`ServicePolicy::Fifo`] is the no-isolation baseline: one global
 //!   arrival order, no weights, no quotas.
 //! * **Overload shedding.** A load detector prices the queued backlog
@@ -54,15 +56,17 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::batch::{
-    emit_settled, latency_summary, settle_staged_dispatch, solve_planned_traced_with, Disposition,
-    JobOutcome, LatencySummary, PlannedSolve,
+    emit_settled, execute_group, latency_summary, settle_staged_dispatch, turnaround_percentiles,
+    Disposition, JobOutcome, LatencySummary, PlannedSolve,
 };
 use crate::job::{Job, Precision, SloClass, Solution, TenantId};
-use crate::microbatch::GroupDispatch;
+use crate::microbatch::{book_group_on, GroupDispatch};
 use crate::plan::ExecPlan;
 use crate::planner::Planner;
 use crate::pool::DevicePool;
-use crate::resilient::{admit_job, tombstone_outcome, AdmissionConfig, AdmissionDecision};
+use crate::resilient::{
+    admit_job, replay_transients, shed_tombstone, AdmissionConfig, AdmissionDecision,
+};
 use crate::scheduler::{DispatchPolicy, JobShape, StageSchedConfig};
 use mdls_obs::Event;
 
@@ -468,42 +472,26 @@ impl<'a> Shell<'a> {
         fused.predicted_ms
     }
 
-    /// The reference plan a tombstone carries (preferring an alive
-    /// device's model, like the resilient engine's shed path).
-    fn tombstone_plan(&self, pool: &DevicePool, j: usize) -> (ExecPlan, usize) {
-        let device = pool
-            .devices()
-            .iter()
-            .find(|d| !d.is_lost())
-            .map(|d| d.id)
-            .unwrap_or(REFERENCE_DEVICE);
-        let job = &self.jobs[j];
-        let (plan, _) = self.planner.plan_fused(
-            pool.gpu(device),
-            job.rows(),
-            job.cols(),
-            self.cur_digits[j],
-            1,
-        );
-        (plan, device)
+    /// Tombstone job `j` as shed at `at_ms`, announcing it with `ev`.
+    fn shed_with(
+        &mut self,
+        pool: &mut DevicePool,
+        j: usize,
+        at_ms: f64,
+        ev: impl FnOnce() -> Event,
+    ) {
+        let (job, digits) = (&self.jobs[j], self.cur_digits[j]);
+        self.outcomes[j] = Some(shed_tombstone(pool, &self.planner, job, digits, at_ms, ev));
     }
 
     fn shed_job(&mut self, pool: &mut DevicePool, j: usize, reason: &'static str, at_ms: f64) {
         let job = &self.jobs[j];
-        pool.emit(|| Event::TenantShed {
+        self.shed_with(pool, j, at_ms, || Event::TenantShed {
             tenant: job.tenant.0,
             job: job.id,
             at_ms,
             reason,
         });
-        let (plan, device) = self.tombstone_plan(pool, j);
-        self.outcomes[j] = Some(tombstone_outcome(
-            job,
-            plan,
-            device,
-            Disposition::Shed,
-            at_ms,
-        ));
     }
 
     /// Admit due arrivals for tenant `t` into its bounded queue.
@@ -694,81 +682,66 @@ impl<'a> Shell<'a> {
                 job.target_digits = digits;
                 Some(job)
             }
-            AdmissionDecision::Shed(predicted_end) => {
-                let (id, deadline) = (job.id, job.deadline_ms.unwrap_or(0.0));
-                pool.emit(|| Event::JobShed {
+            AdmissionDecision::Shed(predicted_end_ms) => {
+                let (id, deadline_ms) = (job.id, job.deadline_ms.unwrap_or(0.0));
+                self.shed_with(pool, j, now, || Event::JobShed {
                     job: id,
-                    deadline_ms: deadline,
-                    predicted_end_ms: predicted_end,
+                    deadline_ms,
+                    predicted_end_ms,
                 });
-                let (plan, device) = self.tombstone_plan(pool, j);
-                self.outcomes[j] = Some(tombstone_outcome(
-                    &self.jobs[j],
-                    plan,
-                    device,
-                    Disposition::Shed,
-                    now,
-                ));
                 None
             }
         }
     }
 
-    /// Book `job` on `device` (stage-granular, like
-    /// [`crate::microbatch::dispatch_group_staged`] with the placement
-    /// pinned — probes must land on the suspect device).
-    fn dispatch_pinned(
-        &self,
+    /// Move `delta_ms` into (or, negative, out of) tenant `t`'s token
+    /// bucket. No-op for unmetered tenants and under FIFO.
+    fn credit_quota(&mut self, t: usize, delta_ms: f64) {
+        if self.cfg.policy == ServicePolicy::WeightedFair {
+            if let Some(q) = self.tenants[t].spec.quota {
+                let ts = &mut self.tenants[t];
+                ts.bucket_ms = (ts.bucket_ms + delta_ms).clamp(0.0, q.burst_ms);
+            }
+        }
+    }
+
+    /// Launch popped job `j` on `device`: book it there (the shared
+    /// booking step with the placement pinned — probes must land on the
+    /// suspect device), reserve its predicted cost from the tenant's
+    /// quota — so the next pick of this round sees the balance already
+    /// spent — and queue it for this round's execution.
+    fn launch(
+        &mut self,
         pool: &mut DevicePool,
-        job: &Job,
+        round: &mut Vec<RoundEntry>,
+        (tenant_idx, job_idx): (usize, usize),
+        job: Job,
         device: usize,
-        release_ms: f64,
-    ) -> GroupDispatch {
-        let (plan, fused) = self.planner.plan_fused(
-            pool.gpu(device),
-            job.rows(),
-            job.cols(),
-            job.target_digits,
-            1,
-        );
-        let passes = if self.cfg.sched.book_expected {
-            plan.expected_corrections
-        } else {
-            plan.corrections()
-        };
-        let reqs = fused.stage_reqs(ExecPlan::booked_stages(passes));
-        let booking = pool.commit_stages(
+        probe: bool,
+        now: f64,
+    ) {
+        let shape = JobShape::from(&job);
+        let slot = vec![job.id as usize];
+        let g = book_group_on(
+            pool,
+            &self.planner,
+            slot,
+            &shape,
             device,
-            &reqs,
-            fused.predicted_kernel_ms,
-            fused.flops_paper,
-            1,
-            self.cfg.sched.overlap,
-            release_ms,
+            &self.cfg.sched,
+            now,
         );
-        for (i, (ps, iv)) in plan.stages.iter().zip(&booking.stages).enumerate() {
-            let id = job.id;
-            pool.emit(|| Event::StageBooked {
-                device,
-                job: id,
-                stage: i,
-                kind: ps.stage.kind(),
-                rung: ps.stage.rung().tag(),
-                host_start_ms: iv.host.0,
-                host_end_ms: iv.host.1,
-                dev_start_ms: iv.device.0,
-                dev_end_ms: iv.device.1,
-            });
-        }
-        GroupDispatch {
-            jobs: vec![job.id as usize],
-            device,
-            plan,
-            fused,
-            start_ms: booking.start_ms(),
-            end_ms: booking.end_ms(),
-            booking: Some(booking),
-        }
+        let cost_ms = self.cost_ms[job_idx];
+        self.credit_quota(tenant_idx, -cost_ms);
+        round.push(RoundEntry {
+            job_idx,
+            tenant_idx,
+            job,
+            shape,
+            g,
+            probe,
+            cost_ms,
+        });
     }
 
     /// Pick the device for a non-probe dispatch among the free,
@@ -799,12 +772,12 @@ impl<'a> Shell<'a> {
                     let end = pool.preview_stages(d, &reqs, self.cfg.sched.overlap, now);
                     (d, end)
                 })
-                .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)))
+                .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
                 .map(|(d, _)| d),
             _ => free
                 .into_iter()
                 .map(|d| (d, pool.devices()[d].clock_ms()))
-                .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)))
+                .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
                 .map(|(d, _)| d),
         }
     }
@@ -880,12 +853,8 @@ impl<'a> Shell<'a> {
                     for (es, outs) in round.chunks(chunk).zip(solved.chunks_mut(chunk)) {
                         s.spawn(move || {
                             for (e, o) in es.iter().zip(outs.iter_mut()) {
-                                *o = Some(solve_planned_traced_with(
-                                    pool.gpu(e.g.device),
-                                    &e.job,
-                                    &e.g.plan,
-                                    extra,
-                                ));
+                                let gpu = pool.gpu(e.g.device);
+                                *o = execute_group(gpu, &[&e.job], &e.g.plan, extra).pop();
                             }
                         });
                     }
@@ -899,21 +868,17 @@ impl<'a> Shell<'a> {
     }
 
     /// Settle one executed dispatch: refunds/extensions, transient
-    /// replays, breaker transitions, quota credit, and the outcome.
-    /// Returns `false` when a sticky loss interrupted the dispatch and
-    /// the job went back to its queue instead of completing.
+    /// replays, breaker transitions, quota reconciliation, and the
+    /// outcome. A sticky loss that interrupted the dispatch sends the
+    /// job back to its queue (reservation returned) instead.
     fn settle_entry(&mut self, pool: &mut DevicePool, mut e: RoundEntry, solved: PlannedSolve) {
         let device = e.g.device;
-        let fplan = pool.gpu(device).fault.clone();
         // a sticky loss inside the executed interval interrupts the
         // dispatch: quarantine, refund the live booking, re-queue
-        if let Some(lost) = fplan.lost_at_ms() {
-            let end =
-                e.g.booking
-                    .as_ref()
-                    .and_then(|b| pool.live_booking(b.id))
-                    .map(|b| b.end_ms())
-                    .unwrap_or(e.g.end_ms);
+        if let Some(lost) = pool.gpu(device).fault.lost_at_ms() {
+            let end = pool
+                .live_booking(e.g.booking.id)
+                .map_or(e.g.end_ms, |b| b.end_ms());
             if lost < end && !pool.devices()[device].is_lost() {
                 pool.fail_device(device, lost);
                 self.breakers[device].state = BreakerState::Open {
@@ -923,6 +888,7 @@ impl<'a> Shell<'a> {
                 let t = e.tenant_idx;
                 self.tenants[t].queue.push_front(e.job_idx);
                 self.pending_ms += e.cost_ms;
+                self.credit_quota(t, e.cost_ms);
                 return;
             }
         }
@@ -933,47 +899,16 @@ impl<'a> Shell<'a> {
         // transient kernel faults inside the executed interval: one
         // backed-off replay each (time moves, bits do not), and one
         // breaker strike each
-        let hits: Vec<f64> = fplan
-            .transients()
-            .iter()
-            .copied()
-            .filter(|t| *t >= e.g.start_ms && *t < e.g.end_ms)
-            .take(self.cfg.max_transient_retries)
-            .collect();
-        let mut end = e.g.end_ms;
-        let job_id = e.job.id;
-        for (r, at) in hits.iter().enumerate() {
-            pool.emit(|| Event::FaultInjected {
-                device,
-                job: job_id,
-                at_ms: *at,
-                retry: r,
-            });
-            let mut reqs = e.g.fused.extension_reqs();
-            if reqs.is_empty() {
-                reqs = e.g.fused.stage_reqs(usize::MAX);
-            }
-            let backoff = self.cfg.retry_backoff_ms * (1u64 << r) as f64;
-            let b = pool.commit_stages(
-                device,
-                &reqs,
-                0.0,
-                0.0,
-                0,
-                self.cfg.sched.overlap,
-                end + backoff,
-            );
-            pool.mark_settled(b.id);
-            pool.emit(|| Event::RetryBooked {
-                device,
-                job: job_id,
-                end_ms: b.end_ms(),
-                backoff_ms: backoff,
-            });
-            end = b.end_ms();
-            self.retried[e.job_idx] = true;
-        }
-        e.g.end_ms = end;
+        let hits = replay_transients(
+            pool,
+            &mut e.g,
+            e.job.id,
+            self.cfg.max_transient_retries,
+            self.cfg.retry_backoff_ms,
+            self.cfg.sched.overlap,
+        );
+        self.retried[e.job_idx] |= !hits.is_empty();
+        let end = e.g.end_ms;
 
         // breaker bookkeeping
         if self.cfg.breaker.enabled {
@@ -1011,23 +946,15 @@ impl<'a> Shell<'a> {
             }
         }
 
-        // quota credit: refunds return to the bucket, extensions drain
-        // it further
-        if self.cfg.policy == ServicePolicy::WeightedFair {
-            let t = e.tenant_idx;
-            if let Some(q) = self.tenants[t].spec.quota {
-                self.tenants[t].bucket_ms = (self.tenants[t].bucket_ms - e.cost_ms + refunded
-                    - extended)
-                    .clamp(0.0, q.burst_ms);
-            }
-        }
+        // reconcile the dispatch-time reservation: refunds return to
+        // the bucket, extensions drain it further
+        self.credit_quota(e.tenant_idx, refunded - extended);
 
         let model_only = self.cfg.mode == ExecutionMode::ModelOnly;
-        let mut outcome = JobOutcome::assemble_group(&[&e.job], &e.g, vec![solved])
+        let shares = (refunded, extended);
+        let mut outcome = JobOutcome::assemble_group(&[&e.job], &e.g, vec![solved], shares)
             .pop()
             .expect("singleton group assembles one outcome");
-        outcome.refunded_ms = refunded;
-        outcome.extended_ms = extended;
         outcome.requested_digits = self.jobs[e.job_idx].target_digits;
         outcome.disposition = if self.degraded[e.job_idx] {
             Disposition::Degraded
@@ -1073,17 +1000,7 @@ impl<'a> Shell<'a> {
                     at_ms: at,
                 });
                 self.breakers[d].summary.probes += 1;
-                let g = self.dispatch_pinned(pool, &job, d, now);
-                let shape = JobShape::from(&job);
-                round.push(RoundEntry {
-                    job_idx: j,
-                    tenant_idx: t,
-                    job,
-                    shape,
-                    g,
-                    probe: true,
-                    cost_ms: self.cost_ms[j],
-                });
+                self.launch(pool, &mut round, (t, j), job, d, true, now);
                 break;
             }
         }
@@ -1111,17 +1028,7 @@ impl<'a> Shell<'a> {
                 self.pending_ms += self.cost_ms[j];
                 break;
             };
-            let g = self.dispatch_pinned(pool, &job, device, now);
-            let shape = JobShape::from(&job);
-            round.push(RoundEntry {
-                job_idx: j,
-                tenant_idx: t,
-                job,
-                shape,
-                g,
-                probe: false,
-                cost_ms: self.cost_ms[j],
-            });
+            self.launch(pool, &mut round, (t, j), job, device, false, now);
         }
 
         if round.is_empty() {
@@ -1194,17 +1101,6 @@ impl<'a> Shell<'a> {
     }
 }
 
-/// Exact nearest-rank percentile over an unsorted sample (0 when
-/// empty) — matching [`latency_summary`]'s convention.
-fn percentile(sample: &mut [f64], q: f64) -> f64 {
-    if sample.is_empty() {
-        return 0.0;
-    }
-    sample.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let rank = ((q * sample.len() as f64).ceil() as usize).clamp(1, sample.len());
-    sample[rank - 1]
-}
-
 /// Run the multi-tenant service shell over `jobs` (see the module
 /// docs for the full contract). `tenants` binds specs to tenant ids;
 /// jobs of an unspecified tenant run under an implicit default spec
@@ -1252,8 +1148,7 @@ pub fn serve(
     order.sort_by(|&a, &b| {
         jobs[a]
             .release()
-            .partial_cmp(&jobs[b].release())
-            .unwrap()
+            .total_cmp(&jobs[b].release())
             .then(a.cmp(&b))
     });
     for j in order {
@@ -1322,11 +1217,7 @@ pub fn serve(
         if mine.is_empty() {
             continue;
         }
-        let mut turn: Vec<f64> = mine
-            .iter()
-            .filter(|o| o.disposition.completed())
-            .map(|o| o.turnaround_ms())
-            .collect();
+        let [p50_ms, p99_ms, p999_ms] = turnaround_percentiles(mine.iter().copied());
         let mut classes = Vec::new();
         for class in SloClass::LADDER {
             // outcomes are in submission order, so outcome i belongs
@@ -1340,11 +1231,7 @@ pub fn serve(
             if slice.is_empty() {
                 continue;
             }
-            let mut cturn: Vec<f64> = slice
-                .iter()
-                .filter(|o| o.disposition.completed())
-                .map(|o| o.turnaround_ms())
-                .collect();
+            let [p50_ms, p99_ms, p999_ms] = turnaround_percentiles(slice.iter().copied());
             classes.push(ClassSummary {
                 class,
                 submitted: slice.len(),
@@ -1357,9 +1244,9 @@ pub fn serve(
                     .iter()
                     .filter(|o| o.disposition == Disposition::Degraded)
                     .count(),
-                p50_ms: percentile(&mut cturn, 0.50),
-                p99_ms: percentile(&mut cturn, 0.99),
-                p999_ms: percentile(&mut cturn, 0.999),
+                p50_ms,
+                p99_ms,
+                p999_ms,
             });
         }
         summaries.push(TenantSummary {
@@ -1381,9 +1268,9 @@ pub fn serve(
                 .filter(|o| o.disposition == Disposition::Retried)
                 .count(),
             quota_exhaustions: ts.quota_exhaustions,
-            p50_ms: percentile(&mut turn, 0.50),
-            p99_ms: percentile(&mut turn, 0.99),
-            p999_ms: percentile(&mut turn, 0.999),
+            p50_ms,
+            p99_ms,
+            p999_ms,
             classes,
         });
     }

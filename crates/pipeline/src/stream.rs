@@ -13,24 +13,26 @@
 //! stream is plain FIFO, bit- and timing-compatible with the original
 //! API.
 //!
-//! Dispatch decisions are made per job at drain time under a
+//! Dispatch decisions are made per group at drain time under a
 //! caller-chosen [`DispatchPolicy`], so a stream interleaved with other
-//! pool usage behaves like a live service queue. Numerics per job are
+//! pool usage behaves like a live service queue. Every pull runs the
+//! same steps as the batch loop on one group — admit → book
+//! ([`dispatch_group_staged`]) → execute → settle → yield — and every
+//! constructor builds the same [`BatchStream`], differing only in the
+//! [`MicrobatchConfig`], [`StageSchedConfig`] and optional
+//! [`AdmissionConfig`] values it carries. Numerics per job are
 //! identical to [`crate::batch::solve_batch`] — the solution never
 //! depends on which device a job lands on or when, only the simulated
 //! timing does.
 
 use std::collections::{BinaryHeap, VecDeque};
 
-use crate::batch::{
-    emit_settled, settle_staged_dispatch, solve_planned_fused_with, solve_planned_traced_with,
-    Disposition, JobOutcome,
-};
+use crate::batch::{emit_settled, execute_group, settle_staged_dispatch, Disposition, JobOutcome};
 use crate::job::Job;
-use crate::microbatch::{dispatch_group_at, dispatch_group_staged, MicrobatchConfig};
+use crate::microbatch::{dispatch_group_staged, MicrobatchConfig};
 use crate::planner::Planner;
 use crate::pool::DevicePool;
-use crate::resilient::{admit_job, tombstone_outcome, AdmissionConfig, AdmissionDecision};
+use crate::resilient::{admit_job, shed_tombstone, AdmissionConfig, AdmissionDecision};
 use crate::scheduler::{DispatchPolicy, JobShape, StageSchedConfig};
 use mdls_obs::Event;
 
@@ -89,21 +91,19 @@ pub struct BatchStream<'p, I> {
     /// next dispatch slot. 1 = FIFO.
     window: usize,
     buffer: BinaryHeap<QueuedJob>,
-    /// Micro-batching: when set (the default), each dispatch drains a
-    /// maximal run of *consecutive* same-shaped jobs from the reorder
-    /// buffer (capped at the shape's preferred group size, shrunk
-    /// further when the front member's deadline is tight) and fuses
-    /// them into one batched launch sequence. Only drain-order prefixes
-    /// fuse, so priority/deadline ordering is exactly the unfused
-    /// stream's. [`MicrobatchConfig::off`] restores per-job launches.
-    micro: Option<MicrobatchConfig>,
-    /// Stage-level scheduling: when set, dispatches book stage-granular
-    /// lane-split intervals (overlapping the next group's prep under
-    /// the current group's compute), settle refunds online, and may
-    /// extend stalled jobs — see [`StageSchedConfig`]. The stream is
-    /// already a sequential dispatch→execute loop, so every refund is
+    /// Micro-batching: each dispatch drains a maximal run of
+    /// *consecutive* same-shaped jobs from the reorder buffer (capped
+    /// at the shape's preferred group size, shrunk further when the
+    /// front member's deadline is tight) and fuses them into one
+    /// batched launch sequence. Only drain-order prefixes fuse, so
+    /// priority/deadline ordering is exactly the unfused stream's.
+    /// [`MicrobatchConfig::off`] launches per job.
+    micro: MicrobatchConfig,
+    /// How dispatches book their stages, settle refunds and extend
+    /// stalled jobs — see [`StageSchedConfig`]. The stream is a
+    /// sequential dispatch→execute→settle loop, so every refund is
     /// causal for the next dispatch by construction.
-    sched: Option<StageSchedConfig>,
+    sched: StageSchedConfig,
     /// Ingress admission: when set, each deadlined job is previewed
     /// against the surviving pool as it is popped and may be
     /// down-laddered or shed before any booking — see
@@ -117,9 +117,8 @@ pub struct BatchStream<'p, I> {
 
 /// Stream `jobs` through `pool` in FIFO order under the default
 /// [`DispatchPolicy::LeastLoaded`]: each `next()` plans, dispatches and
-/// solves one job (or, by default, the run of consecutive same-shaped
-/// jobs it fuses with — see [`solve_stream_fused`] for the escape
-/// hatch). Equivalent to [`solve_stream_with`] with a reorder window
+/// solves one job (or the run of consecutive same-shaped jobs it fuses
+/// with). Equivalent to [`solve_stream_with`] with a reorder window
 /// of 1.
 pub fn solve_stream<'p, I>(pool: &'p mut DevicePool, jobs: I) -> BatchStream<'p, I::IntoIter>
 where
@@ -129,20 +128,52 @@ where
 }
 
 /// Stream `jobs` through `pool` under an explicit dispatch `policy` and
-/// reorder `window` (clamped to ≥ 1). A window of `w` admits up to `w`
-/// jobs from the input before every dispatch and drains them highest
-/// priority first, so a late high-priority job can overtake up to
-/// `w − 1` earlier low-priority ones.
-///
-/// Device micro-batching is **on by default** (drain-order prefixes
-/// only, so ordering is exactly the unfused stream's and bits never
-/// change); pass [`MicrobatchConfig::off`] to [`solve_stream_fused`]
-/// for the legacy per-job launch timing.
+/// reorder `window` (clamped to ≥ 1), with default micro-batching and
+/// contiguous stage booking ([`StageSchedConfig::sequential`]). A
+/// window of `w` admits up to `w` jobs from the input before every
+/// dispatch and drains them highest priority first, so a late
+/// high-priority job can overtake up to `w − 1` earlier low-priority
+/// ones.
 pub fn solve_stream_with<'p, I>(
     pool: &'p mut DevicePool,
     jobs: I,
     policy: DispatchPolicy,
     window: usize,
+) -> BatchStream<'p, I::IntoIter>
+where
+    I: IntoIterator<Item = Job>,
+{
+    let (micro, seq) = (MicrobatchConfig::default(), StageSchedConfig::sequential());
+    solve_stream_staged(pool, jobs, policy, window, micro, seq)
+}
+
+/// The general stream: each dispatch pulls the most urgent admitted
+/// job *and* every job the unfused stream would have dispatched
+/// immediately after it, as long as they share its shape key (up to
+/// the shape's occupancy-aware preferred group size under `cfg`),
+/// fuses them into one batched launch sequence, and books the group's
+/// stages as `sched` says — with [`StageSchedConfig::staged`] the next
+/// group's factorization prep hides under the current group's device
+/// passes, adaptive early stops are re-booked online so the freed time
+/// is visible to the very next dispatch, and a job whose residual
+/// stalls above target may extend past its plan
+/// ([`StageSchedConfig::max_extra_passes`]).
+///
+/// Fusion never reaches past the drain order: the buffer re-admits
+/// before every member is chosen, so a fused group is *exactly* the
+/// prefix of the dispatch sequence the unfused stream would have
+/// produced — priority and deadline ordering are preserved verbatim,
+/// and a group never waits for a job that has not arrived. Each member
+/// job is yielded as its own outcome, bit-identical to the unfused
+/// stream whenever the extension cap matches; siblings share their
+/// group's simulated interval.
+pub fn solve_stream_staged<'p, I>(
+    pool: &'p mut DevicePool,
+    jobs: I,
+    policy: DispatchPolicy,
+    window: usize,
+    cfg: MicrobatchConfig,
+    sched: StageSchedConfig,
 ) -> BatchStream<'p, I::IntoIter>
 where
     I: IntoIterator<Item = Job>,
@@ -158,69 +189,12 @@ where
         policy,
         window: window.max(1),
         buffer: BinaryHeap::new(),
-        micro: Some(MicrobatchConfig::default()),
-        sched: None,
+        micro: cfg,
+        sched,
         admission: None,
         ready: VecDeque::new(),
         admitted: 0,
         dispatched: 0,
-    }
-}
-
-/// [`solve_stream_with`] plus device-level micro-batching: each
-/// dispatch pulls the most urgent admitted job *and* every job the
-/// unfused stream would have dispatched immediately after it, as long
-/// as they share its shape key (up to the shape's occupancy-aware
-/// preferred group size), fusing them into one batched launch sequence
-/// booked as a single pool commitment.
-///
-/// Fusion never reaches past the drain order: the buffer re-admits
-/// before every member is chosen, so a fused group is *exactly* the
-/// prefix of the dispatch sequence the unfused stream would have
-/// produced — priority and deadline ordering are preserved verbatim,
-/// and a group never waits for a job that has not arrived. Each member
-/// job is yielded as its own outcome, bit-identical to the unfused
-/// stream; siblings share their group's simulated interval.
-pub fn solve_stream_fused<'p, I>(
-    pool: &'p mut DevicePool,
-    jobs: I,
-    policy: DispatchPolicy,
-    window: usize,
-    cfg: MicrobatchConfig,
-) -> BatchStream<'p, I::IntoIter>
-where
-    I: IntoIterator<Item = Job>,
-{
-    BatchStream {
-        micro: Some(cfg),
-        ..solve_stream_with(pool, jobs, policy, window)
-    }
-}
-
-/// [`solve_stream_fused`] with **stage-level scheduling**: every
-/// dispatch books its stages as lane-split intervals on the chosen
-/// device's timeline (the next group's factorization prep hides under
-/// the current group's device passes), adaptive early stops are
-/// re-booked online so the freed time is visible to the very next
-/// dispatch, and a job whose residual stalls above target may extend
-/// past its plan ([`StageSchedConfig::max_extra_passes`]). Ordering is
-/// the fused stream's; bits match every other path whenever the
-/// extension cap matches.
-pub fn solve_stream_staged<'p, I>(
-    pool: &'p mut DevicePool,
-    jobs: I,
-    policy: DispatchPolicy,
-    window: usize,
-    cfg: MicrobatchConfig,
-    sched: StageSchedConfig,
-) -> BatchStream<'p, I::IntoIter>
-where
-    I: IntoIterator<Item = Job>,
-{
-    BatchStream {
-        micro: Some(cfg),
-        sched: Some(sched),
-        ..solve_stream_with(pool, jobs, policy, window)
     }
 }
 
@@ -254,10 +228,8 @@ where
     I: IntoIterator<Item = Job>,
 {
     BatchStream {
-        micro: Some(cfg),
-        sched: Some(sched),
         admission: Some(admission),
-        ..solve_stream_with(pool, jobs, policy, window)
+        ..solve_stream_staged(pool, jobs, policy, window, cfg, sched)
     }
 }
 
@@ -282,31 +254,17 @@ where
         }
     }
 
-    /// Emit the shed event and build the tombstone outcome for a job
-    /// turned away by admission — shared by the pop-time preview and
-    /// the loss-time re-preview.
-    fn shed_outcome(&mut self, job: &Job, predicted_end: f64) -> JobOutcome {
-        self.pool.emit(|| Event::JobShed {
+    /// The tombstone of a job turned away by admission — shared by the
+    /// pop-time preview and the loss-time re-preview.
+    fn shed_outcome(&mut self, job: &Job, predicted_end_ms: f64) -> JobOutcome {
+        self.dispatched += 1;
+        let ev = || Event::JobShed {
             job: job.id,
             deadline_ms: job.deadline_ms.unwrap_or(0.0),
-            predicted_end_ms: predicted_end,
-        });
-        let device = self
-            .pool
-            .devices()
-            .iter()
-            .find(|d| !d.is_lost())
-            .map(|d| d.id)
-            .unwrap_or(0);
-        let (plan, _) = self.planner.plan_fused(
-            self.pool.gpu(device),
-            job.rows(),
-            job.cols(),
-            job.target_digits,
-            1,
-        );
-        self.dispatched += 1;
-        tombstone_outcome(job, plan, device, Disposition::Shed, job.release())
+            predicted_end_ms,
+        };
+        let digits = job.target_digits;
+        shed_tombstone(self.pool, &self.planner, job, digits, job.release(), ev)
     }
 
     /// Apply sticky device losses that have come due on the simulated
@@ -342,7 +300,7 @@ where
         for &(id, at) in &due {
             self.pool.fail_device(id, at);
         }
-        let overlap = self.sched.as_ref().map(|s| s.overlap).unwrap_or(false);
+        let overlap = self.sched.overlap;
         for mut q in std::mem::take(&mut self.buffer).into_vec() {
             let release = q.job.release().max(self.pool.min_clock_ms());
             match admit_job(self.pool, &self.planner, &q.job, overlap, release, &adm) {
@@ -392,8 +350,14 @@ where
         let mut requested_digits = queued.requested_digits;
         if let Some(adm) = self.admission {
             let floor = job.release().max(self.pool.min_clock_ms());
-            let overlap = self.sched.as_ref().map(|s| s.overlap).unwrap_or(false);
-            match admit_job(self.pool, &self.planner, &job, overlap, floor, &adm) {
+            match admit_job(
+                self.pool,
+                &self.planner,
+                &job,
+                self.sched.overlap,
+                floor,
+                &adm,
+            ) {
                 AdmissionDecision::Admit => {}
                 AdmissionDecision::Degrade(digits) => {
                     self.pool.emit(|| Event::JobDegraded {
@@ -422,7 +386,8 @@ where
         // where it would have — so fusion can never violate priority or
         // deadline ordering.
         let mut group = vec![job];
-        if let Some(cfg) = self.micro.filter(|c| !c.is_off()) {
+        if !self.micro.is_off() {
+            let cfg = self.micro;
             let mut preferred = self.planner.preferred_group_size(
                 shape.rows,
                 shape.cols,
@@ -481,58 +446,26 @@ where
         }
         let release = group.iter().map(|j| j.release()).fold(0.0f64, f64::max);
         let idxs: Vec<usize> = (0..group.len()).map(|i| self.dispatched + i).collect();
-        let mut g = match &self.sched {
-            Some(sched) => dispatch_group_staged(
-                self.pool,
-                &self.planner,
-                idxs,
-                &shape,
-                self.policy,
-                sched,
-                release,
-            ),
-            None => dispatch_group_at(self.pool, &self.planner, idxs, &shape, self.policy, release),
-        };
+        let mut g = dispatch_group_staged(
+            self.pool,
+            &self.planner,
+            idxs,
+            &shape,
+            self.policy,
+            &self.sched,
+            release,
+        );
         self.dispatched += group.len();
-        let extra = self.sched.map(|s| s.max_extra_passes).unwrap_or(0);
         let members: Vec<&Job> = group.iter().collect();
-        let solved = if members.len() == 1 {
-            vec![solve_planned_traced_with(
-                self.pool.gpu(g.device),
-                members[0],
-                &g.plan,
-                extra,
-            )]
-        } else {
-            solve_planned_fused_with(self.pool.gpu(g.device), &members, &g.plan, extra)
-        };
-        let mut assembled = match self.sched {
-            Some(sched) => {
-                // settle the stage booking online: refunds free the
-                // timeline spans before the next dispatch ever looks
-                // (the stream pull contract keeps dispatch → execute →
-                // settle sequential per group, so later groups also
-                // gap-fill into compacted holes)
-                let passes_run = solved.iter().map(|s| s.corrections_run).max().unwrap_or(0);
-                let (refunded, extended) =
-                    settle_staged_dispatch(self.pool, &mut g, &shape, passes_run, &sched);
-                let mut assembled = JobOutcome::assemble_group(&members, &g, solved);
-                for o in &mut assembled {
-                    o.refunded_ms = refunded;
-                    o.extended_ms = extended;
-                }
-                assembled
-            }
-            None => {
-                let assembled = JobOutcome::assemble_group(&members, &g, solved);
-                for o in &assembled {
-                    if o.refunded_ms > 0.0 {
-                        self.pool.reconcile(o.device, o.refunded_ms);
-                    }
-                }
-                assembled
-            }
-        };
+        let extra = self.sched.max_extra_passes;
+        let solved = execute_group(self.pool.gpu(g.device), &members, &g.plan, extra);
+        // settle the stage booking online: refunds free the timeline
+        // spans before the next dispatch ever looks (the stream pull
+        // contract keeps dispatch → execute → settle sequential per
+        // group, so later groups also gap-fill into compacted holes)
+        let passes_run = solved.iter().map(|s| s.corrections_run).max().unwrap_or(0);
+        let shares = settle_staged_dispatch(self.pool, &mut g, &shape, passes_run, &self.sched);
+        let mut assembled = JobOutcome::assemble_group(&members, &g, solved, shares);
         if let Some(req) = requested_digits {
             // the down-laddered job is the group's front member
             if let Some(o) = assembled.first_mut() {
@@ -555,11 +488,36 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::solve_batch_with;
+    use crate::batch::{solve_batch_staged_with, BatchReport};
     use crate::workload::power_flow_jobs;
     use gpusim::Gpu;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The stream with contiguous stage booking and an explicit
+    /// micro-batching config.
+    fn stream_seq<I: IntoIterator<Item = Job>>(
+        pool: &mut DevicePool,
+        jobs: I,
+        policy: DispatchPolicy,
+        window: usize,
+        cfg: MicrobatchConfig,
+    ) -> BatchStream<'_, I::IntoIter> {
+        solve_stream_staged(
+            pool,
+            jobs,
+            policy,
+            window,
+            cfg,
+            StageSchedConfig::sequential(),
+        )
+    }
+
+    /// The serial batch loop with contiguous stage booking.
+    fn batch_seq(pool: &mut DevicePool, jobs: &[Job], cfg: &MicrobatchConfig) -> BatchReport {
+        let seq = StageSchedConfig::sequential();
+        solve_batch_staged_with(pool, jobs, DispatchPolicy::LeastLoaded, cfg, &seq, false)
+    }
 
     #[test]
     fn stream_matches_batch() {
@@ -570,16 +528,10 @@ mod tests {
         // while the batch buckets across the whole queue, so exact
         // device/timing equality is the *unfused* contract
         let mut pool_b = DevicePool::homogeneous(&Gpu::v100(), 2);
-        let batch = crate::batch::solve_batch_fused_with(
-            &mut pool_b,
-            &jobs,
-            1,
-            DispatchPolicy::LeastLoaded,
-            &MicrobatchConfig::off(),
-        );
+        let batch = batch_seq(&mut pool_b, &jobs, &MicrobatchConfig::off());
 
         let mut pool_s = DevicePool::homogeneous(&Gpu::v100(), 2);
-        let streamed: Vec<JobOutcome> = solve_stream_fused(
+        let streamed: Vec<JobOutcome> = stream_seq(
             &mut pool_s,
             jobs.clone(),
             DispatchPolicy::LeastLoaded,
@@ -604,7 +556,7 @@ mod tests {
         // the default (fused) paths group differently but must still
         // agree with each other — and the unfused run — on every bit
         let mut pool_fb = DevicePool::homogeneous(&Gpu::v100(), 2);
-        let fused_batch = solve_batch_with(&mut pool_fb, &jobs, 1, DispatchPolicy::LeastLoaded);
+        let fused_batch = batch_seq(&mut pool_fb, &jobs, &MicrobatchConfig::default());
         let mut pool_fs = DevicePool::homogeneous(&Gpu::v100(), 2);
         let fused_stream: Vec<JobOutcome> = solve_stream(&mut pool_fs, jobs).collect();
         for b in &fused_batch.outcomes {
@@ -694,7 +646,7 @@ mod tests {
             })
             .collect();
         let mut pool_u = DevicePool::homogeneous(&Gpu::v100(), 2);
-        let unfused: Vec<JobOutcome> = solve_stream_fused(
+        let unfused: Vec<JobOutcome> = stream_seq(
             &mut pool_u,
             jobs.clone(),
             DispatchPolicy::LeastLoaded,
@@ -703,7 +655,7 @@ mod tests {
         )
         .collect();
         let mut pool_f = DevicePool::homogeneous(&Gpu::v100(), 2);
-        let fused: Vec<JobOutcome> = solve_stream_fused(
+        let fused: Vec<JobOutcome> = stream_seq(
             &mut pool_f,
             jobs,
             DispatchPolicy::LeastLoaded,
@@ -748,7 +700,7 @@ mod tests {
                 .map(|o| o.job_id)
                 .collect();
         let mut pool_f = DevicePool::homogeneous(&Gpu::v100(), 1);
-        let fused: Vec<u64> = solve_stream_fused(
+        let fused: Vec<u64> = stream_seq(
             &mut pool_f,
             jobs,
             DispatchPolicy::LeastLoaded,
@@ -782,7 +734,7 @@ mod tests {
             .collect();
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
         {
-            let mut stream = solve_stream_fused(
+            let mut stream = stream_seq(
                 &mut pool,
                 jobs,
                 DispatchPolicy::LeastLoaded,
@@ -833,7 +785,7 @@ mod tests {
                 jobs[0].deadline_ms = Some(d);
             }
             let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-            let first = solve_stream_fused(
+            let first = stream_seq(
                 &mut pool,
                 jobs,
                 DispatchPolicy::LeastLoaded,
@@ -867,11 +819,10 @@ mod tests {
         jobs[1].deadline_ms = Some(55.0); // unmeetable: a real miss
         jobs[2].release_ms = Some(50.0);
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-        let outs: Vec<JobOutcome> =
-            solve_stream_fused(&mut pool, jobs, DispatchPolicy::LeastLoaded, 1, {
-                MicrobatchConfig::off()
-            })
-            .collect();
+        let outs: Vec<JobOutcome> = stream_seq(&mut pool, jobs, DispatchPolicy::LeastLoaded, 1, {
+            MicrobatchConfig::off()
+        })
+        .collect();
         // job 0 runs from t=0; job 1 cannot start before its arrival
         assert_eq!(outs[0].start_ms, 0.0);
         assert!(outs[0].end_ms < 50.0);
@@ -903,7 +854,7 @@ mod tests {
             j[2].release_ms = Some(50.0);
             j
         };
-        let fused: Vec<JobOutcome> = solve_stream_fused(
+        let fused: Vec<JobOutcome> = stream_seq(
             &mut pool_f,
             jobs2,
             DispatchPolicy::LeastLoaded,

@@ -68,11 +68,7 @@ fn recovery_leaves_surviving_device_spans_untouched() {
     assert!(!report.interrupted.is_empty(), "loss interrupted nothing");
     assert!(report.lost_refund_ms > 0.0);
     for g in &bookings {
-        let hit = g
-            .booking
-            .as_ref()
-            .is_some_and(|b| report.interrupted.contains(&b.id));
-        if hit {
+        if report.interrupted.contains(&g.booking.id) {
             let idxs = g.jobs.clone();
             let shape = shapes[idxs[0]];
             let re = dispatch_group_staged(

@@ -1,7 +1,8 @@
 //! Multi-tenant service-shell properties: weighted-fair isolation
 //! bounds a light tenant's tail latency under an adversarial burster
 //! (strictly better than the FIFO baseline), quota exhaustion starves
-//! only the exhausted tenant, the service loop is bit- and
+//! only the exhausted tenant and never overspends within a dispatch
+//! round, the service loop is bit- and
 //! schedule-deterministic across runs and host worker counts, and a
 //! tripped circuit breaker keeps non-probe work off the quarantined
 //! device until a probe succeeds.
@@ -111,8 +112,9 @@ fn weighted_fair_bounds_light_tenant_p99_under_burst() {
 }
 
 /// A zero-refill quota starves only its own tenant: the metered tenant
-/// completes what its bucket covers and sheds the rest, while the
-/// unmetered tenant completes everything.
+/// completes exactly what its bucket covers and sheds the rest, while
+/// the unmetered tenant completes everything — on one device and on
+/// four (where one dispatch round launches several jobs at once).
 #[test]
 fn quota_exhaustion_sheds_only_the_exhausted_tenant() {
     let metered = TenantId(1);
@@ -134,21 +136,54 @@ fn quota_exhaustion_sheds_only_the_exhausted_tenant() {
         mode: ExecutionMode::ModelOnly,
         ..ServiceConfig::default()
     };
-    let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-    let report = serve(&mut pool, &jobs, &specs, &cfg);
+    for devices in [1, 4] {
+        let mut pool = DevicePool::homogeneous(&Gpu::v100(), devices);
+        let report = serve(&mut pool, &jobs, &specs, &cfg);
 
-    let m = tenant_summary(&report, metered);
-    let f = tenant_summary(&report, free);
-    assert_eq!(f.completed, 10, "unmetered tenant must be untouched");
-    assert_eq!(f.shed, 0);
-    assert_eq!(m.completed, 2, "bucket covers exactly two jobs");
-    assert_eq!(m.shed, 8, "the rest starve and shed");
-    assert!(m.quota_exhaustions >= 1, "dry spell must be counted");
-    assert!(report
-        .outcomes
-        .iter()
-        .filter(|o| o.tenant == metered)
-        .all(|o| o.disposition == Disposition::Ok || o.disposition == Disposition::Shed));
+        let m = tenant_summary(&report, metered);
+        let f = tenant_summary(&report, free);
+        assert_eq!(f.completed, 10, "unmetered tenant must be untouched");
+        assert_eq!(f.shed, 0);
+        assert_eq!(
+            m.completed, 2,
+            "{devices} devices: bucket covers exactly two jobs"
+        );
+        assert_eq!(m.shed, 8, "the rest starve and shed");
+        assert_eq!(m.quota_exhaustions, 1, "one dry spell, counted once");
+        for o in report.outcomes.iter().filter(|o| o.tenant == metered) {
+            let expect = if o.job_id < 2 {
+                Disposition::Ok
+            } else {
+                Disposition::Shed
+            };
+            assert_eq!(o.disposition, expect, "job {}", o.job_id);
+        }
+    }
+}
+
+/// Regression: the quota check used to read the bucket at pick time
+/// while the debit landed at settle time, so one dispatch round
+/// launched one job per free device against the same balance — a
+/// zero-refill bucket sized for 1.2 jobs completed 4 on 4×V100. The
+/// predicted cost is now reserved at dispatch, so the bucket never
+/// overspends within a round.
+#[test]
+fn quota_never_overspends_within_a_round() {
+    let metered = TenantId(1);
+    let jobs = diag_jobs(8, 0, 25, 7, metered, SloClass::Standard, 0.0);
+    let planner = mdls_pipeline::Planner::new();
+    let (_, fused) = planner.plan_fused(&Gpu::v100(), 8, 8, 25, 1);
+    // bucket covers ~1.2 jobs, zero refill
+    let specs = [TenantSpec::new(metered, "metered").with_quota(1.2 * fused.predicted_ms, 0.0)];
+    let cfg = ServiceConfig {
+        mode: ExecutionMode::ModelOnly,
+        ..ServiceConfig::default()
+    };
+    let mut pool = DevicePool::homogeneous(&Gpu::v100(), 4);
+    let report = serve(&mut pool, &jobs, &specs, &cfg);
+    let t = tenant_summary(&report, metered);
+    assert_eq!(t.completed, 1, "bucket covers exactly one job");
+    assert_eq!(t.shed, 7, "the rest starve and shed");
 }
 
 /// The service loop is bit- and schedule-deterministic: identical

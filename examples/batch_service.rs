@@ -8,8 +8,8 @@
 //! ```
 
 use multidouble_ls::pipeline::{
-    power_flow_jobs, solve_batch, solve_batch_policy, solve_stream_with, tracker_jobs, DevicePool,
-    DispatchPolicy, JobOutcome, Precision,
+    power_flow_jobs, solve_batch, solve_batch_staged, solve_stream_with, tracker_jobs, DevicePool,
+    DispatchPolicy, JobOutcome, MicrobatchConfig, Precision, StageSchedConfig,
 };
 use multidouble_ls::sim::Gpu;
 use rand::rngs::StdRng;
@@ -122,7 +122,13 @@ fn main() {
     // expected-completion policy stops parking long deep-precision
     // solves on whatever device happens to be idle
     pool.reset();
-    let sect = solve_batch_policy(&mut pool, &jobs, DispatchPolicy::ShortestExpectedCompletion);
+    let sect = solve_batch_staged(
+        &mut pool,
+        &jobs,
+        DispatchPolicy::ShortestExpectedCompletion,
+        &MicrobatchConfig::default(),
+        &StageSchedConfig::sequential(),
+    );
     println!(
         "\ndispatch policy A/B on this pool: greedy {:.1} ms vs sect {:.1} ms ({:+.1}%)",
         report.makespan_ms,

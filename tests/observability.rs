@@ -1,7 +1,7 @@
 //! Observer-inertness tests: attaching an observer must change
 //! *nothing* — solution bits, device placement, and every simulated
 //! timestamp are identical with and without one, on all three
-//! execution paths (plain batch, staged batch, stream). The observed
+//! configurations (sequential batch, staged batch, stream). The observed
 //! runs also pin down what the event stream must contain, so the trace
 //! exporter and metrics aggregation are exercised against real
 //! pipeline output, not synthetic fixtures.
@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use multidouble_ls::obs::{metrics::Metrics, trace, Event, Recorder};
 use multidouble_ls::pipeline::{
-    bursty_tracker_jobs, power_flow_jobs, solve_batch_staged, solve_batch_with,
+    bursty_tracker_jobs, power_flow_jobs, solve_batch_staged, solve_batch_staged_with,
     solve_stream_staged, BatchReport, DevicePool, DispatchPolicy, Job, JobOutcome,
     MicrobatchConfig, StageSchedConfig,
 };
@@ -55,12 +55,22 @@ fn assert_identical_reports(plain: &BatchReport, observed: &BatchReport) {
 fn observer_is_inert_on_the_batch_path() {
     let jobs = jobs(40, 0x0b5e);
     let mut pool_plain = pool2();
-    let plain = solve_batch_with(&mut pool_plain, &jobs, 1, DispatchPolicy::LeastLoaded);
+    let run = |pool: &mut DevicePool| {
+        solve_batch_staged_with(
+            pool,
+            &jobs,
+            DispatchPolicy::LeastLoaded,
+            &MicrobatchConfig::default(),
+            &StageSchedConfig::sequential(),
+            false,
+        )
+    };
+    let plain = run(&mut pool_plain);
 
     let recorder = Arc::new(Recorder::new());
     let mut pool_obs = pool2();
     pool_obs.attach_observer(recorder.clone());
-    let observed = solve_batch_with(&mut pool_obs, &jobs, 1, DispatchPolicy::LeastLoaded);
+    let observed = run(&mut pool_obs);
 
     assert_identical_reports(&plain, &observed);
     // and the observed run actually produced an event stream

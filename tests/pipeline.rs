@@ -2,14 +2,25 @@
 
 use multidouble_ls::matrix::HostMat;
 use multidouble_ls::pipeline::{
-    power_flow_jobs, schedule, solve_batch, solve_batch_fused_with, solve_batch_staged,
-    solve_batch_with, solve_planned, solve_stream_fused, solve_stream_with, tracker_jobs,
-    workload_mix, DevicePool, DispatchPolicy, Job, JobOutcome, JobShape, MicrobatchConfig, Planner,
+    power_flow_jobs, schedule, solve_batch, solve_batch_staged, solve_batch_staged_with,
+    solve_planned, solve_stream_staged, solve_stream_with, tracker_jobs, workload_mix, BatchReport,
+    DevicePool, DispatchPolicy, Job, JobOutcome, JobShape, MicrobatchConfig, Planner,
     StageSchedConfig,
 };
 use multidouble_ls::sim::Gpu;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The serial batch loop with contiguous (sequential) stage booking.
+fn batch_seq(
+    pool: &mut DevicePool,
+    jobs: &[Job],
+    policy: DispatchPolicy,
+    cfg: &MicrobatchConfig,
+) -> BatchReport {
+    let seq = StageSchedConfig::sequential();
+    solve_batch_staged_with(pool, jobs, policy, cfg, &seq, false)
+}
 
 /// The headline property: `solve_batch` over ≥ 1000 mixed-shape jobs is
 /// *bit-identical* to solving each job sequentially with the same plan —
@@ -169,13 +180,18 @@ fn outcomes_are_bit_identical_across_policies() {
     let jobs = power_flow_jobs(120, &mut rng);
     let gpus = || vec![Gpu::v100(), Gpu::p100(), Gpu::a100()];
     let mut pool_g = DevicePool::new(gpus());
-    let greedy = solve_batch_with(&mut pool_g, &jobs, 1, DispatchPolicy::LeastLoaded);
+    let greedy = batch_seq(
+        &mut pool_g,
+        &jobs,
+        DispatchPolicy::LeastLoaded,
+        &MicrobatchConfig::default(),
+    );
     let mut pool_s = DevicePool::new(gpus());
-    let sect = solve_batch_with(
+    let sect = batch_seq(
         &mut pool_s,
         &jobs,
-        1,
         DispatchPolicy::ShortestExpectedCompletion,
+        &MicrobatchConfig::default(),
     );
     let mut moved = 0;
     for (g, s) in greedy.outcomes.iter().zip(&sect.outcomes) {
@@ -256,7 +272,7 @@ fn fused_batches_are_bit_identical_and_placement_invariant() {
     let cfg = MicrobatchConfig::default();
 
     let mut pool = DevicePool::new(vec![Gpu::v100(), Gpu::a100()]);
-    let report = solve_batch_fused_with(&mut pool, &jobs, 1, DispatchPolicy::LeastLoaded, &cfg);
+    let report = batch_seq(&mut pool, &jobs, DispatchPolicy::LeastLoaded, &cfg);
     assert_eq!(report.outcomes.len(), jobs.len());
     assert!(
         report.fused_groups >= 4,
@@ -290,7 +306,7 @@ fn fused_batches_are_bit_identical_and_placement_invariant() {
     // placement invariance: an all-P100 pool fuses and places
     // differently but must produce the same bits
     let mut other = DevicePool::homogeneous(&Gpu::p100(), 3);
-    let again = solve_batch_fused_with(&mut other, &jobs, 1, DispatchPolicy::LeastLoaded, &cfg);
+    let again = batch_seq(&mut other, &jobs, DispatchPolicy::LeastLoaded, &cfg);
     for (a, b) in report.outcomes.iter().zip(&again.outcomes) {
         assert_eq!(a.job_id, b.job_id);
         assert_eq!(a.x, b.x, "job {}: pool changed the bits", a.job_id);
@@ -323,18 +339,16 @@ fn fused_batch_doubles_small_shape_throughput() {
         })
         .collect();
     let mut plain = DevicePool::homogeneous(&Gpu::v100(), 2);
-    let unfused = solve_batch_fused_with(
+    let unfused = batch_seq(
         &mut plain,
         &jobs,
-        1,
         DispatchPolicy::LeastLoaded,
         &MicrobatchConfig::off(),
     );
     let mut micro = DevicePool::homogeneous(&Gpu::v100(), 2);
-    let fused = solve_batch_fused_with(
+    let fused = batch_seq(
         &mut micro,
         &jobs,
-        1,
         DispatchPolicy::LeastLoaded,
         &MicrobatchConfig::default(),
     );
@@ -363,12 +377,13 @@ fn fused_stream_preserves_tracker_ordering_and_bits() {
     )
     .collect();
     let mut pool_f = DevicePool::new(vec![Gpu::v100(), Gpu::p100()]);
-    let fused: Vec<JobOutcome> = solve_stream_fused(
+    let fused: Vec<JobOutcome> = solve_stream_staged(
         &mut pool_f,
         jobs,
         DispatchPolicy::ShortestExpectedCompletion,
         12,
         MicrobatchConfig::default(),
+        StageSchedConfig::sequential(),
     )
     .collect();
     assert_eq!(unfused.len(), fused.len());
@@ -380,8 +395,8 @@ fn fused_stream_preserves_tracker_ordering_and_bits() {
 
 /// Stage-level scheduling property: overlapped stage booking and
 /// online re-booking move work through simulated time only — every
-/// outcome of the staged engine is bit-identical to the per-plan batch
-/// path, and the staged schedule itself is placement-invariant (a
+/// outcome under the staged config is bit-identical to sequential
+/// booking, and the staged schedule itself is placement-invariant (a
 /// different pool re-places and re-overlaps, the bits never move).
 #[test]
 fn staged_scheduling_is_bit_identical_to_sequential_booking() {
@@ -389,7 +404,12 @@ fn staged_scheduling_is_bit_identical_to_sequential_booking() {
     let jobs = power_flow_jobs(90, &mut rng);
 
     let mut pool_legacy = DevicePool::new(vec![Gpu::v100(), Gpu::p100()]);
-    let legacy = solve_batch_with(&mut pool_legacy, &jobs, 1, DispatchPolicy::LeastLoaded);
+    let legacy = batch_seq(
+        &mut pool_legacy,
+        &jobs,
+        DispatchPolicy::LeastLoaded,
+        &MicrobatchConfig::default(),
+    );
 
     let mut pool_staged = DevicePool::new(vec![Gpu::v100(), Gpu::p100()]);
     let staged = solve_batch_staged(
@@ -536,9 +556,9 @@ fn ill_conditioned(n: usize, p: f64, seed: u64) -> HostMat<f64> {
 
 /// Pass extension certifies a stalled job: conditioning eats into the
 /// per-pass digit gain, so the plan's booked passes end below target —
-/// the legacy path returns under-target, while the staged engine
-/// extends the booking pass by pass until the measured residual
-/// certifies the target, reporting the extra booked time.
+/// sequential booking (no extension) returns under-target, while the
+/// staged config extends the booking pass by pass until the measured
+/// residual certifies the target, reporting the extra booked time.
 #[test]
 fn stalled_job_extends_passes_to_reach_target() {
     let n = 32;
@@ -552,7 +572,12 @@ fn stalled_job_extends_passes_to_reach_target() {
 
     // legacy (no extension): the booked passes stall under target
     let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-    let legacy = solve_batch_with(&mut pool, &jobs, 1, DispatchPolicy::LeastLoaded);
+    let legacy = batch_seq(
+        &mut pool,
+        &jobs,
+        DispatchPolicy::LeastLoaded,
+        &MicrobatchConfig::default(),
+    );
     let l = &legacy.outcomes[0];
     assert!(
         l.achieved_digits < target as f64,

@@ -193,10 +193,14 @@ fn model_monotone_in_dimension() {
 
 mod timeline_props {
     use super::*;
+    use multidouble_ls::obs::{Event, Recorder};
     use multidouble_ls::pipeline::{
-        power_flow_jobs, solve_batch_staged_with, DevicePool, DispatchPolicy, MicrobatchConfig,
-        RebookMode, StageBooking, StageReq, StageSchedConfig, Timeline,
+        power_flow_jobs, solve_batch_resilient, solve_batch_staged_with, BatchReport, DevicePool,
+        DispatchPolicy, Disposition, MicrobatchConfig, RebookMode, ResilienceConfig, StageBooking,
+        StageReq, StageSchedConfig, Timeline,
     };
+    use multidouble_ls::sim::FaultPlan;
+    use std::sync::Arc;
 
     /// Every lane invariant the pool promises: intervals are non-empty,
     /// sorted by start, pairwise disjoint, and the cursor sits exactly
@@ -402,43 +406,21 @@ mod timeline_props {
         }
     }
 
-    /// The per-device-queue executor (scoped threads, one queue per
-    /// device) is bit- and schedule-identical to the serial executor:
-    /// same solution bits, same device placements, same simulated
-    /// `start_ms`/`end_ms` on every outcome.
-    #[test]
-    fn staged_parallel_executor_matches_serial_bits_and_schedule() {
-        let mut rng = StdRng::seed_from_u64(0x5e_91);
-        let jobs = power_flow_jobs(24, &mut rng);
-        let sched = StageSchedConfig::staged();
-        let micro = MicrobatchConfig::default();
-        let run = |host_parallel: bool| {
-            let mut pool = DevicePool::new(vec![Gpu::v100(), Gpu::p100()]);
-            pool.set_staging_workers(1);
-            solve_batch_staged_with(
-                &mut pool,
-                &jobs,
-                DispatchPolicy::ShortestExpectedCompletion,
-                &micro,
-                &sched,
-                host_parallel,
-            )
-        };
-        let serial = run(false);
-        let parallel = run(true);
-        assert_eq!(serial.outcomes.len(), parallel.outcomes.len());
-        for (s, p) in serial.outcomes.iter().zip(&parallel.outcomes) {
-            assert_eq!(s.job_id, p.job_id, "settlement order diverged");
-            assert_eq!(s.device, p.device, "job {}: placement diverged", s.job_id);
+    fn assert_same_outcomes(label: &str, a: &BatchReport, b: &BatchReport) {
+        assert_eq!(a.outcomes.len(), b.outcomes.len());
+        for (s, p) in a.outcomes.iter().zip(&b.outcomes) {
+            assert_eq!(s.job_id, p.job_id, "{label}: settlement order diverged");
             assert_eq!(
-                s.x, p.x,
-                "job {}: parallel executor changed the bits",
+                s.device, p.device,
+                "{label}: job {} placement diverged",
                 s.job_id
             );
+            assert_eq!(s.x, p.x, "{label}: job {} bits diverged", s.job_id);
+            assert_eq!(s.disposition, p.disposition, "{label}: job {}", s.job_id);
             assert_eq!(
                 s.start_ms.to_bits(),
                 p.start_ms.to_bits(),
-                "job {}: start {} vs {}",
+                "{label}: job {}: start {} vs {}",
                 s.job_id,
                 s.start_ms,
                 p.start_ms
@@ -446,12 +428,110 @@ mod timeline_props {
             assert_eq!(
                 s.end_ms.to_bits(),
                 p.end_ms.to_bits(),
-                "job {}: end {} vs {}",
+                "{label}: job {}: end {} vs {}",
                 s.job_id,
                 s.end_ms,
                 p.end_ms
             );
         }
-        assert_eq!(serial.makespan_ms.to_bits(), parallel.makespan_ms.to_bits());
+        assert_eq!(a.makespan_ms.to_bits(), b.makespan_ms.to_bits(), "{label}");
+    }
+
+    /// The per-device-queue executor (scoped threads, one queue per
+    /// device) is bit- and schedule-identical to the serial executor:
+    /// same solution bits, same device placements, same simulated
+    /// `start_ms`/`end_ms` on every outcome, same event stream — on a
+    /// quiet pool and on one carrying a mid-batch `DeviceLost` plus
+    /// transients (loss recovery and replays run under the same
+    /// executor).
+    #[test]
+    fn staged_parallel_executor_matches_serial_bits_and_schedule() {
+        let mut rng = StdRng::seed_from_u64(0x5e_91);
+        let jobs = power_flow_jobs(24, &mut rng);
+        let sched = StageSchedConfig::staged();
+        let micro = MicrobatchConfig::default();
+        let run = |faults: Option<f64>, host_parallel: bool| {
+            let mut pool = DevicePool::new(vec![Gpu::v100(), Gpu::p100()]);
+            pool.set_staging_workers(1);
+            if let Some(lost_at) = faults {
+                pool.set_fault_plan(0, FaultPlan::seeded(0xfa17, 1.0e4, 40.0));
+                pool.set_fault_plan(1, FaultPlan::none().with_device_lost(lost_at));
+            }
+            let recorder = Arc::new(Recorder::new());
+            pool.attach_observer(recorder.clone());
+            let report = solve_batch_staged_with(
+                &mut pool,
+                &jobs,
+                DispatchPolicy::ShortestExpectedCompletion,
+                &micro,
+                &sched,
+                host_parallel,
+            );
+            (report, recorder.events())
+        };
+        let (serial, serial_events) = run(None, false);
+        let (parallel, parallel_events) = run(None, true);
+        assert_same_outcomes("quiet", &serial, &parallel);
+        assert_eq!(serial_events, parallel_events, "quiet: event stream");
+        assert!(serial
+            .outcomes
+            .iter()
+            .all(|o| o.disposition == Disposition::Ok));
+
+        // the P100 dies a third of the way in; the V100 flaps
+        let lost_at = serial.makespan_ms / 3.0;
+        let (serial_f, serial_events) = run(Some(lost_at), false);
+        let (parallel_f, parallel_events) = run(Some(lost_at), true);
+        assert_same_outcomes("faulty", &serial_f, &parallel_f);
+        assert_eq!(serial_events, parallel_events, "faulty: event stream");
+        let retried = serial_f
+            .outcomes
+            .iter()
+            .filter(|o| o.disposition == Disposition::Retried)
+            .count();
+        assert!(retried > 0, "the fault plan touched nothing; vacuous");
+        assert!(serial_events
+            .iter()
+            .any(|e| matches!(e, Event::DeviceLost { .. })));
+        assert!(serial_events
+            .iter()
+            .any(|e| matches!(e, Event::RetryBooked { .. })));
+        // recovery moves time, never arithmetic
+        for (q, f) in serial.outcomes.iter().zip(&serial_f.outcomes) {
+            assert_eq!(q.x, f.x, "job {}: recovery changed the bits", q.job_id);
+        }
+    }
+
+    /// With every fault plan quiet and no deadlines the resilient entry
+    /// point *is* the plain staged one: same outcomes, and the pools end
+    /// with identical timelines.
+    #[test]
+    fn quiet_resilient_batch_is_the_staged_batch() {
+        let mut rng = StdRng::seed_from_u64(0x9e_17);
+        let jobs = power_flow_jobs(24, &mut rng);
+        let micro = MicrobatchConfig::default();
+        let policy = DispatchPolicy::ShortestExpectedCompletion;
+        for sched in [StageSchedConfig::staged(), StageSchedConfig::sequential()] {
+            let gpus = vec![Gpu::v100(), Gpu::p100()];
+            let mut pool_s = DevicePool::new(gpus.clone());
+            let staged = solve_batch_staged_with(&mut pool_s, &jobs, policy, &micro, &sched, true);
+            let mut pool_r = DevicePool::new(gpus);
+            let quiet = ResilienceConfig::default();
+            let resilient =
+                solve_batch_resilient(&mut pool_r, &jobs, policy, &micro, &sched, &quiet);
+            assert_same_outcomes("quiet resilient", &staged, &resilient);
+            for (s, r) in staged.outcomes.iter().zip(&resilient.outcomes) {
+                assert_eq!(s.refunded_ms.to_bits(), r.refunded_ms.to_bits());
+                assert_eq!(s.extended_ms.to_bits(), r.extended_ms.to_bits());
+            }
+            for (a, b) in pool_s.devices().iter().zip(pool_r.devices()) {
+                assert_eq!(a.host_timeline().intervals(), b.host_timeline().intervals());
+                assert_eq!(
+                    a.device_timeline().intervals(),
+                    b.device_timeline().intervals()
+                );
+                assert_eq!(a.busy_ms().to_bits(), b.busy_ms().to_bits());
+            }
+        }
     }
 }
