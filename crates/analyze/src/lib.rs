@@ -19,7 +19,9 @@
 //! * floats are never compared exactly outside the error-free-
 //!   transform crates ([`lints::FLOAT_EQ_OUTSIDE_CORE`]);
 //! * fault/chaos/recovery code draws only from seeded sources
-//!   ([`lints::NONDETERMINISTIC_FAULT_SOURCE`]).
+//!   ([`lints::NONDETERMINISTIC_FAULT_SOURCE`]);
+//! * device-buffer access and kernel bodies carry no atomic
+//!   read-modify-write ([`lints::ATOMIC_ON_ELEMENT_PATH`]).
 //!
 //! The analyzer is a hand-rolled lexer ([`lexer`]) plus token-scope
 //! passes ([`lints`]) — no external dependencies, because the

@@ -31,6 +31,12 @@
 //!   backlog queue is bounded; one unguarded `push_back` in service
 //!   code and a bursty tenant grows memory without ever tripping
 //!   backpressure.
+//! * [`ATOMIC_ON_ELEMENT_PATH`] — functional kernels cost their
+//!   arithmetic plus plain loads and stores; one atomic read-modify-
+//!   write on a per-element path (`DeviceBuf::get`/`set`, a kernel
+//!   body's inner loop) costs more than a double double multiply-add
+//!   and serializes the parallel executor's threads on one cache line.
+//!   Traffic is *declared* in `KernelCost`, never counted per access.
 //!
 //! Suppression grammar: `// analyze::allow(lint-id): reason`. The
 //! reason is mandatory — a bare allow is itself a finding — and an
@@ -50,6 +56,7 @@ pub const FLOAT_EQ_OUTSIDE_CORE: &str = "float-eq-outside-core";
 pub const TIMELINE_MUTATION_OUTSIDE_POOL: &str = "timeline-mutation-outside-pool";
 pub const NONDETERMINISTIC_FAULT_SOURCE: &str = "nondeterministic-fault-source";
 pub const UNBOUNDED_SERVICE_QUEUE: &str = "unbounded-service-queue";
+pub const ATOMIC_ON_ELEMENT_PATH: &str = "atomic-on-element-path";
 pub const BARE_ALLOW: &str = "bare-allow";
 pub const UNKNOWN_LINT: &str = "unknown-lint";
 pub const UNUSED_ALLOW: &str = "unused-allow";
@@ -134,6 +141,12 @@ pub const LINTS: &[LintDef] = &[
         skip_tests: true,
         summary: "service-shell queues grow only behind a len/capacity/is_full guard (bounded ingress)",
     },
+    LintDef {
+        id: ATOMIC_ON_ELEMENT_PATH,
+        scope: Scope::All,
+        skip_tests: true,
+        summary: "no atomic read-modify-write in gpusim's buffer.rs or any kernels.rs (traffic is declared, not counted)",
+    },
 ];
 
 /// Look a lint up by id.
@@ -184,6 +197,17 @@ fn is_fault_path(rel: &str) -> bool {
 /// multi-tenant shell, not to every `VecDeque` in the pipeline.
 fn is_service_path(rel: &str) -> bool {
     rel.rsplit('/').next().unwrap_or(rel).contains("service")
+}
+
+/// The per-element path by file — device-buffer access and the kernel
+/// bodies built on it, the files [`ATOMIC_ON_ELEMENT_PATH`] polices.
+/// Path-scoped like [`is_fault_path`]: launch bookkeeping elsewhere in
+/// `gpusim` (the parallel executor's block counter) is per block, not
+/// per element, and keeps its atomics.
+fn is_element_path(rel: &str) -> bool {
+    let rel = rel.trim_start_matches("./");
+    rel == "crates/gpusim/src/buffer.rs"
+        || (rel.starts_with("crates/") && rel.ends_with("/src/kernels.rs"))
 }
 
 // ---------------------------------------------------------------------
@@ -444,6 +468,10 @@ pub fn analyze_source(
     // behind a capacity check
     if enabled(UNBOUNDED_SERVICE_QUEUE) && is_service_path(rel) {
         lint_unbounded_service_queue(rel, toks, &mut raw);
+    }
+
+    if enabled(ATOMIC_ON_ELEMENT_PATH) && is_element_path(rel) {
+        lint_atomic_on_element_path(rel, toks, &mut raw);
     }
 
     // drop findings of skip_tests lints that landed in test code
@@ -895,6 +923,46 @@ fn lint_unbounded_service_queue(rel: &str, toks: &[Token], out: &mut Vec<Finding
                 receiver.as_deref().unwrap_or("a service queue"),
             ),
         ));
+    }
+}
+
+const MEMORY_ORDERINGS: &[&str] = &[
+    "Ordering", "Relaxed", "Acquire", "Release", "AcqRel", "SeqCst",
+];
+
+/// Atomic read-modify-write calls: any `.fetch_*(..)`,
+/// `.compare_exchange(..)`/`.compare_exchange_weak(..)`, and `.swap(..)`
+/// when its arguments name a memory ordering (a slice's `swap(i, j)`
+/// is a plain exchange and stays legal).
+fn lint_atomic_on_element_path(rel: &str, toks: &[Token], out: &mut Vec<Finding>) {
+    for i in 0..toks.len() {
+        if !(toks[i].text == "."
+            && i + 2 < toks.len()
+            && toks[i + 1].kind == TokKind::Ident
+            && is(&toks[i + 2], "("))
+        {
+            continue;
+        }
+        let method = toks[i + 1].text.as_str();
+        let hit = match method {
+            "compare_exchange" | "compare_exchange_weak" => true,
+            "swap" => toks[i + 3..matching(toks, i + 2)]
+                .iter()
+                .any(|t| t.kind == TokKind::Ident && MEMORY_ORDERINGS.contains(&t.text.as_str())),
+            _ => method.starts_with("fetch_"),
+        };
+        if hit {
+            out.push(Finding::new(
+                rel,
+                toks[i + 1].line,
+                ATOMIC_ON_ELEMENT_PATH,
+                format!(
+                    "atomic `.{method}(..)` on the per-element path — a kernel costs its \
+                     arithmetic plus plain loads and stores; declare traffic in `KernelCost` \
+                     instead of counting it"
+                ),
+            ));
+        }
     }
 }
 

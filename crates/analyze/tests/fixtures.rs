@@ -29,8 +29,12 @@ fn expected(src: &str) -> Vec<(u32, String)> {
 /// Analyze `src` as a non-test file of `krate` and compare against the
 /// fixture's own markers.
 fn check(name: &str, krate: &str, src: &str) {
-    let rel = format!("crates/{krate}/src/{name}");
-    let mut got: Vec<(u32, String)> = analyze_str(&rel, krate, src)
+    check_at(&format!("crates/{krate}/src/{name}"), krate, src);
+}
+
+/// [`check`] for path-scoped lints: analyze `src` as the file `rel`.
+fn check_at(rel: &str, krate: &str, src: &str) {
+    let mut got: Vec<(u32, String)> = analyze_str(rel, krate, src)
         .into_iter()
         .map(|f| (f.line, f.lint.to_string()))
         .collect();
@@ -38,7 +42,7 @@ fn check(name: &str, krate: &str, src: &str) {
     assert_eq!(
         got,
         expected(src),
-        "findings for fixture `{name}` (as crate `{krate}`) diverge from its markers"
+        "findings for fixture at `{rel}` (as crate `{krate}`) diverge from its markers"
     );
 }
 
@@ -73,6 +77,8 @@ const NONDET_TRIP: &str = include_str!("fixtures/nondeterministic_fault_trip.rs"
 const NONDET_CLEAN: &str = include_str!("fixtures/nondeterministic_fault_clean.rs");
 const SERVICE_TRIP: &str = include_str!("fixtures/service_queue_trip.rs");
 const SERVICE_CLEAN: &str = include_str!("fixtures/service_queue_clean.rs");
+const ATOMIC_TRIP: &str = include_str!("fixtures/atomic_element_trip.rs");
+const ATOMIC_CLEAN: &str = include_str!("fixtures/atomic_element_clean.rs");
 
 #[test]
 fn map_iteration_trips_and_cleans() {
@@ -235,6 +241,23 @@ fn unbounded_service_queue_skips_test_files_by_path() {
     // skip_tests: a service test may build scenario queues freely
     let got = analyze_str("crates/pipeline/tests/service.rs", "pipeline", SERVICE_TRIP);
     assert!(got.is_empty(), "tests/ path should be exempt: {got:?}");
+}
+
+#[test]
+fn atomic_on_element_path_trips_and_cleans() {
+    check_at("crates/gpusim/src/buffer.rs", "gpusim", ATOMIC_TRIP);
+    check_at("crates/qr/src/kernels.rs", "qr", ATOMIC_TRIP);
+    assert_eq!(expected(ATOMIC_TRIP).len(), 5, "marker count drifted");
+    let got = analyze_str("crates/gpusim/src/buffer.rs", "gpusim", ATOMIC_CLEAN);
+    assert!(got.is_empty(), "clean fixture should be clean: {got:?}");
+}
+
+#[test]
+fn atomic_on_element_path_is_path_scoped() {
+    // per-block bookkeeping (the parallel executor's block counter in
+    // exec.rs) is not the element path and keeps its atomics
+    check_clean("exec.rs", "gpusim", ATOMIC_TRIP);
+    check_clean("driver.rs", "qr", ATOMIC_TRIP);
 }
 
 #[test]

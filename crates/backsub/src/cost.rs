@@ -2,9 +2,8 @@
 //! Algorithm 1. These are the simulator's equivalent of the paper's
 //! per-kernel accumulators, written as closed counts over the tile size.
 //!
-//! The functional kernels are instrumented by the device buffers; the
-//! integration tests cross-check these analytic counts against the raw
-//! traffic counters for small sizes.
+//! These declared counts are the traffic of record: the device buffers
+//! count nothing at run time.
 
 use multidouble::{MdScalar, OpCounts};
 

@@ -3,7 +3,14 @@
 //!
 //! All index arithmetic uses the global `N·n × N·n` column-major matrix;
 //! tile `(i, j)` starts at row `i·n`, column `j·n`.
+//!
+//! The two product kernels stage their operands into block-local
+//! vectors (`load_col`/`run_to_vec`, the simulator's shared memory) and
+//! accumulate with [`gpusim::shared::axpy`], one unit-stride column per
+//! step; every output component keeps its zero-started, column-ordered
+//! sum.
 
+use gpusim::shared::axpy;
 use gpusim::{BlockCtx, DeviceBuf, DeviceMat};
 use multidouble::MdScalar;
 
@@ -19,10 +26,8 @@ pub fn invert_tile_block<S: MdScalar>(ctx: BlockCtx, u: &DeviceMat<S>, n: usize)
 
     // phase 1: shared memory copy of the tile's upper triangle
     let mut shared = vec![S::zero(); n * n];
-    for r in 0..n {
-        for c in r..n {
-            shared[c * n + r] = u.get(base + r, base + c);
-        }
+    for c in 0..n {
+        u.load_col(base + c, base, &mut shared[c * n..=c * n + c]);
     }
     // __syncthreads()
 
@@ -41,14 +46,16 @@ pub fn invert_tile_block<S: MdScalar>(ctx: BlockCtx, u: &DeviceMat<S>, n: usize)
             }
             v[i] = acc / shared[i * n + i];
         }
-        for (i, vi) in v.iter().enumerate().take(k + 1) {
-            u.set(base + i, base + k, *vi);
-        }
+        u.store_col(base + k, base, &v[..=k]);
     }
 }
 
 /// `x_i := U_i^{-1} b_i` — one block of `n` threads; thread `r` computes
 /// component `r` (the inverse is upper triangular, so columns `c ≥ r`).
+///
+/// Column-axpy order: `x_i` is a block-local accumulator that takes
+/// column `c` of the inverse (its rows `0..=c`) scaled by `b[c]` per
+/// step, so component `r` sums over `c = r..n` in order.
 pub fn multiply_inverse_block<S: MdScalar>(
     ctx: BlockCtx,
     u: &DeviceMat<S>,
@@ -58,20 +65,21 @@ pub fn multiply_inverse_block<S: MdScalar>(
     n: usize,
 ) {
     let base = tile * n;
-    for r in ctx.thread_ids() {
-        if r >= n {
-            continue;
-        }
-        let mut acc = S::zero();
-        for c in r..n {
-            acc += u.get(base + r, base + c) * b.get(base + c);
-        }
-        x.set(base + r, acc);
+    let rows = n.min(ctx.threads);
+    let bv = b.run_to_vec(base, n);
+    let mut acc = vec![S::zero(); rows];
+    let mut col = vec![S::zero(); rows];
+    for (c, bc) in bv.iter().enumerate() {
+        let k = rows.min(c + 1);
+        u.load_col(base + c, base, &mut col[..k]);
+        axpy(&mut acc[..k], &col[..k], *bc);
     }
+    x.store_run(base, &acc);
 }
 
 /// One update block: `b_j -= A_{j,i} x_i` where `j = ctx.block`.
-/// Thread `r` owns component `r` of `b_j`.
+/// Thread `r` owns component `r` of `b_j`; the product `A_{j,i} x_i` is
+/// accumulated block-locally, one column of the tile per step.
 pub fn update_rhs_block<S: MdScalar>(
     ctx: BlockCtx,
     u: &DeviceMat<S>,
@@ -83,16 +91,19 @@ pub fn update_rhs_block<S: MdScalar>(
     let j = ctx.block;
     let row_base = j * n;
     let col_base = i * n;
-    for r in ctx.thread_ids() {
-        if r >= n {
-            continue;
-        }
-        let mut acc = S::zero();
-        for c in 0..n {
-            acc += u.get(row_base + r, col_base + c) * x.get(col_base + c);
-        }
-        b.set(row_base + r, b.get(row_base + r) - acc);
+    let rows = n.min(ctx.threads);
+    let xv = x.run_to_vec(col_base, n);
+    let mut acc = vec![S::zero(); rows];
+    let mut col = vec![S::zero(); rows];
+    for (c, xc) in xv.iter().enumerate() {
+        u.load_col(col_base + c, row_base, &mut col);
+        axpy(&mut acc, &col, *xc);
     }
+    let mut bv = b.run_to_vec(row_base, rows);
+    for (bj, a) in bv.iter_mut().zip(&acc) {
+        *bj -= *a;
+    }
+    b.store_run(row_base, &bv);
 }
 
 #[cfg(test)]

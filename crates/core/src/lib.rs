@@ -24,6 +24,7 @@
 
 #![forbid(unsafe_code)]
 
+use gpusim::shared::{axmy, dot_conj};
 use gpusim::{BlockCtx, ExecMode, Gpu, KernelCost, Profile, Sim};
 use mdls_backsub::{backsub_on_sim, BacksubOptions};
 use mdls_matrix::HostMat;
@@ -115,16 +116,16 @@ fn qtb_kernel<S: MdScalar>(
         block,
         cost,
         |ctx: BlockCtx| {
+            // b is staged once per block, each Q column once per thread
+            let bv = b.run_to_vec(0, m);
+            let mut col = vec![S::zero(); m];
             for t in ctx.thread_ids() {
                 let j = ctx.global_tid(t);
                 if j >= cols {
                     continue;
                 }
-                let mut acc = S::zero();
-                for i in 0..m {
-                    acc += q.get(i, j).conj() * b.get(i);
-                }
-                out.set(j, acc);
+                q.load_col(j, 0, &mut col);
+                out.set(j, dot_conj(&col, &bv));
             }
         },
     );
@@ -147,14 +148,14 @@ fn copy_r_square<S: MdScalar>(
         block,
         cost,
         |ctx: BlockCtx| {
+            let mut col = vec![S::zero(); cols];
             for t in ctx.thread_ids() {
                 let c = ctx.global_tid(t);
                 if c >= cols {
                     continue;
                 }
-                for row in 0..=c {
-                    u.set(row, c, r.get(row, c));
-                }
+                r.load_col(c, 0, &mut col[..=c]);
+                u.store_col(c, 0, &col[..=c]);
             }
         },
     );
@@ -530,17 +531,17 @@ pub fn residual_kernel<S: MdScalar>(
         block,
         cost,
         |ctx: BlockCtx| {
-            for t in ctx.thread_ids() {
-                let i = ctx.global_tid(t);
-                if i >= m {
-                    continue;
-                }
-                let mut acc = b.get(i);
-                for j in 0..n {
-                    acc -= a.get(i, j) * x.get(j);
-                }
-                r.set(i, acc);
+            // the block's rows of b are the accumulator; it gives up
+            // one column of A per step
+            let i0 = ctx.global_tid(0).min(m);
+            let mut acc = b.run_to_vec(i0, ctx.threads.min(m - i0));
+            let xv = x.run_to_vec(0, n);
+            let mut col = vec![S::zero(); acc.len()];
+            for (j, xj) in xv.iter().enumerate() {
+                a.load_col(j, i0, &mut col);
+                axmy(&mut acc, &col, *xj);
             }
+            r.store_run(i0, &acc);
         },
     );
 }

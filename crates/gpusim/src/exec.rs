@@ -231,19 +231,16 @@ impl Sim {
         let fused = cost.scaled(self.instances as u64);
         let ms = model::fused_kernel_ms(&self.gpu, self.instances, grid, threads, &cost);
         let mut p = self.profile.lock();
+        // the batched launch stands for `count_as` logical launches
         p.record(
             stage,
+            count_as,
             ms,
             fused.ops,
             fused.flops_paper,
             fused.flops_measured,
             fused.bytes,
         );
-        if count_as > 1 {
-            // the batched launch stands for `count_as` logical launches
-            let s = p.stages_mut().iter_mut().find(|s| s.name == stage).unwrap();
-            s.launches += count_as - 1;
-        }
         p.launch_gap_ms += model::launch_gap_ms(&self.gpu, count_as);
     }
 

@@ -7,7 +7,9 @@
 //! 1. **Functional execution** ([`exec`]): kernels are written at block
 //!    granularity (CUDA's barrier phases become loops over the threads of
 //!    a block) and run against [`buffer::DeviceBuf`] global memory with the
-//!    paper's *staggered* multiple double layout (one `f64` plane per limb).
+//!    paper's *staggered* multiple double layout (one `f64` plane per limb),
+//!    staging columns into block-local slices for the unit-stride loops of
+//!    [`shared`].
 //!    Blocks of one launch may run on parallel host threads — the safety
 //!    contract is CUDA's own: blocks of a launch must write disjoint
 //!    locations.
@@ -34,6 +36,7 @@ pub mod launch;
 pub mod model;
 pub mod profile;
 pub mod roofline;
+pub mod shared;
 
 pub use buffer::{DeviceBuf, DeviceMat};
 pub use device::Gpu;

@@ -47,10 +47,13 @@ impl Profile {
         Profile::default()
     }
 
-    /// Record a launch under `stage`.
+    /// Record `launches` kernel launches under `stage` (more than one
+    /// when a batched launch stands for several logical ones, or when a
+    /// whole stage is merged in).
     pub fn record(
         &mut self,
         stage: &str,
+        launches: u64,
         kernel_ms: f64,
         ops: OpCounts,
         flops_paper: f64,
@@ -68,7 +71,7 @@ impl Profile {
             }
         };
         s.kernel_ms += kernel_ms;
-        s.launches += 1;
+        s.launches += launches;
         s.ops += ops;
         s.flops_paper += flops_paper;
         s.flops_measured += flops_measured;
@@ -78,11 +81,6 @@ impl Profile {
     /// Stages in first-recorded order.
     pub fn stages(&self) -> &[StageStats] {
         &self.stages
-    }
-
-    /// Mutable access to the stages (launch-count adjustments).
-    pub fn stages_mut(&mut self) -> &mut [StageStats] {
-        &mut self.stages
     }
 
     /// Look up one stage by name.
@@ -155,15 +153,13 @@ impl Profile {
         for s in &other.stages {
             self.record(
                 &s.name,
+                s.launches,
                 s.kernel_ms,
                 s.ops,
                 s.flops_paper,
                 s.flops_measured,
                 s.bytes,
             );
-            // `record` bumps launches by one; fix up to the true count.
-            let mine = self.stages.iter_mut().find(|m| m.name == s.name).unwrap();
-            mine.launches = mine.launches - 1 + s.launches;
         }
         self.transfer_ms += other.transfer_ms;
         self.transfer_bytes += other.transfer_bytes;
@@ -187,9 +183,9 @@ mod tests {
     #[test]
     fn stages_accumulate_in_order() {
         let mut p = Profile::new();
-        p.record("beta, v", 1.0, ops(10), 100.0, 40.0, 64);
-        p.record("update R", 2.0, ops(20), 200.0, 80.0, 128);
-        p.record("beta, v", 0.5, ops(5), 50.0, 20.0, 32);
+        p.record("beta, v", 1, 1.0, ops(10), 100.0, 40.0, 64);
+        p.record("update R", 1, 2.0, ops(20), 200.0, 80.0, 128);
+        p.record("beta, v", 1, 0.5, ops(5), 50.0, 20.0, 32);
         assert_eq!(p.stages().len(), 2);
         assert_eq!(p.stages()[0].name, "beta, v");
         assert_eq!(p.stages()[0].launches, 2);
@@ -201,7 +197,7 @@ mod tests {
     #[test]
     fn gflops_reporting() {
         let mut p = Profile::new();
-        p.record("k", 1000.0, ops(1), 2.0e12, 1.0e12, 0);
+        p.record("k", 1, 1000.0, ops(1), 2.0e12, 1.0e12, 0);
         // 2e12 flops over 1 second = 2000 gigaflops
         assert!((p.kernel_gflops() - 2000.0).abs() < 1e-9);
     }
@@ -209,7 +205,7 @@ mod tests {
     #[test]
     fn wall_includes_overheads() {
         let mut p = Profile::new();
-        p.record("k", 10.0, ops(1), 1.0, 1.0, 0);
+        p.record("k", 1, 10.0, ops(1), 1.0, 1.0, 0);
         p.transfer_ms = 5.0;
         p.launch_gap_ms = 1.0;
         p.host_ms = 4.0;
@@ -219,7 +215,7 @@ mod tests {
     #[test]
     fn lane_split_partitions_the_wall_clock() {
         let mut p = Profile::new();
-        p.record("k", 10.0, ops(1), 1.0, 1.0, 0);
+        p.record("k", 1, 10.0, ops(1), 1.0, 1.0, 0);
         p.transfer_ms = 5.0;
         p.launch_gap_ms = 1.0;
         p.host_ms = 4.0;
@@ -232,10 +228,10 @@ mod tests {
     #[test]
     fn absorb_merges_counts() {
         let mut a = Profile::new();
-        a.record("x", 1.0, ops(1), 10.0, 5.0, 8);
+        a.record("x", 1, 1.0, ops(1), 10.0, 5.0, 8);
         let mut b = Profile::new();
-        b.record("x", 2.0, ops(2), 20.0, 10.0, 16);
-        b.record("y", 3.0, ops(3), 30.0, 15.0, 24);
+        b.record("x", 1, 2.0, ops(2), 20.0, 10.0, 16);
+        b.record("y", 1, 3.0, ops(3), 30.0, 15.0, 24);
         b.transfer_ms = 7.0;
         a.absorb(&b);
         assert_eq!(a.stage("x").unwrap().launches, 2);

@@ -66,7 +66,7 @@ mod tests {
     #[test]
     fn from_profile_divides() {
         let mut p = Profile::new();
-        p.record("k", 1000.0, OpCounts::ZERO, 8.0e12, 4.0e12, 1 << 30);
+        p.record("k", 1, 1000.0, OpCounts::ZERO, 8.0e12, 4.0e12, 1 << 30);
         let pt = RooflinePoint::from_profile(64, &p);
         assert!((pt.gflops - 8000.0).abs() < 1.0);
         assert!((pt.intensity - 8.0e12 / (1u64 << 30) as f64).abs() < 1e-6);

@@ -49,8 +49,14 @@ pub trait MdReal:
     fn hi(self) -> f64;
     /// Limb `i` (0 = most significant); `i < LIMBS`.
     fn limb(self, i: usize) -> f64;
-    /// Rebuild from limbs, most significant first (`l.len() == LIMBS`).
-    fn from_limbs(l: &[f64]) -> Self;
+    /// Rebuild from a limb function: `f(i)` is limb `i` (0 = most
+    /// significant), asked once for every `i < LIMBS`.
+    fn from_limb_fn(f: impl FnMut(usize) -> f64) -> Self;
+    /// Rebuild from limbs, most significant first (`l.len() >= LIMBS`).
+    #[inline(always)]
+    fn from_limbs(l: &[f64]) -> Self {
+        Self::from_limb_fn(|i| l[i])
+    }
 
     /// Additive identity.
     fn zero() -> Self;
@@ -97,8 +103,8 @@ impl MdReal for f64 {
         self
     }
     #[inline(always)]
-    fn from_limbs(l: &[f64]) -> Self {
-        l[0]
+    fn from_limb_fn(mut f: impl FnMut(usize) -> f64) -> Self {
+        f(0)
     }
     #[inline(always)]
     fn zero() -> Self {
@@ -170,8 +176,9 @@ impl MdReal for Dd {
         self.limbs()[i]
     }
     #[inline(always)]
-    fn from_limbs(l: &[f64]) -> Self {
-        Dd::from_parts(l[0], l[1])
+    fn from_limb_fn(mut f: impl FnMut(usize) -> f64) -> Self {
+        let hi = f(0);
+        Dd::from_parts(hi, f(1))
     }
     #[inline(always)]
     fn zero() -> Self {
@@ -221,8 +228,8 @@ impl MdReal for Qd {
         self.0[i]
     }
     #[inline(always)]
-    fn from_limbs(l: &[f64]) -> Self {
-        Qd([l[0], l[1], l[2], l[3]])
+    fn from_limb_fn(f: impl FnMut(usize) -> f64) -> Self {
+        Qd(core::array::from_fn(f))
     }
     #[inline(always)]
     fn zero() -> Self {
@@ -272,10 +279,8 @@ impl MdReal for Od {
         self.0[i]
     }
     #[inline(always)]
-    fn from_limbs(l: &[f64]) -> Self {
-        let mut a = [0.0; 8];
-        a.copy_from_slice(&l[..8]);
-        Od(a)
+    fn from_limb_fn(f: impl FnMut(usize) -> f64) -> Self {
+        Od(core::array::from_fn(f))
     }
     #[inline(always)]
     fn zero() -> Self {

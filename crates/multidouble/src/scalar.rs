@@ -90,8 +90,9 @@ pub trait MdScalar:
 
     /// Read plane `p` of the scalar (real limbs first, then imaginary).
     fn plane(self, p: usize) -> f64;
-    /// Rebuild from planes (`planes.len() == PLANES`).
-    fn from_planes(planes: &[f64]) -> Self;
+    /// Rebuild from a plane function: `f(p)` is plane `p`, asked once
+    /// for every `p < PLANES` — the gather of a staggered device load.
+    fn from_plane_fn(f: impl FnMut(usize) -> f64) -> Self;
 
     /// Paper-model cost table (Table 1, complex-expanded when needed).
     fn paper_cost() -> OpCost;
@@ -150,8 +151,8 @@ impl<T: MdReal> MdScalar for T {
         self.limb(p)
     }
     #[inline(always)]
-    fn from_planes(planes: &[f64]) -> Self {
-        T::from_limbs(planes)
+    fn from_plane_fn(f: impl FnMut(usize) -> f64) -> Self {
+        T::from_limb_fn(f)
     }
     fn paper_cost() -> OpCost {
         paper_real_cost(T::LIMBS)
@@ -214,11 +215,9 @@ impl<T: MdReal> MdScalar for Complex<T> {
         }
     }
     #[inline(always)]
-    fn from_planes(planes: &[f64]) -> Self {
-        Complex::new(
-            T::from_limbs(&planes[..T::LIMBS]),
-            T::from_limbs(&planes[T::LIMBS..]),
-        )
+    fn from_plane_fn(mut f: impl FnMut(usize) -> f64) -> Self {
+        let re = T::from_limb_fn(&mut f);
+        Complex::new(re, T::from_limb_fn(|i| f(T::LIMBS + i)))
     }
     fn paper_cost() -> OpCost {
         complex_cost(paper_real_cost(T::LIMBS))
@@ -240,7 +239,7 @@ mod tests {
 
     fn plane_roundtrip<S: MdScalar>(x: S) {
         let planes: Vec<f64> = (0..S::PLANES).map(|p| x.plane(p)).collect();
-        assert_eq!(S::from_planes(&planes), x);
+        assert_eq!(S::from_plane_fn(|p| planes[p]), x);
     }
 
     #[test]

@@ -365,7 +365,7 @@ mod tests {
 
     fn profile(kernel_ms: f64, flops: f64) -> Profile {
         let mut p = Profile::new();
-        p.record("k", kernel_ms, OpCounts::ZERO, flops, flops, 0);
+        p.record("k", 1, kernel_ms, OpCounts::ZERO, flops, flops, 0);
         p
     }
 

@@ -76,12 +76,12 @@ impl<S: MdScalar> QrDeviceState<S> {
         if !self.q.buf.is_materialized() {
             return;
         }
-        for i in 0..self.q.rows {
-            for j in 0..self.q.cols {
-                self.q.set(i, j, if i == j { S::one() } else { S::zero() });
-            }
+        let mut col = vec![S::zero(); self.q.rows];
+        for j in 0..self.q.cols {
+            col[j] = S::one();
+            self.q.store_col(j, 0, &col);
+            col[j] = S::zero();
         }
-        self.q.buf.reset_traffic();
     }
 }
 

@@ -6,7 +6,17 @@
 //! the multi-block geometry to the timing model (the paper's multi-block
 //! reductions produce identical values — the simulator folds them into a
 //! single sequential pass for clarity).
+//!
+//! Memory convention: a block stages the columns it needs into
+//! block-local vectors (`load_col`, the simulator's shared memory) and
+//! runs the unit-stride loops of [`gpusim::shared`] on them. Products
+//! are written in column-axpy order — the output column is a block-local
+//! accumulator that takes one input column per step `t` — which gives
+//! every output element the same zero-started, `t`-ordered sum a
+//! per-element dot product would, while walking the column-major
+//! operands by column instead of by row.
 
+use gpusim::shared::{axmy, axpy, dot_conj};
 use gpusim::{BlockCtx, DeviceBuf, DeviceMat};
 use multidouble::{MdReal, MdScalar};
 
@@ -28,27 +38,25 @@ pub fn beta_v_block<S: MdScalar>(
     }
     let m = r.rows;
     let _ = col0;
-    // Y is reused across panels and the WY products run at full height
-    // (the paper's kernels do not exploit the trapezoid): clear the rows
-    // of column l above the reflector start.
-    for i in 0..c {
-        y.set(i, l, S::zero());
-    }
-    let alpha = r.get(c, c);
+    let x = r.col_to_vec(c, c, m - c);
+    let alpha = x[0];
     // sigma = sum of |R[i, c]|^2 below the diagonal
     let mut sigma = <S::Real as MdReal>::zero();
-    for i in (c + 1)..m {
-        sigma += r.get(i, c).norm_sqr();
+    for xi in &x[1..] {
+        sigma += xi.norm_sqr();
     }
     let alpha_sq = alpha.norm_sqr();
     let normx = (alpha_sq + sigma).sqrt();
 
+    // Y is reused across panels and the WY products run at full height
+    // (the paper's kernels do not exploit the trapezoid): the rows of
+    // column l above the reflector start are written as zeros.
+    let mut v = vec![S::zero(); m];
+    v[c] = S::one();
+
     if normx.is_zero() {
         // zero column: identity reflector
-        y.set(c, l, S::one());
-        for i in (c + 1)..m {
-            y.set(i, l, S::zero());
-        }
+        y.store_col(l, 0, &v);
         betas.set(l, S::zero());
         return;
     }
@@ -64,10 +72,10 @@ pub fn beta_v_block<S: MdScalar>(
     let v1 = alpha + phase.scale(normx);
     let v1_sq = v1.norm_sqr();
 
-    y.set(c, l, S::one());
-    for i in (c + 1)..m {
-        y.set(i, l, r.get(i, c) / v1);
+    for (vi, xi) in v[c + 1..].iter_mut().zip(&x[1..]) {
+        *vi = *xi / v1;
     }
+    y.store_col(l, 0, &v);
     // beta = 2 / (v^H v) with v normalized to v[c] = 1:
     // v^H v = 1 + sigma / |v1|^2
     let two = <S::Real as MdReal>::from_f64(2.0);
@@ -90,15 +98,14 @@ pub fn beta_rtv_block<S: MdScalar>(
     if ctx.block != 0 {
         return;
     }
-    let m = r.rows;
     let c = col0 + l;
+    let h = r.rows - c;
     let beta = betas.get(l);
+    let v = y.col_to_vec(l, c, h);
+    let mut rj = vec![S::zero(); h];
     for j in l..n {
-        let mut acc = S::zero();
-        for i in c..m {
-            acc += r.get(i, col0 + j).conj() * y.get(i, l);
-        }
-        w.set(j, acc * beta);
+        r.load_col(col0 + j, c, &mut rj);
+        w.set(j, dot_conj(&rj, &v) * beta);
     }
 }
 
@@ -111,14 +118,14 @@ pub fn update_r_block<S: MdScalar>(
     col0: usize,
     l: usize,
 ) {
-    let m = r.rows;
     let c = col0 + l;
-    let j = col0 + l + ctx.block; // global column updated by this block
+    let h = r.rows - c;
+    let j = c + ctx.block; // global column updated by this block
     let wj = w.get(l + ctx.block).conj();
-    for i in c..m {
-        let v = r.get(i, j) - y.get(i, l) * wj;
-        r.set(i, j, v);
-    }
+    let v = y.col_to_vec(l, c, h);
+    let mut rj = r.col_to_vec(j, c, h);
+    axmy(&mut rj, &v, wj);
+    r.store_col(j, c, &rj);
 }
 
 /// One column of the WY aggregation:
@@ -139,21 +146,23 @@ pub fn compute_w_block<S: MdScalar>(
     let beta = betas.get(l);
     // full height: rows above the panel hold zeros in Y, and W's column
     // comes out zero there, so the reused W buffer refreshes itself
-    let mut u = vec![S::zero(); l];
-    for (t, ut) in u.iter_mut().enumerate() {
-        let mut acc = S::zero();
-        for i in 0..m {
-            acc += y.get(i, t).conj() * y.get(i, l);
-        }
-        *ut = acc;
+    let mut acc = y.col_to_vec(l, 0, m);
+    let mut col = vec![S::zero(); m];
+    let u: Vec<S> = (0..l)
+        .map(|t| {
+            y.load_col(t, 0, &mut col);
+            dot_conj(&col, &acc)
+        })
+        .collect();
+    // acc starts at v_l and takes one W column per step
+    for (t, ut) in u.iter().enumerate() {
+        wmat.load_col(t, 0, &mut col);
+        axpy(&mut acc, &col, *ut);
     }
-    for i in 0..m {
-        let mut acc = y.get(i, l);
-        for (t, ut) in u.iter().enumerate() {
-            acc += wmat.get(i, t) * *ut;
-        }
-        wmat.set(i, l, -(acc * beta));
+    for a in &mut acc {
+        *a = -(*a * beta);
     }
+    wmat.store_col(l, 0, &acc);
 }
 
 /// `YWH[r, c2] = Σ_t Y[r, t] conj(W[c2, t])` over the full `M × M`
@@ -172,13 +181,13 @@ pub fn ywt_block<S: MdScalar>(
     if c2 >= m {
         return;
     }
-    for r in 0..m {
-        let mut acc = S::zero();
-        for t in 0..n {
-            acc += y.get(r, t) * wmat.get(c2, t).conj();
-        }
-        ywh.set(r, c2, acc);
+    let mut acc = vec![S::zero(); m];
+    let mut col = vec![S::zero(); m];
+    for t in 0..n {
+        y.load_col(t, 0, &mut col);
+        axpy(&mut acc, &col, wmat.get(c2, t).conj());
     }
+    ywh.store_col(c2, 0, &acc);
 }
 
 /// `QWY[i, j] = Σ_t Q[i, t] conj(YWH[j, t])` over the full `M × M`
@@ -196,27 +205,35 @@ pub fn qwyt_block<S: MdScalar>(
     if j >= m {
         return;
     }
-    for i in 0..m {
-        let mut acc = S::zero();
-        for t in 0..m {
-            acc += q.get(i, t) * ywh.get(j, t).conj();
-        }
-        qwy.set(i, j, acc);
+    let mut acc = vec![S::zero(); m];
+    let mut col = vec![S::zero(); m];
+    for t in 0..m {
+        q.load_col(t, 0, &mut col);
+        axpy(&mut acc, &col, ywh.get(j, t).conj());
     }
+    qwy.store_col(j, 0, &acc);
+}
+
+/// `dst[:, c] += src[:, c_src]` over the full height — the shared body
+/// of the two matrix additions.
+fn add_col<S: MdScalar>(dst: &DeviceMat<S>, c: usize, src: &DeviceMat<S>, c_src: usize) {
+    let m = dst.rows;
+    let mut acc = dst.col_to_vec(c, 0, m);
+    let col = src.col_to_vec(c_src, 0, m);
+    for (a, x) in acc.iter_mut().zip(&col) {
+        *a += *x;
+    }
+    dst.store_col(c, 0, &acc);
 }
 
 /// `Q[i, j] += QWY[i, j]` over the full `M × M` — block `j`.
 pub fn q_add_block<S: MdScalar>(ctx: BlockCtx, q: &DeviceMat<S>, qwy: &DeviceMat<S>, col0: usize) {
     let _ = col0;
-    let m = q.rows;
     let j = ctx.block;
-    if j >= m {
+    if j >= q.rows {
         return;
     }
-    for i in 0..m {
-        let v = q.get(i, j) + qwy.get(i, j);
-        q.set(i, j, v);
-    }
+    add_col(q, j, qwy, j);
 }
 
 /// `YWTC[r, j] = Σ_t YWH[r, t] R[col0 + t, cstart + j]` — block `j`
@@ -235,13 +252,14 @@ pub fn ywtc_block<S: MdScalar>(
     if cstart + j >= r.cols {
         return;
     }
-    for row in 0..m {
-        let mut acc = S::zero();
-        for t in 0..m {
-            acc += ywh.get(row, t) * r.get(t, cstart + j);
-        }
-        ywtc.set(row, j, acc);
+    let rj = r.col_to_vec(cstart + j, 0, m);
+    let mut acc = vec![S::zero(); m];
+    let mut col = vec![S::zero(); m];
+    for (t, rt) in rj.iter().enumerate() {
+        ywh.load_col(t, 0, &mut col);
+        axpy(&mut acc, &col, *rt);
     }
+    ywtc.store_col(j, 0, &acc);
 }
 
 /// `R[col0 + r, cstart + j] += YWTC[r, j]` — block `j`.
@@ -253,13 +271,9 @@ pub fn r_add_block<S: MdScalar>(
     cstart: usize,
 ) {
     let _ = col0;
-    let m = r.rows;
     let j = ctx.block;
     if cstart + j >= r.cols {
         return;
     }
-    for row in 0..m {
-        let v = r.get(row, cstart + j) + ywtc.get(row, j);
-        r.set(row, cstart + j, v);
-    }
+    add_col(r, cstart + j, ywtc, j);
 }
