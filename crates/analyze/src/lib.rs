@@ -21,7 +21,9 @@
 //! * fault/chaos/recovery code draws only from seeded sources
 //!   ([`lints::NONDETERMINISTIC_FAULT_SOURCE`]);
 //! * device-buffer access and kernel bodies carry no atomic
-//!   read-modify-write ([`lints::ATOMIC_ON_ELEMENT_PATH`]).
+//!   read-modify-write ([`lints::ATOMIC_ON_ELEMENT_PATH`]);
+//! * the pool's sorted lists are entered by bisection, never scanned
+//!   from the front ([`lints::POOL_LINEAR_SCAN`]).
 //!
 //! The analyzer is a hand-rolled lexer ([`lexer`]) plus token-scope
 //! passes ([`lints`]) — no external dependencies, because the

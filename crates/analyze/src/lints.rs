@@ -37,6 +37,12 @@
 //!   body's inner loop) costs more than a double double multiply-add
 //!   and serializes the parallel executor's threads on one cache line.
 //!   Traffic is *declared* in `KernelCost`, never counted per access.
+//! * [`POOL_LINEAR_SCAN`] — the service books 10⁵–10⁶ spans per run,
+//!   and every pool operation between dispatch and refund finds its
+//!   interval or live booking by bisection (starts, ends and booking
+//!   ids are all monotone). One `.iter().find(..)` over a lane's
+//!   `intervals` or the `live` registry makes `serve` quadratic in run
+//!   length again.
 //!
 //! Suppression grammar: `// analyze::allow(lint-id): reason`. The
 //! reason is mandatory — a bare allow is itself a finding — and an
@@ -57,6 +63,7 @@ pub const TIMELINE_MUTATION_OUTSIDE_POOL: &str = "timeline-mutation-outside-pool
 pub const NONDETERMINISTIC_FAULT_SOURCE: &str = "nondeterministic-fault-source";
 pub const UNBOUNDED_SERVICE_QUEUE: &str = "unbounded-service-queue";
 pub const ATOMIC_ON_ELEMENT_PATH: &str = "atomic-on-element-path";
+pub const POOL_LINEAR_SCAN: &str = "pool-linear-scan";
 pub const BARE_ALLOW: &str = "bare-allow";
 pub const UNKNOWN_LINT: &str = "unknown-lint";
 pub const UNUSED_ALLOW: &str = "unused-allow";
@@ -146,6 +153,12 @@ pub const LINTS: &[LintDef] = &[
         scope: Scope::All,
         skip_tests: true,
         summary: "no atomic read-modify-write in gpusim's buffer.rs or any kernels.rs (traffic is declared, not counted)",
+    },
+    LintDef {
+        id: POOL_LINEAR_SCAN,
+        scope: Scope::Only(&["pipeline"]),
+        skip_tests: true,
+        summary: "pool.rs finds intervals and live bookings by bisection — no .iter().find/position/all/any over `intervals` or `live`",
     },
 ];
 
@@ -472,6 +485,11 @@ pub fn analyze_source(
 
     if enabled(ATOMIC_ON_ELEMENT_PATH) && is_element_path(rel) {
         lint_atomic_on_element_path(rel, toks, &mut raw);
+    }
+    // the interval lists and the live registry are private to pool.rs,
+    // so that file is the only place a scan over them can be written
+    if enabled(POOL_LINEAR_SCAN) && rel.trim_start_matches("./") == "crates/pipeline/src/pool.rs" {
+        lint_pool_linear_scan(rel, toks, &mut raw);
     }
 
     // drop findings of skip_tests lints that landed in test code
@@ -1237,6 +1255,45 @@ fn lint_float_eq(rel: &str, toks: &[Token], names: &BTreeSet<String>, out: &mut 
                      error-free-transform crates; compare against a tolerance or justify \
                      the exactness",
                     t.text
+                ),
+            ));
+        }
+    }
+}
+
+/// Searches that visit a list front to back, and the two sorted lists
+/// of `pool.rs` they must not visit.
+const SCAN_ADAPTERS: &[&str] = &["find", "position", "all", "any"];
+const BISECTED_LISTS: &[&str] = &["intervals", "live"];
+
+/// `<recv>.iter().find(..)` (or `iter_mut`; `position`, `all`, `any`)
+/// whose receiver chain ends in `intervals` or `live`. A bounded walk
+/// from a bisected index is a slice loop (`for iv in &list[from..]`)
+/// and stays legal; so does a whole-list pass that is the operation
+/// itself (`retain`).
+fn lint_pool_linear_scan(rel: &str, toks: &[Token], out: &mut Vec<Finding>) {
+    for i in 0..toks.len().saturating_sub(6) {
+        // `.iter().<adapter>(`
+        let at = |k: usize, s: &str| is(&toks[i + k], s);
+        if !(at(0, ".") && at(2, "(") && at(3, ")") && at(4, ".") && at(6, "(")) {
+            continue;
+        }
+        let (iter, adapter) = (toks[i + 1].text.as_str(), toks[i + 5].text.as_str());
+        if !(matches!(iter, "iter" | "iter_mut") && SCAN_ADAPTERS.contains(&adapter)) {
+            continue;
+        }
+        let Some(list) = chain_receiver(toks, i) else {
+            continue;
+        };
+        if BISECTED_LISTS.contains(&list.as_str()) {
+            out.push(Finding::new(
+                rel,
+                toks[i + 5].line,
+                POOL_LINEAR_SCAN,
+                format!(
+                    "`{list}.{iter}().{adapter}(..)` scans a sorted list from the front — \
+                     `{list}` is ordered, enter it through `partition_point`/`binary_search` \
+                     (pool operations stay logarithmic in schedule history)"
                 ),
             ));
         }

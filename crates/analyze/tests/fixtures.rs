@@ -79,6 +79,8 @@ const SERVICE_TRIP: &str = include_str!("fixtures/service_queue_trip.rs");
 const SERVICE_CLEAN: &str = include_str!("fixtures/service_queue_clean.rs");
 const ATOMIC_TRIP: &str = include_str!("fixtures/atomic_element_trip.rs");
 const ATOMIC_CLEAN: &str = include_str!("fixtures/atomic_element_clean.rs");
+const POOL_SCAN_TRIP: &str = include_str!("fixtures/pool_scan_trip.rs");
+const POOL_SCAN_CLEAN: &str = include_str!("fixtures/pool_scan_clean.rs");
 
 #[test]
 fn map_iteration_trips_and_cleans() {
@@ -258,6 +260,23 @@ fn atomic_on_element_path_is_path_scoped() {
     // exec.rs) is not the element path and keeps its atomics
     check_clean("exec.rs", "gpusim", ATOMIC_TRIP);
     check_clean("driver.rs", "qr", ATOMIC_TRIP);
+}
+
+#[test]
+fn pool_linear_scan_trips_and_cleans() {
+    check_at("crates/pipeline/src/pool.rs", "pipeline", POOL_SCAN_TRIP);
+    assert_eq!(expected(POOL_SCAN_TRIP).len(), 5, "marker count drifted");
+    let got = analyze_str("crates/pipeline/src/pool.rs", "pipeline", POOL_SCAN_CLEAN);
+    assert!(got.is_empty(), "clean fixture should be clean: {got:?}");
+}
+
+#[test]
+fn pool_linear_scan_is_path_scoped() {
+    // `intervals` and `live` are private to pool.rs; a field of the same
+    // name elsewhere (a report's `live` jobs) is not the sorted registry
+    check_clean("service.rs", "pipeline", POOL_SCAN_TRIP);
+    let got = analyze_str("crates/bench/src/pool.rs", "bench", POOL_SCAN_TRIP);
+    assert!(got.is_empty(), "bench is out of scope: {got:?}");
 }
 
 #[test]

@@ -10,28 +10,27 @@
 use crate::eft::two_sum;
 use crate::fp::Fp;
 
-/// Maximum intermediate expansion length used anywhere in this crate
-/// (octo double multiplication produces at most 64 partial terms).
-pub const MAX_TERMS: usize = 80;
-
-/// A fixed-capacity scratch expansion, so renormalization never allocates.
-pub struct Scratch<F: Fp> {
-    buf: [F; MAX_TERMS],
+/// A fixed-capacity scratch expansion, so renormalization never
+/// allocates. Each producer sizes `CAP` to the number of terms it pushes
+/// (7 to 64), so a quad double product does not zero-fill the 64 slots an
+/// octo double product needs.
+pub struct Scratch<F: Fp, const CAP: usize> {
+    buf: [F; CAP],
     len: usize,
 }
 
-impl<F: Fp> Default for Scratch<F> {
+impl<F: Fp, const CAP: usize> Default for Scratch<F, CAP> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<F: Fp> Scratch<F> {
+impl<F: Fp, const CAP: usize> Scratch<F, CAP> {
     /// An empty scratch expansion.
     #[inline]
     pub fn new() -> Self {
         Scratch {
-            buf: [F::ZERO; MAX_TERMS],
+            buf: [F::ZERO; CAP],
             len: 0,
         }
     }
@@ -40,7 +39,6 @@ impl<F: Fp> Scratch<F> {
     /// magnitude order — diagonal by diagonal for products).
     #[inline(always)]
     pub fn push(&mut self, x: F) {
-        debug_assert!(self.len < MAX_TERMS);
         self.buf[self.len] = x;
         self.len += 1;
     }
@@ -118,7 +116,7 @@ pub fn vec_sum_err_branch<F: Fp>(e: &[F], out: &mut [F]) {
 /// operation tallies. A second pass over the compact result tightens
 /// components that may still overlap after heavy cancellation.
 #[inline]
-pub fn renormalize<F: Fp>(scratch: &mut Scratch<F>, out: &mut [F]) {
+pub fn renormalize<F: Fp, const CAP: usize>(scratch: &mut Scratch<F, CAP>, out: &mut [F]) {
     sort_by_magnitude(scratch.terms_mut());
     vec_sum(scratch.terms_mut());
     vec_sum_err_branch(scratch.terms(), out);
@@ -188,7 +186,7 @@ mod tests {
 
     #[test]
     fn renormalize_compacts_to_nonoverlapping() {
-        let mut s = Scratch::<f64>::new();
+        let mut s = Scratch::<f64, 8>::new();
         // a deliberately overlapping pile of terms
         for t in [
             1.0,
@@ -216,7 +214,7 @@ mod tests {
 
     #[test]
     fn renormalize_handles_zeros_and_cancellation() {
-        let mut s = Scratch::<f64>::new();
+        let mut s = Scratch::<f64, 8>::new();
         for t in [1.0, -1.0, 0.0, 2f64.powi(-60), 0.0, -2f64.powi(-61)] {
             s.push(t);
         }

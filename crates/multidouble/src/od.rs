@@ -26,7 +26,7 @@ const N: usize = 8;
 
 /// Merge two expansions by decreasing magnitude (comparisons only).
 #[inline]
-fn merge<F: Fp>(a: &Od8<F>, b: &Od8<F>, s: &mut Scratch<F>) {
+fn merge<F: Fp>(a: &Od8<F>, b: &Od8<F>, s: &mut Scratch<F, 16>) {
     let (mut i, mut j) = (0, 0);
     while i < N && j < N {
         if a[i].fabs() >= b[j].fabs() {
@@ -50,7 +50,7 @@ fn merge<F: Fp>(a: &Od8<F>, b: &Od8<F>, s: &mut Scratch<F>) {
 /// Certified addition: merge + renormalize.
 #[inline]
 pub fn od_add<F: Fp>(a: Od8<F>, b: Od8<F>) -> Od8<F> {
-    let mut s = Scratch::new();
+    let mut s = Scratch::<F, 16>::new();
     merge(&a, &b, &mut s);
     let mut out = [F::ZERO; N];
     renormalize(&mut s, &mut out);
@@ -67,7 +67,7 @@ pub fn od_sub<F: Fp>(a: Od8<F>, b: Od8<F>) -> Od8<F> {
 /// renormalization.
 #[inline]
 pub fn od_add_f<F: Fp>(a: Od8<F>, b: F) -> Od8<F> {
-    let mut s = Scratch::new();
+    let mut s = Scratch::<F, 9>::new();
     let mut e = b;
     for limb in a.iter().take(N) {
         let (si, ei) = two_sum(*limb, e);
@@ -83,7 +83,7 @@ pub fn od_add_f<F: Fp>(a: Od8<F>, b: F) -> Od8<F> {
 /// Certified truncated multiplication.
 #[inline]
 pub fn od_mul<F: Fp>(a: Od8<F>, b: Od8<F>) -> Od8<F> {
-    let mut s = Scratch::new();
+    let mut s = Scratch::<F, 64>::new();
     // errors of diagonal k belong to magnitude class k+1, so push
     // diagonal k's products followed by diagonal (k-1)'s errors.
     let mut prev_err: [F; N] = [F::ZERO; N];
@@ -123,7 +123,7 @@ pub fn od_mul<F: Fp>(a: Od8<F>, b: Od8<F>) -> Od8<F> {
 /// is the error of the exact product `p_i`.
 #[inline]
 pub fn od_mul_f<F: Fp>(a: Od8<F>, b: F) -> Od8<F> {
-    let mut s = Scratch::new();
+    let mut s = Scratch::<F, 15>::new();
     let mut prev_err: Option<F> = None;
     for (i, limb) in a.iter().enumerate() {
         if i < N - 1 {
@@ -149,7 +149,7 @@ pub fn od_mul_f<F: Fp>(a: Od8<F>, b: F) -> Od8<F> {
 /// then renormalization.
 #[inline]
 pub fn od_div<F: Fp>(a: Od8<F>, b: Od8<F>) -> Od8<F> {
-    let mut s = Scratch::new();
+    let mut s = Scratch::<F, 9>::new();
     let mut r = a;
     for _ in 0..N + 1 {
         let q = r[0] / b[0];

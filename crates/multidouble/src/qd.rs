@@ -137,7 +137,7 @@ pub fn qd_add_f<F: Fp>(a: Qd4<F>, b: F) -> Qd4<F> {
 /// contributes plain products (their errors are below `eps^4`).
 #[inline]
 pub fn qd_mul<F: Fp>(a: Qd4<F>, b: Qd4<F>) -> Qd4<F> {
-    let mut s = Scratch::new();
+    let mut s = Scratch::<F, 16>::new();
     // diagonal 0
     let (p00, e00) = two_prod(a[0], b[0]);
     s.push(p00);
@@ -173,7 +173,7 @@ pub fn qd_mul<F: Fp>(a: Qd4<F>, b: Qd4<F>) -> Qd4<F> {
 /// Multiply a quad double by a double.
 #[inline]
 pub fn qd_mul_f<F: Fp>(a: Qd4<F>, b: F) -> Qd4<F> {
-    let mut s = Scratch::new();
+    let mut s = Scratch::<F, 7>::new();
     let (p0, e0) = two_prod(a[0], b);
     let (p1, e1) = two_prod(a[1], b);
     let (p2, e2) = two_prod(a[2], b);

@@ -77,10 +77,12 @@ fn span_eq(a: (f64, f64), b: (f64, f64)) -> bool {
 ///
 /// Invariants (checked in debug builds and by the property suite):
 /// intervals are sorted by start, pairwise disjoint (touching
-/// endpoints allowed), and never zero-width. The *cursor* — the end of
-/// the last interval — is where a tail append would book, but
-/// placement goes through [`Timeline::earliest_fit`], which also finds
-/// mid-schedule gaps.
+/// endpoints allowed), and never zero-width — so starts *and* ends are
+/// strictly increasing, and every query enters the list through a
+/// binary search on one of them instead of a scan from interval 0. The
+/// *cursor* — the end of the last interval — is where a tail append
+/// would book, but placement goes through [`Timeline::earliest_fit`],
+/// which also finds mid-schedule gaps.
 #[derive(Clone, Debug, Default)]
 pub struct Timeline {
     intervals: Vec<(f64, f64)>,
@@ -101,9 +103,10 @@ impl Timeline {
     /// True when `[start, end)` overlaps no booked interval. Touching
     /// endpoints do not overlap.
     pub fn is_free(&self, start: f64, end: f64) -> bool {
-        self.intervals
-            .iter()
-            .all(|iv| !(iv.0 < end && start < iv.1))
+        // everything before `at` ends at or before `start`; of the rest
+        // the first has the smallest start, so it alone decides
+        let at = self.intervals.partition_point(|iv| iv.1 <= start);
+        self.intervals.get(at).is_none_or(|iv| iv.0 >= end)
     }
 
     /// Earliest start `>= not_before` at which `dur_ms` fits — either
@@ -113,20 +116,20 @@ impl Timeline {
         if dur_ms <= 0.0 {
             return not_before;
         }
-        // Tail fast path: intervals are disjoint and start-sorted, so
-        // ends are monotone — when the last end is at or before
-        // `not_before`, nothing can conflict and the fit is immediate.
-        // Keeps sustained append-only workloads (the service shell's
-        // free-device dispatch always books at the live edge) linear
-        // instead of rescanning the whole history per booking.
+        // Tail fast path: when the last end is at or before
+        // `not_before` nothing can conflict — an append at a lane's
+        // live edge costs one comparison.
         if self.intervals.last().is_none_or(|iv| iv.1 <= not_before) {
             return not_before;
         }
+        // Not every lane is at its live edge (a staging worker shared
+        // by several devices is routinely booked past `not_before` by
+        // another device). Ends are monotone, so the intervals that
+        // cannot conflict are exactly a prefix: bisect past it and walk
+        // only the gaps from `not_before` on.
+        let from = self.intervals.partition_point(|iv| iv.1 <= not_before);
         let mut t = not_before;
-        for &(s, e) in &self.intervals {
-            if e <= t {
-                continue;
-            }
+        for &(s, e) in &self.intervals[from..] {
             if t + dur_ms <= s {
                 return t;
             }
@@ -135,9 +138,11 @@ impl Timeline {
         t
     }
 
-    /// Book `[start, end)`. Zero-width spans are skipped (they carry no
-    /// time and would break the disjointness invariant's usefulness).
-    fn book(&mut self, start: f64, end: f64) {
+    /// Book `[start, end)`, which must be free ([`Timeline::is_free`];
+    /// checked in debug builds). Zero-width spans are skipped (they
+    /// carry no time and would break the disjointness invariant's
+    /// usefulness).
+    pub fn book(&mut self, start: f64, end: f64) {
         if end <= start {
             return;
         }
@@ -152,20 +157,22 @@ impl Timeline {
 
     /// Remove the exact stored span (bit identity). Returns whether a
     /// span was removed.
-    fn free(&mut self, span: (f64, f64)) -> bool {
+    pub fn free(&mut self, span: (f64, f64)) -> bool {
         if span.1 <= span.0 {
             return false;
         }
-        if let Some(at) = self.intervals.iter().position(|&iv| span_eq(iv, span)) {
+        // starts are strictly increasing: the span can only sit where
+        // its start sorts
+        let at = self.intervals.partition_point(|iv| iv.0 < span.0);
+        let found = self.intervals.get(at).is_some_and(|&iv| span_eq(iv, span));
+        if found {
             self.intervals.remove(at);
-            true
-        } else {
-            false
         }
+        found
     }
 
     /// True when `span` is the exact stored tail interval.
-    fn is_tail(&self, span: (f64, f64)) -> bool {
+    pub fn is_tail(&self, span: (f64, f64)) -> bool {
         self.intervals.last().is_some_and(|&iv| span_eq(iv, span))
     }
 
@@ -227,12 +234,14 @@ impl HostStagingPool {
     }
 
     /// Earliest start `>= not_before` at which a `dur_ms` prep fits on
-    /// the device prep `lane` *and* on some staging worker, plus the
-    /// chosen worker (earliest fit, ties to the lowest worker id).
-    fn fit_with_lane(&self, lane: &Timeline, dur_ms: f64, not_before: f64) -> (f64, usize) {
-        let mut t = not_before;
+    /// the device prep `lane` *and* on some staging worker, the chosen
+    /// worker (earliest fit, ties to the lowest worker id), and how
+    /// much of the start is worker contention — the delay past the
+    /// lane's own earliest fit.
+    fn fit_with_lane(&self, lane: &Timeline, dur_ms: f64, not_before: f64) -> (f64, usize, f64) {
+        let lane_only = lane.earliest_fit(dur_ms, not_before);
+        let mut t = lane_only;
         loop {
-            t = lane.earliest_fit(dur_ms, t);
             let (w, wt) = self
                 .workers
                 .iter()
@@ -241,9 +250,9 @@ impl HostStagingPool {
                 .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
                 .expect("staging pool has at least one worker");
             if wt <= t {
-                return (t, w);
+                return (t, w, t - lane_only);
             }
-            t = wt;
+            t = lane.earliest_fit(dur_ms, wt);
         }
     }
 
@@ -713,9 +722,8 @@ impl DevicePool {
         let mut prev_end = not_before;
         for r in reqs {
             let (hs, he, worker) = if r.host_ms > 0.0 {
-                let lane_only = d.host.earliest_fit(r.host_ms, prev_end);
-                let (s, w) = self.staging.fit_with_lane(&d.host, r.host_ms, prev_end);
-                wait_ms += s - lane_only;
+                let (s, w, wait) = self.staging.fit_with_lane(&d.host, r.host_ms, prev_end);
+                wait_ms += wait;
                 (s, s + r.host_ms, Some(w))
             } else {
                 (prev_end, prev_end, None)
@@ -938,11 +946,21 @@ impl DevicePool {
     /// [`DevicePool::commit_stages`] returned — settle against this,
     /// not the original.
     pub fn live_booking(&self, id: u64) -> Option<StageBooking> {
-        self.live.iter().find(|b| b.id == id).map(|b| StageBooking {
-            id: b.id,
-            device: b.device,
-            stages: b.stages.clone(),
+        self.live_index(id).map(|at| {
+            let b = &self.live[at];
+            StageBooking {
+                id: b.id,
+                device: b.device,
+                stages: b.stages.clone(),
+            }
         })
+    }
+
+    /// Position of booking `id` in the live registry. Ids are handed
+    /// out in booking order and entries only ever leave, so the
+    /// registry is id-sorted and a lookup is a bisection.
+    fn live_index(&self, id: u64) -> Option<usize> {
+        self.live.binary_search_by_key(&id, |b| b.id).ok()
     }
 
     /// Mark booking `id` settled: it executed (or was reconciled) and
@@ -950,8 +968,8 @@ impl DevicePool {
     /// this on every settle path that does not go through
     /// [`DevicePool::rebook`].
     pub fn mark_settled(&mut self, id: u64) {
-        if let Some(b) = self.live.iter_mut().find(|b| b.id == id) {
-            b.settled = true;
+        if let Some(at) = self.live_index(id) {
+            self.live[at].settled = true;
         }
         self.prune_settled();
     }
@@ -991,8 +1009,8 @@ impl DevicePool {
     ) -> StageRefund {
         // compaction may have moved this booking: operate on the
         // pool's current placement, not the caller's stale copy
-        let (stages, workers) = match self.live.iter().find(|b| b.id == booking.id) {
-            Some(b) => (b.stages.clone(), b.workers.clone()),
+        let (stages, workers) = match self.live_index(booking.id) {
+            Some(at) => (self.live[at].stages.clone(), self.live[at].workers.clone()),
             None => (booking.stages.clone(), vec![None; booking.stages.len()]),
         };
         let mut refund = StageRefund::default();
@@ -1100,20 +1118,11 @@ impl DevicePool {
     ///   compaction never exceeds the tail-only makespan, by
     ///   construction.
     fn compact_queued(&mut self, device: usize, at_ms: f64) -> (usize, f64) {
-        let ids: Vec<u64> = self
-            .live
-            .iter()
-            .filter(|b| b.device == device && !b.settled)
-            .map(|b| b.id)
-            .collect();
         let mut slid = 0usize;
         let mut slid_ms = 0.0;
-        for id in ids {
-            let b = match self.live.iter().find(|b| b.id == id) {
-                Some(b) => b.clone(),
-                None => continue,
-            };
-            if b.stages.is_empty() {
+        for i in 0..self.live.len() {
+            let b = &self.live[i];
+            if b.device != device || b.settled || b.stages.is_empty() {
                 continue;
             }
             let old_end = b.stages.last().map(|s| s.end_ms()).unwrap_or(0.0);
@@ -1127,21 +1136,25 @@ impl DevicePool {
                 .iter()
                 .map(|s| s.device.1 > s.device.0 && s.device.0 >= at_ms)
                 .collect();
-            let (new_stages, new_workers) = if any_started {
+            if any_started && !movable.iter().any(|&m| m) {
+                continue;
+            }
+            // the placement leaves the registry while it is re-fitted;
+            // either it or its replacement goes back below
+            let old_stages = std::mem::take(&mut self.live[i].stages);
+            let mut new_workers = None;
+            let new_stages = if any_started {
                 // keep every started interval (and all prep) in place;
                 // re-fit only the unstarted compute intervals
-                if !movable.iter().any(|&m| m) {
-                    continue;
-                }
                 let d = &mut self.devices[device];
-                for (s, &m) in b.stages.iter().zip(&movable) {
+                for (s, &m) in old_stages.iter().zip(&movable) {
                     if m {
                         d.device.free(s.device);
                     }
                 }
-                let mut stages = Vec::with_capacity(b.stages.len());
+                let mut stages = Vec::with_capacity(old_stages.len());
                 let mut prev_end = 0.0f64;
-                for (s, &m) in b.stages.iter().zip(&movable) {
+                for (s, &m) in old_stages.iter().zip(&movable) {
                     if !m {
                         stages.push(*s);
                         prev_end = prev_end.max(s.device.1);
@@ -1164,56 +1177,55 @@ impl DevicePool {
                     });
                     prev_end = start + dur;
                 }
-                (stages, b.workers.clone())
+                stages
             } else {
                 // fully unstarted: free everything and re-plan
-                {
-                    let d = &mut self.devices[device];
-                    for (s, w) in b.stages.iter().zip(&b.workers) {
-                        d.device.free(s.device);
-                        if d.host.free(s.host) {
-                            if let Some(w) = *w {
-                                self.staging.workers[w].free(s.host);
-                            }
+                let d = &mut self.devices[device];
+                for (s, w) in old_stages.iter().zip(&self.live[i].workers) {
+                    d.device.free(s.device);
+                    if d.host.free(s.host) {
+                        if let Some(w) = *w {
+                            self.staging.workers[w].free(s.host);
                         }
                     }
                 }
+                let b = &self.live[i];
                 let plan = self.plan_booking(device, &b.reqs, b.overlap, b.not_before.max(at_ms));
-                (plan.stages, plan.workers)
+                new_workers = Some(plan.workers);
+                plan.stages
             };
             let new_end = new_stages.last().map(|s| s.end_ms()).unwrap_or(old_end);
             let adopt = new_end <= old_end;
-            let (stages, workers) = if adopt {
-                (new_stages, new_workers)
+            let b = &mut self.live[i];
+            if adopt {
+                b.stages = new_stages;
+                if let Some(workers) = new_workers {
+                    b.workers = workers;
+                }
             } else {
-                (b.stages.clone(), b.workers.clone())
-            };
-            {
-                let d = &mut self.devices[device];
-                if any_started {
-                    // only the movable compute spans were freed
-                    for (s, &m) in stages.iter().zip(&movable) {
-                        if m {
-                            d.device.book(s.device.0, s.device.1);
-                        }
-                    }
-                } else {
-                    for (s, w) in stages.iter().zip(&workers) {
+                b.stages = old_stages;
+            }
+            let b = &self.live[i];
+            let d = &mut self.devices[device];
+            if any_started {
+                // only the movable compute spans were freed
+                for (s, &m) in b.stages.iter().zip(&movable) {
+                    if m {
                         d.device.book(s.device.0, s.device.1);
-                        d.host.book(s.host.0, s.host.1);
-                        if let Some(w) = *w {
-                            self.staging.workers[w].book(s.host.0, s.host.1);
-                        }
+                    }
+                }
+            } else {
+                for (s, w) in b.stages.iter().zip(&b.workers) {
+                    d.device.book(s.device.0, s.device.1);
+                    d.host.book(s.host.0, s.host.1);
+                    if let Some(w) = *w {
+                        self.staging.workers[w].book(s.host.0, s.host.1);
                     }
                 }
             }
             if adopt && new_end < old_end {
                 slid += 1;
                 slid_ms += old_end - new_end;
-            }
-            if let Some(live) = self.live.iter_mut().find(|x| x.id == id) {
-                live.stages = stages;
-                live.workers = workers;
             }
         }
         (slid, slid_ms)
@@ -1272,27 +1284,20 @@ impl DevicePool {
             };
         }
         self.devices[id].lost_at_ms = Some(at_ms);
-        let interrupted: Vec<u64> = self
-            .live
-            .iter()
-            .filter(|b| {
-                b.device == id && !b.settled && b.stages.last().is_some_and(|s| s.end_ms() > at_ms)
-            })
-            .map(|b| b.id)
-            .collect();
         let mut report = DeviceLossReport {
             device: id,
             at_ms,
-            interrupted: interrupted.clone(),
-            lost_refund_ms: 0.0,
+            ..DeviceLossReport::default()
         };
-        for bid in &interrupted {
-            let b = self
-                .live
-                .iter()
-                .position(|x| x.id == *bid)
-                .map(|at| self.live.remove(at).unwrap())
-                .expect("interrupted booking is live");
+        // one pass in booking order: interrupted bookings are unwound
+        // and dropped from the registry as they are met
+        self.live.retain(|b| {
+            let interrupted =
+                b.device == id && !b.settled && b.stages.last().is_some_and(|s| s.end_ms() > at_ms);
+            if !interrupted {
+                return true;
+            }
+            report.interrupted.push(b.id);
             let d = &mut self.devices[id];
             let mut refund = 0.0;
             for (s, w) in b.stages.iter().zip(&b.workers) {
@@ -1315,7 +1320,8 @@ impl DevicePool {
             d.solves = d.solves.saturating_sub(b.solves);
             d.kernel_ms = (d.kernel_ms - b.kernel_ms).max(0.0);
             d.flops_paper = (d.flops_paper - b.flops_paper).max(0.0);
-        }
+            false
+        });
         self.emit(|| Event::DeviceLost {
             device: id,
             at_ms,

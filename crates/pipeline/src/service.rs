@@ -1156,10 +1156,14 @@ pub fn serve(
         states[t].arrivals.push(j);
     }
 
+    let mut planner = Planner::new();
+    if let Some(obs) = pool.observer() {
+        planner.attach_observer(obs.clone());
+    }
     let mut shell = Shell {
         jobs,
         cfg,
-        planner: Planner::new(),
+        planner,
         tenants: states,
         breakers: (0..pool.devices().len())
             .map(|d| DeviceBreaker {

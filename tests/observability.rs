@@ -1,7 +1,7 @@
 //! Observer-inertness tests: attaching an observer must change
 //! *nothing* — solution bits, device placement, and every simulated
-//! timestamp are identical with and without one, on all three
-//! configurations (sequential batch, staged batch, stream). The observed
+//! timestamp are identical with and without one, on all four
+//! configurations (sequential batch, staged batch, stream, service). The observed
 //! runs also pin down what the event stream must contain, so the trace
 //! exporter and metrics aggregation are exercised against real
 //! pipeline output, not synthetic fixtures.
@@ -10,9 +10,9 @@ use std::sync::Arc;
 
 use multidouble_ls::obs::{metrics::Metrics, trace, Event, Recorder};
 use multidouble_ls::pipeline::{
-    bursty_tracker_jobs, power_flow_jobs, solve_batch_staged, solve_batch_staged_with,
+    bursty_tracker_jobs, power_flow_jobs, serve, solve_batch_staged, solve_batch_staged_with,
     solve_stream_staged, BatchReport, DevicePool, DispatchPolicy, Job, JobOutcome,
-    MicrobatchConfig, StageSchedConfig,
+    MicrobatchConfig, ServiceConfig, StageSchedConfig, TenantId, TenantSpec,
 };
 use multidouble_ls::sim::Gpu;
 use rand::rngs::StdRng;
@@ -170,4 +170,36 @@ fn observer_is_inert_on_the_stream_path() {
         .any(|e| matches!(e, Event::GroupFormed { .. })));
     let doc = trace::chrome_trace(&events);
     trace::validate_trace(&doc, 2).expect("stream trace must validate");
+}
+
+#[test]
+fn observer_is_inert_on_the_service_path() {
+    let tenants = [TenantId(1), TenantId(2)];
+    let jobs: Vec<Job> = jobs(30, 0x5e17e)
+        .into_iter()
+        .enumerate()
+        .map(|(i, job)| job.with_tenant(tenants[i % 2]))
+        .collect();
+    let specs = [
+        TenantSpec::new(tenants[0], "a"),
+        TenantSpec::new(tenants[1], "b"),
+    ];
+    let cfg = ServiceConfig::default();
+    let mut pool_plain = pool2();
+    let plain = serve(&mut pool_plain, &jobs, &specs, &cfg);
+
+    let recorder = Arc::new(Recorder::new());
+    let mut pool_obs = pool2();
+    pool_obs.attach_observer(recorder.clone());
+    let observed = serve(&mut pool_obs, &jobs, &specs, &cfg);
+
+    assert_identical_outcomes(&plain.outcomes, &observed.outcomes);
+    assert_eq!(plain.makespan_ms, observed.makespan_ms);
+    assert_eq!(plain.latency, observed.latency);
+    // the shell's own planner reports through the pool's observer:
+    // 30 jobs over a handful of shapes miss once per shape, then hit
+    let m = Metrics::from_events(&recorder.events());
+    assert_eq!(m.jobs, jobs.len() as u64);
+    assert!(m.plan_cache_misses > 0, "no plan-cache miss recorded");
+    assert!(m.plan_cache_hits > 0, "no plan-cache hit recorded");
 }

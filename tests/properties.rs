@@ -534,4 +534,292 @@ mod timeline_props {
             }
         }
     }
+
+    fn same_span(a: (f64, f64), b: (f64, f64)) -> bool {
+        a.0.to_bits() == b.0.to_bits() && a.1.to_bits() == b.1.to_bits()
+    }
+
+    /// The differential test's reference model: the interval list with
+    /// every query a scan from interval 0, as `Timeline` answered them
+    /// before it bisected.
+    #[derive(Default)]
+    struct LinearTimeline(Vec<(f64, f64)>);
+
+    impl LinearTimeline {
+        fn is_free(&self, start: f64, end: f64) -> bool {
+            self.0.iter().all(|iv| !(iv.0 < end && start < iv.1))
+        }
+        fn earliest_fit(&self, dur: f64, not_before: f64) -> f64 {
+            let mut t = not_before;
+            for &(s, e) in &self.0 {
+                if dur <= 0.0 || e <= t {
+                    continue;
+                }
+                if t + dur <= s {
+                    return t;
+                }
+                t = t.max(e);
+            }
+            t
+        }
+        fn book(&mut self, start: f64, end: f64) {
+            if end > start {
+                let at = self.0.iter().take_while(|iv| iv.0 < start).count();
+                self.0.insert(at, (start, end));
+            }
+        }
+        fn free(&mut self, span: (f64, f64)) -> bool {
+            // stored spans have width, so a zero-width one is never found
+            let at = self.0.iter().position(|&iv| same_span(iv, span));
+            at.map(|at| self.0.remove(at)).is_some()
+        }
+        fn is_tail(&self, span: (f64, f64)) -> bool {
+            self.0.last().is_some_and(|&iv| same_span(iv, span))
+        }
+    }
+
+    /// `Timeline` answers every query through a binary search; the
+    /// linear scans it replaced are the specification. Seeded scripts of
+    /// `book` / `free` / `earliest_fit` / `is_free` / `is_tail` — on a
+    /// quarter-millisecond grid so zero-width spans, touching endpoints
+    /// and exact hits on stored starts and ends are the common case, with
+    /// `not_before` before, inside and after the schedule and durations
+    /// narrower and wider than the gaps — must agree bit for bit.
+    #[test]
+    fn binary_searched_timeline_matches_the_linear_scan() {
+        let mut rng = StdRng::seed_from_u64(0xb1_5ec7);
+        let mut grid = |cells: f64| (rng.random_range(0.0..cells) as usize) as f64 * 0.25;
+        for round in 0..8 {
+            let mut tl = Timeline::default();
+            let mut model = LinearTimeline::default();
+            let horizon = 40.0 + 40.0 * round as f64;
+            for op in 0..400 {
+                let label = format!("round {round} op {op}");
+                let t = grid(horizon * 4.0 + 40.0) - 5.0;
+                let dur = grid(24.0);
+                // a stored span (mid-list as often as not), when there is one
+                let stored = (!model.0.is_empty())
+                    .then(|| model.0[grid(model.0.len() as f64 * 4.0) as usize]);
+                match grid(20.0) as usize {
+                    0..=1 => {
+                        // book wherever the span fits from `t` on
+                        let start = model.earliest_fit(dur, t);
+                        assert_eq!(tl.earliest_fit(dur, t).to_bits(), start.to_bits());
+                        tl.book(start, start + dur);
+                        model.book(start, start + dur);
+                    }
+                    2 => {
+                        // book `[t, t + dur)` itself when it is free
+                        assert_eq!(tl.is_free(t, t + dur), model.is_free(t, t + dur), "{label}");
+                        if model.is_free(t, t + dur) {
+                            tl.book(t, t + dur);
+                            model.book(t, t + dur);
+                        }
+                    }
+                    3 => {
+                        // free a stored span, or one that shares only its start
+                        let span = stored.map_or((t, t + dur), |iv| (iv.0, iv.1 + dur));
+                        assert_eq!(tl.free(span), model.free(span), "{label}: free {span:?}");
+                    }
+                    4 => {
+                        let span = stored.unwrap_or((t, t));
+                        assert_eq!(tl.free(span), model.free(span), "{label}: free {span:?}");
+                    }
+                    _ => {}
+                }
+                assert_eq!(tl.intervals(), &model.0[..], "{label}");
+                assert_lane_invariants(&label, &tl);
+                // queries: at random grid points and on stored endpoints
+                let (s, e) = stored.unwrap_or((t, t + dur));
+                for nb in [
+                    t,
+                    s,
+                    e,
+                    s + 0.125,
+                    -1.0,
+                    tl.cursor_ms(),
+                    tl.cursor_ms() + 1.0,
+                ] {
+                    for d in [dur, 0.0, 0.125, e - s, 1.0e3] {
+                        assert_eq!(
+                            tl.earliest_fit(d, nb).to_bits(),
+                            model.earliest_fit(d, nb).to_bits(),
+                            "{label}: earliest_fit({d}, {nb}) over {:?}",
+                            model.0
+                        );
+                        assert_eq!(
+                            tl.is_free(nb, nb + d),
+                            model.is_free(nb, nb + d),
+                            "{label}: is_free({nb}, {}) over {:?}",
+                            nb + d,
+                            model.0
+                        );
+                    }
+                }
+                for span in [(s, e), (s, e + 0.25), (t, t + dur), (t, t)] {
+                    assert_eq!(tl.is_tail(span), model.is_tail(span), "{label}: {span:?}");
+                }
+                let tail = model.0.last().copied().unwrap_or((0.0, 0.0));
+                assert_eq!(tl.is_tail(tail), model.is_tail(tail), "{label}: tail");
+            }
+        }
+    }
+
+    /// FNV-1a over 64-bit words (float bit patterns, ids, counts).
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn word(&mut self, w: u64) {
+            for byte in w.to_le_bytes() {
+                self.0 = (self.0 ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        fn ms(&mut self, ms: f64) {
+            self.word(ms.to_bits());
+        }
+        fn lane(&mut self, tl: &Timeline) {
+            self.word(tl.intervals().len() as u64);
+            for iv in tl.intervals() {
+                self.ms(iv.0);
+                self.ms(iv.1);
+            }
+        }
+        fn booking(&mut self, b: Option<&StageBooking>) {
+            let Some(b) = b else {
+                return self.word(u64::MAX);
+            };
+            self.word(b.id);
+            self.word(b.device as u64);
+            for s in &b.stages {
+                for ms in [s.host.0, s.host.1, s.device.0, s.device.1] {
+                    self.ms(ms);
+                }
+            }
+        }
+        /// Everything the pool exposes: every lane and staging worker,
+        /// the current placement of every booking ever issued, and the
+        /// per-device books.
+        fn pool(&mut self, pool: &DevicePool, issued: u64) {
+            for d in pool.devices() {
+                self.lane(d.host_timeline());
+                self.lane(d.device_timeline());
+                self.word(d.lost_at_ms().map_or(u64::MAX, f64::to_bits));
+            }
+            for w in 0..pool.staging().len() {
+                self.lane(pool.staging().worker(w));
+            }
+            for id in 0..issued {
+                self.booking(pool.live_booking(id).as_ref());
+            }
+            for st in pool.stats() {
+                self.word(st.solves);
+                for v in [
+                    st.busy_ms,
+                    st.utilization,
+                    st.kernel_gflops,
+                    st.solves_per_busy_sec,
+                    st.refunded_ms,
+                ] {
+                    self.ms(v);
+                }
+            }
+        }
+    }
+
+    /// Digest of [`pool_script`], recorded on the commit *before* the
+    /// timelines and the live registry were bisected (every lookup a
+    /// scan from the front). Placement is a function of the interval
+    /// lists alone, so a data-structure change must reproduce it exactly.
+    const POOL_SCRIPT_DIGEST: u64 = 0x8542_48e7_dda7_d916;
+
+    /// A seeded script over the whole booking life cycle — commits
+    /// (overlapped and sequential, release times before, inside and
+    /// after the schedule), tail-only and compacting re-books, plain
+    /// settles, device losses and restores, under staging contention —
+    /// folding every return value and, after every operation, the whole
+    /// observable pool state. Returns the digest and
+    /// `(tail-only frees, slid dispatches, interrupted bookings)` so the
+    /// caller can tell the script exercised the paths it is there for.
+    fn pool_script() -> (u64, [usize; 3]) {
+        let mut rng = StdRng::seed_from_u64(0xd1ff_9001);
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let mut seen = [0usize; 3];
+        for round in 0..6usize {
+            let n_dev = 2 + round % 2;
+            let mut pool = DevicePool::homogeneous(&Gpu::v100(), n_dev);
+            pool.set_staging_workers(1 + round % 3);
+            let mut open: Vec<StageBooking> = Vec::new();
+            let mut issued = 0u64;
+            for _ in 0..160 {
+                let mut pick = |n: usize| rng.random_range(0.0..n as f64) as usize;
+                let horizon = pool.makespan_ms();
+                let at_ms = pick(4 * horizon as usize + 8) as f64 * 0.25;
+                match pick(12) {
+                    0..=5 => {
+                        let dev = pick(n_dev);
+                        if pool.devices()[dev].is_lost() {
+                            pool.restore_device(dev, at_ms);
+                        }
+                        let overlap = pick(4) > 0;
+                        let mut reqs = random_reqs(&mut rng);
+                        if !overlap {
+                            // on the quarter-ms grid, so touching ends are common
+                            for r in &mut reqs {
+                                r.host_ms = (r.host_ms * 2.0).floor() * 0.25;
+                                r.device_ms = (r.device_ms * 4.0).ceil() * 0.25;
+                            }
+                        }
+                        let kernel_ms: f64 = reqs.iter().map(|r| r.device_ms).sum();
+                        let b = pool.commit_stages(dev, &reqs, kernel_ms, 1.0e6, 1, overlap, at_ms);
+                        h.booking(Some(&b));
+                        issued += 1;
+                        open.push(b);
+                    }
+                    6..=9 if !open.is_empty() => {
+                        let victim = open.swap_remove(pick(open.len()));
+                        let from = pick(victim.stages.len() + 1);
+                        let mode = [RebookMode::TailOnly, RebookMode::Compact][pick(2)];
+                        let r = pool.rebook(&victim, from, mode);
+                        for ms in [r.freed_ms, r.refunded_ms, r.slid_ms] {
+                            h.ms(ms);
+                        }
+                        h.word(r.slid as u64);
+                        seen[0] += (mode == RebookMode::TailOnly && r.freed_ms > 0.0) as usize;
+                        seen[1] += r.slid;
+                    }
+                    10 if !open.is_empty() => {
+                        let done = open.swap_remove(pick(open.len()));
+                        pool.mark_settled(done.id);
+                    }
+                    11 if pool.alive_count() > 1 => {
+                        let dev = pick(n_dev);
+                        let report = pool.fail_device(dev, at_ms);
+                        h.ms(report.at_ms);
+                        h.ms(report.lost_refund_ms);
+                        for id in &report.interrupted {
+                            h.word(*id);
+                        }
+                        seen[2] += report.interrupted.len();
+                        open.retain(|b| !report.interrupted.contains(&b.id));
+                    }
+                    _ => {}
+                }
+                h.pool(&pool, issued);
+            }
+        }
+        (h.0, seen)
+    }
+
+    #[test]
+    fn pool_script_reproduces_the_recorded_schedule() {
+        let (digest, [tail_frees, slid, interrupted]) = pool_script();
+        assert!(
+            tail_frees > 0 && slid > 0 && interrupted > 0,
+            "vacuous script: {tail_frees} tail-only frees, {slid} slides, {interrupted} interrupted"
+        );
+        assert_eq!(
+            digest, POOL_SCRIPT_DIGEST,
+            "the pool placed, refunded or reported differently: got {digest:#018x}"
+        );
+    }
 }
