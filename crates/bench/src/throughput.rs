@@ -16,7 +16,7 @@ use mdls_obs::Recorder;
 use mdls_pipeline::{
     bursty_tracker_jobs, refinement_mix, schedule, schedule_staged, solve_batch_staged,
     solve_stream_staged, workload_mix, BatchReport, DevicePool, DispatchPolicy, Job, JobOutcome,
-    JobShape, MicrobatchConfig, Planner, StageSchedConfig,
+    JobShape, MicrobatchConfig, Planner, RebookMode, StageSchedConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -422,7 +422,7 @@ pub fn rebooking_ab(jobs: usize) -> TextTable {
     );
     t.col("makespan ms").col("refunded ms").col("gain");
     let mut rebook = StageSchedConfig::overlap_only();
-    rebook.rebook = true;
+    rebook.refund = RebookMode::TailOnly;
     let run = |sched: &StageSchedConfig| {
         let mut pool = DevicePool::new(gpus.clone());
         let report = solve_batch_staged(
@@ -491,9 +491,9 @@ fn staged_observed(gpus: &[Gpu], jobs: &[Job], sched: &StageSchedConfig) -> (Bat
 fn timeline_arms() -> [(&'static str, StageSchedConfig); 3] {
     let post = StageSchedConfig::overlap_only();
     let mut tail = StageSchedConfig::overlap_only();
-    tail.rebook = true;
+    tail.refund = RebookMode::TailOnly;
     let mut compact = tail;
-    compact.compact = true;
+    compact.refund = RebookMode::Compact;
     [
         ("post-hoc", post),
         ("tail-only", tail),

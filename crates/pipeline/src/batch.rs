@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use gpusim::{ExecMode, Gpu, Sim};
-use mdls_core::{lstsq_factor, lstsq_factor_batched, residual_kernel};
+use mdls_core::{lstsq_factor_batched, residual_kernel};
 use mdls_matrix::{vec_norm2, HostMat};
 use multidouble::{convert_real, Dd, MdReal, Od, Qd};
 
@@ -56,8 +56,8 @@ use crate::plan::ExecPlan;
 use crate::planner::{PlanCacheStats, Planner};
 use crate::pool::{DevicePool, DeviceStats, RebookMode};
 use crate::resilient::{
-    admit_job, replay_transients, shed_tombstone, sticky_losses, tombstone_outcome,
-    AdmissionConfig, AdmissionDecision, ResilienceConfig,
+    admit, replay_transients, sticky_losses, tombstone_outcome, AdmissionConfig, Admitted,
+    ResilienceConfig,
 };
 use crate::scheduler::{DispatchPolicy, JobShape, StageSchedConfig};
 use mdls_obs::Event;
@@ -188,9 +188,8 @@ pub struct PlannedSolve {
 impl JobOutcome {
     /// Assemble a whole group's outcomes from its settled dispatch, the
     /// interpreter's results and the per-job `(refunded, extended)`
-    /// shares settlement returned (shared by the batch loop, the stream
-    /// and the service shell), one per member in group order.
-    pub(crate) fn assemble_group(
+    /// shares settlement returned, one per member in group order.
+    fn assemble_group(
         members: &[&Job],
         g: &GroupDispatch,
         solved: Vec<PlannedSolve>,
@@ -201,24 +200,16 @@ impl JobOutcome {
             .iter()
             .zip(solved)
             .map(|(&job, s)| JobOutcome {
-                job_id: job.id,
-                device: g.device,
-                plan: g.plan.clone(),
                 achieved_digits: digits_from_residual(s.residual),
                 x: s.x,
                 residual: s.residual,
                 start_ms: g.start_ms,
-                end_ms: g.end_ms,
                 fused_group: g.jobs.len(),
                 corrections_run: s.corrections_run,
                 refunded_ms,
                 extended_ms,
-                priority: job.priority,
-                release_ms: job.release(),
-                deadline_ms: job.deadline_ms,
-                disposition: Disposition::Ok,
-                requested_digits: job.target_digits,
-                tenant: job.tenant,
+                // the job's identity, on the group's device and end
+                ..tombstone_outcome(job, g.plan.clone(), g.device, Disposition::Ok, g.end_ms)
             })
             .collect()
     }
@@ -410,22 +401,6 @@ struct PromoCache {
 static PROMO: OnceLock<Mutex<PromoCache>> = OnceLock::new();
 static PROMO_HITS: AtomicU64 = AtomicU64::new(0);
 static PROMO_MISSES: AtomicU64 = AtomicU64::new(0);
-static PROMO_WARM: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Switch the promoted-matrix cache's **warm-insert** mode and return
-/// the previous setting.
-///
-/// By default an entry lands only on a matrix's *second* sighting, so
-/// one-shot batches (every matrix unique) never pay the original's
-/// clone or the byte budget. A service that *knows* its matrices recur
-/// — a tracker restarted mid-path, a power-flow sweep resuming from a
-/// checkpoint — loses the first re-solve's hit to that probation.
-/// Warm-insert caches on first sighting instead: the first repeat is
-/// already a hit, at the cost of cloning matrices that may never
-/// return. Process-wide, like the cache itself.
-pub fn promoted_cache_warm_insert(enabled: bool) -> bool {
-    PROMO_WARM.swap(enabled, Ordering::Relaxed)
-}
 
 /// FNV-flavored fingerprint over the dimensions and every entry's bits.
 fn fingerprint(a: &HostMat<f64>) -> u64 {
@@ -463,15 +438,12 @@ fn promoted_matrix<S: MdReal>(a: &HostMat<f64>) -> Arc<HostMat<S>> {
     let key = (fp, TypeId::of::<S>());
     let cache = PROMO.get_or_init(|| Mutex::new(PromoCache::default()));
     let (found, second_sighting) = {
-        let warm = PROMO_WARM.load(Ordering::Relaxed);
         let mut c = cache.lock().unwrap();
         let found = c
             .map
             .get(&key)
             .map(|e| (e.original.clone(), e.promoted.clone()));
-        // warm-insert mode skips the probation set: every first
-        // sighting is treated as cache-worthy
-        let second = found.is_none() && (warm || c.seen.contains(&key));
+        let second = found.is_none() && c.seen.contains(&key);
         if found.is_none() && !second {
             if c.seen.len() >= PROMO_SEEN_CAP {
                 c.seen.clear();
@@ -541,26 +513,18 @@ fn relative_residual<S: MdReal>(a: &HostMat<S>, x: &[S], b: &[S]) -> f64 {
     }
 }
 
-/// Direct plan: factor + one solve at a single rung — exactly the
-/// launch sequence (and bits) of a sequential [`mdls_core::lstsq`].
-fn direct_as<S: MdReal>(gpu: &Gpu, job: &Job, plan: &ExecPlan) -> (Vec<S>, f64) {
-    let a = promoted_matrix::<S>(&job.a);
-    let b = promote_vec::<S>(&job.b);
-    let fact = lstsq_factor(gpu, &a, &plan.options(ExecMode::Sequential));
-    let (x, _) = fact.solve(&b);
-    let residual = relative_residual(&a, &x, &b);
-    (x, residual)
-}
-
-/// Fused direct plans: one micro-batched factor + solve over every
-/// member. Each member's launch sequence is exactly the singleton
-/// [`direct_as`] sequence (the batched sessions change accounting,
-/// never arithmetic), so the returned bits match the unfused path.
-/// The group's matrices and right hand sides are promoted in one pass
-/// and uploaded as one grouped transfer — the per-job promotion and
-/// upload bookkeeping the singleton path repeats `k` times happens
-/// once here.
-fn direct_fused_as<S: MdReal>(gpu: &Gpu, jobs: &[&Job], plan: &ExecPlan) -> Vec<(Vec<S>, f64)> {
+/// Direct plans: one micro-batched factor + solve over every member at
+/// a single rung. Each member's launch sequence is exactly that of a
+/// sequential [`mdls_core::lstsq`] (the batched sessions change
+/// accounting, never arithmetic), so the returned bits match it — for
+/// a group of one and for every member of a larger group alike. The
+/// group's matrices and right hand sides are promoted in one pass.
+fn direct_group<S: MdReal>(
+    gpu: &Gpu,
+    jobs: &[&Job],
+    plan: &ExecPlan,
+    wrap: fn(Vec<S>) -> Solution,
+) -> Vec<PlannedSolve> {
     let opts = plan.options(ExecMode::Sequential);
     let mats: Vec<Arc<HostMat<S>>> = jobs.iter().map(|j| promoted_matrix::<S>(&j.a)).collect();
     let rhs: Vec<Vec<S>> = jobs.iter().map(|j| promote_vec::<S>(&j.b)).collect();
@@ -569,45 +533,28 @@ fn direct_fused_as<S: MdReal>(gpu: &Gpu, jobs: &[&Job], plan: &ExecPlan) -> Vec<
     let (xs, _) = fact.solve_all(&rhs);
     xs.into_iter()
         .enumerate()
-        .map(|(i, x)| {
-            let residual = relative_residual(&mats[i], &x, &rhs[i]);
-            (x, residual)
+        .map(|(i, x)| PlannedSolve {
+            residual: relative_residual(&mats[i], &x, &rhs[i]),
+            x: wrap(x),
+            corrections_run: 0,
         })
         .collect()
 }
 
-/// Refinement plan: factor once at rung `F`, then per pass compute the
-/// residual at rung `H` on the device and correct through the reused
-/// factorization, accumulating the iterate at `H`. Adaptive: passes
-/// stop as soon as the measured residual already certifies the plan's
-/// digit target (see [`refine_through`]).
-fn refine_as<F: MdReal, H: MdReal>(
-    gpu: &Gpu,
-    job: &Job,
-    plan: &ExecPlan,
-    extra_passes: usize,
-) -> (Vec<H>, f64, usize) {
-    // Factor(F) + initial Correct(F)
-    let opts = plan.options(ExecMode::Sequential);
-    let a_f = promoted_matrix::<F>(&job.a);
-    let b_f = promote_vec::<F>(&job.b);
-    let fact = lstsq_factor(gpu, &a_f, &opts);
-    let (x0, _) = fact.solve(&b_f);
-    refine_through::<F, H>(gpu, job, plan, &fact, x0, extra_passes)
-}
-
-/// Fused refinement: one micro-batched Factor(F) + initial Correct(F)
+/// Refinement plans: one micro-batched Factor(F) + initial Correct(F)
 /// over the whole group, then per-member high-rung refinement loops
-/// through each member's slice of the fused factorization. Members
-/// stop adaptively and independently — a member that meets its digits
-/// early simply drops out of later passes (its booked share is
-/// refunded by the caller via the outcome's `refunded_ms`).
-fn refine_fused_as<F: MdReal, H: MdReal>(
+/// through each member's slice of the fused factorization
+/// ([`refine_through`]). Members stop adaptively and independently — a
+/// member that meets its digits early simply drops out of later passes
+/// (its booked share is refunded by the caller via the outcome's
+/// `refunded_ms`).
+fn refine_group<F: MdReal, H: MdReal>(
     gpu: &Gpu,
     jobs: &[&Job],
     plan: &ExecPlan,
     extra_passes: usize,
-) -> Vec<(Vec<H>, f64, usize)> {
+    wrap: fn(Vec<H>) -> Solution,
+) -> Vec<PlannedSolve> {
     let opts = plan.options(ExecMode::Sequential);
     let mats: Vec<Arc<HostMat<F>>> = jobs.iter().map(|j| promoted_matrix::<F>(&j.a)).collect();
     let rhs: Vec<Vec<F>> = jobs.iter().map(|j| promote_vec::<F>(&j.b)).collect();
@@ -617,13 +564,20 @@ fn refine_fused_as<F: MdReal, H: MdReal>(
     x0s.into_iter()
         .enumerate()
         .map(|(i, x0)| {
-            refine_through::<F, H>(gpu, jobs[i], plan, &fact.instances()[i], x0, extra_passes)
+            let fact = &fact.instances()[i];
+            let (x, residual, corrections_run) =
+                refine_through::<F, H>(gpu, jobs[i], plan, fact, x0, extra_passes);
+            PlannedSolve {
+                x: wrap(x),
+                residual,
+                corrections_run,
+            }
         })
         .collect()
 }
 
-/// The high-rung refinement loop behind both the singleton and the
-/// fused paths: given the low-rung factorization and initial solve,
+/// The high-rung refinement loop of one group member: given the
+/// low-rung factorization and initial solve,
 /// alternate device-side residuals at rung `H` with corrections
 /// through the reused factorization, accumulating the iterate at `H`.
 ///
@@ -713,89 +667,41 @@ fn refine_through<F: MdReal, H: MdReal>(
 }
 
 /// Interpret one job's staged plan on a device model, reporting the
-/// adaptive trace. This is exactly what the batch executor does per
-/// unfused job — exposed so callers (and the equivalence property
-/// test) can reproduce any batch result with a single sequential
-/// interpretation.
-pub fn solve_planned_traced(gpu: &Gpu, job: &Job, plan: &ExecPlan) -> PlannedSolve {
-    solve_planned_traced_with(gpu, job, plan, 0)
-}
-
-/// [`solve_planned_traced`] with pass extension: a refinement whose
-/// residual stalls above target at the plan's structural pass count
-/// may run up to `extra_passes` further residual/correct pairs while
-/// each still improves the measured residual. `extra_passes = 0` is
-/// [`solve_planned_traced`].
+/// adaptive trace: the group-of-one call of
+/// [`solve_planned_fused_with`] — a singleton is a group of one, so
+/// this is exactly what every engine runs for an unfused job, exposed
+/// so callers (and the equivalence property test) can reproduce any
+/// batch result with a single sequential interpretation. A refinement
+/// whose residual stalls above target at the plan's structural pass
+/// count may run up to `extra_passes` further residual/correct pairs
+/// while each still improves the measured residual.
 pub fn solve_planned_traced_with(
     gpu: &Gpu,
     job: &Job,
     plan: &ExecPlan,
     extra_passes: usize,
 ) -> PlannedSolve {
-    use Precision::{D1, D2, D4, D8};
-    fn direct<S: MdReal>(
-        gpu: &Gpu,
-        job: &Job,
-        plan: &ExecPlan,
-        wrap: fn(Vec<S>) -> Solution,
-    ) -> PlannedSolve {
-        let (x, residual) = direct_as::<S>(gpu, job, plan);
-        PlannedSolve {
-            x: wrap(x),
-            residual,
-            corrections_run: 0,
-        }
-    }
-    fn refine<F: MdReal, H: MdReal>(
-        gpu: &Gpu,
-        job: &Job,
-        plan: &ExecPlan,
-        extra_passes: usize,
-        wrap: fn(Vec<H>) -> Solution,
-    ) -> PlannedSolve {
-        let (x, residual, corrections_run) = refine_as::<F, H>(gpu, job, plan, extra_passes);
-        PlannedSolve {
-            x: wrap(x),
-            residual,
-            corrections_run,
-        }
-    }
-    let e = extra_passes;
-    match (plan.factor_precision(), plan.solution_precision()) {
-        (D1, D1) => direct::<f64>(gpu, job, plan, Solution::D1),
-        (D2, D2) => direct::<Dd>(gpu, job, plan, Solution::D2),
-        (D4, D4) => direct::<Qd>(gpu, job, plan, Solution::D4),
-        (D8, D8) => direct::<Od>(gpu, job, plan, Solution::D8),
-        (D1, D2) => refine::<f64, Dd>(gpu, job, plan, e, Solution::D2),
-        (D1, D4) => refine::<f64, Qd>(gpu, job, plan, e, Solution::D4),
-        (D1, D8) => refine::<f64, Od>(gpu, job, plan, e, Solution::D8),
-        (D2, D4) => refine::<Dd, Qd>(gpu, job, plan, e, Solution::D4),
-        (D2, D8) => refine::<Dd, Od>(gpu, job, plan, e, Solution::D8),
-        (D4, D8) => refine::<Qd, Od>(gpu, job, plan, e, Solution::D8),
-        (f, s) => unreachable!("invalid plan rungs: factor {f:?} above solution {s:?}"),
-    }
+    solve_planned_fused_with(gpu, &[job], plan, extra_passes)
+        .pop()
+        .expect("a group of one yields one solve")
 }
 
-/// Interpret one job's staged plan on a device model — the
-/// solution-and-residual view of [`solve_planned_traced`].
+/// Interpret one job's staged plan on a device model with no pass
+/// extension — the solution-and-residual view of
+/// [`solve_planned_traced_with`].
 pub fn solve_planned(gpu: &Gpu, job: &Job, plan: &ExecPlan) -> (Solution, f64) {
-    let s = solve_planned_traced(gpu, job, plan);
+    let s = solve_planned_traced_with(gpu, job, plan, 0);
     (s.x, s.residual)
 }
 
-/// Interpret one plan over a fused group of same-shaped jobs: one
-/// micro-batched factor phase, per-member solves and (adaptive)
-/// refinement loops. Returns one [`PlannedSolve`] per member, in
-/// order. Every member's result is bit-identical to
-/// [`solve_planned_traced`] of that job alone — fusing packs launches,
-/// it never changes arithmetic.
-pub fn solve_planned_fused(gpu: &Gpu, jobs: &[&Job], plan: &ExecPlan) -> Vec<PlannedSolve> {
-    solve_planned_fused_with(gpu, jobs, plan, 0)
-}
-
-/// [`solve_planned_fused`] with pass extension (see
-/// [`solve_planned_traced_with`]): members extend independently, each
-/// driven by its own measured residual.
+/// The stage interpreter: run one plan over a fused group of
+/// same-shaped jobs — one micro-batched factor phase, per-member solves
+/// and (adaptive) refinement loops. Returns one [`PlannedSolve`] per
+/// member, in order. Every member's result is bit-identical to
+/// interpreting that job alone — fusing packs launches, it never
+/// changes arithmetic — and members extend independently (up to
+/// `extra_passes` past the plan), each driven by its own measured
+/// residual.
 pub fn solve_planned_fused_with(
     gpu: &Gpu,
     jobs: &[&Job],
@@ -803,67 +709,68 @@ pub fn solve_planned_fused_with(
     extra_passes: usize,
 ) -> Vec<PlannedSolve> {
     use Precision::{D1, D2, D4, D8};
-    fn direct<S: MdReal>(
-        gpu: &Gpu,
-        jobs: &[&Job],
-        plan: &ExecPlan,
-        wrap: fn(Vec<S>) -> Solution,
-    ) -> Vec<PlannedSolve> {
-        direct_fused_as::<S>(gpu, jobs, plan)
-            .into_iter()
-            .map(|(x, residual)| PlannedSolve {
-                x: wrap(x),
-                residual,
-                corrections_run: 0,
-            })
-            .collect()
-    }
-    fn refine<F: MdReal, H: MdReal>(
-        gpu: &Gpu,
-        jobs: &[&Job],
-        plan: &ExecPlan,
-        extra_passes: usize,
-        wrap: fn(Vec<H>) -> Solution,
-    ) -> Vec<PlannedSolve> {
-        refine_fused_as::<F, H>(gpu, jobs, plan, extra_passes)
-            .into_iter()
-            .map(|(x, residual, corrections_run)| PlannedSolve {
-                x: wrap(x),
-                residual,
-                corrections_run,
-            })
-            .collect()
-    }
     let e = extra_passes;
     match (plan.factor_precision(), plan.solution_precision()) {
-        (D1, D1) => direct::<f64>(gpu, jobs, plan, Solution::D1),
-        (D2, D2) => direct::<Dd>(gpu, jobs, plan, Solution::D2),
-        (D4, D4) => direct::<Qd>(gpu, jobs, plan, Solution::D4),
-        (D8, D8) => direct::<Od>(gpu, jobs, plan, Solution::D8),
-        (D1, D2) => refine::<f64, Dd>(gpu, jobs, plan, e, Solution::D2),
-        (D1, D4) => refine::<f64, Qd>(gpu, jobs, plan, e, Solution::D4),
-        (D1, D8) => refine::<f64, Od>(gpu, jobs, plan, e, Solution::D8),
-        (D2, D4) => refine::<Dd, Qd>(gpu, jobs, plan, e, Solution::D4),
-        (D2, D8) => refine::<Dd, Od>(gpu, jobs, plan, e, Solution::D8),
-        (D4, D8) => refine::<Qd, Od>(gpu, jobs, plan, e, Solution::D8),
+        (D1, D1) => direct_group::<f64>(gpu, jobs, plan, Solution::D1),
+        (D2, D2) => direct_group::<Dd>(gpu, jobs, plan, Solution::D2),
+        (D4, D4) => direct_group::<Qd>(gpu, jobs, plan, Solution::D4),
+        (D8, D8) => direct_group::<Od>(gpu, jobs, plan, Solution::D8),
+        (D1, D2) => refine_group::<f64, Dd>(gpu, jobs, plan, e, Solution::D2),
+        (D1, D4) => refine_group::<f64, Qd>(gpu, jobs, plan, e, Solution::D4),
+        (D1, D8) => refine_group::<f64, Od>(gpu, jobs, plan, e, Solution::D8),
+        (D2, D4) => refine_group::<Dd, Qd>(gpu, jobs, plan, e, Solution::D4),
+        (D2, D8) => refine_group::<Dd, Od>(gpu, jobs, plan, e, Solution::D8),
+        (D4, D8) => refine_group::<Qd, Od>(gpu, jobs, plan, e, Solution::D8),
         (f, s) => unreachable!("invalid plan rungs: factor {f:?} above solution {s:?}"),
     }
 }
 
-/// Interpret one dispatched group: the singleton interpreter for a
-/// group of one, the micro-batched one otherwise — the single place
-/// every engine (batch loop, stream, service) turns a booking into
-/// solutions.
-pub(crate) fn execute_group(
-    gpu: &Gpu,
-    members: &[&Job],
-    plan: &ExecPlan,
+/// The execute step of every engine: interpret one round of booked
+/// groups (`groups[i]` = a dispatch and its member jobs, in group
+/// order) and return their solves index-aligned with the input. Groups
+/// queue per device (`device % lanes`), each queue runs in booking
+/// order on its own scoped host thread — inline when there is only one
+/// queue — and results are put back in input order. Execution is purely
+/// functional against an immutable device model, so host parallelism
+/// cannot perturb placements, events or bits.
+pub(crate) fn execute_round(
+    pool: &DevicePool,
+    groups: &[(&GroupDispatch, Vec<&Job>)],
+    lanes: usize,
     extra_passes: usize,
-) -> Vec<PlannedSolve> {
-    match members {
-        [job] => vec![solve_planned_traced_with(gpu, job, plan, extra_passes)],
-        _ => solve_planned_fused_with(gpu, members, plan, extra_passes),
+) -> Vec<Vec<PlannedSolve>> {
+    let exec = |i: usize| {
+        let (g, members) = &groups[i];
+        let gpu = pool.gpu(g.device);
+        (
+            i,
+            solve_planned_fused_with(gpu, members, &g.plan, extra_passes),
+        )
+    };
+    let lanes = lanes.max(1);
+    let mut queues: Vec<Vec<usize>> = vec![Vec::new(); lanes];
+    for (i, (g, _)) in groups.iter().enumerate() {
+        queues[g.device % lanes].push(i);
     }
+    queues.retain(|q| !q.is_empty());
+    let run = |queue: Vec<usize>| queue.into_iter().map(exec).collect::<Vec<_>>();
+    let done: Vec<Vec<(usize, Vec<PlannedSolve>)>> = if queues.len() > 1 {
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = queues
+                .into_iter()
+                .map(|q| scope.spawn(move || run(q)))
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("device queue worker panicked"))
+                .collect()
+        })
+    } else {
+        queues.into_iter().map(run).collect()
+    };
+    let mut done: Vec<(usize, Vec<PlannedSolve>)> = done.into_iter().flatten().collect();
+    done.sort_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, solved)| solved).collect()
 }
 
 /// Solve a batch of jobs over the pool under the default
@@ -905,19 +812,19 @@ pub(crate) fn emit_settled(pool: &DevicePool, outcomes: &[JobOutcome]) {
 }
 
 /// Settle a dispatch against what execution actually ran: refund the
-/// booked tail when the group stopped early (freeing the timeline
-/// spans under [`StageSchedConfig::rebook`], so later dispatches use
-/// the freed time — and, under [`StageSchedConfig::compact`], sliding
-/// queued dispatches left into the hole; otherwise the tail only comes
-/// off the busy books), or book the extra passes an expected-pass
-/// booking under-estimated / a stalled job extended into. Slide-left
+/// booked tail when the group stopped early (as
+/// [`StageSchedConfig::refund`] says — off the busy books only, or
+/// freeing the timeline spans so later dispatches use the freed time,
+/// or also sliding queued dispatches left into the hole), or book the
+/// extra passes an expected-pass booking under-estimated / a stalled
+/// job extended into. Slide-left
 /// compaction may have *moved* this dispatch since it was booked, so
 /// settlement first refreshes the placement from the pool's
 /// live-booking registry; every settle path marks the booking settled,
 /// pinning it against any later compaction. Updates the group's
 /// `start_ms`/`end_ms` to the settled placement and returns the
 /// per-job `(refunded, extended)` shares, ms.
-pub(crate) fn settle_staged_dispatch(
+fn settle_staged_dispatch(
     pool: &mut DevicePool,
     g: &mut GroupDispatch,
     shape: &JobShape,
@@ -948,23 +855,13 @@ pub(crate) fn settle_staged_dispatch(
     }
     if passes_run < booked {
         let from = ExecPlan::booked_stages(passes_run);
-        if sched.rebook {
-            let mode = if sched.compact {
-                RebookMode::Compact
-            } else {
-                RebookMode::TailOnly
-            };
-            let refund = pool.rebook(&g.booking, from, mode);
+        let refund = pool.rebook(&g.booking, from, sched.refund);
+        if sched.refund != RebookMode::BooksOnly {
+            // the freed tail is gone from the schedule: the group ends
+            // where its executed stages do
             g.end_ms = g.booking.stages[from - 1].end_ms();
-            (refund.refunded_ms / k, 0.0)
-        } else {
-            // write the skipped tail off the busy books only — the
-            // schedule keeps the booked intervals
-            let tail: f64 = g.booking.stages[from..].iter().map(|s| s.wall_ms()).sum();
-            pool.reconcile(g.device, tail);
-            pool.mark_settled(g.booking.id);
-            (tail / k, 0.0)
         }
+        (refund.refunded_ms / k, 0.0)
     } else if passes_run == booked {
         pool.mark_settled(g.booking.id);
         (0.0, 0.0)
@@ -989,6 +886,46 @@ pub(crate) fn settle_staged_dispatch(
         }
         (0.0, extended / k)
     }
+}
+
+/// The settle step of every engine, once per executed group: settle
+/// the booking against the passes execution actually ran
+/// (`settle_staged_dispatch` — refund or extend), replay the transient
+/// faults that hit the executed interval (`replay_transients`; no-op on
+/// a quiet device, at most `max_retries` replays backed off from
+/// `backoff_ms`), and assemble the members' outcomes from the settled
+/// placement. Members of a group that replayed come back
+/// [`Disposition::Retried`]; the caller layers its own admission and
+/// loss-recovery verdicts on top. Returns the outcomes in group order
+/// and the fault instants (the service shell strikes its breaker with
+/// them).
+pub(crate) fn settle_group(
+    pool: &mut DevicePool,
+    g: &mut GroupDispatch,
+    shape: &JobShape,
+    members: &[&Job],
+    solved: Vec<PlannedSolve>,
+    sched: &StageSchedConfig,
+    max_retries: usize,
+    backoff_ms: f64,
+) -> (Vec<JobOutcome>, Vec<f64>) {
+    let passes_run = solved.iter().map(|s| s.corrections_run).max().unwrap_or(0);
+    let shares = settle_staged_dispatch(pool, g, shape, passes_run, sched);
+    let hits = replay_transients(
+        pool,
+        g,
+        members[0].id,
+        max_retries,
+        backoff_ms,
+        sched.overlap,
+    );
+    let mut outcomes = JobOutcome::assemble_group(members, g, solved, shares);
+    if !hits.is_empty() {
+        for o in &mut outcomes {
+            o.disposition = Disposition::Retried;
+        }
+    }
+    (outcomes, hits)
 }
 
 /// Solve a batch through the **one batch loop** with every fault phase
@@ -1043,9 +980,6 @@ struct Slot {
     shape: JobShape,
     /// The live dispatch; `g.jobs` are indices into the submitted batch.
     g: GroupDispatch,
-    /// Set when a loss killed this group and recovery is off: the loss
-    /// time, which becomes the members' terminal `end_ms`.
-    dead: Option<f64>,
 }
 
 /// The **one batch loop** behind every `solve_batch*` entry point:
@@ -1085,59 +1019,35 @@ pub(crate) fn run_batch(
     cfg: &ResilienceConfig,
     host_parallel: bool,
 ) -> BatchReport {
-    let mut planner = Planner::new();
-    if let Some(obs) = pool.observer() {
-        planner.attach_observer(obs.clone());
-    }
+    let planner = Planner::for_pool(pool);
     let mut outcomes: Vec<Option<JobOutcome>> = Vec::new();
     outcomes.resize_with(jobs.len(), || None);
     let mut dispo = vec![Disposition::Ok; jobs.len()];
-    let retried = |dispo: &mut [Disposition], members: &[usize]| {
-        for &j in members {
-            if dispo[j] == Disposition::Ok {
-                dispo[j] = Disposition::Retried;
-            }
-        }
-    };
 
     // ---- phase 0: admission at the door ------------------------------
     let mut active: Vec<usize> = Vec::with_capacity(jobs.len());
     let mut shapes: Vec<JobShape> = Vec::with_capacity(jobs.len());
     for (i, job) in jobs.iter().enumerate() {
         let mut shape = JobShape::from(job);
-        match admit_job(
+        let (digits, release) = (job.target_digits, job.release());
+        match admit(
             pool,
             &planner,
             job,
+            digits,
             sched.overlap,
-            job.release(),
+            release,
+            release,
             &cfg.admission,
         ) {
-            AdmissionDecision::Admit => {}
-            AdmissionDecision::Degrade(digits) => {
-                pool.emit(|| Event::JobDegraded {
-                    job: job.id,
-                    from_digits: job.target_digits,
-                    to_digits: digits,
-                });
+            Admitted::Run { digits, degraded } => {
                 shape.target_digits = digits;
-                dispo[i] = Disposition::Degraded;
+                if degraded {
+                    dispo[i] = Disposition::Degraded;
+                }
             }
-            AdmissionDecision::Shed(predicted_end_ms) => {
-                let ev = || Event::JobShed {
-                    job: job.id,
-                    deadline_ms: job.deadline_ms.unwrap_or(0.0),
-                    predicted_end_ms,
-                };
-                let digits = job.target_digits;
-                outcomes[i] = Some(shed_tombstone(
-                    pool,
-                    &planner,
-                    job,
-                    digits,
-                    job.release(),
-                    ev,
-                ));
+            Admitted::Shed(tombstone) => {
+                outcomes[i] = Some(tombstone);
                 continue;
             }
         }
@@ -1160,20 +1070,25 @@ pub(crate) fn run_batch(
         let members: Vec<usize> = groups[gi].iter().map(|&a| active[a]).collect();
         let release = release_of(&members, 0.0);
         let g = dispatch_group_staged(pool, &planner, members, &shape, policy, sched, release);
-        slots.push(Slot {
-            shape,
-            g,
-            dead: None,
-        });
+        slots.push(Slot { shape, g });
     }
 
     // ---- phase 2: sticky losses, oldest first ------------------------
+    let members_of = |g: &GroupDispatch| g.jobs.iter().map(|&j| &jobs[j]).collect::<Vec<&Job>>();
     for (id, t) in sticky_losses(pool) {
         let hit = pool.fail_device(id, t).interrupted;
-        for slot in slots.iter_mut().filter(|s| hit.contains(&s.g.booking.id)) {
+        let recover = cfg.recovery.redispatch && pool.alive_count() > 0;
+        slots.retain_mut(|slot| {
+            if !hit.contains(&slot.g.booking.id) {
+                return true;
+            }
             let members = slot.g.jobs.clone();
-            if cfg.recovery.redispatch && pool.alive_count() > 0 {
-                retried(&mut dispo, &members);
+            if recover {
+                for &j in &members {
+                    if dispo[j] == Disposition::Ok {
+                        dispo[j] = Disposition::Retried;
+                    }
+                }
                 let release = release_of(&members, t);
                 slot.g = dispatch_group_staged(
                     pool,
@@ -1185,96 +1100,49 @@ pub(crate) fn run_batch(
                     release,
                 );
             } else {
-                slot.dead = Some(t);
-                for &j in &members {
-                    dispo[j] = Disposition::Failed;
+                // recovery off: the group dies with its device, at `t`
+                for (&j, job) in members.iter().zip(members_of(&slot.g)) {
+                    let plan = slot.g.plan.clone();
+                    let mut o = tombstone_outcome(job, plan, slot.g.device, Disposition::Failed, t);
+                    o.start_ms = slot.g.start_ms.min(t);
+                    o.fused_group = members.len();
+                    outcomes[j] = Some(o);
                 }
             }
-        }
+            recover
+        });
     }
 
     // ---- phase 3: execute — per-device queues ------------------------
-    let mut solved: Vec<Option<Vec<PlannedSolve>>> = Vec::new();
-    solved.resize_with(slots.len(), || None);
-    {
-        let pool: &DevicePool = pool;
-        let slots = &slots;
-        let exec = |i: usize| {
-            let g = &slots[i].g;
-            let members: Vec<&Job> = g.jobs.iter().map(|&j| &jobs[j]).collect();
-            let extra = sched.max_extra_passes;
-            (
-                i,
-                execute_group(pool.gpu(g.device), &members, &g.plan, extra),
-            )
-        };
-        // one queue per device, or a single queue when serial
-        let lanes = if host_parallel { pool.len() } else { 1 };
-        let mut queues: Vec<Vec<usize>> = vec![Vec::new(); lanes];
-        for (i, slot) in slots.iter().enumerate().filter(|(_, s)| s.dead.is_none()) {
-            queues[slot.g.device % lanes].push(i);
-        }
-        queues.retain(|q| !q.is_empty());
-        let run = |queue: Vec<usize>| queue.into_iter().map(exec).collect::<Vec<_>>();
-        let done: Vec<Vec<(usize, Vec<PlannedSolve>)>> = if queues.len() > 1 {
-            std::thread::scope(|scope| {
-                let workers: Vec<_> = queues
-                    .into_iter()
-                    .map(|q| scope.spawn(move || run(q)))
-                    .collect();
-                workers
-                    .into_iter()
-                    .map(|w| w.join().expect("device queue worker panicked"))
-                    .collect()
-            })
-        } else {
-            queues.into_iter().map(run).collect()
-        };
-        for (i, r) in done.into_iter().flatten() {
-            solved[i] = Some(r);
-        }
-    }
+    let round: Vec<(&GroupDispatch, Vec<&Job>)> =
+        slots.iter().map(|s| (&s.g, members_of(&s.g))).collect();
+    // one queue per device, or a single queue when serial
+    let lanes = if host_parallel { pool.len() } else { 1 };
+    let solved = execute_round(pool, &round, lanes, sched.max_extra_passes);
 
     // ---- phase 4: settle in booking order, replay transients ---------
     let mut makespan_ms = 0.0f64;
     let mut fused_groups = 0;
     for (slot, solved) in slots.iter_mut().zip(solved) {
-        let members: Vec<&Job> = slot.g.jobs.iter().map(|&j| &jobs[j]).collect();
-        let Some(solved) = solved else {
-            let t = slot.dead.expect("every surviving group executed");
-            for (&j, &job) in slot.g.jobs.iter().zip(&members) {
-                let mut o = tombstone_outcome(
-                    job,
-                    slot.g.plan.clone(),
-                    slot.g.device,
-                    Disposition::Failed,
-                    t,
-                );
-                o.start_ms = slot.g.start_ms.min(t);
-                o.fused_group = members.len();
-                outcomes[j] = Some(o);
-            }
-            continue;
-        };
+        let members = members_of(&slot.g);
         fused_groups += usize::from(members.len() > 1);
-        let passes_run = solved.iter().map(|s| s.corrections_run).max().unwrap_or(0);
-        let shares = settle_staged_dispatch(pool, &mut slot.g, &slot.shape, passes_run, sched);
         let r = &cfg.recovery;
-        let hits = replay_transients(
+        let (settled, _) = settle_group(
             pool,
             &mut slot.g,
-            members[0].id,
+            &slot.shape,
+            &members,
+            solved,
+            sched,
             r.max_transient_retries,
             r.backoff_ms,
-            sched.overlap,
         );
-        if !hits.is_empty() {
-            retried(&mut dispo, &slot.g.jobs);
-        }
         makespan_ms = makespan_ms.max(slot.g.end_ms);
-        let assembled = JobOutcome::assemble_group(&members, &slot.g, solved, shares);
-        for (&j, mut o) in slot.g.jobs.iter().zip(assembled) {
-            o.disposition = dispo[j];
+        for (&j, mut o) in slot.g.jobs.iter().zip(settled) {
+            // admission's and loss recovery's verdicts outrank a replay
+            if dispo[j] != Disposition::Ok {
+                o.disposition = dispo[j];
+            }
             outcomes[j] = Some(o);
         }
     }
@@ -1661,53 +1529,5 @@ mod tests {
         let refunded: f64 = report.outcomes.iter().map(|o| o.refunded_ms).sum();
         let stats_refund: f64 = report.device_stats.iter().map(|s| s.refunded_ms).sum();
         assert!((refunded - stats_refund).abs() < 1e-9);
-    }
-
-    #[test]
-    fn warm_insert_caches_on_first_sighting() {
-        // distinct matrix from every other test (seeded rng), solved
-        // twice: probation mode hits only from the third sighting on,
-        // warm mode already hits on the second
-        let mut rng = StdRng::seed_from_u64(0xa11ce);
-        let n = 14;
-        let mk = |rng: &mut StdRng| {
-            HostMat::<f64>::from_fn(n, n, |r, c| {
-                let u: f64 = multidouble::random::rand_real(rng);
-                u + if r == c { 5.0 } else { 0.0 }
-            })
-        };
-        let a_cold = mk(&mut rng);
-        let a_warm = mk(&mut rng);
-        // a cache hit hands back the cached Arc itself, so pointer
-        // identity distinguishes hit from miss without touching the
-        // (concurrently shared) global counters
-
-        // default (probation): the second sighting still promotes
-        // afresh; only the third returns the entry the second inserted
-        let s1 = promoted_matrix::<Dd>(&a_cold);
-        let s2 = promoted_matrix::<Dd>(&a_cold);
-        let s3 = promoted_matrix::<Dd>(&a_cold);
-        assert!(
-            !Arc::ptr_eq(&s1, &s2),
-            "probation mode hit on the second sighting"
-        );
-        assert!(Arc::ptr_eq(&s2, &s3), "third sighting missed");
-
-        // restore the process-wide flag even if an assertion unwinds —
-        // a leaked warm mode would silently change every later test
-        struct WarmGuard(bool);
-        impl Drop for WarmGuard {
-            fn drop(&mut self) {
-                promoted_cache_warm_insert(self.0);
-            }
-        }
-        let _guard = WarmGuard(promoted_cache_warm_insert(true));
-        let first = promoted_matrix::<Dd>(&a_warm);
-        let second = promoted_matrix::<Dd>(&a_warm);
-        assert!(
-            Arc::ptr_eq(&first, &second),
-            "warm insert did not hit on the first reuse"
-        );
-        assert_eq!(first, second);
     }
 }

@@ -158,17 +158,16 @@ pub mod stream;
 pub mod workload;
 
 pub use batch::{
-    digits_from_residual, latency_summary, promoted_cache_stats, promoted_cache_warm_insert,
-    solve_batch, solve_batch_staged, solve_batch_staged_with, solve_planned, solve_planned_fused,
-    solve_planned_fused_with, solve_planned_traced, solve_planned_traced_with, BatchReport,
-    Disposition, JobOutcome, LatencySummary, PlannedSolve,
+    digits_from_residual, latency_summary, promoted_cache_stats, solve_batch, solve_batch_staged,
+    solve_batch_staged_with, solve_planned, solve_planned_fused_with, solve_planned_traced_with,
+    BatchReport, Disposition, JobOutcome, LatencySummary, PlannedSolve,
 };
 pub use job::{Job, Precision, SloClass, Solution, TenantId};
 pub use microbatch::{
     dispatch_group_staged, plan_groups, schedule_staged, GroupDispatch, MicrobatchConfig,
 };
 pub use plan::{ExecPlan, FusedProfile, PlannedStage, Stage};
-pub use planner::{plan_cache_stats, PlanCacheStats, Planner};
+pub use planner::{PlanCacheStats, Planner};
 pub use pool::{
     DeviceLossReport, DevicePool, DeviceStats, HostStagingPool, PoolDevice, RebookMode,
     StageBooking, StageInterval, StageRefund, StageReq, Timeline,

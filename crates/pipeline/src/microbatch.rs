@@ -22,17 +22,17 @@
 //!   like one job, under the same [`DispatchPolicy`] rules, and booked
 //!   at its *fused* price ([`Planner::plan_fused`]) — one stage booking
 //!   of the group's [`FusedProfile`] instead of `k` singleton bookings.
-//!   A group of one books exactly the singleton plan; every batch,
-//!   stream and service dispatch goes through this step (the service
-//!   shell pins the device and calls the booking half directly).
-//! * **Execution** (`execute_group` in [`crate::batch`]): each
-//!   member's functional launch sequence is exactly the singleton
-//!   sequence, so solutions are bit-identical to the unfused path —
-//!   fusing is launch packing, never different arithmetic.
+//!   A singleton is a group of one and books exactly the singleton
+//!   plan; every batch, stream and service dispatch goes through this
+//!   step (the service shell only narrows which devices are eligible).
+//! * **Execution** (`execute_round` in [`crate::batch`]): each
+//!   member's functional launch sequence is exactly the sequence of
+//!   that job alone, so solutions are bit-identical to the unfused
+//!   path — fusing is launch packing, never different arithmetic.
 
 use crate::plan::{ExecPlan, FusedProfile};
 use crate::planner::Planner;
-use crate::pool::{DevicePool, StageBooking, StageReq};
+use crate::pool::{DevicePool, PoolDevice, StageBooking, StageReq};
 use crate::scheduler::{place_by_end, DispatchPolicy, JobShape, StageSchedConfig};
 use mdls_obs::Event;
 
@@ -103,11 +103,6 @@ pub struct GroupDispatch {
 }
 
 impl GroupDispatch {
-    /// Number of fused member jobs.
-    pub fn group_size(&self) -> usize {
-        self.jobs.len()
-    }
-
     /// Number of refinement passes this dispatch actually booked
     /// (expected-pass booking books fewer stages than the plan holds).
     pub fn booked_passes(&self) -> usize {
@@ -194,17 +189,60 @@ fn price_group(
     (plan, fused, reqs)
 }
 
-/// Book an already-priced group on `device`: one
-/// [`DevicePool::commit_stages`] for the whole group, plus one labeled
-/// [`Event::StageBooked`] per booked stage.
-fn book_priced(
+/// The dispatch step: place one group under `policy`, then book its
+/// stages (factor, initial correct, and the booked residual/correct
+/// passes) as individual lane-split intervals on the chosen device's
+/// timeline ([`DevicePool::commit_stages`]). SECT costs completion by
+/// *previewing the priced booking on each device's timeline*, so a
+/// device whose compute lane can hide this group's prep wins the
+/// placement it deserves — and the preview it wins by is the booking it
+/// gets. `release_ms` is the earliest admissible start (latest member
+/// arrival).
+pub fn dispatch_group_staged(
     pool: &mut DevicePool,
+    planner: &Planner,
     jobs: Vec<usize>,
-    device: usize,
-    (plan, fused, reqs): PricedGroup,
+    shape: &JobShape,
+    policy: DispatchPolicy,
     sched: &StageSchedConfig,
     release_ms: f64,
 ) -> GroupDispatch {
+    dispatch_group_where(
+        pool,
+        planner,
+        jobs,
+        shape,
+        policy,
+        sched,
+        release_ms,
+        |_| true,
+    )
+    .expect("no surviving device in the pool")
+}
+
+/// [`dispatch_group_staged`] over the surviving devices `eligible`
+/// admits; `None` (nothing booked) when there is none. The service
+/// shell dispatches through this directly: free breaker-closed devices
+/// for regular work, the one suspect device for a probe.
+pub(crate) fn dispatch_group_where(
+    pool: &mut DevicePool,
+    planner: &Planner,
+    jobs: Vec<usize>,
+    shape: &JobShape,
+    policy: DispatchPolicy,
+    sched: &StageSchedConfig,
+    release_ms: f64,
+    eligible: impl Fn(&PoolDevice) -> bool,
+) -> Option<GroupDispatch> {
+    assert!(!jobs.is_empty(), "a fused group needs at least one job");
+    let (device, (plan, fused, reqs)) = place_by_end(
+        pool,
+        policy,
+        eligible,
+        |d| price_group(planner, &d.gpu, shape, jobs.len(), sched),
+        |d, priced| pool.preview_stages(d.id, &priced.2, sched.overlap, release_ms),
+    )?;
+    // book the priced group: one commit for the whole group...
     let booking = pool.commit_stages(
         device,
         &reqs,
@@ -214,8 +252,8 @@ fn book_priced(
         sched.overlap,
         release_ms,
     );
-    // labeled stage intervals: the plan knows each booked stage's kind
-    // and rung, the booking knows where its lanes landed
+    // ...plus labeled stage intervals: the plan knows each booked
+    // stage's kind and rung, the booking knows where its lanes landed
     for (i, (ps, iv)) in plan.stages.iter().zip(&booking.stages).enumerate() {
         pool.emit(|| Event::StageBooked {
             device,
@@ -229,7 +267,7 @@ fn book_priced(
             dev_end_ms: iv.device.1,
         });
     }
-    GroupDispatch {
+    Some(GroupDispatch {
         jobs,
         device,
         plan,
@@ -237,52 +275,7 @@ fn book_priced(
         start_ms: booking.start_ms(),
         end_ms: booking.end_ms(),
         booking,
-    }
-}
-
-/// The booking half of the dispatch step, with the device already
-/// chosen: price the group for `device`'s model and book its stages as
-/// lane-split intervals no earlier than `release_ms`. What
-/// [`dispatch_group_staged`] does after placement, and what the
-/// service shell calls directly (its probes must land on the suspect
-/// device).
-pub(crate) fn book_group_on(
-    pool: &mut DevicePool,
-    planner: &Planner,
-    jobs: Vec<usize>,
-    shape: &JobShape,
-    device: usize,
-    sched: &StageSchedConfig,
-    release_ms: f64,
-) -> GroupDispatch {
-    let priced = price_group(planner, pool.gpu(device), shape, jobs.len(), sched);
-    book_priced(pool, jobs, device, priced, sched, release_ms)
-}
-
-/// The dispatch step: place one group under `policy`, then book its
-/// stages (factor, initial correct, and the booked residual/correct
-/// passes) as individual lane-split intervals on the chosen device's
-/// timeline ([`DevicePool::commit_stages`]). SECT costs completion by
-/// *previewing the booking on each device's timeline*, so a device
-/// whose compute lane can hide this group's prep wins the placement it
-/// deserves. `release_ms` is the earliest admissible start (latest
-/// member arrival).
-pub fn dispatch_group_staged(
-    pool: &mut DevicePool,
-    planner: &Planner,
-    jobs: Vec<usize>,
-    shape: &JobShape,
-    policy: DispatchPolicy,
-    sched: &StageSchedConfig,
-    release_ms: f64,
-) -> GroupDispatch {
-    assert!(!jobs.is_empty(), "a fused group needs at least one job");
-    let (device, priced) = place_by_end(pool, policy, |d| {
-        let priced = price_group(planner, &d.gpu, shape, jobs.len(), sched);
-        let end_ms = pool.preview_stages(d.id, &priced.2, sched.overlap, release_ms);
-        (priced, end_ms)
-    });
-    book_priced(pool, jobs, device, priced, sched, release_ms)
+    })
 }
 
 /// The placement order of a partitioned batch: under
@@ -432,7 +425,7 @@ mod tests {
             &s,
             DispatchPolicy::LeastLoaded,
         );
-        assert_eq!(d.group_size(), 8);
+        assert_eq!(d.jobs.len(), 8);
         assert_eq!(d.fused.group, 8);
         assert_eq!(pool.total_solves(), 8);
         assert_eq!(pool.devices()[d.device].clock_ms(), d.end_ms);

@@ -14,11 +14,11 @@
 //!   runs at the cheap rung; each pass adds only an O(m·n) residual and
 //!   an O(m·n + n²) re-solve).
 //!
-//! Each candidate's stages are priced by the analytic cost models
-//! ([`mdls_core::lstsq_factor_model`],
-//! [`mdls_core::LstsqFactorization::solve`],
-//! [`mdls_core::residual_model_profile`]) and composed through
-//! [`Profile::absorb`]; the cheapest predicted wall clock wins. The
+//! Each candidate's stages are priced by the analytic cost models of a
+//! `k`-instance fused group ([`mdls_core::lstsq_batched_model_profiles`],
+//! [`mdls_core::residual_model_profile_batched`]; a lone job is the
+//! group of one) and composed through [`Profile::absorb`]; the
+//! cheapest predicted wall clock wins. The
 //! accuracy model is deliberately conservative: a factorization at rung
 //! `r` is credited `r.digits()` correct digits per solve, accumulated
 //! per pass and capped at the residual rung's `r′.digits()` — both
@@ -45,12 +45,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use gpusim::{ExecMode, Gpu, Profile};
-use mdls_core::{
-    lstsq_batched_model_profiles, lstsq_factor_model, residual_model_profile,
-    residual_model_profile_batched, LstsqOptions,
-};
+use mdls_core::{lstsq_batched_model_profiles, residual_model_profile_batched, LstsqOptions};
 use mdls_obs::{Event, Observer};
-use multidouble::{Dd, MdScalar, Od, Qd};
+use multidouble::{Dd, Od, Qd};
 
 use crate::job::Precision;
 use crate::plan::{ExecPlan, FusedProfile, PlannedStage, Stage};
@@ -97,6 +94,19 @@ fn device_fingerprint(gpu: &Gpu) -> u64 {
     h
 }
 
+impl PlanKey {
+    fn new(gpu: &Gpu, rows: usize, cols: usize, target_digits: u32, direct_only: bool) -> Self {
+        PlanKey {
+            device: gpu.name,
+            device_fp: device_fingerprint(gpu),
+            rows,
+            cols,
+            target_digits,
+            direct_only,
+        }
+    }
+}
+
 /// A canonical tiling choice `(tiles, tile_size)`, keyed by
 /// `(rows, cols, precision)` — device-free, because the tiling fixes
 /// the arithmetic (see module docs).
@@ -125,9 +135,7 @@ type FusedKey = (PlanKey, usize);
 type GroupKey = (usize, usize, u32, usize, u64);
 
 /// Plan-cache traffic of one planner instance: memo hits and misses of
-/// the per-device plan cache and the fused-pricing memo. The same
-/// shape as the promoted-matrix cache's hit/miss stats — process-wide
-/// totals are available from [`plan_cache_stats`].
+/// the per-device plan cache and the fused-pricing memo.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Plans served from the memo cache.
@@ -140,24 +148,6 @@ pub struct PlanCacheStats {
     pub fused_misses: u64,
 }
 
-static PLAN_HITS: AtomicU64 = AtomicU64::new(0);
-static PLAN_MISSES: AtomicU64 = AtomicU64::new(0);
-static FUSED_HITS: AtomicU64 = AtomicU64::new(0);
-static FUSED_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide plan-cache traffic across every planner constructed so
-/// far — the planner-side sibling of
-/// [`crate::batch::promoted_cache_stats`]. Counters only grow; sample
-/// before and after a run and subtract to scope them to it.
-pub fn plan_cache_stats() -> PlanCacheStats {
-    PlanCacheStats {
-        hits: PLAN_HITS.load(Ordering::Relaxed),
-        misses: PLAN_MISSES.load(Ordering::Relaxed),
-        fused_hits: FUSED_HITS.load(Ordering::Relaxed),
-        fused_misses: FUSED_MISSES.load(Ordering::Relaxed),
-    }
-}
-
 /// A memoizing planner. One planner is shared by a whole batch run.
 pub struct Planner {
     cache: Mutex<HashMap<PlanKey, ExecPlan>>,
@@ -167,7 +157,7 @@ pub struct Planner {
     group_sizes: Mutex<HashMap<GroupKey, usize>>,
     /// The numerics reference model the plan structure is tuned on.
     reference: Gpu,
-    /// This instance's cache traffic (process totals in the statics).
+    /// This instance's cache traffic.
     hits: AtomicU64,
     misses: AtomicU64,
     fused_hits: AtomicU64,
@@ -212,46 +202,9 @@ pub fn tile_candidates(cols: usize) -> Vec<usize> {
 }
 
 /// Model profiles `(factor, correct)` of one direct stage pair at
-/// `rung` — the paper's QR and back-substitution phases.
+/// `rung` — the paper's QR and back-substitution phases — over a
+/// `k`-instance micro-batched group (`k = 1`: a lone job).
 fn phase_profiles(
-    gpu: &Gpu,
-    rung: Precision,
-    rows: usize,
-    opts: &LstsqOptions,
-) -> (Profile, Profile) {
-    fn run<S: MdScalar>(gpu: &Gpu, rows: usize, opts: &LstsqOptions) -> (Profile, Profile) {
-        let f = lstsq_factor_model::<S>(gpu, rows, opts);
-        let (_, bs) = f.solve(&[]);
-        (f.factor_profile().clone(), bs)
-    }
-    match rung {
-        Precision::D1 => run::<f64>(gpu, rows, opts),
-        Precision::D2 => run::<Dd>(gpu, rows, opts),
-        Precision::D4 => run::<Qd>(gpu, rows, opts),
-        Precision::D8 => run::<Od>(gpu, rows, opts),
-    }
-}
-
-/// Model profile of one residual stage at `rung`.
-fn residual_profile(
-    gpu: &Gpu,
-    rung: Precision,
-    rows: usize,
-    cols: usize,
-    block: usize,
-    with_system_upload: bool,
-) -> Profile {
-    match rung {
-        Precision::D1 => residual_model_profile::<f64>(gpu, rows, cols, block, with_system_upload),
-        Precision::D2 => residual_model_profile::<Dd>(gpu, rows, cols, block, with_system_upload),
-        Precision::D4 => residual_model_profile::<Qd>(gpu, rows, cols, block, with_system_upload),
-        Precision::D8 => residual_model_profile::<Od>(gpu, rows, cols, block, with_system_upload),
-    }
-}
-
-/// Fused model profiles `(factor, correct)` of one direct stage pair at
-/// `rung` over a `k`-instance micro-batched group.
-fn phase_profiles_batched(
     gpu: &Gpu,
     rung: Precision,
     k: usize,
@@ -266,9 +219,8 @@ fn phase_profiles_batched(
     }
 }
 
-/// Fused model profile of one residual stage at `rung` over `k`
-/// instances.
-fn residual_profile_batched(
+/// Model profile of one residual stage at `rung` over `k` instances.
+fn residual_profile(
     gpu: &Gpu,
     rung: Precision,
     k: usize,
@@ -291,6 +243,51 @@ fn residual_profile_batched(
             residual_model_profile_batched::<Od>(gpu, k, rows, cols, block, with_system_upload)
         }
     }
+}
+
+/// The one pricing loop: the model profile of every stage of `stages`
+/// run as one fused `k`-instance group on `gpu`, in stage order. The
+/// factor/correct pair shares one model evaluation per rung, and the
+/// first residual stage carries the one-time upload of the high-rung
+/// system.
+fn stage_profiles(gpu: &Gpu, rows: usize, cols: usize, stages: &[Stage], k: usize) -> Vec<Profile> {
+    let mut phase_memo: HashMap<Precision, (Profile, Profile)> = HashMap::new();
+    let mut first_residual = true;
+    stages
+        .iter()
+        .map(|&stage| match stage {
+            Stage::Factor {
+                rung,
+                tiles,
+                tile_size,
+            }
+            | Stage::Correct {
+                rung,
+                tiles,
+                tile_size,
+            } => {
+                let opts = LstsqOptions::tiled(tiles, tile_size, ExecMode::ModelOnly);
+                let (factor, correct) = phase_memo
+                    .entry(rung)
+                    .or_insert_with(|| phase_profiles(gpu, rung, k, rows, &opts))
+                    .clone();
+                if matches!(stage, Stage::Factor { .. }) {
+                    factor
+                } else {
+                    correct
+                }
+            }
+            Stage::Residual { rung } => {
+                let block = match stages[0] {
+                    Stage::Factor { tile_size, .. } => tile_size,
+                    _ => unreachable!("plans lead with Factor"),
+                };
+                let p = residual_profile(gpu, rung, k, rows, cols, block, first_residual);
+                first_residual = false;
+                p
+            }
+        })
+        .collect()
 }
 
 impl Planner {
@@ -317,6 +314,14 @@ impl Planner {
             fused_misses: AtomicU64::new(0),
             observer: None,
         }
+    }
+
+    /// Fresh planner reporting through `pool`'s observer, when it has
+    /// one — what every engine plans with.
+    pub(crate) fn for_pool(pool: &crate::pool::DevicePool) -> Self {
+        let mut planner = Planner::new();
+        planner.observer = pool.observer().cloned();
+        planner
     }
 
     /// Attach an event sink: later cache probes and candidate counts
@@ -368,21 +373,13 @@ impl Planner {
     ) -> ExecPlan {
         assert!(cols > 0, "cannot plan an empty system");
         assert!(rows >= cols, "least squares needs rows >= cols");
-        let key = PlanKey {
-            device: gpu.name,
-            device_fp: device_fingerprint(gpu),
-            rows,
-            cols,
-            target_digits,
-            direct_only,
-        };
+        let key = PlanKey::new(gpu, rows, cols, target_digits, direct_only);
         // the guard is dropped at the end of this statement, *before*
         // the hit path emits: an emit site under a planner lock hands
         // every observer a re-entrancy deadlock (`lock-across-emit`)
         let cached = self.cache.lock().unwrap().get(&key).cloned();
         if let Some(p) = cached {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            PLAN_HITS.fetch_add(1, Ordering::Relaxed);
             self.emit(|| Event::PlanCacheHit {
                 rows,
                 cols,
@@ -391,7 +388,6 @@ impl Planner {
             return p;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        PLAN_MISSES.fetch_add(1, Ordering::Relaxed);
         self.emit(|| Event::PlanCacheMiss {
             rows,
             cols,
@@ -418,48 +414,13 @@ impl Planner {
             .clone()
     }
 
-    /// Price a stage sequence for one device model.
+    /// Price a stage sequence for one device model: the group of one.
     fn price(&self, gpu: &Gpu, rows: usize, cols: usize, stages: &[Stage]) -> Vec<PlannedStage> {
-        // the factor/correct pair shares one model evaluation per rung
-        let mut phase_memo: HashMap<Precision, (Profile, Profile)> = HashMap::new();
-        let mut first_residual = true;
+        let profiles = stage_profiles(gpu, rows, cols, stages, 1);
         stages
             .iter()
-            .map(|&stage| {
-                let profile = match stage {
-                    Stage::Factor {
-                        rung,
-                        tiles,
-                        tile_size,
-                    }
-                    | Stage::Correct {
-                        rung,
-                        tiles,
-                        tile_size,
-                    } => {
-                        let opts = LstsqOptions::tiled(tiles, tile_size, ExecMode::ModelOnly);
-                        let (factor, correct) = phase_memo
-                            .entry(rung)
-                            .or_insert_with(|| phase_profiles(gpu, rung, rows, &opts))
-                            .clone();
-                        if matches!(stage, Stage::Factor { .. }) {
-                            factor
-                        } else {
-                            correct
-                        }
-                    }
-                    Stage::Residual { rung } => {
-                        let block = match stages[0] {
-                            Stage::Factor { tile_size, .. } => tile_size,
-                            _ => unreachable!("plans lead with Factor"),
-                        };
-                        let p = residual_profile(gpu, rung, rows, cols, block, first_residual);
-                        first_residual = false;
-                        p
-                    }
-                };
-                PlannedStage { stage, profile }
-            })
+            .zip(profiles)
+            .map(|(&stage, profile)| PlannedStage { stage, profile })
             .collect()
     }
 
@@ -591,7 +552,7 @@ impl Planner {
         for tile_size in tile_candidates(cols) {
             let tiles = cols / tile_size;
             let opts = LstsqOptions::tiled(tiles, tile_size, ExecMode::ModelOnly);
-            let (qr, bs) = phase_profiles(&self.reference, precision, rows, &opts);
+            let (qr, bs) = phase_profiles(&self.reference, precision, 1, rows, &opts);
             let ms = qr.wall_ms() + bs.wall_ms();
             if best.map(|(b, _)| ms < b).unwrap_or(true) {
                 best = Some((ms, tile_size));
@@ -630,23 +591,12 @@ impl Planner {
     ) -> (ExecPlan, FusedProfile) {
         assert!(k > 0, "a fused group needs at least one instance");
         let plan = self.plan(gpu, rows, cols, target_digits);
-        let key = (
-            PlanKey {
-                device: gpu.name,
-                device_fp: device_fingerprint(gpu),
-                rows,
-                cols,
-                target_digits,
-                direct_only: false,
-            },
-            k,
-        );
+        let key = (PlanKey::new(gpu, rows, cols, target_digits, false), k);
         // guard dropped before the emit — same re-entrancy discipline
         // as the plan cache above (`lock-across-emit`)
         let cached = self.fused.lock().unwrap().get(&key).cloned();
         if let Some(f) = cached {
             self.fused_hits.fetch_add(1, Ordering::Relaxed);
-            FUSED_HITS.fetch_add(1, Ordering::Relaxed);
             self.emit(|| Event::FusedMemoHit {
                 rows,
                 cols,
@@ -656,7 +606,6 @@ impl Planner {
             return (plan, f);
         }
         self.fused_misses.fetch_add(1, Ordering::Relaxed);
-        FUSED_MISSES.fetch_add(1, Ordering::Relaxed);
         self.emit(|| Event::FusedMemoMiss {
             rows,
             cols,
@@ -686,44 +635,7 @@ impl Planner {
         stages: &[Stage],
         k: usize,
     ) -> FusedProfile {
-        let mut phase_memo: HashMap<Precision, (Profile, Profile)> = HashMap::new();
-        let mut first_residual = true;
-        let profiles: Vec<Profile> = stages
-            .iter()
-            .map(|&stage| match stage {
-                Stage::Factor {
-                    rung,
-                    tiles,
-                    tile_size,
-                }
-                | Stage::Correct {
-                    rung,
-                    tiles,
-                    tile_size,
-                } => {
-                    let opts = LstsqOptions::tiled(tiles, tile_size, ExecMode::ModelOnly);
-                    let (factor, correct) = phase_memo
-                        .entry(rung)
-                        .or_insert_with(|| phase_profiles_batched(gpu, rung, k, rows, &opts))
-                        .clone();
-                    if matches!(stage, Stage::Factor { .. }) {
-                        factor
-                    } else {
-                        correct
-                    }
-                }
-                Stage::Residual { rung } => {
-                    let block = match stages[0] {
-                        Stage::Factor { tile_size, .. } => tile_size,
-                        _ => unreachable!("plans lead with Factor"),
-                    };
-                    let p =
-                        residual_profile_batched(gpu, rung, k, rows, cols, block, first_residual);
-                    first_residual = false;
-                    p
-                }
-            })
-            .collect();
+        let profiles = stage_profiles(gpu, rows, cols, stages, k);
         let mut total = Profile::new();
         for p in &profiles {
             total.absorb(p);
@@ -1014,7 +926,7 @@ mod tests {
             let rung = plan.factor_precision();
             for ts in tile_candidates(cols) {
                 let opts = LstsqOptions::tiled(cols / ts, ts, ExecMode::ModelOnly);
-                let (qr, bs) = phase_profiles(&gpu, rung, rows, &opts);
+                let (qr, bs) = phase_profiles(&gpu, rung, 1, rows, &opts);
                 let ms = qr.wall_ms() + bs.wall_ms();
                 assert!(
                     plan.predicted_ms <= ms + 1e-12,
@@ -1073,10 +985,17 @@ mod tests {
         assert_eq!(fused.predicted_ms, plan.predicted_ms);
         assert_eq!(fused.predicted_kernel_ms, plan.predicted_kernel_ms);
         assert_eq!(fused.flops_paper, plan.flops_paper);
-        // stage walls align with the plan's stages
+        // one pricer: every stage's wall and prep/compute split is the
+        // singleton plan's, exactly (the kernel total is pinned above)
         assert_eq!(fused.stage_wall_ms.len(), plan.stages.len());
-        for (w, s) in fused.stage_wall_ms.iter().zip(&plan.stages) {
-            assert!((w - s.wall_ms()).abs() < 1e-12);
+        assert_eq!(fused.stage_host_ms.len(), plan.stages.len());
+        for (i, s) in plan.stages.iter().enumerate() {
+            assert_eq!(fused.stage_wall_ms[i], s.wall_ms(), "stage {i} wall");
+            assert_eq!(
+                fused.stage_host_ms[i],
+                s.profile.lane_split_ms().0,
+                "stage {i} host split"
+            );
         }
     }
 

@@ -50,7 +50,7 @@
 //! removes a booking's unexecuted tail stages (an adaptive refinement
 //! that certified early) from the timelines, so the freed time is
 //! visible to every later dispatch — unlike the busy-only
-//! [`DevicePool::reconcile`], which fixes the utilization books but
+//! [`RebookMode::BooksOnly`], which fixes the utilization books but
 //! leaves the schedule untouched. Under [`RebookMode::Compact`] the
 //! pool additionally *slides later queued, unexecuted dispatches left*
 //! into the freed hole ([slide-left compaction]): refund causality is
@@ -350,6 +350,13 @@ impl StageBooking {
 /// schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RebookMode {
+    /// Free nothing: the skipped tail only comes off the busy books.
+    /// The *clock* keeps the booked schedule (later dispatches were
+    /// placed against it — the refund shows up as an idle gap, exactly
+    /// what the device would see), but the busy aggregate drops so
+    /// utilization and solves-per-busy-sec report what actually ran.
+    /// What [`crate::StageSchedConfig::sequential`] settles with.
+    BooksOnly,
     /// Free skipped spans only while they are still the exact lane
     /// tails — the A/B baseline of compaction.
     /// Mid-schedule holes strand.
@@ -418,7 +425,7 @@ pub struct PoolDevice {
     /// device idle (a gap before a delayed job) advances the clock but
     /// not the busy aggregate, so utilization stays honest.
     busy_ms: f64,
-    /// Booked time later handed back by [`DevicePool::reconcile`]
+    /// Booked time later handed back by [`DevicePool::rebook`]
     /// (adaptive refinement finishing under its booked pass count).
     refunded_ms: f64,
     /// Sticky loss instant: once set (via [`DevicePool::fail_device`])
@@ -452,7 +459,7 @@ impl PoolDevice {
 
     /// Simulated time this device spent solving, ms — excludes idle
     /// gaps, unlike [`PoolDevice::clock_ms`], and excludes booked time
-    /// refunded by [`DevicePool::reconcile`].
+    /// refunded by [`DevicePool::rebook`].
     pub fn busy_ms(&self) -> f64 {
         self.busy_ms
     }
@@ -963,7 +970,7 @@ impl DevicePool {
         self.live.binary_search_by_key(&id, |b| b.id).ok()
     }
 
-    /// Mark booking `id` settled: it executed (or was reconciled) and
+    /// Mark booking `id` settled: it executed and
     /// must never be moved by compaction again. The staged engines call
     /// this on every settle path that does not go through
     /// [`DevicePool::rebook`].
@@ -980,16 +987,16 @@ impl DevicePool {
         }
     }
 
-    /// Hand back a booking's tail *online*: stages `from_stage..` were
-    /// never executed (the adaptive stop certified early), so remove
-    /// their intervals from the timelines — later dispatches then book
-    /// into the freed time, which is what distinguishes re-booking from
-    /// the busy-only [`DevicePool::reconcile`]. The whole skipped tail
-    /// is written off the busy aggregate either way.
+    /// Hand back a booking's tail: stages `from_stage..` were never
+    /// executed (the adaptive stop certified early). The whole skipped
+    /// tail is written off the busy aggregate in every mode; the mode
+    /// says what happens to its *intervals*.
     ///
-    /// Under [`RebookMode::TailOnly`] only spans still at the exact
-    /// lane tail are freed (an interval another booking already landed
-    /// behind strands). Under
+    /// Under [`RebookMode::BooksOnly`] they stay booked (the refund is
+    /// an idle gap on the schedule). Under [`RebookMode::TailOnly`]
+    /// spans still at the exact lane tail are freed *online* — later
+    /// dispatches then book into the freed time — while an interval
+    /// another booking already landed behind strands. Under
     /// [`RebookMode::Compact`] every skipped span is freed wherever it
     /// sits, and later queued, unexecuted dispatches on the device
     /// slide left into the hole — never a dispatch whose device work
@@ -1018,9 +1025,11 @@ impl DevicePool {
         for s in &stages[from..] {
             refund.refunded_ms += s.wall_ms();
         }
-        {
+        // what actually came off the busy books (never more than is on them)
+        let r = {
             let d = &mut self.devices[booking.device];
             match mode {
+                RebookMode::BooksOnly => {}
                 RebookMode::TailOnly => {
                     let mut host_tail = true;
                     let mut device_tail = true;
@@ -1066,14 +1075,22 @@ impl DevicePool {
             let r = refund.refunded_ms.min(d.busy_ms);
             d.busy_ms -= r;
             d.refunded_ms += r;
-        }
+            r
+        };
         let at_ms = if from > 0 {
             stages[from - 1].end_ms()
         } else {
             stages.first().map(|s| s.start_ms()).unwrap_or(0.0)
         };
         self.mark_settled(booking.id);
-        if refund.refunded_ms > 0.0 {
+        if mode == RebookMode::BooksOnly {
+            if r > 0.0 {
+                self.emit(|| Event::Reconciled {
+                    device: booking.device,
+                    refund_ms: r,
+                });
+            }
+        } else if refund.refunded_ms > 0.0 {
             self.emit(|| Event::Refund {
                 device: booking.device,
                 from_stage: from,
@@ -1229,26 +1246,6 @@ impl DevicePool {
             }
         }
         (slid, slid_ms)
-    }
-
-    /// Hand back booked-but-unused time on device `id`: an adaptive
-    /// refinement that met its digit target early executed fewer
-    /// stages than its plan booked. The *clock* keeps the booked
-    /// schedule (later dispatches were placed against it — the refund
-    /// shows up as an idle gap, exactly what the device would see), but
-    /// the busy aggregate drops so utilization and solves-per-busy-sec
-    /// report what actually ran.
-    pub fn reconcile(&mut self, id: usize, refund_ms: f64) {
-        let d = &mut self.devices[id];
-        let r = refund_ms.max(0.0).min(d.busy_ms);
-        d.busy_ms -= r;
-        d.refunded_ms += r;
-        if r > 0.0 {
-            self.emit(|| Event::Reconciled {
-                device: id,
-                refund_ms: r,
-            });
-        }
     }
 
     /// Fail device `id` stickily at simulated time `at_ms`: the device
@@ -1495,10 +1492,12 @@ mod tests {
     }
 
     #[test]
-    fn reconcile_refunds_busy_time_not_the_clock() {
+    fn books_only_rebook_refunds_busy_time_not_the_clock() {
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-        book(&mut pool, 0, 100.0, 80.0, 0.0);
-        pool.reconcile(0, 25.0);
+        let reqs = [req(0.0, 75.0), req(0.0, 25.0)];
+        let b = pool.commit_stages(0, &reqs, 80.0, 1.0e9, 1, false, 0.0);
+        let refund = pool.rebook(&b, 1, RebookMode::BooksOnly);
+        assert_eq!((refund.refunded_ms, refund.freed_ms), (25.0, 0.0));
         // the schedule keeps the booked clock...
         assert_eq!(pool.makespan_ms(), 100.0);
         // ...but the busy aggregate reports what actually ran
@@ -1506,8 +1505,9 @@ mod tests {
         assert_eq!(s.busy_ms, 75.0);
         assert_eq!(s.refunded_ms, 25.0);
         assert!((s.utilization - 0.75).abs() < 1e-12);
-        // refunds never go negative, even on an absurd request
-        pool.reconcile(0, 1.0e9);
+        // refunds never go negative, even when a booking is (wrongly)
+        // settled twice
+        pool.rebook(&b, 0, RebookMode::BooksOnly);
         assert_eq!(pool.stats()[0].busy_ms, 0.0);
         pool.reset();
         assert_eq!(pool.devices()[0].refunded_ms(), 0.0);

@@ -7,15 +7,15 @@
 //! [`ResilienceConfig`]; this module holds the configuration and the
 //! steps the loop, the stream and the service shell share:
 //!
-//! * **Admission** (`admit_job`) — before anything is booked, every
+//! * **Admission** (`admit`) — before anything is booked, every
 //!   deadlined job is previewed against the surviving pool
 //!   ([`DevicePool::preview_stages`]). A job whose requested digits
 //!   cannot meet its deadline on *any* surviving device is down-laddered
 //!   to the cheapest precision rung that can
 //!   ([`Disposition::Degraded`], with the original request kept on
 //!   [`JobOutcome::requested_digits`]) or, when no rung fits, shed at
-//!   the door ([`Disposition::Shed`], `shed_tombstone`) instead of
-//!   burning device time on a guaranteed miss.
+//!   the door ([`Disposition::Shed`]) instead of burning device time on
+//!   a guaranteed miss.
 //! * **Sticky device loss** (`sticky_losses`) — each device model may
 //!   carry a seeded [`FaultPlan`](gpusim::FaultPlan). When a plan says
 //!   the device dies at `t`, the pool marks it lost
@@ -119,98 +119,125 @@ impl ResilienceConfig {
     }
 }
 
-/// Outcome of previewing one job against the surviving pool.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) enum AdmissionDecision {
-    /// Run as requested.
-    Admit,
-    /// Run down-laddered to this many target digits.
-    Degrade(u32),
-    /// No rung fits the deadline; the payload is the predicted
-    /// completion at the *requested* digits (the miss magnitude).
-    Shed(f64),
+/// What the admit step made of one job: run it at `digits` (`degraded`
+/// when admission just lowered them), or the tombstone of a job shed at
+/// the door.
+pub(crate) enum Admitted {
+    Run { digits: u32, degraded: bool },
+    Shed(JobOutcome),
 }
 
-/// Earliest predicted completion of a singleton solve of
-/// `rows×cols` at `digits` over the surviving devices, no earlier than
+/// The admit step of every engine (batch ingress, the stream's
+/// pop-time and loss-time previews, the service shell's dispatch):
+/// preview `job` at its *current* `digits` — the service's overload
+/// ladder may already have lowered them below `job.target_digits` —
+/// against the surviving pool no earlier than `release`, announce a
+/// down-ladder ([`Event::JobDegraded`]) or a shed ([`Event::JobShed`])
+/// and build the shed job's tombstone stamped `tomb_at` (which keeps
+/// the digits the job originally requested).
+pub(crate) fn admit(
+    pool: &DevicePool,
+    planner: &Planner,
+    job: &Job,
+    digits: u32,
+    overlap: bool,
+    release: f64,
+    tomb_at: f64,
+    cfg: &AdmissionConfig,
+) -> Admitted {
+    match admit_job(pool, planner, job, digits, overlap, release, cfg) {
+        Ok(to_digits) => {
+            let degraded = to_digits != digits;
+            if degraded {
+                pool.emit(|| Event::JobDegraded {
+                    job: job.id,
+                    from_digits: digits,
+                    to_digits,
+                });
+            }
+            Admitted::Run {
+                digits: to_digits,
+                degraded,
+            }
+        }
+        Err(predicted_end_ms) => {
+            let ev = || Event::JobShed {
+                job: job.id,
+                deadline_ms: job.deadline_ms.unwrap_or(0.0),
+                predicted_end_ms,
+            };
+            Admitted::Shed(shed_tombstone(pool, planner, job, digits, tomb_at, ev))
+        }
+    }
+}
+
+/// Earliest predicted completion of a singleton solve of `job`'s
+/// system at `digits` over the surviving devices, no earlier than
 /// `release` — the admission controller's crystal ball, the same
 /// [`DevicePool::preview_stages`] the staged dispatcher books by.
 fn earliest_end(
     pool: &DevicePool,
     planner: &Planner,
-    rows: usize,
-    cols: usize,
+    job: &Job,
     digits: u32,
     overlap: bool,
     release: f64,
 ) -> f64 {
     let mut best = f64::INFINITY;
     for d in pool.devices().iter().filter(|d| !d.is_lost()) {
-        let (plan, fused) = planner.plan_fused(&d.gpu, rows, cols, digits, 1);
+        let (plan, fused) = planner.plan_fused(&d.gpu, job.rows(), job.cols(), digits, 1);
         let reqs = fused.stage_reqs(ExecPlan::booked_stages(plan.corrections()));
         best = best.min(pool.preview_stages(d.id, &reqs, overlap, release));
     }
     best
 }
 
-/// Decide one job's fate at ingress. Deadline-free jobs always admit;
-/// a deadlined job admits at the cheapest acceptable digits — the
-/// requested digits when they fit, else (under
+/// Decide one job's fate at ingress: `Ok` with the digits to run at,
+/// or `Err` with the predicted completion at the current digits (the
+/// miss magnitude) when the job should be shed. Deadline-free jobs
+/// always run as they are; a deadlined job runs at the cheapest
+/// acceptable digits — its current `digits` when they fit, else (under
 /// [`AdmissionConfig::degrade`]) the highest cheaper rung that fits,
-/// else [`AdmissionDecision::Shed`] (under [`AdmissionConfig::shed`]).
-pub(crate) fn admit_job(
+/// else it is shed (under [`AdmissionConfig::shed`]; otherwise it runs
+/// anyway, an honest deadline miss).
+fn admit_job(
     pool: &DevicePool,
     planner: &Planner,
     job: &Job,
+    digits: u32,
     overlap: bool,
     release: f64,
     cfg: &AdmissionConfig,
-) -> AdmissionDecision {
+) -> Result<u32, f64> {
     let Some(deadline) = job.deadline_ms else {
-        return AdmissionDecision::Admit;
+        return Ok(digits);
     };
     if !cfg.enabled || pool.alive_count() == 0 {
-        return AdmissionDecision::Admit;
+        return Ok(digits);
     }
-    let requested_end = earliest_end(
-        pool,
-        planner,
-        job.rows(),
-        job.cols(),
-        job.target_digits,
-        overlap,
-        release,
-    );
+    let end_at = |digits: u32| earliest_end(pool, planner, job, digits, overlap, release);
+    let requested_end = end_at(digits);
     if requested_end <= deadline {
-        return AdmissionDecision::Admit;
+        return Ok(digits);
     }
     if cfg.degrade {
         // walk the ladder downward: the nearest cheaper rung that fits
         // loses the fewest digits
-        let requested_rung = Precision::for_digits(job.target_digits);
+        let requested_rung = Precision::for_digits(digits);
         for rung in Precision::LADDER
             .into_iter()
             .rev()
             .filter(|r| *r < requested_rung)
         {
-            let end = earliest_end(
-                pool,
-                planner,
-                job.rows(),
-                job.cols(),
-                rung.digits(),
-                overlap,
-                release,
-            );
-            if end <= deadline {
-                return AdmissionDecision::Degrade(rung.digits());
+            if end_at(rung.digits()) <= deadline {
+                return Ok(rung.digits());
             }
         }
     }
     if cfg.shed {
-        AdmissionDecision::Shed(requested_end)
+        Err(requested_end)
     } else {
-        AdmissionDecision::Admit
+        Ok(digits)
     }
 }
 
@@ -250,8 +277,8 @@ pub(crate) fn tombstone_outcome(
 /// The tombstone of a job turned away before it ran: emit `ev` (the
 /// caller's shed event), price the reference plan at `digits` on the
 /// first surviving device's model, and build the [`Disposition::Shed`]
-/// outcome stamped `at_ms` — shared by batch admission, the stream's
-/// pop-time and loss-time previews, and the service shell.
+/// outcome stamped `at_ms` — shared by [`admit`] and the service
+/// shell's queue, overload and starvation sheds.
 pub(crate) fn shed_tombstone(
     pool: &DevicePool,
     planner: &Planner,

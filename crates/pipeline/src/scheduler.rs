@@ -33,7 +33,7 @@ use crate::job::Job;
 use crate::microbatch::{dispatch_group_staged, schedule_staged, GroupDispatch, MicrobatchConfig};
 use crate::plan::ExecPlan;
 use crate::planner::Planner;
-use crate::pool::DevicePool;
+use crate::pool::{DevicePool, PoolDevice, RebookMode};
 
 /// How the scheduler picks a device for the next job.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -75,16 +75,14 @@ pub struct StageSchedConfig {
     /// gaps) on independent per-device lanes, letting the next job's
     /// factorization prep hide under the current job's device work.
     pub overlap: bool,
-    /// Re-book online: when adaptive refinement certifies early, remove
-    /// the unexecuted tail from the timelines
-    /// ([`DevicePool::rebook`]) so queued dispatches book into the
-    /// freed time, instead of only writing the tail off the busy books.
-    pub rebook: bool,
-    /// With `rebook`, use [`crate::pool::RebookMode::Compact`]: free
-    /// skipped spans even mid-schedule and slide later queued,
-    /// unexecuted dispatches left into the hole. Off = the tail-only
-    /// baseline (mid-schedule holes strand).
-    pub compact: bool,
+    /// What settlement does with the booked tail an adaptive early stop
+    /// never ran ([`DevicePool::rebook`]): write it off the busy books
+    /// only ([`RebookMode::BooksOnly`]), also free it while it is still
+    /// the lane tail so queued dispatches book into the freed time
+    /// ([`RebookMode::TailOnly`]), or free it wherever it sits and slide
+    /// later queued dispatches left into the hole
+    /// ([`RebookMode::Compact`]).
+    pub refund: RebookMode,
     /// Book the planner's *expected* pass count instead of the
     /// structural worst case; execution divergence is absorbed by
     /// re-booking (shrink) or extension (grow).
@@ -101,8 +99,7 @@ impl StageSchedConfig {
     pub fn staged() -> Self {
         StageSchedConfig {
             overlap: true,
-            rebook: true,
-            compact: true,
+            refund: RebookMode::Compact,
             book_expected: true,
             max_extra_passes: 4,
         }
@@ -114,10 +111,7 @@ impl StageSchedConfig {
     pub fn overlap_only() -> Self {
         StageSchedConfig {
             overlap: true,
-            rebook: false,
-            compact: false,
-            book_expected: false,
-            max_extra_passes: 0,
+            ..StageSchedConfig::sequential()
         }
     }
 
@@ -129,8 +123,7 @@ impl StageSchedConfig {
     pub fn sequential() -> Self {
         StageSchedConfig {
             overlap: false,
-            rebook: false,
-            compact: false,
+            refund: RebookMode::BooksOnly,
             book_expected: false,
             max_extra_passes: 0,
         }
@@ -196,39 +189,44 @@ impl From<GroupDispatch> for Dispatch {
     }
 }
 
-/// Device selection against the *stage timeline*: `end` previews the
-/// completion time of the candidate booking on each device (lane
-/// cursors, overlap, release — whatever the caller encodes), and SECT
-/// commits where that end is minimal, ties to the lowest id. The
-/// least-loaded rule keeps its earliest-idle-clock choice so the two
-/// policies stay comparable across booking modes.
+/// The place step of every engine: pick a device among the surviving
+/// devices `eligible` admits (all of them for a batch or stream
+/// dispatch, the free breaker-closed ones for the service shell, the
+/// one suspect device for its probes) and price the candidate for it.
+/// Least-loaded takes the earliest-idle clock (ties to the lowest id)
+/// and prices only the device it chose; SECT prices the candidate on
+/// every eligible device, `preview`s that priced booking on the
+/// device's stage timeline (lane cursors, overlap, release — whatever
+/// the caller encodes) and commits where the previewed end is minimal,
+/// ties to the lowest id — so what it previewed is what gets booked.
+/// `None` when no device is eligible.
 pub(crate) fn place_by_end<T>(
     pool: &DevicePool,
     policy: DispatchPolicy,
-    end: impl Fn(&crate::pool::PoolDevice) -> (T, f64),
-) -> (usize, T) {
-    assert!(!pool.is_empty(), "empty device pool");
+    eligible: impl Fn(&PoolDevice) -> bool,
+    price: impl Fn(&PoolDevice) -> T,
+    preview: impl Fn(&PoolDevice, &T) -> f64,
+) -> Option<(usize, T)> {
+    let candidates = pool
+        .devices()
+        .iter()
+        .filter(|d| !d.is_lost() && eligible(d));
     match policy {
-        DispatchPolicy::LeastLoaded => {
-            let device = pool.least_loaded();
-            let (payload, _) = end(&pool.devices()[device]);
-            (device, payload)
-        }
-        DispatchPolicy::ShortestExpectedCompletion => pool
-            .devices()
-            .iter()
-            .filter(|d| !d.is_lost())
+        DispatchPolicy::LeastLoaded => candidates
+            .min_by(|a, b| a.clock_ms().total_cmp(&b.clock_ms()).then(a.id.cmp(&b.id)))
+            .map(|d| (d.id, price(d))),
+        DispatchPolicy::ShortestExpectedCompletion => candidates
             .map(|d| {
-                let (payload, end_ms) = end(d);
+                let priced = price(d);
+                let end_ms = preview(d, &priced);
                 pool.emit(|| mdls_obs::Event::SectPreview {
                     device: d.id,
                     end_ms,
                 });
-                (end_ms, d.id, payload)
+                (end_ms, d.id, priced)
             })
             .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-            .map(|(_, id, payload)| (id, payload))
-            .expect("no surviving device in the pool"),
+            .map(|(_, id, priced)| (id, priced)),
     }
 }
 

@@ -56,17 +56,14 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::batch::{
-    emit_settled, execute_group, latency_summary, settle_staged_dispatch, turnaround_percentiles,
+    emit_settled, execute_round, latency_summary, settle_group, turnaround_percentiles,
     Disposition, JobOutcome, LatencySummary, PlannedSolve,
 };
 use crate::job::{Job, Precision, SloClass, Solution, TenantId};
-use crate::microbatch::{book_group_on, GroupDispatch};
-use crate::plan::ExecPlan;
+use crate::microbatch::{dispatch_group_where, GroupDispatch};
 use crate::planner::Planner;
-use crate::pool::DevicePool;
-use crate::resilient::{
-    admit_job, replay_transients, shed_tombstone, AdmissionConfig, AdmissionDecision,
-};
+use crate::pool::{DevicePool, PoolDevice};
+use crate::resilient::{admit, shed_tombstone, AdmissionConfig, Admitted};
 use crate::scheduler::{DispatchPolicy, JobShape, StageSchedConfig};
 use mdls_obs::Event;
 
@@ -429,8 +426,7 @@ struct TenantState {
 struct RoundEntry {
     job_idx: usize,
     tenant_idx: usize,
-    /// The job as dispatched (possibly down-laddered).
-    job: Job,
+    /// The shape as dispatched (digits possibly down-laddered).
     shape: JobShape,
     g: GroupDispatch,
     probe: bool,
@@ -472,26 +468,17 @@ impl<'a> Shell<'a> {
         fused.predicted_ms
     }
 
-    /// Tombstone job `j` as shed at `at_ms`, announcing it with `ev`.
-    fn shed_with(
-        &mut self,
-        pool: &mut DevicePool,
-        j: usize,
-        at_ms: f64,
-        ev: impl FnOnce() -> Event,
-    ) {
-        let (job, digits) = (&self.jobs[j], self.cur_digits[j]);
-        self.outcomes[j] = Some(shed_tombstone(pool, &self.planner, job, digits, at_ms, ev));
-    }
-
+    /// Tombstone job `j` as shed by the shell itself at `at_ms`
+    /// (`reason`: queue reject/evict, overload, starvation).
     fn shed_job(&mut self, pool: &mut DevicePool, j: usize, reason: &'static str, at_ms: f64) {
-        let job = &self.jobs[j];
-        self.shed_with(pool, j, at_ms, || Event::TenantShed {
+        let (job, digits) = (&self.jobs[j], self.cur_digits[j]);
+        let ev = || Event::TenantShed {
             tenant: job.tenant.0,
             job: job.id,
             at_ms,
             reason,
-        });
+        };
+        self.outcomes[j] = Some(shed_tombstone(pool, &self.planner, job, digits, at_ms, ev));
     }
 
     /// Admit due arrivals for tenant `t` into its bounded queue.
@@ -629,10 +616,10 @@ impl<'a> Shell<'a> {
         }
     }
 
-    /// The overload ladder + deadline admission for a popped job.
-    /// Returns the job clone to dispatch, or `None` when it was shed
-    /// (tombstone already recorded).
-    fn pre_dispatch(&mut self, pool: &mut DevicePool, j: usize, now: f64) -> Option<Job> {
+    /// The overload ladder + deadline admission for a popped job:
+    /// `true` to dispatch it at `cur_digits[j]`, `false` when it was
+    /// shed (tombstone already recorded).
+    fn pre_dispatch(&mut self, pool: &mut DevicePool, j: usize, now: f64) -> bool {
         let alive = pool.alive_count().max(1) as f64;
         let load_ms = self.pending_ms / alive;
         let slo = self.jobs[j].slo;
@@ -640,7 +627,7 @@ impl<'a> Shell<'a> {
         let over_degrade = load_ms > self.cfg.overload.degrade_backlog_ms;
         if over_shed && slo == SloClass::BestEffort {
             self.shed_job(pool, j, "overload", now);
-            return None;
+            return false;
         }
         if (over_shed && slo == SloClass::Standard) || (over_degrade && slo == SloClass::BestEffort)
         {
@@ -659,37 +646,24 @@ impl<'a> Shell<'a> {
                 }
             }
         }
-        let mut job = self.jobs[j].clone();
-        job.target_digits = self.cur_digits[j];
-        match admit_job(
+        match admit(
             pool,
             &self.planner,
-            &job,
+            &self.jobs[j],
+            self.cur_digits[j],
             self.cfg.sched.overlap,
+            now,
             now,
             &self.cfg.admission,
         ) {
-            AdmissionDecision::Admit => Some(job),
-            AdmissionDecision::Degrade(digits) => {
-                let (id, from) = (job.id, job.target_digits);
-                pool.emit(|| Event::JobDegraded {
-                    job: id,
-                    from_digits: from,
-                    to_digits: digits,
-                });
+            Admitted::Run { digits, degraded } => {
                 self.cur_digits[j] = digits;
-                self.degraded[j] = true;
-                job.target_digits = digits;
-                Some(job)
+                self.degraded[j] |= degraded;
+                true
             }
-            AdmissionDecision::Shed(predicted_end_ms) => {
-                let (id, deadline_ms) = (job.id, job.deadline_ms.unwrap_or(0.0));
-                self.shed_with(pool, j, now, || Event::JobShed {
-                    job: id,
-                    deadline_ms,
-                    predicted_end_ms,
-                });
-                None
+            Admitted::Shed(tombstone) => {
+                self.outcomes[j] = Some(tombstone);
+                false
             }
         }
     }
@@ -705,81 +679,52 @@ impl<'a> Shell<'a> {
         }
     }
 
-    /// Launch popped job `j` on `device`: book it there (the shared
-    /// booking step with the placement pinned — probes must land on the
-    /// suspect device), reserve its predicted cost from the tenant's
-    /// quota — so the next pick of this round sees the balance already
-    /// spent — and queue it for this round's execution.
+    /// True when `d` can take a regular (non-probe) dispatch at `now`:
+    /// idle and breaker-closed.
+    fn free(&self, d: &PoolDevice, now: f64) -> bool {
+        d.clock_ms() <= now + EPS && self.breakers[d.id].state == BreakerState::Closed
+    }
+
+    /// Launch popped job `j` through the shared dispatch step — onto a
+    /// free breaker-closed device under the configured placement
+    /// policy, or pinned to the suspect device `probe` — reserve its
+    /// predicted cost from the tenant's quota, so the next pick of this
+    /// round sees the balance already spent, and queue it for this
+    /// round's execution.
     fn launch(
         &mut self,
         pool: &mut DevicePool,
         round: &mut Vec<RoundEntry>,
         (tenant_idx, job_idx): (usize, usize),
-        job: Job,
-        device: usize,
-        probe: bool,
+        probe: Option<usize>,
         now: f64,
     ) {
-        let shape = JobShape::from(&job);
-        let slot = vec![job.id as usize];
-        let g = book_group_on(
+        let job = &self.jobs[job_idx];
+        let shape = JobShape {
+            target_digits: self.cur_digits[job_idx],
+            ..JobShape::from(job)
+        };
+        let g = dispatch_group_where(
             pool,
             &self.planner,
-            slot,
+            vec![job.id as usize],
             &shape,
-            device,
+            self.cfg.dispatch,
             &self.cfg.sched,
             now,
-        );
+            |d| probe.map_or_else(|| self.free(d, now), |suspect| d.id == suspect),
+        )
+        .expect("the dispatch round saw an eligible device");
         let cost_ms = self.cost_ms[job_idx];
         self.credit_quota(tenant_idx, -cost_ms);
         round.push(RoundEntry {
             job_idx,
             tenant_idx,
-            job,
             shape,
             g,
-            probe,
+            probe: probe.is_some(),
             cost_ms,
         });
-    }
-
-    /// Pick the device for a non-probe dispatch among the free,
-    /// breaker-closed devices.
-    fn place(&self, pool: &DevicePool, job: &Job, now: f64) -> Option<usize> {
-        let free: Vec<usize> = pool
-            .devices()
-            .iter()
-            .filter(|d| {
-                !d.is_lost()
-                    && d.clock_ms() <= now + EPS
-                    && self.breakers[d.id].state == BreakerState::Closed
-            })
-            .map(|d| d.id)
-            .collect();
-        match self.cfg.dispatch {
-            DispatchPolicy::ShortestExpectedCompletion => free
-                .into_iter()
-                .map(|d| {
-                    let (plan, fused) = self.planner.plan_fused(
-                        pool.gpu(d),
-                        job.rows(),
-                        job.cols(),
-                        job.target_digits,
-                        1,
-                    );
-                    let reqs = fused.stage_reqs(ExecPlan::booked_stages(plan.corrections()));
-                    let end = pool.preview_stages(d, &reqs, self.cfg.sched.overlap, now);
-                    (d, end)
-                })
-                .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
-                .map(|(d, _)| d),
-            _ => free
-                .into_iter()
-                .map(|d| (d, pool.devices()[d].clock_ms()))
-                .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
-                .map(|(d, _)| d),
-        }
     }
 
     /// Open `device`'s breaker at `at_ms` (quarantine via the pool's
@@ -812,6 +757,15 @@ impl<'a> Shell<'a> {
         }
     }
 
+    /// A sticky loss: fail `device` at `lost_ms` and open its breaker
+    /// with no probe timer — nothing ever re-admits it.
+    fn quarantine_for_good(&mut self, pool: &mut DevicePool, device: usize, lost_ms: f64) {
+        pool.fail_device(device, lost_ms);
+        self.breakers[device].state = BreakerState::Open {
+            until_ms: f64::INFINITY,
+        };
+    }
+
     /// Quarantine devices whose fault plan has sticky-lost them by
     /// `now` (no probe ever re-admits a sticky loss).
     fn process_sticky_losses(&mut self, pool: &mut DevicePool, now: f64) {
@@ -821,48 +775,8 @@ impl<'a> Shell<'a> {
             }
             if let Some(lost) = pool.gpu(d).fault.lost_at_ms() {
                 if lost <= now + EPS {
-                    pool.fail_device(d, lost);
-                    self.breakers[d].state = BreakerState::Open {
-                        until_ms: f64::INFINITY,
-                    };
+                    self.quarantine_for_good(pool, d, lost);
                 }
-            }
-        }
-    }
-
-    /// Execute one round's dispatches: functionally (optionally across
-    /// scoped host threads — results land in per-index slots, so the
-    /// worker count can never change bits or order) or model-only.
-    fn execute_round(&self, pool: &DevicePool, round: &[RoundEntry]) -> Vec<PlannedSolve> {
-        match self.cfg.mode {
-            ExecutionMode::ModelOnly => round
-                .iter()
-                .map(|e| PlannedSolve {
-                    x: Solution::D1(Vec::new()),
-                    residual: f64::INFINITY,
-                    corrections_run: e.g.booked_passes(),
-                })
-                .collect(),
-            ExecutionMode::Functional => {
-                let extra = self.cfg.sched.max_extra_passes;
-                let workers = self.cfg.host_workers.max(1).min(round.len().max(1));
-                let chunk = round.len().div_ceil(workers).max(1);
-                let mut solved: Vec<Option<PlannedSolve>> =
-                    (0..round.len()).map(|_| None).collect();
-                std::thread::scope(|s| {
-                    for (es, outs) in round.chunks(chunk).zip(solved.chunks_mut(chunk)) {
-                        s.spawn(move || {
-                            for (e, o) in es.iter().zip(outs.iter_mut()) {
-                                let gpu = pool.gpu(e.g.device);
-                                *o = execute_group(gpu, &[&e.job], &e.g.plan, extra).pop();
-                            }
-                        });
-                    }
-                });
-                solved
-                    .into_iter()
-                    .map(|s| s.expect("every round entry executed"))
-                    .collect()
             }
         }
     }
@@ -871,7 +785,12 @@ impl<'a> Shell<'a> {
     /// replays, breaker transitions, quota reconciliation, and the
     /// outcome. A sticky loss that interrupted the dispatch sends the
     /// job back to its queue (reservation returned) instead.
-    fn settle_entry(&mut self, pool: &mut DevicePool, mut e: RoundEntry, solved: PlannedSolve) {
+    fn settle_entry(
+        &mut self,
+        pool: &mut DevicePool,
+        mut e: RoundEntry,
+        solved: Vec<PlannedSolve>,
+    ) {
         let device = e.g.device;
         // a sticky loss inside the executed interval interrupts the
         // dispatch: quarantine, refund the live booking, re-queue
@@ -880,10 +799,7 @@ impl<'a> Shell<'a> {
                 .live_booking(e.g.booking.id)
                 .map_or(e.g.end_ms, |b| b.end_ms());
             if lost < end && !pool.devices()[device].is_lost() {
-                pool.fail_device(device, lost);
-                self.breakers[device].state = BreakerState::Open {
-                    until_ms: f64::INFINITY,
-                };
+                self.quarantine_for_good(pool, device, lost);
                 self.retried[e.job_idx] = true;
                 let t = e.tenant_idx;
                 self.tenants[t].queue.push_front(e.job_idx);
@@ -892,21 +808,21 @@ impl<'a> Shell<'a> {
                 return;
             }
         }
-        let passes_run = solved.corrections_run;
-        let (refunded, extended) =
-            settle_staged_dispatch(pool, &mut e.g, &e.shape, passes_run, &self.cfg.sched);
-
-        // transient kernel faults inside the executed interval: one
-        // backed-off replay each (time moves, bits do not), and one
-        // breaker strike each
-        let hits = replay_transients(
+        // the shared settle step: refund or extend the booking, one
+        // backed-off replay per transient kernel fault inside the
+        // executed interval (time moves, bits do not) — and one breaker
+        // strike each, below
+        let (mut settled, hits) = settle_group(
             pool,
             &mut e.g,
-            e.job.id,
+            &e.shape,
+            &[&self.jobs[e.job_idx]],
+            solved,
+            &self.cfg.sched,
             self.cfg.max_transient_retries,
             self.cfg.retry_backoff_ms,
-            self.cfg.sched.overlap,
         );
+        let mut outcome = settled.pop().expect("a group of one settles one outcome");
         self.retried[e.job_idx] |= !hits.is_empty();
         let end = e.g.end_ms;
 
@@ -948,14 +864,8 @@ impl<'a> Shell<'a> {
 
         // reconcile the dispatch-time reservation: refunds return to
         // the bucket, extensions drain it further
-        self.credit_quota(e.tenant_idx, refunded - extended);
+        self.credit_quota(e.tenant_idx, outcome.refunded_ms - outcome.extended_ms);
 
-        let model_only = self.cfg.mode == ExecutionMode::ModelOnly;
-        let shares = (refunded, extended);
-        let mut outcome = JobOutcome::assemble_group(&[&e.job], &e.g, vec![solved], shares)
-            .pop()
-            .expect("singleton group assembles one outcome");
-        outcome.requested_digits = self.jobs[e.job_idx].target_digits;
         outcome.disposition = if self.degraded[e.job_idx] {
             Disposition::Degraded
         } else if self.retried[e.job_idx] {
@@ -963,7 +873,7 @@ impl<'a> Shell<'a> {
         } else {
             Disposition::Ok
         };
-        if model_only {
+        if self.cfg.mode == ExecutionMode::ModelOnly {
             outcome.achieved_digits = 0.0;
         }
         emit_settled(pool, std::slice::from_ref(&outcome));
@@ -989,52 +899,61 @@ impl<'a> Shell<'a> {
             }
             while let Some((t, j)) = self.pick_next(pool, now, rr) {
                 progressed = true;
-                let Some(job) = self.pre_dispatch(pool, j, now) else {
+                if !self.pre_dispatch(pool, j, now) {
                     continue;
-                };
-                let at = now;
-                let id = job.id;
+                }
+                let id = self.jobs[j].id;
                 pool.emit(|| Event::CircuitProbe {
                     device: d,
                     job: id,
-                    at_ms: at,
+                    at_ms: now,
                 });
                 self.breakers[d].summary.probes += 1;
-                self.launch(pool, &mut round, (t, j), job, d, true, now);
+                self.launch(pool, &mut round, (t, j), Some(d), now);
                 break;
             }
         }
 
         // regular dispatches while free closed devices and jobs remain
-        loop {
-            let any_free = pool.devices().iter().any(|d| {
-                !d.is_lost()
-                    && d.clock_ms() <= now + EPS
-                    && self.breakers[d.id].state == BreakerState::Closed
-            });
-            if !any_free {
-                break;
-            }
+        while pool
+            .devices()
+            .iter()
+            .any(|d| !d.is_lost() && self.free(d, now))
+        {
             let Some((t, j)) = self.pick_next(pool, now, rr) else {
                 break;
             };
             progressed = true;
-            let Some(job) = self.pre_dispatch(pool, j, now) else {
-                continue;
-            };
-            let Some(device) = self.place(pool, &job, now) else {
-                // raced against nothing — defensive: put the job back
-                self.tenants[t].queue.push_front(j);
-                self.pending_ms += self.cost_ms[j];
-                break;
-            };
-            self.launch(pool, &mut round, (t, j), job, device, false, now);
+            if self.pre_dispatch(pool, j, now) {
+                self.launch(pool, &mut round, (t, j), None, now);
+            }
         }
 
         if round.is_empty() {
             return progressed;
         }
-        let solved = self.execute_round(pool, &round);
+        // execute: the shared executor across `host_workers` lanes, or
+        // the model-only stub (every booked pass "ran", nothing solved)
+        let solved: Vec<Vec<PlannedSolve>> = match self.cfg.mode {
+            ExecutionMode::ModelOnly => round
+                .iter()
+                .map(|e| {
+                    vec![PlannedSolve {
+                        x: Solution::D1(Vec::new()),
+                        residual: f64::INFINITY,
+                        corrections_run: e.g.booked_passes(),
+                    }]
+                })
+                .collect(),
+            ExecutionMode::Functional => {
+                let groups: Vec<(&GroupDispatch, Vec<&Job>)> = round
+                    .iter()
+                    .map(|e| (&e.g, vec![&self.jobs[e.job_idx]]))
+                    .collect();
+                let extra = self.cfg.sched.max_extra_passes;
+                execute_round(pool, &groups, self.cfg.host_workers, extra)
+            }
+        };
         for (e, s) in round.into_iter().zip(solved) {
             self.settle_entry(pool, e, s);
         }
@@ -1156,14 +1075,10 @@ pub fn serve(
         states[t].arrivals.push(j);
     }
 
-    let mut planner = Planner::new();
-    if let Some(obs) = pool.observer() {
-        planner.attach_observer(obs.clone());
-    }
     let mut shell = Shell {
         jobs,
         cfg,
-        planner,
+        planner: Planner::for_pool(pool),
         tenants: states,
         breakers: (0..pool.devices().len())
             .map(|d| DeviceBreaker {
@@ -1214,6 +1129,10 @@ pub fn serve(
         .map(|o| o.end_ms)
         .fold(0.0, f64::max);
 
+    let count =
+        |outs: &[&JobOutcome], d: Disposition| outs.iter().filter(|o| o.disposition == d).count();
+    let completed =
+        |outs: &[&JobOutcome]| outs.iter().filter(|o| o.disposition.completed()).count();
     let mut summaries = Vec::new();
     for ts in &shell.tenants {
         let spec = ts.spec;
@@ -1239,15 +1158,9 @@ pub fn serve(
             classes.push(ClassSummary {
                 class,
                 submitted: slice.len(),
-                completed: slice.iter().filter(|o| o.disposition.completed()).count(),
-                shed: slice
-                    .iter()
-                    .filter(|o| o.disposition == Disposition::Shed)
-                    .count(),
-                degraded: slice
-                    .iter()
-                    .filter(|o| o.disposition == Disposition::Degraded)
-                    .count(),
+                completed: completed(&slice),
+                shed: count(&slice, Disposition::Shed),
+                degraded: count(&slice, Disposition::Degraded),
                 p50_ms,
                 p99_ms,
                 p999_ms,
@@ -1257,20 +1170,11 @@ pub fn serve(
             tenant: spec.id,
             name: spec.name,
             submitted: mine.len(),
-            completed: mine.iter().filter(|o| o.disposition.completed()).count(),
-            shed: mine
-                .iter()
-                .filter(|o| o.disposition == Disposition::Shed)
-                .count(),
+            completed: completed(&mine),
+            shed: count(&mine, Disposition::Shed),
             rejected: ts.rejected,
-            degraded: mine
-                .iter()
-                .filter(|o| o.disposition == Disposition::Degraded)
-                .count(),
-            retried: mine
-                .iter()
-                .filter(|o| o.disposition == Disposition::Retried)
-                .count(),
+            degraded: count(&mine, Disposition::Degraded),
+            retried: count(&mine, Disposition::Retried),
             quota_exhaustions: ts.quota_exhaustions,
             p50_ms,
             p99_ms,

@@ -16,8 +16,9 @@
 //! Dispatch decisions are made per group at drain time under a
 //! caller-chosen [`DispatchPolicy`], so a stream interleaved with other
 //! pool usage behaves like a live service queue. Every pull runs the
-//! same steps as the batch loop on one group — admit → book
-//! ([`dispatch_group_staged`]) → execute → settle → yield — and every
+//! batch loop's own steps on one group — admit → place and book
+//! ([`dispatch_group_staged`]) → execute → settle (transient replays
+//! included, under [`RecoveryPolicy::default`]) → yield — and every
 //! constructor builds the same [`BatchStream`], differing only in the
 //! [`MicrobatchConfig`], [`StageSchedConfig`] and optional
 //! [`AdmissionConfig`] values it carries. Numerics per job are
@@ -27,12 +28,12 @@
 
 use std::collections::{BinaryHeap, VecDeque};
 
-use crate::batch::{emit_settled, execute_group, settle_staged_dispatch, Disposition, JobOutcome};
+use crate::batch::{emit_settled, execute_round, settle_group, Disposition, JobOutcome};
 use crate::job::Job;
 use crate::microbatch::{dispatch_group_staged, MicrobatchConfig};
 use crate::planner::Planner;
 use crate::pool::DevicePool;
-use crate::resilient::{admit_job, shed_tombstone, AdmissionConfig, AdmissionDecision};
+use crate::resilient::{admit, AdmissionConfig, Admitted, RecoveryPolicy};
 use crate::scheduler::{DispatchPolicy, JobShape, StageSchedConfig};
 use mdls_obs::Event;
 
@@ -178,13 +179,9 @@ pub fn solve_stream_staged<'p, I>(
 where
     I: IntoIterator<Item = Job>,
 {
-    let mut planner = Planner::new();
-    if let Some(obs) = pool.observer() {
-        planner.attach_observer(obs.clone());
-    }
     BatchStream {
+        planner: Planner::for_pool(pool),
         pool,
-        planner,
         jobs: jobs.into_iter(),
         policy,
         window: window.max(1),
@@ -254,17 +251,36 @@ where
         }
     }
 
-    /// The tombstone of a job turned away by admission — shared by the
-    /// pop-time preview and the loss-time re-preview.
-    fn shed_outcome(&mut self, job: &Job, predicted_end_ms: f64) -> JobOutcome {
-        self.dispatched += 1;
-        let ev = || Event::JobShed {
-            job: job.id,
-            deadline_ms: job.deadline_ms.unwrap_or(0.0),
-            predicted_end_ms,
-        };
-        let digits = job.target_digits;
-        shed_tombstone(self.pool, &self.planner, job, digits, job.release(), ev)
+    /// The admit step on one queued job as of `release` (see
+    /// [`admit`]): `true` to keep it — down-laddered in place when the
+    /// preview says so, remembering the requested digits — or `false`
+    /// once its shed tombstone sits in the ready queue.
+    fn admit_queued(&mut self, q: &mut QueuedJob, adm: &AdmissionConfig, release: f64) -> bool {
+        let (job, overlap) = (&q.job, self.sched.overlap);
+        let (digits, at) = (job.target_digits, job.release());
+        match admit(
+            self.pool,
+            &self.planner,
+            job,
+            digits,
+            overlap,
+            release,
+            at,
+            adm,
+        ) {
+            Admitted::Run { digits, degraded } => {
+                if degraded {
+                    q.requested_digits = q.requested_digits.or(Some(q.job.target_digits));
+                    q.job.target_digits = digits;
+                }
+                true
+            }
+            Admitted::Shed(tombstone) => {
+                self.dispatched += 1;
+                self.ready.push_back(tombstone);
+                false
+            }
+        }
     }
 
     /// Apply sticky device losses that have come due on the simulated
@@ -300,25 +316,10 @@ where
         for &(id, at) in &due {
             self.pool.fail_device(id, at);
         }
-        let overlap = self.sched.overlap;
         for mut q in std::mem::take(&mut self.buffer).into_vec() {
             let release = q.job.release().max(self.pool.min_clock_ms());
-            match admit_job(self.pool, &self.planner, &q.job, overlap, release, &adm) {
-                AdmissionDecision::Admit => self.buffer.push(q),
-                AdmissionDecision::Degrade(digits) => {
-                    self.pool.emit(|| Event::JobDegraded {
-                        job: q.job.id,
-                        from_digits: q.job.target_digits,
-                        to_digits: digits,
-                    });
-                    q.requested_digits = q.requested_digits.or(Some(q.job.target_digits));
-                    q.job.target_digits = digits;
-                    self.buffer.push(q);
-                }
-                AdmissionDecision::Shed(predicted_end) => {
-                    let o = self.shed_outcome(&q.job, predicted_end);
-                    self.ready.push_back(o);
-                }
+            if self.admit_queued(&mut q, &adm, release) {
+                self.buffer.push(q);
             }
         }
     }
@@ -343,36 +344,20 @@ where
         }
         // admit, then reorder → dispatch the most urgent admitted job...
         self.admit();
-        let queued = self.buffer.pop()?;
-        let mut job = queued.job;
+        let mut queued = self.buffer.pop()?;
         // ingress admission: preview the deadlined job against the
         // surviving pool and shed or down-ladder before anything books
-        let mut requested_digits = queued.requested_digits;
         if let Some(adm) = self.admission {
-            let floor = job.release().max(self.pool.min_clock_ms());
-            match admit_job(
-                self.pool,
-                &self.planner,
-                &job,
-                self.sched.overlap,
-                floor,
-                &adm,
-            ) {
-                AdmissionDecision::Admit => {}
-                AdmissionDecision::Degrade(digits) => {
-                    self.pool.emit(|| Event::JobDegraded {
-                        job: job.id,
-                        from_digits: job.target_digits,
-                        to_digits: digits,
-                    });
-                    requested_digits = requested_digits.or(Some(job.target_digits));
-                    job.target_digits = digits;
-                }
-                AdmissionDecision::Shed(predicted_end) => {
-                    return Some(self.shed_outcome(&job, predicted_end));
-                }
+            let floor = queued.job.release().max(self.pool.min_clock_ms());
+            if !self.admit_queued(&mut queued, &adm, floor) {
+                return self.ready.pop_front();
             }
         }
+        let QueuedJob {
+            job,
+            requested_digits,
+            ..
+        } = queued;
         let shape = JobShape::from(&job);
         // the earliest the group could possibly start: the front job's
         // arrival, or the soonest any device frees up — the reference
@@ -458,14 +443,24 @@ where
         self.dispatched += group.len();
         let members: Vec<&Job> = group.iter().collect();
         let extra = self.sched.max_extra_passes;
-        let solved = execute_group(self.pool.gpu(g.device), &members, &g.plan, extra);
+        let solved = execute_round(self.pool, &[(&g, members.clone())], 1, extra)
+            .pop()
+            .expect("one group in, one group out");
         // settle the stage booking online: refunds free the timeline
         // spans before the next dispatch ever looks (the stream pull
         // contract keeps dispatch → execute → settle sequential per
         // group, so later groups also gap-fill into compacted holes)
-        let passes_run = solved.iter().map(|s| s.corrections_run).max().unwrap_or(0);
-        let shares = settle_staged_dispatch(self.pool, &mut g, &shape, passes_run, &self.sched);
-        let mut assembled = JobOutcome::assemble_group(&members, &g, solved, shares);
+        let recovery = RecoveryPolicy::default();
+        let (mut assembled, _) = settle_group(
+            self.pool,
+            &mut g,
+            &shape,
+            &members,
+            solved,
+            &self.sched,
+            recovery.max_transient_retries,
+            recovery.backoff_ms,
+        );
         if let Some(req) = requested_digits {
             // the down-laddered job is the group's front member
             if let Some(o) = assembled.first_mut() {

@@ -4,7 +4,7 @@ use multidouble_ls::matrix::HostMat;
 use multidouble_ls::pipeline::{
     power_flow_jobs, schedule, solve_batch, solve_batch_staged, solve_batch_staged_with,
     solve_planned, solve_stream_staged, solve_stream_with, tracker_jobs, workload_mix, BatchReport,
-    DevicePool, DispatchPolicy, Job, JobOutcome, JobShape, MicrobatchConfig, Planner,
+    DevicePool, DispatchPolicy, Job, JobOutcome, JobShape, MicrobatchConfig, Planner, RebookMode,
     StageSchedConfig,
 };
 use multidouble_ls::sim::Gpu;
@@ -479,9 +479,9 @@ fn refund_jobs(count: usize, seed: u64) -> Vec<Job> {
 #[test]
 fn online_rebooking_never_worsens_makespan() {
     let mut rebook = StageSchedConfig::overlap_only();
-    rebook.rebook = true;
+    rebook.refund = RebookMode::TailOnly;
     let mut compact = rebook;
-    compact.compact = true;
+    compact.refund = RebookMode::Compact;
     let mut strict_wins = 0;
     for seed in 1u64..=2 {
         let jobs = refund_jobs(12, seed);
