@@ -43,6 +43,12 @@
 //!   ids are all monotone). One `.iter().find(..)` over a lane's
 //!   `intervals` or the `live` registry makes `serve` quadratic in run
 //!   length again.
+//! * [`ENGINE_STEP_FORK`] — the batch loop, the stream and the service
+//!   shell share one admit → place → execute → settle path; each step
+//!   has one owning function, and a second call site of a step's
+//!   primitive is how the three engines drifted apart before (the
+//!   stream settled without transient replays; the shell previewed one
+//!   booking and committed another).
 //!
 //! Suppression grammar: `// analyze::allow(lint-id): reason`. The
 //! reason is mandatory — a bare allow is itself a finding — and an
@@ -64,6 +70,7 @@ pub const NONDETERMINISTIC_FAULT_SOURCE: &str = "nondeterministic-fault-source";
 pub const UNBOUNDED_SERVICE_QUEUE: &str = "unbounded-service-queue";
 pub const ATOMIC_ON_ELEMENT_PATH: &str = "atomic-on-element-path";
 pub const POOL_LINEAR_SCAN: &str = "pool-linear-scan";
+pub const ENGINE_STEP_FORK: &str = "engine-step-fork";
 pub const BARE_ALLOW: &str = "bare-allow";
 pub const UNKNOWN_LINT: &str = "unknown-lint";
 pub const UNUSED_ALLOW: &str = "unused-allow";
@@ -159,6 +166,12 @@ pub const LINTS: &[LintDef] = &[
         scope: Scope::Only(&["pipeline"]),
         skip_tests: true,
         summary: "pool.rs finds intervals and live bookings by bisection — no .iter().find/position/all/any over `intervals` or `live`",
+    },
+    LintDef {
+        id: ENGINE_STEP_FORK,
+        scope: Scope::Only(&["pipeline"]),
+        skip_tests: true,
+        summary: "admit_job / settle_staged_dispatch / replay_transients / preview_stages / thread::scope are called only from the one function that owns that engine step",
     },
 ];
 
@@ -490,6 +503,16 @@ pub fn analyze_source(
     // so that file is the only place a scan over them can be written
     if enabled(POOL_LINEAR_SCAN) && rel.trim_start_matches("./") == "crates/pipeline/src/pool.rs" {
         lint_pool_linear_scan(rel, toks, &mut raw);
+    }
+    // pool.rs defines `preview_stages` (and plans its own bookings with
+    // it); every other pipeline source file is an engine or a step
+    if enabled(ENGINE_STEP_FORK)
+        && rel
+            .trim_start_matches("./")
+            .starts_with("crates/pipeline/src/")
+        && rel.trim_start_matches("./") != "crates/pipeline/src/pool.rs"
+    {
+        lint_engine_step_fork(rel, toks, &mut raw);
     }
 
     // drop findings of skip_tests lints that landed in test code
@@ -1297,6 +1320,87 @@ fn lint_pool_linear_scan(rel: &str, toks: &[Token], out: &mut Vec<Finding>) {
                 ),
             ));
         }
+    }
+}
+
+/// The primitives of the shared engine path and the function(s) that
+/// own the step each belongs to: admit (`resilient::admit`), place
+/// (`microbatch::dispatch_group_where` previews under SECT; admission's
+/// `earliest_end` previews a deadline), execute
+/// (`batch::execute_round`, the crate's one `thread::scope`) and settle
+/// (`batch::settle_group`).
+const ENGINE_STEPS: &[(&str, &[&str])] = &[
+    ("admit_job", &["admit"]),
+    ("settle_staged_dispatch", &["settle_group"]),
+    ("replay_transients", &["settle_group"]),
+    ("preview_stages", &["dispatch_group_where", "earliest_end"]),
+    ("scope", &["execute_round"]),
+];
+
+/// `(name, body open, body close)` of every `fn` with a body, by token
+/// index.
+fn fn_bodies(toks: &[Token]) -> Vec<(&str, usize, usize)> {
+    let mut out = Vec::new();
+    for i in 0..toks.len().saturating_sub(1) {
+        if !(toks[i].kind == TokKind::Ident && is(&toks[i], "fn"))
+            || toks[i + 1].kind != TokKind::Ident
+        {
+            continue;
+        }
+        // the signature ends at the body's `{` (or a bodiless `;`)
+        let Some(open) = (i + 2..toks.len()).find(|&j| is(&toks[j], "{") || is(&toks[j], ";"))
+        else {
+            continue;
+        };
+        if is(&toks[open], "{") {
+            out.push((toks[i + 1].text.as_str(), open, matching(toks, open)));
+        }
+    }
+    out
+}
+
+/// A call of an engine-step primitive (`name(`, or `thread::scope(`)
+/// from a function that does not own that step.
+fn lint_engine_step_fork(rel: &str, toks: &[Token], out: &mut Vec<Finding>) {
+    let bodies = fn_bodies(toks);
+    for i in 1..toks.len().saturating_sub(1) {
+        let t = &toks[i];
+        if t.kind != TokKind::Ident || !is(&toks[i + 1], "(") || is(&toks[i - 1], "fn") {
+            continue;
+        }
+        let Some((step, owners)) = ENGINE_STEPS.iter().find(|(name, _)| t.text == *name) else {
+            continue;
+        };
+        // `scope` is only the step when it is `thread::scope`
+        if *step == "scope" && !(i >= 2 && is(&toks[i - 1], "::") && is(&toks[i - 2], "thread")) {
+            continue;
+        }
+        // innermost enclosing fn
+        let owner = bodies
+            .iter()
+            .filter(|&&(_, open, close)| open < i && i < close)
+            .max_by_key(|&&(_, open, _)| open)
+            .map(|&(name, _, _)| name);
+        if owner.is_some_and(|f| owners.contains(&f)) {
+            continue;
+        }
+        let call = if *step == "scope" {
+            "thread::scope"
+        } else {
+            step
+        };
+        out.push(Finding::new(
+            rel,
+            t.line,
+            ENGINE_STEP_FORK,
+            format!(
+                "`{call}(..)` called from `{}` — that engine step is owned by `{}`; the \
+                 batch loop, the stream and the service shell go through the owner, never \
+                 around it",
+                owner.unwrap_or("<module>"),
+                owners.join("`/`"),
+            ),
+        ));
     }
 }
 

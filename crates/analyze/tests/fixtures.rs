@@ -81,6 +81,8 @@ const ATOMIC_TRIP: &str = include_str!("fixtures/atomic_element_trip.rs");
 const ATOMIC_CLEAN: &str = include_str!("fixtures/atomic_element_clean.rs");
 const POOL_SCAN_TRIP: &str = include_str!("fixtures/pool_scan_trip.rs");
 const POOL_SCAN_CLEAN: &str = include_str!("fixtures/pool_scan_clean.rs");
+const ENGINE_STEP_TRIP: &str = include_str!("fixtures/engine_step_trip.rs");
+const ENGINE_STEP_CLEAN: &str = include_str!("fixtures/engine_step_clean.rs");
 
 #[test]
 fn map_iteration_trips_and_cleans() {
@@ -277,6 +279,37 @@ fn pool_linear_scan_is_path_scoped() {
     check_clean("service.rs", "pipeline", POOL_SCAN_TRIP);
     let got = analyze_str("crates/bench/src/pool.rs", "bench", POOL_SCAN_TRIP);
     assert!(got.is_empty(), "bench is out of scope: {got:?}");
+}
+
+#[test]
+fn engine_step_fork_trips_and_cleans() {
+    check_at(
+        "crates/pipeline/src/stream.rs",
+        "pipeline",
+        ENGINE_STEP_TRIP,
+    );
+    assert_eq!(expected(ENGINE_STEP_TRIP).len(), 6, "marker count drifted");
+    let got = analyze_str(
+        "crates/pipeline/src/batch.rs",
+        "pipeline",
+        ENGINE_STEP_CLEAN,
+    );
+    assert!(got.is_empty(), "clean fixture should be clean: {got:?}");
+}
+
+#[test]
+fn engine_step_fork_is_path_scoped() {
+    // pool.rs defines `preview_stages` and plans its own bookings with
+    // it; tests and other crates drive the primitives freely
+    let scoped_out = [
+        ("crates/pipeline/src/pool.rs", "pipeline"),
+        ("crates/pipeline/tests/service.rs", "pipeline"),
+        ("crates/bench/src/throughput.rs", "bench"),
+    ];
+    for (rel, krate) in scoped_out {
+        let got = analyze_str(rel, krate, ENGINE_STEP_TRIP);
+        assert!(got.is_empty(), "`{rel}` is out of scope: {got:?}");
+    }
 }
 
 #[test]

@@ -137,16 +137,6 @@ pub enum Event {
         dev_start_ms: f64,
         dev_end_ms: f64,
     },
-    /// A whole-plan commitment of `jobs` fused jobs on `device`'s
-    /// compute lane. The pipeline books every dispatch stage by stage
-    /// ([`Event::StageBooked`]) and emits none of these; the variant
-    /// stays for external observers that match on it.
-    PlanSpan {
-        device: usize,
-        jobs: usize,
-        start_ms: f64,
-        end_ms: f64,
-    },
     /// An online re-book freed `device`'s lanes from plan stage
     /// `from_stage`: `freed_ms` of booked wall clock came off the
     /// timelines (the booking's executed work ends at `at_ms`),
@@ -202,8 +192,8 @@ pub enum Event {
     },
     /// `device`'s lanes were held to `until_ms` for a not-yet-arrived
     /// release time. The pipeline passes release times as the booking's
-    /// `not_before` bound and emits none of these; the variant stays for
-    /// external observers that match on it.
+    /// `not_before` bound and emits none of these.
+    // No emitter, but it stays: `benchmark/src/spans.rs` (frozen) matches it.
     Held { device: usize, until_ms: f64 },
     /// An adaptive job stalled above target and extended one
     /// correction pass past its plan (`pass` is 1-based); the extra

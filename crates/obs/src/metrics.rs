@@ -335,7 +335,6 @@ impl Metrics {
                 }
                 Event::Device { .. }
                 | Event::StageBooked { .. }
-                | Event::PlanSpan { .. }
                 | Event::StagingWorker { .. }
                 | Event::StagingBooked { .. } => {}
             }

@@ -163,21 +163,6 @@ pub fn chrome_trace(events: &[Event]) -> String {
                     &args,
                 );
             }
-            Event::PlanSpan {
-                device,
-                jobs,
-                start_ms,
-                end_ms,
-            } => {
-                lines.slice(
-                    device,
-                    TID_COMPUTE,
-                    &format!("solve x{jobs}"),
-                    start_ms,
-                    end_ms,
-                    &format!("\"jobs\":{jobs}"),
-                );
-            }
             Event::Refund {
                 device,
                 from_stage,
@@ -451,11 +436,16 @@ mod tests {
                 dev_start_ms: 0.4,
                 dev_end_ms: 1.9,
             },
-            Event::PlanSpan {
+            Event::StageBooked {
                 device: 1,
-                jobs: 3,
-                start_ms: 0.0,
-                end_ms: 2.5,
+                job: 8,
+                stage: 1,
+                kind: StageKind::Correct,
+                rung: "d2",
+                host_start_ms: 0.0,
+                host_end_ms: 0.3,
+                dev_start_ms: 0.3,
+                dev_end_ms: 2.5,
             },
             Event::Refund {
                 device: 0,
@@ -471,7 +461,7 @@ mod tests {
     fn export_round_trips_and_names_every_lane() {
         let doc = chrome_trace(&sample());
         let slices = validate_trace(&doc, 2).expect("trace must validate");
-        assert_eq!(slices, 3, "factor prep + factor compute + plan span");
+        assert_eq!(slices, 4, "prep + compute of the factor and of the correct");
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! it takes a device pool and a batch of [`Job`]s, books every fused
 //! group on the pool's stage timelines (see [`crate::microbatch`]),
 //! runs each group's [`ExecPlan`] through the **stage interpreter**
-//! ([`solve_planned`] and friends), settles bookings against what
-//! execution actually ran, and returns per-job outcomes plus pool-level
-//! throughput. Three config axes select behaviour, never a different
+//! ([`solve_planned_fused_with`] — a lone job is a group of one),
+//! settles bookings against what execution actually ran, and returns
+//! per-job outcomes plus pool-level throughput. This module also owns
+//! the execute and settle steps every engine shares (`execute_round`,
+//! `settle_group`). Three config axes select behaviour, never a different
 //! code path: [`MicrobatchConfig`] (what fuses), [`StageSchedConfig`]
 //! (how stages book and re-book — [`solve_batch`] is the loop at
 //! [`StageSchedConfig::sequential`]), and [`ResilienceConfig`]
@@ -138,7 +140,7 @@ pub struct JobOutcome {
     pub corrections_run: usize,
     /// This job's equal share of the booked stage time its whole
     /// dispatch group provably skipped, ms (see
-    /// [`DevicePool::rebook`] / [`DevicePool::reconcile`]). A fused
+    /// [`DevicePool::rebook`]). A fused
     /// launch runs as long as *any* member still iterates, so a pass is
     /// refundable only once every sibling has stopped — a member that
     /// finishes early while siblings continue refunds nothing for the
@@ -426,13 +428,16 @@ fn fingerprint(a: &HostMat<f64>) -> u64 {
 /// (each paying one extra miss); whichever insert lands last wins, and
 /// every result is identical.
 fn promoted_matrix<S: MdReal>(a: &HostMat<f64>) -> Arc<HostMat<S>> {
+    let promote = || {
+        Arc::new(HostMat::<S>::from_fn(a.rows, a.cols, |r, c| {
+            S::from_f64(a.get(r, c))
+        }))
+    };
     if S::LIMBS == 1 {
         // f64 → f64 "promotion" is an identity copy that costs exactly
         // what the cache's fingerprint + verification compare would —
         // caching it saves nothing and would double-store the matrix
-        return Arc::new(HostMat::<S>::from_fn(a.rows, a.cols, |r, c| {
-            S::from_f64(a.get(r, c))
-        }));
+        return promote();
     }
     let fp = fingerprint(a);
     let key = (fp, TypeId::of::<S>());
@@ -459,9 +464,7 @@ fn promoted_matrix<S: MdReal>(a: &HostMat<f64>) -> Arc<HostMat<S>> {
         }
     }
     PROMO_MISSES.fetch_add(1, Ordering::Relaxed);
-    let promoted = Arc::new(HostMat::<S>::from_fn(a.rows, a.cols, |r, c| {
-        S::from_f64(a.get(r, c))
-    }));
+    let promoted = promote();
     if !second_sighting {
         return promoted; // first sighting: promote, don't cache
     }
@@ -862,17 +865,15 @@ fn settle_staged_dispatch(
             g.end_ms = g.booking.stages[from - 1].end_ms();
         }
         (refund.refunded_ms / k, 0.0)
-    } else if passes_run == booked {
-        pool.mark_settled(g.booking.id);
-        (0.0, 0.0)
     } else {
-        // grow the booking pass by pass: each extra pass replays the
-        // plan's steady-state residual/correct pair at the earliest
-        // fit no sooner than the executed end of the booking so far
+        // ran what was booked, or more: grow the booking pass by pass —
+        // each extra pass replays the plan's steady-state
+        // residual/correct pair at the earliest fit no sooner than the
+        // executed end of the booking so far
         pool.mark_settled(g.booking.id);
-        let pair = g.fused.extension_reqs();
         let mut extended = 0.0;
         for pass in booked..passes_run {
+            let pair = g.fused.extension_reqs();
             let ext = pool.commit_stages(g.device, &pair, 0.0, 0.0, 0, sched.overlap, g.end_ms);
             pool.mark_settled(ext.id);
             pool.emit(|| Event::PassExtended {
@@ -1047,7 +1048,7 @@ pub(crate) fn run_batch(
                 }
             }
             Admitted::Shed(tombstone) => {
-                outcomes[i] = Some(tombstone);
+                outcomes[i] = Some(*tombstone);
                 continue;
             }
         }
@@ -1458,6 +1459,32 @@ mod tests {
                     o.job_id, t.job_id
                 );
             }
+        }
+    }
+
+    #[test]
+    fn group_of_one_interprets_like_the_front_member_of_a_group() {
+        // the interpreter twin of `fused_group_of_one_prices_the_
+        // singleton_plan`: a lone job is a group of one, so interpreting
+        // it alone equals riding first in a larger fused group — bits,
+        // residual and pass count — on a direct and a refinement plan
+        let gpu = Gpu::v100();
+        let planner = Planner::new();
+        for (digits, direct) in [(12, true), (50, false)] {
+            let mut jobs = fusible_jobs(3, 92);
+            jobs.retain(|j| j.cols() == 12);
+            for j in &mut jobs {
+                j.target_digits = digits;
+            }
+            let plan = planner.plan(&gpu, 12, 12, digits);
+            assert_eq!(plan.is_direct(), direct, "{}", plan.summary());
+            let members: Vec<&Job> = jobs.iter().collect();
+            assert!(members.len() > 1);
+            let front = &solve_planned_fused_with(&gpu, &members, &plan, 2)[0];
+            let alone = solve_planned_traced_with(&gpu, members[0], &plan, 2);
+            assert_eq!(alone.x, front.x, "d{digits}: group size changed the bits");
+            assert_eq!(alone.residual, front.residual);
+            assert_eq!(alone.corrections_run, front.corrections_run);
         }
     }
 

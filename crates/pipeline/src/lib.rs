@@ -16,6 +16,21 @@
 //! ([`solve_stream`], [`solve_stream_with`], [`solve_stream_staged`],
 //! [`solve_stream_admitted`]) is a constructor of the one
 //! [`BatchStream`], which runs the same steps one group per pull.
+//!
+//! **A singleton is a group of one, and a dispatched group is handled
+//! one way.** The fused group is the unit of work: the planner prices
+//! a lone job as the `k = 1` group, the interpreter runs it as one
+//! ([`solve_planned_traced_with`] *is* [`solve_planned_fused_with`] of
+//! one job), and once a driver — the batch loop, the stream, [`serve`]
+//! — has decided *which group, which devices are eligible, at what
+//! instant*, all three share one admit → place → execute → settle
+//! path, each step owned by one function (`resilient::admit`,
+//! `microbatch::dispatch_group_where`, `batch::execute_round`,
+//! `batch::settle_group`). What stays per driver is what genuinely
+//! differs: whole-queue LPT booking and offline loss recovery (batch),
+//! the reorder window and loss-time re-preview (stream), DRR, quotas,
+//! the overload ladder, breakers and re-queueing ([`serve`]).
+//!
 //! Behaviour is selected by three **config values**, never by a
 //! different code path:
 //!
@@ -36,7 +51,7 @@
 //!   a pool-wide resource ([`HostStagingPool`]).
 //!   [`StageSchedConfig::sequential`] tiles a dispatch's stages into
 //!   one contiguous interval and only writes refunds off the busy books
-//!   ([`DevicePool::reconcile`]) — what [`solve_batch`] and
+//!   ([`RebookMode::BooksOnly`]) — what [`solve_batch`] and
 //!   [`solve_stream`] use. [`StageSchedConfig::staged`] overlaps the
 //!   next job's factorization prep under the current job's
 //!   residual/correct passes (40%+ makespan cuts on refinement-heavy
@@ -81,9 +96,11 @@
 //!    device's timeline), then book its stages
 //!    ([`dispatch_group_staged`]; [`dispatch_one`] and [`schedule`] are
 //!    the single-job, contiguous-booking forms).
-//! 4. **The stage interpreter** ([`batch`]) — [`solve_planned`] and
-//!    friends execute a plan functionally; refinement passes stop
-//!    adaptively once the measured residual certifies the target.
+//! 4. **The stage interpreter** ([`batch`]) —
+//!    [`solve_planned_fused_with`] executes one plan over a group of
+//!    same-shaped jobs functionally ([`solve_planned_traced_with`] and
+//!    [`solve_planned`] are its group-of-one views); refinement passes
+//!    stop adaptively once the measured residual certifies the target.
 //! 5. **Multi-tenant service shell** ([`service`]) — [`serve`] fronts
 //!    the same booking, execution and settlement steps for many callers
 //!    at once: per-tenant *bounded* ingress queues with a
@@ -116,10 +133,12 @@
 //! | deadlines that shed/down-ladder, fault recovery | `solve_batch_resilient(p, j, pol, &micro, &sched, &ResilienceConfig::default())` |
 //! | stream with a reorder window | `solve_stream_with(p, j, pol, w)`; explicit configs: `solve_stream_staged(p, j, pol, w, micro, sched)` |
 //! | one model-only dispatch / a whole model-only schedule | `dispatch_group_staged(p, pl, jobs, s, pol, &sched, release)` / `schedule_staged(p, pl, shapes, pol, &micro, &sched)` |
+//! | interpret one plan yourself (a singleton is a group of one) | `solve_planned_fused_with(gpu, &jobs, &plan, extra_passes)`; one job: `solve_planned_traced_with(gpu, job, &plan, 0)` |
+//! | hand back a booking's unexecuted tail | `pool.rebook(&booking, from_stage, RebookMode::BooksOnly \| TailOnly \| Compact)` |
 //! | one opaque interval on a device timeline | `commit_stages(id, &[StageReq { host_ms: 0.0, device_ms: wall }], k, f, n, false, not_before)` |
 //!
-//! (CHANGES.md, PR 12, maps every entry point that was folded into
-//! these onto its replacement call.)
+//! (CHANGES.md, PRs 12 and 15, map every entry point that was folded
+//! into these onto its replacement call.)
 //!
 //! **Observability** ([`mdls_obs`], re-exported as `obs` from the
 //! workspace root): attach any [`mdls_obs::Observer`] to a pool via

@@ -324,21 +324,14 @@ pub fn schedule_staged(
 ) -> Vec<GroupDispatch> {
     let groups = plan_groups(planner, shapes, cfg);
     let order = placement_order(pool, planner, shapes, &groups, policy);
-    let mut dispatched: Vec<Option<GroupDispatch>> = Vec::new();
-    dispatched.resize_with(groups.len(), || None);
+    let mut dispatched: Vec<(usize, GroupDispatch)> = Vec::with_capacity(order.len());
     for &gi in &order {
-        let shape = shapes[groups[gi][0]];
-        dispatched[gi] = Some(dispatch_group_staged(
-            pool,
-            planner,
-            groups[gi].clone(),
-            &shape,
-            policy,
-            sched,
-            0.0,
-        ));
+        let (jobs, shape) = (groups[gi].clone(), shapes[groups[gi][0]]);
+        let g = dispatch_group_staged(pool, planner, jobs, &shape, policy, sched, 0.0);
+        dispatched.push((gi, g));
     }
-    dispatched.into_iter().map(|d| d.unwrap()).collect()
+    dispatched.sort_by_key(|(gi, _)| *gi);
+    dispatched.into_iter().map(|(_, g)| g).collect()
 }
 
 #[cfg(test)]

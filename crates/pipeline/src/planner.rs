@@ -292,22 +292,17 @@ fn stage_profiles(gpu: &Gpu, rows: usize, cols: usize, stages: &[Stage], k: usiz
 
 impl Planner {
     /// Fresh planner with an empty memo table, tuning plan structures
-    /// on the paper's V100 reference model.
+    /// on the paper's V100 reference model. Every planner shares that
+    /// reference and therefore produces the same structures — and the
+    /// same bits — for the same jobs.
     pub fn new() -> Self {
-        Planner::with_reference(Gpu::v100())
-    }
-
-    /// Fresh planner tuning plan structures on an explicit reference
-    /// model. Every planner sharing a reference produces the same
-    /// structures — and therefore the same bits — for the same jobs.
-    pub fn with_reference(reference: Gpu) -> Self {
         Planner {
             cache: Mutex::new(HashMap::new()),
             tilings: Mutex::new(HashMap::new()),
             strategies: Mutex::new(HashMap::new()),
             fused: Mutex::new(HashMap::new()),
             group_sizes: Mutex::new(HashMap::new()),
-            reference,
+            reference: Gpu::v100(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             fused_hits: AtomicU64::new(0),

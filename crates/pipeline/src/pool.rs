@@ -688,16 +688,16 @@ impl DevicePool {
         self.devices[id].gpu.fault = plan;
     }
 
-    /// Id of the least-loaded *surviving* device: the earliest-idle
-    /// clock, ties to the lowest id (deterministic dispatch). Lost
-    /// devices never take new work.
-    pub fn least_loaded(&self) -> usize {
+    /// Id of the least-loaded *surviving* device among those `eligible`
+    /// admits: the earliest-idle clock, ties to the lowest id
+    /// (deterministic dispatch). Lost devices never take new work;
+    /// `None` when no surviving device is eligible.
+    pub fn least_loaded_where(&self, eligible: impl Fn(&PoolDevice) -> bool) -> Option<usize> {
         self.devices
             .iter()
-            .filter(|d| !d.is_lost())
+            .filter(|d| !d.is_lost() && eligible(d))
             .min_by(|a, b| a.clock_ms().total_cmp(&b.clock_ms()).then(a.id.cmp(&b.id)))
-            .expect("no surviving device in the pool")
-            .id
+            .map(|d| d.id)
     }
 
     /// Number of devices still alive (never failed).
@@ -1250,8 +1250,8 @@ impl DevicePool {
 
     /// Fail device `id` stickily at simulated time `at_ms`: the device
     /// executes nothing past that instant for the rest of the run.
-    /// Placement ([`DevicePool::least_loaded`] and the scheduler's SECT
-    /// arms) skips lost devices from here on.
+    /// Placement ([`DevicePool::least_loaded_where`] and the scheduler's
+    /// SECT arm) skips lost devices from here on.
     ///
     /// Bookings on the device that complete at or before `at_ms` are
     /// untouched — they ran before the loss. Every later live booking
@@ -1441,13 +1441,13 @@ mod tests {
     #[test]
     fn least_loaded_prefers_earliest_then_lowest_id() {
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 3);
-        assert_eq!(pool.least_loaded(), 0);
+        assert_eq!(pool.least_loaded_where(|_| true), Some(0));
         book(&mut pool, 0, 10.0, 8.0, 0.0);
-        assert_eq!(pool.least_loaded(), 1);
+        assert_eq!(pool.least_loaded_where(|_| true), Some(1));
         book(&mut pool, 1, 4.0, 3.0, 0.0);
         book(&mut pool, 2, 4.0, 3.0, 0.0);
         // devices 1 and 2 tie at 4.0 ms: lowest id wins
-        assert_eq!(pool.least_loaded(), 1);
+        assert_eq!(pool.least_loaded_where(|_| true), Some(1));
     }
 
     #[test]
@@ -1534,7 +1534,7 @@ mod tests {
         assert!((report.lost_refund_ms - (7.0 + 6.0)).abs() < 1e-12);
         assert!(pool.devices()[0].is_lost());
         assert_eq!(pool.alive_count(), 1);
-        assert_eq!(pool.least_loaded(), 1);
+        assert_eq!(pool.least_loaded_where(|_| true), Some(1));
         // the completed booking's spans survive; the interrupted ones
         // are gone from the dead device's lanes
         assert_eq!(

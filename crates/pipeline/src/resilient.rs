@@ -124,7 +124,7 @@ impl ResilienceConfig {
 /// the door.
 pub(crate) enum Admitted {
     Run { digits: u32, degraded: bool },
-    Shed(JobOutcome),
+    Shed(Box<JobOutcome>),
 }
 
 /// The admit step of every engine (batch ingress, the stream's
@@ -166,7 +166,9 @@ pub(crate) fn admit(
                 deadline_ms: job.deadline_ms.unwrap_or(0.0),
                 predicted_end_ms,
             };
-            Admitted::Shed(shed_tombstone(pool, planner, job, digits, tomb_at, ev))
+            Admitted::Shed(Box::new(shed_tombstone(
+                pool, planner, job, digits, tomb_at, ev,
+            )))
         }
     }
 }

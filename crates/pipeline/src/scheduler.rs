@@ -207,15 +207,14 @@ pub(crate) fn place_by_end<T>(
     price: impl Fn(&PoolDevice) -> T,
     preview: impl Fn(&PoolDevice, &T) -> f64,
 ) -> Option<(usize, T)> {
-    let candidates = pool
-        .devices()
-        .iter()
-        .filter(|d| !d.is_lost() && eligible(d));
     match policy {
-        DispatchPolicy::LeastLoaded => candidates
-            .min_by(|a, b| a.clock_ms().total_cmp(&b.clock_ms()).then(a.id.cmp(&b.id)))
-            .map(|d| (d.id, price(d))),
-        DispatchPolicy::ShortestExpectedCompletion => candidates
+        DispatchPolicy::LeastLoaded => pool
+            .least_loaded_where(eligible)
+            .map(|id| (id, price(&pool.devices()[id]))),
+        DispatchPolicy::ShortestExpectedCompletion => pool
+            .devices()
+            .iter()
+            .filter(|d| !d.is_lost() && eligible(d))
             .map(|d| {
                 let priced = price(d);
                 let end_ms = preview(d, &priced);

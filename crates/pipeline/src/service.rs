@@ -49,9 +49,17 @@
 //! transitions and settlement all run on the main thread in a fixed
 //! order keyed only on simulated time and tenant/job indices.
 //! Functional execution of a dispatch round may fan out across
-//! [`ServiceConfig::host_workers`] scoped threads, but results land in
-//! per-index slots and settlement replays them in dispatch order — the
-//! report is bit-identical across runs *and* across worker counts.
+//! [`ServiceConfig::host_workers`] lanes of the shared executor, but
+//! results come back in dispatch order and settlement replays them in
+//! that order — the report is bit-identical across runs *and* across
+//! worker counts.
+//!
+//! The shell owns *which job, which devices are eligible, at what
+//! instant*; what happens to a dispatched job after that — admission
+//! preview, placement and booking, execution, settlement — is the path
+//! the batch loop and the stream run too (`resilient::admit`,
+//! `microbatch::dispatch_group_where`, `batch::execute_round`,
+//! `batch::settle_group`): a job here is a group of one.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -662,7 +670,7 @@ impl<'a> Shell<'a> {
                 true
             }
             Admitted::Shed(tombstone) => {
-                self.outcomes[j] = Some(tombstone);
+                self.outcomes[j] = Some(*tombstone);
                 false
             }
         }

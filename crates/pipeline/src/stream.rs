@@ -277,7 +277,7 @@ where
             }
             Admitted::Shed(tombstone) => {
                 self.dispatched += 1;
-                self.ready.push_back(tombstone);
+                self.ready.push_back(*tombstone);
                 false
             }
         }

@@ -9,9 +9,9 @@ use gpusim::{FaultPlan, Gpu};
 use mdls_matrix::HostMat;
 use mdls_pipeline::batch::Disposition;
 use mdls_pipeline::{
-    dispatch_group_staged, solve_batch_resilient, solve_stream_admitted, AdmissionConfig,
-    DevicePool, DispatchPolicy, ExecPlan, Job, JobShape, MicrobatchConfig, Planner,
-    ResilienceConfig, StageSchedConfig,
+    dispatch_group_staged, solve_batch_resilient, solve_stream_admitted, solve_stream_staged,
+    AdmissionConfig, DevicePool, DispatchPolicy, ExecPlan, Job, JobOutcome, JobShape,
+    MicrobatchConfig, Planner, ResilienceConfig, StageSchedConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -376,4 +376,75 @@ fn admitted_stream_re_previews_buffer_after_device_loss() {
     if v.disposition == Disposition::Shed {
         assert!(v.residual.is_infinite());
     }
+}
+
+/// Regression: the stream settled its groups without the transient
+/// replay step the batch loop and the service shell run, so on a pool
+/// whose fault plan carries transients it booked no replay, never
+/// reported [`Disposition::Retried`] and finished early. All three
+/// engines now settle through one step. Every transient here falls
+/// inside the first job's executed interval — which the stream and the
+/// batch loop both book at `[0, first)` on the one device — so the two
+/// must agree on exactly which jobs replayed.
+#[test]
+fn stream_replays_transients_like_the_batch_loop() {
+    let jobs = diag_jobs(5, 8, 25, 0x57a7);
+    let micro = MicrobatchConfig::off();
+    let sched = StageSchedConfig::sequential();
+    let first = Planner::new()
+        .plan_fused(&Gpu::v100(), 8, 8, 25, 1)
+        .1
+        .predicted_ms;
+    let faults = FaultPlan::seeded(11, 0.5 * first, first / 8.0);
+    assert!(!faults.transients().is_empty(), "vacuous: a quiet plan");
+    let pool = |noisy: bool| {
+        let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
+        if noisy {
+            pool.set_fault_plan(0, faults.clone());
+        }
+        pool
+    };
+    let stream = |noisy: bool| -> Vec<JobOutcome> {
+        let policy = DispatchPolicy::LeastLoaded;
+        solve_stream_staged(&mut pool(noisy), jobs.clone(), policy, 1, micro, sched).collect()
+    };
+    let quiet = stream(false);
+    let streamed = stream(true);
+    let batched = solve_batch_resilient(
+        &mut pool(true),
+        &jobs,
+        DispatchPolicy::LeastLoaded,
+        &micro,
+        &sched,
+        &ResilienceConfig::default(),
+    )
+    .outcomes;
+
+    let retried = |outcomes: &[JobOutcome]| -> Vec<u64> {
+        outcomes
+            .iter()
+            .filter(|o| o.disposition == Disposition::Retried)
+            .map(|o| o.job_id)
+            .collect()
+    };
+    assert_eq!(
+        retried(&streamed),
+        vec![0],
+        "the stream dropped a transient"
+    );
+    assert_eq!(retried(&streamed), retried(&batched));
+    assert!(retried(&quiet).is_empty());
+    for ((q, s), b) in quiet.iter().zip(&streamed).zip(&batched) {
+        assert_eq!((q.job_id, b.job_id), (s.job_id, s.job_id));
+        assert_eq!(q.x, s.x, "job {}: a replay changed the bits", q.job_id);
+        assert_eq!(q.x, b.x);
+        if s.disposition == Disposition::Retried {
+            // a replay books strictly after the settled end
+            assert!(s.end_ms > q.end_ms, "job {}: a free retry", s.job_id);
+        } else {
+            assert_eq!(s.disposition, Disposition::Ok);
+        }
+    }
+    // and the stream, like the batch loop, finishes later for it
+    assert!(streamed.last().unwrap().end_ms > quiet.last().unwrap().end_ms);
 }

@@ -5,7 +5,8 @@
 //! round, the service loop is bit- and
 //! schedule-deterministic across runs and host worker counts, and a
 //! tripped circuit breaker keeps non-probe work off the quarantined
-//! device until a probe succeeds.
+//! device until a probe succeeds, and under shortest-expected-completion
+//! placement the booking the shell commits is the one it previewed.
 
 use std::sync::Arc;
 
@@ -14,8 +15,8 @@ use mdls_matrix::HostMat;
 use mdls_obs::{Event, Recorder};
 use mdls_pipeline::batch::Disposition;
 use mdls_pipeline::{
-    serve, Backpressure, BreakerConfig, DevicePool, ExecutionMode, Job, ServiceConfig,
-    ServicePolicy, ServiceReport, SloClass, TenantId, TenantSpec,
+    serve, Backpressure, BreakerConfig, DevicePool, DispatchPolicy, ExecutionMode, Job,
+    ServiceConfig, ServicePolicy, ServiceReport, SloClass, TenantId, TenantSpec,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -304,4 +305,83 @@ fn quarantined_device_gets_no_nonprobe_dispatches_until_probe_succeeds() {
             .any(|e| matches!(e, Event::StageBooked { device: 1, .. })),
         "re-admitted device must receive work again"
     );
+}
+
+/// Regression: under shortest-expected-completion the shell used to
+/// rank devices by previewing the plan's *structural* pass count and
+/// then book the *expected* one — its preview was not what it
+/// committed. Placement is now the shared dispatch step, where the
+/// priced request that wins the preview is the request that is booked:
+/// for every dispatch, the smallest previewed end equals the end of
+/// the booking that follows, bit for bit. Deterministic across repeats.
+#[test]
+fn sect_dispatch_books_what_it_previewed() {
+    let t1 = TenantId(1);
+    let t2 = TenantId(2);
+    // refinement plans (expected passes < structural passes) on a
+    // heterogeneous pool, arriving faster than one device drains them
+    let mut jobs = diag_jobs(30, 0, 50, 0x5ec7, t1, SloClass::Standard, 2.0);
+    jobs.extend(diag_jobs(30, 100, 30, 0x5ec8, t2, SloClass::Standard, 3.0));
+    let specs = [TenantSpec::new(t1, "alpha"), TenantSpec::new(t2, "beta")];
+    let cfg = ServiceConfig {
+        mode: ExecutionMode::ModelOnly,
+        dispatch: DispatchPolicy::ShortestExpectedCompletion,
+        ..ServiceConfig::default()
+    };
+    let run = || {
+        let mut pool = DevicePool::new(vec![Gpu::v100(), Gpu::p100()]);
+        let recorder = Arc::new(Recorder::new());
+        pool.attach_observer(recorder.clone());
+        let report = serve(&mut pool, &jobs, &specs, &cfg);
+        (report, recorder.events())
+    };
+    let (report, events) = run();
+    assert!(report.outcomes.iter().all(|o| o.disposition.completed()));
+
+    // split the stream into decisions: a run of previews, then the
+    // stage intervals of the booking they led to
+    let mut decisions: Vec<(Vec<f64>, f64)> = Vec::new();
+    let mut previews: Vec<f64> = Vec::new();
+    let mut booked_end: Option<f64> = None;
+    for ev in &events {
+        match ev {
+            Event::SectPreview { end_ms, .. } => {
+                if let Some(end) = booked_end.take() {
+                    decisions.push((std::mem::take(&mut previews), end));
+                }
+                previews.push(*end_ms);
+            }
+            Event::StageBooked { dev_end_ms, .. } => booked_end = Some(*dev_end_ms),
+            _ => {}
+        }
+    }
+    decisions.push((previews, booked_end.expect("the last decision booked")));
+    assert_eq!(
+        decisions.len(),
+        jobs.len(),
+        "one placement decision per job"
+    );
+    let mut both = 0;
+    for (i, (previews, booked)) in decisions.iter().enumerate() {
+        let best = previews.iter().copied().fold(f64::INFINITY, f64::min);
+        assert_eq!(
+            best.to_bits(),
+            booked.to_bits(),
+            "dispatch {i}: previewed {best} ms, booked {booked} ms"
+        );
+        both += usize::from(previews.len() == 2);
+    }
+    assert!(both > 0, "vacuous: never more than one device free");
+
+    let (again, events_again) = run();
+    assert_eq!(
+        events, events_again,
+        "the SECT service run is not deterministic"
+    );
+    for (a, b) in report.outcomes.iter().zip(&again.outcomes) {
+        assert_eq!(
+            (a.device, a.end_ms.to_bits()),
+            (b.device, b.end_ms.to_bits())
+        );
+    }
 }
