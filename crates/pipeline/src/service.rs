@@ -688,9 +688,11 @@ impl<'a> Shell<'a> {
     }
 
     /// True when `d` can take a regular (non-probe) dispatch at `now`:
-    /// idle and breaker-closed.
+    /// alive, idle and breaker-closed.
     fn free(&self, d: &PoolDevice, now: f64) -> bool {
-        d.clock_ms() <= now + EPS && self.breakers[d.id].state == BreakerState::Closed
+        !d.is_lost()
+            && d.clock_ms() <= now + EPS
+            && self.breakers[d.id].state == BreakerState::Closed
     }
 
     /// Launch popped job `j` through the shared dispatch step — onto a
@@ -720,7 +722,10 @@ impl<'a> Shell<'a> {
             self.cfg.dispatch,
             &self.cfg.sched,
             now,
-            |d| probe.map_or_else(|| self.free(d, now), |suspect| d.id == suspect),
+            |d| match probe {
+                Some(suspect) => d.id == suspect,
+                None => self.free(d, now),
+            },
         )
         .expect("the dispatch round saw an eligible device");
         let cost_ms = self.cost_ms[job_idx];
@@ -923,11 +928,7 @@ impl<'a> Shell<'a> {
         }
 
         // regular dispatches while free closed devices and jobs remain
-        while pool
-            .devices()
-            .iter()
-            .any(|d| !d.is_lost() && self.free(d, now))
-        {
+        while pool.devices().iter().any(|d| self.free(d, now)) {
             let Some((t, j)) = self.pick_next(pool, now, rr) else {
                 break;
             };

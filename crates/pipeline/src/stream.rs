@@ -256,16 +256,15 @@ where
     /// preview says so, remembering the requested digits — or `false`
     /// once its shed tombstone sits in the ready queue.
     fn admit_queued(&mut self, q: &mut QueuedJob, adm: &AdmissionConfig, release: f64) -> bool {
-        let (job, overlap) = (&q.job, self.sched.overlap);
-        let (digits, at) = (job.target_digits, job.release());
+        let job = &q.job;
         match admit(
             self.pool,
             &self.planner,
             job,
-            digits,
-            overlap,
+            job.target_digits,
+            self.sched.overlap,
             release,
-            at,
+            job.release(),
             adm,
         ) {
             Admitted::Run { digits, degraded } => {
