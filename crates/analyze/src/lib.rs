@@ -18,7 +18,7 @@
 //!   ([`lints::UNDOCUMENTED_UNSAFE`]);
 //! * floats are never compared exactly outside the error-free-
 //!   transform crates ([`lints::FLOAT_EQ_OUTSIDE_CORE`]);
-//! * fault/chaos/recovery code draws only from seeded sources
+//! * fault/recovery code draws only from seeded sources
 //!   ([`lints::NONDETERMINISTIC_FAULT_SOURCE`]);
 //! * device-buffer access and kernel bodies carry no atomic
 //!   read-modify-write ([`lints::ATOMIC_ON_ELEMENT_PATH`]);

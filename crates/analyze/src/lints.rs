@@ -24,7 +24,7 @@
 //! * [`NONDETERMINISTIC_FAULT_SOURCE`] — chaotic runs are reproducible
 //!   only while every fault schedule and recovery decision replays
 //!   from a seed; one `thread_rng()` or `Instant::now()` in
-//!   fault/chaos/recovery code and the same chaos run never happens
+//!   fault/recovery code and the same chaos run never happens
 //!   twice.
 //! * [`UNBOUNDED_SERVICE_QUEUE`] — the service shell's overload story
 //!   (reject / shed-oldest / block) only holds while every ingress and
@@ -147,7 +147,7 @@ pub const LINTS: &[LintDef] = &[
         id: NONDETERMINISTIC_FAULT_SOURCE,
         scope: Scope::All,
         skip_tests: false,
-        summary: "fault/chaos/recovery code draws only from seeded sources — no ambient RNG, no host clocks",
+        summary: "fault/recovery code draws only from seeded sources — no ambient RNG, no host clocks",
     },
     LintDef {
         id: UNBOUNDED_SERVICE_QUEUE,
@@ -204,15 +204,15 @@ fn is_test_path(rel: &str) -> bool {
 
 /// Fault-tolerance code by file name — the files whose nondeterminism
 /// the [`NONDETERMINISTIC_FAULT_SOURCE`] lint polices. Path-scoped
-/// rather than crate-scoped: chaos harnesses live in `bench` (where the
-/// wall-clock lint is off) and recovery code in `pipeline`, but both
-/// must replay from seeds. The pipeline's batch loop, whose
-/// loss-recovery phase decides what re-dispatches where, is in scope
-/// by exact path (its name says nothing about faults).
+/// rather than crate-scoped: fault plans live in `gpusim` and recovery
+/// code in `pipeline`, and both must replay from seeds. The pipeline's
+/// batch loop, whose loss-recovery phase decides what re-dispatches
+/// where, is in scope by exact path (its name says nothing about
+/// faults).
 fn is_fault_path(rel: &str) -> bool {
     let file = rel.rsplit('/').next().unwrap_or(rel);
     rel.trim_start_matches("./") == "crates/pipeline/src/batch.rs"
-        || ["fault", "chaos", "resilient", "recovery"]
+        || ["fault", "resilient", "recovery"]
             .iter()
             .any(|k| file.contains(k))
 }

@@ -180,9 +180,9 @@ fn nondeterministic_fault_trips_and_cleans() {
 #[test]
 fn nondeterministic_fault_is_path_scoped() {
     // the same entropy reads under a file name that does not denote
-    // fault/chaos/recovery code are this lint's non-problem (the
+    // fault/recovery code are this lint's non-problem (the
     // wall-clock lint owns the general case)
-    let got = analyze_str("crates/bench/src/throughput.rs", "bench", NONDET_TRIP);
+    let got = analyze_str("crates/bench/src/experiments.rs", "bench", NONDET_TRIP);
     assert!(
         got.iter()
             .all(|f| f.lint != "nondeterministic-fault-source"),
@@ -304,7 +304,7 @@ fn engine_step_fork_is_path_scoped() {
     let scoped_out = [
         ("crates/pipeline/src/pool.rs", "pipeline"),
         ("crates/pipeline/tests/service.rs", "pipeline"),
-        ("crates/bench/src/throughput.rs", "bench"),
+        ("crates/bench/src/experiments.rs", "bench"),
     ];
     for (rel, krate) in scoped_out {
         let got = analyze_str(rel, krate, ENGINE_STEP_TRIP);

@@ -8,13 +8,9 @@
 #![forbid(unsafe_code)]
 
 pub mod ablate;
-pub mod chaos;
 pub mod experiments;
 pub mod figures;
-pub mod service;
 pub mod tables;
-pub mod throughput;
-pub mod trace;
 pub mod verify;
 
 pub use tables::TextTable;

@@ -32,18 +32,6 @@
 //! same plan (asserted by the `tests/pipeline.rs` property test).
 //! Host-side worker threads only shorten *our* wall clock; simulated
 //! device time is unaffected.
-//!
-//! Promotion of a job's `f64` data to a working rung is memoized in a
-//! process-wide cache keyed by (matrix fingerprint, rung): power-series
-//! and tracker workloads re-solve against the same matrix many times,
-//! and re-promoting per job was pure waste. A fingerprint hit is verified against
-//! the original matrix before reuse, so a collision can never swap one
-//! system for another.
-
-use std::any::{Any, TypeId};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
 
 use gpusim::{ExecMode, Gpu, Sim};
 use mdls_core::{lstsq_factor_batched, residual_kernel};
@@ -83,8 +71,8 @@ pub enum Disposition {
     /// the deadline, so the job was rejected at ingress. The outcome
     /// carries an empty solution.
     Shed,
-    /// Started but never completed (its device was lost and recovery
-    /// was disabled). The outcome carries an empty solution.
+    /// Started but never completed (its device was lost and no device
+    /// survived to recover on). The outcome carries an empty solution.
     Failed,
 }
 
@@ -316,8 +304,7 @@ pub struct BatchReport {
     /// lookups behind it into hits and misses.
     pub distinct_plans: usize,
     /// Plan-cache traffic of this batch's planner: plan and fused-memo
-    /// hits/misses (the planner-side sibling of
-    /// [`promoted_cache_stats`]).
+    /// hits/misses.
     pub plan_cache: PlanCacheStats,
     /// Number of micro-batched fused groups (of ≥ 2 jobs) this batch
     /// ran.
@@ -359,141 +346,17 @@ impl BatchReport {
     }
 }
 
-// ---------------------------------------------------------------------
-// promoted-matrix cache
-// ---------------------------------------------------------------------
-
-/// Entry-count budget of the promotion cache.
-const PROMO_MAX_ENTRIES: usize = 512;
-
-/// Approximate byte budget of the promotion cache (originals plus
-/// promotions). Entry counts alone are no bound at all — 512 octo
-/// double 1024 × 1024 promotions would hold tens of gigabytes — so the
-/// cache tracks bytes and, when either budget would be exceeded, is
-/// dropped wholesale before the next insert. Crude, but it bounds
-/// memory on adversarial streams while costing repeated-shape
-/// workloads (the case the cache exists for) nothing.
-const PROMO_MAX_BYTES: usize = 256 << 20;
-
-struct PromoEntry {
-    /// The exact `f64` matrix this entry was promoted from — checked on
-    /// every hit so a fingerprint collision can never leak a different
-    /// system's promotion.
-    original: Arc<HostMat<f64>>,
-    promoted: Arc<dyn Any + Send + Sync>,
-    /// Approximate heap footprint of this entry (original + promotion).
-    bytes: usize,
+/// The job's `f64` matrix promoted into the working precision `S`.
+fn promoted_matrix<S: MdReal>(a: &HostMat<f64>) -> HostMat<S> {
+    HostMat::<S>::from_fn(a.rows, a.cols, |r, c| S::from_f64(a.get(r, c)))
 }
 
-/// Bound on the first-sighting probation set (8-byte fingerprints, so
-/// the set itself is negligible; it exists so the *entries* are not).
-const PROMO_SEEN_CAP: usize = 4096;
-
-#[derive(Default)]
-struct PromoCache {
-    map: HashMap<(u64, TypeId), PromoEntry>,
-    bytes: usize,
-    /// Keys seen exactly once. A matrix is cached only on its *second*
-    /// sighting: one-shot batches (every matrix unique) then never pay
-    /// the original's clone or the byte budget — only repeated-matrix
-    /// workloads, the case the cache exists for, populate it.
-    seen: std::collections::HashSet<(u64, TypeId)>,
-}
-
-static PROMO: OnceLock<Mutex<PromoCache>> = OnceLock::new();
-static PROMO_HITS: AtomicU64 = AtomicU64::new(0);
-static PROMO_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// FNV-flavored fingerprint over the dimensions and every entry's bits.
-fn fingerprint(a: &HostMat<f64>) -> u64 {
-    let mut h = (a.rows as u64)
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(a.cols as u64);
-    for r in 0..a.rows {
-        for c in 0..a.cols {
-            h = (h.rotate_left(7) ^ a.get(r, c).to_bits()).wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-    h
-}
-
-/// The job's matrix promoted to rung `S`, served from the process-wide
-/// cache when this exact matrix was promoted to `S` before.
-///
-/// All O(m·n) work — the fingerprint, the collision-verifying equality
-/// compare, the promotion itself and the original's clone — happens
-/// *outside* the cache mutex; the lock only guards map lookups and
-/// inserts, so concurrent host workers never serialize on matrix-sized
-/// work. Racing workers may promote the same matrix more than once
-/// (each paying one extra miss); whichever insert lands last wins, and
-/// every result is identical.
-fn promoted_matrix<S: MdReal>(a: &HostMat<f64>) -> Arc<HostMat<S>> {
-    let promote = || {
-        Arc::new(HostMat::<S>::from_fn(a.rows, a.cols, |r, c| {
-            S::from_f64(a.get(r, c))
-        }))
-    };
-    if S::LIMBS == 1 {
-        // f64 → f64 "promotion" is an identity copy that costs exactly
-        // what the cache's fingerprint + verification compare would —
-        // caching it saves nothing and would double-store the matrix
-        return promote();
-    }
-    let fp = fingerprint(a);
-    let key = (fp, TypeId::of::<S>());
-    let cache = PROMO.get_or_init(|| Mutex::new(PromoCache::default()));
-    let (found, second_sighting) = {
-        let mut c = cache.lock().unwrap();
-        let found = c
-            .map
-            .get(&key)
-            .map(|e| (e.original.clone(), e.promoted.clone()));
-        let second = found.is_none() && c.seen.contains(&key);
-        if found.is_none() && !second {
-            if c.seen.len() >= PROMO_SEEN_CAP {
-                c.seen.clear();
-            }
-            c.seen.insert(key);
-        }
-        (found, second)
-    };
-    if let Some((original, promoted)) = found {
-        if *original == *a {
-            PROMO_HITS.fetch_add(1, Ordering::Relaxed);
-            return promoted.downcast::<HostMat<S>>().unwrap();
-        }
-    }
-    PROMO_MISSES.fetch_add(1, Ordering::Relaxed);
-    let promoted = promote();
-    if !second_sighting {
-        return promoted; // first sighting: promote, don't cache
-    }
-    let entry = PromoEntry {
-        original: Arc::new(a.clone()),
-        promoted: promoted.clone(),
-        bytes: a.rows * a.cols * (8 + S::LIMBS * 8),
-    };
-    let mut c = cache.lock().unwrap();
-    if !c.map.contains_key(&key)
-        && (c.map.len() >= PROMO_MAX_ENTRIES || c.bytes + entry.bytes > PROMO_MAX_BYTES)
-    {
-        c.map.clear();
-        c.bytes = 0;
-    }
-    c.bytes += entry.bytes;
-    if let Some(old) = c.map.insert(key, entry) {
-        c.bytes -= old.bytes;
-    }
-    promoted
-}
-
-/// Lifetime (hits, misses) of the promoted-matrix cache — a
-/// process-wide observability hook for the repeated-shape win.
+/// Always `(0, 0)`: the process-wide promoted-matrix cache this counted
+/// is gone (promotion is a plain copy now). Kept, state-free, only
+/// because the frozen `benchmark/` reads it for its
+/// `batch.promoted_cache_*` rows; it leaves at the benchmark unfreeze.
 pub fn promoted_cache_stats() -> (u64, u64) {
-    (
-        PROMO_HITS.load(Ordering::Relaxed),
-        PROMO_MISSES.load(Ordering::Relaxed),
-    )
+    (0, 0)
 }
 
 /// Promote an `f64` vector into the working precision.
@@ -529,9 +392,9 @@ fn direct_group<S: MdReal>(
     wrap: fn(Vec<S>) -> Solution,
 ) -> Vec<PlannedSolve> {
     let opts = plan.options(ExecMode::Sequential);
-    let mats: Vec<Arc<HostMat<S>>> = jobs.iter().map(|j| promoted_matrix::<S>(&j.a)).collect();
+    let mats: Vec<HostMat<S>> = jobs.iter().map(|j| promoted_matrix::<S>(&j.a)).collect();
     let rhs: Vec<Vec<S>> = jobs.iter().map(|j| promote_vec::<S>(&j.b)).collect();
-    let refs: Vec<&HostMat<S>> = mats.iter().map(|m| m.as_ref()).collect();
+    let refs: Vec<&HostMat<S>> = mats.iter().collect();
     let fact = lstsq_factor_batched(gpu, &refs, &opts);
     let (xs, _) = fact.solve_all(&rhs);
     xs.into_iter()
@@ -559,9 +422,9 @@ fn refine_group<F: MdReal, H: MdReal>(
     wrap: fn(Vec<H>) -> Solution,
 ) -> Vec<PlannedSolve> {
     let opts = plan.options(ExecMode::Sequential);
-    let mats: Vec<Arc<HostMat<F>>> = jobs.iter().map(|j| promoted_matrix::<F>(&j.a)).collect();
+    let mats: Vec<HostMat<F>> = jobs.iter().map(|j| promoted_matrix::<F>(&j.a)).collect();
     let rhs: Vec<Vec<F>> = jobs.iter().map(|j| promote_vec::<F>(&j.b)).collect();
-    let refs: Vec<&HostMat<F>> = mats.iter().map(|m| m.as_ref()).collect();
+    let refs: Vec<&HostMat<F>> = mats.iter().collect();
     let fact = lstsq_factor_batched(gpu, &refs, &opts);
     let (x0s, _) = fact.solve_all(&rhs);
     x0s.into_iter()
@@ -893,8 +756,7 @@ fn settle_staged_dispatch(
 /// the booking against the passes execution actually ran
 /// (`settle_staged_dispatch` — refund or extend), replay the transient
 /// faults that hit the executed interval (`replay_transients`; no-op on
-/// a quiet device, at most `max_retries` replays backed off from
-/// `backoff_ms`), and assemble the members' outcomes from the settled
+/// a quiet device), and assemble the members' outcomes from the settled
 /// placement. Members of a group that replayed come back
 /// [`Disposition::Retried`]; the caller layers its own admission and
 /// loss-recovery verdicts on top. Returns the outcomes in group order
@@ -907,19 +769,10 @@ pub(crate) fn settle_group(
     members: &[&Job],
     solved: Vec<PlannedSolve>,
     sched: &StageSchedConfig,
-    max_retries: usize,
-    backoff_ms: f64,
 ) -> (Vec<JobOutcome>, Vec<f64>) {
     let passes_run = solved.iter().map(|s| s.corrections_run).max().unwrap_or(0);
     let shares = settle_staged_dispatch(pool, g, shape, passes_run, sched);
-    let hits = replay_transients(
-        pool,
-        g,
-        members[0].id,
-        max_retries,
-        backoff_ms,
-        sched.overlap,
-    );
+    let hits = replay_transients(pool, g, members[0].id, sched.overlap);
     let mut outcomes = JobOutcome::assemble_group(members, g, solved, shares);
     if !hits.is_empty() {
         for o in &mut outcomes {
@@ -967,11 +820,7 @@ pub fn solve_batch_staged_with(
     host_parallel: bool,
 ) -> BatchReport {
     let cfg = ResilienceConfig {
-        admission: AdmissionConfig {
-            enabled: false,
-            ..AdmissionConfig::default()
-        },
-        ..ResilienceConfig::default()
+        admission: AdmissionConfig { enabled: false },
     };
     run_batch(pool, jobs, policy, micro, sched, &cfg, host_parallel)
 }
@@ -998,8 +847,8 @@ struct Slot {
 ///    each loss interrupts the unfinished bookings on the dying device;
 ///    they re-dispatch immediately onto the survivors — never before
 ///    the loss instant, never moving a surviving device's spans — so a
-///    *later* loss can interrupt the re-booked work too. With
-///    re-dispatch off the interrupted jobs end [`Disposition::Failed`].
+///    *later* loss can interrupt the re-booked work too. When no
+///    device survives the interrupted jobs end [`Disposition::Failed`].
 /// 3. **Execute** with per-device queues: one scoped host thread per
 ///    device with work (`host_parallel`), each running its queue in
 ///    booking order, results landing in per-slot cells. Execution is
@@ -1078,7 +927,7 @@ pub(crate) fn run_batch(
     let members_of = |g: &GroupDispatch| g.jobs.iter().map(|&j| &jobs[j]).collect::<Vec<&Job>>();
     for (id, t) in sticky_losses(pool) {
         let hit = pool.fail_device(id, t).interrupted;
-        let recover = cfg.recovery.redispatch && pool.alive_count() > 0;
+        let recover = pool.alive_count() > 0;
         slots.retain_mut(|slot| {
             if !hit.contains(&slot.g.booking.id) {
                 return true;
@@ -1101,7 +950,7 @@ pub(crate) fn run_batch(
                     release,
                 );
             } else {
-                // recovery off: the group dies with its device, at `t`
+                // no survivor: the group dies with its device, at `t`
                 for (&j, job) in members.iter().zip(members_of(&slot.g)) {
                     let plan = slot.g.plan.clone();
                     let mut o = tombstone_outcome(job, plan, slot.g.device, Disposition::Failed, t);
@@ -1127,17 +976,7 @@ pub(crate) fn run_batch(
     for (slot, solved) in slots.iter_mut().zip(solved) {
         let members = members_of(&slot.g);
         fused_groups += usize::from(members.len() > 1);
-        let r = &cfg.recovery;
-        let (settled, _) = settle_group(
-            pool,
-            &mut slot.g,
-            &slot.shape,
-            &members,
-            solved,
-            sched,
-            r.max_transient_retries,
-            r.backoff_ms,
-        );
+        let (settled, _) = settle_group(pool, &mut slot.g, &slot.shape, &members, solved, sched);
         makespan_ms = makespan_ms.max(slot.g.end_ms);
         for (&j, mut o) in slot.g.jobs.iter().zip(settled) {
             // admission's and loss recovery's verdicts outrank a replay
@@ -1263,47 +1102,6 @@ mod tests {
         let report = solve_batch(&mut pool, &jobs);
         let rungs: Vec<Precision> = report.outcomes.iter().map(|o| o.x.precision()).collect();
         assert_eq!(rungs, [Precision::D1, Precision::D2, Precision::D4]);
-    }
-
-    #[test]
-    fn promoted_matrix_cache_hits_on_repeated_systems() {
-        // the same matrix solved repeatedly (a power-series step mix)
-        // must promote once per rung, not once per job
-        let mut rng = StdRng::seed_from_u64(83);
-        let n = 10;
-        let a = HostMat::<f64>::from_fn(n, n, |r, c| {
-            let u: f64 = multidouble::random::rand_real(&mut rng);
-            u + if r == c { 4.0 } else { 0.0 }
-        });
-        let b: Vec<f64> = (0..n)
-            .map(|_| multidouble::random::rand_real(&mut rng))
-            .collect();
-        let jobs: Vec<Job> = (0..8)
-            .map(|id| Job::new(id, a.clone(), b.clone(), 25))
-            .collect();
-        let (hits_before, _) = promoted_cache_stats();
-        let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-        let report = batch_seq(
-            &mut pool,
-            &jobs,
-            DispatchPolicy::LeastLoaded,
-            &MicrobatchConfig::default(),
-            false,
-        );
-        let (hits_after, _) = promoted_cache_stats();
-        // the 25-digit plan refines a d1 factorization at the dd rung;
-        // only the dd promotion goes through the cache (f64 bypasses
-        // it), and entries land on the second sighting — so 8 serial
-        // jobs give 2 misses then 6 hits
-        assert!(
-            hits_after >= hits_before + 6,
-            "only {} cache hits over 8 identical systems",
-            hits_after - hits_before
-        );
-        // and the cache never changes results: all outcomes identical
-        for o in &report.outcomes[1..] {
-            assert_eq!(o.x, report.outcomes[0].x);
-        }
     }
 
     #[test]

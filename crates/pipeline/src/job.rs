@@ -104,15 +104,6 @@ pub enum SloClass {
 impl SloClass {
     /// All classes, cheapest promise first (the ladder's shed order).
     pub const LADDER: [SloClass; 3] = [SloClass::BestEffort, SloClass::Standard, SloClass::Premium];
-
-    /// Short lowercase label used in tables, traces and bench JSON.
-    pub fn tag(self) -> &'static str {
-        match self {
-            SloClass::BestEffort => "best-effort",
-            SloClass::Standard => "standard",
-            SloClass::Premium => "premium",
-        }
-    }
 }
 
 /// One least squares solve request: minimize `‖b − A x‖₂` to at least

@@ -69,10 +69,12 @@
 //!   unmeetable requests, re-plans work interrupted by a device loss
 //!   onto the survivors ([`DevicePool::fail_device`] turns the dead
 //!   device's unexecuted spans into refunds), and books bounded,
-//!   backed-off replays for transient faults. Every job ends in an
-//!   explicit [`Disposition`]; completed jobs are bit-identical to the
-//!   fault-free run. [`solve_batch_staged`] passes admission off;
-//!   [`solve_batch_resilient`] takes the whole config.
+//!   backed-off replays for transient faults (one retry cap and one
+//!   backoff base, shared by batch, stream and [`serve`]). Every job
+//!   ends in an explicit [`Disposition`]; completed jobs are
+//!   bit-identical to the fault-free run. The one knob is
+//!   [`AdmissionConfig::enabled`]: [`solve_batch_staged`] passes it
+//!   off, [`solve_batch_resilient`] takes the config.
 //!
 //! Around the loop:
 //!
@@ -134,11 +136,11 @@
 //! | stream with a reorder window | `solve_stream_with(p, j, pol, w)`; explicit configs: `solve_stream_staged(p, j, pol, w, micro, sched)` |
 //! | one model-only dispatch / a whole model-only schedule | `dispatch_group_staged(p, pl, jobs, s, pol, &sched, release)` / `schedule_staged(p, pl, shapes, pol, &micro, &sched)` |
 //! | interpret one plan yourself (a singleton is a group of one) | `solve_planned_fused_with(gpu, &jobs, &plan, extra_passes)`; one job: `solve_planned_traced_with(gpu, job, &plan, 0)` |
-//! | hand back a booking's unexecuted tail | `pool.rebook(&booking, from_stage, RebookMode::BooksOnly \| TailOnly \| Compact)` |
+//! | hand back a booking's unexecuted tail | `pool.rebook(&booking, from_stage, RebookMode::BooksOnly \| Compact)` |
 //! | one opaque interval on a device timeline | `commit_stages(id, &[StageReq { host_ms: 0.0, device_ms: wall }], k, f, n, false, not_before)` |
 //!
-//! (CHANGES.md, PRs 12 and 15, map every entry point that was folded
-//! into these onto its replacement call.)
+//! (CHANGES.md, PRs 12, 15 and 16, map every entry point and option
+//! that was folded into these onto its replacement.)
 //!
 //! **Observability** ([`mdls_obs`], re-exported as `obs` from the
 //! workspace root): attach any [`mdls_obs::Observer`] to a pool via
@@ -191,7 +193,7 @@ pub use pool::{
     DeviceLossReport, DevicePool, DeviceStats, HostStagingPool, PoolDevice, RebookMode,
     StageBooking, StageInterval, StageRefund, StageReq, Timeline,
 };
-pub use resilient::{solve_batch_resilient, AdmissionConfig, RecoveryPolicy, ResilienceConfig};
+pub use resilient::{solve_batch_resilient, AdmissionConfig, ResilienceConfig};
 pub use scheduler::{dispatch_one, schedule, Dispatch, DispatchPolicy, JobShape, StageSchedConfig};
 pub use service::{
     serve, Backpressure, BreakerConfig, BreakerSummary, ClassSummary, ExecutionMode,
@@ -202,6 +204,5 @@ pub use stream::{
     solve_stream, solve_stream_admitted, solve_stream_staged, solve_stream_with, BatchStream,
 };
 pub use workload::{
-    bursty_tracker_jobs, jobs_for_shapes, power_flow_jobs, refinement_mix, tracker_jobs,
-    workload_mix,
+    bursty_tracker_jobs, jobs_for_shapes, power_flow_jobs, tracker_jobs, workload_mix,
 };

@@ -86,20 +86,6 @@ impl Stage {
             Stage::Correct { .. } => mdls_obs::StageKind::Correct,
         }
     }
-
-    /// Short label for tables and per-stage breakdowns, e.g.
-    /// `"factor@2d 4x256"` or `"residual@4d"`.
-    pub fn label(&self) -> String {
-        match *self {
-            Stage::Factor {
-                rung,
-                tiles,
-                tile_size,
-            } => format!("factor@{} {}x{}", rung.tag(), tiles, tile_size),
-            Stage::Residual { rung } => format!("residual@{}", rung.tag()),
-            Stage::Correct { rung, .. } => format!("correct@{}", rung.tag()),
-        }
-    }
 }
 
 /// One stage plus its model-predicted profile on the target device.
@@ -462,25 +448,5 @@ mod tests {
         assert_eq!(ext.len(), 2);
         assert_eq!(ext[0].wall_ms(), 8.0);
         assert_eq!(ext[1].wall_ms(), 4.0);
-    }
-
-    #[test]
-    fn stage_labels() {
-        assert_eq!(
-            Stage::Factor {
-                rung: Precision::D2,
-                tiles: 4,
-                tile_size: 256
-            }
-            .label(),
-            "factor@2d 4x256"
-        );
-        assert_eq!(
-            Stage::Residual {
-                rung: Precision::D8
-            }
-            .label(),
-            "residual@8d"
-        );
     }
 }

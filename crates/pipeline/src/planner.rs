@@ -41,6 +41,7 @@
 //! batch of thousands of same-shaped jobs plans once.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -107,11 +108,6 @@ impl PlanKey {
     }
 }
 
-/// A canonical tiling choice `(tiles, tile_size)`, keyed by
-/// `(rows, cols, precision)` — device-free, because the tiling fixes
-/// the arithmetic (see module docs).
-type TilingMemo = HashMap<(usize, usize, Precision), (usize, usize)>;
-
 /// A plan structure chosen on the reference model: the stage sequence
 /// (profiles not yet priced for any particular device), the digits the
 /// accuracy model credits it, and the passes the optimistic posterior
@@ -148,13 +144,56 @@ pub struct PlanCacheStats {
     pub fused_misses: u64,
 }
 
+/// One get-or-compute table. Every planner memo follows the same
+/// discipline: clone the hit out under the lock, compute a miss
+/// *outside* it (model evaluation is the slow part — holding the mutex
+/// would serialize all concurrent planning, and an emit under it hands
+/// every observer a re-entrancy deadlock, `lock-across-emit`), then
+/// insert through `entry` so a racing thread's result is never
+/// clobbered. Racing threads may duplicate a computation, but every
+/// value is deterministic, so whichever lands first wins and both
+/// callers return the stored entry.
+struct Memo<K, V>(Mutex<HashMap<K, V>>);
+
+/// A memo lock is never held across a computation, so only a panic
+/// inside `HashMap` itself could poison one.
+const POISONED: &str = "planner memo lock poisoned";
+
+impl<K: Eq + Hash, V: Clone> Memo<K, V> {
+    fn new() -> Self {
+        Memo(Mutex::new(HashMap::new()))
+    }
+
+    fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> V {
+        // the guard is dropped at the end of this statement
+        let cached = self.0.lock().expect(POISONED).get(&key).cloned();
+        if let Some(v) = cached {
+            return v;
+        }
+        let v = compute();
+        self.0
+            .lock()
+            .expect(POISONED)
+            .entry(key)
+            .or_insert(v)
+            .clone()
+    }
+
+    fn len(&self) -> usize {
+        self.0.lock().expect(POISONED).len()
+    }
+}
+
 /// A memoizing planner. One planner is shared by a whole batch run.
 pub struct Planner {
-    cache: Mutex<HashMap<PlanKey, ExecPlan>>,
-    tilings: Mutex<TilingMemo>,
-    strategies: Mutex<HashMap<(usize, usize, u32), Strategy>>,
-    fused: Mutex<HashMap<FusedKey, FusedProfile>>,
-    group_sizes: Mutex<HashMap<GroupKey, usize>>,
+    cache: Memo<PlanKey, ExecPlan>,
+    /// Canonical tilings `(tiles, tile_size)` per `(rows, cols,
+    /// precision)` — device-free, because the tiling fixes the
+    /// arithmetic (see module docs).
+    tilings: Memo<(usize, usize, Precision), (usize, usize)>,
+    strategies: Memo<(usize, usize, u32), Strategy>,
+    fused: Memo<FusedKey, FusedProfile>,
+    group_sizes: Memo<GroupKey, usize>,
     /// The numerics reference model the plan structure is tuned on.
     reference: Gpu,
     /// This instance's cache traffic.
@@ -297,11 +336,11 @@ impl Planner {
     /// same bits — for the same jobs.
     pub fn new() -> Self {
         Planner {
-            cache: Mutex::new(HashMap::new()),
-            tilings: Mutex::new(HashMap::new()),
-            strategies: Mutex::new(HashMap::new()),
-            fused: Mutex::new(HashMap::new()),
-            group_sizes: Mutex::new(HashMap::new()),
+            cache: Memo::new(),
+            tilings: Memo::new(),
+            strategies: Memo::new(),
+            fused: Memo::new(),
+            group_sizes: Memo::new(),
             reference: Gpu::v100(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -369,44 +408,32 @@ impl Planner {
         assert!(cols > 0, "cannot plan an empty system");
         assert!(rows >= cols, "least squares needs rows >= cols");
         let key = PlanKey::new(gpu, rows, cols, target_digits, direct_only);
-        // the guard is dropped at the end of this statement, *before*
-        // the hit path emits: an emit site under a planner lock hands
-        // every observer a re-entrancy deadlock (`lock-across-emit`)
-        let cached = self.cache.lock().unwrap().get(&key).cloned();
-        if let Some(p) = cached {
+        let mut hit = true;
+        let plan = self.cache.get_or_insert_with(key, || {
+            hit = false;
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.emit(|| Event::PlanCacheMiss {
+                rows,
+                cols,
+                digits: target_digits,
+            });
+            // (when `gpu` is the reference model the winning structure
+            // gets priced twice — once inside the search, once here;
+            // both memo layers make that a one-time cost per key)
+            let (stages, digits, expected) = self.strategy(rows, cols, target_digits, direct_only);
+            let planned = self.price(gpu, rows, cols, &stages);
+            ExecPlan::from_stages(planned, target_digits, digits)
+                .with_expected_corrections(expected)
+        });
+        if hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.emit(|| Event::PlanCacheHit {
                 rows,
                 cols,
                 digits: target_digits,
             });
-            return p;
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.emit(|| Event::PlanCacheMiss {
-            rows,
-            cols,
-            digits: target_digits,
-        });
-        // compute outside the lock (model evaluation is the slow part;
-        // holding the mutex here would serialize all concurrent
-        // planning), then insert through `entry` so a racing thread's
-        // in-flight result is never clobbered. Racing threads may
-        // duplicate the computation, but plans are deterministic, so
-        // whichever lands first wins and both callers return the cached
-        // entry. (When `gpu` is the reference model the winning
-        // structure gets priced twice — once inside the search, once
-        // here; both memo layers make that a one-time cost per key.)
-        let (stages, digits, expected) = self.strategy(rows, cols, target_digits, direct_only);
-        let planned = self.price(gpu, rows, cols, &stages);
-        let plan = ExecPlan::from_stages(planned, target_digits, digits)
-            .with_expected_corrections(expected);
-        self.cache
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert(plan)
-            .clone()
+        plan
     }
 
     /// Price a stage sequence for one device model: the group of one.
@@ -440,12 +467,17 @@ impl Planner {
         target_digits: u32,
         direct_only: bool,
     ) -> Strategy {
-        let memo_key = (rows, cols, target_digits);
-        if !direct_only {
-            if let Some(s) = self.strategies.lock().unwrap().get(&memo_key) {
-                return s.clone();
-            }
+        if direct_only {
+            return self.search(rows, cols, target_digits, true);
         }
+        self.strategies
+            .get_or_insert_with((rows, cols, target_digits), || {
+                self.search(rows, cols, target_digits, false)
+            })
+    }
+
+    /// The plan search behind [`Planner::strategy`], unmemoized.
+    fn search(&self, rows: usize, cols: usize, target_digits: u32, direct_only: bool) -> Strategy {
         let target_rung = Precision::for_digits(target_digits);
         let mut best: Option<(f64, Strategy)> = None;
         let mut candidates = 0usize;
@@ -524,47 +556,32 @@ impl Planner {
             digits: target_digits,
             candidates,
         });
-        if direct_only {
-            return strategy;
-        }
-        self.strategies
-            .lock()
-            .unwrap()
-            .entry(memo_key)
-            .or_insert(strategy)
-            .clone()
+        strategy
     }
 
     /// The canonical tiling `(tiles, tile_size)` for a shape and rung:
-    /// the cheapest candidate on the reference model, memoized (same
-    /// compute-outside-the-lock discipline as the plan cache).
+    /// the cheapest candidate on the reference model, memoized.
     fn tiling(&self, rows: usize, cols: usize, precision: Precision) -> (usize, usize) {
-        let key = (rows, cols, precision);
-        if let Some(t) = self.tilings.lock().unwrap().get(&key) {
-            return *t;
-        }
-        let mut best: Option<(f64, usize)> = None;
-        for tile_size in tile_candidates(cols) {
-            let tiles = cols / tile_size;
-            let opts = LstsqOptions::tiled(tiles, tile_size, ExecMode::ModelOnly);
-            let (qr, bs) = phase_profiles(&self.reference, precision, 1, rows, &opts);
-            let ms = qr.wall_ms() + bs.wall_ms();
-            if best.map(|(b, _)| ms < b).unwrap_or(true) {
-                best = Some((ms, tile_size));
-            }
-        }
-        let (_, tile_size) = best.expect("tile_candidates is never empty");
-        *self
-            .tilings
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert((cols / tile_size, tile_size))
+        self.tilings
+            .get_or_insert_with((rows, cols, precision), || {
+                let mut best: Option<(f64, usize)> = None;
+                for tile_size in tile_candidates(cols) {
+                    let tiles = cols / tile_size;
+                    let opts = LstsqOptions::tiled(tiles, tile_size, ExecMode::ModelOnly);
+                    let (qr, bs) = phase_profiles(&self.reference, precision, 1, rows, &opts);
+                    let ms = qr.wall_ms() + bs.wall_ms();
+                    if best.map(|(b, _)| ms < b).unwrap_or(true) {
+                        best = Some((ms, tile_size));
+                    }
+                }
+                let (_, tile_size) = best.expect("tile_candidates is never empty");
+                (cols / tile_size, tile_size)
+            })
     }
 
     /// Number of distinct plans computed so far.
     pub fn cached_plans(&self) -> usize {
-        self.cache.lock().unwrap().len()
+        self.cache.len()
     }
 
     /// The canonical plan for a job plus its fused pricing as a
@@ -587,10 +604,20 @@ impl Planner {
         assert!(k > 0, "a fused group needs at least one instance");
         let plan = self.plan(gpu, rows, cols, target_digits);
         let key = (PlanKey::new(gpu, rows, cols, target_digits, false), k);
-        // guard dropped before the emit — same re-entrancy discipline
-        // as the plan cache above (`lock-across-emit`)
-        let cached = self.fused.lock().unwrap().get(&key).cloned();
-        if let Some(f) = cached {
+        let mut hit = true;
+        let fused = self.fused.get_or_insert_with(key, || {
+            hit = false;
+            self.fused_misses.fetch_add(1, Ordering::Relaxed);
+            self.emit(|| Event::FusedMemoMiss {
+                rows,
+                cols,
+                digits: target_digits,
+                group: k,
+            });
+            let stages: Vec<Stage> = plan.stages.iter().map(|s| s.stage).collect();
+            self.price_fused(gpu, rows, cols, &stages, k)
+        });
+        if hit {
             self.fused_hits.fetch_add(1, Ordering::Relaxed);
             self.emit(|| Event::FusedMemoHit {
                 rows,
@@ -598,26 +625,7 @@ impl Planner {
                 digits: target_digits,
                 group: k,
             });
-            return (plan, f);
         }
-        self.fused_misses.fetch_add(1, Ordering::Relaxed);
-        self.emit(|| Event::FusedMemoMiss {
-            rows,
-            cols,
-            digits: target_digits,
-            group: k,
-        });
-        // compute outside the lock, insert through `entry` — the same
-        // race discipline as the plan cache
-        let stages: Vec<Stage> = plan.stages.iter().map(|s| s.stage).collect();
-        let fused = self.price_fused(gpu, rows, cols, &stages, k);
-        let fused = self
-            .fused
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert(fused)
-            .clone();
         (plan, fused)
     }
 
@@ -694,34 +702,28 @@ impl Planner {
     ) -> usize {
         let cap = max_group.max(1);
         let key = (rows, cols, target_digits, cap, tolerance.to_bits());
-        if let Some(k) = self.group_sizes.lock().unwrap().get(&key) {
-            return *k;
-        }
-        const CANDIDATES: [usize; 16] =
-            [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256];
-        let mut candidates: Vec<usize> = CANDIDATES.iter().copied().filter(|&k| k < cap).collect();
-        candidates.push(cap);
-        let (stages, _, _) = self.strategy(rows, cols, target_digits, false);
-        let per_job: Vec<f64> = candidates
-            .iter()
-            .map(|&k| {
-                self.price_fused(&self.reference, rows, cols, &stages, k)
-                    .per_job_ms()
-            })
-            .collect();
-        let best = per_job.iter().fold(f64::INFINITY, |a, &b| a.min(b));
-        let chosen = candidates
-            .iter()
-            .zip(&per_job)
-            .find(|(_, &ms)| ms <= best * (1.0 + tolerance))
-            .map(|(&k, _)| k)
-            .unwrap_or(1);
-        *self
-            .group_sizes
-            .lock()
-            .unwrap()
-            .entry(key)
-            .or_insert(chosen)
+        self.group_sizes.get_or_insert_with(key, || {
+            const CANDIDATES: [usize; 16] =
+                [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256];
+            let mut candidates: Vec<usize> =
+                CANDIDATES.iter().copied().filter(|&k| k < cap).collect();
+            candidates.push(cap);
+            let (stages, _, _) = self.strategy(rows, cols, target_digits, false);
+            let per_job: Vec<f64> = candidates
+                .iter()
+                .map(|&k| {
+                    self.price_fused(&self.reference, rows, cols, &stages, k)
+                        .per_job_ms()
+                })
+                .collect();
+            let best = per_job.iter().fold(f64::INFINITY, |a, &b| a.min(b));
+            candidates
+                .iter()
+                .zip(&per_job)
+                .find(|(_, &ms)| ms <= best * (1.0 + tolerance))
+                .map(|(&k, _)| k)
+                .unwrap_or(1)
+        })
     }
 }
 

@@ -171,11 +171,6 @@ impl Timeline {
         found
     }
 
-    /// True when `span` is the exact stored tail interval.
-    pub fn is_tail(&self, span: (f64, f64)) -> bool {
-        self.intervals.last().is_some_and(|&iv| span_eq(iv, span))
-    }
-
     fn clear(&mut self) {
         self.intervals.clear();
     }
@@ -357,15 +352,12 @@ pub enum RebookMode {
     /// utilization and solves-per-busy-sec report what actually ran.
     /// What [`crate::StageSchedConfig::sequential`] settles with.
     BooksOnly,
-    /// Free skipped spans only while they are still the exact lane
-    /// tails — the A/B baseline of compaction.
-    /// Mid-schedule holes strand.
-    TailOnly,
     /// Free every skipped span wherever it sits, then slide later
     /// queued, unexecuted dispatches on the device left into the freed
     /// time. Never moves a dispatch whose device work has started, and
-    /// never moves a dispatch later — so compaction is at most
-    /// tail-only's makespan, by construction.
+    /// never moves a dispatch later — so compaction never finishes
+    /// after the booked schedule, by construction.
+    /// What [`crate::StageSchedConfig::staged`] settles with.
     Compact,
 }
 
@@ -993,15 +985,12 @@ impl DevicePool {
     /// says what happens to its *intervals*.
     ///
     /// Under [`RebookMode::BooksOnly`] they stay booked (the refund is
-    /// an idle gap on the schedule). Under [`RebookMode::TailOnly`]
-    /// spans still at the exact lane tail are freed *online* — later
-    /// dispatches then book into the freed time — while an interval
-    /// another booking already landed behind strands. Under
-    /// [`RebookMode::Compact`] every skipped span is freed wherever it
-    /// sits, and later queued, unexecuted dispatches on the device
-    /// slide left into the hole — never a dispatch whose device work
-    /// started before the hole, and never a move that finishes a
-    /// dispatch later.
+    /// an idle gap on the schedule). Under [`RebookMode::Compact`]
+    /// every skipped span is freed *online* wherever it sits — later
+    /// dispatches then book into the freed time — and later queued,
+    /// unexecuted dispatches on the device slide left into the hole —
+    /// never a dispatch whose device work started before the hole, and
+    /// never a move that finishes a dispatch later.
     ///
     /// Settle each booking **at most once**: a repeated call over the
     /// same stages writes their busy time off again. The staged
@@ -1028,46 +1017,15 @@ impl DevicePool {
         // what actually came off the busy books (never more than is on them)
         let r = {
             let d = &mut self.devices[booking.device];
-            match mode {
-                RebookMode::BooksOnly => {}
-                RebookMode::TailOnly => {
-                    let mut host_tail = true;
-                    let mut device_tail = true;
-                    for (s, w) in stages[from..].iter().zip(&workers[from..]).rev() {
-                        // a span is un-bookable only while it is still
-                        // the exact stored timeline tail; zero-width
-                        // parts carry no time and never break the chain
-                        if s.device.1 > s.device.0 {
-                            if device_tail && d.device.is_tail(s.device) {
-                                d.device.free(s.device);
-                                refund.freed_ms += s.device.1 - s.device.0;
-                            } else {
-                                device_tail = false;
-                            }
-                        }
-                        if s.host.1 > s.host.0 {
-                            if host_tail && d.host.is_tail(s.host) {
-                                d.host.free(s.host);
-                                refund.freed_ms += s.host.1 - s.host.0;
-                                if let Some(w) = *w {
-                                    self.staging.workers[w].free(s.host);
-                                }
-                            } else {
-                                host_tail = false;
-                            }
-                        }
+            if mode == RebookMode::Compact {
+                for (s, w) in stages[from..].iter().zip(&workers[from..]) {
+                    if d.device.free(s.device) {
+                        refund.freed_ms += s.device.1 - s.device.0;
                     }
-                }
-                RebookMode::Compact => {
-                    for (s, w) in stages[from..].iter().zip(&workers[from..]) {
-                        if d.device.free(s.device) {
-                            refund.freed_ms += s.device.1 - s.device.0;
-                        }
-                        if d.host.free(s.host) {
-                            refund.freed_ms += s.host.1 - s.host.0;
-                            if let Some(w) = *w {
-                                self.staging.workers[w].free(s.host);
-                            }
+                    if d.host.free(s.host) {
+                        refund.freed_ms += s.host.1 - s.host.0;
+                        if let Some(w) = *w {
+                            self.staging.workers[w].free(s.host);
                         }
                     }
                 }
@@ -1132,8 +1090,7 @@ impl DevicePool {
     ///   run *before* the hole while its tail passes can still slide;
     /// * a move is only adopted when it does not finish the booking
     ///   later; otherwise the old placement is restored exactly. So
-    ///   compaction never exceeds the tail-only makespan, by
-    ///   construction.
+    ///   compaction never exceeds the booked makespan, by construction.
     fn compact_queued(&mut self, device: usize, at_ms: f64) -> (usize, f64) {
         let mut slid = 0usize;
         let mut slid_ms = 0.0;
@@ -1661,25 +1618,9 @@ mod tests {
     }
 
     #[test]
-    fn tail_only_rebook_frees_only_what_is_still_the_tail() {
-        let reqs = [req(2.0, 2.0), req(0.0, 1.0)];
-        let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-        let first = pool.commit_stages(0, &reqs, 0.0, 0.0, 1, false, 0.0);
-        // a later booking lands behind the tail: the tail cannot be
-        // unwound, but the busy write-off still happens
-        pool.commit_stages(0, &[req(0.0, 1.0)], 0.0, 0.0, 1, false, 0.0);
-        let clock = pool.makespan_ms();
-        let refund = pool.rebook(&first, 1, RebookMode::TailOnly);
-        assert_eq!(refund.freed_ms, 0.0);
-        assert_eq!(refund.refunded_ms, 1.0);
-        assert_eq!(pool.makespan_ms(), clock);
-        assert_eq!(pool.devices()[0].busy_ms(), 6.0 - 1.0);
-    }
-
-    #[test]
     fn compaction_slides_queued_booking_into_the_hole() {
-        // same shape as the tail-only test, but under Compact the
-        // stranded mid-schedule hole is freed and the queued second
+        // a later booking landed behind the refunded stage: under
+        // Compact the mid-schedule hole is freed and the queued second
         // booking slides left into it
         let reqs = [req(2.0, 2.0), req(0.0, 1.0)];
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);

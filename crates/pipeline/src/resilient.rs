@@ -22,15 +22,14 @@
 //!   ([`DevicePool::fail_device`]): unexecuted booked spans become
 //!   refunds and every interrupted or queued group is re-planned and
 //!   re-dispatched onto the survivors ([`Disposition::Retried`]) — a
-//!   started-but-lost stage re-runs from its factorization, reusing the
-//!   promoted-matrix cache, so recovery costs time but never changes
-//!   arithmetic. With [`RecoveryPolicy::redispatch`] off (the
-//!   fail-the-batch A/B baseline) interrupted jobs end
-//!   [`Disposition::Failed`].
+//!   started-but-lost stage re-runs from its factorization, so recovery
+//!   costs time but never changes arithmetic. Only when no device
+//!   survives do the interrupted jobs end [`Disposition::Failed`].
 //! * **Transient kernel faults** (`replay_transients`) — à la ECC
 //!   replay: each transient in the device's seeded schedule that lands
 //!   inside a group's executed interval books one bounded,
-//!   exponentially backed-off replay of the group's steady-state pass.
+//!   exponentially backed-off replay of the group's steady-state pass
+//!   (one retry cap and one backoff base for batch, stream and `serve`).
 //!   Retries only extend *simulated time*; the solution bits are
 //!   exactly the fault-free solve's.
 //!
@@ -49,74 +48,28 @@ use crate::pool::DevicePool;
 use crate::scheduler::{DispatchPolicy, StageSchedConfig};
 use mdls_obs::Event;
 
-/// Ingress admission control for deadlined jobs.
+/// Ingress admission control for deadlined jobs: a request no
+/// surviving device can finish in time is down-laddered to the nearest
+/// cheaper precision rung that fits, or shed when none does.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AdmissionConfig {
     /// Master switch: when false, every job is admitted as requested.
     pub enabled: bool,
-    /// Allow down-laddering an unmeetable request to a cheaper
-    /// precision rung that fits the deadline.
-    pub degrade: bool,
-    /// Allow shedding a job no rung can finish in time. When false such
-    /// a job runs anyway and is counted as an honest deadline miss.
-    pub shed: bool,
 }
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
-        AdmissionConfig {
-            enabled: true,
-            degrade: true,
-            shed: true,
-        }
+        AdmissionConfig { enabled: true }
     }
 }
 
-/// What to do about faults once they happen.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RecoveryPolicy {
-    /// Re-plan and re-dispatch groups interrupted by a sticky device
-    /// loss onto the survivors. False = the fail-the-batch baseline:
-    /// interrupted jobs end [`Disposition::Failed`].
-    pub redispatch: bool,
-    /// Cap on transient-fault replays per group (ECC-replay style).
-    pub max_transient_retries: usize,
-    /// Base of the exponential retry backoff, simulated ms: retry `r`
-    /// books no earlier than `backoff_ms · 2^r` after the failed end.
-    pub backoff_ms: f64,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            redispatch: true,
-            max_transient_retries: 3,
-            backoff_ms: 0.05,
-        }
-    }
-}
-
-/// The full resilience configuration of a batch run.
+/// The full resilience configuration of a batch run. Fault recovery
+/// itself has no knob: an interrupted group always re-dispatches onto
+/// the survivors, and transients replay under one fixed retry cap.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ResilienceConfig {
     /// Ingress admission.
     pub admission: AdmissionConfig,
-    /// Fault recovery.
-    pub recovery: RecoveryPolicy,
-}
-
-impl ResilienceConfig {
-    /// The chaos-benchmark baseline: admission still runs, but a device
-    /// loss fails every interrupted job instead of re-dispatching.
-    pub fn fail_all() -> Self {
-        ResilienceConfig {
-            recovery: RecoveryPolicy {
-                redispatch: false,
-                ..RecoveryPolicy::default()
-            },
-            ..ResilienceConfig::default()
-        }
-    }
 }
 
 /// What the admit step made of one job: run it at `digits` (`degraded`
@@ -198,10 +151,8 @@ fn earliest_end(
 /// or `Err` with the predicted completion at the current digits (the
 /// miss magnitude) when the job should be shed. Deadline-free jobs
 /// always run as they are; a deadlined job runs at the cheapest
-/// acceptable digits — its current `digits` when they fit, else (under
-/// [`AdmissionConfig::degrade`]) the highest cheaper rung that fits,
-/// else it is shed (under [`AdmissionConfig::shed`]; otherwise it runs
-/// anyway, an honest deadline miss).
+/// acceptable digits — its current `digits` when they fit, else the
+/// highest cheaper rung that fits, else it is shed.
 fn admit_job(
     pool: &DevicePool,
     planner: &Planner,
@@ -222,31 +173,25 @@ fn admit_job(
     if requested_end <= deadline {
         return Ok(digits);
     }
-    if cfg.degrade {
-        // walk the ladder downward: the nearest cheaper rung that fits
-        // loses the fewest digits
-        let requested_rung = Precision::for_digits(digits);
-        for rung in Precision::LADDER
-            .into_iter()
-            .rev()
-            .filter(|r| *r < requested_rung)
-        {
-            if end_at(rung.digits()) <= deadline {
-                return Ok(rung.digits());
-            }
+    // walk the ladder downward: the nearest cheaper rung that fits
+    // loses the fewest digits
+    let requested_rung = Precision::for_digits(digits);
+    for rung in Precision::LADDER
+        .into_iter()
+        .rev()
+        .filter(|r| *r < requested_rung)
+    {
+        if end_at(rung.digits()) <= deadline {
+            return Ok(rung.digits());
         }
     }
-    if cfg.shed {
-        Err(requested_end)
-    } else {
-        Ok(digits)
-    }
+    Err(requested_end)
 }
 
 /// A terminal outcome for a job that never ran (shed at ingress) or
-/// never finished (lost with recovery off). `end_ms` is the moment the
-/// verdict fell: the release for a shed job, the loss time for a
-/// failed one.
+/// never finished (lost with no device left to recover on). `end_ms` is
+/// the moment the verdict fell: the release for a shed job, the loss
+/// time for a failed one.
 pub(crate) fn tombstone_outcome(
     job: &Job,
     plan: ExecPlan,
@@ -311,11 +256,23 @@ pub(crate) fn sticky_losses(pool: &DevicePool) -> Vec<(usize, f64)> {
     losses
 }
 
+/// Cap on transient-fault replays per settled group (ECC-replay
+/// style), for batch, stream and `serve` alike: a device that keeps
+/// faulting one dispatch is the circuit breaker's problem, not the
+/// retry loop's.
+const MAX_TRANSIENT_RETRIES: usize = 3;
+
+/// Base of the exponential replay backoff, simulated ms: retry `r`
+/// books no earlier than `RETRY_BACKOFF_MS · 2^r` after the failed end.
+/// A few kernel-launch gaps (6–10 µs on the modeled devices): enough to
+/// separate a replay from its fault, never a solve's worth of idling.
+const RETRY_BACKOFF_MS: f64 = 0.05;
+
 /// Replay the transient kernel faults that hit a settled dispatch:
 /// every scheduled transient of the device inside `[start_ms, end_ms)`
-/// (at most `max_retries`) costs one backed-off replay of the group's
-/// steady-state pass (or, for direct plans, the whole booking) booked
-/// after the group's end — time moves, bits do not. Extends
+/// (at most `MAX_TRANSIENT_RETRIES`) costs one backed-off replay of the
+/// group's steady-state pass (or, for direct plans, the whole booking)
+/// booked after the group's end — time moves, bits do not. Extends
 /// `g.end_ms` past the last replay and returns the fault instants, so
 /// callers can mark the members retried (and the service shell can
 /// strike its breaker). Empty on a quiet device.
@@ -323,8 +280,6 @@ pub(crate) fn replay_transients(
     pool: &mut DevicePool,
     g: &mut GroupDispatch,
     job_id: u64,
-    max_retries: usize,
-    backoff_ms: f64,
     overlap: bool,
 ) -> Vec<f64> {
     let device = g.device;
@@ -335,7 +290,7 @@ pub(crate) fn replay_transients(
         .iter()
         .copied()
         .take_while(|t| *t < g.end_ms)
-        .take(max_retries)
+        .take(MAX_TRANSIENT_RETRIES)
         .collect();
     for (retry, &at_ms) in hits.iter().enumerate() {
         pool.emit(|| Event::FaultInjected {
@@ -348,7 +303,7 @@ pub(crate) fn replay_transients(
         if reqs.is_empty() {
             reqs = g.fused.stage_reqs(usize::MAX);
         }
-        let backoff_ms = backoff_ms * (1u64 << retry) as f64;
+        let backoff_ms = RETRY_BACKOFF_MS * (1u64 << retry) as f64;
         let b = pool.commit_stages(device, &reqs, 0.0, 0.0, 0, overlap, g.end_ms + backoff_ms);
         pool.mark_settled(b.id);
         g.end_ms = b.end_ms();

@@ -77,10 +77,8 @@ pub struct StageSchedConfig {
     pub overlap: bool,
     /// What settlement does with the booked tail an adaptive early stop
     /// never ran ([`DevicePool::rebook`]): write it off the busy books
-    /// only ([`RebookMode::BooksOnly`]), also free it while it is still
-    /// the lane tail so queued dispatches book into the freed time
-    /// ([`RebookMode::TailOnly`]), or free it wherever it sits and slide
-    /// later queued dispatches left into the hole
+    /// only ([`RebookMode::BooksOnly`]), or free it wherever it sits and
+    /// slide later queued dispatches left into the hole
     /// ([`RebookMode::Compact`]).
     pub refund: RebookMode,
     /// Book the planner's *expected* pass count instead of the
@@ -102,16 +100,6 @@ impl StageSchedConfig {
             refund: RebookMode::Compact,
             book_expected: true,
             max_extra_passes: 4,
-        }
-    }
-
-    /// Stage overlap only — worst-case booking, no re-booking, no
-    /// extension. Isolates the cross-job overlap win in A/Bs: it
-    /// executes exactly what [`StageSchedConfig::sequential`] does.
-    pub fn overlap_only() -> Self {
-        StageSchedConfig {
-            overlap: true,
-            ..StageSchedConfig::sequential()
         }
     }
 

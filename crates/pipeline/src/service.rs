@@ -15,7 +15,7 @@
 //!   therefore never consume unbounded buffer space.
 //! * **Weighted-fair dispatch.** Under [`ServicePolicy::WeightedFair`]
 //!   a deficit-round-robin scheduler visits tenants cyclically; each
-//!   visit grants `quantum_ms × weight` of deficit in predicted
+//!   visit grants one quantum `× weight` of deficit in predicted
 //!   device-ms and a tenant's head job dispatches once its deficit
 //!   covers the job's predicted cost. Optional per-tenant token-bucket
 //!   quotas cap sustained consumption (also in predicted device-ms,
@@ -115,10 +115,10 @@ pub struct QuotaSpec {
 pub struct TenantSpec {
     /// The tenant this spec binds.
     pub id: TenantId,
-    /// Human label for tables and bench JSON.
+    /// Human label for reports and tables.
     pub name: &'static str,
     /// Fair-share weight (deficit granted per scheduler visit is
-    /// `quantum_ms × weight`). Zero is clamped to one.
+    /// one quantum `× weight`). Zero is clamped to one.
     pub weight: u32,
     /// Ingress queue capacity, jobs. Zero is clamped to one.
     pub queue_capacity: usize,
@@ -252,8 +252,6 @@ pub enum ExecutionMode {
 pub struct ServiceConfig {
     /// Fairness policy.
     pub policy: ServicePolicy,
-    /// DRR quantum, predicted device-ms granted per scheduler visit.
-    pub quantum_ms: f64,
     /// Deadline admission (previewed against the surviving pool at
     /// dispatch, after the overload ladder).
     pub admission: AdmissionConfig,
@@ -265,10 +263,6 @@ pub struct ServiceConfig {
     pub dispatch: DispatchPolicy,
     /// Stage-granular booking knobs (shared with the staged engines).
     pub sched: StageSchedConfig,
-    /// Cap on transient-fault replays per dispatch.
-    pub max_transient_retries: usize,
-    /// Base of the exponential transient-replay backoff, ms.
-    pub retry_backoff_ms: f64,
     /// Execute or model-only.
     pub mode: ExecutionMode,
     /// Scoped host threads that run one dispatch round's functional
@@ -280,14 +274,11 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             policy: ServicePolicy::WeightedFair,
-            quantum_ms: 1.0,
             admission: AdmissionConfig::default(),
             overload: OverloadConfig::default(),
             breaker: BreakerConfig::default(),
             dispatch: DispatchPolicy::LeastLoaded,
             sched: StageSchedConfig::staged(),
-            max_transient_retries: 3,
-            retry_backoff_ms: 0.05,
             mode: ExecutionMode::Functional,
             host_workers: 1,
         }
@@ -583,6 +574,10 @@ impl<'a> Shell<'a> {
 
     /// Pop the next job to dispatch under the configured policy.
     fn pick_next(&mut self, pool: &DevicePool, now: f64, rr: &mut usize) -> Option<(usize, usize)> {
+        /// DRR quantum: predicted device-ms of deficit a weight-1
+        /// tenant is granted per visit. Shares come from the weights;
+        /// the quantum only sets the granularity they are met at.
+        const DRR_QUANTUM_MS: f64 = 1.0;
         let n = self.tenants.len();
         match self.cfg.policy {
             ServicePolicy::Fifo => {
@@ -616,7 +611,7 @@ impl<'a> Shell<'a> {
                         // its deficit lasts (classic DRR)
                         return Some((t, j));
                     }
-                    let grant = self.cfg.quantum_ms * self.tenants[t].spec.weight.max(1) as f64;
+                    let grant = DRR_QUANTUM_MS * self.tenants[t].spec.weight.max(1) as f64;
                     self.tenants[t].deficit_ms += grant;
                     *rr += 1;
                 }
@@ -832,8 +827,6 @@ impl<'a> Shell<'a> {
             &[&self.jobs[e.job_idx]],
             solved,
             &self.cfg.sched,
-            self.cfg.max_transient_retries,
-            self.cfg.retry_backoff_ms,
         );
         let mut outcome = settled.pop().expect("a group of one settles one outcome");
         self.retried[e.job_idx] |= !hits.is_empty();
@@ -1142,24 +1135,22 @@ pub fn serve(
         |outs: &[&JobOutcome], d: Disposition| outs.iter().filter(|o| o.disposition == d).count();
     let completed =
         |outs: &[&JobOutcome]| outs.iter().filter(|o| o.disposition.completed()).count();
+    // one pass over the outcomes: they are in submission order, so
+    // outcome i belongs to jobs[i] — bucket by the submitted job's
+    // tenant and SLO class (`SloClass` is declared in ladder order)
+    let mut buckets: Vec<[Vec<&JobOutcome>; 3]> = vec![Default::default(); shell.tenants.len()];
+    for (o, job) in outcomes.iter().zip(jobs) {
+        buckets[by_id[&job.tenant.0]][job.slo as usize].push(o);
+    }
     let mut summaries = Vec::new();
-    for ts in &shell.tenants {
-        let spec = ts.spec;
-        let mine: Vec<&JobOutcome> = outcomes.iter().filter(|o| o.tenant == spec.id).collect();
+    for (ts, by_class) in shell.tenants.iter().zip(&buckets) {
+        let mine: Vec<&JobOutcome> = by_class.iter().flatten().copied().collect();
         if mine.is_empty() {
             continue;
         }
         let [p50_ms, p99_ms, p999_ms] = turnaround_percentiles(mine.iter().copied());
         let mut classes = Vec::new();
-        for class in SloClass::LADDER {
-            // outcomes are in submission order, so outcome i belongs
-            // to jobs[i] — slice by the submitted job's SLO class
-            let slice: Vec<&JobOutcome> = outcomes
-                .iter()
-                .zip(jobs.iter())
-                .filter(|(_, j)| j.tenant == spec.id && j.slo == class)
-                .map(|(o, _)| o)
-                .collect();
+        for (class, slice) in SloClass::LADDER.into_iter().zip(by_class) {
             if slice.is_empty() {
                 continue;
             }
@@ -1167,17 +1158,17 @@ pub fn serve(
             classes.push(ClassSummary {
                 class,
                 submitted: slice.len(),
-                completed: completed(&slice),
-                shed: count(&slice, Disposition::Shed),
-                degraded: count(&slice, Disposition::Degraded),
+                completed: completed(slice),
+                shed: count(slice, Disposition::Shed),
+                degraded: count(slice, Disposition::Degraded),
                 p50_ms,
                 p99_ms,
                 p999_ms,
             });
         }
         summaries.push(TenantSummary {
-            tenant: spec.id,
-            name: spec.name,
+            tenant: ts.spec.id,
+            name: ts.spec.name,
             submitted: mine.len(),
             completed: completed(&mine),
             shed: count(&mine, Disposition::Shed),

@@ -18,7 +18,7 @@
 //! pool usage behaves like a live service queue. Every pull runs the
 //! batch loop's own steps on one group — admit → place and book
 //! ([`dispatch_group_staged`]) → execute → settle (transient replays
-//! included, under [`RecoveryPolicy::default`]) → yield — and every
+//! included) → yield — and every
 //! constructor builds the same [`BatchStream`], differing only in the
 //! [`MicrobatchConfig`], [`StageSchedConfig`] and optional
 //! [`AdmissionConfig`] values it carries. Numerics per job are
@@ -33,7 +33,7 @@ use crate::job::Job;
 use crate::microbatch::{dispatch_group_staged, MicrobatchConfig};
 use crate::planner::Planner;
 use crate::pool::DevicePool;
-use crate::resilient::{admit, AdmissionConfig, Admitted, RecoveryPolicy};
+use crate::resilient::{admit, AdmissionConfig, Admitted};
 use crate::scheduler::{DispatchPolicy, JobShape, StageSchedConfig};
 use mdls_obs::Event;
 
@@ -449,17 +449,8 @@ where
         // spans before the next dispatch ever looks (the stream pull
         // contract keeps dispatch → execute → settle sequential per
         // group, so later groups also gap-fill into compacted holes)
-        let recovery = RecoveryPolicy::default();
-        let (mut assembled, _) = settle_group(
-            self.pool,
-            &mut g,
-            &shape,
-            &members,
-            solved,
-            &self.sched,
-            recovery.max_transient_retries,
-            recovery.backoff_ms,
-        );
+        let (mut assembled, _) =
+            settle_group(self.pool, &mut g, &shape, &members, solved, &self.sched);
         if let Some(req) = requested_digits {
             // the down-laddered job is the group's front member
             if let Some(o) = assembled.first_mut() {

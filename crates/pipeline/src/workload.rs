@@ -71,8 +71,8 @@ fn well_conditioned_job<R: Rng + ?Sized>(
 
 /// Functional jobs for an explicit shape queue: one well-conditioned
 /// random system per [`JobShape`], ids in queue order. This is the
-/// bridge from the model-only shape mixes ([`workload_mix`],
-/// [`refinement_mix`]) to jobs the functional solve paths accept —
+/// bridge from a model-only shape mix ([`workload_mix`]) to jobs the
+/// functional solve paths accept —
 /// and, because the caller controls shape repetition, the way to build
 /// queues the micro-batcher can actually fuse.
 pub fn jobs_for_shapes<R: Rng + ?Sized>(shapes: &[JobShape], rng: &mut R) -> Vec<Job> {
@@ -111,8 +111,8 @@ pub fn tracker_jobs<R: Rng + ?Sized>(count: usize, rng: &mut R) -> Vec<Job> {
 /// The deterministic shape queue of the dispatch-policy A/B: shapes
 /// *and* rungs vary sharply per job, so per-job cost varies sharply
 /// across device models — exactly the queue that exposes the greedy
-/// rule's blindness to device speed. Shared by the `repro throughput`
-/// bench and the acceptance tests so both measure the same workload.
+/// rule's blindness to device speed (the queue of
+/// `sect_makespan_never_loses_to_greedy_on_heterogeneous_pools`).
 pub fn workload_mix(count: usize) -> Vec<JobShape> {
     (0..count)
         .map(|i| {
@@ -121,26 +121,6 @@ pub fn workload_mix(count: usize) -> Vec<JobShape> {
                 rows: cols + [0, 32][i % 2],
                 cols,
                 target_digits: [12, 25, 25, 50, 50, 100][i % 6],
-            }
-        })
-        .collect()
-}
-
-/// The deterministic shape queue of the **stage-overlap A/B**: a
-/// refinement-heavy tracker mix — every target sits past the rung its
-/// factorization runs at, so each plan is a cheap factorization
-/// followed by residual/correct passes, the exact stage structure
-/// whose prep/compute lanes the overlapped scheduler pipelines across
-/// jobs. Shapes span the corrector sizes where the factorization's
-/// fixed host prep is a large share of the wall clock.
-pub fn refinement_mix(count: usize) -> Vec<JobShape> {
-    (0..count)
-        .map(|i| {
-            let cols = [64, 96, 128, 192, 256, 128][i % 6];
-            JobShape {
-                rows: cols + [0, 32][i % 2],
-                cols,
-                target_digits: [30, 50, 90, 100, 50, 30][i % 6],
             }
         })
         .collect()
@@ -206,7 +186,7 @@ mod tests {
 
     #[test]
     fn shapes_produce_matching_jobs() {
-        let shapes = refinement_mix(6);
+        let shapes = workload_mix(6);
         let mut rng = StdRng::seed_from_u64(3);
         let jobs = jobs_for_shapes(&shapes, &mut rng);
         assert_eq!(jobs.len(), shapes.len());

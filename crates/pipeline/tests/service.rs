@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use gpusim::{FaultPlan, Gpu};
 use mdls_matrix::HostMat;
-use mdls_obs::{Event, Recorder};
+use mdls_obs::{metrics::Metrics, Event, Recorder};
 use mdls_pipeline::batch::Disposition;
 use mdls_pipeline::{
     serve, Backpressure, BreakerConfig, DevicePool, DispatchPolicy, ExecutionMode, Job,
@@ -110,12 +110,27 @@ fn weighted_fair_bounds_light_tenant_p99_under_burst() {
     );
     // the burster itself pays: its tail is far beyond the light one's
     assert!(tenant_summary(&fair, burst_id).p99_ms > fair_light.p99_ms);
+
+    // a bounded freshest-wins queue sheds the burst's overflow at the
+    // door — counted as rejected, never queued — and starves no one
+    let bounded = [
+        specs[0],
+        TenantSpec::new(burst_id, "burster").with_queue(100, Backpressure::ShedOldest),
+    ];
+    let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
+    let shed = serve(&mut pool, &jobs, &bounded, &cfg);
+    let burster = tenant_summary(&shed, burst_id);
+    assert!(burster.shed > 0, "the burst never overflowed its queue");
+    assert_eq!(burster.shed, burster.rejected);
+    assert_eq!(burster.shed + burster.completed, 400);
+    assert_eq!(tenant_summary(&shed, light_id).completed, 40);
 }
 
 /// A zero-refill quota starves only its own tenant: the metered tenant
 /// completes exactly what its bucket covers and sheds the rest, while
 /// the unmetered tenant completes everything — on one device and on
-/// four (where one dispatch round launches several jobs at once).
+/// four (where one dispatch round launches several jobs at once). With
+/// a refilling bucket the same tenant runs dry, waits, and finishes.
 #[test]
 fn quota_exhaustion_sheds_only_the_exhausted_tenant() {
     let metered = TenantId(1);
@@ -160,6 +175,21 @@ fn quota_exhaustion_sheds_only_the_exhausted_tenant() {
             assert_eq!(o.disposition, expect, "job {}", o.job_id);
         }
     }
+
+    // a refilling bucket meters instead of starving: sharing one device
+    // the tenant would spend ≈ 500 device-ms per second, the bucket
+    // refills at half that — it runs dry at least once, every dry spell
+    // ends, and nothing is shed
+    let refilling = [
+        TenantSpec::new(metered, "metered").with_quota(2.2 * cost, 250.0),
+        specs[1],
+    ];
+    let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
+    let report = serve(&mut pool, &jobs, &refilling, &cfg);
+    let m = tenant_summary(&report, metered);
+    assert!(m.quota_exhaustions >= 1, "the metered tenant never ran dry");
+    assert_eq!((m.completed, m.shed), (10, 0));
+    assert_eq!(tenant_summary(&report, free).completed, 10);
 }
 
 /// Regression: the quota check used to read the bucket at pick time
@@ -276,6 +306,11 @@ fn quarantined_device_gets_no_nonprobe_dispatches_until_probe_succeeds() {
     // replay the event stream: between CircuitOpen(d1) and the next
     // CircuitProbe(d1), device 1 must receive zero bookings
     let events = recorder.events();
+    // the stream folds to what the report says
+    let m = Metrics::from_events(&events);
+    let opens: usize = report.breakers.iter().map(|b| b.opens).sum();
+    assert_eq!(m.circuit_opens as usize, opens);
+    assert_eq!(m.tenant_latency[&t1.0].count(), 40);
     let mut quarantined = false;
     let mut saw_transitions = 0;
     for ev in &events {

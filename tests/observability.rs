@@ -170,6 +170,10 @@ fn observer_is_inert_on_the_stream_path() {
         .any(|e| matches!(e, Event::GroupFormed { .. })));
     let doc = trace::chrome_trace(&events);
     trace::validate_trace(&doc, 2).expect("stream trace must validate");
+    assert!(
+        !Metrics::from_events(&events).calibration().is_empty(),
+        "no predicted-vs-settled stage-time records on the stream"
+    );
 }
 
 #[test]
@@ -202,4 +206,6 @@ fn observer_is_inert_on_the_service_path() {
     assert_eq!(m.jobs, jobs.len() as u64);
     assert!(m.plan_cache_misses > 0, "no plan-cache miss recorded");
     assert!(m.plan_cache_hits > 0, "no plan-cache hit recorded");
+    // one turnaround histogram per tenant
+    assert_eq!(m.tenant_latency.len(), specs.len());
 }

@@ -471,17 +471,23 @@ fn refund_jobs(count: usize, seed: u64) -> Vec<Job> {
 
 /// Online-refund re-booking property (seeded mixes): with identical
 /// worst-case bookings, handing refunds back online never worsens the
-/// makespan, and every solution stays bit-identical. The batch engine
-/// books every group up front, so a tail-only re-book can only trim
-/// each device's final booking; the strict improvement on refund-heavy
-/// mixes belongs to slide-left compaction, which moves queued
-/// dispatches into the mid-schedule holes.
+/// makespan, and every solution stays bit-identical. Writing refunds
+/// off the busy books only (`BooksOnly`) leaves the booked schedule in
+/// place; slide-left compaction moves queued dispatches into the
+/// mid-schedule holes, and wins strictly on refund-heavy mixes.
 #[test]
 fn online_rebooking_never_worsens_makespan() {
-    let mut rebook = StageSchedConfig::overlap_only();
-    rebook.refund = RebookMode::TailOnly;
-    let mut compact = rebook;
-    compact.refund = RebookMode::Compact;
+    // overlapped lanes, worst-case booking, no extension: the two arms
+    // differ in the refund mode alone
+    let post = StageSchedConfig {
+        overlap: true,
+        ..StageSchedConfig::sequential()
+    };
+    assert_eq!(post.refund, RebookMode::BooksOnly);
+    let compact = StageSchedConfig {
+        refund: RebookMode::Compact,
+        ..post
+    };
     let mut strict_wins = 0;
     for seed in 1u64..=2 {
         let jobs = refund_jobs(12, seed);
@@ -495,26 +501,16 @@ fn online_rebooking_never_worsens_makespan() {
                 sched,
             )
         };
-        let post = run(&StageSchedConfig::overlap_only());
-        let re = run(&rebook);
-        assert!(
-            re.makespan_ms <= post.makespan_ms + 1e-9,
-            "seed {seed}: tail-only re-booking {:.2} ms worse than post-hoc {:.2} ms",
-            re.makespan_ms,
-            post.makespan_ms
-        );
+        let post = run(&post);
         let comp = run(&compact);
         assert!(
-            comp.makespan_ms <= re.makespan_ms + 1e-9,
-            "seed {seed}: compaction {:.2} ms worse than tail-only {:.2} ms",
+            comp.makespan_ms <= post.makespan_ms + 1e-9,
+            "seed {seed}: compaction {:.2} ms worse than books-only {:.2} ms",
             comp.makespan_ms,
-            re.makespan_ms
+            post.makespan_ms
         );
         if comp.makespan_ms < post.makespan_ms - 1e-9 {
             strict_wins += 1;
-        }
-        for (a, b) in post.outcomes.iter().zip(&re.outcomes) {
-            assert_eq!(a.x, b.x, "seed {seed}: re-booking changed bits");
         }
         for (a, b) in post.outcomes.iter().zip(&comp.outcomes) {
             assert_eq!(a.x, b.x, "seed {seed}: compaction changed bits");
