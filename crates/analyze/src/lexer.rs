@@ -1,7 +1,7 @@
 //! A hand-rolled Rust lexer, just deep enough for lint analysis.
 //!
 //! Produces a flat token stream (identifiers, punctuation, literals)
-//! plus a separate comment list. The lexer's one job is to make the
+//! and drops comments. The lexer's one job is to make the
 //! lint passes immune to the classic grep failure modes: `.iter()`
 //! inside a string literal, `unsafe` inside a doc comment, `'a` the
 //! lifetime versus `'a'` the char, nested `/* /* */ */` blocks, and
@@ -35,23 +35,6 @@ pub struct Token {
     pub line: u32,
 }
 
-/// One comment with its 1-based source line. `trailing` is true when
-/// code precedes the comment on the same line (a trailing comment
-/// annotates its own line; an own-line comment annotates the next).
-#[derive(Clone, Debug)]
-pub struct Comment {
-    /// Comment body with the `//` / `/*` fences stripped and trimmed.
-    pub text: String,
-    pub line: u32,
-    pub trailing: bool,
-}
-
-/// Lex result: tokens and comments, both in source order.
-pub struct Lexed {
-    pub tokens: Vec<Token>,
-    pub comments: Vec<Comment>,
-}
-
 /// Multi-character punctuation, longest first so `==` never lexes as
 /// `=` `=`. Only the operators the lints look at need to be exact;
 /// everything else may fall through to single characters.
@@ -60,16 +43,12 @@ const PUNCTS: &[&str] = &[
     "-=", "*=", "/=", "%=", "^=", "&=", "|=", "<<", ">>",
 ];
 
-/// Lex `src` into tokens and comments.
-pub fn lex(src: &str) -> Lexed {
+/// Lex `src` into tokens, in source order.
+pub fn lex(src: &str) -> Vec<Token> {
     let b = src.as_bytes();
     let mut i = 0usize;
     let mut line: u32 = 1;
     let mut tokens = Vec::new();
-    let mut comments = Vec::new();
-    // whether any token has been produced on the current line — drives
-    // the `trailing` flag on comments
-    let mut code_on_line = false;
 
     macro_rules! bump_lines {
         ($s:expr) => {
@@ -86,7 +65,6 @@ pub fn lex(src: &str) -> Lexed {
         // newline / whitespace
         if c == b'\n' {
             line += 1;
-            code_on_line = false;
             i += 1;
             continue;
         }
@@ -96,27 +74,13 @@ pub fn lex(src: &str) -> Lexed {
         }
         // line comment (doc comments included — they are comments too)
         if c == b'/' && i + 1 < b.len() && b[i + 1] == b'/' {
-            let start = i;
             while i < b.len() && b[i] != b'\n' {
                 i += 1;
             }
-            let mut body = &src[start..i];
-            while let Some(s) = body.strip_prefix('/') {
-                body = s;
-            }
-            let body = body.strip_prefix('!').unwrap_or(body);
-            comments.push(Comment {
-                text: body.trim().to_string(),
-                line,
-                trailing: code_on_line,
-            });
             continue;
         }
         // block comment, nested
         if c == b'/' && i + 1 < b.len() && b[i + 1] == b'*' {
-            let start_line = line;
-            let start = i + 2;
-            let was_code = code_on_line;
             i += 2;
             let mut depth = 1usize;
             while i < b.len() && depth > 0 {
@@ -129,17 +93,10 @@ pub fn lex(src: &str) -> Lexed {
                 } else {
                     if b[i] == b'\n' {
                         line += 1;
-                        code_on_line = false;
                     }
                     i += 1;
                 }
             }
-            let end = i.saturating_sub(2).max(start);
-            comments.push(Comment {
-                text: src[start..end].trim().to_string(),
-                line: start_line,
-                trailing: was_code,
-            });
             continue;
         }
         // raw / byte strings: r"...", r#"..."#, br"...", b"..."
@@ -179,7 +136,6 @@ pub fn lex(src: &str) -> Lexed {
                         text: String::new(),
                         line: tok_line,
                     });
-                    code_on_line = true;
                     continue;
                 }
             }
@@ -210,7 +166,6 @@ pub fn lex(src: &str) -> Lexed {
                 text: String::new(),
                 line: tok_line,
             });
-            code_on_line = true;
             continue;
         }
         // char literal vs lifetime
@@ -229,7 +184,6 @@ pub fn lex(src: &str) -> Lexed {
                     text: String::new(),
                     line,
                 });
-                code_on_line = true;
                 continue;
             }
             // unescaped: 'x' (char) or 'ident (lifetime)
@@ -260,7 +214,6 @@ pub fn lex(src: &str) -> Lexed {
                 });
                 i = k;
             }
-            code_on_line = true;
             continue;
         }
         // number
@@ -316,7 +269,6 @@ pub fn lex(src: &str) -> Lexed {
                 text: src[start..i].to_string(),
                 line,
             });
-            code_on_line = true;
             continue;
         }
         // identifier / keyword (incl. raw idents r#type)
@@ -330,7 +282,6 @@ pub fn lex(src: &str) -> Lexed {
                 text: src[start..i].to_string(),
                 line,
             });
-            code_on_line = true;
             continue;
         }
         // punctuation, longest match first
@@ -352,10 +303,9 @@ pub fn lex(src: &str) -> Lexed {
             text: p,
             line,
         });
-        code_on_line = true;
     }
 
-    Lexed { tokens, comments }
+    tokens
 }
 
 #[cfg(test)]
@@ -363,25 +313,21 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<(TokKind, String)> {
-        lex(src)
-            .tokens
-            .into_iter()
-            .map(|t| (t.kind, t.text))
-            .collect()
+        lex(src).into_iter().map(|t| (t.kind, t.text)).collect()
     }
 
     #[test]
     fn strings_hide_their_contents() {
         let l = lex("let s = \".iter() unsafe\"; x.get(0)");
-        assert!(l.tokens.iter().all(|t| t.text != "iter"));
-        assert!(l.tokens.iter().any(|t| t.text == "get"));
+        assert!(l.iter().all(|t| t.text != "iter"));
+        assert!(l.iter().any(|t| t.text == "get"));
     }
 
     #[test]
     fn raw_strings_with_hashes() {
         let l = lex("let s = r#\"for x in map \"quoted\" more\"#; y");
-        assert!(l.tokens.iter().all(|t| t.text != "for"));
-        assert!(l.tokens.iter().any(|t| t.text == "y"));
+        assert!(l.iter().all(|t| t.text != "for"));
+        assert!(l.iter().any(|t| t.text == "y"));
     }
 
     #[test]
@@ -396,9 +342,8 @@ mod tests {
     #[test]
     fn nested_block_comments() {
         let l = lex("/* outer /* inner */ still comment */ real");
-        assert_eq!(l.tokens.len(), 1);
-        assert_eq!(l.tokens[0].text, "real");
-        assert_eq!(l.comments.len(), 1);
+        assert_eq!(l.len(), 1);
+        assert_eq!(l[0].text, "real");
     }
 
     #[test]
@@ -414,16 +359,6 @@ mod tests {
         let last = ks.last().unwrap();
         assert_eq!(last.0, TokKind::Int);
         assert_eq!(last.1, "0");
-    }
-
-    #[test]
-    fn comment_trailing_flag_and_lines() {
-        let l = lex("let x = 1; // trailing\n// own line\nlet y = 2;\n");
-        assert_eq!(l.comments.len(), 2);
-        assert!(l.comments[0].trailing);
-        assert_eq!(l.comments[0].line, 1);
-        assert!(!l.comments[1].trailing);
-        assert_eq!(l.comments[1].line, 2);
     }
 
     #[test]

@@ -3,29 +3,9 @@
 //! Every lint here is grounded in a real hazard of this reproduction
 //! (see the README's "Static analysis" section for the full story):
 //!
-//! * [`MAP_ITERATION_ORDER`] — bit-identity and placement invariance
-//!   die the day someone traverses a `HashMap` in plan or schedule
-//!   code: iteration order varies per process, so any order-dependent
-//!   result varies per run.
-//! * [`WALL_CLOCK_IN_SIM`] — the pipeline runs on *simulated* clocks;
-//!   a stray `Instant::now()` silently couples results to host load.
 //! * [`LOCK_ACROSS_EMIT`] — the observer contract is "inert": an
 //!   emit site that holds a planner/cache `MutexGuard` hands every
 //!   observer a loaded gun (re-entering the planner deadlocks).
-//! * [`UNDOCUMENTED_UNSAFE`] — every `unsafe` block or impl must carry
-//!   an adjacent `// Safety:` comment naming its contract.
-//! * [`FLOAT_EQ_OUTSIDE_CORE`] — `==`/`!=` on floats is legitimate in
-//!   the error-free-transform kernels (`multidouble`, `matrix`), and a
-//!   latent bug everywhere else.
-//! * [`TIMELINE_MUTATION_OUTSIDE_POOL`] — the per-lane interval lists
-//!   carry the pool's sorted/disjoint/cursor-at-tail invariants;
-//!   touching `.intervals` with a container mutator anywhere but
-//!   `pool.rs`'s own `Timeline` API bypasses the invariant checks.
-//! * [`NONDETERMINISTIC_FAULT_SOURCE`] — chaotic runs are reproducible
-//!   only while every fault schedule and recovery decision replays
-//!   from a seed; one `thread_rng()` or `Instant::now()` in
-//!   fault/recovery code and the same chaos run never happens
-//!   twice.
 //! * [`UNBOUNDED_SERVICE_QUEUE`] — the service shell's overload story
 //!   (reject / shed-oldest / block) only holds while every ingress and
 //!   backlog queue is bounded; one unguarded `push_back` in service
@@ -49,31 +29,15 @@
 //!   primitive is how the three engines drifted apart before (the
 //!   stream settled without transient replays; the shell previewed one
 //!   booking and committed another).
-//!
-//! Suppression grammar: `// analyze::allow(lint-id): reason`. The
-//! reason is mandatory — a bare allow is itself a finding — and an
-//! allow that suppresses nothing is flagged too, so the corpus of
-//! exceptions can only shrink.
 
-use std::collections::BTreeSet;
-
-use crate::lexer::{lex, Comment, TokKind, Token};
+use crate::lexer::{lex, TokKind, Token};
 use crate::report::Finding;
 
-pub const MAP_ITERATION_ORDER: &str = "map-iteration-order";
-pub const WALL_CLOCK_IN_SIM: &str = "wall-clock-in-sim";
 pub const LOCK_ACROSS_EMIT: &str = "lock-across-emit";
-pub const UNDOCUMENTED_UNSAFE: &str = "undocumented-unsafe";
-pub const FLOAT_EQ_OUTSIDE_CORE: &str = "float-eq-outside-core";
-pub const TIMELINE_MUTATION_OUTSIDE_POOL: &str = "timeline-mutation-outside-pool";
-pub const NONDETERMINISTIC_FAULT_SOURCE: &str = "nondeterministic-fault-source";
 pub const UNBOUNDED_SERVICE_QUEUE: &str = "unbounded-service-queue";
 pub const ATOMIC_ON_ELEMENT_PATH: &str = "atomic-on-element-path";
 pub const POOL_LINEAR_SCAN: &str = "pool-linear-scan";
 pub const ENGINE_STEP_FORK: &str = "engine-step-fork";
-pub const BARE_ALLOW: &str = "bare-allow";
-pub const UNKNOWN_LINT: &str = "unknown-lint";
-pub const UNUSED_ALLOW: &str = "unused-allow";
 
 /// Which crates a lint applies to.
 pub enum Scope {
@@ -81,8 +45,6 @@ pub enum Scope {
     All,
     /// Only the named crates.
     Only(&'static [&'static str]),
-    /// Every crate except the named ones.
-    Except(&'static [&'static str]),
 }
 
 impl Scope {
@@ -90,7 +52,6 @@ impl Scope {
         match self {
             Scope::All => true,
             Scope::Only(list) => list.contains(&krate),
-            Scope::Except(list) => !list.contains(&krate),
         }
     }
 }
@@ -108,46 +69,10 @@ pub struct LintDef {
 /// place to change.
 pub const LINTS: &[LintDef] = &[
     LintDef {
-        id: MAP_ITERATION_ORDER,
-        scope: Scope::Only(&["pipeline", "gpusim", "core", "obs"]),
-        skip_tests: false,
-        summary: "no order-dependent traversal of HashMap/HashSet in determinism-bearing crates",
-    },
-    LintDef {
-        id: WALL_CLOCK_IN_SIM,
-        scope: Scope::Except(&["bench", "analyze"]),
-        skip_tests: false,
-        summary: "no Instant::now/SystemTime/thread::sleep outside the bench crate (simulated clocks only)",
-    },
-    LintDef {
         id: LOCK_ACROSS_EMIT,
         scope: Scope::All,
         skip_tests: false,
         summary: "no MutexGuard live across an .emit(..) observer call",
-    },
-    LintDef {
-        id: UNDOCUMENTED_UNSAFE,
-        scope: Scope::All,
-        skip_tests: false,
-        summary: "every unsafe block/impl carries an adjacent // Safety: comment",
-    },
-    LintDef {
-        id: FLOAT_EQ_OUTSIDE_CORE,
-        scope: Scope::Except(&["multidouble", "matrix"]),
-        skip_tests: true,
-        summary: "no ==/!= on float expressions outside the error-free-transform crates",
-    },
-    LintDef {
-        id: TIMELINE_MUTATION_OUTSIDE_POOL,
-        scope: Scope::Only(&["pipeline"]),
-        skip_tests: false,
-        summary: "lane interval lists mutate only through pool.rs's Timeline API",
-    },
-    LintDef {
-        id: NONDETERMINISTIC_FAULT_SOURCE,
-        scope: Scope::All,
-        skip_tests: false,
-        summary: "fault/recovery code draws only from seeded sources — no ambient RNG, no host clocks",
     },
     LintDef {
         id: UNBOUNDED_SERVICE_QUEUE,
@@ -202,24 +127,9 @@ fn is_test_path(rel: &str) -> bool {
     rel.split('/').any(|c| c == "tests" || c == "benches")
 }
 
-/// Fault-tolerance code by file name — the files whose nondeterminism
-/// the [`NONDETERMINISTIC_FAULT_SOURCE`] lint polices. Path-scoped
-/// rather than crate-scoped: fault plans live in `gpusim` and recovery
-/// code in `pipeline`, and both must replay from seeds. The pipeline's
-/// batch loop, whose loss-recovery phase decides what re-dispatches
-/// where, is in scope by exact path (its name says nothing about
-/// faults).
-fn is_fault_path(rel: &str) -> bool {
-    let file = rel.rsplit('/').next().unwrap_or(rel);
-    rel.trim_start_matches("./") == "crates/pipeline/src/batch.rs"
-        || ["fault", "resilient", "recovery"]
-            .iter()
-            .any(|k| file.contains(k))
-}
-
 /// Service-shell code by file name — the files whose queue growth the
 /// [`UNBOUNDED_SERVICE_QUEUE`] lint polices. Path-scoped like
-/// [`is_fault_path`]: the bounded-ingress contract belongs to the
+/// [`is_element_path`]: the bounded-ingress contract belongs to the
 /// multi-tenant shell, not to every `VecDeque` in the pipeline.
 fn is_service_path(rel: &str) -> bool {
     rel.rsplit('/').next().unwrap_or(rel).contains("service")
@@ -227,58 +137,13 @@ fn is_service_path(rel: &str) -> bool {
 
 /// The per-element path by file — device-buffer access and the kernel
 /// bodies built on it, the files [`ATOMIC_ON_ELEMENT_PATH`] polices.
-/// Path-scoped like [`is_fault_path`]: launch bookkeeping elsewhere in
+/// Path-scoped like [`is_service_path`]: launch bookkeeping elsewhere in
 /// `gpusim` (the parallel executor's block counter) is per block, not
 /// per element, and keeps its atomics.
 fn is_element_path(rel: &str) -> bool {
     let rel = rel.trim_start_matches("./");
     rel == "crates/gpusim/src/buffer.rs"
         || (rel.starts_with("crates/") && rel.ends_with("/src/kernels.rs"))
-}
-
-// ---------------------------------------------------------------------
-// suppression grammar
-// ---------------------------------------------------------------------
-
-struct Allow {
-    lint: String,
-    has_reason: bool,
-    line: u32,
-    target_line: Option<u32>,
-    used: bool,
-}
-
-/// Parse `analyze::allow(lint-id): reason` comments. `code_lines` maps
-/// an own-line allow to the next line holding code.
-fn parse_allows(comments: &[Comment], code_lines: &BTreeSet<u32>) -> Vec<Allow> {
-    let mut out = Vec::new();
-    for c in comments {
-        let Some(rest) = c.text.strip_prefix("analyze::allow(") else {
-            continue;
-        };
-        let Some(close) = rest.find(')') else {
-            continue;
-        };
-        let lint = rest[..close].trim().to_string();
-        let tail = rest[close + 1..].trim();
-        let has_reason = tail
-            .strip_prefix(':')
-            .map(|r| !r.trim().is_empty())
-            .unwrap_or(false);
-        let target_line = if c.trailing {
-            Some(c.line)
-        } else {
-            code_lines.range(c.line + 1..).next().copied()
-        };
-        out.push(Allow {
-            lint,
-            has_reason,
-            line: c.line,
-            target_line,
-            used: false,
-        });
-    }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -378,75 +243,12 @@ fn cfg_test_spans(toks: &[Token]) -> Vec<(usize, usize)> {
 }
 
 // ---------------------------------------------------------------------
-// workspace pass 1: names that denote floats
-// ---------------------------------------------------------------------
-
-/// Collect identifiers `src` declares as `f64`/`f32` — struct fields,
-/// let bindings and fn params (`name: f64`) go into `decls`; functions
-/// returning floats (`fn name(..) -> f64`) go into `fns`. The split
-/// matters for scoping: fn names are cross-crate API (`wall_ms()`
-/// reads as a float anywhere), while field/binding names are only
-/// trustworthy within their own crate — `device` is an `f64` cursor in
-/// one crate and a `usize` id in another.
-pub fn collect_float_names(src: &str, decls: &mut BTreeSet<String>, fns: &mut BTreeSet<String>) {
-    let toks = lex(src).tokens;
-    let mut last_fn_name: Option<String> = None;
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        if t.text == "fn" {
-            if let Some(n) = toks.get(i + 1) {
-                if n.kind == TokKind::Ident {
-                    last_fn_name = Some(n.text.clone());
-                }
-            }
-            continue;
-        }
-        if t.text == "f64" || t.text == "f32" {
-            // `name : [& mut] f64`
-            let mut j = i;
-            while j > 0 && (is(&toks[j - 1], "&") || is(&toks[j - 1], "mut")) {
-                j -= 1;
-            }
-            // short names (`p`, `x`, `ms`) collide with non-float
-            // locals all over a numeric workspace; only names of three
-            // or more characters are specific enough to trust
-            if j >= 2 && is(&toks[j - 1], ":") && toks[j - 2].kind == TokKind::Ident {
-                let name = &toks[j - 2].text;
-                if name.len() >= 3 {
-                    decls.insert(name.clone());
-                }
-            }
-            // `fn name(..) -> [& mut] f64`
-            if j >= 1 && is(&toks[j - 1], "->") {
-                if let Some(n) = &last_fn_name {
-                    if n.len() >= 3 {
-                        fns.insert(n.clone());
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // the per-file analysis
 // ---------------------------------------------------------------------
 
-/// Run every applicable lint over one file. `float_names` comes from
-/// [`collect_float_names`] over the whole workspace.
-pub fn analyze_source(
-    rel: &str,
-    krate: &str,
-    src: &str,
-    float_names: &BTreeSet<String>,
-) -> Vec<Finding> {
-    let lexed = lex(src);
-    let toks = &lexed.tokens;
-    let code_lines: BTreeSet<u32> = toks.iter().map(|t| t.line).collect();
-    let mut allows = parse_allows(&lexed.comments, &code_lines);
+/// Run every applicable lint over `src` as if it lived at `rel` in `krate`.
+pub fn analyze_str(rel: &str, krate: &str, src: &str) -> Vec<Finding> {
+    let toks = &lex(src);
     let test_spans = cfg_test_spans(toks);
     let path_is_test = is_test_path(rel);
 
@@ -458,36 +260,8 @@ pub fn analyze_source(
     };
     let skip_tests = |id: &str| lint_by_id(id).map(|l| l.skip_tests).unwrap_or(false);
 
-    if enabled(MAP_ITERATION_ORDER) {
-        lint_map_iteration(rel, toks, &mut raw);
-    }
-    if enabled(WALL_CLOCK_IN_SIM) {
-        lint_wall_clock(rel, toks, &mut raw);
-    }
     if enabled(LOCK_ACROSS_EMIT) {
         lint_lock_across_emit(rel, toks, &mut raw);
-    }
-    if enabled(UNDOCUMENTED_UNSAFE) {
-        lint_undocumented_unsafe(rel, toks, &lexed.comments, &mut raw);
-    }
-    if enabled(FLOAT_EQ_OUTSIDE_CORE) {
-        lint_float_eq(rel, toks, float_names, &mut raw);
-    }
-    // pool.rs *is* the Timeline API — the invariant-checked mutators
-    // live there, so the one exemption is exact-path
-    if enabled(TIMELINE_MUTATION_OUTSIDE_POOL)
-        && rel.trim_start_matches("./") != "crates/pipeline/src/pool.rs"
-    {
-        lint_timeline_mutation(rel, toks, &mut raw);
-    }
-    // fault.rs *is* the seeded FaultPlan source — the one file allowed
-    // to wrap an entropy primitive behind a recorded seed, so (as with
-    // pool.rs above) the exemption is exact-path
-    if enabled(NONDETERMINISTIC_FAULT_SOURCE)
-        && is_fault_path(rel)
-        && rel.trim_start_matches("./") != "crates/gpusim/src/fault.rs"
-    {
-        lint_nondeterministic_fault(rel, toks, &mut raw);
     }
     // the service shell's overload ladder assumes every ingress and
     // backlog queue is bounded — growth in service files must sit
@@ -531,131 +305,13 @@ pub fn analyze_source(
         })
     });
 
-    // apply suppressions
-    let mut findings: Vec<Finding> = Vec::new();
-    'f: for f in raw {
-        for a in allows.iter_mut() {
-            if a.lint == f.lint && a.target_line == Some(f.line) && a.has_reason {
-                a.used = true;
-                continue 'f;
-            }
-        }
-        findings.push(f);
-    }
-
-    // the suppression grammar's own rules
-    for a in &allows {
-        if lint_by_id(&a.lint).is_none() {
-            findings.push(Finding::new(
-                rel,
-                a.line,
-                UNKNOWN_LINT,
-                format!("allow names unknown lint `{}`", a.lint),
-            ));
-            continue;
-        }
-        if !a.has_reason {
-            findings.push(Finding::new(
-                rel,
-                a.line,
-                BARE_ALLOW,
-                format!(
-                    "allow({}) without a reason — write `// analyze::allow({}): why`",
-                    a.lint, a.lint
-                ),
-            ));
-            continue;
-        }
-        if !a.used {
-            findings.push(Finding::new(
-                rel,
-                a.line,
-                UNUSED_ALLOW,
-                format!("allow({}) suppresses nothing — remove it", a.lint),
-            ));
-        }
-    }
-
-    findings.sort_by(|a, b| (a.line, a.lint).cmp(&(b.line, b.lint)));
-    findings
+    raw.sort_by(|a, b| (a.line, a.lint).cmp(&(b.line, b.lint)));
+    raw
 }
 
 // ---------------------------------------------------------------------
 // individual lints
 // ---------------------------------------------------------------------
-
-const MAP_TYPES: &[&str] = &["HashMap", "HashSet"];
-const ORDER_DEPENDENT: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "into_iter",
-    "keys",
-    "into_keys",
-    "values",
-    "values_mut",
-    "into_values",
-    "drain",
-    "retain",
-    "extract_if",
-];
-
-/// Names in this file bound to a `HashMap`/`HashSet`: fields and
-/// bindings declared `name: ..HashMap<..`, and `name = HashMap::new()`
-/// style initializers.
-fn map_names(toks: &[Token]) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    for i in 0..toks.len() {
-        if toks[i].kind != TokKind::Ident || !MAP_TYPES.contains(&toks[i].text.as_str()) {
-            continue;
-        }
-        // walk back over type-path noise to the declaring `:` or `=`
-        let mut j = i;
-        while j > 0 {
-            let p = &toks[j - 1];
-            let skip = p.text == "::"
-                || p.text == "<"
-                || p.text == "&"
-                || p.text == "mut"
-                || (p.kind == TokKind::Ident && p.text != "let");
-            if !skip {
-                break;
-            }
-            j -= 1;
-        }
-        if j >= 2 && (is(&toks[j - 1], ":") || is(&toks[j - 1], "=")) {
-            let mut k = j - 1;
-            // `name : Ty` / `name = init` / `name : Ty = init`
-            if is(&toks[k], "=") {
-                // skip back over a type annotation if present
-                let mut depth = 0i32;
-                while k > 0 {
-                    let t = &toks[k - 1];
-                    match t.text.as_str() {
-                        ">" | ">>" => depth += 1,
-                        "<" => depth -= 1,
-                        ":" if depth == 0 => {
-                            k -= 1;
-                            break;
-                        }
-                        ";" | "{" | "}" => break,
-                        _ => {}
-                    }
-                    if depth < 0 {
-                        break;
-                    }
-                    k -= 1;
-                }
-            }
-            if k >= 1
-                && (is(&toks[k], ":") || is(&toks[k], "="))
-                && toks[k - 1].kind == TokKind::Ident
-            {
-                names.insert(toks[k - 1].text.clone());
-            }
-        }
-    }
-    names
-}
 
 /// The object a method chain ending at `dot` (the `.` of a call)
 /// actually operates on: walk left *through* method calls — `.lock()`,
@@ -696,150 +352,6 @@ fn chain_receiver(toks: &[Token], dot: usize) -> Option<String> {
         } else {
             return None;
         }
-    }
-}
-
-fn lint_map_iteration(rel: &str, toks: &[Token], out: &mut Vec<Finding>) {
-    let names = map_names(toks);
-    for i in 0..toks.len() {
-        // `.method(` with an order-dependent method on a known map
-        if toks[i].text == "."
-            && i + 2 < toks.len()
-            && toks[i + 1].kind == TokKind::Ident
-            && ORDER_DEPENDENT.contains(&toks[i + 1].text.as_str())
-            && is(&toks[i + 2], "(")
-        {
-            let receiver = chain_receiver(toks, i);
-            if let Some(hit) = receiver.filter(|r| names.contains(r)) {
-                out.push(Finding::new(
-                    rel,
-                    toks[i + 1].line,
-                    MAP_ITERATION_ORDER,
-                    format!(
-                        "`.{}()` on hash-ordered `{}` — iteration order varies per process; \
-                         use first-appearance bucketing or a sorted/BTree container",
-                        toks[i + 1].text,
-                        hit
-                    ),
-                ));
-            }
-        }
-        // `for pat in [&[mut]] map {`
-        if is(&toks[i], "for") && toks[i].kind == TokKind::Ident {
-            // find the `in` at depth 0 before the body `{`
-            let mut j = i + 1;
-            let mut depth = 0i32;
-            while j < toks.len() {
-                match toks[j].text.as_str() {
-                    "(" | "[" => depth += 1,
-                    ")" | "]" => depth -= 1,
-                    "in" if depth == 0 => break,
-                    "{" if depth == 0 => break,
-                    _ => {}
-                }
-                j += 1;
-            }
-            if j < toks.len() && is(&toks[j], "in") {
-                // expr tokens up to the body `{`
-                let mut k = j + 1;
-                let mut expr = Vec::new();
-                let mut d = 0i32;
-                while k < toks.len() {
-                    match toks[k].text.as_str() {
-                        "(" | "[" => d += 1,
-                        ")" | "]" => d -= 1,
-                        "{" if d == 0 => break,
-                        _ => {}
-                    }
-                    expr.push(k);
-                    k += 1;
-                }
-                // flag only a bare `&`/`&mut` map ident — chains with
-                // methods are handled by the method rule above, and
-                // things like `0..map.len()` must not trip
-                let idents: Vec<&Token> = expr
-                    .iter()
-                    .map(|&x| &toks[x])
-                    .filter(|t| !(t.text == "&" || t.text == "mut"))
-                    .collect();
-                if idents.len() == 1
-                    && idents[0].kind == TokKind::Ident
-                    && names.contains(&idents[0].text)
-                {
-                    out.push(Finding::new(
-                        rel,
-                        idents[0].line,
-                        MAP_ITERATION_ORDER,
-                        format!(
-                            "`for .. in {}` iterates a hash-ordered container — order varies \
-                             per process",
-                            idents[0].text
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-fn lint_wall_clock(rel: &str, toks: &[Token], out: &mut Vec<Finding>) {
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let hit = match t.text.as_str() {
-            "Instant" | "SystemTime" => {
-                // flag the read (`::now`), not the mere import
-                i + 2 < toks.len() && is(&toks[i + 1], "::") && is(&toks[i + 2], "now")
-            }
-            "thread" => i + 2 < toks.len() && is(&toks[i + 1], "::") && is(&toks[i + 2], "sleep"),
-            _ => false,
-        };
-        if hit {
-            out.push(Finding::new(
-                rel,
-                t.line,
-                WALL_CLOCK_IN_SIM,
-                format!(
-                    "`{}::{}` reads the host clock — sim code must use simulated time only",
-                    t.text,
-                    toks[i + 2].text
-                ),
-            ));
-        }
-    }
-}
-
-/// Entropy and host-clock reads that make a chaos run unrepeatable.
-/// Seeded constructors (`seed_from_u64`, `StdRng::from_seed`,
-/// `FaultPlan::seeded`) are fine — only the ambient sources trip.
-fn lint_nondeterministic_fault(rel: &str, toks: &[Token], out: &mut Vec<Finding>) {
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let double = |a: &str| i + 2 < toks.len() && is(&toks[i + 1], "::") && is(&toks[i + 2], a);
-        let what = match t.text.as_str() {
-            "thread_rng" | "from_entropy" | "seed_from_entropy" | "OsRng" => {
-                format!("`{}` draws from ambient process entropy", t.text)
-            }
-            "rand" if double("random") => "`rand::random` draws from the thread RNG".to_string(),
-            "Instant" | "SystemTime" if double("now") => {
-                format!("`{}::now` reads the host clock", t.text)
-            }
-            _ => continue,
-        };
-        out.push(Finding::new(
-            rel,
-            t.line,
-            NONDETERMINISTIC_FAULT_SOURCE,
-            format!(
-                "{what} — fault schedules and recovery decisions must replay from recorded \
-                 seeds (FaultPlan::seeded / seed_from_u64) so chaotic runs stay reproducible"
-            ),
-        ));
     }
 }
 
@@ -1143,147 +655,6 @@ fn lint_lock_across_emit(rel: &str, toks: &[Token], out: &mut Vec<Finding>) {
     }
 }
 
-fn lint_undocumented_unsafe(
-    rel: &str,
-    toks: &[Token],
-    comments: &[Comment],
-    out: &mut Vec<Finding>,
-) {
-    // line → comment texts, for adjacency checks
-    let mut by_line: std::collections::BTreeMap<u32, Vec<&Comment>> =
-        std::collections::BTreeMap::new();
-    for c in comments {
-        by_line.entry(c.line).or_default().push(c);
-    }
-    let has_safety = |line: u32| -> bool {
-        // same line, or the contiguous own-line comment run above
-        if let Some(cs) = by_line.get(&line) {
-            if cs.iter().any(|c| c.text.starts_with("Safety:")) {
-                return true;
-            }
-        }
-        let mut l = line;
-        while l > 1 {
-            l -= 1;
-            match by_line.get(&l) {
-                Some(cs) => {
-                    if cs.iter().any(|c| c.text.starts_with("Safety:")) {
-                        return true;
-                    }
-                }
-                None => return false,
-            }
-        }
-        false
-    };
-    for i in 0..toks.len() {
-        if !(toks[i].kind == TokKind::Ident && toks[i].text == "unsafe") {
-            continue;
-        }
-        let next = match toks.get(i + 1) {
-            Some(n) => n,
-            None => continue,
-        };
-        let what = match next.text.as_str() {
-            "{" => "block",
-            "impl" | "trait" => "impl",
-            _ => continue, // `unsafe fn` is deny(unsafe_op_in_unsafe_fn)'s job
-        };
-        if !has_safety(toks[i].line) {
-            out.push(Finding::new(
-                rel,
-                toks[i].line,
-                UNDOCUMENTED_UNSAFE,
-                format!(
-                    "unsafe {what} without an adjacent `// Safety:` comment naming its contract"
-                ),
-            ));
-        }
-    }
-}
-
-/// Does the operand chain starting at token `i` (moving right) resolve
-/// to a float? The chain's *terminal* segment determines the type
-/// (`other.wall_ms()` is whatever `wall_ms` returns, no matter what
-/// `other` is), so only the last ident of the `a.b.c()` / `A::B::c`
-/// walk is checked — plus float literals and `f64::`/`f32::` paths.
-fn rhs_is_float(toks: &[Token], mut i: usize, names: &BTreeSet<String>) -> bool {
-    // skip unary noise
-    while i < toks.len() && (toks[i].text == "-" || toks[i].text == "&" || toks[i].text == "(") {
-        i += 1;
-    }
-    if i >= toks.len() {
-        return false;
-    }
-    if toks[i].kind == TokKind::Ident && (toks[i].text == "f64" || toks[i].text == "f32") {
-        return true; // f64::INFINITY and friends
-    }
-    let mut terminal: Option<&str> = None;
-    let mut steps = 0;
-    while i < toks.len() && steps < 24 {
-        steps += 1;
-        let t = &toks[i];
-        match t.kind {
-            TokKind::Float => return true,
-            TokKind::Ident => {
-                terminal = Some(&t.text);
-                i += 1;
-            }
-            TokKind::Int => i += 1,
-            TokKind::Punct if t.text == "." || t.text == "::" => i += 1,
-            TokKind::Punct if t.text == "(" => {
-                i = matching(toks, i) + 1;
-            }
-            _ => break,
-        }
-    }
-    terminal.map(|t| names.contains(t)).unwrap_or(false)
-}
-
-/// Does the operand ending at token `i` (the token left of the
-/// operator) resolve to a float? Terminal-segment typing, as in
-/// [`rhs_is_float`]: the last field/method of the chain decides.
-fn lhs_is_float(toks: &[Token], end: usize, names: &BTreeSet<String>) -> bool {
-    let t = &toks[end];
-    match t.kind {
-        TokKind::Float => true,
-        TokKind::Ident => names.contains(&t.text) || t.text == "f64" || t.text == "f32",
-        TokKind::Punct if t.text == ")" => {
-            // `..method()` — the called method is the terminal
-            let open = matching_back(toks, end);
-            open > 0
-                && toks[open - 1].kind == TokKind::Ident
-                && names.contains(&toks[open - 1].text)
-        }
-        _ => false,
-    }
-}
-
-fn lint_float_eq(rel: &str, toks: &[Token], names: &BTreeSet<String>, out: &mut Vec<Finding>) {
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if !(t.kind == TokKind::Punct && (t.text == "==" || t.text == "!=")) {
-            continue;
-        }
-        if i == 0 || i + 1 >= toks.len() {
-            continue;
-        }
-        if lhs_is_float(toks, i - 1, names) || rhs_is_float(toks, i + 1, names) {
-            out.push(Finding::new(
-                rel,
-                t.line,
-                FLOAT_EQ_OUTSIDE_CORE,
-                format!(
-                    "`{}` on a float expression — exact float comparison belongs to the \
-                     error-free-transform crates; compare against a tolerance or justify \
-                     the exactness",
-                    t.text
-                ),
-            ));
-        }
-    }
-}
-
 /// Searches that visit a list front to back, and the two sorted lists
 /// of `pool.rs` they must not visit.
 const SCAN_ADAPTERS: &[&str] = &["find", "position", "all", "any"];
@@ -1401,115 +772,5 @@ fn lint_engine_step_fork(rel: &str, toks: &[Token], out: &mut Vec<Finding>) {
                 owners.join("`/`"),
             ),
         ));
-    }
-}
-
-/// Container calls that rewrite an interval list in place. Reads
-/// (`len`, `iter`, `last`, `binary_search`, indexing without `=`) are
-/// fine anywhere; these are not.
-const TIMELINE_MUTATORS: &[&str] = &[
-    "push",
-    "pop",
-    "insert",
-    "remove",
-    "swap_remove",
-    "retain",
-    "clear",
-    "drain",
-    "truncate",
-    "extend",
-    "splice",
-    "dedup",
-    "sort",
-    "sort_by",
-    "sort_by_key",
-    "sort_unstable",
-    "sort_unstable_by",
-];
-
-fn lint_timeline_mutation(rel: &str, toks: &[Token], out: &mut Vec<Finding>) {
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if !(t.kind == TokKind::Ident && t.text == "intervals") {
-            continue;
-        }
-        // field access `.intervals` only — the `intervals()` accessor
-        // returns a shared slice and binds nothing mutable
-        if i == 0 || !is(&toks[i - 1], ".") {
-            continue;
-        }
-        if i + 1 < toks.len() && is(&toks[i + 1], "(") {
-            continue;
-        }
-        // `.intervals.<mutator>(`
-        if i + 3 < toks.len()
-            && is(&toks[i + 1], ".")
-            && toks[i + 2].kind == TokKind::Ident
-            && TIMELINE_MUTATORS.contains(&toks[i + 2].text.as_str())
-            && is(&toks[i + 3], "(")
-        {
-            out.push(Finding::new(
-                rel,
-                toks[i + 2].line,
-                TIMELINE_MUTATION_OUTSIDE_POOL,
-                format!(
-                    "`.intervals.{}(..)` outside pool.rs — lane interval lists keep their \
-                     sorted/disjoint/cursor-at-tail invariants only when mutated through \
-                     the Timeline API",
-                    toks[i + 2].text
-                ),
-            ));
-            continue;
-        }
-        // `&mut recv.intervals` — handing out a mutable borrow of the
-        // list; walk back over the receiver chain (`self.devices[i].host`)
-        let mut j = i - 1; // the `.` before `intervals`
-        loop {
-            if j == 0 {
-                break;
-            }
-            let p = &toks[j - 1];
-            if (p.kind == TokKind::Ident && p.text != "mut")
-                || p.kind == TokKind::Int
-                || is(p, ".")
-                || is(p, "::")
-            {
-                j -= 1;
-            } else if is(p, "]") {
-                j = matching_back(toks, j - 1);
-            } else {
-                break;
-            }
-        }
-        if j >= 2 && is(&toks[j - 1], "mut") && is(&toks[j - 2], "&") {
-            out.push(Finding::new(
-                rel,
-                t.line,
-                TIMELINE_MUTATION_OUTSIDE_POOL,
-                "`&mut ..intervals` outside pool.rs — a mutable borrow of a lane's interval \
-                 list bypasses the Timeline API's invariant checks"
-                    .to_string(),
-            ));
-            continue;
-        }
-        // `.intervals[i] = ..` / `.intervals[i].0 = ..` — element overwrite
-        if i + 1 < toks.len() && is(&toks[i + 1], "[") {
-            let close = matching(toks, i + 1);
-            let mut j = close + 1;
-            // optional tuple-field projection `.0` / `.1`
-            if j + 1 < toks.len() && is(&toks[j], ".") {
-                j += 2;
-            }
-            if j < toks.len() && is(&toks[j], "=") {
-                out.push(Finding::new(
-                    rel,
-                    t.line,
-                    TIMELINE_MUTATION_OUTSIDE_POOL,
-                    "assignment into `..intervals[..]` outside pool.rs — interval spans \
-                     change only through the Timeline API"
-                        .to_string(),
-                ));
-            }
-        }
     }
 }

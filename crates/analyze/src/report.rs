@@ -116,21 +116,16 @@ mod tests {
 
     #[test]
     fn human_line_is_clickable() {
-        let f = Finding::new(
-            "crates/x/src/lib.rs",
-            42,
-            "map-iteration-order",
-            "msg".into(),
-        );
+        let f = Finding::new("crates/x/src/lib.rs", 42, "lock-across-emit", "msg".into());
         assert_eq!(
             f.to_string(),
-            "crates/x/src/lib.rs:42: [map-iteration-order] msg"
+            "crates/x/src/lib.rs:42: [lock-across-emit] msg"
         );
     }
 
     #[test]
     fn json_escapes_quotes() {
-        let f = Finding::new("a.rs", 1, "bare-allow", "say \"why\"".into());
+        let f = Finding::new("a.rs", 1, "pool-linear-scan", "say \"why\"".into());
         let j = render_json(&[f], 1);
         assert!(j.contains("say \\\"why\\\""));
         assert!(j.contains("\"count\": 1"));

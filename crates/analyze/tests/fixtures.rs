@@ -10,7 +10,7 @@
 //! corpus never pollutes a real `mdls-analyze check` run (the
 //! self-check test in `self_check.rs` proves that).
 
-use mdls_analyze::analyze_str;
+use mdls_analyze::{analyze_str, lints::LINTS};
 
 /// `(line, lint-id)` pairs declared by `// FINDING: id[, id]` markers.
 fn expected(src: &str) -> Vec<(u32, String)> {
@@ -59,22 +59,8 @@ fn check_clean(name: &str, krate: &str, src: &str) {
     );
 }
 
-const MAP_TRIP: &str = include_str!("fixtures/map_iteration_trip.rs");
-const MAP_CLEAN: &str = include_str!("fixtures/map_iteration_clean.rs");
-const CLOCK_TRIP: &str = include_str!("fixtures/wall_clock_trip.rs");
-const CLOCK_CLEAN: &str = include_str!("fixtures/wall_clock_clean.rs");
 const LOCK_TRIP: &str = include_str!("fixtures/lock_across_emit_trip.rs");
 const LOCK_CLEAN: &str = include_str!("fixtures/lock_across_emit_clean.rs");
-const UNSAFE_TRIP: &str = include_str!("fixtures/unsafe_trip.rs");
-const UNSAFE_CLEAN: &str = include_str!("fixtures/unsafe_clean.rs");
-const FLOAT_TRIP: &str = include_str!("fixtures/float_eq_trip.rs");
-const FLOAT_CLEAN: &str = include_str!("fixtures/float_eq_clean.rs");
-const SUPPRESS_GOOD: &str = include_str!("fixtures/suppression_good.rs");
-const SUPPRESS_BAD: &str = include_str!("fixtures/suppression_bad.rs");
-const TIMELINE_TRIP: &str = include_str!("fixtures/timeline_trip.rs");
-const TIMELINE_CLEAN: &str = include_str!("fixtures/timeline_clean.rs");
-const NONDET_TRIP: &str = include_str!("fixtures/nondeterministic_fault_trip.rs");
-const NONDET_CLEAN: &str = include_str!("fixtures/nondeterministic_fault_clean.rs");
 const SERVICE_TRIP: &str = include_str!("fixtures/service_queue_trip.rs");
 const SERVICE_CLEAN: &str = include_str!("fixtures/service_queue_clean.rs");
 const ATOMIC_TRIP: &str = include_str!("fixtures/atomic_element_trip.rs");
@@ -83,32 +69,6 @@ const POOL_SCAN_TRIP: &str = include_str!("fixtures/pool_scan_trip.rs");
 const POOL_SCAN_CLEAN: &str = include_str!("fixtures/pool_scan_clean.rs");
 const ENGINE_STEP_TRIP: &str = include_str!("fixtures/engine_step_trip.rs");
 const ENGINE_STEP_CLEAN: &str = include_str!("fixtures/engine_step_clean.rs");
-
-#[test]
-fn map_iteration_trips_and_cleans() {
-    check("map_iteration_trip.rs", "pipeline", MAP_TRIP);
-    assert_eq!(expected(MAP_TRIP).len(), 4, "marker count drifted");
-    check_clean("map_iteration_clean.rs", "pipeline", MAP_CLEAN);
-}
-
-#[test]
-fn map_iteration_scope_is_policy() {
-    // the same tripping source is out of scope in a numerics crate
-    check_clean("map_iteration_trip.rs", "qr", MAP_TRIP);
-}
-
-#[test]
-fn wall_clock_trips_and_cleans() {
-    check("wall_clock_trip.rs", "pipeline", CLOCK_TRIP);
-    assert_eq!(expected(CLOCK_TRIP).len(), 3, "marker count drifted");
-    check_clean("wall_clock_clean.rs", "pipeline", CLOCK_CLEAN);
-}
-
-#[test]
-fn wall_clock_allowed_in_bench() {
-    // the bench crate times the harness itself — host clocks are its job
-    check_clean("wall_clock_trip.rs", "bench", CLOCK_TRIP);
-}
 
 #[test]
 fn lock_across_emit_trips_and_cleans() {
@@ -121,101 +81,6 @@ fn lock_across_emit_trips_and_cleans() {
 fn lock_across_emit_applies_everywhere() {
     // Scope::All — even the root crate's sources are covered
     check("lock_across_emit_trip.rs", "multidouble-ls", LOCK_TRIP);
-}
-
-#[test]
-fn undocumented_unsafe_trips_and_cleans() {
-    check("unsafe_trip.rs", "gpusim", UNSAFE_TRIP);
-    assert_eq!(expected(UNSAFE_TRIP).len(), 3, "marker count drifted");
-    check_clean("unsafe_clean.rs", "gpusim", UNSAFE_CLEAN);
-}
-
-#[test]
-fn float_eq_trips_and_cleans() {
-    check("float_eq_trip.rs", "pipeline", FLOAT_TRIP);
-    assert_eq!(expected(FLOAT_TRIP).len(), 4, "marker count drifted");
-    check_clean("float_eq_clean.rs", "pipeline", FLOAT_CLEAN);
-}
-
-#[test]
-fn float_eq_allowed_in_transform_crates() {
-    // error-free transforms (two-sum, two-product) *depend* on exact
-    // float equality — the lint stays out of multidouble and matrix
-    check_clean("float_eq_trip.rs", "multidouble", FLOAT_TRIP);
-    check_clean("float_eq_trip.rs", "matrix", FLOAT_TRIP);
-}
-
-#[test]
-fn float_eq_skips_test_files_by_path() {
-    // skip_tests also applies to whole files under tests/
-    let got = analyze_str("crates/pipeline/tests/model.rs", "pipeline", FLOAT_TRIP);
-    assert!(got.is_empty(), "tests/ path should be exempt: {got:?}");
-}
-
-#[test]
-fn timeline_mutation_trips_and_cleans() {
-    check("timeline_trip.rs", "pipeline", TIMELINE_TRIP);
-    assert_eq!(expected(TIMELINE_TRIP).len(), 5, "marker count drifted");
-    check_clean("timeline_clean.rs", "pipeline", TIMELINE_CLEAN);
-}
-
-#[test]
-fn timeline_mutation_exempts_pool_and_other_crates() {
-    // pool.rs *is* the Timeline API — the exact path is exempt
-    let got = analyze_str("crates/pipeline/src/pool.rs", "pipeline", TIMELINE_TRIP);
-    assert!(got.is_empty(), "pool.rs should be exempt: {got:?}");
-    // and the lint is pipeline-only policy
-    check_clean("timeline_trip.rs", "gpusim", TIMELINE_TRIP);
-}
-
-#[test]
-fn nondeterministic_fault_trips_and_cleans() {
-    // analyzed as `bench` — where the wall-clock lint is off — to prove
-    // the fault lint fires on path, not crate
-    check("nondeterministic_fault_trip.rs", "bench", NONDET_TRIP);
-    assert_eq!(expected(NONDET_TRIP).len(), 6, "marker count drifted");
-    check_clean("nondeterministic_fault_clean.rs", "bench", NONDET_CLEAN);
-}
-
-#[test]
-fn nondeterministic_fault_is_path_scoped() {
-    // the same entropy reads under a file name that does not denote
-    // fault/recovery code are this lint's non-problem (the
-    // wall-clock lint owns the general case)
-    let got = analyze_str("crates/bench/src/experiments.rs", "bench", NONDET_TRIP);
-    assert!(
-        got.iter()
-            .all(|f| f.lint != "nondeterministic-fault-source"),
-        "non-fault path should be out of scope: {got:?}"
-    );
-}
-
-#[test]
-fn nondeterministic_fault_covers_the_batch_loop() {
-    // the batch loop's loss-recovery phase lives in batch.rs, a name
-    // the keyword scope misses — it is in scope by exact path, and its
-    // pipeline neighbours stay out
-    let fires = |rel: &str| {
-        analyze_str(rel, "pipeline", NONDET_TRIP)
-            .iter()
-            .any(|f| f.lint == "nondeterministic-fault-source")
-    };
-    assert!(fires("crates/pipeline/src/batch.rs"));
-    assert!(fires("crates/pipeline/src/resilient.rs"));
-    assert!(!fires("crates/pipeline/src/planner.rs"));
-    assert!(!fires("crates/bench/src/batch.rs"));
-}
-
-#[test]
-fn nondeterministic_fault_exempts_fault_rs() {
-    // fault.rs *is* the seeded FaultPlan source — the exact path is
-    // exempt (other lints, e.g. wall-clock in gpusim, still apply)
-    let got = analyze_str("crates/gpusim/src/fault.rs", "gpusim", NONDET_TRIP);
-    assert!(
-        got.iter()
-            .all(|f| f.lint != "nondeterministic-fault-source"),
-        "fault.rs should be exempt from the fault-source lint: {got:?}"
-    );
 }
 
 #[test]
@@ -313,30 +178,9 @@ fn engine_step_fork_is_path_scoped() {
 }
 
 #[test]
-fn reasoned_allows_suppress() {
-    check_clean("suppression_good.rs", "pipeline", SUPPRESS_GOOD);
-}
-
-#[test]
-fn suppression_meta_lints() {
-    let got: Vec<(u32, String)> = analyze_str(
-        "crates/pipeline/src/suppression_bad.rs",
-        "pipeline",
-        SUPPRESS_BAD,
-    )
-    .into_iter()
-    .map(|f| (f.line, f.lint.to_string()))
-    .collect();
-    // a reason-less allow suppresses nothing (the finding survives)
-    // *and* is flagged itself; unknown ids and stale allows are
-    // findings too — the exception list can only shrink
-    assert_eq!(
-        got,
-        vec![
-            (7, "bare-allow".to_string()),
-            (7, "float-eq-outside-core".to_string()),
-            (11, "unknown-lint".to_string()),
-            (15, "unused-allow".to_string()),
-        ]
-    );
+fn policy_table_is_the_five_token_lints() {
+    let ids: Vec<&str> = LINTS.iter().map(|l| l.id).collect();
+    let five = "lock-across-emit unbounded-service-queue atomic-on-element-path \
+                pool-linear-scan engine-step-fork";
+    assert_eq!(ids.join(" "), five);
 }

@@ -17,6 +17,7 @@
 //! The three stage names match the row legend of the paper's Tables 7–9.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod cost;
 pub mod driver;

@@ -6,6 +6,7 @@
 //! `verify` subcommand and the test suites at smaller sizes).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod ablate;
 pub mod experiments;

@@ -8,6 +8,7 @@
 //! column-major operands by row, and reads ≈ 2 since. The bound is
 //! generous on purpose — it catches the return of a per-element cost,
 //! not a few percent of drift.
+#![expect(clippy::disallowed_methods, reason = "a host-time gate")]
 
 use std::time::Instant;
 

@@ -8,6 +8,7 @@
 //! ≈ 1.6× (16 probes against 10), a scan 64×. The bound is generous on
 //! purpose — it catches the return of a front-to-back scan, not cache
 //! effects.
+#![expect(clippy::disallowed_methods, reason = "a host-time gate")]
 
 use std::hint::black_box;
 use std::time::Instant;

@@ -11,7 +11,7 @@
 //! substitution (which absorbs the small `Qᴴ b` product) — exactly the
 //! split of the paper's Table 11, plus the combined totals.
 //!
-//! The two phases are also available separately: [`lstsq_factor`]
+//! The two phases are also available separately: [`lstsq_factor_batched`]
 //! produces a [`LstsqFactorization`] whose [`LstsqFactorization::solve`]
 //! can be applied to any number of right hand sides — the primitive the
 //! pipeline's mixed-precision iterative refinement builds on (factor
@@ -19,10 +19,11 @@
 //! [`lstsq`] itself is the factor + one solve composition, so the split
 //! changes no bit of any single-solve result. [`residual_kernel`]
 //! computes `r = b − A x` on the device at an arbitrary rung, with
-//! [`residual_model_profile`] as its analytic cost — the "one rung up"
+//! [`residual_model_profile_batched`] as its analytic cost — the "one rung up"
 //! residual stage of a refinement plan.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 use gpusim::shared::{axmy, dot_conj};
 use gpusim::{BlockCtx, ExecMode, Gpu, KernelCost, Profile, Sim};
@@ -164,9 +165,9 @@ fn copy_r_square<S: MdScalar>(
 /// A reusable QR factorization: the device-resident `Q`/`R` of one
 /// system plus the simulator session they live on.
 ///
-/// Produced by [`lstsq_factor`] (functional or model-only, per the
-/// options' [`ExecMode`]) or [`lstsq_factor_model`] (model-only, no host
-/// data). [`LstsqFactorization::solve`] then runs the paper's phase 2 —
+/// Produced by [`lstsq_factor_batched`], one per instance (functional or
+/// model-only, per the options' [`ExecMode`]).
+/// [`LstsqFactorization::solve`] then runs the paper's phase 2 —
 /// `Qᴴ rhs` followed by tiled back substitution — against any right hand
 /// side without re-factoring. Each solve repeats phase 2's full launch
 /// sequence — `Qᴴ b`, a copy of `R`'s upper block to scratch (the tiled
@@ -180,16 +181,6 @@ pub struct LstsqFactorization<S: MdScalar> {
     opts: LstsqOptions,
     rows: usize,
     factor_profile: Profile,
-}
-
-fn factor_on_sim<S: MdScalar>(
-    gpu: &Gpu,
-    mode: ExecMode,
-    a: Option<&HostMat<S>>,
-    rows: usize,
-    opts: &LstsqOptions,
-) -> LstsqFactorization<S> {
-    factor_with_sim(Sim::new(gpu.clone(), mode), a, rows, opts)
 }
 
 /// Factor on a caller-built session — the seam the batched entry
@@ -234,30 +225,6 @@ fn factor_with_sim<S: MdScalar>(
     }
 }
 
-/// Factor `A = Q R` once (the paper's phase 1, including the host
-/// overhead and the upload of `A` — each solve charges its own right
-/// hand side) and return the reusable factorization.
-pub fn lstsq_factor<S: MdScalar>(
-    gpu: &Gpu,
-    a: &HostMat<S>,
-    opts: &LstsqOptions,
-) -> LstsqFactorization<S> {
-    assert_eq!(a.cols, opts.cols(), "matrix does not match tiling");
-    factor_on_sim(gpu, opts.mode, Some(a), a.rows, opts)
-}
-
-/// Model-only factorization of a `rows × N·n` system: no host data, no
-/// functional state — only the analytic launch sequence and transfer
-/// accounting of phase 1. The planner's per-stage cost oracle for the
-/// `Factor` stage of an execution plan.
-pub fn lstsq_factor_model<S: MdScalar>(
-    gpu: &Gpu,
-    rows: usize,
-    opts: &LstsqOptions,
-) -> LstsqFactorization<S> {
-    factor_on_sim(gpu, ExecMode::ModelOnly, None, rows, opts)
-}
-
 /// A fused group of `k` independent same-shaped factorizations — the
 /// device-level micro-batching primitive.
 ///
@@ -274,7 +241,7 @@ pub fn lstsq_factor_model<S: MdScalar>(
 /// accounts the whole group; instances 1.. live on [`Sim::shadow`]
 /// sessions that execute functionally but record nothing. Each
 /// instance's launch sequence is exactly the singleton
-/// [`lstsq_factor`] sequence, so every solution is bit-identical to
+/// ([`lstsq`]) sequence, so every solution is bit-identical to
 /// the unfused path.
 pub struct LstsqBatchFactorization<S: MdScalar> {
     facts: Vec<LstsqFactorization<S>>,
@@ -322,7 +289,7 @@ pub fn lstsq_factor_batched<S: MdScalar>(
 /// systems: the planner's cost oracle for a fused `Factor` stage. Only
 /// the primary (accounting) session is built — shadow instances have no
 /// analytic footprint at all.
-pub fn lstsq_factor_batched_model<S: MdScalar>(
+fn lstsq_factor_batched_model<S: MdScalar>(
     gpu: &Gpu,
     k: usize,
     rows: usize,
@@ -382,8 +349,8 @@ impl<S: MdScalar> LstsqBatchFactorization<S> {
 }
 
 /// Model-only fused-solver profiles `(qr, back substitution)` for `k`
-/// same-shaped `rows × N·n` systems — the fused counterpart of
-/// [`lstsq_model_profiles_rect`], pricing one grouped launch sequence
+/// same-shaped `rows × N·n` systems — the planner's cost oracle (no host
+/// data, no device storage), pricing one grouped launch sequence
 /// instead of `k` singleton sequences.
 pub fn lstsq_batched_model_profiles<S: MdScalar>(
     gpu: &Gpu,
@@ -465,7 +432,7 @@ impl<S: MdScalar> LstsqFactorization<S> {
 ///
 /// `A` is `m × N·n` with `m ≥ N·n`; `b` has length `m`. In
 /// [`ExecMode::ModelOnly`] the returned `x` is empty and only the
-/// profiles are meaningful. Implemented as [`lstsq_factor`] followed by
+/// profiles are meaningful. Implemented as a group-of-one factor followed by
 /// one [`LstsqFactorization::solve`]. Solutions are bit-identical to
 /// the original fused pipeline, and total transfers are unchanged (the
 /// rhs charge moved from phase 1 to phase 2); the one profile delta is
@@ -474,7 +441,8 @@ impl<S: MdScalar> LstsqFactorization<S> {
 /// are identical — see [`LstsqFactorization::solve`]).
 pub fn lstsq<S: MdScalar>(gpu: &Gpu, a: &HostMat<S>, b: &[S], opts: &LstsqOptions) -> LstsqRun<S> {
     assert_eq!(b.len(), a.rows, "right hand side length mismatch");
-    let f = lstsq_factor(gpu, a, opts);
+    assert_eq!(a.cols, opts.cols(), "matrix does not match tiling");
+    let f = factor_with_sim(Sim::new(gpu.clone(), opts.mode), Some(a), a.rows, opts);
     let (x, bs_profile) = f.solve(b);
     LstsqRun {
         x,
@@ -486,20 +454,7 @@ pub fn lstsq<S: MdScalar>(gpu: &Gpu, a: &HostMat<S>, b: &[S], opts: &LstsqOption
 /// Model-only solver profiles `(qr, back substitution)` for a square
 /// `dim × dim` system — the Table 11 generator at paper dimensions.
 pub fn lstsq_model_profiles<S: MdScalar>(gpu: &Gpu, opts: &LstsqOptions) -> (Profile, Profile) {
-    lstsq_model_profiles_rect::<S>(gpu, opts.cols(), opts)
-}
-
-/// Model-only solver profiles for a rectangular `rows × N·n` system
-/// (`rows ≥ N·n`). This is the planner's cost oracle: no host data, no
-/// device storage, just the analytic launch sequence of a full solve.
-pub fn lstsq_model_profiles_rect<S: MdScalar>(
-    gpu: &Gpu,
-    rows: usize,
-    opts: &LstsqOptions,
-) -> (Profile, Profile) {
-    let f = lstsq_factor_model::<S>(gpu, rows, opts);
-    let (_, bs_profile) = f.solve(&[]);
-    (f.factor_profile, bs_profile)
+    lstsq_batched_model_profiles::<S>(gpu, 1, opts.cols(), opts)
 }
 
 /// Stage label of the refinement residual `r = b − A x`.
@@ -551,18 +506,7 @@ pub fn residual_kernel<S: MdScalar>(
 /// (`rows` scalars). With `with_system_upload` the one-time transfer of
 /// the high-rung system (`rows × cols` matrix plus the right hand side)
 /// is charged too — a refinement plan charges it to its *first* residual
-/// stage and keeps the system device-resident afterwards.
-pub fn residual_model_profile<S: MdScalar>(
-    gpu: &Gpu,
-    rows: usize,
-    cols: usize,
-    block: usize,
-    with_system_upload: bool,
-) -> Profile {
-    residual_model_profile_batched::<S>(gpu, 1, rows, cols, block, with_system_upload)
-}
-
-/// Fused-group counterpart of [`residual_model_profile`]: the analytic
+/// stage and keeps the system device-resident afterwards. It is the
 /// profile of one residual stage over `instances` same-shaped systems
 /// as a single fused launch (occupancy over the fused grid, transfers
 /// grouped, kernel base and launch gap paid once).
@@ -722,7 +666,7 @@ mod tests {
         let a = HostMat::<Qd>::random(m, opts.cols(), &mut rng);
         let b: Vec<Qd> = mdls_matrix::random_vector(m, &mut rng);
         let run = lstsq(&Gpu::v100(), &a, &b, &opts);
-        let (qr, bs) = lstsq_model_profiles_rect::<Qd>(&Gpu::v100(), m, &opts);
+        let (qr, bs) = lstsq_batched_model_profiles::<Qd>(&Gpu::v100(), 1, m, &opts);
         assert_eq!(qr.all_kernels_ms(), run.qr_profile.all_kernels_ms());
         assert_eq!(bs.all_kernels_ms(), run.bs_profile.all_kernels_ms());
         assert_eq!(bs.total_flops_paper(), run.bs_profile.total_flops_paper());
@@ -749,7 +693,8 @@ mod tests {
         let b1: Vec<Dd> = mdls_matrix::random_vector(n, &mut rng);
         let b2: Vec<Dd> = mdls_matrix::random_vector(n, &mut rng);
 
-        let f = lstsq_factor(&Gpu::v100(), &a, &opts);
+        let group = lstsq_factor_batched(&Gpu::v100(), &[&a], &opts);
+        let f = &group.instances()[0];
         let (x1, p1) = f.solve(&b1);
         let (x2, p2) = f.solve(&b2);
 
@@ -765,25 +710,6 @@ mod tests {
             f.factor_profile().all_kernels_ms(),
             r1.qr_profile.all_kernels_ms()
         );
-    }
-
-    #[test]
-    fn model_factorization_prices_extra_solves() {
-        // the Correct-stage cost oracle: a model-only factorization
-        // prices each extra solve at exactly the bs phase of the fused
-        // model profile
-        let opts = LstsqOptions {
-            tiles: 4,
-            tile_size: 8,
-            mode: ExecMode::ModelOnly,
-        };
-        let f = lstsq_factor_model::<Qd>(&Gpu::v100(), 40, &opts);
-        let (qr, bs) = lstsq_model_profiles_rect::<Qd>(&Gpu::v100(), 40, &opts);
-        assert_eq!(f.factor_profile().wall_ms(), qr.wall_ms());
-        let (x, p) = f.solve(&[]);
-        assert!(x.is_empty());
-        assert_eq!(p.wall_ms(), bs.wall_ms());
-        assert_eq!(p.total_flops_paper(), bs.total_flops_paper());
     }
 
     #[test]
@@ -814,13 +740,13 @@ mod tests {
         let p = sim.profile();
         assert!(p.stage(STAGE_RESIDUAL).is_some());
         // model profile prices the same launch (plus transfers)
-        let mp = residual_model_profile::<Qd>(&Gpu::v100(), m, n, 4, false);
+        let mp = residual_model_profile_batched::<Qd>(&Gpu::v100(), 1, m, n, 4, false);
         assert_eq!(
             p.stage(STAGE_RESIDUAL).unwrap().kernel_ms,
             mp.stage(STAGE_RESIDUAL).unwrap().kernel_ms
         );
         // the system upload is charged only when asked
-        let with = residual_model_profile::<Qd>(&Gpu::v100(), m, n, 4, true);
+        let with = residual_model_profile_batched::<Qd>(&Gpu::v100(), 1, m, n, 4, true);
         assert!(with.wall_ms() > mp.wall_ms());
         assert_eq!(with.all_kernels_ms(), mp.all_kernels_ms());
     }
@@ -860,7 +786,7 @@ mod tests {
             mode: ExecMode::ModelOnly,
         };
         let k = 24;
-        let (qr1, bs1) = lstsq_model_profiles_rect::<Qd>(&Gpu::v100(), 32, &opts);
+        let (qr1, bs1) = lstsq_batched_model_profiles::<Qd>(&Gpu::v100(), 1, 32, &opts);
         let (qrk, bsk) = lstsq_batched_model_profiles::<Qd>(&Gpu::v100(), k, 32, &opts);
         // all k instances' flops and traffic are accounted...
         assert_eq!(qrk.total_flops_paper(), k as f64 * qr1.total_flops_paper());
@@ -876,16 +802,12 @@ mod tests {
             fused < singles / 2.0,
             "fused {fused:.3} ms vs {k} singletons {singles:.3} ms"
         );
-        // a fused group of one is exactly the singleton oracle
-        let (qr, bs) = lstsq_batched_model_profiles::<Qd>(&Gpu::v100(), 1, 32, &opts);
-        assert_eq!(qr.wall_ms(), qr1.wall_ms());
-        assert_eq!(bs.wall_ms(), bs1.wall_ms());
     }
 
     #[test]
     fn batched_residual_profile_fuses_the_launch() {
         let (m, n, b) = (48, 32, 8);
-        let one = residual_model_profile::<Qd>(&Gpu::v100(), m, n, b, false);
+        let one = residual_model_profile_batched::<Qd>(&Gpu::v100(), 1, m, n, b, false);
         let k = 16;
         let fused = residual_model_profile_batched::<Qd>(&Gpu::v100(), k, m, n, b, false);
         assert_eq!(

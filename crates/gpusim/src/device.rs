@@ -78,13 +78,6 @@ impl Gpu {
         self.multiprocessors * self.cores_per_mp
     }
 
-    /// This device with a fault schedule attached (builder style):
-    /// `Gpu::v100().with_fault_plan(FaultPlan::seeded(7, 1e4, 2e3))`.
-    pub fn with_fault_plan(mut self, plan: crate::fault::FaultPlan) -> Gpu {
-        self.fault = plan;
-        self
-    }
-
     /// The roofline ridge point in flops/byte
     /// (the paper computes 7900 / 870 ≈ 9.08 for the V100).
     pub fn ridge_point(&self) -> f64 {

@@ -102,12 +102,6 @@ impl Sim {
         self.instances
     }
 
-    /// False for shadow sessions (secondary instances of a fused
-    /// group), whose launches and transfers are accounted elsewhere.
-    pub fn is_accounting(&self) -> bool {
-        self.accounting
-    }
-
     /// The device.
     pub fn gpu(&self) -> &Gpu {
         &self.gpu
@@ -425,7 +419,6 @@ mod tests {
     #[test]
     fn shadow_session_executes_but_records_nothing() {
         let sim = Sim::shadow(Gpu::v100(), ExecMode::Sequential);
-        assert!(!sim.is_accounting());
         let buf = sim.alloc_vec::<Dd>(50);
         fill_kernel(&sim, &buf, 2, 32);
         // functional state is real...

@@ -12,7 +12,7 @@
 //! splitmix64 generator — no global RNG, no entropy source, no wall
 //! clock — so the same seed always yields the same fault schedule and
 //! a "chaos" run is exactly as reproducible as a fault-free one. The
-//! workspace lint `nondeterministic-fault-source` (see `mdls-analyze`)
+//! root `clippy.toml` host-clock ban (and a vendored `rand` with no `thread_rng`)
 //! enforces that fault scheduling everywhere else routes through this
 //! type instead of reaching for `thread_rng` or `Instant::now`.
 //!

@@ -27,6 +27,7 @@
 //! overhead factors land below the Table 1 predictions, as in the paper.
 
 #![deny(unsafe_op_in_unsafe_fn)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod buffer;
 pub mod device;

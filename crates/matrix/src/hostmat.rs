@@ -136,14 +136,6 @@ impl<S: MdScalar> HostMat<S> {
         acc.sqrt()
     }
 
-    /// `max |a_ij|` leading double (for quick sanity checks).
-    pub fn max_abs_f64(&self) -> f64 {
-        self.data
-            .iter()
-            .map(|v| v.norm_sqr().to_f64().sqrt())
-            .fold(0.0, f64::max)
-    }
-
     /// Residual `|| b - A x ||_2` as a real scalar.
     pub fn residual(&self, x: &[S], b: &[S]) -> S::Real {
         let ax = self.matvec(x);

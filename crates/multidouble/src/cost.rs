@@ -5,13 +5,11 @@
 //! as multipliers to convert kernel operation counts into flop totals
 //! ("for every kernel … a small function accumulates the number of
 //! arithmetical operations … using the numbers in Table 1 as multipliers").
-//! [`CostModel::Paper`] reproduces those numbers; [`CostModel::Measured`]
+//! [`paper_real_cost`] reproduces those numbers; [`measured_real_cost_cached`]
 //! holds the counts measured by instrumenting *this* crate's algorithms
 //! (see [`crate::count`]); the difference is dominated by FMA-based
 //! `two_prod` (2 ops) versus the Dekker split (17 ops) the CAMPARY tallies
 //! assume.
-
-use crate::real::MdReal;
 
 /// Double-precision operation total per multiple double operation.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -71,11 +69,6 @@ impl OpCounts {
             + self.sqrt as f64 * c.sqrt
     }
 
-    /// Total number of multiple double operations.
-    pub fn total_ops(&self) -> u64 {
-        self.add + self.sub + self.mul + self.div + self.sqrt
-    }
-
     /// Elementwise sum.
     pub fn merged(&self, o: &OpCounts) -> OpCounts {
         OpCounts {
@@ -108,27 +101,6 @@ impl core::ops::Add for OpCounts {
 impl core::ops::AddAssign for OpCounts {
     fn add_assign(&mut self, o: OpCounts) {
         *self = self.merged(&o);
-    }
-}
-
-/// Which set of multipliers converts op counts to flops.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CostModel {
-    /// The paper's Table 1 (CAMPARY tallies, Dekker-split `two_prod`).
-    /// All experiment tables use this model, as the paper does.
-    Paper,
-    /// Counts measured by instrumenting this crate's algorithms with
-    /// FMA-based `two_prod` (see `count::measure_real_costs`).
-    Measured,
-}
-
-impl CostModel {
-    /// The cost table for a real scalar with `limbs` doubles.
-    pub fn real_cost(&self, limbs: usize) -> OpCost {
-        match self {
-            CostModel::Paper => paper_real_cost(limbs),
-            CostModel::Measured => crate::count::measured_real_cost(limbs),
-        }
     }
 }
 
@@ -190,11 +162,6 @@ pub fn complex_cost(real: OpCost) -> OpCost {
 /// (4d → 8d). Exposed for the Figure 1 commentary in the bench harness.
 pub fn predicted_overhead_factor(from_limbs: usize, to_limbs: usize) -> f64 {
     paper_real_cost(to_limbs).average() / paper_real_cost(from_limbs).average()
-}
-
-/// Convenience: the paper cost table for any [`MdReal`].
-pub fn paper_cost_of<T: MdReal>() -> OpCost {
-    paper_real_cost(T::LIMBS)
 }
 
 /// Measured (FMA-convention) cost table for a real precision, cached —

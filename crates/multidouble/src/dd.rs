@@ -1,8 +1,7 @@
 //! Double double arithmetic (the paper's `2d`, ~32 decimal digits).
 //!
 //! The algorithms are the *accurate* (IEEE-style) variants of QDlib
-//! [Hida, Li, Bailey 2001], the library the paper extends; the *sloppy*
-//! addition is also provided because the ablation benches compare the two.
+//! [Hida, Li, Bailey 2001], the library the paper extends.
 //!
 //! Every algorithm lives in a generic `dd_*` function over [`Fp`] so the
 //! counting instrumentation of [`crate::count`] measures exactly the
@@ -25,16 +24,6 @@ pub fn dd_add<F: Fp>(a: Dd2<F>, b: Dd2<F>) -> Dd2<F> {
     let (s1, s2) = quick_two_sum(s1, s2);
     let s2 = s2 + t2;
     let (hi, lo) = quick_two_sum(s1, s2);
-    [hi, lo]
-}
-
-/// Sloppy addition (QDlib default): 11 operations, error not bounded for
-/// badly cancelling operands. Kept for the ablation benchmark only.
-#[inline(always)]
-pub fn dd_add_sloppy<F: Fp>(a: Dd2<F>, b: Dd2<F>) -> Dd2<F> {
-    let (s, e) = two_sum(a[0], b[0]);
-    let e = e + a[1] + b[1];
-    let (hi, lo) = quick_two_sum(s, e);
     [hi, lo]
 }
 
@@ -114,13 +103,6 @@ pub fn dd_sqrt<F: Fp>(a: Dd2<F>) -> Dd2<F> {
     let diff = dd_sub(a, ax2);
     let half = F::from_f64(0.5);
     dd_add_f([ax, F::ZERO], diff[0] * x * half)
-}
-
-/// Negation (sign flips are free on the accounting model, as in Table 1
-/// which has no negation row).
-#[inline(always)]
-pub fn dd_neg<F: Fp>(a: Dd2<F>) -> Dd2<F> {
-    [-a[0], -a[1]]
 }
 
 // ---------------------------------------------------------------------------
@@ -215,13 +197,6 @@ impl Dd {
     #[inline]
     pub fn recip(self) -> Self {
         Dd::ONE / self
-    }
-
-    /// Sloppy addition — see [`dd_add_sloppy`].
-    #[inline]
-    pub fn sloppy_add(self, rhs: Self) -> Self {
-        let r = dd_add_sloppy(self.limbs(), rhs.limbs());
-        Dd { hi: r[0], lo: r[1] }
     }
 
     /// Nearest double.
@@ -350,15 +325,6 @@ mod tests {
             // |lo| <= ulp(hi)/2  <=>  hi + lo rounds to hi
             assert_eq!(r.hi + r.lo, r.hi, "not normalized: {r:?}");
         }
-    }
-
-    #[test]
-    fn sloppy_add_agrees_on_same_sign_operands() {
-        let a = Dd::PI;
-        let b = Dd::new(2.5e-5, 1.0e-22);
-        let exact = a + b;
-        let sloppy = a.sloppy_add(b);
-        assert!(ulp_close(exact, sloppy, 2.0));
     }
 
     #[test]

@@ -35,14 +35,6 @@ pub fn two_diff<F: Fp>(a: F, b: F) -> (F, F) {
     (s, e)
 }
 
-/// Exact difference assuming `|a| >= |b|`. 3 operations.
-#[inline(always)]
-pub fn quick_two_diff<F: Fp>(a: F, b: F) -> (F, F) {
-    let s = a - b;
-    let e = (a - s) - b;
-    (s, e)
-}
-
 /// Exact product with error term; delegates to the `Fp` implementation
 /// (FMA by default, Dekker split for the paper-style counting type).
 #[inline(always)]

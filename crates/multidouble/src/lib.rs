@@ -42,18 +42,12 @@ pub mod real;
 pub mod scalar;
 
 pub use complex::Complex;
-pub use cost::{CostModel, OpCounts, ScalarCost};
+pub use cost::{OpCounts, ScalarCost};
 pub use dd::Dd;
 pub use od::Od;
 pub use qd::Qd;
 pub use real::{convert_real, MdReal};
 pub use scalar::MdScalar;
 
-/// Complex double (the paper's complex `1d`).
-pub type C64 = Complex<f64>;
 /// Complex double double.
 pub type Cdd = Complex<Dd>;
-/// Complex quad double.
-pub type Cqd = Complex<Qd>;
-/// Complex octo double.
-pub type Cod = Complex<Od>;

@@ -14,7 +14,7 @@
 //! * **square root** — Newton on the reciprocal square root.
 
 use crate::dd::Dd;
-use crate::eft::{two_prod, two_sum};
+use crate::eft::two_prod;
 use crate::expansion::{renormalize, Scratch};
 use crate::fp::Fp;
 use crate::qd::Qd;
@@ -61,23 +61,6 @@ pub fn od_add<F: Fp>(a: Od8<F>, b: Od8<F>) -> Od8<F> {
 #[inline]
 pub fn od_sub<F: Fp>(a: Od8<F>, b: Od8<F>) -> Od8<F> {
     od_add(a, od_neg(b))
-}
-
-/// Add a double to an octo double: a cascading `two_sum` sweep followed by
-/// renormalization.
-#[inline]
-pub fn od_add_f<F: Fp>(a: Od8<F>, b: F) -> Od8<F> {
-    let mut s = Scratch::<F, 9>::new();
-    let mut e = b;
-    for limb in a.iter().take(N) {
-        let (si, ei) = two_sum(*limb, e);
-        s.push(si);
-        e = ei;
-    }
-    s.push(e);
-    let mut out = [F::ZERO; N];
-    renormalize(&mut s, &mut out);
-    out
 }
 
 /// Certified truncated multiplication.
@@ -280,12 +263,6 @@ impl Od {
     #[inline]
     pub fn to_f64(self) -> f64 {
         self.0[0] + self.0[1]
-    }
-
-    /// Truncate to quad double.
-    #[inline]
-    pub fn to_qd(self) -> Qd {
-        Qd([self.0[0], self.0[1], self.0[2], self.0[3]])
     }
 }
 

@@ -122,16 +122,6 @@ pub fn qd_sub<F: Fp>(a: Qd4<F>, b: Qd4<F>) -> Qd4<F> {
     qd_renorm5(s0, s1, s2, s3, t0)
 }
 
-/// Add a double to a quad double.
-#[inline(always)]
-pub fn qd_add_f<F: Fp>(a: Qd4<F>, b: F) -> Qd4<F> {
-    let (s0, e) = two_sum(a[0], b);
-    let (s1, e) = two_sum(a[1], e);
-    let (s2, e) = two_sum(a[2], e);
-    let (s3, e) = two_sum(a[3], e);
-    qd_renorm5(s0, s1, s2, s3, e)
-}
-
 /// Certified multiplication: all partial products `a_i * b_j` with
 /// `i + j <= 2` carry their error terms; the `i + j == 3` diagonal
 /// contributes plain products (their errors are below `eps^4`).
@@ -313,12 +303,6 @@ impl Qd {
     #[inline]
     pub fn to_f64(self) -> f64 {
         self.0[0] + self.0[1]
-    }
-
-    /// Truncate to double double.
-    #[inline]
-    pub fn to_dd(self) -> Dd {
-        Dd::from_parts(self.0[0], self.0[1])
     }
 }
 

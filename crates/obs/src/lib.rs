@@ -28,6 +28,7 @@
 //!   exported traces in smoke tests.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod json;
 pub mod metrics;

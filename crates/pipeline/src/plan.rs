@@ -122,9 +122,9 @@ impl PartialEq for PlannedStage {
         // predictions. A tolerance here would mask real divergence in
         // the memo and placement-invariance regression tests.
         self.stage == other.stage
-            && self.wall_ms() == other.wall_ms() // analyze::allow(float-eq-outside-core): model identity
-            && self.kernel_ms() == other.kernel_ms() // analyze::allow(float-eq-outside-core): model identity
-            && self.flops_paper() == other.flops_paper() // analyze::allow(float-eq-outside-core): model identity
+            && self.wall_ms() == other.wall_ms() // model identity
+            && self.kernel_ms() == other.kernel_ms() // model identity
+            && self.flops_paper() == other.flops_paper() // model identity
     }
 }
 

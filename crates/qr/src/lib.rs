@@ -19,6 +19,7 @@
 //! paper prescribes.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod cost;
 pub mod driver;

@@ -27,8 +27,7 @@ fn main() {
         pool.len()
     );
 
-    // analyze::allow(wall-clock-in-sim): host-side demo timing of the
-    // simulator itself — this measures the harness, not simulated time.
+    #[expect(clippy::disallowed_methods, reason = "host-side demo timing")]
     let host_start = std::time::Instant::now();
     let report = solve_batch(&mut pool, &jobs);
     let host_ms = host_start.elapsed().as_secs_f64() * 1.0e3;

@@ -43,6 +43,7 @@
 //! let r = a.residual(&out.x, &b);
 //! assert!(r.to_f64() < 1e-55); // quad double accuracy
 //! ```
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub use mdls_backsub as backsub;
 pub use mdls_core as solver;
