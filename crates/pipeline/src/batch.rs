@@ -43,7 +43,7 @@ use crate::microbatch::{
     dispatch_group_staged, placement_order, plan_groups, GroupDispatch, MicrobatchConfig,
 };
 use crate::plan::ExecPlan;
-use crate::planner::{PlanCacheStats, Planner};
+use crate::planner::Planner;
 use crate::pool::{DevicePool, DeviceStats, RebookMode};
 use crate::resilient::{
     admit, replay_transients, sticky_losses, tombstone_outcome, AdmissionConfig, Admitted,
@@ -104,7 +104,7 @@ pub struct JobOutcome {
     pub job_id: u64,
     /// Pool id of the device that ran the solve.
     pub device: usize,
-    /// The staged plan the solve ran under — `plan.stages` is the
+    /// The staged plan the solve ran under — `plan.stage_wall_ms` is the
     /// per-stage predicted breakdown.
     pub plan: ExecPlan,
     /// The minimizer, at the plan's solution precision.
@@ -300,12 +300,8 @@ pub struct BatchReport {
     /// Per-device snapshots of the (cumulative) pool state.
     pub device_stats: Vec<DeviceStats>,
     /// Number of distinct plans the planner computed (cache pressure) —
-    /// the size of this batch's plan cache; `plan_cache` breaks the
-    /// lookups behind it into hits and misses.
+    /// the size of this batch's plan cache.
     pub distinct_plans: usize,
-    /// Plan-cache traffic of this batch's planner: plan and fused-memo
-    /// hits/misses.
-    pub plan_cache: PlanCacheStats,
     /// Number of micro-batched fused groups (of ≥ 2 jobs) this batch
     /// ran.
     pub fused_groups: usize,
@@ -338,7 +334,6 @@ impl BatchReport {
             },
             device_stats: pool.stats(),
             distinct_plans: planner.cached_plans(),
-            plan_cache: planner.cache_stats(),
             fused_groups,
             latency: latency_summary(&outcomes),
             outcomes,
@@ -552,14 +547,6 @@ pub fn solve_planned_traced_with(
         .expect("a group of one yields one solve")
 }
 
-/// Interpret one job's staged plan on a device model with no pass
-/// extension — the solution-and-residual view of
-/// [`solve_planned_traced_with`].
-pub fn solve_planned(gpu: &Gpu, job: &Job, plan: &ExecPlan) -> (Solution, f64) {
-    let s = solve_planned_traced_with(gpu, job, plan, 0);
-    (s.x, s.residual)
-}
-
 /// The stage interpreter: run one plan over a fused group of
 /// same-shaped jobs — one micro-batched factor phase, per-member solves
 /// and (adaptive) refinement loops. Returns one [`PlannedSolve`] per
@@ -595,10 +582,10 @@ pub fn solve_planned_fused_with(
 /// groups (`groups[i]` = a dispatch and its member jobs, in group
 /// order) and return their solves index-aligned with the input. Groups
 /// queue per device (`device % lanes`), each queue runs in booking
-/// order on its own scoped host thread — inline when there is only one
-/// queue — and results are put back in input order. Execution is purely
-/// functional against an immutable device model, so host parallelism
-/// cannot perturb placements, events or bits.
+/// order — the first on the calling thread, every other on its own
+/// scoped host thread — and results are put back in input order.
+/// Execution is purely functional against an immutable device model, so
+/// host parallelism cannot perturb placements, events or bits.
 pub(crate) fn execute_round(
     pool: &DevicePool,
     groups: &[(&GroupDispatch, Vec<&Job>)],
@@ -620,21 +607,16 @@ pub(crate) fn execute_round(
     }
     queues.retain(|q| !q.is_empty());
     let run = |queue: Vec<usize>| queue.into_iter().map(exec).collect::<Vec<_>>();
-    let done: Vec<Vec<(usize, Vec<PlannedSolve>)>> = if queues.len() > 1 {
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = queues
-                .into_iter()
-                .map(|q| scope.spawn(move || run(q)))
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().expect("device queue worker panicked"))
-                .collect()
-        })
-    } else {
-        queues.into_iter().map(run).collect()
-    };
-    let mut done: Vec<(usize, Vec<PlannedSolve>)> = done.into_iter().flatten().collect();
+    let mut queues = queues.into_iter();
+    let first = queues.next();
+    let mut done: Vec<(usize, Vec<PlannedSolve>)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = queues.map(|q| scope.spawn(move || run(q))).collect();
+        let mut done = first.map(run).unwrap_or_default();
+        for w in workers {
+            done.extend(w.join().expect("device queue worker panicked"));
+        }
+        done
+    });
     done.sort_by_key(|(i, _)| *i);
     done.into_iter().map(|(_, solved)| solved).collect()
 }
@@ -708,14 +690,15 @@ fn settle_staged_dispatch(
     // planner's singleton per-stage prediction against this group's
     // realized per-job share of the fused booking
     let executed = ExecPlan::booked_stages(passes_run.min(booked)).min(g.booking.stages.len());
-    for (ps, iv) in g.plan.stages.iter().zip(&g.booking.stages).take(executed) {
+    let predicted = g.plan.stages.iter().zip(&g.plan.stage_wall_ms);
+    for ((stage, &predicted_ms), iv) in predicted.zip(&g.booking.stages).take(executed) {
         pool.emit(|| Event::StageTime {
             device: g.device,
             rows: shape.rows,
             cols: shape.cols,
-            kind: ps.stage.kind(),
-            rung: ps.stage.rung().tag(),
-            predicted_ms: ps.wall_ms(),
+            kind: stage.kind(),
+            rung: stage.rung().tag(),
+            predicted_ms,
             settled_ms: iv.wall_ms() / k,
         });
     }
@@ -849,11 +832,12 @@ struct Slot {
 ///    the loss instant, never moving a surviving device's spans — so a
 ///    *later* loss can interrupt the re-booked work too. When no
 ///    device survives the interrupted jobs end [`Disposition::Failed`].
-/// 3. **Execute** with per-device queues: one scoped host thread per
-///    device with work (`host_parallel`), each running its queue in
-///    booking order, results landing in per-slot cells. Execution is
-///    purely functional against an immutable device model, so host
-///    parallelism cannot perturb placements, events or bits.
+/// 3. **Execute** with per-device queues: one host thread per device
+///    with work (`host_parallel`; the calling thread takes the first),
+///    each running its queue in booking order, results landing in
+///    per-slot cells. Execution is purely functional against an
+///    immutable device model, so host parallelism cannot perturb
+///    placements, events or bits.
 /// 4. **Settle** (main thread, global booking order — refund causality
 ///    and the event stream stay deterministic): refund each group's
 ///    unexecuted tail or book the extra passes execution ran
@@ -1335,9 +1319,8 @@ mod tests {
                 assert_eq!(out.refunded_ms, 0.0);
             }
             // the refund is exactly the booked share of the skipped tail
-            let tail: f64 = out.plan.stages[2 + 2 * out.corrections_run..]
+            let tail: f64 = out.plan.stage_wall_ms[2 + 2 * out.corrections_run..]
                 .iter()
-                .map(|s| s.wall_ms())
                 .sum();
             assert!((out.refunded_ms - tail).abs() < 1e-9);
         }

@@ -83,11 +83,13 @@
 //!    every sufficient rung of the d → dd → qd → od ladder, and
 //!    mixed-precision refinement plans (factor at a cheap rung, then
 //!    iterate residual-at-the-target-rung / correct-through-the-reused-
-//!    factorization until the digits are met). Stage profiles come from
-//!    the analytic cost models and compose via `Profile::absorb`; the
-//!    cheapest predicted wall clock wins. Plan *structure* is tuned on a
-//!    reference device model so solutions stay placement-invariant;
-//!    plans are memoized per shape, target and device.
+//!    factorization until the digits are met). Candidates are priced as
+//!    the group of one from the analytic cost models; the cheapest
+//!    predicted wall clock wins, and the plan keeps only its per-stage
+//!    walls and totals, never the per-kernel tables. Plan *structure* is
+//!    tuned on a reference device model so solutions stay
+//!    placement-invariant; plans are memoized per shape, target and
+//!    device.
 //! 2. **Device pool** ([`pool`]) — N simulated GPUs (`Gpu::v100()`,
 //!    `Gpu::a100()`, …, cloned or mixed), each a pair of simulated-time
 //!    timelines; the pool aggregates solves/sec, gigaflops and
@@ -100,9 +102,9 @@
 //!    the single-job, contiguous-booking forms).
 //! 4. **The stage interpreter** ([`batch`]) —
 //!    [`solve_planned_fused_with`] executes one plan over a group of
-//!    same-shaped jobs functionally ([`solve_planned_traced_with`] and
-//!    [`solve_planned`] are its group-of-one views); refinement passes
-//!    stop adaptively once the measured residual certifies the target.
+//!    same-shaped jobs functionally ([`solve_planned_traced_with`] is
+//!    its group-of-one view); refinement passes stop adaptively once
+//!    the measured residual certifies the target.
 //! 5. **Multi-tenant service shell** ([`service`]) — [`serve`] fronts
 //!    the same booking, execution and settlement steps for many callers
 //!    at once: per-tenant *bounded* ingress queues with a
@@ -136,6 +138,8 @@
 //! | stream with a reorder window | `solve_stream_with(p, j, pol, w)`; explicit configs: `solve_stream_staged(p, j, pol, w, micro, sched)` |
 //! | one model-only dispatch / a whole model-only schedule | `dispatch_group_staged(p, pl, jobs, s, pol, &sched, release)` / `schedule_staged(p, pl, shapes, pol, &micro, &sched)` |
 //! | interpret one plan yourself (a singleton is a group of one) | `solve_planned_fused_with(gpu, &jobs, &plan, extra_passes)`; one job: `solve_planned_traced_with(gpu, job, &plan, 0)` |
+//! | a plan's per-stage predicted walls | `plan.stage_wall_ms` (the group of one); a fused group's: `planner.plan_fused(gpu, m, n, digits, k).1.stage_wall_ms` |
+//! | planner cache traffic | count `PlanCacheHit`/`PlanCacheMiss`/`FusedMemoHit`/`FusedMemoMiss` events from the pool's observer (`mdls_obs::Metrics` counts them) |
 //! | hand back a booking's unexecuted tail | `pool.rebook(&booking, from_stage, RebookMode::BooksOnly \| Compact)` |
 //! | one opaque interval on a device timeline | `commit_stages(id, &[StageReq { host_ms: 0.0, device_ms: wall }], k, f, n, false, not_before)` |
 //!
@@ -181,15 +185,15 @@ pub mod workload;
 
 pub use batch::{
     digits_from_residual, latency_summary, promoted_cache_stats, solve_batch, solve_batch_staged,
-    solve_batch_staged_with, solve_planned, solve_planned_fused_with, solve_planned_traced_with,
-    BatchReport, Disposition, JobOutcome, LatencySummary, PlannedSolve,
+    solve_batch_staged_with, solve_planned_fused_with, solve_planned_traced_with, BatchReport,
+    Disposition, JobOutcome, LatencySummary, PlannedSolve,
 };
 pub use job::{Job, Precision, SloClass, Solution, TenantId};
 pub use microbatch::{
     dispatch_group_staged, plan_groups, schedule_staged, GroupDispatch, MicrobatchConfig,
 };
-pub use plan::{ExecPlan, FusedProfile, PlannedStage, Stage};
-pub use planner::{PlanCacheStats, Planner};
+pub use plan::{ExecPlan, FusedProfile, Stage};
+pub use planner::Planner;
 pub use pool::{
     DeviceLossReport, DevicePool, DeviceStats, HostStagingPool, PoolDevice, RebookMode,
     StageBooking, StageInterval, StageRefund, StageReq, Timeline,

@@ -254,13 +254,13 @@ pub(crate) fn dispatch_group_where(
     );
     // ...plus labeled stage intervals: the plan knows each booked
     // stage's kind and rung, the booking knows where its lanes landed
-    for (i, (ps, iv)) in plan.stages.iter().zip(&booking.stages).enumerate() {
+    for (i, (stage, iv)) in plan.stages.iter().zip(&booking.stages).enumerate() {
         pool.emit(|| Event::StageBooked {
             device,
             job: jobs[0] as u64,
             stage: i,
-            kind: ps.stage.kind(),
-            rung: ps.stage.rung().tag(),
+            kind: stage.kind(),
+            rung: stage.rung().tag(),
             host_start_ms: iv.host.0,
             host_end_ms: iv.host.1,
             dev_start_ms: iv.device.0,

@@ -22,15 +22,17 @@
 //! QR is O(m·n²) at the cheap rung; each extra pass is only an O(m·n)
 //! residual plus an O(m·n + n²) re-solve).
 //!
-//! Every stage carries its model-predicted [`Profile`] for the target
-//! device; [`ExecPlan::from_stages`] composes them through
-//! [`Profile::absorb`] into the totals the SECT dispatch policy and the
-//! device-pool clocks consume. The *structure* of a plan (rungs,
-//! iteration count, tilings) is tuned once on the planner's reference
-//! model so solutions stay placement-invariant; only the per-stage
-//! timings differ across devices.
+//! A priced plan is numbers, not kernel tables: beside its stages it
+//! keeps each stage's predicted wall clock on the target device
+//! ([`ExecPlan::stage_wall_ms`]) and the composed totals the SECT
+//! dispatch policy and the device-pool clocks consume — exactly the
+//! group-of-one [`FusedProfile`] the planner priced it as. The
+//! *structure* of a plan (rungs, iteration count, tilings) is tuned
+//! once on the planner's reference model so solutions stay
+//! placement-invariant; only the per-stage timings differ across
+//! devices.
 
-use gpusim::{ExecMode, Profile};
+use gpusim::ExecMode;
 use mdls_core::LstsqOptions;
 
 use crate::job::Precision;
@@ -88,46 +90,6 @@ impl Stage {
     }
 }
 
-/// One stage plus its model-predicted profile on the target device.
-#[derive(Clone, Debug)]
-pub struct PlannedStage {
-    /// What to execute.
-    pub stage: Stage,
-    /// Model-predicted profile of exactly this stage on the plan's
-    /// target device.
-    pub profile: Profile,
-}
-
-impl PlannedStage {
-    /// Predicted wall clock of this stage, ms.
-    pub fn wall_ms(&self) -> f64 {
-        self.profile.wall_ms()
-    }
-
-    /// Predicted kernel time of this stage, ms.
-    pub fn kernel_ms(&self) -> f64 {
-        self.profile.all_kernels_ms()
-    }
-
-    /// Table 1 flops of this stage.
-    pub fn flops_paper(&self) -> f64 {
-        self.profile.total_flops_paper()
-    }
-}
-
-impl PartialEq for PlannedStage {
-    fn eq(&self, other: &Self) -> bool {
-        // Plan equality is model *identity*: two stages are equal iff
-        // the deterministic cost model produced bit-identical
-        // predictions. A tolerance here would mask real divergence in
-        // the memo and placement-invariance regression tests.
-        self.stage == other.stage
-            && self.wall_ms() == other.wall_ms() // model identity
-            && self.kernel_ms() == other.kernel_ms() // model identity
-            && self.flops_paper() == other.flops_paper() // model identity
-    }
-}
-
 /// A staged execution plan: the ordered stages, their composed predicted
 /// totals, and the accuracy accounting behind the stage choice.
 #[derive(Clone, Debug, PartialEq)]
@@ -135,7 +97,11 @@ pub struct ExecPlan {
     /// The stages, in execution order. The first is always a `Factor`,
     /// the second a `Correct` (the initial solve); refinement plans
     /// append `Residual`/`Correct` pairs.
-    pub stages: Vec<PlannedStage>,
+    pub stages: Vec<Stage>,
+    /// Predicted wall clock of each stage on the target device, ms,
+    /// aligned index-for-index with `stages` — the per-stage breakdown
+    /// settlement calibrates booked stage time against.
+    pub stage_wall_ms: Vec<f64>,
     /// The job's requested decimal digits.
     pub target_digits: u32,
     /// Digits the cost/accuracy model predicts this plan delivers.
@@ -162,25 +128,26 @@ pub struct ExecPlan {
 }
 
 impl ExecPlan {
-    /// Compose per-stage profiles into plan totals via
-    /// [`Profile::absorb`].
+    /// A plan of `stages` priced as the group of one: `priced` is the
+    /// `k = 1` [`FusedProfile`] of exactly these stages, whose per-stage
+    /// walls and totals the plan keeps.
     pub fn from_stages(
-        stages: Vec<PlannedStage>,
+        stages: Vec<Stage>,
+        priced: FusedProfile,
         target_digits: u32,
         predicted_digits: u32,
     ) -> Self {
         assert!(
-            matches!(stages.first().map(|s| s.stage), Some(Stage::Factor { .. })),
+            matches!(stages.first(), Some(Stage::Factor { .. })),
             "a plan starts with a Factor stage"
         );
-        let mut total = Profile::new();
-        for s in &stages {
-            total.absorb(&s.profile);
-        }
+        assert_eq!(priced.group, 1, "a plan is priced as the group of one");
+        assert_eq!(priced.stage_wall_ms.len(), stages.len());
         let mut plan = ExecPlan {
-            predicted_ms: total.wall_ms(),
-            predicted_kernel_ms: total.all_kernels_ms(),
-            flops_paper: total.total_flops_paper(),
+            predicted_ms: priced.predicted_ms,
+            predicted_kernel_ms: priced.predicted_kernel_ms,
+            flops_paper: priced.flops_paper,
+            stage_wall_ms: priced.stage_wall_ms,
             stages,
             target_digits,
             predicted_digits,
@@ -207,7 +174,7 @@ impl ExecPlan {
 
     /// The factorization rung and tiling `(rung, tiles, tile_size)`.
     pub fn factor(&self) -> (Precision, usize, usize) {
-        match self.stages[0].stage {
+        match self.stages[0] {
             Stage::Factor {
                 rung,
                 tiles,
@@ -227,7 +194,7 @@ impl ExecPlan {
     pub fn solution_precision(&self) -> Precision {
         self.stages
             .iter()
-            .map(|s| s.stage.rung())
+            .map(Stage::rung)
             .max()
             .expect("plans are never empty")
     }
@@ -237,7 +204,7 @@ impl ExecPlan {
     pub fn corrections(&self) -> usize {
         self.stages
             .iter()
-            .filter(|s| matches!(s.stage, Stage::Residual { .. }))
+            .filter(|s| matches!(s, Stage::Residual { .. }))
             .count()
     }
 
@@ -347,23 +314,22 @@ impl FusedProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use multidouble::OpCounts;
 
-    fn profile(kernel_ms: f64, flops: f64) -> Profile {
-        let mut p = Profile::new();
-        p.record("k", 1, kernel_ms, OpCounts::ZERO, flops, flops, 0);
-        p
-    }
-
-    fn planned(stage: Stage, kernel_ms: f64) -> PlannedStage {
-        PlannedStage {
-            stage,
-            profile: profile(kernel_ms, 10.0 * kernel_ms),
+    /// A group-of-one pricing with the given stage walls.
+    fn priced(walls: &[f64]) -> FusedProfile {
+        let total: f64 = walls.iter().sum();
+        FusedProfile {
+            group: 1,
+            predicted_ms: total,
+            predicted_kernel_ms: 0.5 * total,
+            flops_paper: 10.0 * total,
+            stage_wall_ms: walls.to_vec(),
+            stage_host_ms: vec![0.0; walls.len()],
         }
     }
 
     #[test]
-    fn totals_compose_by_absorb() {
+    fn plans_keep_the_group_of_one_pricing() {
         let f = Stage::Factor {
             rung: Precision::D2,
             tiles: 4,
@@ -377,17 +343,11 @@ mod tests {
         let r = Stage::Residual {
             rung: Precision::D4,
         };
-        let plan = ExecPlan::from_stages(
-            vec![
-                planned(f, 8.0),
-                planned(c, 1.0),
-                planned(r, 0.5),
-                planned(c, 1.0),
-            ],
-            40,
-            58,
-        );
-        assert_eq!(plan.predicted_kernel_ms, 10.5);
+        let walls = [8.0, 1.0, 0.5, 1.0];
+        let plan = ExecPlan::from_stages(vec![f, c, r, c], priced(&walls), 40, 58);
+        assert_eq!(plan.stage_wall_ms, walls);
+        assert_eq!(plan.predicted_ms, 10.5);
+        assert_eq!(plan.predicted_kernel_ms, 5.25);
         assert_eq!(plan.flops_paper, 105.0);
         assert_eq!(plan.corrections(), 1);
         assert!(!plan.is_direct());
@@ -408,7 +368,7 @@ mod tests {
             tiles: 2,
             tile_size: 16,
         };
-        let plan = ExecPlan::from_stages(vec![planned(f, 5.0), planned(c, 0.5)], 50, 60);
+        let plan = ExecPlan::from_stages(vec![f, c], priced(&[5.0, 0.5]), 50, 60);
         assert!(plan.is_direct());
         assert_eq!(plan.solution_precision(), Precision::D4);
         assert_eq!(plan.factor(), (Precision::D4, 2, 16));
@@ -424,7 +384,7 @@ mod tests {
             tiles: 1,
             tile_size: 4,
         };
-        let _ = ExecPlan::from_stages(vec![planned(c, 1.0)], 20, 29);
+        let _ = ExecPlan::from_stages(vec![c], priced(&[1.0]), 20, 29);
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //! Each candidate's stages are priced by the analytic cost models of a
 //! `k`-instance fused group ([`mdls_core::lstsq_batched_model_profiles`],
 //! [`mdls_core::residual_model_profile_batched`]; a lone job is the
-//! group of one) and composed through [`Profile::absorb`]; the
-//! cheapest predicted wall clock wins. The
+//! group of one) and composed through [`Profile::absorb`] into a
+//! [`FusedProfile`] — per-stage walls and totals; the per-kernel
+//! tables never outlive the miss that built them. The cheapest
+//! predicted wall clock wins. The
 //! accuracy model is deliberately conservative: a factorization at rung
 //! `r` is credited `r.digits()` correct digits per solve, accumulated
 //! per pass and capped at the residual rung's `r′.digits()` — both
@@ -42,7 +44,6 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use gpusim::{ExecMode, Gpu, Profile};
@@ -51,7 +52,7 @@ use mdls_obs::{Event, Observer};
 use multidouble::{Dd, Od, Qd};
 
 use crate::job::Precision;
-use crate::plan::{ExecPlan, FusedProfile, PlannedStage, Stage};
+use crate::plan::{ExecPlan, FusedProfile, Stage};
 
 /// Hard ceiling on refinement passes: beyond a handful of corrections
 /// the accuracy model's per-pass credit stops being trustworthy (and
@@ -109,7 +110,7 @@ impl PlanKey {
 }
 
 /// A plan structure chosen on the reference model: the stage sequence
-/// (profiles not yet priced for any particular device), the digits the
+/// (not yet priced for any particular device), the digits the
 /// accuracy model credits it, and the passes the optimistic posterior
 /// expects execution to actually run (≤ the structural pass count).
 type Strategy = (Vec<Stage>, u32, usize);
@@ -129,20 +130,6 @@ type FusedKey = (PlanKey, usize);
 /// Memo key of a preferred-group-size query: shape, target, cap, and
 /// the tolerance bits (callers may sweep tolerances).
 type GroupKey = (usize, usize, u32, usize, u64);
-
-/// Plan-cache traffic of one planner instance: memo hits and misses of
-/// the per-device plan cache and the fused-pricing memo.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PlanCacheStats {
-    /// Plans served from the memo cache.
-    pub hits: u64,
-    /// Plans that ran the full strategy search and pricing.
-    pub misses: u64,
-    /// Fused group pricings served from the fused memo.
-    pub fused_hits: u64,
-    /// Fused group pricings computed fresh.
-    pub fused_misses: u64,
-}
 
 /// One get-or-compute table. Every planner memo follows the same
 /// discipline: clone the hit out under the lock, compute a miss
@@ -196,11 +183,6 @@ pub struct Planner {
     group_sizes: Memo<GroupKey, usize>,
     /// The numerics reference model the plan structure is tuned on.
     reference: Gpu,
-    /// This instance's cache traffic.
-    hits: AtomicU64,
-    misses: AtomicU64,
-    fused_hits: AtomicU64,
-    fused_misses: AtomicU64,
     /// Optional event sink: cache probes, candidate counts and group
     /// formation emit through it. Observability is inert — the
     /// observer never feeds back into the search.
@@ -342,10 +324,6 @@ impl Planner {
             fused: Memo::new(),
             group_sizes: Memo::new(),
             reference: Gpu::v100(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            fused_hits: AtomicU64::new(0),
-            fused_misses: AtomicU64::new(0),
             observer: None,
         }
     }
@@ -358,27 +336,11 @@ impl Planner {
         planner
     }
 
-    /// Attach an event sink: later cache probes and candidate counts
-    /// emit through it. Inert — never changes what the planner returns.
-    pub fn attach_observer(&mut self, observer: Arc<dyn Observer>) {
-        self.observer = Some(observer);
-    }
-
     /// Emit one event if an observer is attached (construction skipped
     /// otherwise).
     pub(crate) fn emit(&self, ev: impl FnOnce() -> Event) {
         if let Some(obs) = &self.observer {
             obs.on_event(&ev());
-        }
-    }
-
-    /// This planner's cache traffic so far.
-    pub fn cache_stats(&self) -> PlanCacheStats {
-        PlanCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            fused_hits: self.fused_hits.load(Ordering::Relaxed),
-            fused_misses: self.fused_misses.load(Ordering::Relaxed),
         }
     }
 
@@ -411,7 +373,6 @@ impl Planner {
         let mut hit = true;
         let plan = self.cache.get_or_insert_with(key, || {
             hit = false;
-            self.misses.fetch_add(1, Ordering::Relaxed);
             self.emit(|| Event::PlanCacheMiss {
                 rows,
                 cols,
@@ -421,12 +382,11 @@ impl Planner {
             // gets priced twice — once inside the search, once here;
             // both memo layers make that a one-time cost per key)
             let (stages, digits, expected) = self.strategy(rows, cols, target_digits, direct_only);
-            let planned = self.price(gpu, rows, cols, &stages);
-            ExecPlan::from_stages(planned, target_digits, digits)
+            let priced = self.price_fused(gpu, rows, cols, &stages, 1);
+            ExecPlan::from_stages(stages, priced, target_digits, digits)
                 .with_expected_corrections(expected)
         });
         if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
             self.emit(|| Event::PlanCacheHit {
                 rows,
                 cols,
@@ -436,22 +396,13 @@ impl Planner {
         plan
     }
 
-    /// Price a stage sequence for one device model: the group of one.
-    fn price(&self, gpu: &Gpu, rows: usize, cols: usize, stages: &[Stage]) -> Vec<PlannedStage> {
-        let profiles = stage_profiles(gpu, rows, cols, stages, 1);
-        stages
-            .iter()
-            .zip(profiles)
-            .map(|(&stage, profile)| PlannedStage { stage, profile })
-            .collect()
-    }
-
     /// Total predicted wall clock of a stage sequence on the reference
-    /// model — the search's objective function.
+    /// model, summed stage by stage over the group of one — the search's
+    /// objective function.
     fn reference_wall_ms(&self, rows: usize, cols: usize, stages: &[Stage]) -> f64 {
-        self.price(&self.reference, rows, cols, stages)
+        self.price_fused(&self.reference, rows, cols, stages, 1)
+            .stage_wall_ms
             .iter()
-            .map(|s| s.wall_ms())
             .sum()
     }
 
@@ -607,18 +558,15 @@ impl Planner {
         let mut hit = true;
         let fused = self.fused.get_or_insert_with(key, || {
             hit = false;
-            self.fused_misses.fetch_add(1, Ordering::Relaxed);
             self.emit(|| Event::FusedMemoMiss {
                 rows,
                 cols,
                 digits: target_digits,
                 group: k,
             });
-            let stages: Vec<Stage> = plan.stages.iter().map(|s| s.stage).collect();
-            self.price_fused(gpu, rows, cols, &stages, k)
+            self.price_fused(gpu, rows, cols, &plan.stages, k)
         });
         if hit {
-            self.fused_hits.fetch_add(1, Ordering::Relaxed);
             self.emit(|| Event::FusedMemoHit {
                 rows,
                 cols,
@@ -868,13 +816,11 @@ mod tests {
             let v = planner.plan(&Gpu::v100(), rows, cols, digits);
             let p = planner.plan(&Gpu::p100(), rows, cols, digits);
             let a = planner.plan(&Gpu::a100(), rows, cols, digits);
-            let structure = |x: &ExecPlan| x.stages.iter().map(|s| s.stage).collect::<Vec<_>>();
             assert_eq!(
-                structure(&v),
-                structure(&p),
+                v.stages, p.stages,
                 "{rows}x{cols} d{digits}: V100/P100 structures differ"
             );
-            assert_eq!(structure(&v), structure(&a));
+            assert_eq!(v.stages, a.stages);
             assert_ne!(v.predicted_ms, p.predicted_ms, "timing should differ");
         }
     }
@@ -893,8 +839,8 @@ mod tests {
             );
             // stage sanity: leads with Factor, alternates
             // Residual/Correct afterwards
-            assert!(matches!(plan.stages[0].stage, Stage::Factor { .. }));
-            assert!(matches!(plan.stages[1].stage, Stage::Correct { .. }));
+            assert!(matches!(plan.stages[0], Stage::Factor { .. }));
+            assert!(matches!(plan.stages[1], Stage::Correct { .. }));
             assert_eq!(plan.stages.len(), 2 + 2 * plan.corrections());
         }
     }
@@ -982,18 +928,10 @@ mod tests {
         assert_eq!(fused.predicted_ms, plan.predicted_ms);
         assert_eq!(fused.predicted_kernel_ms, plan.predicted_kernel_ms);
         assert_eq!(fused.flops_paper, plan.flops_paper);
-        // one pricer: every stage's wall and prep/compute split is the
-        // singleton plan's, exactly (the kernel total is pinned above)
-        assert_eq!(fused.stage_wall_ms.len(), plan.stages.len());
+        // one pricer: every stage's wall is the singleton plan's,
+        // exactly, and the prep split lines up with it
+        assert_eq!(fused.stage_wall_ms, plan.stage_wall_ms);
         assert_eq!(fused.stage_host_ms.len(), plan.stages.len());
-        for (i, s) in plan.stages.iter().enumerate() {
-            assert_eq!(fused.stage_wall_ms[i], s.wall_ms(), "stage {i} wall");
-            assert_eq!(
-                fused.stage_host_ms[i],
-                s.profile.lane_split_ms().0,
-                "stage {i} host split"
-            );
-        }
     }
 
     #[test]
@@ -1053,7 +991,8 @@ mod tests {
         // back into the planner self-deadlocked on the std Mutex. The
         // guard now drops before every emit; a re-entrant observer
         // must complete. This test hangs forever on the old code.
-        use std::sync::atomic::AtomicBool;
+        use crate::pool::DevicePool;
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
         use std::sync::Mutex as StdMutex;
         struct Reenter {
             planner: StdMutex<Option<Arc<Planner>>>,
@@ -1086,9 +1025,9 @@ mod tests {
             reentered: AtomicU64::new(0),
             busy: AtomicBool::new(false),
         });
-        let mut planner = Planner::new();
-        planner.attach_observer(obs.clone());
-        let planner = Arc::new(planner);
+        let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
+        pool.attach_observer(obs.clone());
+        let planner = Arc::new(Planner::for_pool(&pool));
         *obs.planner.lock().unwrap() = Some(planner.clone());
         let gpu = Gpu::v100();
         let baseline = planner.plan(&gpu, 64, 64, 25); // miss: no re-entry

@@ -94,7 +94,7 @@ pub struct StageSchedConfig {
 impl StageSchedConfig {
     /// Everything on: overlapped lanes, expected-pass booking, online
     /// re-booking, and pass extension for stalled jobs.
-    pub fn staged() -> Self {
+    pub const fn staged() -> Self {
         StageSchedConfig {
             overlap: true,
             refund: RebookMode::Compact,

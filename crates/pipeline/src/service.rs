@@ -32,8 +32,8 @@
 //!   first*: best-effort jobs are down-laddered one precision rung,
 //!   then shed outright, before a standard job is touched —
 //!   [`SloClass::Premium`] is never down-laddered by load. Deadline
-//!   admission ([`AdmissionConfig`]) still runs after the ladder, so
-//!   every decision ends in an explicit [`Disposition`].
+//!   admission (always on here) still runs after the ladder, so every
+//!   decision ends in an explicit [`Disposition`].
 //! * **Device circuit breakers.** Each device's transient-fault rate
 //!   (from its seeded [`gpusim::FaultPlan`]) is tracked over a sliding
 //!   window; a device exceeding [`BreakerConfig::max_faults`] is
@@ -82,6 +82,11 @@ const REFERENCE_DEVICE: usize = 0;
 
 /// Slack for float comparisons on the simulated clock.
 const EPS: f64 = 1e-9;
+
+/// How the service books and re-books stages: everything on —
+/// overlapped lanes, expected-pass booking, compacting refunds and
+/// pass extension.
+const SCHED: StageSchedConfig = StageSchedConfig::staged();
 
 /// What a full tenant queue does with the next arrival.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -252,17 +257,12 @@ pub enum ExecutionMode {
 pub struct ServiceConfig {
     /// Fairness policy.
     pub policy: ServicePolicy,
-    /// Deadline admission (previewed against the surviving pool at
-    /// dispatch, after the overload ladder).
-    pub admission: AdmissionConfig,
     /// Overload degradation ladder thresholds.
     pub overload: OverloadConfig,
     /// Device circuit breakers.
     pub breaker: BreakerConfig,
     /// Placement policy over the free devices of a dispatch round.
     pub dispatch: DispatchPolicy,
-    /// Stage-granular booking knobs (shared with the staged engines).
-    pub sched: StageSchedConfig,
     /// Execute or model-only.
     pub mode: ExecutionMode,
     /// Scoped host threads that run one dispatch round's functional
@@ -274,11 +274,9 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             policy: ServicePolicy::WeightedFair,
-            admission: AdmissionConfig::default(),
             overload: OverloadConfig::default(),
             breaker: BreakerConfig::default(),
             dispatch: DispatchPolicy::LeastLoaded,
-            sched: StageSchedConfig::staged(),
             mode: ExecutionMode::Functional,
             host_workers: 1,
         }
@@ -654,10 +652,10 @@ impl<'a> Shell<'a> {
             &self.planner,
             &self.jobs[j],
             self.cur_digits[j],
-            self.cfg.sched.overlap,
+            SCHED.overlap,
             now,
             now,
-            &self.cfg.admission,
+            &AdmissionConfig::default(),
         ) {
             Admitted::Run { digits, degraded } => {
                 self.cur_digits[j] = digits;
@@ -715,7 +713,7 @@ impl<'a> Shell<'a> {
             vec![job.id as usize],
             &shape,
             self.cfg.dispatch,
-            &self.cfg.sched,
+            &SCHED,
             now,
             |d| match probe {
                 Some(suspect) => d.id == suspect,
@@ -826,7 +824,7 @@ impl<'a> Shell<'a> {
             &e.shape,
             &[&self.jobs[e.job_idx]],
             solved,
-            &self.cfg.sched,
+            &SCHED,
         );
         let mut outcome = settled.pop().expect("a group of one settles one outcome");
         self.retried[e.job_idx] |= !hits.is_empty();
@@ -952,8 +950,7 @@ impl<'a> Shell<'a> {
                     .iter()
                     .map(|e| (&e.g, vec![&self.jobs[e.job_idx]]))
                     .collect();
-                let extra = self.cfg.sched.max_extra_passes;
-                execute_round(pool, &groups, self.cfg.host_workers, extra)
+                execute_round(pool, &groups, self.cfg.host_workers, SCHED.max_extra_passes)
             }
         };
         for (e, s) in round.into_iter().zip(solved) {

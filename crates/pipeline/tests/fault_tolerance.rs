@@ -402,9 +402,9 @@ fn stream_replays_transients_like_the_batch_loop() {
     )
     .outcomes;
     // the breaker is off so three strikes do not quarantine the only
-    // device: this arm is about the replays alone
+    // device: this arm is about the replays alone (`serve` books staged,
+    // which places the first job at `[0, first)` all the same)
     let cfg = ServiceConfig {
-        sched,
         breaker: BreakerConfig {
             enabled: false,
             ..BreakerConfig::default()

@@ -3,9 +3,9 @@
 use multidouble_ls::matrix::HostMat;
 use multidouble_ls::pipeline::{
     power_flow_jobs, schedule, solve_batch, solve_batch_staged, solve_batch_staged_with,
-    solve_planned, solve_stream_staged, solve_stream_with, tracker_jobs, workload_mix, BatchReport,
-    DevicePool, DispatchPolicy, Job, JobOutcome, JobShape, MicrobatchConfig, Planner, RebookMode,
-    StageSchedConfig,
+    solve_planned_traced_with, solve_stream_staged, solve_stream_with, tracker_jobs, workload_mix,
+    BatchReport, DevicePool, DispatchPolicy, Job, JobOutcome, JobShape, MicrobatchConfig,
+    PlannedSolve, Planner, RebookMode, StageSchedConfig,
 };
 use multidouble_ls::sim::Gpu;
 use rand::rngs::StdRng;
@@ -43,7 +43,7 @@ fn batch_matches_sequential_lstsq_on_1000_jobs() {
         assert_eq!(plan, out.plan, "job {}: plans diverge", job.id);
         // ...and the sequential solve must reproduce the batch solution
         // exactly (same options => same arithmetic => same bits)
-        let (x, residual) = solve_planned(gpu, job, &plan);
+        let PlannedSolve { x, residual, .. } = solve_planned_traced_with(gpu, job, &plan, 0);
         assert_eq!(x, out.x, "job {}: batch and sequential bits differ", job.id);
         assert_eq!(residual, out.residual, "job {}", job.id);
         // accuracy targets hold on these well-conditioned consistent jobs
@@ -297,7 +297,7 @@ fn fused_batches_are_bit_identical_and_placement_invariant() {
     for (job, out) in jobs.iter().zip(&report.outcomes) {
         let gpu = pool.gpu(out.device);
         let plan = planner.plan(gpu, job.rows(), job.cols(), job.target_digits);
-        let (x, residual) = solve_planned(gpu, job, &plan);
+        let PlannedSolve { x, residual, .. } = solve_planned_traced_with(gpu, job, &plan, 0);
         assert_eq!(x, out.x, "job {}: fused bits differ", job.id);
         assert_eq!(residual, out.residual, "job {}", job.id);
         assert!(out.achieved_digits >= job.target_digits as f64);
@@ -677,7 +677,7 @@ fn refinement_reaches_targets_on_every_ladder_pair() {
     for job in &jobs {
         for digits in [25, 50, 100] {
             let plan = planner.plan(&gpu, job.rows(), job.cols(), digits);
-            let (x, residual) = solve_planned(&gpu, job, &plan);
+            let PlannedSolve { x, residual, .. } = solve_planned_traced_with(&gpu, job, &plan, 0);
             assert_eq!(x.precision(), plan.solution_precision());
             assert!(
                 residual < 10f64.powi(-(digits as i32)),
@@ -722,7 +722,7 @@ fn direct_plans_are_bit_identical_to_plain_lstsq() {
         for job in &jobs {
             let plan = planner.plan_direct(&gpu, job.rows(), job.cols(), job.target_digits);
             assert!(plan.is_direct());
-            let (x, residual) = solve_planned(&gpu, job, &plan);
+            let PlannedSolve { x, residual, .. } = solve_planned_traced_with(&gpu, job, &plan, 0);
             match (&x, plan.factor_precision()) {
                 (Solution::D1(x), Precision::D1) => {
                     let (e, er) = reference::<f64>(&gpu, job, &plan);
