@@ -8,13 +8,20 @@
 //! column-major operands by row, and reads ≈ 2 since. The bound is
 //! generous on purpose — it catches the return of a per-element cost,
 //! not a few percent of drift.
+//!
+//! The second gate is on the arithmetic itself: the full-height WY
+//! products multiply the exact-zero rows above each panel, so most octo
+//! double products in a blocked QR have an all-zero operand. Those must
+//! skip the expansion.
 #![expect(clippy::disallowed_methods, reason = "a host-time gate")]
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use gpusim::{ExecMode, Gpu};
 use mdls_matrix::HostMat;
 use mdls_qr::{householder_qr_host, qr_decompose, QrOptions};
+use multidouble::{MdScalar, Od};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -45,15 +52,15 @@ fn functional_tax_is_bounded() {
     };
     let gpu = Gpu::v100();
     let sim = median_of_5(|| {
-        std::hint::black_box(qr_decompose(
+        black_box(qr_decompose(
             &gpu,
             ExecMode::Sequential,
-            std::hint::black_box(&a),
+            black_box(&a),
             &opts,
         ));
     });
     let host = median_of_5(|| {
-        std::hint::black_box(householder_qr_host(std::hint::black_box(&a)));
+        black_box(householder_qr_host(black_box(&a)));
     });
     let ratio = sim / host;
     assert!(
@@ -61,5 +68,35 @@ fn functional_tax_is_bounded() {
         "simulated QR {:.3} ms vs host loop {:.3} ms: functional tax {ratio:.1}x (gate 20x)",
         sim * 1e3,
         host * 1e3
+    );
+}
+
+/// An od multiply by an all-zero operand costs < 0.1× a dense one. It
+/// read 0.25–0.44 while zero operands ran the full 64-term expansion and
+/// renormalization, and ≈ 0.01 since they short-circuit.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "timing gate: run with `cargo test --release`"
+)]
+fn zero_operand_products_are_cheap() {
+    let mut rng = StdRng::seed_from_u64(2022);
+    let xs: Vec<Od> = (0..4096).map(|_| Od::rand(&mut rng)).collect();
+    let dense: Vec<Od> = (0..4096).map(|_| Od::rand(&mut rng)).collect();
+    let zeros = vec![Od::ZERO; xs.len()];
+    let products = |ys: &[Od]| {
+        median_of_5(|| {
+            for (x, y) in xs.iter().zip(ys) {
+                black_box(*black_box(x) * *black_box(y));
+            }
+        })
+    };
+    let (zero, dense) = (products(&zeros), products(&dense));
+    let ratio = zero / dense;
+    assert!(
+        ratio < 0.1,
+        "od multiply by zero {:.1} ns vs dense {:.1} ns: ratio {ratio:.3} (gate 0.1)",
+        zero / 4096.0 * 1e9,
+        dense / 4096.0 * 1e9
     );
 }

@@ -375,6 +375,60 @@ mod tests {
         assert!(d.div.fma < q.div.fma && q.div.fma < o.div.fma);
     }
 
+    /// The `(fma, split)` tallies `gpusim::model` prices kernels from
+    /// (through `S::measured_cost()`), recorded before PR 19's
+    /// renormalization fast paths. A change to the arithmetic that adds or
+    /// drops a counted operation on these operands moves every `sim_*`
+    /// number, and fails here first.
+    #[test]
+    fn tallies_that_price_the_sim_clock_are_pinned() {
+        let pairs =
+            |m: MeasuredCosts| [m.add, m.sub, m.mul, m.div, m.sqrt].map(|op| (op.fma, op.split));
+        assert_eq!(
+            pairs(measure_dd()),
+            [(20, 20), (20, 20), (9, 24), (70, 100), (43, 44)]
+        );
+        assert_eq!(
+            pairs(measure_qd()),
+            [(82, 82), (82, 82), (232, 322), (820, 1000), (3165, 4200)]
+        );
+        assert_eq!(
+            pairs(measure_od()),
+            [
+                (264, 264),
+                (264, 264),
+                (904, 1324),
+                (4968, 5913),
+                (14886, 20766)
+            ]
+        );
+    }
+
+    /// The cost model's first check against the paper: under the Table 1
+    /// convention (Dekker-split `two_prod`), the measured qd/dd and od/dd
+    /// ratios of add and mul stay within ±30 % of the Table 1 Σ ratios
+    /// (`paper_real_cost`). Measured today: add 4.10 against 4.45 and
+    /// 13.2 against 13.45; mul 13.4 against 14.6 and 55.2 against 75.7.
+    /// od mul is the outlier, at −27 %.
+    #[test]
+    fn split_ratios_track_table1_within_30_percent() {
+        use crate::cost::paper_real_cost;
+        let (d, q, o) = (measure_dd(), measure_qd(), measure_od());
+        let (pd, pq, po) = (paper_real_cost(2), paper_real_cost(4), paper_real_cost(8));
+        let r = |hi: MeasuredOp, lo: MeasuredOp| hi.split as f64 / lo.split as f64;
+        for (name, got, want) in [
+            ("qd/dd add", r(q.add, d.add), pq.add / pd.add),
+            ("od/dd add", r(o.add, d.add), po.add / pd.add),
+            ("qd/dd mul", r(q.mul, d.mul), pq.mul / pd.mul),
+            ("od/dd mul", r(o.mul, d.mul), po.mul / pd.mul),
+        ] {
+            assert!(
+                (got / want - 1.0).abs() <= 0.30,
+                "{name}: measured {got:.2} vs Table 1 {want:.2}"
+            );
+        }
+    }
+
     #[test]
     fn dd_split_mul_is_near_table1() {
         // Table 1 says dd mul = 23 ops under the split convention;

@@ -10,13 +10,23 @@
 use crate::eft::two_sum;
 use crate::fp::Fp;
 
+/// Most magnitude classes a producer closes (`od_mul`, `od_mul_f`: 8).
+const MAX_CLASSES: usize = 8;
+
 /// A fixed-capacity scratch expansion, so renormalization never
 /// allocates. Each producer sizes `CAP` to the number of terms it pushes
 /// (7 to 64), so a quad double product does not zero-fill the 64 slots an
 /// octo double product needs.
+///
+/// Products also mark *magnitude classes* with [`Scratch::close_class`]:
+/// runs of consecutive terms of about the same order (the diagonal-`k`
+/// products plus the diagonal-`(k-1)` errors). [`renormalize`] presorts
+/// each class on its own before the sort over the whole scratch.
 pub struct Scratch<F: Fp, const CAP: usize> {
     buf: [F; CAP],
     len: usize,
+    class_end: [u8; MAX_CLASSES],
+    classes: usize,
 }
 
 impl<F: Fp, const CAP: usize> Default for Scratch<F, CAP> {
@@ -32,6 +42,8 @@ impl<F: Fp, const CAP: usize> Scratch<F, CAP> {
         Scratch {
             buf: [F::ZERO; CAP],
             len: 0,
+            class_end: [0; MAX_CLASSES],
+            classes: 0,
         }
     }
 
@@ -41,6 +53,15 @@ impl<F: Fp, const CAP: usize> Scratch<F, CAP> {
     pub fn push(&mut self, x: F) {
         self.buf[self.len] = x;
         self.len += 1;
+    }
+
+    /// End the current magnitude class: the terms pushed since the last
+    /// `close_class` (or since `new`) form one. Terms after the last
+    /// closed class belong to none and are not presorted.
+    #[inline(always)]
+    pub fn close_class(&mut self) {
+        self.class_end[self.classes] = self.len as u8;
+        self.classes += 1;
     }
 
     /// The current terms.
@@ -106,6 +127,18 @@ pub fn vec_sum_err_branch<F: Fp>(e: &[F], out: &mut [F]) {
     }
 }
 
+/// `true` when one operand is all (signed) zeros and the other all finite.
+/// Every partial product and every `two_prod` error of such a product is
+/// ±0, and [`renormalize`] maps an all-zero scratch to `+0.0` limbs, so
+/// `qd_mul`/`od_mul` return `[+0.0; N]` without forming the expansion.
+/// Zero times inf or NaN is NaN and still takes the full path.
+#[inline(always)]
+pub(crate) fn is_zero_product<F: Fp>(a: &[F], b: &[F]) -> bool {
+    let zero = |x: &[F]| x.iter().all(|&v| v == F::ZERO);
+    let finite = |x: &[F]| x.iter().all(|&v| v.to_f64().is_finite());
+    (zero(a) && finite(b)) || (zero(b) && finite(a))
+}
+
 /// Renormalize an intermediate expansion into `out.len()` components.
 ///
 /// The scratch terms are first sorted by decreasing magnitude — producers
@@ -115,8 +148,40 @@ pub fn vec_sum_err_branch<F: Fp>(e: &[F], out: &mut [F]) {
 /// sort costs comparisons, not flops, so it does not disturb the
 /// operation tallies. A second pass over the compact result tightens
 /// components that may still overlap after heavy cancellation.
+///
+/// Two shortcuts leave every output bit as it was without them:
+///
+/// * an all-zero scratch (±0 terms only — a product with a zero operand,
+///   0 + 0) yields `+0.0` limbs directly, as the full path would;
+/// * a scratch with no zero term has each closed magnitude class presorted
+///   by a branch-free sorting network ([`presort_class`]), so the stable
+///   insertion sort that follows only moves terms across class boundaries.
+///   The presort keeps tied terms in push order, so the permutation — and
+///   everything downstream — is the one the insertion sort alone produces.
+///   Scratches holding zeros (f64-widened operands) skip it: there most of
+///   the insertion sort's moves carry nonzero terms past the zeros of
+///   earlier classes, which a per-class presort does not remove.
 #[inline]
 pub fn renormalize<F: Fp, const CAP: usize>(scratch: &mut Scratch<F, CAP>, out: &mut [F]) {
+    let zeros = scratch.terms().iter().filter(|&&x| x == F::ZERO).count();
+    if zeros == scratch.len {
+        out.fill(F::ZERO);
+        return;
+    }
+    if zeros == 0 {
+        let mut start = 0;
+        for &end in &scratch.class_end[..scratch.classes] {
+            let class = &mut scratch.buf[start..end as usize];
+            match class.len() {
+                2 => presort_class::<F, 2>(class, &NET2),
+                3 | 4 => presort_class::<F, 4>(class, &NET4),
+                5..=8 => presort_class::<F, 8>(class, &NET8),
+                9..=16 => presort_class::<F, 16>(class, &NET16),
+                _ => {} // one term is sorted; longer classes are left to the insertion sort
+            }
+            start = end as usize;
+        }
+    }
     sort_by_magnitude(scratch.terms_mut());
     vec_sum(scratch.terms_mut());
     vec_sum_err_branch(scratch.terms(), out);
@@ -126,7 +191,7 @@ pub fn renormalize<F: Fp, const CAP: usize>(scratch: &mut Scratch<F, CAP>, out: 
     let mut tmp = [F::ZERO; 16];
     debug_assert!(out.len() <= 16);
     let n = out.len();
-    tmp[..n].copy_from_slice_fp(out);
+    tmp[..n].copy_from_slice(out);
     vec_sum_err_branch(&tmp[..n], out);
 }
 
@@ -146,16 +211,61 @@ pub fn sort_by_magnitude<F: Fp>(x: &mut [F]) {
     }
 }
 
-/// Helper trait: `copy_from_slice` for `F: Fp` without `Copy` slice bounds
-/// noise at call sites.
-trait CopySliceExt<F: Fp> {
-    fn copy_from_slice_fp(&mut self, src: &[F]);
-}
-impl<F: Fp> CopySliceExt<F> for [F] {
-    #[inline]
-    fn copy_from_slice_fp(&mut self, src: &[F]) {
-        for (d, s) in self.iter_mut().zip(src.iter()) {
-            *d = *s;
+/// Sorting networks as compare-exchange lane pairs `(hi, lo)`; each leaves
+/// the larger key in `hi`. Best-known comparator counts: 1, 5, 19, 60
+/// (`networks_sort_every_zero_one_input` proves each one sorts).
+const NET2: [(u8, u8); 1] = [(0, 1)];
+const NET4: [(u8, u8); 5] = [(0, 1), (2, 3), (0, 2), (1, 3), (1, 2)];
+#[rustfmt::skip]
+const NET8: [(u8, u8); 19] = [
+    (0, 2), (1, 3), (4, 6), (5, 7),
+    (0, 4), (1, 5), (2, 6), (3, 7),
+    (0, 1), (2, 3), (4, 5), (6, 7),
+    (2, 4), (3, 5),
+    (1, 4), (3, 6),
+    (1, 2), (3, 4), (5, 6),
+];
+#[rustfmt::skip]
+const NET16: [(u8, u8); 60] = [
+    (0, 13), (1, 12), (2, 15), (3, 14), (4, 8), (5, 6), (7, 11), (9, 10),
+    (0, 5), (1, 7), (2, 9), (3, 4), (6, 13), (8, 14), (10, 15), (11, 12),
+    (0, 1), (2, 3), (4, 5), (6, 8), (7, 9), (10, 11), (12, 13), (14, 15),
+    (0, 2), (1, 3), (4, 10), (5, 11), (6, 7), (8, 9), (12, 14), (13, 15),
+    (1, 2), (3, 12), (4, 6), (5, 7), (8, 10), (9, 11), (13, 14),
+    (1, 4), (2, 6), (5, 8), (7, 10), (9, 13), (11, 14),
+    (2, 4), (3, 6), (9, 12), (11, 13),
+    (3, 5), (6, 8), (7, 9), (10, 12),
+    (3, 4), (5, 6), (7, 8), (9, 10), (11, 12),
+    (6, 7), (8, 9),
+];
+
+/// Sort one magnitude class (at most `L` terms) by decreasing `|x|` with
+/// the network `net`, on the lossless key `x.to_bits().rotate_left(1)`:
+/// unsigned key order is `|x|` order with the sign as a tie breaker, and
+/// the missing lanes are padded with `+0.0` (key 0, last). A class holding
+/// a NaN (whose key sorts first) or two terms of equal `|x|` but opposite
+/// sign (adjacent lanes after the sort) is left as pushed: there the
+/// key order is not the insertion sort's order. Otherwise equal keys are
+/// equal bits, so the result is the class's stable sort by `|x|`.
+#[inline(always)]
+fn presort_class<F: Fp, const L: usize>(x: &mut [F], net: &[(u8, u8)]) {
+    const INF_BITS: u64 = 0x7ff0_0000_0000_0000;
+    let mut k = [0u64; L];
+    for (ki, xi) in k.iter_mut().zip(x.iter()) {
+        *ki = xi.to_f64().to_bits().rotate_left(1);
+    }
+    for &(hi, lo) in net {
+        let (a, b) = (k[hi as usize], k[lo as usize]);
+        k[hi as usize] = a.max(b);
+        k[lo as usize] = a.min(b);
+    }
+    let mut ordered = k[0] >> 1 <= INF_BITS;
+    for w in k.windows(2) {
+        ordered &= (w[0] == w[1]) | (w[0] >> 1 != w[1] >> 1);
+    }
+    if ordered {
+        for (xi, ki) in x.iter_mut().zip(k) {
+            *xi = F::from_f64(f64::from_bits(ki.rotate_right(1)));
         }
     }
 }
@@ -223,5 +333,162 @@ mod tests {
         let want = 2f64.powi(-61);
         assert_eq!(out[0], want, "{out:?}");
         assert_eq!(out[1], 0.0);
+    }
+
+    /// The renormalization before the fast paths (sort → `VecSum` →
+    /// `VecSumErrBranch` → second pass): the oracle the equivalence tests
+    /// hold the fast paths to, bit for bit.
+    fn renormalize_reference(terms: &mut [f64], out: &mut [f64]) {
+        sort_by_magnitude(terms);
+        vec_sum(terms);
+        vec_sum_err_branch(terms, out);
+        vec_sum(out);
+        let n = out.len();
+        let mut tmp = [0.0; 16];
+        tmp[..n].copy_from_slice(out);
+        vec_sum_err_branch(&tmp[..n], out);
+    }
+
+    /// SplitMix64: a seeded stream that needs no dependency.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn range(&mut self, lo: i32, hi: i32) -> i32 {
+            lo + self.below((hi - lo + 1) as u64) as i32
+        }
+
+        fn sign(&mut self) -> f64 {
+            if self.next() & 1 == 1 {
+                -1.0
+            } else {
+                1.0
+            }
+        }
+    }
+
+    #[test]
+    fn networks_sort_every_zero_one_input() {
+        fn check<const L: usize>(net: &[(u8, u8)]) {
+            for bits in 0u32..1 << L {
+                let mut x: [f64; L] = core::array::from_fn(|i| 1.0 + ((bits >> i) & 1) as f64);
+                presort_class::<f64, L>(&mut x, net);
+                assert!(x.windows(2).all(|w| w[0] >= w[1]), "{L} lanes: {x:?}");
+            }
+        }
+        check::<2>(&NET2);
+        check::<4>(&NET4);
+        check::<8>(&NET8);
+        check::<16>(&NET16);
+    }
+
+    /// 10⁶ seeded scratches through `renormalize` and through the oracle,
+    /// compared by `to_bits`. Trials mix dense product-shaped classes
+    /// (the presort path), zero-heavy and all-zero scratches with ±0,
+    /// subnormals, exact ±x copies of earlier terms, classes whose
+    /// magnitudes overlap or invert (sparse limbs), ±inf and NaN, and
+    /// output lengths 1–8.
+    #[test]
+    fn fast_paths_match_the_reference_bit_for_bit() {
+        let mut rng = Mix(2022);
+        for trial in 0..1_000_000 {
+            let kind = rng.below(16);
+            let mut s = Scratch::<f64, 64>::new();
+            let mut terms = Vec::with_capacity(64);
+            let offset = rng.range(-300, 300);
+            let step = [0, 20, 53, 60, 106, 160][rng.below(6) as usize];
+            let classes = 1 + rng.below(8) as i32;
+            for c in 0..classes {
+                let base = if rng.below(5) == 0 {
+                    offset + rng.range(-400, 400)
+                } else {
+                    offset - step * c
+                };
+                let size = (1 + rng.below(16) as usize).min(64 - terms.len());
+                for _ in 0..size {
+                    let exp = match kind {
+                        4 => rng.range(-1080, -1000),
+                        _ => base + rng.range(-6, 6),
+                    };
+                    let mut t = rng.sign()
+                        * (1.0 + rng.below(1 << 52) as f64 * f64::EPSILON)
+                        * 2f64.powi(exp);
+                    if !terms.is_empty() && rng.below(16) == 0 {
+                        t = rng.sign() * terms[rng.below(terms.len() as u64) as usize];
+                    }
+                    if rng.below(64) == 0 {
+                        t = rng.sign() * f64::from_bits(1 + rng.below((1 << 52) - 1));
+                    }
+                    match kind {
+                        0 => t = rng.sign() * 0.0,
+                        1 | 2 if rng.below(5) < 3 => t = rng.sign() * 0.0,
+                        3 if rng.below(24) == 0 => {
+                            t = [f64::INFINITY, -f64::INFINITY, f64::NAN][rng.below(3) as usize]
+                        }
+                        _ => {}
+                    }
+                    s.push(t);
+                    terms.push(t);
+                }
+                s.close_class();
+            }
+            // a few unclassed trailing terms now and then
+            while terms.len() < 64 && rng.below(4) == 0 {
+                let t = rng.sign() * 2f64.powi(offset - 500);
+                s.push(t);
+                terms.push(t);
+            }
+            let input = terms.clone();
+            let n = 1 + rng.below(8) as usize;
+            let (mut got, mut want) = ([0.0; 8], [0.0; 8]);
+            renormalize(&mut s, &mut got[..n]);
+            renormalize_reference(&mut terms, &mut want[..n]);
+            assert_eq!(
+                got.map(f64::to_bits),
+                want.map(f64::to_bits),
+                "trial {trial}, {n} limbs, input {input:?}: {got:?} vs {want:?}"
+            );
+        }
+    }
+
+    /// Each of the 2⁸ signed-zero operand patterns, times a finite, a
+    /// negative finite and a zero operand (either side), yields `+0.0`
+    /// limbs through `od_mul` and `qd_mul` (first four limbs) — as the
+    /// full expansion did before the zero-operand short circuit. Zero
+    /// times inf or NaN still takes the full path.
+    #[test]
+    fn signed_zero_operands_give_positive_zero_limbs() {
+        use crate::{od::od_mul, qd::qd_mul};
+        let quad = |x: [f64; 8]| [x[0], x[1], x[2], x[3]];
+        let pi = crate::od::Od::pi().0;
+        for pattern in 0u32..1 << 8 {
+            let z: [f64; 8] =
+                core::array::from_fn(|i| if (pattern >> i) & 1 == 1 { -0.0 } else { 0.0 });
+            for y in [pi, pi.map(|x| -x), z, z.map(|x| -x)] {
+                for p in [od_mul(z, y), od_mul(y, z)] {
+                    assert_eq!(p.map(f64::to_bits), [0; 8], "{z:?} * {y:?}");
+                }
+                for p in [qd_mul(quad(z), quad(y)), qd_mul(quad(y), quad(z))] {
+                    assert_eq!(p.map(f64::to_bits), [0; 4], "{z:?} * {y:?}");
+                }
+            }
+        }
+        for bad in [f64::INFINITY, f64::NAN] {
+            let mut y = [0.0; 8];
+            y[1] = bad;
+            assert!(od_mul([0.0; 8], y)[0].is_nan());
+            assert!(qd_mul(quad(y), [0.0; 4])[0].is_nan());
+        }
     }
 }

@@ -15,7 +15,7 @@
 
 use crate::dd::Dd;
 use crate::eft::two_prod;
-use crate::expansion::{renormalize, Scratch};
+use crate::expansion::{is_zero_product, renormalize, Scratch};
 use crate::fp::Fp;
 use crate::qd::Qd;
 
@@ -66,9 +66,13 @@ pub fn od_sub<F: Fp>(a: Od8<F>, b: Od8<F>) -> Od8<F> {
 /// Certified truncated multiplication.
 #[inline]
 pub fn od_mul<F: Fp>(a: Od8<F>, b: Od8<F>) -> Od8<F> {
+    if is_zero_product(&a, &b) {
+        return [F::ZERO; N];
+    }
     let mut s = Scratch::<F, 64>::new();
-    // errors of diagonal k belong to magnitude class k+1, so push
-    // diagonal k's products followed by diagonal (k-1)'s errors.
+    // errors of diagonal k belong to magnitude class k+1, so class k is
+    // diagonal k's products followed by diagonal (k-1)'s errors: 2k + 1
+    // terms, 64 in all (the last diagonal keeps no errors).
     let mut prev_err: [F; N] = [F::ZERO; N];
     let mut prev_err_len = 0usize;
     for k in 0..N {
@@ -89,12 +93,9 @@ pub fn od_mul<F: Fp>(a: Od8<F>, b: Od8<F>) -> Od8<F> {
         for e in prev_err.iter().take(prev_err_len) {
             s.push(*e);
         }
+        s.close_class();
         prev_err = err;
         prev_err_len = err_len;
-    }
-    // errors of the second-to-last diagonal still matter (class N)
-    for e in prev_err.iter().take(prev_err_len) {
-        s.push(*e);
     }
     let mut out = [F::ZERO; N];
     renormalize(&mut s, &mut out);
@@ -103,7 +104,7 @@ pub fn od_mul<F: Fp>(a: Od8<F>, b: Od8<F>) -> Od8<F> {
 
 /// Multiply an octo double by a double. Terms are pushed in magnitude
 /// class order: `p_0, [p_1, e_0], [p_2, e_1], ..., [p_7, e_6]` where `e_i`
-/// is the error of the exact product `p_i`.
+/// is the error of the exact product `p_i`; each bracket is one class.
 #[inline]
 pub fn od_mul_f<F: Fp>(a: Od8<F>, b: F) -> Od8<F> {
     let mut s = Scratch::<F, 15>::new();
@@ -122,6 +123,7 @@ pub fn od_mul_f<F: Fp>(a: Od8<F>, b: F) -> Od8<F> {
                 s.push(pe);
             }
         }
+        s.close_class();
     }
     let mut out = [F::ZERO; N];
     renormalize(&mut s, &mut out);

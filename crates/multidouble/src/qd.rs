@@ -7,7 +7,7 @@
 
 use crate::dd::Dd;
 use crate::eft::{quick_two_sum, three_sum, three_sum2, two_diff, two_prod, two_sum};
-use crate::expansion::{renormalize, Scratch};
+use crate::expansion::{is_zero_product, renormalize, Scratch};
 use crate::fp::Fp;
 
 /// Generic quad double value, most significant limb first.
@@ -124,19 +124,25 @@ pub fn qd_sub<F: Fp>(a: Qd4<F>, b: Qd4<F>) -> Qd4<F> {
 
 /// Certified multiplication: all partial products `a_i * b_j` with
 /// `i + j <= 2` carry their error terms; the `i + j == 3` diagonal
-/// contributes plain products (their errors are below `eps^4`).
+/// contributes plain products (their errors are below `eps^4`). Each
+/// diagonal with the previous one's errors is one magnitude class.
 #[inline]
 pub fn qd_mul<F: Fp>(a: Qd4<F>, b: Qd4<F>) -> Qd4<F> {
+    if is_zero_product(&a, &b) {
+        return [F::ZERO; 4];
+    }
     let mut s = Scratch::<F, 16>::new();
     // diagonal 0
     let (p00, e00) = two_prod(a[0], b[0]);
     s.push(p00);
+    s.close_class();
     // diagonal 1 (+ errors of diagonal 0)
     let (p01, e01) = two_prod(a[0], b[1]);
     let (p10, e10) = two_prod(a[1], b[0]);
     s.push(p01);
     s.push(p10);
     s.push(e00);
+    s.close_class();
     // diagonal 2 (+ errors of diagonal 1)
     let (p02, e02) = two_prod(a[0], b[2]);
     let (p11, e11) = two_prod(a[1], b[1]);
@@ -146,6 +152,7 @@ pub fn qd_mul<F: Fp>(a: Qd4<F>, b: Qd4<F>) -> Qd4<F> {
     s.push(p20);
     s.push(e01);
     s.push(e10);
+    s.close_class();
     // diagonal 3 (+ errors of diagonal 2)
     s.push(a[0] * b[3]);
     s.push(a[1] * b[2]);
@@ -154,13 +161,15 @@ pub fn qd_mul<F: Fp>(a: Qd4<F>, b: Qd4<F>) -> Qd4<F> {
     s.push(e02);
     s.push(e11);
     s.push(e20);
+    s.close_class();
 
     let mut out = [F::ZERO; 4];
     renormalize(&mut s, &mut out);
     out
 }
 
-/// Multiply a quad double by a double.
+/// Multiply a quad double by a double. Magnitude classes are `p_0`, then
+/// the pairs `[p_i, e_{i-1}]`.
 #[inline]
 pub fn qd_mul_f<F: Fp>(a: Qd4<F>, b: F) -> Qd4<F> {
     let mut s = Scratch::<F, 7>::new();
@@ -169,12 +178,16 @@ pub fn qd_mul_f<F: Fp>(a: Qd4<F>, b: F) -> Qd4<F> {
     let (p2, e2) = two_prod(a[2], b);
     let p3 = a[3] * b;
     s.push(p0);
+    s.close_class();
     s.push(p1);
     s.push(e0);
+    s.close_class();
     s.push(p2);
     s.push(e1);
+    s.close_class();
     s.push(p3);
     s.push(e2);
+    s.close_class();
     let mut out = [F::ZERO; 4];
     renormalize(&mut s, &mut out);
     out
