@@ -154,7 +154,7 @@ pub(crate) fn is_zero_product<F: Fp>(a: &[F], b: &[F]) -> bool {
 /// * an all-zero scratch (±0 terms only — a product with a zero operand,
 ///   0 + 0) yields `+0.0` limbs directly, as the full path would;
 /// * a scratch with no zero term has each closed magnitude class presorted
-///   by a branch-free sorting network ([`presort_class`]), so the stable
+///   by a branch-free sorting network (`presort_class`), so the stable
 ///   insertion sort that follows only moves terms across class boundaries.
 ///   The presort keeps tied terms in push order, so the permutation — and
 ///   everything downstream — is the one the insertion sort alone produces.

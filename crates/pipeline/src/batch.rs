@@ -5,8 +5,8 @@
 //! [`solve_batch_resilient`](crate::resilient::solve_batch_resilient)):
 //! it takes a device pool and a batch of [`Job`]s, books every fused
 //! group on the pool's stage timelines (see [`crate::microbatch`]),
-//! runs each group's [`ExecPlan`] through the **stage interpreter**
-//! ([`solve_planned_fused_with`] — a lone job is a group of one),
+//! runs each member's [`ExecPlan`] through the **stage interpreter**
+//! ([`solve_planned_traced_with`] — one job per call, fused or not),
 //! settles bookings against what execution actually ran, and returns
 //! per-job outcomes plus pool-level throughput. This module also owns
 //! the execute and settle steps every engine shares (`execute_round`,
@@ -32,6 +32,8 @@
 //! same plan (asserted by the `tests/pipeline.rs` property test).
 //! Host-side worker threads only shorten *our* wall clock; simulated
 //! device time is unaffected.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use gpusim::{ExecMode, Gpu, Sim};
 use mdls_core::{lstsq_factor_batched, residual_kernel};
@@ -374,80 +376,38 @@ fn relative_residual<S: MdReal>(a: &HostMat<S>, x: &[S], b: &[S]) -> f64 {
     }
 }
 
-/// Direct plans: one micro-batched factor + solve over every member at
-/// a single rung. Each member's launch sequence is exactly that of a
-/// sequential [`mdls_core::lstsq`] (the batched sessions change
-/// accounting, never arithmetic), so the returned bits match it — for
-/// a group of one and for every member of a larger group alike. The
-/// group's matrices and right hand sides are promoted in one pass.
-fn direct_group<S: MdReal>(
+/// Direct plans: factor and solve at one rung — exactly a sequential
+/// [`mdls_core::lstsq`] call, bit for bit (the batched session at
+/// `k = 1` changes accounting, never arithmetic).
+fn direct_job<S: MdReal>(
     gpu: &Gpu,
-    jobs: &[&Job],
+    job: &Job,
     plan: &ExecPlan,
     wrap: fn(Vec<S>) -> Solution,
-) -> Vec<PlannedSolve> {
+) -> PlannedSolve {
     let opts = plan.options(ExecMode::Sequential);
-    let mats: Vec<HostMat<S>> = jobs.iter().map(|j| promoted_matrix::<S>(&j.a)).collect();
-    let rhs: Vec<Vec<S>> = jobs.iter().map(|j| promote_vec::<S>(&j.b)).collect();
-    let refs: Vec<&HostMat<S>> = mats.iter().collect();
-    let fact = lstsq_factor_batched(gpu, &refs, &opts);
-    let (xs, _) = fact.solve_all(&rhs);
-    xs.into_iter()
-        .enumerate()
-        .map(|(i, x)| PlannedSolve {
-            residual: relative_residual(&mats[i], &x, &rhs[i]),
-            x: wrap(x),
-            corrections_run: 0,
-        })
-        .collect()
+    let a = promoted_matrix::<S>(&job.a);
+    let b = promote_vec::<S>(&job.b);
+    let (x, _) = lstsq_factor_batched(gpu, &[&a], &opts).instances()[0].solve(&b);
+    PlannedSolve {
+        residual: relative_residual(&a, &x, &b),
+        x: wrap(x),
+        corrections_run: 0,
+    }
 }
 
-/// Refinement plans: one micro-batched Factor(F) + initial Correct(F)
-/// over the whole group, then per-member high-rung refinement loops
-/// through each member's slice of the fused factorization
-/// ([`refine_through`]). Members stop adaptively and independently — a
-/// member that meets its digits early simply drops out of later passes
-/// (its booked share is refunded by the caller via the outcome's
-/// `refunded_ms`).
-fn refine_group<F: MdReal, H: MdReal>(
-    gpu: &Gpu,
-    jobs: &[&Job],
-    plan: &ExecPlan,
-    extra_passes: usize,
-    wrap: fn(Vec<H>) -> Solution,
-) -> Vec<PlannedSolve> {
-    let opts = plan.options(ExecMode::Sequential);
-    let mats: Vec<HostMat<F>> = jobs.iter().map(|j| promoted_matrix::<F>(&j.a)).collect();
-    let rhs: Vec<Vec<F>> = jobs.iter().map(|j| promote_vec::<F>(&j.b)).collect();
-    let refs: Vec<&HostMat<F>> = mats.iter().collect();
-    let fact = lstsq_factor_batched(gpu, &refs, &opts);
-    let (x0s, _) = fact.solve_all(&rhs);
-    x0s.into_iter()
-        .enumerate()
-        .map(|(i, x0)| {
-            let fact = &fact.instances()[i];
-            let (x, residual, corrections_run) =
-                refine_through::<F, H>(gpu, jobs[i], plan, fact, x0, extra_passes);
-            PlannedSolve {
-                x: wrap(x),
-                residual,
-                corrections_run,
-            }
-        })
-        .collect()
-}
-
-/// The high-rung refinement loop of one group member: given the
-/// low-rung factorization and initial solve,
-/// alternate device-side residuals at rung `H` with corrections
-/// through the reused factorization, accumulating the iterate at `H`.
+/// Refinement plans: Factor(F) and the initial Correct(F), then the
+/// high-rung loop — alternate device-side residuals at rung `H` with
+/// corrections through the reused factorization, accumulating the
+/// iterate at `H`.
 ///
 /// **Adaptive pass count**: the measured relative residual — free, the
 /// outcome reports it anyway — is checked at every pass boundary, and
 /// the loop stops as soon as it already certifies the plan's digit
-/// target instead of running the booked count blind. The stopping rule
-/// reads only device-independent bits, so placement invariance (and
-/// fused/unfused bit-identity) survives.
+/// target instead of running the booked count blind (the caller refunds
+/// the booked tail). The stopping rule reads only device-independent
+/// bits, so placement invariance (and fused/unfused bit-identity)
+/// survives.
 ///
 /// **Pass extension**: when the plan's structural pass count is
 /// exhausted with the target still uncertified — conditioning ate into
@@ -457,19 +417,18 @@ fn refine_group<F: MdReal, H: MdReal>(
 /// spinning). `extra_passes = 0` stops at the plan's pass count. The
 /// extension rule, like the stop rule, reads only device-independent
 /// bits.
-///
-/// Returns the iterate, its last measured residual, and the passes
-/// actually executed.
-fn refine_through<F: MdReal, H: MdReal>(
+fn refine_job<F: MdReal, H: MdReal>(
     gpu: &Gpu,
     job: &Job,
     plan: &ExecPlan,
-    fact: &mdls_core::LstsqFactorization<F>,
-    x0: Vec<F>,
     extra_passes: usize,
-) -> (Vec<H>, f64, usize) {
+    wrap: fn(Vec<H>) -> Solution,
+) -> PlannedSolve {
     let (m, n) = (job.rows(), job.cols());
     let opts = plan.options(ExecMode::Sequential);
+    let factored = lstsq_factor_batched(gpu, &[&promoted_matrix::<F>(&job.a)], &opts);
+    let fact = &factored.instances()[0];
+    let (x0, _) = fact.solve(&promote_vec::<F>(&job.b));
 
     // high-rung system, device-resident across all residual stages —
     // the system uploads once, each pass moves only the iterate down
@@ -524,101 +483,98 @@ fn refine_through<F: MdReal, H: MdReal>(
         }
         passes += 1;
     };
-    (x, residual, passes)
+    PlannedSolve {
+        x: wrap(x),
+        residual,
+        corrections_run: passes,
+    }
 }
 
-/// Interpret one job's staged plan on a device model, reporting the
-/// adaptive trace: the group-of-one call of
-/// [`solve_planned_fused_with`] — a singleton is a group of one, so
-/// this is exactly what every engine runs for an unfused job, exposed
-/// so callers (and the equivalence property test) can reproduce any
-/// batch result with a single sequential interpretation. A refinement
-/// whose residual stalls above target at the plan's structural pass
-/// count may run up to `extra_passes` further residual/correct pairs
-/// while each still improves the measured residual.
+/// The stage interpreter: run one job's staged plan on a device model,
+/// reporting the adaptive trace. Every engine runs each job — fused or
+/// not — through exactly this call, so callers (and the equivalence
+/// property test) can reproduce any batch result with a single
+/// sequential interpretation: fusing packs launches in the *booking*,
+/// it never changes arithmetic. A refinement whose residual stalls
+/// above target at the plan's structural pass count may run up to
+/// `extra_passes` further residual/correct pairs while each still
+/// improves the measured residual.
 pub fn solve_planned_traced_with(
     gpu: &Gpu,
     job: &Job,
     plan: &ExecPlan,
     extra_passes: usize,
 ) -> PlannedSolve {
-    solve_planned_fused_with(gpu, &[job], plan, extra_passes)
-        .pop()
-        .expect("a group of one yields one solve")
-}
-
-/// The stage interpreter: run one plan over a fused group of
-/// same-shaped jobs — one micro-batched factor phase, per-member solves
-/// and (adaptive) refinement loops. Returns one [`PlannedSolve`] per
-/// member, in order. Every member's result is bit-identical to
-/// interpreting that job alone — fusing packs launches, it never
-/// changes arithmetic — and members extend independently (up to
-/// `extra_passes` past the plan), each driven by its own measured
-/// residual.
-pub fn solve_planned_fused_with(
-    gpu: &Gpu,
-    jobs: &[&Job],
-    plan: &ExecPlan,
-    extra_passes: usize,
-) -> Vec<PlannedSolve> {
     use Precision::{D1, D2, D4, D8};
     let e = extra_passes;
     match (plan.factor_precision(), plan.solution_precision()) {
-        (D1, D1) => direct_group::<f64>(gpu, jobs, plan, Solution::D1),
-        (D2, D2) => direct_group::<Dd>(gpu, jobs, plan, Solution::D2),
-        (D4, D4) => direct_group::<Qd>(gpu, jobs, plan, Solution::D4),
-        (D8, D8) => direct_group::<Od>(gpu, jobs, plan, Solution::D8),
-        (D1, D2) => refine_group::<f64, Dd>(gpu, jobs, plan, e, Solution::D2),
-        (D1, D4) => refine_group::<f64, Qd>(gpu, jobs, plan, e, Solution::D4),
-        (D1, D8) => refine_group::<f64, Od>(gpu, jobs, plan, e, Solution::D8),
-        (D2, D4) => refine_group::<Dd, Qd>(gpu, jobs, plan, e, Solution::D4),
-        (D2, D8) => refine_group::<Dd, Od>(gpu, jobs, plan, e, Solution::D8),
-        (D4, D8) => refine_group::<Qd, Od>(gpu, jobs, plan, e, Solution::D8),
+        (D1, D1) => direct_job::<f64>(gpu, job, plan, Solution::D1),
+        (D2, D2) => direct_job::<Dd>(gpu, job, plan, Solution::D2),
+        (D4, D4) => direct_job::<Qd>(gpu, job, plan, Solution::D4),
+        (D8, D8) => direct_job::<Od>(gpu, job, plan, Solution::D8),
+        (D1, D2) => refine_job::<f64, Dd>(gpu, job, plan, e, Solution::D2),
+        (D1, D4) => refine_job::<f64, Qd>(gpu, job, plan, e, Solution::D4),
+        (D1, D8) => refine_job::<f64, Od>(gpu, job, plan, e, Solution::D8),
+        (D2, D4) => refine_job::<Dd, Qd>(gpu, job, plan, e, Solution::D4),
+        (D2, D8) => refine_job::<Dd, Od>(gpu, job, plan, e, Solution::D8),
+        (D4, D8) => refine_job::<Qd, Od>(gpu, job, plan, e, Solution::D8),
         (f, s) => unreachable!("invalid plan rungs: factor {f:?} above solution {s:?}"),
     }
 }
 
 /// The execute step of every engine: interpret one round of booked
 /// groups (`groups[i]` = a dispatch and its member jobs, in group
-/// order) and return their solves index-aligned with the input. Groups
-/// queue per device (`device % lanes`), each queue runs in booking
-/// order — the first on the calling thread, every other on its own
-/// scoped host thread — and results are put back in input order.
-/// Execution is purely functional against an immutable device model, so
-/// host parallelism cannot perturb placements, events or bits.
+/// order) and return their solves index-aligned with the input, members
+/// in group order. The unit of work is **one job**: the round flattens
+/// into `(group, member)` tasks in round order, and `lanes` host
+/// threads — the calling thread plus `lanes − 1` scoped ones, never
+/// more than there are tasks — each pull the next task off a shared
+/// cursor until none is left. A lane has no device identity: each task
+/// interprets on its own group's device model, so a fused group's
+/// members can run side by side. Execution is purely functional against
+/// an immutable device model and results are slotted back by task
+/// index, so host parallelism cannot perturb placements, events or
+/// bits.
 pub(crate) fn execute_round(
     pool: &DevicePool,
     groups: &[(&GroupDispatch, Vec<&Job>)],
     lanes: usize,
     extra_passes: usize,
 ) -> Vec<Vec<PlannedSolve>> {
-    let exec = |i: usize| {
-        let (g, members) = &groups[i];
-        let gpu = pool.gpu(g.device);
-        (
-            i,
-            solve_planned_fused_with(gpu, members, &g.plan, extra_passes),
-        )
+    let tasks: Vec<(&GroupDispatch, &Job)> = groups
+        .iter()
+        .flat_map(|(g, members)| members.iter().map(move |&job| (*g, job)))
+        .collect();
+    let cursor = AtomicUsize::new(0);
+    let lane = || {
+        let mut done = Vec::new();
+        loop {
+            let t = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(&(g, job)) = tasks.get(t) else {
+                return done;
+            };
+            let gpu = pool.gpu(g.device);
+            done.push((
+                t,
+                solve_planned_traced_with(gpu, job, &g.plan, extra_passes),
+            ));
+        }
     };
-    let lanes = lanes.max(1);
-    let mut queues: Vec<Vec<usize>> = vec![Vec::new(); lanes];
-    for (i, (g, _)) in groups.iter().enumerate() {
-        queues[g.device % lanes].push(i);
-    }
-    queues.retain(|q| !q.is_empty());
-    let run = |queue: Vec<usize>| queue.into_iter().map(exec).collect::<Vec<_>>();
-    let mut queues = queues.into_iter();
-    let first = queues.next();
-    let mut done: Vec<(usize, Vec<PlannedSolve>)> = std::thread::scope(|scope| {
-        let workers: Vec<_> = queues.map(|q| scope.spawn(move || run(q))).collect();
-        let mut done = first.map(run).unwrap_or_default();
+    let lanes = lanes.clamp(1, tasks.len().max(1));
+    let mut done: Vec<(usize, PlannedSolve)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (1..lanes).map(|_| scope.spawn(lane)).collect();
+        let mut done = lane();
         for w in workers {
-            done.extend(w.join().expect("device queue worker panicked"));
+            done.extend(w.join().expect("executor lane panicked"));
         }
         done
     });
-    done.sort_by_key(|(i, _)| *i);
-    done.into_iter().map(|(_, solved)| solved).collect()
+    done.sort_by_key(|(t, _)| *t);
+    let mut solved = done.into_iter().map(|(_, s)| s);
+    groups
+        .iter()
+        .map(|(_, members)| solved.by_ref().take(members.len()).collect())
+        .collect()
 }
 
 /// Solve a batch of jobs over the pool under the default
@@ -790,9 +746,10 @@ pub fn solve_batch_staged(
 }
 
 /// [`solve_batch_staged`] with an explicit host-parallelism switch:
-/// `host_parallel = false` executes every device queue on the calling
-/// thread, in the same booking order — the serial reference the
-/// per-device-queue executor is asserted bit-identical (and
+/// `host_parallel` runs the executor with one host lane per pool
+/// device (lanes pull jobs; a lane has no device identity), and `false`
+/// runs every job on the calling thread in booking order — the serial
+/// reference the parallel executor is asserted bit-identical (and
 /// timing-identical) against.
 pub fn solve_batch_staged_with(
     pool: &mut DevicePool,
@@ -832,12 +789,13 @@ struct Slot {
 ///    the loss instant, never moving a surviving device's spans — so a
 ///    *later* loss can interrupt the re-booked work too. When no
 ///    device survives the interrupted jobs end [`Disposition::Failed`].
-/// 3. **Execute** with per-device queues: one host thread per device
-///    with work (`host_parallel`; the calling thread takes the first),
-///    each running its queue in booking order, results landing in
-///    per-slot cells. Execution is purely functional against an
-///    immutable device model, so host parallelism cannot perturb
-///    placements, events or bits.
+/// 3. **Execute** one job per task ([`execute_round`]): with
+///    `host_parallel`, as many host lanes as the pool has devices (the
+///    calling thread is one) pull jobs in booking order — a lane has no
+///    device identity, so a fused group's members run side by side —
+///    and results are slotted back by task index. Execution is purely
+///    functional against an immutable device model, so host
+///    parallelism cannot perturb placements, events or bits.
 /// 4. **Settle** (main thread, global booking order — refund causality
 ///    and the event stream stay deterministic): refund each group's
 ///    unexecuted tail or book the extra passes execution ran
@@ -947,10 +905,10 @@ pub(crate) fn run_batch(
         });
     }
 
-    // ---- phase 3: execute — per-device queues ------------------------
+    // ---- phase 3: execute — lanes pull jobs ---------------------------
     let round: Vec<(&GroupDispatch, Vec<&Job>)> =
         slots.iter().map(|s| (&s.g, members_of(&s.g))).collect();
-    // one queue per device, or a single queue when serial
+    // one lane per device, or a single lane when serial
     let lanes = if host_parallel { pool.len() } else { 1 };
     let solved = execute_round(pool, &round, lanes, sched.max_extra_passes);
 
@@ -1245,29 +1203,42 @@ mod tests {
     }
 
     #[test]
-    fn group_of_one_interprets_like_the_front_member_of_a_group() {
-        // the interpreter twin of `fused_group_of_one_prices_the_
-        // singleton_plan`: a lone job is a group of one, so interpreting
-        // it alone equals riding first in a larger fused group — bits,
-        // residual and pass count — on a direct and a refinement plan
-        let gpu = Gpu::v100();
-        let planner = Planner::new();
-        for (digits, direct) in [(12, true), (50, false)] {
-            let mut jobs = fusible_jobs(3, 92);
-            jobs.retain(|j| j.cols() == 12);
-            for j in &mut jobs {
-                j.target_digits = digits;
-            }
-            let plan = planner.plan(&gpu, 12, 12, digits);
-            assert_eq!(plan.is_direct(), direct, "{}", plan.summary());
-            let members: Vec<&Job> = jobs.iter().collect();
-            assert!(members.len() > 1);
-            let front = &solve_planned_fused_with(&gpu, &members, &plan, 2)[0];
-            let alone = solve_planned_traced_with(&gpu, members[0], &plan, 2);
-            assert_eq!(alone.x, front.x, "d{digits}: group size changed the bits");
-            assert_eq!(alone.residual, front.residual);
-            assert_eq!(alone.corrections_run, front.corrections_run);
+    fn execute_round_is_lane_invariant() {
+        // one round: a 2-member refinement group booked first, then
+        // singletons — every lane count interprets every slot alike,
+        // including lane counts that split the fused group and lane
+        // counts past the task count
+        let mut jobs = fusible_jobs(3, 92);
+        jobs.retain(|j| j.cols() == 12);
+        for j in &mut jobs {
+            j.target_digits = 50;
         }
+        let mut pool = DevicePool::new(vec![Gpu::v100(), Gpu::p100()]);
+        let planner = Planner::for_pool(&pool);
+        let shape = JobShape::from(&jobs[0]);
+        let (policy, seq) = (DispatchPolicy::LeastLoaded, StageSchedConfig::sequential());
+        let mut dispatch = |members: Vec<usize>| {
+            dispatch_group_staged(&mut pool, &planner, members, &shape, policy, &seq, 0.0)
+        };
+        let booked = [dispatch(vec![0, 1]), dispatch(vec![2]), dispatch(vec![0])];
+        assert!(!booked[0].plan.is_direct(), "{}", booked[0].plan.summary());
+        let round: Vec<(&GroupDispatch, Vec<&Job>)> = booked
+            .iter()
+            .map(|g| (g, g.jobs.iter().map(|&j| &jobs[j]).collect()))
+            .collect();
+        let serial = execute_round(&pool, &round, 1, 2);
+        assert_eq!(serial.iter().map(Vec::len).collect::<Vec<_>>(), [2, 1, 1]);
+        for lanes in [2, 3, 8] {
+            let parallel = execute_round(&pool, &round, lanes, 2);
+            for (s, p) in serial.iter().flatten().zip(parallel.iter().flatten()) {
+                assert_eq!(s.x, p.x, "{lanes} lanes changed the bits");
+                assert_eq!(s.residual.to_bits(), p.residual.to_bits());
+                assert_eq!(s.corrections_run, p.corrections_run);
+            }
+        }
+        // member 0 rides in the group and alone: same solve either way
+        assert_eq!(serial[0][0].x, serial[2][0].x);
+        assert!(execute_round(&pool, &[], 4, 2).is_empty());
     }
 
     #[test]

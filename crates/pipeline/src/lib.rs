@@ -18,10 +18,11 @@
 //! [`BatchStream`], which runs the same steps one group per pull.
 //!
 //! **A singleton is a group of one, and a dispatched group is handled
-//! one way.** The fused group is the unit of work: the planner prices
-//! a lone job as the `k = 1` group, the interpreter runs it as one
-//! ([`solve_planned_traced_with`] *is* [`solve_planned_fused_with`] of
-//! one job), and once a driver — the batch loop, the stream, [`serve`]
+//! one way.** The fused group is the unit of booking: the planner
+//! prices a lone job as the `k = 1` group. The job is the unit of
+//! execution: the interpreter ([`solve_planned_traced_with`]) runs one
+//! job at a time, on host lanes that pull jobs and have no device
+//! identity. Once a driver — the batch loop, the stream, [`serve`]
 //! — has decided *which group, which devices are eligible, at what
 //! instant*, all three share one admit → place → execute → settle
 //! path, each step owned by one function (`resilient::admit`,
@@ -101,10 +102,10 @@
 //!    ([`dispatch_group_staged`]; [`dispatch_one`] and [`schedule`] are
 //!    the single-job, contiguous-booking forms).
 //! 4. **The stage interpreter** ([`batch`]) —
-//!    [`solve_planned_fused_with`] executes one plan over a group of
-//!    same-shaped jobs functionally ([`solve_planned_traced_with`] is
-//!    its group-of-one view); refinement passes stop adaptively once
-//!    the measured residual certifies the target.
+//!    [`solve_planned_traced_with`] executes one job's plan
+//!    functionally, the same call for a fused member and a lone job;
+//!    refinement passes stop adaptively once the measured residual
+//!    certifies the target.
 //! 5. **Multi-tenant service shell** ([`service`]) — [`serve`] fronts
 //!    the same booking, execution and settlement steps for many callers
 //!    at once: per-tenant *bounded* ingress queues with a
@@ -137,13 +138,13 @@
 //! | deadlines that shed/down-ladder, fault recovery | `solve_batch_resilient(p, j, pol, &micro, &sched, &ResilienceConfig::default())` |
 //! | stream with a reorder window | `solve_stream_with(p, j, pol, w)`; explicit configs: `solve_stream_staged(p, j, pol, w, micro, sched)` |
 //! | one model-only dispatch / a whole model-only schedule | `dispatch_group_staged(p, pl, jobs, s, pol, &sched, release)` / `schedule_staged(p, pl, shapes, pol, &micro, &sched)` |
-//! | interpret one plan yourself (a singleton is a group of one) | `solve_planned_fused_with(gpu, &jobs, &plan, extra_passes)`; one job: `solve_planned_traced_with(gpu, job, &plan, 0)` |
+//! | interpret one plan yourself (fused or not, one job per call) | `solve_planned_traced_with(gpu, job, &plan, extra_passes)` |
 //! | a plan's per-stage predicted walls | `plan.stage_wall_ms` (the group of one); a fused group's: `planner.plan_fused(gpu, m, n, digits, k).1.stage_wall_ms` |
 //! | planner cache traffic | count `PlanCacheHit`/`PlanCacheMiss`/`FusedMemoHit`/`FusedMemoMiss` events from the pool's observer (`mdls_obs::Metrics` counts them) |
 //! | hand back a booking's unexecuted tail | `pool.rebook(&booking, from_stage, RebookMode::BooksOnly \| Compact)` |
 //! | one opaque interval on a device timeline | `commit_stages(id, &[StageReq { host_ms: 0.0, device_ms: wall }], k, f, n, false, not_before)` |
 //!
-//! (CHANGES.md, PRs 12, 15 and 16, map every entry point and option
+//! (CHANGES.md, PRs 12, 15, 16 and 20, map every entry point and option
 //! that was folded into these onto its replacement.)
 //!
 //! **Observability** ([`mdls_obs`], re-exported as `obs` from the
@@ -185,8 +186,8 @@ pub mod workload;
 
 pub use batch::{
     digits_from_residual, latency_summary, promoted_cache_stats, solve_batch, solve_batch_staged,
-    solve_batch_staged_with, solve_planned_fused_with, solve_planned_traced_with, BatchReport,
-    Disposition, JobOutcome, LatencySummary, PlannedSolve,
+    solve_batch_staged_with, solve_planned_traced_with, BatchReport, Disposition, JobOutcome,
+    LatencySummary, PlannedSolve,
 };
 pub use job::{Job, Precision, SloClass, Solution, TenantId};
 pub use microbatch::{

@@ -25,10 +25,12 @@
 //!   A singleton is a group of one and books exactly the singleton
 //!   plan; every batch, stream and service dispatch goes through this
 //!   step (the service shell only narrows which devices are eligible).
-//! * **Execution** (`execute_round` in [`crate::batch`]): each
-//!   member's functional launch sequence is exactly the sequence of
-//!   that job alone, so solutions are bit-identical to the unfused
-//!   path — fusing is launch packing, never different arithmetic.
+//! * **Execution** (`execute_round` in [`crate::batch`]): fusing packs
+//!   the *booking*; execution interprets one member per task, on host
+//!   lanes that pull jobs and have no device identity. Each member runs
+//!   exactly that job's own launch sequence, so solutions are
+//!   bit-identical to the unfused path — fusing is launch packing,
+//!   never different arithmetic.
 
 use crate::plan::{ExecPlan, FusedProfile};
 use crate::planner::Planner;

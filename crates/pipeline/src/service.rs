@@ -265,8 +265,10 @@ pub struct ServiceConfig {
     pub dispatch: DispatchPolicy,
     /// Execute or model-only.
     pub mode: ExecutionMode,
-    /// Scoped host threads that run one dispatch round's functional
-    /// solves (≥ 1; never affects bits, bookings or events).
+    /// Host lanes that run one dispatch round's functional solves: the
+    /// calling thread plus scoped threads, each pulling the round's next
+    /// job (≥ 1; a lane has no device identity; never affects bits,
+    /// bookings or events).
     pub host_workers: usize,
 }
 

@@ -195,9 +195,9 @@ mod timeline_props {
     use super::*;
     use multidouble_ls::obs::{Event, Recorder};
     use multidouble_ls::pipeline::{
-        power_flow_jobs, solve_batch_resilient, solve_batch_staged_with, BatchReport, DevicePool,
-        DispatchPolicy, Disposition, MicrobatchConfig, RebookMode, ResilienceConfig, StageBooking,
-        StageReq, StageSchedConfig, Timeline,
+        jobs_for_shapes, power_flow_jobs, solve_batch_resilient, solve_batch_staged_with,
+        BatchReport, DevicePool, DispatchPolicy, Disposition, Job, JobShape, MicrobatchConfig,
+        RebookMode, ResilienceConfig, StageBooking, StageReq, StageSchedConfig, Timeline,
     };
     use multidouble_ls::sim::FaultPlan;
     use std::sync::Arc;
@@ -437,20 +437,21 @@ mod timeline_props {
         assert_eq!(a.makespan_ms.to_bits(), b.makespan_ms.to_bits(), "{label}");
     }
 
-    /// The per-device-queue executor (scoped threads, one queue per
-    /// device) is bit- and schedule-identical to the serial executor:
-    /// same solution bits, same device placements, same simulated
+    /// The parallel executor (one host lane per device, lanes pulling
+    /// jobs) is bit- and schedule-identical to the serial one: same
+    /// solution bits, same device placements, same simulated
     /// `start_ms`/`end_ms` on every outcome, same event stream — on a
-    /// quiet pool and on one carrying a mid-batch `DeviceLost` plus
+    /// quiet pool, on one carrying a mid-batch `DeviceLost` plus
     /// transients (loss recovery and replays run under the same
-    /// executor).
+    /// executor), and on a round that is one fused group and nothing
+    /// else (its two members are the round's two tasks, one per lane).
     #[test]
     fn staged_parallel_executor_matches_serial_bits_and_schedule() {
         let mut rng = StdRng::seed_from_u64(0x5e_91);
         let jobs = power_flow_jobs(24, &mut rng);
         let sched = StageSchedConfig::staged();
         let micro = MicrobatchConfig::default();
-        let run = |faults: Option<f64>, host_parallel: bool| {
+        let run_jobs = |jobs: &[Job], faults: Option<f64>, host_parallel: bool| {
             let mut pool = DevicePool::new(vec![Gpu::v100(), Gpu::p100()]);
             pool.set_staging_workers(1);
             if let Some(lost_at) = faults {
@@ -461,7 +462,7 @@ mod timeline_props {
             pool.attach_observer(recorder.clone());
             let report = solve_batch_staged_with(
                 &mut pool,
-                &jobs,
+                jobs,
                 DispatchPolicy::ShortestExpectedCompletion,
                 &micro,
                 &sched,
@@ -469,6 +470,7 @@ mod timeline_props {
             );
             (report, recorder.events())
         };
+        let run = |faults, host_parallel| run_jobs(&jobs, faults, host_parallel);
         let (serial, serial_events) = run(None, false);
         let (parallel, parallel_events) = run(None, true);
         assert_same_outcomes("quiet", &serial, &parallel);
@@ -500,6 +502,20 @@ mod timeline_props {
         for (q, f) in serial.outcomes.iter().zip(&serial_f.outcomes) {
             assert_eq!(q.x, f.x, "job {}: recovery changed the bits", q.job_id);
         }
+
+        // one fused refinement pair and nothing else
+        let shape = JobShape {
+            rows: 48,
+            cols: 32,
+            target_digits: 60,
+        };
+        let pair = jobs_for_shapes(&[shape; 2], &mut rng);
+        let (serial_p, serial_events) = run_jobs(&pair, None, false);
+        let (parallel_p, parallel_events) = run_jobs(&pair, None, true);
+        assert_eq!(serial_p.fused_groups, 1, "the pair did not fuse");
+        assert!(serial_p.outcomes.iter().all(|o| o.fused_group == 2));
+        assert_same_outcomes("fused pair", &serial_p, &parallel_p);
+        assert_eq!(serial_events, parallel_events, "fused pair: event stream");
     }
 
     /// With every fault plan quiet and no deadlines the resilient entry
