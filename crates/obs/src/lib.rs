@@ -279,6 +279,14 @@ pub enum Event {
         from_digits: u32,
         to_digits: u32,
     },
+    /// `tenant`'s `job` failed the front-door check and never reached
+    /// the planner; `reason` names the defect (`"underdetermined"`,
+    /// `"non-finite-matrix"`, ... — see the pipeline's `SubmitError`).
+    JobInvalid {
+        tenant: u32,
+        job: u64,
+        reason: &'static str,
+    },
     /// `job` entered `tenant`'s bounded ingress queue; `queued` is the
     /// queue depth after the enqueue.
     TenantEnqueued {
@@ -289,7 +297,9 @@ pub enum Event {
     /// A tenant-queue decision dropped `job` at `at_ms`; `reason` names
     /// the policy arm that fired (`"reject"` for a full queue under
     /// `Backpressure::Reject`, `"evict"` for the oldest job displaced
-    /// under `ShedOldest`, `"overload"` for the degradation ladder).
+    /// under `ShedOldest`, `"overload"` for the degradation ladder,
+    /// `"over-quota"` for a job costing more than the tenant's whole
+    /// quota bucket, `"starved"` for work no event can ever serve).
     TenantShed {
         tenant: u32,
         job: u64,

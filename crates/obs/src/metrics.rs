@@ -215,6 +215,8 @@ pub struct Metrics {
     pub jobs_shed: u64,
     /// Jobs down-laddered to a cheaper rung at admission.
     pub jobs_degraded: u64,
+    /// Jobs refused at the front door (malformed system or request).
+    pub jobs_invalid: u64,
     /// Jobs accepted into a tenant's bounded ingress queue.
     pub tenant_enqueues: u64,
     /// Jobs dropped by a tenant-queue decision (backpressure reject,
@@ -310,6 +312,7 @@ impl Metrics {
                 Event::RetryBooked { .. } => m.retries_booked += 1,
                 Event::JobShed { .. } => m.jobs_shed += 1,
                 Event::JobDegraded { .. } => m.jobs_degraded += 1,
+                Event::JobInvalid { .. } => m.jobs_invalid += 1,
                 Event::TenantEnqueued { .. } => m.tenant_enqueues += 1,
                 Event::TenantShed { .. } => m.tenant_sheds += 1,
                 Event::QuotaExhausted { .. } => m.quota_exhaustions += 1,
@@ -429,6 +432,11 @@ mod tests {
                 from_digits: 90,
                 to_digits: 60,
             },
+            Event::JobInvalid {
+                tenant: 0,
+                job: 7,
+                reason: "underdetermined",
+            },
         ];
         let m = Metrics::from_events(&events);
         assert_eq!(m.transient_faults, 1);
@@ -437,6 +445,7 @@ mod tests {
         assert_eq!(m.retries_booked, 2);
         assert_eq!(m.jobs_shed, 1);
         assert_eq!(m.jobs_degraded, 1);
+        assert_eq!(m.jobs_invalid, 1);
     }
 
     #[test]

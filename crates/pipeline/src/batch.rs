@@ -48,8 +48,8 @@ use crate::plan::ExecPlan;
 use crate::planner::Planner;
 use crate::pool::{DevicePool, DeviceStats, RebookMode};
 use crate::resilient::{
-    admit, replay_transients, sticky_losses, tombstone_outcome, AdmissionConfig, Admitted,
-    ResilienceConfig,
+    admit, invalid_tombstone, replay_transients, sticky_losses, tombstone_outcome, AdmissionConfig,
+    Admitted, ResilienceConfig,
 };
 use crate::scheduler::{DispatchPolicy, JobShape, StageSchedConfig};
 use mdls_obs::Event;
@@ -65,17 +65,28 @@ pub enum Disposition {
     /// re-ran work (a transient kernel replay or a post-loss
     /// re-dispatch). Bits are identical to a fault-free run.
     Retried,
-    /// Solved, but admission down-laddered the accuracy target to a
-    /// cheaper rung to fit the deadline: `achieved_digits` certifies
-    /// the degraded rung, `requested_digits` records what was asked.
+    /// Solved, but to fewer digits than requested: admission or the
+    /// service's overload ladder down-laddered the target to a cheaper
+    /// rung (`requested_digits` records what was asked), or the measured
+    /// residual of a singular or ill-conditioned *square* system
+    /// certifies less than the plan's target. Either way
+    /// `achieved_digits` is what the residual actually certifies. (A
+    /// tall system's residual also holds its least squares residual,
+    /// so it is not a certificate and never degrades a job.)
     Degraded,
     /// Never ran: admission previewed every rung and none could meet
     /// the deadline, so the job was rejected at ingress. The outcome
     /// carries an empty solution.
     Shed,
     /// Started but never completed (its device was lost and no device
-    /// survived to recover on). The outcome carries an empty solution.
+    /// survived to recover on), or reached a pool with no surviving
+    /// device at all. The outcome carries an empty solution.
     Failed,
+    /// Refused at the front door: [`Job::validate`] found a malformed
+    /// system or request. Nothing was planned or booked; the outcome
+    /// carries an empty solution and an unpriced plan
+    /// ([`ExecPlan::unpriced`]).
+    Invalid,
 }
 
 impl Disposition {
@@ -87,6 +98,22 @@ impl Disposition {
             Disposition::Degraded => "degraded",
             Disposition::Shed => "shed",
             Disposition::Failed => "failed",
+            Disposition::Invalid => "invalid",
+        }
+    }
+
+    /// The verdict to report when two layers each reached one for a
+    /// completed job: degraded outranks retried outranks ok.
+    fn outranking(self, other: Disposition) -> Disposition {
+        let rank = |d: Disposition| match d {
+            Disposition::Ok => 0,
+            Disposition::Retried => 1,
+            _ => 2,
+        };
+        if rank(other) > rank(self) {
+            other
+        } else {
+            self
         }
     }
 
@@ -115,7 +142,9 @@ pub struct JobOutcome {
     /// measured at the solution rung.
     pub residual: f64,
     /// Decimal digits the measured residual certifies
-    /// (`−log₁₀ residual`; infinite for an exactly-zero residual).
+    /// (`−log₁₀ residual`; infinite for an exactly-zero residual, zero
+    /// for a NaN one). Below `plan.target_digits` on a square system the
+    /// job completes [`Disposition::Degraded`].
     pub achieved_digits: f64,
     /// Simulated start time on the device, ms.
     pub start_ms: f64,
@@ -219,9 +248,12 @@ impl JobOutcome {
     }
 }
 
-/// Decimal digits certified by a relative residual.
+/// Decimal digits certified by a relative residual (none for a NaN
+/// residual: a solve that produced one certifies nothing).
 pub fn digits_from_residual(residual: f64) -> f64 {
-    if residual <= 0.0 {
+    if residual.is_nan() {
+        0.0
+    } else if residual <= 0.0 {
         f64::INFINITY
     } else {
         -residual.log10()
@@ -247,6 +279,8 @@ pub struct LatencySummary {
     pub shed: usize,
     /// Jobs that started but never completed ([`Disposition::Failed`]).
     pub failed: usize,
+    /// Jobs refused at the front door ([`Disposition::Invalid`]).
+    pub invalid: usize,
 }
 
 /// Summarize turnaround latency and deadline misses over `outcomes`
@@ -263,6 +297,7 @@ pub fn latency_summary(outcomes: &[JobOutcome]) -> LatencySummary {
         deadline_misses: outcomes.iter().filter(|o| o.missed_deadline()).count(),
         shed: count(Disposition::Shed),
         failed: count(Disposition::Failed),
+        invalid: count(Disposition::Invalid),
     }
 }
 
@@ -697,10 +732,12 @@ fn settle_staged_dispatch(
 /// faults that hit the executed interval (`replay_transients`; no-op on
 /// a quiet device), and assemble the members' outcomes from the settled
 /// placement. Members of a group that replayed come back
-/// [`Disposition::Retried`]; the caller layers its own admission and
-/// loss-recovery verdicts on top. Returns the outcomes in group order
-/// and the fault instants (the service shell strikes its breaker with
-/// them).
+/// [`Disposition::Retried`]; members of a square system whose measured
+/// residual does not certify the plan's target (singular or
+/// ill-conditioned) come back [`Disposition::Degraded`], which outranks
+/// it. The caller layers its own admission and loss-recovery verdicts
+/// on top. Returns the outcomes in group order and the fault instants
+/// (the service shell strikes its breaker with them).
 pub(crate) fn settle_group(
     pool: &mut DevicePool,
     g: &mut GroupDispatch,
@@ -713,9 +750,17 @@ pub(crate) fn settle_group(
     let shares = settle_staged_dispatch(pool, g, shape, passes_run, sched);
     let hits = replay_transients(pool, g, members[0].id, sched.overlap);
     let mut outcomes = JobOutcome::assemble_group(members, g, solved, shares);
-    if !hits.is_empty() {
-        for o in &mut outcomes {
+    // a square system is consistent, so its residual certifies the
+    // solve; a tall one's also holds the least squares residual itself,
+    // which no solve can shrink, so it certifies nothing either way
+    let target = g.plan.target_digits as f64;
+    let certifies = shape.rows == shape.cols;
+    for o in &mut outcomes {
+        if !hits.is_empty() {
             o.disposition = Disposition::Retried;
+        }
+        if certifies && o.achieved_digits < target {
+            o.disposition = Disposition::Degraded;
         }
     }
     (outcomes, hits)
@@ -774,7 +819,9 @@ struct Slot {
 
 /// The **one batch loop** behind every `solve_batch*` entry point:
 ///
-/// 0. **Admit** (no-op without deadlines or with admission off):
+/// 0. **Front door and admit**: a job failing [`Job::validate`] ends
+///    [`Disposition::Invalid`] before anything is planned. Then
+///    (no-op without deadlines or with admission off)
 ///    preview every deadlined job against the surviving pool and
 ///    down-ladder or shed what cannot meet its deadline. Down-laddering
 ///    is a per-job digits override — the jobs themselves are never
@@ -816,10 +863,14 @@ pub(crate) fn run_batch(
     outcomes.resize_with(jobs.len(), || None);
     let mut dispo = vec![Disposition::Ok; jobs.len()];
 
-    // ---- phase 0: admission at the door ------------------------------
+    // ---- phase 0: the front door, then admission ---------------------
     let mut active: Vec<usize> = Vec::with_capacity(jobs.len());
     let mut shapes: Vec<JobShape> = Vec::with_capacity(jobs.len());
     for (i, job) in jobs.iter().enumerate() {
+        if let Err(e) = job.validate() {
+            outcomes[i] = Some(invalid_tombstone(pool, job, e));
+            continue;
+        }
         let mut shape = JobShape::from(job);
         let (digits, release) = (job.target_digits, job.release());
         match admit(
@@ -848,6 +899,17 @@ pub(crate) fn run_batch(
     }
 
     // ---- phase 1: book the admitted work in placement order ----------
+    if pool.alive_count() == 0 {
+        // a pool that lost every device before this batch books nothing
+        for (&i, shape) in active.iter().zip(&shapes) {
+            let (rows, cols, digits) = (shape.rows, shape.cols, shape.target_digits);
+            let (plan, _) = planner.plan_fused(pool.gpu(0), rows, cols, digits, 1);
+            let (job, at) = (&jobs[i], jobs[i].release());
+            outcomes[i] = Some(tombstone_outcome(job, plan, 0, Disposition::Failed, at));
+        }
+        active.clear();
+        shapes.clear();
+    }
     let release_of = |members: &[usize], floor: f64| {
         members
             .iter()
@@ -922,9 +984,7 @@ pub(crate) fn run_batch(
         makespan_ms = makespan_ms.max(slot.g.end_ms);
         for (&j, mut o) in slot.g.jobs.iter().zip(settled) {
             // admission's and loss recovery's verdicts outrank a replay
-            if dispo[j] != Disposition::Ok {
-                o.disposition = dispo[j];
-            }
+            o.disposition = o.disposition.outranking(dispo[j]);
             outcomes[j] = Some(o);
         }
     }
@@ -934,7 +994,14 @@ pub(crate) fn run_batch(
         .into_iter()
         .map(|o| o.expect("every job has a terminal disposition"))
         .collect();
-    emit_settled(pool, &outcomes);
+    // a refused job never reached the engine: it announced itself with
+    // `JobInvalid` and settles nothing
+    for o in outcomes
+        .iter()
+        .filter(|o| o.disposition != Disposition::Invalid)
+    {
+        emit_settled(pool, std::slice::from_ref(o));
+    }
     BatchReport::from_outcomes(pool, &planner, outcomes, makespan_ms, fused_groups)
 }
 

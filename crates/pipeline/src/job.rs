@@ -208,7 +208,132 @@ impl Job {
     pub fn cols(&self) -> usize {
         self.a.cols
     }
+
+    /// The front-door check every engine runs before a job reaches the
+    /// planner: a well-formed least squares system (`rows ≥ cols ≥ 1`,
+    /// one stored entry per element, one right hand side entry per row,
+    /// every entry finite), a target the octo double rung can certify,
+    /// and finite release/deadline instants. A job that fails it ends
+    /// [`Disposition::Invalid`](crate::batch::Disposition::Invalid)
+    /// without touching the pool; the rest of the batch, stream or
+    /// service runs as if it had never been submitted.
+    pub fn validate(&self) -> Result<(), SubmitError> {
+        let (rows, cols) = (self.rows(), self.cols());
+        if rows == 0 || cols == 0 {
+            return Err(SubmitError::EmptySystem { rows, cols });
+        }
+        if rows < cols {
+            return Err(SubmitError::Underdetermined { rows, cols });
+        }
+        if rows.checked_mul(cols) != Some(self.a.data.len()) {
+            return Err(SubmitError::MatrixStorage {
+                rows,
+                cols,
+                len: self.a.data.len(),
+            });
+        }
+        if self.b.len() != rows {
+            return Err(SubmitError::RhsLength {
+                rows,
+                len: self.b.len(),
+            });
+        }
+        // column-major storage: element (r, c) sits at c·rows + r
+        if let Some(i) = self.a.data.iter().position(|v| !v.is_finite()) {
+            let (row, col) = (i % rows, i / rows);
+            return Err(SubmitError::NonFiniteMatrix { row, col });
+        }
+        if let Some(index) = self.b.iter().position(|v| !v.is_finite()) {
+            return Err(SubmitError::NonFiniteRhs { index });
+        }
+        if self.target_digits > Precision::D8.digits() {
+            return Err(SubmitError::TargetBeyondLadder {
+                target_digits: self.target_digits,
+            });
+        }
+        let times = [self.release_ms, self.deadline_ms];
+        if times.into_iter().flatten().any(|t| !t.is_finite()) {
+            return Err(SubmitError::NonFiniteTime);
+        }
+        Ok(())
+    }
 }
+
+/// Why [`Job::validate`] refused a job.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SubmitError {
+    /// A zero dimension: nothing to solve.
+    EmptySystem { rows: usize, cols: usize },
+    /// Fewer equations than unknowns: least squares needs `rows ≥ cols`.
+    Underdetermined { rows: usize, cols: usize },
+    /// The matrix stores `len` entries instead of `rows · cols`.
+    MatrixStorage {
+        rows: usize,
+        cols: usize,
+        len: usize,
+    },
+    /// The right hand side has `len` entries instead of one per row.
+    RhsLength { rows: usize, len: usize },
+    /// A NaN or infinite matrix entry (the first, in storage order).
+    NonFiniteMatrix { row: usize, col: usize },
+    /// A NaN or infinite right hand side entry (the first).
+    NonFiniteRhs { index: usize },
+    /// More digits than the octo double rung certifies
+    /// ([`Precision::D8`]`.digits()`).
+    TargetBeyondLadder { target_digits: u32 },
+    /// A NaN or infinite release or deadline instant.
+    NonFiniteTime,
+}
+
+impl SubmitError {
+    /// Stable short label, carried by
+    /// [`Event::JobInvalid`](mdls_obs::Event::JobInvalid).
+    pub fn reason(self) -> &'static str {
+        match self {
+            SubmitError::EmptySystem { .. } => "empty-system",
+            SubmitError::Underdetermined { .. } => "underdetermined",
+            SubmitError::MatrixStorage { .. } => "matrix-storage",
+            SubmitError::RhsLength { .. } => "rhs-length",
+            SubmitError::NonFiniteMatrix { .. } => "non-finite-matrix",
+            SubmitError::NonFiniteRhs { .. } => "non-finite-rhs",
+            SubmitError::TargetBeyondLadder { .. } => "target-beyond-ladder",
+            SubmitError::NonFiniteTime => "non-finite-time",
+        }
+    }
+}
+
+impl std::fmt::Display for SubmitError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            SubmitError::EmptySystem { rows, cols } => {
+                write!(f, "empty {rows}x{cols} system")
+            }
+            SubmitError::Underdetermined { rows, cols } => {
+                write!(f, "{rows}x{cols} system has fewer rows than columns")
+            }
+            SubmitError::MatrixStorage { rows, cols, len } => {
+                write!(f, "{rows}x{cols} matrix stores {len} entries")
+            }
+            SubmitError::RhsLength { rows, len } => {
+                write!(f, "right hand side has {len} entries for {rows} rows")
+            }
+            SubmitError::NonFiniteMatrix { row, col } => {
+                write!(f, "matrix entry ({row}, {col}) is not finite")
+            }
+            SubmitError::NonFiniteRhs { index } => {
+                write!(f, "right hand side entry {index} is not finite")
+            }
+            SubmitError::TargetBeyondLadder { target_digits } => write!(
+                f,
+                "{target_digits} digits is past the octo double rung ({})",
+                Precision::D8.digits()
+            ),
+            SubmitError::NonFiniteTime => write!(f, "release or deadline is not finite"),
+        }
+    }
+}
+
+impl std::error::Error for SubmitError {}
 
 /// A solution vector at the precision the planner chose.
 #[derive(Clone, Debug, PartialEq)]
@@ -286,6 +411,83 @@ mod tests {
         assert_eq!(SloClass::default(), SloClass::Standard);
         assert_eq!(TenantId::default(), TenantId(0));
         assert_eq!(TenantId(7).to_string(), "t7");
+    }
+
+    #[test]
+    fn validate_names_the_first_defect() {
+        let good = || Job::new(7, HostMat::<f64>::identity(3), vec![1.0; 3], 25);
+        assert_eq!(good().validate(), Ok(()));
+        let cases: Vec<(Job, SubmitError)> = vec![
+            (
+                Job::new(0, HostMat::zeros(0, 0), vec![], 25),
+                SubmitError::EmptySystem { rows: 0, cols: 0 },
+            ),
+            (
+                Job::new(0, HostMat::zeros(2, 3), vec![1.0; 2], 25),
+                SubmitError::Underdetermined { rows: 2, cols: 3 },
+            ),
+            (
+                Job {
+                    a: HostMat {
+                        rows: 3,
+                        cols: 3,
+                        data: vec![1.0; 8],
+                    },
+                    ..good()
+                },
+                SubmitError::MatrixStorage {
+                    rows: 3,
+                    cols: 3,
+                    len: 8,
+                },
+            ),
+            (
+                Job {
+                    b: vec![1.0; 2],
+                    ..good()
+                },
+                SubmitError::RhsLength { rows: 3, len: 2 },
+            ),
+            (
+                Job {
+                    a: HostMat::from_fn(3, 3, |r, c| if (r, c) == (2, 1) { f64::NAN } else { 1.0 }),
+                    ..good()
+                },
+                SubmitError::NonFiniteMatrix { row: 2, col: 1 },
+            ),
+            (
+                Job {
+                    b: vec![1.0, f64::NEG_INFINITY, 1.0],
+                    ..good()
+                },
+                SubmitError::NonFiniteRhs { index: 1 },
+            ),
+            (
+                Job {
+                    target_digits: Precision::D8.digits() + 1,
+                    ..good()
+                },
+                SubmitError::TargetBeyondLadder { target_digits: 124 },
+            ),
+            (good().with_release_ms(f64::NAN), SubmitError::NonFiniteTime),
+            (
+                good().with_deadline_ms(f64::INFINITY),
+                SubmitError::NonFiniteTime,
+            ),
+        ];
+        let mut reasons: Vec<&str> = Vec::new();
+        for (job, want) in cases {
+            assert_eq!(job.validate(), Err(want), "{want}");
+            reasons.push(want.reason());
+        }
+        // the ceiling itself is certifiable
+        let at_ceiling = Job {
+            target_digits: Precision::D8.digits(),
+            ..good()
+        };
+        assert_eq!(at_ceiling.validate(), Ok(()));
+        reasons.dedup();
+        assert_eq!(reasons.len(), 8, "every variant has its own reason");
     }
 
     #[test]

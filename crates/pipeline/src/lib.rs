@@ -10,6 +10,20 @@
 //! admit → book → recover sticky losses → execute → settle (+ transient replays) → report
 //! ```
 //!
+//! **The front door.** Every driver checks each job with
+//! [`Job::validate`] before it reaches the planner. A malformed job —
+//! a zero dimension, `rows < cols`, mis-sized storage or right hand
+//! side, a NaN or infinite entry, a target past the octo double rung, a
+//! non-finite release or deadline — ends [`Disposition::Invalid`] with
+//! a [`SubmitError`] reason on its `JobInvalid` event, and the rest of
+//! the batch, stream or service runs as if it had never been
+//! submitted. Past the door, settlement checks every square solve's
+//! measured residual against its plan's target: a singular or
+//! ill-conditioned system that falls short completes
+//! [`Disposition::Degraded`] with the digits it actually certifies,
+//! never a silent `Ok`. (A tall system's residual also holds its least
+//! squares residual, so it certifies nothing and degrades nothing.)
+//!
 //! Every batch entry point ([`solve_batch`], [`solve_batch_staged`],
 //! [`solve_batch_staged_with`], [`solve_batch_resilient`]) is a wrapper
 //! of a few lines over that loop, and every stream entry point
@@ -171,6 +185,9 @@
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
+// a job's data can reach any line of the service: a non-test `expect`
+// must state the invariant that makes it unreachable
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod batch;
 pub mod job;
@@ -189,7 +206,7 @@ pub use batch::{
     solve_batch_staged_with, solve_planned_traced_with, BatchReport, Disposition, JobOutcome,
     LatencySummary, PlannedSolve,
 };
-pub use job::{Job, Precision, SloClass, Solution, TenantId};
+pub use job::{Job, Precision, SloClass, Solution, SubmitError, TenantId};
 pub use microbatch::{
     dispatch_group_staged, plan_groups, schedule_staged, GroupDispatch, MicrobatchConfig,
 };

@@ -159,6 +159,35 @@ impl ExecPlan {
         plan
     }
 
+    /// The placeholder plan of a job that never reached the planner
+    /// (refused by [`crate::Job::validate`]): a direct solve at the rung
+    /// its target would select, with no tiling, no cost and no digits.
+    pub fn unpriced(target_digits: u32) -> Self {
+        let rung = Precision::for_digits(target_digits);
+        let (tiles, tile_size) = (0, 0);
+        ExecPlan {
+            stages: vec![
+                Stage::Factor {
+                    rung,
+                    tiles,
+                    tile_size,
+                },
+                Stage::Correct {
+                    rung,
+                    tiles,
+                    tile_size,
+                },
+            ],
+            stage_wall_ms: vec![0.0; 2],
+            target_digits,
+            predicted_digits: 0,
+            predicted_ms: 0.0,
+            predicted_kernel_ms: 0.0,
+            flops_paper: 0.0,
+            expected_corrections: 0,
+        }
+    }
+
     /// Override the expected pass count (clamped to the structural
     /// worst case) — set by the planner's digits-per-pass posterior.
     pub fn with_expected_corrections(mut self, expected: usize) -> Self {

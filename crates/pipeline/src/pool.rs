@@ -1230,10 +1230,10 @@ impl DevicePool {
     /// followed by an explicit [`DevicePool::restore_device`] once a
     /// probe earns re-admission.
     pub fn fail_device(&mut self, id: usize, at_ms: f64) -> DeviceLossReport {
-        if self.devices[id].is_lost() {
+        if let Some(lost_at_ms) = self.devices[id].lost_at_ms {
             return DeviceLossReport {
                 device: id,
-                at_ms: self.devices[id].lost_at_ms.unwrap(),
+                at_ms: lost_at_ms,
                 ..DeviceLossReport::default()
             };
         }

@@ -40,7 +40,7 @@
 //! bit-identically from the same seeds.
 
 use crate::batch::{run_batch, BatchReport, Disposition, JobOutcome};
-use crate::job::{Job, Precision, Solution};
+use crate::job::{Job, Precision, Solution, SubmitError};
 use crate::microbatch::{GroupDispatch, MicrobatchConfig};
 use crate::plan::ExecPlan;
 use crate::planner::Planner;
@@ -242,6 +242,29 @@ pub(crate) fn shed_tombstone(
         .map_or(0, |d| d.id);
     let (plan, _) = planner.plan_fused(pool.gpu(device), job.rows(), job.cols(), digits, 1);
     tombstone_outcome(job, plan, device, Disposition::Shed, at_ms)
+}
+
+/// The tombstone of a job [`Job::validate`] refused: emit
+/// [`Event::JobInvalid`] and build the [`Disposition::Invalid`] outcome
+/// on an unpriced plan, stamped at the job's release (0 when that is
+/// not finite). The planner never sees the job — its shape may be one
+/// the planner cannot price.
+pub(crate) fn invalid_tombstone(pool: &DevicePool, job: &Job, err: SubmitError) -> JobOutcome {
+    pool.emit(|| Event::JobInvalid {
+        tenant: job.tenant.0,
+        job: job.id,
+        reason: err.reason(),
+    });
+    let at_ms = Some(job.release()).filter(|t| t.is_finite()).unwrap_or(0.0);
+    let mut o = tombstone_outcome(
+        job,
+        ExecPlan::unpriced(job.target_digits),
+        0,
+        Disposition::Invalid,
+        at_ms,
+    );
+    o.release_ms = at_ms;
+    o
 }
 
 /// The sticky losses the pool's fault plans schedule, oldest first

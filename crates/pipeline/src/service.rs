@@ -22,7 +22,9 @@
 //!   priced on the pool's reference device model): a dispatch reserves
 //!   its predicted cost from the bucket, settlement reconciles
 //!   (refunds credit back, extensions debit further), and a job a
-//!   device loss re-queues gets its reservation returned.
+//!   device loss re-queues gets its reservation returned. A job costing
+//!   more than its tenant's whole bucket is shed at enqueue rather than
+//!   parking the queue forever.
 //!   [`ServicePolicy::Fifo`] is the no-isolation baseline: one global
 //!   arrival order, no weights, no quotas.
 //! * **Overload shedding.** A load detector prices the queued backlog
@@ -44,6 +46,12 @@
 //!   while another fault re-opens it with doubled backoff. A sticky
 //!   device loss opens the breaker permanently and re-queues the
 //!   interrupted job ([`Disposition::Retried`](crate::batch::Disposition)).
+//!
+//! * **The front door.** Before anything queues, every job passes
+//!   [`Job::validate`]; a malformed one (degenerate or underdetermined
+//!   system, mis-sized data, a NaN or infinite entry, a target past the
+//!   od rung, a non-finite instant) ends [`Disposition::Invalid`] and
+//!   takes no queue slot, quota or planner call.
 //!
 //! Determinism: arrivals, queue decisions, the DRR cycle, breaker
 //! transitions and settlement all run on the main thread in a fixed
@@ -71,7 +79,7 @@ use crate::job::{Job, Precision, SloClass, Solution, TenantId};
 use crate::microbatch::{dispatch_group_where, GroupDispatch};
 use crate::planner::Planner;
 use crate::pool::{DevicePool, PoolDevice};
-use crate::resilient::{admit, shed_tombstone, AdmissionConfig, Admitted};
+use crate::resilient::{admit, invalid_tombstone, shed_tombstone, AdmissionConfig, Admitted};
 use crate::scheduler::{DispatchPolicy, JobShape, StageSchedConfig};
 use mdls_obs::Event;
 
@@ -109,7 +117,10 @@ pub enum Backpressure {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct QuotaSpec {
     /// Bucket capacity, device-ms: the largest burst the tenant can
-    /// spend at once. Also the initial fill.
+    /// spend at once. Also the initial fill. Under
+    /// [`ServicePolicy::WeightedFair`] a job predicted to cost more than
+    /// this can never be covered, so it is shed as it enqueues (reason
+    /// `"over-quota"`).
     pub burst_ms: f64,
     /// Sustained refill rate, device-ms per simulated second.
     pub refill_per_s: f64,
@@ -323,6 +334,9 @@ pub struct TenantSummary {
     /// Subset of `shed` dropped by the bounded queue itself
     /// (reject + evict).
     pub rejected: usize,
+    /// Jobs refused at the front door ([`Disposition::Invalid`]): never
+    /// queued, never counted under `shed`.
+    pub invalid: usize,
     /// Jobs that completed down-laddered.
     pub degraded: usize,
     /// Jobs that completed only after transient replays or a
@@ -509,6 +523,17 @@ impl<'a> Shell<'a> {
             }
             self.tenants[t].next_arrival += 1;
             let cost = self.cost_of(pool, j);
+            // a job costing more than the bucket can ever hold would
+            // park its queue forever (the bucket refills to its burst
+            // and stops): shed it instead of waiting on it
+            let over_quota = self.tenants[t]
+                .spec
+                .quota
+                .is_some_and(|q| cost > q.burst_ms + EPS);
+            if over_quota && self.cfg.policy == ServicePolicy::WeightedFair {
+                self.shed_job(pool, j, "over-quota", now.max(self.jobs[j].release()));
+                continue;
+            }
             self.cost_ms[j] = cost;
             self.seq[j] = self.next_seq;
             self.next_seq += 1;
@@ -582,10 +607,10 @@ impl<'a> Shell<'a> {
         match self.cfg.policy {
             ServicePolicy::Fifo => {
                 // one global queue in spirit: the earliest-enqueued head
-                let t = (0..n)
-                    .filter(|&t| !self.tenants[t].queue.is_empty())
-                    .min_by_key(|&t| self.seq[*self.tenants[t].queue.front().unwrap()])?;
-                let j = self.tenants[t].queue.pop_front().unwrap();
+                let (t, j) = (0..n)
+                    .filter_map(|t| self.tenants[t].queue.front().map(|&head| (t, head)))
+                    .min_by_key(|&(_, head)| self.seq[head])?;
+                self.tenants[t].queue.pop_front();
                 self.pending_ms -= self.cost_ms[j];
                 Some((t, j))
             }
@@ -601,15 +626,18 @@ impl<'a> Shell<'a> {
                 // Deficits grow every sweep, so this terminates.
                 loop {
                     let t = eligible[*rr % eligible.len()];
-                    let head = *self.tenants[t].queue.front().unwrap();
+                    let head = *self.tenants[t]
+                        .queue
+                        .front()
+                        .expect("quota_covers_head admits only tenants with a queued job");
                     let cost = self.cost_ms[head];
                     if self.tenants[t].deficit_ms + EPS >= cost {
-                        let j = self.tenants[t].queue.pop_front().unwrap();
+                        self.tenants[t].queue.pop_front();
                         self.tenants[t].deficit_ms -= cost;
                         self.pending_ms -= cost;
                         // cursor stays: the tenant keeps serving while
                         // its deficit lasts (classic DRR)
-                        return Some((t, j));
+                        return Some((t, head));
                     }
                     let grant = DRR_QUANTUM_MS * self.tenants[t].spec.weight.max(1) as f64;
                     self.tenants[t].deficit_ms += grant;
@@ -872,7 +900,11 @@ impl<'a> Shell<'a> {
         // the bucket, extensions drain it further
         self.credit_quota(e.tenant_idx, outcome.refunded_ms - outcome.extended_ms);
 
-        outcome.disposition = if self.degraded[e.job_idx] {
+        // settle reports Degraded only for a residual short of the
+        // target, which a model-only run (nothing solved) never measures
+        let uncertified = self.cfg.mode == ExecutionMode::Functional
+            && outcome.disposition == Disposition::Degraded;
+        outcome.disposition = if self.degraded[e.job_idx] || uncertified {
             Disposition::Degraded
         } else if self.retried[e.job_idx] {
             Disposition::Retried
@@ -1025,7 +1057,10 @@ impl<'a> Shell<'a> {
 /// docs for the full contract). `tenants` binds specs to tenant ids;
 /// jobs of an unspecified tenant run under an implicit default spec
 /// (weight 1, 64-slot rejecting queue, no quota). Every job ends with
-/// an outcome carrying an explicit disposition, in submission order.
+/// an outcome carrying an explicit disposition, in submission order; a
+/// job failing [`Job::validate`] ends [`Disposition::Invalid`] at once
+/// and the service runs the rest exactly as if it had not been
+/// submitted.
 pub fn serve(
     pool: &mut DevicePool,
     jobs: &[Job],
@@ -1064,7 +1099,16 @@ pub fn serve(
             rejected: 0,
         });
     }
-    let mut order: Vec<usize> = (0..n).collect();
+    // the front door: a malformed job is tombstoned here and never
+    // arrives — it takes no queue slot, no quota and no planner call
+    let mut outcomes: Vec<Option<JobOutcome>> = (0..n).map(|_| None).collect();
+    let mut order: Vec<usize> = Vec::with_capacity(n);
+    for (j, job) in jobs.iter().enumerate() {
+        match job.validate() {
+            Ok(()) => order.push(j),
+            Err(e) => outcomes[j] = Some(invalid_tombstone(pool, job, e)),
+        }
+    }
     order.sort_by(|&a, &b| {
         jobs[a]
             .release()
@@ -1098,7 +1142,7 @@ pub fn serve(
         cur_digits: jobs.iter().map(|j| j.target_digits).collect(),
         degraded: vec![false; n],
         retried: vec![false; n],
-        outcomes: (0..n).map(|_| None).collect(),
+        outcomes,
         pending_ms: 0.0,
     };
 
@@ -1172,6 +1216,7 @@ pub fn serve(
             completed: completed(&mine),
             shed: count(&mine, Disposition::Shed),
             rejected: ts.rejected,
+            invalid: count(&mine, Disposition::Invalid),
             degraded: count(&mine, Disposition::Degraded),
             retried: count(&mine, Disposition::Retried),
             quota_exhaustions: ts.quota_exhaustions,

@@ -26,6 +26,7 @@
 //! depends on which device a job lands on or when, only the simulated
 //! timing does.
 
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::batch::{emit_settled, execute_round, settle_group, Disposition, JobOutcome};
@@ -33,7 +34,7 @@ use crate::job::Job;
 use crate::microbatch::{dispatch_group_staged, MicrobatchConfig};
 use crate::planner::Planner;
 use crate::pool::DevicePool;
-use crate::resilient::{admit, AdmissionConfig, Admitted};
+use crate::resilient::{admit, invalid_tombstone, tombstone_outcome, AdmissionConfig, Admitted};
 use crate::scheduler::{DispatchPolicy, JobShape, StageSchedConfig};
 use mdls_obs::Event;
 
@@ -234,20 +235,23 @@ impl<I> BatchStream<'_, I>
 where
     I: Iterator<Item = Job>,
 {
-    /// Refill the reorder buffer from the input up to the window.
+    /// Refill the reorder buffer from the input up to the window. A job
+    /// failing [`Job::validate`] never enters the buffer (nor takes a
+    /// window slot or an arrival number): its tombstone goes straight to
+    /// the ready queue.
     fn admit(&mut self) {
         while self.buffer.len() < self.window {
-            match self.jobs.next() {
-                Some(job) => {
-                    self.buffer.push(QueuedJob {
-                        job,
-                        arrival: self.admitted,
-                        requested_digits: None,
-                    });
-                    self.admitted += 1;
-                }
-                None => break,
+            let Some(job) = self.jobs.next() else { break };
+            if let Err(e) = job.validate() {
+                self.ready.push_back(invalid_tombstone(self.pool, &job, e));
+                continue;
             }
+            self.buffer.push(QueuedJob {
+                job,
+                arrival: self.admitted,
+                requested_digits: None,
+            });
+            self.admitted += 1;
         }
     }
 
@@ -341,8 +345,13 @@ where
         if let Some(o) = self.ready.pop_front() {
             return Some(o);
         }
-        // admit, then reorder → dispatch the most urgent admitted job...
+        // admit (invalid jobs tombstone straight to the ready queue and
+        // drain first), then reorder → dispatch the most urgent admitted
+        // job...
         self.admit();
+        if let Some(o) = self.ready.pop_front() {
+            return Some(o);
+        }
         let mut queued = self.buffer.pop()?;
         // ingress admission: preview the deadlined job against the
         // surviving pool and shed or down-ladder before anything books
@@ -358,6 +367,16 @@ where
             ..
         } = queued;
         let shape = JobShape::from(&job);
+        if self.pool.alive_count() == 0 {
+            // every device is lost: nothing can ever run this job
+            let gpu = self.pool.gpu(0);
+            let (plan, _) =
+                self.planner
+                    .plan_fused(gpu, shape.rows, shape.cols, shape.target_digits, 1);
+            let at = job.release().max(self.pool.min_clock_ms());
+            self.dispatched += 1;
+            return Some(tombstone_outcome(&job, plan, 0, Disposition::Failed, at));
+        }
         // the earliest the group could possibly start: the front job's
         // arrival, or the soonest any device frees up — the reference
         // point of the deadline slack and the member-arrival guard
@@ -403,7 +422,7 @@ where
             }
             while group.len() < preferred {
                 self.admit();
-                match self.buffer.peek() {
+                match self.buffer.peek_mut() {
                     // a member that has not arrived by the group's
                     // earliest feasible start would delay the whole
                     // group (and its front deadline) — leave it queued;
@@ -415,7 +434,7 @@ where
                             && q.job.release() <= floor
                             && q.requested_digits.is_none() =>
                     {
-                        group.push(self.buffer.pop().unwrap().job);
+                        group.push(PeekMut::pop(q).job);
                     }
                     _ => break,
                 }

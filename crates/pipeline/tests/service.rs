@@ -217,6 +217,58 @@ fn quota_never_overspends_within_a_round() {
     assert_eq!(t.shed, 7, "the rest starve and shed");
 }
 
+/// Regression: a job predicted to cost more than its tenant's whole
+/// bucket can never be covered — a refilling bucket tops out at its
+/// burst — and used to park `serve` forever, stepping simulated time
+/// from one refill instant to the next. It is now shed as it enqueues
+/// (reason `"over-quota"`), and the tenant's affordable jobs still run.
+#[test]
+fn a_job_larger_than_the_whole_bucket_is_shed_not_waited_on() {
+    let metered = TenantId(1);
+    let small = diag_jobs(4, 0, 25, 11, metered, SloClass::Standard, 0.5);
+    let planner = mdls_pipeline::Planner::new();
+    let cost = |n, digits| {
+        planner
+            .plan_fused(&Gpu::v100(), n, n, digits, 1)
+            .1
+            .predicted_ms
+    };
+    let burst = 1.5 * cost(8, 25);
+    assert!(
+        cost(64, 100) > burst,
+        "vacuous: the big job fits the bucket"
+    );
+    let a = HostMat::<f64>::from_fn(64, 64, |r, c| if r == c { 4.0 } else { 0.01 });
+    let big = Job::new(100, a, vec![1.0; 64], 100)
+        .with_tenant(metered)
+        .with_release_ms(0.25);
+    let mut jobs = small;
+    jobs.push(big);
+    let specs = [TenantSpec::new(metered, "metered").with_quota(burst, 500.0)];
+    let recorder = Arc::new(Recorder::new());
+    let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
+    pool.attach_observer(recorder.clone());
+    let cfg = ServiceConfig {
+        mode: ExecutionMode::ModelOnly,
+        ..ServiceConfig::default()
+    };
+    let report = serve(&mut pool, &jobs, &specs, &cfg);
+    let dispositions: Vec<Disposition> = report.outcomes.iter().map(|o| o.disposition).collect();
+    assert_eq!(dispositions[..4], [Disposition::Ok; 4]);
+    assert_eq!(dispositions[4], Disposition::Shed);
+    let over = |e: &Event| {
+        matches!(
+            e,
+            Event::TenantShed {
+                job: 100,
+                reason: "over-quota",
+                ..
+            }
+        )
+    };
+    assert_eq!(recorder.events().iter().filter(|e| over(e)).count(), 1);
+}
+
 /// The service loop is bit- and schedule-deterministic: identical
 /// outcomes (solutions, placements, simulated times, dispositions)
 /// across repeated runs and across host worker counts.

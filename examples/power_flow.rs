@@ -20,6 +20,7 @@
 
 use multidouble_ls::matrix::HostMat;
 use multidouble_ls::md::{Dd, MdReal, MdScalar, Od, Qd};
+use multidouble_ls::pipeline::{solve_batch, DevicePool, Job};
 use multidouble_ls::sim::{ExecMode, Gpu};
 use multidouble_ls::solver::{lstsq, LstsqOptions};
 
@@ -104,4 +105,42 @@ fn main() {
     println!("in hardware doubles degrades visibly away from the expansion point,");
     println!("while the multiple double builds stay at the truncation error of the");
     println!("[{M}/{M}] approximant — the holomorphic embedding use case of the paper.");
+
+    service_view();
+}
+
+/// The same Toeplitz systems submitted to the solve service as `f64`
+/// jobs: the planner picks each one's rungs, and the outcome reports
+/// the digits the measured residual certifies. A system too ill
+/// conditioned for its plan completes `degraded`, not `ok`.
+fn service_view() {
+    let jobs: Vec<Job> = [(8, 25), (12, 25), (16, 50), (20, 75), (20, 123)]
+        .into_iter()
+        .enumerate()
+        .map(|(id, (m, digits))| {
+            let a =
+                HostMat::<f64>::from_fn(m, m, |i, j| series_coeff::<f64>(m - (j + 1) + (i + 1)));
+            let b: Vec<f64> = (0..m).map(|i| -series_coeff::<f64>(m + i + 1)).collect();
+            Job::new(id as u64, a, b, digits)
+        })
+        .collect();
+    let mut pool = DevicePool::new(vec![Gpu::v100()]);
+    let report = solve_batch(&mut pool, &jobs);
+    println!("\nthe same systems as service jobs (f64 data, planner-chosen rungs):");
+    println!(
+        "{:<8} {:>7} {:>9} {:<24} {:>9}",
+        "order", "target", "achieved", "plan", "outcome"
+    );
+    for (job, o) in jobs.iter().zip(&report.outcomes) {
+        let order = format!("[{m}/{m}]", m = job.cols());
+        println!(
+            "{order:<8} {:>7} {:>9.1} {:<24} {:>9}",
+            job.target_digits,
+            o.achieved_digits,
+            o.plan.summary(),
+            o.disposition.tag(),
+        );
+    }
+    println!("(solve_batch books no extra refinement passes; a stalled refinement");
+    println!("stops at its plan's pass count and says so instead of reading ok)");
 }
