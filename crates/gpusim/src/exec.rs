@@ -19,7 +19,6 @@
 //!   matrix would not fit in this machine's RAM, let alone its patience).
 
 use multidouble::MdScalar;
-use parking_lot::Mutex;
 
 use crate::buffer::{DeviceBuf, DeviceMat};
 use crate::device::Gpu;
@@ -42,9 +41,17 @@ pub enum ExecMode {
 pub struct Sim {
     gpu: Gpu,
     mode: ExecMode,
-    profile: Mutex<Profile>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "locked to record a launch; no guard escapes"
+    )]
+    profile: parking_lot::Mutex<Profile>,
     /// Total bytes allocated on the device (for the RAM-swap wall model).
-    footprint: Mutex<u64>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "locked to add bytes; no guard escapes"
+    )]
+    footprint: parking_lot::Mutex<u64>,
     /// Micro-batching factor: this session carries `instances`
     /// independent same-shaped problem instances. Every launch is
     /// priced as one fused grid of `instances × grid` blocks (see
@@ -71,13 +78,14 @@ impl Sim {
     /// Functional execution on this session carries instance 0; the
     /// analytic accounting covers all `instances` as fused launches.
     /// Secondary instances run on [`Sim::shadow`] sessions.
+    #[expect(clippy::disallowed_types, reason = "builds the two locks above")]
     pub fn batched(gpu: Gpu, mode: ExecMode, instances: usize) -> Self {
         assert!(instances > 0, "a fused group needs at least one instance");
         Sim {
             gpu,
             mode,
-            profile: Mutex::new(Profile::new()),
-            footprint: Mutex::new(0),
+            profile: parking_lot::Mutex::new(Profile::new()),
+            footprint: parking_lot::Mutex::new(0),
             instances,
             accounting: true,
         }
@@ -193,9 +201,16 @@ impl Sim {
                         });
                     }
                 } else {
+                    // the block cursor: one fetch_add per block, not
+                    // per element
+                    #[expect(clippy::disallowed_types, reason = "the executor's work cursor")]
                     let next = std::sync::atomic::AtomicUsize::new(0);
                     let body = &body;
                     let next = &next;
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "the simulator's block executor owns its threads"
+                    )]
                     std::thread::scope(|scope| {
                         for _ in 0..workers {
                             scope.spawn(move || loop {

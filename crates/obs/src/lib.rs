@@ -34,8 +34,6 @@ pub mod json;
 pub mod metrics;
 pub mod trace;
 
-use std::sync::Mutex;
-
 /// Which logical stage of an execution plan an interval belongs to.
 ///
 /// Mirrors the pipeline's plan-IR stages without depending on the
@@ -357,7 +355,11 @@ pub trait Observer: Send + Sync {
 /// ```
 #[derive(Default)]
 pub struct Recorder {
-    events: Mutex<Vec<Event>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "never hands a guard out, so no emit can run under it"
+    )]
+    events: std::sync::Mutex<Vec<Event>>,
 }
 
 impl Recorder {
@@ -429,6 +431,10 @@ mod tests {
     fn recorder_is_shareable_across_threads() {
         use std::sync::Arc;
         let rec = Arc::new(Recorder::new());
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test shares a recorder across threads"
+        )]
         std::thread::scope(|s| {
             for t in 0..4 {
                 let rec = rec.clone();

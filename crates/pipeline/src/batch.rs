@@ -33,7 +33,7 @@
 //! Host-side worker threads only shorten *our* wall clock; simulated
 //! device time is unaffected.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 
 use gpusim::{ExecMode, Gpu, Sim};
 use mdls_core::{lstsq_factor_batched, residual_kernel};
@@ -48,8 +48,8 @@ use crate::plan::ExecPlan;
 use crate::planner::Planner;
 use crate::pool::{DevicePool, DeviceStats, RebookMode};
 use crate::resilient::{
-    admit, invalid_tombstone, replay_transients, sticky_losses, tombstone_outcome, AdmissionConfig,
-    Admitted, ResilienceConfig,
+    admit, invalid_tombstone, sticky_losses, tombstone_outcome, AdmissionConfig, Admitted,
+    ResilienceConfig,
 };
 use crate::scheduler::{DispatchPolicy, JobShape, StageSchedConfig};
 use mdls_obs::Event;
@@ -580,7 +580,8 @@ pub(crate) fn execute_round(
         .iter()
         .flat_map(|(g, members)| members.iter().map(move |&job| (*g, job)))
         .collect();
-    let cursor = AtomicUsize::new(0);
+    #[expect(clippy::disallowed_types, reason = "the executor's work cursor")]
+    let cursor = std::sync::atomic::AtomicUsize::new(0);
     let lane = || {
         let mut done = Vec::new();
         loop {
@@ -596,6 +597,10 @@ pub(crate) fn execute_round(
         }
     };
     let lanes = lanes.clamp(1, tasks.len().max(1));
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the execute step owns the engines' host threads"
+    )]
     let mut done: Vec<(usize, PlannedSolve)> = std::thread::scope(|scope| {
         let workers: Vec<_> = (1..lanes).map(|_| scope.spawn(lane)).collect();
         let mut done = lane();
@@ -724,6 +729,67 @@ fn settle_staged_dispatch(
         }
         (0.0, extended / k)
     }
+}
+
+/// Cap on transient-fault replays per settled group (ECC-replay
+/// style), for batch, stream and `serve` alike: a device that keeps
+/// faulting one dispatch is the circuit breaker's problem, not the
+/// retry loop's.
+const MAX_TRANSIENT_RETRIES: usize = 3;
+
+/// Base of the exponential replay backoff, simulated ms: retry `r`
+/// books no earlier than `RETRY_BACKOFF_MS · 2^r` after the failed end.
+/// A few kernel-launch gaps (6–10 µs on the modeled devices): enough to
+/// separate a replay from its fault, never a solve's worth of idling.
+const RETRY_BACKOFF_MS: f64 = 0.05;
+
+/// Replay the transient kernel faults that hit a settled dispatch:
+/// every scheduled transient of the device inside `[start_ms, end_ms)`
+/// (at most `MAX_TRANSIENT_RETRIES`) costs one backed-off replay of the
+/// group's steady-state pass (or, for direct plans, the whole booking)
+/// booked after the group's end — time moves, bits do not. Extends
+/// `g.end_ms` past the last replay and returns the fault instants, so
+/// callers can mark the members retried (and the service shell can
+/// strike its breaker). Empty on a quiet device.
+fn replay_transients(
+    pool: &mut DevicePool,
+    g: &mut GroupDispatch,
+    job_id: u64,
+    overlap: bool,
+) -> Vec<f64> {
+    let device = g.device;
+    // the schedule is sorted: bisect to the interval's first instant
+    // (a service run settles 10⁵ dispatches against 10³ transients)
+    let transients = pool.gpu(device).fault.transients();
+    let hits: Vec<f64> = transients[transients.partition_point(|t| *t < g.start_ms)..]
+        .iter()
+        .copied()
+        .take_while(|t| *t < g.end_ms)
+        .take(MAX_TRANSIENT_RETRIES)
+        .collect();
+    for (retry, &at_ms) in hits.iter().enumerate() {
+        pool.emit(|| Event::FaultInjected {
+            device,
+            job: job_id,
+            at_ms,
+            retry,
+        });
+        let mut reqs = g.fused.extension_reqs();
+        if reqs.is_empty() {
+            reqs = g.fused.stage_reqs(usize::MAX);
+        }
+        let backoff_ms = RETRY_BACKOFF_MS * (1u64 << retry) as f64;
+        let b = pool.commit_stages(device, &reqs, 0.0, 0.0, 0, overlap, g.end_ms + backoff_ms);
+        pool.mark_settled(b.id);
+        g.end_ms = b.end_ms();
+        pool.emit(|| Event::RetryBooked {
+            device,
+            job: job_id,
+            end_ms: g.end_ms,
+            backoff_ms,
+        });
+    }
+    hits
 }
 
 /// The settle step of every engine, once per executed group: settle

@@ -237,6 +237,10 @@ pub(crate) fn dispatch_group_where(
     eligible: impl Fn(&PoolDevice) -> bool,
 ) -> Option<GroupDispatch> {
     assert!(!jobs.is_empty(), "a fused group needs at least one job");
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "placement: the preview here is the booking committed below"
+    )]
     let (device, (plan, fused, reqs)) = place_by_end(
         pool,
         policy,

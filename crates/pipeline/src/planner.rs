@@ -44,7 +44,7 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use gpusim::{ExecMode, Gpu, Profile};
 use mdls_core::{lstsq_batched_model_profiles, residual_model_profile_batched, LstsqOptions};
@@ -135,20 +135,28 @@ type GroupKey = (usize, usize, u32, usize, u64);
 /// discipline: clone the hit out under the lock, compute a miss
 /// *outside* it (model evaluation is the slow part — holding the mutex
 /// would serialize all concurrent planning, and an emit under it hands
-/// every observer a re-entrancy deadlock, `lock-across-emit`), then
+/// every observer a re-entrancy deadlock — why `clippy.toml` disallows
+/// `Mutex` outside owners that never hand a guard out), then
 /// insert through `entry` so a racing thread's result is never
 /// clobbered. Racing threads may duplicate a computation, but every
 /// value is deterministic, so whichever lands first wins and both
 /// callers return the stored entry.
-struct Memo<K, V>(Mutex<HashMap<K, V>>);
+struct Memo<K, V>(
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a memo never hands its guard out, so no emit can run under it"
+    )]
+    std::sync::Mutex<HashMap<K, V>>,
+);
 
 /// A memo lock is never held across a computation, so only a panic
 /// inside `HashMap` itself could poison one.
 const POISONED: &str = "planner memo lock poisoned";
 
 impl<K: Eq + Hash, V: Clone> Memo<K, V> {
+    #[expect(clippy::disallowed_types, reason = "builds the memo's lock")]
     fn new() -> Self {
-        Memo(Mutex::new(HashMap::new()))
+        Memo(std::sync::Mutex::new(HashMap::new()))
     }
 
     fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> V {
@@ -712,6 +720,7 @@ mod tests {
         // same key; with the entry API the cache holds exactly one
         // entry per key no matter the interleaving
         let planner = Planner::new();
+        #[expect(clippy::disallowed_methods, reason = "the test races planner threads")]
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
@@ -983,6 +992,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the re-entrant observer needs its own lock and flags"
+    )]
     fn observer_may_reenter_the_planner() {
         // regression: the plan-cache and fused-memo *hit* paths once
         // emitted their events while the cache MutexGuard was still

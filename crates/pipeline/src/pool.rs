@@ -1547,6 +1547,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test reads the pool's preview"
+    )]
     fn overlapped_booking_hides_prep_under_compute() {
         // job A: long factor (prep 12 + compute 2) and a device-only
         // tail; job B books after it with overlap — B's prep lane runs
@@ -1685,6 +1689,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test reads the pool's preview"
+    )]
     fn gap_fill_places_into_mid_schedule_hole() {
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
         let a = pool.commit_stages(
@@ -1712,6 +1720,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test reads the pool's preview"
+    )]
     fn staging_contention_delays_prep_across_devices() {
         // two devices, one staging worker: the second device's prep
         // must wait for the worker even though its own prep lane is

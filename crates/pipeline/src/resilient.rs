@@ -25,7 +25,7 @@
 //!   started-but-lost stage re-runs from its factorization, so recovery
 //!   costs time but never changes arithmetic. Only when no device
 //!   survives do the interrupted jobs end [`Disposition::Failed`].
-//! * **Transient kernel faults** (`replay_transients`) — à la ECC
+//! * **Transient kernel faults** (`batch::replay_transients`) — à la ECC
 //!   replay: each transient in the device's seeded schedule that lands
 //!   inside a group's executed interval books one bounded,
 //!   exponentially backed-off replay of the group's steady-state pass
@@ -41,7 +41,7 @@
 
 use crate::batch::{run_batch, BatchReport, Disposition, JobOutcome};
 use crate::job::{Job, Precision, Solution, SubmitError};
-use crate::microbatch::{GroupDispatch, MicrobatchConfig};
+use crate::microbatch::MicrobatchConfig;
 use crate::plan::ExecPlan;
 use crate::planner::Planner;
 use crate::pool::DevicePool;
@@ -130,6 +130,7 @@ pub(crate) fn admit(
 /// system at `digits` over the surviving devices, no earlier than
 /// `release` — the admission controller's crystal ball, the same
 /// [`DevicePool::preview_stages`] the staged dispatcher books by.
+#[expect(clippy::disallowed_methods, reason = "admission's preview")]
 fn earliest_end(
     pool: &DevicePool,
     planner: &Planner,
@@ -277,67 +278,6 @@ pub(crate) fn sticky_losses(pool: &DevicePool) -> Vec<(usize, f64)> {
         .collect();
     losses.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
     losses
-}
-
-/// Cap on transient-fault replays per settled group (ECC-replay
-/// style), for batch, stream and `serve` alike: a device that keeps
-/// faulting one dispatch is the circuit breaker's problem, not the
-/// retry loop's.
-const MAX_TRANSIENT_RETRIES: usize = 3;
-
-/// Base of the exponential replay backoff, simulated ms: retry `r`
-/// books no earlier than `RETRY_BACKOFF_MS · 2^r` after the failed end.
-/// A few kernel-launch gaps (6–10 µs on the modeled devices): enough to
-/// separate a replay from its fault, never a solve's worth of idling.
-const RETRY_BACKOFF_MS: f64 = 0.05;
-
-/// Replay the transient kernel faults that hit a settled dispatch:
-/// every scheduled transient of the device inside `[start_ms, end_ms)`
-/// (at most `MAX_TRANSIENT_RETRIES`) costs one backed-off replay of the
-/// group's steady-state pass (or, for direct plans, the whole booking)
-/// booked after the group's end — time moves, bits do not. Extends
-/// `g.end_ms` past the last replay and returns the fault instants, so
-/// callers can mark the members retried (and the service shell can
-/// strike its breaker). Empty on a quiet device.
-pub(crate) fn replay_transients(
-    pool: &mut DevicePool,
-    g: &mut GroupDispatch,
-    job_id: u64,
-    overlap: bool,
-) -> Vec<f64> {
-    let device = g.device;
-    // the schedule is sorted: bisect to the interval's first instant
-    // (a service run settles 10⁵ dispatches against 10³ transients)
-    let transients = pool.gpu(device).fault.transients();
-    let hits: Vec<f64> = transients[transients.partition_point(|t| *t < g.start_ms)..]
-        .iter()
-        .copied()
-        .take_while(|t| *t < g.end_ms)
-        .take(MAX_TRANSIENT_RETRIES)
-        .collect();
-    for (retry, &at_ms) in hits.iter().enumerate() {
-        pool.emit(|| Event::FaultInjected {
-            device,
-            job: job_id,
-            at_ms,
-            retry,
-        });
-        let mut reqs = g.fused.extension_reqs();
-        if reqs.is_empty() {
-            reqs = g.fused.stage_reqs(usize::MAX);
-        }
-        let backoff_ms = RETRY_BACKOFF_MS * (1u64 << retry) as f64;
-        let b = pool.commit_stages(device, &reqs, 0.0, 0.0, 0, overlap, g.end_ms + backoff_ms);
-        pool.mark_settled(b.id);
-        g.end_ms = b.end_ms();
-        pool.emit(|| Event::RetryBooked {
-            device,
-            job: job_id,
-            end_ms: g.end_ms,
-            backoff_ms,
-        });
-    }
-    hits
 }
 
 /// Solve `jobs` on `pool` with admission, fault injection and recovery:

@@ -69,7 +69,11 @@
 //! `microbatch::dispatch_group_where`, `batch::execute_round`,
 //! `batch::settle_group`): a job here is a group of one.
 
-use std::collections::{BTreeMap, VecDeque};
+mod bounded;
+
+use std::collections::BTreeMap;
+
+use bounded::BoundedQueue;
 
 use crate::batch::{
     emit_settled, execute_round, latency_summary, settle_group, turnaround_percentiles,
@@ -384,18 +388,6 @@ pub struct ServiceReport {
     pub makespan_ms: f64,
 }
 
-/// Bounded push: the only way anything enters a service queue. The
-/// capacity check is load-bearing — `mdls-analyze`'s
-/// `unbounded-service-queue` lint flags any unguarded growth here.
-fn push_bounded<T>(q: &mut VecDeque<T>, cap: usize, v: T) -> bool {
-    if q.len() < cap {
-        q.push_back(v);
-        true
-    } else {
-        false
-    }
-}
-
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum BreakerState {
     Closed,
@@ -413,7 +405,7 @@ struct DeviceBreaker {
     /// Recent transient-fault instants, pruned to the sliding window
     /// (and capped at `max_faults` entries — older strikes can only
     /// push the count further past the threshold).
-    strikes: VecDeque<f64>,
+    strikes: BoundedQueue<f64>,
     reopens: u32,
     summary: BreakerSummary,
 }
@@ -421,7 +413,7 @@ struct DeviceBreaker {
 struct TenantState {
     spec: TenantSpec,
     /// Job indices in FIFO order. Bounded by `spec.queue_capacity`.
-    queue: VecDeque<usize>,
+    queue: BoundedQueue<usize>,
     /// This tenant's arrivals in (release, index) order.
     arrivals: Vec<usize>,
     next_arrival: usize,
@@ -501,8 +493,7 @@ impl<'a> Shell<'a> {
             if self.jobs[j].release() > now + EPS {
                 break;
             }
-            let cap = self.tenants[t].spec.queue_capacity.max(1);
-            if self.tenants[t].queue.len() >= cap {
+            if self.tenants[t].queue.is_full() {
                 match self.tenants[t].spec.backpressure {
                     Backpressure::Reject => {
                         self.tenants[t].next_arrival += 1;
@@ -537,8 +528,7 @@ impl<'a> Shell<'a> {
             self.cost_ms[j] = cost;
             self.seq[j] = self.next_seq;
             self.next_seq += 1;
-            let tq = &mut self.tenants[t].queue;
-            if push_bounded(tq, cap, j) {
+            if self.tenants[t].queue.push(j) {
                 self.pending_ms += cost;
                 let queued = self.tenants[t].queue.len();
                 let (tenant, id) = (self.jobs[j].tenant.0, self.jobs[j].id);
@@ -838,7 +828,7 @@ impl<'a> Shell<'a> {
                 self.quarantine_for_good(pool, device, lost);
                 self.retried[e.job_idx] = true;
                 let t = e.tenant_idx;
-                self.tenants[t].queue.push_front(e.job_idx);
+                self.tenants[t].queue.requeue_front(e.job_idx);
                 self.pending_ms += e.cost_ms;
                 self.credit_quota(t, e.cost_ms);
                 return;
@@ -863,7 +853,6 @@ impl<'a> Shell<'a> {
         // breaker bookkeeping
         if self.cfg.breaker.enabled {
             let window = self.cfg.breaker.window_ms;
-            let cap = self.cfg.breaker.max_faults.max(1);
             for &at in &hits {
                 while self.breakers[device]
                     .strikes
@@ -872,10 +861,10 @@ impl<'a> Shell<'a> {
                 {
                     self.breakers[device].strikes.pop_front();
                 }
-                while self.breakers[device].strikes.len() >= cap {
+                while self.breakers[device].strikes.is_full() {
                     self.breakers[device].strikes.pop_front();
                 }
-                push_bounded(&mut self.breakers[device].strikes, cap, at);
+                self.breakers[device].strikes.push(at);
             }
             if e.probe {
                 if hits.is_empty() {
@@ -1088,7 +1077,7 @@ pub fn serve(
         by_id.insert(spec.id.0, i);
         states.push(TenantState {
             spec: *spec,
-            queue: VecDeque::new(),
+            queue: BoundedQueue::new(spec.queue_capacity),
             arrivals: Vec::new(),
             next_arrival: 0,
             deficit_ms: 0.0,
@@ -1128,7 +1117,7 @@ pub fn serve(
         breakers: (0..pool.devices().len())
             .map(|d| DeviceBreaker {
                 state: BreakerState::Closed,
-                strikes: VecDeque::new(),
+                strikes: BoundedQueue::new(cfg.breaker.max_faults),
                 reopens: 0,
                 summary: BreakerSummary {
                     device: d,

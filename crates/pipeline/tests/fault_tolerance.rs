@@ -111,6 +111,10 @@ fn down_laddered_job_achieves_its_degraded_rung() {
     let n = 8usize;
     let planner = Planner::new();
     let probe = DevicePool::homogeneous(&Gpu::v100(), 1);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test reads admission's preview"
+    )]
     let end_at = |digits: u32| {
         let (plan, fused) = planner.plan_fused(probe.gpu(0), n, n, digits, 1);
         let reqs = fused.stage_reqs(ExecPlan::booked_stages(plan.corrections()));
