@@ -10,8 +10,11 @@
 //! settles bookings against what execution actually ran, and returns
 //! per-job outcomes plus pool-level throughput. This module also owns
 //! the execute and settle steps every engine shares (`execute_round`,
-//! `settle_group`). Three config axes select behaviour, never a different
-//! code path: [`MicrobatchConfig`] (what fuses), [`StageSchedConfig`]
+//! `settle_group`), and the round that chains book → recover → execute
+//! → settle (`run_round`), which the batch loop runs once over every
+//! group and the stream once per pull. Three config axes select
+//! behaviour, never a different code path: [`MicrobatchConfig`] (what
+//! fuses), [`StageSchedConfig`]
 //! (how stages book and re-book — [`solve_batch`] is the loop at
 //! [`StageSchedConfig::sequential`]), and [`ResilienceConfig`]
 //! (admission and fault recovery, both no-ops on a quiet pool).
@@ -42,13 +45,13 @@ use multidouble::{convert_real, Dd, MdReal, Od, Qd};
 
 use crate::job::{Job, Precision, Solution, TenantId};
 use crate::microbatch::{
-    dispatch_group_staged, placement_order, plan_groups, GroupDispatch, MicrobatchConfig,
+    dispatch_group_where, placement_order, plan_groups, GroupDispatch, MicrobatchConfig,
 };
 use crate::plan::ExecPlan;
 use crate::planner::Planner;
 use crate::pool::{DevicePool, DeviceStats, RebookMode};
 use crate::resilient::{
-    admit, invalid_tombstone, sticky_losses, tombstone_outcome, AdmissionConfig, Admitted,
+    admit, invalid_tombstone, recover, tombstone_outcome, AdmissionConfig, Admitted,
     ResilienceConfig,
 };
 use crate::scheduler::{DispatchPolicy, JobShape, StageSchedConfig};
@@ -876,11 +879,139 @@ pub fn solve_batch_staged_with(
     run_batch(pool, jobs, policy, micro, sched, &cfg, host_parallel)
 }
 
-/// One booked group of the batch loop.
-struct Slot {
+/// One group of a round, in placement order: its shape key at the
+/// digits it runs at, its members' indices — the caller's names for
+/// them, which booking events and the round's outcomes carry — and the
+/// members themselves, in group order.
+pub(crate) struct Group<'j> {
+    pub(crate) shape: JobShape,
+    pub(crate) idxs: Vec<usize>,
+    pub(crate) members: Vec<&'j Job>,
+}
+
+/// A booked group of a round.
+struct Slot<'j> {
     shape: JobShape,
-    /// The live dispatch; `g.jobs` are indices into the submitted batch.
     g: GroupDispatch,
+    members: Vec<&'j Job>,
+    /// Re-dispatched after a sticky loss interrupted it.
+    retried: bool,
+}
+
+/// What one round of the batch loop settled.
+pub(crate) struct Round {
+    /// `(index, outcome)` per member in booking order — settled
+    /// outcomes, or the `Failed` tombstones of groups no device could
+    /// take.
+    pub(crate) outcomes: Vec<(usize, JobOutcome)>,
+    /// Settled groups of two or more jobs.
+    pub(crate) fused_groups: usize,
+    /// Sticky losses the recover step applied: the alive set shrank.
+    pub(crate) losses: usize,
+}
+
+/// One round of the batch loop — phases 1–4 of [`run_batch`] over
+/// `groups`, given in placement order. The batch loop runs it once
+/// over every group (`until_ms = ∞`: it has booked its whole future);
+/// the stream once per pull over the group it just formed (`−∞`), and
+/// once more over none when drained (`∞`), so both drivers recover,
+/// execute and settle through the same code. `lanes` host lanes
+/// execute.
+pub(crate) fn run_round(
+    pool: &mut DevicePool,
+    planner: &Planner,
+    groups: Vec<Group<'_>>,
+    policy: DispatchPolicy,
+    sched: &StageSchedConfig,
+    lanes: usize,
+    until_ms: f64,
+) -> Round {
+    let book = |pool: &mut DevicePool, idxs, shape: &JobShape, release| {
+        dispatch_group_where(pool, planner, idxs, shape, policy, sched, release, |_| true)
+    };
+    let mut outcomes = Vec::new();
+
+    // ---- phase 1: book ------------------------------------------------
+    let mut slots: Vec<Slot> = Vec::with_capacity(groups.len());
+    for Group {
+        shape,
+        idxs,
+        members,
+    } in groups
+    {
+        let release = members.iter().map(|j| j.release()).fold(0.0, f64::max);
+        if let Some(g) = book(pool, idxs.clone(), &shape, release) {
+            slots.push(Slot {
+                shape,
+                g,
+                members,
+                retried: false,
+            });
+            continue;
+        }
+        // a pool that lost every device books nothing
+        let (rows, cols, digits) = (shape.rows, shape.cols, shape.target_digits);
+        let (plan, _) = planner.plan_fused(pool.gpu(0), rows, cols, digits, 1);
+        for (j, job) in idxs.into_iter().zip(members) {
+            let o = tombstone_outcome(job, plan.clone(), 0, Disposition::Failed, job.release());
+            outcomes.push((j, o));
+        }
+    }
+
+    // ---- phase 2: recover sticky losses, oldest first ------------------
+    let mut losses = 0;
+    while let Some(loss) = recover(pool, until_ms, None) {
+        losses += 1;
+        let t = loss.at_ms;
+        slots.retain_mut(|slot| {
+            if !loss.interrupted.contains(&slot.g.booking.id) {
+                return true;
+            }
+            let release = slot.members.iter().map(|j| j.release()).fold(t, f64::max);
+            let Some(g) = book(pool, slot.g.jobs.clone(), &slot.shape, release) else {
+                // no survivor: the group dies with its device, at `t`
+                for (&j, job) in slot.g.jobs.iter().zip(&slot.members) {
+                    let plan = slot.g.plan.clone();
+                    let mut o = tombstone_outcome(job, plan, slot.g.device, Disposition::Failed, t);
+                    o.start_ms = slot.g.start_ms.min(t);
+                    o.fused_group = slot.members.len();
+                    outcomes.push((j, o));
+                }
+                return false;
+            };
+            (slot.g, slot.retried) = (g, true);
+            true
+        });
+    }
+
+    // ---- phase 3: execute — lanes pull jobs ---------------------------
+    let round: Vec<(&GroupDispatch, Vec<&Job>)> =
+        slots.iter().map(|s| (&s.g, s.members.clone())).collect();
+    let solved = execute_round(pool, &round, lanes, sched.max_extra_passes);
+
+    // ---- phase 4: settle in booking order, replay transients ---------
+    let mut fused_groups = 0;
+    for (mut slot, solved) in slots.into_iter().zip(solved) {
+        fused_groups += usize::from(slot.members.len() > 1);
+        let (settled, _) =
+            settle_group(pool, &mut slot.g, &slot.shape, &slot.members, solved, sched);
+        for (&j, mut o) in slot.g.jobs.iter().zip(settled) {
+            // loss recovery's verdict, and admission's — a plan below
+            // the request was down-laddered — outrank a replay
+            if slot.retried {
+                o.disposition = o.disposition.outranking(Disposition::Retried);
+            }
+            if o.plan.target_digits < o.requested_digits {
+                o.disposition = Disposition::Degraded;
+            }
+            outcomes.push((j, o));
+        }
+    }
+    Round {
+        outcomes,
+        fused_groups,
+        losses,
+    }
 }
 
 /// The **one batch loop** behind every `solve_batch*` entry point:
@@ -890,18 +1021,24 @@ struct Slot {
 ///    (no-op without deadlines or with admission off)
 ///    preview every deadlined job against the surviving pool and
 ///    down-ladder or shed what cannot meet its deadline. Down-laddering
-///    is a per-job digits override — the jobs themselves are never
-///    cloned.
+///    lowers the group's shape key, never the job — the jobs themselves
+///    are never cloned.
+///
+/// Phases 1–4 are one [`run_round`] over every group:
+///
 /// 1. **Book** (main thread, in the shared — for SECT: longest-first —
 ///    placement order): every group's stages land on the device the
 ///    policy picks *from the stage timeline*
-///    ([`dispatch_group_staged`]), as `sched` says.
-/// 2. **Recover sticky losses** (no-op on a quiet pool), oldest first:
-///    each loss interrupts the unfinished bookings on the dying device;
-///    they re-dispatch immediately onto the survivors — never before
-///    the loss instant, never moving a surviving device's spans — so a
-///    *later* loss can interrupt the re-booked work too. When no
-///    device survives the interrupted jobs end [`Disposition::Failed`].
+///    ([`dispatch_group_staged`](crate::microbatch::dispatch_group_staged)),
+///    as `sched` says. On a pool with no
+///    surviving device the jobs end [`Disposition::Failed`].
+/// 2. **Recover sticky losses** (`resilient::recover`; no-op on a quiet
+///    pool), oldest first: each loss interrupts the unfinished bookings
+///    on the dying device; they re-dispatch immediately onto the
+///    survivors — never before the loss instant, never moving a
+///    surviving device's spans — so a *later* loss can interrupt the
+///    re-booked work too. When no device survives the interrupted jobs
+///    end [`Disposition::Failed`].
 /// 3. **Execute** one job per task ([`execute_round`]): with
 ///    `host_parallel`, as many host lanes as the pool has devices (the
 ///    calling thread is one) pull jobs in booking order — a lane has no
@@ -927,7 +1064,6 @@ pub(crate) fn run_batch(
     let planner = Planner::for_pool(pool);
     let mut outcomes: Vec<Option<JobOutcome>> = Vec::new();
     outcomes.resize_with(jobs.len(), || None);
-    let mut dispo = vec![Disposition::Ok; jobs.len()];
 
     // ---- phase 0: the front door, then admission ---------------------
     let mut active: Vec<usize> = Vec::with_capacity(jobs.len());
@@ -937,122 +1073,49 @@ pub(crate) fn run_batch(
             outcomes[i] = Some(invalid_tombstone(pool, job, e));
             continue;
         }
-        let mut shape = JobShape::from(job);
-        let (digits, release) = (job.target_digits, job.release());
-        match admit(
+        let release = job.release();
+        let digits = match admit(
             pool,
             &planner,
             job,
-            digits,
+            job.target_digits,
             sched.overlap,
             release,
             release,
             &cfg.admission,
         ) {
-            Admitted::Run { digits, degraded } => {
-                shape.target_digits = digits;
-                if degraded {
-                    dispo[i] = Disposition::Degraded;
-                }
-            }
+            Admitted::Run { digits } => digits,
             Admitted::Shed(tombstone) => {
                 outcomes[i] = Some(*tombstone);
                 continue;
             }
-        }
+        };
         active.push(i);
-        shapes.push(shape);
-    }
-
-    // ---- phase 1: book the admitted work in placement order ----------
-    if pool.alive_count() == 0 {
-        // a pool that lost every device before this batch books nothing
-        for (&i, shape) in active.iter().zip(&shapes) {
-            let (rows, cols, digits) = (shape.rows, shape.cols, shape.target_digits);
-            let (plan, _) = planner.plan_fused(pool.gpu(0), rows, cols, digits, 1);
-            let (job, at) = (&jobs[i], jobs[i].release());
-            outcomes[i] = Some(tombstone_outcome(job, plan, 0, Disposition::Failed, at));
-        }
-        active.clear();
-        shapes.clear();
-    }
-    let release_of = |members: &[usize], floor: f64| {
-        members
-            .iter()
-            .map(|&j| jobs[j].release())
-            .fold(floor, f64::max)
-    };
-    let groups = plan_groups(&planner, &shapes, micro);
-    let order = placement_order(pool, &planner, &shapes, &groups, policy);
-    let mut slots: Vec<Slot> = Vec::with_capacity(order.len());
-    for &gi in &order {
-        let shape = shapes[groups[gi][0]];
-        let members: Vec<usize> = groups[gi].iter().map(|&a| active[a]).collect();
-        let release = release_of(&members, 0.0);
-        let g = dispatch_group_staged(pool, &planner, members, &shape, policy, sched, release);
-        slots.push(Slot { shape, g });
-    }
-
-    // ---- phase 2: sticky losses, oldest first ------------------------
-    let members_of = |g: &GroupDispatch| g.jobs.iter().map(|&j| &jobs[j]).collect::<Vec<&Job>>();
-    for (id, t) in sticky_losses(pool) {
-        let hit = pool.fail_device(id, t).interrupted;
-        let recover = pool.alive_count() > 0;
-        slots.retain_mut(|slot| {
-            if !hit.contains(&slot.g.booking.id) {
-                return true;
-            }
-            let members = slot.g.jobs.clone();
-            if recover {
-                for &j in &members {
-                    if dispo[j] == Disposition::Ok {
-                        dispo[j] = Disposition::Retried;
-                    }
-                }
-                let release = release_of(&members, t);
-                slot.g = dispatch_group_staged(
-                    pool,
-                    &planner,
-                    members,
-                    &slot.shape,
-                    policy,
-                    sched,
-                    release,
-                );
-            } else {
-                // no survivor: the group dies with its device, at `t`
-                for (&j, job) in members.iter().zip(members_of(&slot.g)) {
-                    let plan = slot.g.plan.clone();
-                    let mut o = tombstone_outcome(job, plan, slot.g.device, Disposition::Failed, t);
-                    o.start_ms = slot.g.start_ms.min(t);
-                    o.fused_group = members.len();
-                    outcomes[j] = Some(o);
-                }
-            }
-            recover
+        shapes.push(JobShape {
+            target_digits: digits,
+            ..JobShape::from(job)
         });
     }
 
-    // ---- phase 3: execute — lanes pull jobs ---------------------------
-    let round: Vec<(&GroupDispatch, Vec<&Job>)> =
-        slots.iter().map(|s| (&s.g, members_of(&s.g))).collect();
+    // ---- phases 1–4: one round over every group, in placement order ---
+    let groups = plan_groups(&planner, &shapes, micro);
+    let order = placement_order(pool, &planner, &shapes, &groups, policy);
+    let round: Vec<Group> = order
+        .into_iter()
+        .map(|gi| {
+            let idxs: Vec<usize> = groups[gi].iter().map(|&a| active[a]).collect();
+            Group {
+                shape: shapes[groups[gi][0]],
+                members: idxs.iter().map(|&j| &jobs[j]).collect(),
+                idxs,
+            }
+        })
+        .collect();
     // one lane per device, or a single lane when serial
     let lanes = if host_parallel { pool.len() } else { 1 };
-    let solved = execute_round(pool, &round, lanes, sched.max_extra_passes);
-
-    // ---- phase 4: settle in booking order, replay transients ---------
-    let mut makespan_ms = 0.0f64;
-    let mut fused_groups = 0;
-    for (slot, solved) in slots.iter_mut().zip(solved) {
-        let members = members_of(&slot.g);
-        fused_groups += usize::from(members.len() > 1);
-        let (settled, _) = settle_group(pool, &mut slot.g, &slot.shape, &members, solved, sched);
-        makespan_ms = makespan_ms.max(slot.g.end_ms);
-        for (&j, mut o) in slot.g.jobs.iter().zip(settled) {
-            // admission's and loss recovery's verdicts outrank a replay
-            o.disposition = o.disposition.outranking(dispo[j]);
-            outcomes[j] = Some(o);
-        }
+    let round = run_round(pool, &planner, round, policy, sched, lanes, f64::INFINITY);
+    for (j, o) in round.outcomes {
+        outcomes[j] = Some(o);
     }
 
     // ---- phase 5: report ---------------------------------------------
@@ -1068,12 +1131,18 @@ pub(crate) fn run_batch(
     {
         emit_settled(pool, std::slice::from_ref(o));
     }
-    BatchReport::from_outcomes(pool, &planner, outcomes, makespan_ms, fused_groups)
+    let makespan_ms = outcomes
+        .iter()
+        .filter(|o| o.disposition.completed())
+        .map(|o| o.end_ms)
+        .fold(0.0, f64::max);
+    BatchReport::from_outcomes(pool, &planner, outcomes, makespan_ms, round.fused_groups)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::microbatch::dispatch_group_staged;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -26,10 +26,11 @@
 //!
 //! Every batch entry point ([`solve_batch`], [`solve_batch_staged`],
 //! [`solve_batch_staged_with`], [`solve_batch_resilient`]) is a wrapper
-//! of a few lines over that loop, and every stream entry point
-//! ([`solve_stream`], [`solve_stream_with`], [`solve_stream_staged`],
-//! [`solve_stream_admitted`]) is a constructor of the one
-//! [`BatchStream`], which runs the same steps one group per pull.
+//! of a few lines over that loop. The stream has one constructor,
+//! [`solve_stream_staged`] (ingress admission is
+//! [`BatchStream::with_admission`]), and each pull runs one round of
+//! the same loop — book → recover → execute → settle — over the one
+//! group it just formed.
 //!
 //! **A singleton is a group of one, and a dispatched group is handled
 //! one way.** The fused group is the unit of booking: the planner
@@ -38,13 +39,15 @@
 //! job at a time, on host lanes that pull jobs and have no device
 //! identity. Once a driver — the batch loop, the stream, [`serve`]
 //! — has decided *which group, which devices are eligible, at what
-//! instant*, all three share one admit → place → execute → settle
-//! path, each step owned by one function (`resilient::admit`,
-//! `microbatch::dispatch_group_where`, `batch::execute_round`,
-//! `batch::settle_group`). What stays per driver is what genuinely
-//! differs: whole-queue LPT booking and offline loss recovery (batch),
-//! the reorder window and loss-time re-preview (stream), DRR, quotas,
-//! the overload ladder, breakers and re-queueing ([`serve`]).
+//! instant*, all three share one admit → place → recover → execute →
+//! settle path, each step owned by one function (`resilient::admit`,
+//! `microbatch::dispatch_group_where`, `resilient::recover`,
+//! `batch::execute_round`, `batch::settle_group`); the batch loop and
+//! the stream also share the round that chains them (`batch::run_round`).
+//! What stays per driver is what genuinely differs: whole-queue LPT
+//! booking (batch), the reorder window, drain-order fusion and loss-time
+//! re-preview (stream), DRR, quotas, the overload ladder, breakers and
+//! re-queueing ([`serve`]).
 //!
 //! Behaviour is selected by three **config values**, never by a
 //! different code path:
@@ -66,8 +69,8 @@
 //!   a pool-wide resource ([`HostStagingPool`]).
 //!   [`StageSchedConfig::sequential`] tiles a dispatch's stages into
 //!   one contiguous interval and only writes refunds off the busy books
-//!   ([`RebookMode::BooksOnly`]) — what [`solve_batch`] and
-//!   [`solve_stream`] use. [`StageSchedConfig::staged`] overlaps the
+//!   ([`RebookMode::BooksOnly`]) — what [`solve_batch`] uses.
+//!   [`StageSchedConfig::staged`] overlaps the
 //!   next job's factorization prep under the current job's
 //!   residual/correct passes (40%+ makespan cuts on refinement-heavy
 //!   mixes), books the planner's *expected* pass count, re-books
@@ -82,7 +85,8 @@
 //!   `DeviceLost` threshold; pure data, no clocks or entropy). The loop
 //!   previews every deadlined job at ingress and sheds or down-ladders
 //!   unmeetable requests, re-plans work interrupted by a device loss
-//!   onto the survivors ([`DevicePool::fail_device`] turns the dead
+//!   onto the survivors (one recover step decides when a loss comes due
+//!   for every driver; [`DevicePool::fail_device`] turns the dead
 //!   device's unexecuted spans into refunds), and books bounded,
 //!   backed-off replays for transient faults (one retry cap and one
 //!   backoff base, shared by batch, stream and [`serve`]). Every job
@@ -113,8 +117,8 @@
 //!    group under a pluggable [`DispatchPolicy`] (greedy least-loaded,
 //!    or shortest-expected-completion by previewing the booking on each
 //!    device's timeline), then book its stages
-//!    ([`dispatch_group_staged`]; [`dispatch_one`] and [`schedule`] are
-//!    the single-job, contiguous-booking forms).
+//!    ([`dispatch_group_staged`]; [`dispatch_one`] is the single-job,
+//!    contiguous-booking form).
 //! 4. **The stage interpreter** ([`batch`]) —
 //!    [`solve_planned_traced_with`] executes one job's plan
 //!    functionally, the same call for a fused member and a lone job;
@@ -144,14 +148,15 @@
 //!
 //! | need | call |
 //! |---|---|
-//! | defaults (greedy, fused, contiguous booking) | `solve_batch(p, j)` / `solve_stream(p, j)` |
+//! | defaults (greedy, fused, contiguous booking) | `solve_batch(p, j)` / `solve_stream_staged(p, j, DispatchPolicy::LeastLoaded, 1, MicrobatchConfig::default(), StageSchedConfig::sequential())` |
 //! | explicit dispatch policy | `solve_batch_staged(p, j, pol, &MicrobatchConfig::default(), &StageSchedConfig::sequential())` |
 //! | serial host execution (the bit-identity reference) | `solve_batch_staged_with(p, j, pol, &micro, &sched, false)` |
 //! | per-job launches (fusion A/B control) | pass `&MicrobatchConfig::off()` as `micro` |
 //! | overlap, expected-pass booking, online re-booking, extension | pass `&StageSchedConfig::staged()` as `sched` |
 //! | deadlines that shed/down-ladder, fault recovery | `solve_batch_resilient(p, j, pol, &micro, &sched, &ResilienceConfig::default())` |
-//! | stream with a reorder window | `solve_stream_with(p, j, pol, w)`; explicit configs: `solve_stream_staged(p, j, pol, w, micro, sched)` |
-//! | one model-only dispatch / a whole model-only schedule | `dispatch_group_staged(p, pl, jobs, s, pol, &sched, release)` / `schedule_staged(p, pl, shapes, pol, &micro, &sched)` |
+//! | stream with a reorder window `w` | `solve_stream_staged(p, j, pol, w, micro, sched)` |
+//! | stream with ingress admission | `solve_stream_staged(..).with_admission(AdmissionConfig::default())` |
+//! | one model-only dispatch | `dispatch_group_staged(p, pl, jobs, s, pol, &sched, release)` (a schedule is one call per group, in your placement order) |
 //! | interpret one plan yourself (fused or not, one job per call) | `solve_planned_traced_with(gpu, job, &plan, extra_passes)` |
 //! | a plan's per-stage predicted walls | `plan.stage_wall_ms` (the group of one); a fused group's: `planner.plan_fused(gpu, m, n, digits, k).1.stage_wall_ms` |
 //! | planner cache traffic | count `PlanCacheHit`/`PlanCacheMiss`/`FusedMemoHit`/`FusedMemoMiss` events from the pool's observer (`mdls_obs::Metrics` counts them) |
@@ -207,9 +212,7 @@ pub use batch::{
     LatencySummary, PlannedSolve,
 };
 pub use job::{Job, Precision, SloClass, Solution, SubmitError, TenantId};
-pub use microbatch::{
-    dispatch_group_staged, plan_groups, schedule_staged, GroupDispatch, MicrobatchConfig,
-};
+pub use microbatch::{dispatch_group_staged, plan_groups, GroupDispatch, MicrobatchConfig};
 pub use plan::{ExecPlan, FusedProfile, Stage};
 pub use planner::Planner;
 pub use pool::{
@@ -217,15 +220,13 @@ pub use pool::{
     StageBooking, StageInterval, StageRefund, StageReq, Timeline,
 };
 pub use resilient::{solve_batch_resilient, AdmissionConfig, ResilienceConfig};
-pub use scheduler::{dispatch_one, schedule, Dispatch, DispatchPolicy, JobShape, StageSchedConfig};
+pub use scheduler::{dispatch_one, Dispatch, DispatchPolicy, JobShape, StageSchedConfig};
 pub use service::{
     serve, Backpressure, BreakerConfig, BreakerSummary, ClassSummary, ExecutionMode,
     OverloadConfig, QuotaSpec, ServiceConfig, ServicePolicy, ServiceReport, TenantSpec,
     TenantSummary,
 };
-pub use stream::{
-    solve_stream, solve_stream_admitted, solve_stream_staged, solve_stream_with, BatchStream,
-};
+pub use stream::{solve_stream_staged, BatchStream};
 pub use workload::{
     bursty_tracker_jobs, jobs_for_shapes, power_flow_jobs, tracker_jobs, workload_mix,
 };

@@ -287,9 +287,11 @@ pub(crate) fn dispatch_group_where(
 /// The placement order of a partitioned batch: under
 /// shortest-expected-completion, groups go longest-first (LPT over the
 /// *fused* group cost on the pool's first device model —
-/// device-count-free); least-loaded keeps submission order. One
-/// definition shared by the batch loop and [`schedule_staged`], so the
-/// A/B arms can never drift apart on ordering.
+/// device-count-free); least-loaded keeps submission order. The batch
+/// sees its whole queue up front, and arrival-ordered SECT would
+/// equalize `clock + cost` instead of `clock`, leaving slow devices idle
+/// at the tail — a long group landing late on a slow device is exactly
+/// the makespan overhang LPT prevents.
 pub(crate) fn placement_order(
     pool: &DevicePool,
     planner: &Planner,
@@ -311,33 +313,6 @@ pub(crate) fn placement_order(
         order.sort_by(|&a, &b| flops[b].total_cmp(&flops[a]));
     }
     order
-}
-
-/// Schedule a whole batch model-only: partition via [`plan_groups`],
-/// order via the shared placement rule (LPT under SECT, submission
-/// order otherwise), then dispatch group by group through
-/// [`dispatch_group_staged`]. Returns the groups in partition order.
-/// With [`StageSchedConfig::sequential`] every group is one contiguous
-/// interval; with overlap on, consecutive groups pipeline prep under
-/// compute.
-pub fn schedule_staged(
-    pool: &mut DevicePool,
-    planner: &Planner,
-    shapes: &[JobShape],
-    policy: DispatchPolicy,
-    cfg: &MicrobatchConfig,
-    sched: &StageSchedConfig,
-) -> Vec<GroupDispatch> {
-    let groups = plan_groups(planner, shapes, cfg);
-    let order = placement_order(pool, planner, shapes, &groups, policy);
-    let mut dispatched: Vec<(usize, GroupDispatch)> = Vec::with_capacity(order.len());
-    for &gi in &order {
-        let (jobs, shape) = (groups[gi].clone(), shapes[groups[gi][0]]);
-        let g = dispatch_group_staged(pool, planner, jobs, &shape, policy, sched, 0.0);
-        dispatched.push((gi, g));
-    }
-    dispatched.sort_by_key(|(gi, _)| *gi);
-    dispatched.into_iter().map(|(_, g)| g).collect()
 }
 
 #[cfg(test)]

@@ -697,12 +697,14 @@ impl DevicePool {
         self.devices.iter().filter(|d| !d.is_lost()).count()
     }
 
-    /// Earliest clock over the pool, ms — the soonest any device could
-    /// start new work (the deadline-slack reference of the stream's
-    /// fused-group cap).
+    /// Earliest clock over the surviving devices, ms — the soonest any
+    /// device could start new work (the deadline-slack reference of the
+    /// stream's fused-group cap). A lost device starts nothing, so it
+    /// never holds the floor down; `f64::MAX` when none survives.
     pub fn min_clock_ms(&self) -> f64 {
         self.devices
             .iter()
+            .filter(|d| !d.is_lost())
             .map(|d| d.clock_ms())
             .fold(f64::INFINITY, f64::min)
             .min(f64::MAX)
@@ -960,6 +962,15 @@ impl DevicePool {
     /// registry is id-sorted and a lookup is a bisection.
     fn live_index(&self, id: u64) -> Option<usize> {
         self.live.binary_search_by_key(&id, |b| b.id).ok()
+    }
+
+    /// True when a live, unsettled booking on `device` ends after `at_ms`
+    /// — what a loss of the device at that instant would interrupt
+    /// (see [`DevicePool::fail_device`]).
+    pub(crate) fn has_work_past(&self, device: usize, at_ms: f64) -> bool {
+        self.live.iter().any(|b| {
+            b.device == device && !b.settled && b.stages.last().is_some_and(|s| s.end_ms() > at_ms)
+        })
     }
 
     /// Mark booking `id` settled: it executed and
@@ -1471,6 +1482,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test drives the pool's loss path"
+    )]
     fn fail_device_interrupts_live_bookings_and_refunds_the_future() {
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 2);
         // one booking ends before the loss, one straddles it, one is
@@ -1515,6 +1530,42 @@ mod tests {
         pool.reset();
         assert!(!pool.devices()[0].is_lost());
         assert_eq!(pool.alive_count(), 2);
+    }
+
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test drives the pool's loss path"
+    )]
+    fn min_clock_skips_lost_devices() {
+        // regression: a device lost at t = 0 held the floor at 0 forever
+        let mut pool = DevicePool::homogeneous(&Gpu::v100(), 2);
+        book(&mut pool, 1, 7.0, 5.0, 0.0);
+        assert_eq!(pool.min_clock_ms(), 0.0);
+        pool.fail_device(0, 0.0);
+        assert_eq!(pool.min_clock_ms(), 7.0);
+        pool.fail_device(1, 7.0);
+        assert_eq!(pool.min_clock_ms(), f64::MAX);
+    }
+
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test drives the pool's loss path"
+    )]
+    fn work_past_a_loss_is_the_unsettled_work_it_would_interrupt() {
+        let mut pool = DevicePool::homogeneous(&Gpu::v100(), 2);
+        let a = pool.commit_stages(0, &[req(0.0, 4.0)], 0.0, 0.0, 1, false, 0.0);
+        assert!(pool.has_work_past(0, 3.0));
+        assert!(!pool.has_work_past(0, 4.0));
+        assert!(!pool.has_work_past(1, 0.0));
+        // settled work already ran: a later loss cannot take it back
+        pool.mark_settled(a.id);
+        assert!(!pool.has_work_past(0, 3.0));
+        pool.commit_stages(0, &[req(0.0, 4.0)], 0.0, 0.0, 1, false, 0.0);
+        assert!(pool.has_work_past(0, 7.0));
+        pool.fail_device(0, 7.0);
+        assert!(!pool.has_work_past(0, 7.0));
     }
 
     #[test]

@@ -16,15 +16,18 @@
 //!   [`JobOutcome::requested_digits`]) or, when no rung fits, shed at
 //!   the door ([`Disposition::Shed`]) instead of burning device time on
 //!   a guaranteed miss.
-//! * **Sticky device loss** (`sticky_losses`) — each device model may
-//!   carry a seeded [`FaultPlan`](gpusim::FaultPlan). When a plan says
-//!   the device dies at `t`, the pool marks it lost
+//! * **Sticky device loss** (`recover`) — each device model may carry a
+//!   seeded [`FaultPlan`](gpusim::FaultPlan). When a plan says the
+//!   device dies at `t`, the recover step decides when that loss comes
+//!   due — for every driver — and has the pool mark the device lost
 //!   ([`DevicePool::fail_device`]): unexecuted booked spans become
-//!   refunds and every interrupted or queued group is re-planned and
-//!   re-dispatched onto the survivors ([`Disposition::Retried`]) — a
-//!   started-but-lost stage re-runs from its factorization, so recovery
-//!   costs time but never changes arithmetic. Only when no device
-//!   survives do the interrupted jobs end [`Disposition::Failed`].
+//!   refunds and every interrupted group is re-planned and re-dispatched
+//!   onto the survivors ([`Disposition::Retried`]) — a started-but-lost
+//!   stage re-runs from its factorization, so recovery costs time but
+//!   never changes arithmetic. Only when no device survives do the
+//!   interrupted jobs end [`Disposition::Failed`]. The batch loop and
+//!   the stream recover in the same round function; `serve` re-queues
+//!   what a loss interrupts instead.
 //! * **Transient kernel faults** (`batch::replay_transients`) — à la ECC
 //!   replay: each transient in the device's seeded schedule that lands
 //!   inside a group's executed interval books one bounded,
@@ -44,7 +47,7 @@ use crate::job::{Job, Precision, Solution, SubmitError};
 use crate::microbatch::MicrobatchConfig;
 use crate::plan::ExecPlan;
 use crate::planner::Planner;
-use crate::pool::DevicePool;
+use crate::pool::{DeviceLossReport, DevicePool};
 use crate::scheduler::{DispatchPolicy, StageSchedConfig};
 use mdls_obs::Event;
 
@@ -72,11 +75,11 @@ pub struct ResilienceConfig {
     pub admission: AdmissionConfig,
 }
 
-/// What the admit step made of one job: run it at `digits` (`degraded`
-/// when admission just lowered them), or the tombstone of a job shed at
-/// the door.
+/// What the admit step made of one job: run it at `digits` (below the
+/// digits it was previewed at when admission just lowered them), or the
+/// tombstone of a job shed at the door.
 pub(crate) enum Admitted {
-    Run { digits: u32, degraded: bool },
+    Run { digits: u32 },
     Shed(Box<JobOutcome>),
 }
 
@@ -100,18 +103,14 @@ pub(crate) fn admit(
 ) -> Admitted {
     match admit_job(pool, planner, job, digits, overlap, release, cfg) {
         Ok(to_digits) => {
-            let degraded = to_digits != digits;
-            if degraded {
+            if to_digits != digits {
                 pool.emit(|| Event::JobDegraded {
                     job: job.id,
                     from_digits: digits,
                     to_digits,
                 });
             }
-            Admitted::Run {
-                digits: to_digits,
-                degraded,
-            }
+            Admitted::Run { digits: to_digits }
         }
         Err(predicted_end_ms) => {
             let ev = || Event::JobShed {
@@ -268,16 +267,37 @@ pub(crate) fn invalid_tombstone(pool: &DevicePool, job: &Job, err: SubmitError) 
     o
 }
 
-/// The sticky losses the pool's fault plans schedule, oldest first
-/// (ties to the lowest device id).
-pub(crate) fn sticky_losses(pool: &DevicePool) -> Vec<(usize, f64)> {
-    let mut losses: Vec<(usize, f64)> = pool
+/// The recover step of every engine, and the one place a sticky loss
+/// comes due: apply the oldest loss (ties to the lowest device id) that
+/// a surviving device's fault plan schedules at or before `until_ms` —
+/// the driver's clock — or inside unsettled work already booked on the
+/// device, which the loss then interrupts. `only` restricts the search
+/// to one device. Returns what [`DevicePool::fail_device`] took down;
+/// `None` when nothing is due, after an allocation-free scan of the
+/// devices' loss instants on a quiet pool.
+///
+/// The batch loop passes `until_ms = ∞` (it has booked its whole
+/// future); the stream passes `−∞` while it runs (its future is not
+/// booked yet, so a loss comes due with the first booking it
+/// interrupts) and `∞` once drained; `serve` passes its event clock,
+/// and `−∞` on one device when it settles a dispatch there.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the recover step owns sticky losses"
+)]
+pub(crate) fn recover(
+    pool: &mut DevicePool,
+    until_ms: f64,
+    only: Option<usize>,
+) -> Option<DeviceLossReport> {
+    let (device, at_ms) = pool
         .devices()
         .iter()
+        .filter(|d| !d.is_lost() && only.is_none_or(|id| id == d.id))
         .filter_map(|d| d.gpu.fault.lost_at_ms().map(|t| (d.id, t)))
-        .collect();
-    losses.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    losses
+        .filter(|&(id, t)| t <= until_ms || pool.has_work_past(id, t))
+        .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))?;
+    Some(pool.fail_device(device, at_ms))
 }
 
 /// Solve `jobs` on `pool` with admission, fault injection and recovery:

@@ -18,9 +18,9 @@
 //! There is one dispatch step — place, then book the group's stages on
 //! the chosen device's timeline ([`crate::microbatch`]) — and
 //! [`StageSchedConfig`] says *how* the stages are booked.
-//! [`dispatch_one`] and [`schedule`] are that step for single jobs with
-//! [`StageSchedConfig::sequential`]: each job's stages tile one
-//! contiguous interval, so a refinement plan is costed as a whole.
+//! [`dispatch_one`] is that step for a single job with
+//! [`StageSchedConfig::sequential`]: its stages tile one contiguous
+//! interval, so a refinement plan is costed as a whole.
 //!
 //! Because the analytic timing model is data-independent, the predicted
 //! wall clock of a plan *is* the modeled wall clock of the functional
@@ -30,7 +30,7 @@
 //! per-device plan, solutions are bit-identical across policies.
 
 use crate::job::Job;
-use crate::microbatch::{dispatch_group_staged, schedule_staged, GroupDispatch, MicrobatchConfig};
+use crate::microbatch::{dispatch_group_staged, GroupDispatch};
 use crate::plan::ExecPlan;
 use crate::planner::Planner;
 use crate::pool::{DevicePool, PoolDevice, RebookMode};
@@ -106,8 +106,7 @@ impl StageSchedConfig {
     /// Contiguous stage booking: a dispatch's stage intervals tile one
     /// composed interval, refunds only come off the busy books, and
     /// nothing extends — the baseline every other schedule is compared
-    /// against, and what [`crate::solve_batch`] / [`crate::solve_stream`]
-    /// book with.
+    /// against, and what [`crate::solve_batch`] books with.
     pub fn sequential() -> Self {
         StageSchedConfig {
             overlap: false,
@@ -232,34 +231,30 @@ pub fn dispatch_one(
     dispatch_group_staged(pool, planner, vec![job], shape, policy, &seq, 0.0).into()
 }
 
-/// Schedule `shapes` over `pool` under `policy`, one contiguous
-/// booking per job. Returns one [`Dispatch`] per shape, in submission
-/// order — [`schedule_staged`] with fusion off and
-/// [`StageSchedConfig::sequential`].
-///
-/// Unlike the streaming path, the batch scheduler sees the whole queue
-/// up front, so under [`DispatchPolicy::ShortestExpectedCompletion`] it
-/// places jobs longest-first (classic LPT): purely arrival-ordered
-/// SECT equalizes `clock + cost` instead of `clock`, leaving slow
-/// devices idle at the tail, and a long job landing late on a slow
-/// device is exactly the makespan overhang LPT exists to prevent. The
-/// sort key is the plan's device-independent Table 1 flop count, so
-/// the order does not depend on the pool's composition.
-pub fn schedule(
-    pool: &mut DevicePool,
-    planner: &Planner,
-    shapes: &[JobShape],
-    policy: DispatchPolicy,
-) -> Vec<Dispatch> {
-    let (off, seq) = (MicrobatchConfig::off(), StageSchedConfig::sequential());
-    let groups = schedule_staged(pool, planner, shapes, policy, &off, &seq);
-    groups.into_iter().map(Dispatch::from).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::microbatch::placement_order;
     use gpusim::Gpu;
+
+    /// Book every shape alone and contiguously, in the batch loop's
+    /// placement order (longest first under SECT); the dispatches come
+    /// back in submission order.
+    fn book_each(
+        pool: &mut DevicePool,
+        planner: &Planner,
+        shapes: &[JobShape],
+        policy: DispatchPolicy,
+    ) -> Vec<Dispatch> {
+        let singletons: Vec<Vec<usize>> = (0..shapes.len()).map(|i| vec![i]).collect();
+        let mut booked: Vec<(usize, Dispatch)> =
+            placement_order(pool, planner, shapes, &singletons, policy)
+                .into_iter()
+                .map(|i| (i, dispatch_one(pool, planner, i, &shapes[i], policy)))
+                .collect();
+        booked.sort_by_key(|(i, _)| *i);
+        booked.into_iter().map(|(_, d)| d).collect()
+    }
 
     fn mixed_shapes() -> Vec<JobShape> {
         let mut shapes = Vec::new();
@@ -284,7 +279,7 @@ mod tests {
             let mut prev = f64::INFINITY;
             for n in 1..=4 {
                 let mut pool = DevicePool::homogeneous(&Gpu::v100(), n);
-                schedule(&mut pool, &Planner::new(), &shapes, policy);
+                book_each(&mut pool, &Planner::new(), &shapes, policy);
                 let makespan = pool.makespan_ms();
                 assert!(
                     makespan < prev,
@@ -300,7 +295,7 @@ mod tests {
     fn dispatch_covers_all_devices_and_jobs() {
         let shapes = mixed_shapes();
         let mut pool = DevicePool::homogeneous(&Gpu::a100(), 3);
-        let dispatches = schedule(
+        let dispatches = book_each(
             &mut pool,
             &Planner::new(),
             &shapes,
@@ -338,7 +333,7 @@ mod tests {
         ];
         let mut pool = DevicePool::new(vec![Gpu::v100(), Gpu::rtx2080()]);
         let planner = Planner::new();
-        let dispatches = schedule(&mut pool, &planner, &shapes, DispatchPolicy::LeastLoaded);
+        let dispatches = book_each(&mut pool, &planner, &shapes, DispatchPolicy::LeastLoaded);
         // both devices got work, and the predicted cost differs by model
         let v = dispatches.iter().find(|d| d.device == 0).unwrap();
         let r = dispatches.iter().find(|d| d.device == 1).unwrap();
@@ -375,7 +370,7 @@ mod tests {
         let shapes = mixed_shapes();
         let mut pool = DevicePool::new(vec![Gpu::v100(), Gpu::p100()]);
         let planner = Planner::new();
-        let ds = schedule(
+        let ds = book_each(
             &mut pool,
             &planner,
             &shapes,

@@ -83,7 +83,9 @@ use crate::job::{Job, Precision, SloClass, Solution, TenantId};
 use crate::microbatch::{dispatch_group_where, GroupDispatch};
 use crate::planner::Planner;
 use crate::pool::{DevicePool, PoolDevice};
-use crate::resilient::{admit, invalid_tombstone, shed_tombstone, AdmissionConfig, Admitted};
+use crate::resilient::{
+    admit, invalid_tombstone, recover, shed_tombstone, AdmissionConfig, Admitted,
+};
 use crate::scheduler::{DispatchPolicy, JobShape, StageSchedConfig};
 use mdls_obs::Event;
 
@@ -677,9 +679,9 @@ impl<'a> Shell<'a> {
             now,
             &AdmissionConfig::default(),
         ) {
-            Admitted::Run { digits, degraded } => {
+            Admitted::Run { digits } => {
+                self.degraded[j] |= digits != self.cur_digits[j];
                 self.cur_digits[j] = digits;
-                self.degraded[j] |= degraded;
                 true
             }
             Admitted::Shed(tombstone) => {
@@ -755,6 +757,7 @@ impl<'a> Shell<'a> {
 
     /// Open `device`'s breaker at `at_ms` (quarantine via the pool's
     /// loss path — unexecuted spans come back as refunds).
+    #[expect(clippy::disallowed_methods, reason = "the breaker's quarantine")]
     fn open_breaker(&mut self, pool: &mut DevicePool, device: usize, at_ms: f64) {
         pool.fail_device(device, at_ms);
         let b = &mut self.breakers[device];
@@ -783,28 +786,24 @@ impl<'a> Shell<'a> {
         }
     }
 
-    /// A sticky loss: fail `device` at `lost_ms` and open its breaker
-    /// with no probe timer — nothing ever re-admits it.
-    fn quarantine_for_good(&mut self, pool: &mut DevicePool, device: usize, lost_ms: f64) {
-        pool.fail_device(device, lost_ms);
-        self.breakers[device].state = BreakerState::Open {
-            until_ms: f64::INFINITY,
-        };
-    }
-
-    /// Quarantine devices whose fault plan has sticky-lost them by
-    /// `now` (no probe ever re-admits a sticky loss).
-    fn process_sticky_losses(&mut self, pool: &mut DevicePool, now: f64) {
-        for d in 0..self.breakers.len() {
-            if pool.devices()[d].is_lost() {
-                continue;
-            }
-            if let Some(lost) = pool.gpu(d).fault.lost_at_ms() {
-                if lost <= now + EPS {
-                    self.quarantine_for_good(pool, d, lost);
-                }
-            }
+    /// Apply the sticky losses the recover step finds due by `until_ms`
+    /// (on `only`, when given) and open each lost device's breaker with
+    /// no probe timer — nothing ever re-admits it. Returns whether a
+    /// loss was applied.
+    fn recover_losses(
+        &mut self,
+        pool: &mut DevicePool,
+        until_ms: f64,
+        only: Option<usize>,
+    ) -> bool {
+        let mut any = false;
+        while let Some(loss) = recover(pool, until_ms, only) {
+            self.breakers[loss.device].state = BreakerState::Open {
+                until_ms: f64::INFINITY,
+            };
+            any = true;
         }
+        any
     }
 
     /// Settle one executed dispatch: refunds/extensions, transient
@@ -818,21 +817,15 @@ impl<'a> Shell<'a> {
         solved: Vec<PlannedSolve>,
     ) {
         let device = e.g.device;
-        // a sticky loss inside the executed interval interrupts the
+        // a sticky loss inside the booked interval interrupts the
         // dispatch: quarantine, refund the live booking, re-queue
-        if let Some(lost) = pool.gpu(device).fault.lost_at_ms() {
-            let end = pool
-                .live_booking(e.g.booking.id)
-                .map_or(e.g.end_ms, |b| b.end_ms());
-            if lost < end && !pool.devices()[device].is_lost() {
-                self.quarantine_for_good(pool, device, lost);
-                self.retried[e.job_idx] = true;
-                let t = e.tenant_idx;
-                self.tenants[t].queue.requeue_front(e.job_idx);
-                self.pending_ms += e.cost_ms;
-                self.credit_quota(t, e.cost_ms);
-                return;
-            }
+        if self.recover_losses(pool, f64::NEG_INFINITY, Some(device)) {
+            self.retried[e.job_idx] = true;
+            let t = e.tenant_idx;
+            self.tenants[t].queue.requeue_front(e.job_idx);
+            self.pending_ms += e.cost_ms;
+            self.credit_quota(t, e.cost_ms);
+            return;
         }
         // the shared settle step: refund or extend the booking, one
         // backed-off replay per transient kernel fault inside the
@@ -1138,7 +1131,7 @@ pub fn serve(
     let mut now = 0.0;
     let mut rr = 0usize;
     loop {
-        shell.process_sticky_losses(pool, now);
+        shell.recover_losses(pool, now + EPS, None);
         shell.process_probe_timers(pool, now);
         shell.process_all_arrivals(pool, now);
         if shell.dispatch_round(pool, now, &mut rr) {

@@ -8,33 +8,33 @@
 //! (priority desc, deadline asc, arrival asc), so the highest-priority
 //! admitted job dispatches first — a path tracker's corrector solves
 //! overtake speculative predictor solves that arrived earlier, as long
-//! as both sit in the buffer together. With the default window of 1
-//! (see [`solve_stream`]) the buffer holds exactly the next job and the
-//! stream is plain FIFO, bit- and timing-compatible with the original
-//! API.
+//! as both sit in the buffer together. A window of 1 holds exactly the
+//! next job: the stream is plain FIFO.
 //!
-//! Dispatch decisions are made per group at drain time under a
-//! caller-chosen [`DispatchPolicy`], so a stream interleaved with other
-//! pool usage behaves like a live service queue. Every pull runs the
-//! batch loop's own steps on one group — admit → place and book
-//! ([`dispatch_group_staged`]) → execute → settle (transient replays
-//! included) → yield — and every
-//! constructor builds the same [`BatchStream`], differing only in the
-//! [`MicrobatchConfig`], [`StageSchedConfig`] and optional
-//! [`AdmissionConfig`] values it carries. Numerics per job are
-//! identical to [`crate::batch::solve_batch`] — the solution never
-//! depends on which device a job lands on or when, only the simulated
-//! timing does.
+//! Every pull forms one group and runs **one round of the batch loop**
+//! over it (`batch::run_round`: book → recover sticky losses → execute
+//! → settle, transient replays included) under a caller-chosen
+//! [`DispatchPolicy`], so a stream interleaved with other pool usage
+//! behaves like a live service queue, and a sticky loss that interrupts
+//! the group re-dispatches it onto the survivors
+//! ([`Disposition::Retried`](crate::batch::Disposition)) or fails it
+//! exactly as in the batch loop. What stays here is what differs: the
+//! reorder window, drain-order fusion, and — with ingress admission
+//! ([`BatchStream::with_admission`]) — re-previewing the buffer when a
+//! round reports that the alive set shrank. [`solve_stream_staged`] is
+//! the one constructor. Numerics per job are identical to
+//! [`crate::batch::solve_batch`] — the solution never depends on which
+//! device a job lands on or when, only the simulated timing does.
 
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 
-use crate::batch::{emit_settled, execute_round, settle_group, Disposition, JobOutcome};
+use crate::batch::{emit_settled, run_round, Group, JobOutcome, Round};
 use crate::job::Job;
-use crate::microbatch::{dispatch_group_staged, MicrobatchConfig};
+use crate::microbatch::MicrobatchConfig;
 use crate::planner::Planner;
 use crate::pool::DevicePool;
-use crate::resilient::{admit, invalid_tombstone, tombstone_outcome, AdmissionConfig, Admitted};
+use crate::resilient::{admit, invalid_tombstone, AdmissionConfig, Admitted};
 use crate::scheduler::{DispatchPolicy, JobShape, StageSchedConfig};
 use mdls_obs::Event;
 
@@ -45,10 +45,9 @@ use mdls_obs::Event;
 struct QueuedJob {
     job: Job,
     arrival: usize,
-    /// Originally requested digits when a loss-time re-preview
-    /// down-laddered this job while it sat in the buffer (see
-    /// [`BatchStream::reconcile_losses`]); `None` when untouched.
-    requested_digits: Option<u32>,
+    /// The digits the job runs at: its request, unless admission
+    /// down-laddered it.
+    digits: u32,
 }
 
 impl QueuedJob {
@@ -56,6 +55,14 @@ impl QueuedJob {
     /// any finite one.
     fn deadline(&self) -> f64 {
         self.job.deadline_ms.unwrap_or(f64::INFINITY)
+    }
+
+    /// The shape key the job runs under.
+    fn shape(&self) -> JobShape {
+        JobShape {
+            target_digits: self.digits,
+            ..JobShape::from(&self.job)
+        }
     }
 }
 
@@ -106,10 +113,8 @@ pub struct BatchStream<'p, I> {
     /// sequential dispatch→execute→settle loop, so every refund is
     /// causal for the next dispatch by construction.
     sched: StageSchedConfig,
-    /// Ingress admission: when set, each deadlined job is previewed
-    /// against the surviving pool as it is popped and may be
-    /// down-laddered or shed before any booking — see
-    /// [`solve_stream_admitted`] and [`crate::resilient`].
+    /// Ingress admission (see [`BatchStream::with_admission`]); `None`
+    /// admits every job as requested.
     admission: Option<AdmissionConfig>,
     /// Outcomes of the current fused group not yet yielded.
     ready: VecDeque<JobOutcome>,
@@ -117,49 +122,21 @@ pub struct BatchStream<'p, I> {
     dispatched: usize,
 }
 
-/// Stream `jobs` through `pool` in FIFO order under the default
-/// [`DispatchPolicy::LeastLoaded`]: each `next()` plans, dispatches and
-/// solves one job (or the run of consecutive same-shaped jobs it fuses
-/// with). Equivalent to [`solve_stream_with`] with a reorder window
-/// of 1.
-pub fn solve_stream<'p, I>(pool: &'p mut DevicePool, jobs: I) -> BatchStream<'p, I::IntoIter>
-where
-    I: IntoIterator<Item = Job>,
-{
-    solve_stream_with(pool, jobs, DispatchPolicy::LeastLoaded, 1)
-}
-
-/// Stream `jobs` through `pool` under an explicit dispatch `policy` and
-/// reorder `window` (clamped to ≥ 1), with default micro-batching and
-/// contiguous stage booking ([`StageSchedConfig::sequential`]). A
-/// window of `w` admits up to `w` jobs from the input before every
-/// dispatch and drains them highest priority first, so a late
-/// high-priority job can overtake up to `w − 1` earlier low-priority
-/// ones.
-pub fn solve_stream_with<'p, I>(
-    pool: &'p mut DevicePool,
-    jobs: I,
-    policy: DispatchPolicy,
-    window: usize,
-) -> BatchStream<'p, I::IntoIter>
-where
-    I: IntoIterator<Item = Job>,
-{
-    let (micro, seq) = (MicrobatchConfig::default(), StageSchedConfig::sequential());
-    solve_stream_staged(pool, jobs, policy, window, micro, seq)
-}
-
-/// The general stream: each dispatch pulls the most urgent admitted
-/// job *and* every job the unfused stream would have dispatched
-/// immediately after it, as long as they share its shape key (up to
-/// the shape's occupancy-aware preferred group size under `cfg`),
-/// fuses them into one batched launch sequence, and books the group's
-/// stages as `sched` says — with [`StageSchedConfig::staged`] the next
-/// group's factorization prep hides under the current group's device
-/// passes, adaptive early stops are re-booked online so the freed time
-/// is visible to the very next dispatch, and a job whose residual
-/// stalls above target may extend past its plan
-/// ([`StageSchedConfig::max_extra_passes`]).
+/// Stream `jobs` through `pool` under dispatch `policy` and reorder
+/// `window` (clamped to ≥ 1): each `next()` plans, dispatches and
+/// solves the most urgent admitted job *and* every job the unfused
+/// stream would have dispatched immediately after it, as long as they
+/// share its shape key (up to the shape's occupancy-aware preferred
+/// group size under `cfg`), fused into one batched launch sequence, and
+/// books the group's stages as `sched` says — with
+/// [`StageSchedConfig::staged`] the next group's factorization prep
+/// hides under the current group's device passes, adaptive early stops
+/// are re-booked online so the freed time is visible to the very next
+/// dispatch, and a job whose residual stalls above target may extend
+/// past its plan ([`StageSchedConfig::max_extra_passes`]). A window of
+/// `w` lets a late high-priority job overtake up to `w − 1` earlier
+/// low-priority ones; `(LeastLoaded, 1, MicrobatchConfig::default(),
+/// StageSchedConfig::sequential())` is the plain FIFO stream.
 ///
 /// Fusion never reaches past the drain order: the buffer re-admits
 /// before every member is chosen, so a fused group is *exactly* the
@@ -196,45 +173,35 @@ where
     }
 }
 
-/// [`solve_stream_staged`] with **ingress admission**: every deadlined
-/// job popped from the reorder buffer is previewed against the
-/// surviving pool before anything is booked, and an unmeetable request
-/// is down-laddered to the cheapest precision rung that fits its
-/// deadline ([`Disposition::Degraded`], original request preserved on
-/// [`JobOutcome::requested_digits`]) or shed at the door
-/// ([`Disposition::Shed`] — the outcome is yielded immediately, with
-/// nothing booked and nothing solved). Deadline-free jobs pass through
-/// untouched, as does everything when `admission.enabled` is false.
-///
-/// The admitted stream is also **loss-aware**: before each pull, any
-/// device whose [`gpusim::FaultPlan`] sticky-loss threshold has come
-/// due on the simulated clock is failed, and when the alive set
-/// shrinks every *buffered* admission is re-previewed against the
-/// survivors — a verdict reached while the dead device still counted
-/// is stale, so unmeetable jobs re-shed (tombstones yield ahead of
-/// the next dispatch) and tight ones down-ladder in place.
-pub fn solve_stream_admitted<'p, I>(
-    pool: &'p mut DevicePool,
-    jobs: I,
-    policy: DispatchPolicy,
-    window: usize,
-    cfg: MicrobatchConfig,
-    sched: StageSchedConfig,
-    admission: AdmissionConfig,
-) -> BatchStream<'p, I::IntoIter>
-where
-    I: IntoIterator<Item = Job>,
-{
-    BatchStream {
-        admission: Some(admission),
-        ..solve_stream_staged(pool, jobs, policy, window, cfg, sched)
-    }
-}
-
-impl<I> BatchStream<'_, I>
+impl<'p, I> BatchStream<'p, I>
 where
     I: Iterator<Item = Job>,
 {
+    /// The stream with **ingress admission**: every deadlined job
+    /// popped from the reorder buffer is previewed against the
+    /// surviving pool before anything is booked, and an unmeetable
+    /// request is down-laddered to the cheapest precision rung that
+    /// fits its deadline ([`Disposition::Degraded`], original request
+    /// preserved on [`JobOutcome::requested_digits`]) or shed at the
+    /// door ([`Disposition::Shed`] — the outcome is yielded
+    /// immediately, with nothing booked and nothing solved).
+    /// Deadline-free jobs pass through untouched, as does everything
+    /// when `admission.enabled` is false. Whenever a round's sticky
+    /// losses shrink the alive set, every *buffered* admission is
+    /// re-previewed against the survivors — a verdict reached while the
+    /// dead device still counted is stale, so unmeetable jobs re-shed
+    /// (their tombstones yield ahead of the next dispatch) and tight
+    /// ones down-ladder in place.
+    ///
+    /// [`Disposition::Degraded`]: crate::batch::Disposition::Degraded
+    /// [`Disposition::Shed`]: crate::batch::Disposition::Shed
+    pub fn with_admission(self, admission: AdmissionConfig) -> BatchStream<'p, I> {
+        BatchStream {
+            admission: Some(admission),
+            ..self
+        }
+    }
+
     /// Refill the reorder buffer from the input up to the window. A job
     /// failing [`Job::validate`] never enters the buffer (nor takes a
     /// window slot or an arrival number): its tombstone goes straight to
@@ -247,82 +214,50 @@ where
                 continue;
             }
             self.buffer.push(QueuedJob {
+                digits: job.target_digits,
                 job,
                 arrival: self.admitted,
-                requested_digits: None,
             });
             self.admitted += 1;
         }
     }
 
-    /// The admit step on one queued job as of `release` (see
-    /// [`admit`]): `true` to keep it — down-laddered in place when the
-    /// preview says so, remembering the requested digits — or `false`
-    /// once its shed tombstone sits in the ready queue.
-    fn admit_queued(&mut self, q: &mut QueuedJob, adm: &AdmissionConfig, release: f64) -> bool {
-        let job = &q.job;
+    /// One round of the batch loop over `groups`, on the calling thread
+    /// (see `batch::run_round`).
+    fn round(&mut self, groups: Vec<Group<'_>>, until_ms: f64) -> Round {
+        let (policy, sched) = (self.policy, &self.sched);
+        run_round(self.pool, &self.planner, groups, policy, sched, 1, until_ms)
+    }
+
+    /// The admit step on one queued job, no earlier than the soonest a
+    /// surviving device frees up (see [`admit`]): `true` to keep it —
+    /// down-laddered in place when the preview says so — or `false`
+    /// once its shed tombstone sits in the ready queue. Always `true`
+    /// without admission.
+    fn admit_queued(&mut self, q: &mut QueuedJob) -> bool {
+        let Some(adm) = self.admission else {
+            return true;
+        };
+        let release = q.job.release().max(self.pool.min_clock_ms());
+        let (overlap, tomb_at) = (self.sched.overlap, q.job.release());
         match admit(
             self.pool,
             &self.planner,
-            job,
-            job.target_digits,
-            self.sched.overlap,
+            &q.job,
+            q.digits,
+            overlap,
             release,
-            job.release(),
-            adm,
+            tomb_at,
+            &adm,
         ) {
-            Admitted::Run { digits, degraded } => {
-                if degraded {
-                    q.requested_digits = q.requested_digits.or(Some(q.job.target_digits));
-                    q.job.target_digits = digits;
-                }
+            Admitted::Run { digits } => {
+                q.digits = digits;
                 true
             }
             Admitted::Shed(tombstone) => {
                 self.dispatched += 1;
                 self.ready.push_back(*tombstone);
                 false
-            }
-        }
-    }
-
-    /// Apply sticky device losses that have come due on the simulated
-    /// clock, and — when the alive set shrinks — re-preview every
-    /// buffered admission against the survivors. A verdict previewed
-    /// while N devices were alive is stale on N−1: a job that fit its
-    /// deadline then may be unmeetable now, and dispatching it anyway
-    /// would book doomed work. Re-shed jobs tombstone straight into the
-    /// ready queue; down-laddered jobs stay in the reorder buffer at
-    /// the lower rung (remembering the requested digits so their
-    /// outcome reports [`Disposition::Degraded`]). No-op unless the
-    /// stream was built with ingress admission
-    /// ([`solve_stream_admitted`]).
-    fn reconcile_losses(&mut self) {
-        let Some(adm) = self.admission else { return };
-        let floor = self.pool.min_clock_ms();
-        let due: Vec<(usize, f64)> = self
-            .pool
-            .devices()
-            .iter()
-            .filter(|d| !d.is_lost())
-            .filter_map(|d| {
-                d.gpu
-                    .fault
-                    .lost_at_ms()
-                    .filter(|&at| at <= floor)
-                    .map(|at| (d.id, at))
-            })
-            .collect();
-        if due.is_empty() {
-            return;
-        }
-        for &(id, at) in &due {
-            self.pool.fail_device(id, at);
-        }
-        for mut q in std::mem::take(&mut self.buffer).into_vec() {
-            let release = q.job.release().max(self.pool.min_clock_ms());
-            if self.admit_queued(&mut q, &adm, release) {
-                self.buffer.push(q);
             }
         }
     }
@@ -335,52 +270,32 @@ where
     type Item = JobOutcome;
 
     fn next(&mut self) -> Option<JobOutcome> {
-        // fused siblings of the previous dispatch drain first
+        // fused siblings and re-shed tombstones of the previous round
+        // drain first; then admit (invalid jobs tombstone straight to
+        // the ready queue and drain first too)...
         if let Some(o) = self.ready.pop_front() {
             return Some(o);
         }
-        // sticky losses that came due re-preview the whole buffer: any
-        // re-shed tombstones drain before the next dispatch
-        self.reconcile_losses();
-        if let Some(o) = self.ready.pop_front() {
-            return Some(o);
-        }
-        // admit (invalid jobs tombstone straight to the ready queue and
-        // drain first), then reorder → dispatch the most urgent admitted
-        // job...
         self.admit();
         if let Some(o) = self.ready.pop_front() {
             return Some(o);
         }
-        let mut queued = self.buffer.pop()?;
-        // ingress admission: preview the deadlined job against the
-        // surviving pool and shed or down-ladder before anything books
-        if let Some(adm) = self.admission {
-            let floor = queued.job.release().max(self.pool.min_clock_ms());
-            if !self.admit_queued(&mut queued, &adm, floor) {
-                return self.ready.pop_front();
-            }
+        let Some(mut queued) = self.buffer.pop() else {
+            // drained: every loss still scheduled comes due, as in the
+            // batch loop, which has booked its whole future
+            self.round(Vec::new(), f64::INFINITY);
+            return None;
+        };
+        // ...then reorder → dispatch the most urgent admitted job, shed
+        // or down-laddered first when its deadline cannot be met
+        if !self.admit_queued(&mut queued) {
+            return self.ready.pop_front();
         }
-        let QueuedJob {
-            job,
-            requested_digits,
-            ..
-        } = queued;
-        let shape = JobShape::from(&job);
-        if self.pool.alive_count() == 0 {
-            // every device is lost: nothing can ever run this job
-            let gpu = self.pool.gpu(0);
-            let (plan, _) =
-                self.planner
-                    .plan_fused(gpu, shape.rows, shape.cols, shape.target_digits, 1);
-            let at = job.release().max(self.pool.min_clock_ms());
-            self.dispatched += 1;
-            return Some(tombstone_outcome(&job, plan, 0, Disposition::Failed, at));
-        }
+        let shape = queued.shape();
         // the earliest the group could possibly start: the front job's
         // arrival, or the soonest any device frees up — the reference
         // point of the deadline slack and the member-arrival guard
-        let floor = job.release().max(self.pool.min_clock_ms());
+        let floor = queued.job.release().max(self.pool.min_clock_ms());
         // ...plus, when micro-batching, the run of jobs the unfused
         // stream would have dispatched next anyway, as long as they
         // share the shape key. Re-admitting before every member keeps
@@ -388,7 +303,7 @@ where
         // late-arriving higher-priority job still overtakes exactly
         // where it would have — so fusion can never violate priority or
         // deadline ordering.
-        let mut group = vec![job];
+        let mut group = vec![queued.job];
         if !self.micro.is_off() {
             let cfg = self.micro;
             let mut preferred = self.planner.preferred_group_size(
@@ -425,15 +340,8 @@ where
                 match self.buffer.peek_mut() {
                     // a member that has not arrived by the group's
                     // earliest feasible start would delay the whole
-                    // group (and its front deadline) — leave it queued;
-                    // so does one down-laddered by a loss-time
-                    // re-preview (only the front member's outcome is
-                    // patched to Degraded, so it must dispatch as front)
-                    Some(q)
-                        if JobShape::from(&q.job) == shape
-                            && q.job.release() <= floor
-                            && q.requested_digits.is_none() =>
-                    {
+                    // group (and its front deadline) — leave it queued
+                    Some(q) if q.shape() == shape && q.job.release() <= floor => {
                         group.push(PeekMut::pop(q).job);
                     }
                     _ => break,
@@ -447,38 +355,26 @@ where
                 preferred,
             });
         }
-        let release = group.iter().map(|j| j.release()).fold(0.0f64, f64::max);
-        let idxs: Vec<usize> = (0..group.len()).map(|i| self.dispatched + i).collect();
-        let mut g = dispatch_group_staged(
-            self.pool,
-            &self.planner,
-            idxs,
-            &shape,
-            self.policy,
-            &self.sched,
-            release,
-        );
+        let idxs: Vec<usize> = (self.dispatched..self.dispatched + group.len()).collect();
         self.dispatched += group.len();
-        let members: Vec<&Job> = group.iter().collect();
-        let extra = self.sched.max_extra_passes;
-        let solved = execute_round(self.pool, &[(&g, members.clone())], 1, extra)
-            .pop()
-            .expect("one group in, one group out");
-        // settle the stage booking online: refunds free the timeline
-        // spans before the next dispatch ever looks (the stream pull
-        // contract keeps dispatch → execute → settle sequential per
-        // group, so later groups also gap-fill into compacted holes)
-        let (mut assembled, _) =
-            settle_group(self.pool, &mut g, &shape, &members, solved, &self.sched);
-        if let Some(req) = requested_digits {
-            // the down-laddered job is the group's front member
-            if let Some(o) = assembled.first_mut() {
-                o.disposition = Disposition::Degraded;
-                o.requested_digits = req;
+        let members = group.iter().collect();
+        let group = Group {
+            shape,
+            idxs,
+            members,
+        };
+        let round = self.round(vec![group], f64::NEG_INFINITY);
+        let outcomes: Vec<JobOutcome> = round.outcomes.into_iter().map(|(_, o)| o).collect();
+        emit_settled(self.pool, &outcomes);
+        self.ready.extend(outcomes);
+        if round.losses > 0 {
+            // the alive set shrank: every buffered verdict is stale
+            for mut q in std::mem::take(&mut self.buffer).into_vec() {
+                if self.admit_queued(&mut q) {
+                    self.buffer.push(q);
+                }
             }
         }
-        emit_settled(self.pool, &assembled);
-        self.ready.extend(assembled.drain(..));
         self.ready.pop_front()
     }
 
@@ -515,6 +411,17 @@ mod tests {
             cfg,
             StageSchedConfig::sequential(),
         )
+    }
+
+    /// The stream with contiguous stage booking and default
+    /// micro-batching.
+    fn stream_with<I: IntoIterator<Item = Job>>(
+        pool: &mut DevicePool,
+        jobs: I,
+        policy: DispatchPolicy,
+        window: usize,
+    ) -> BatchStream<'_, I::IntoIter> {
+        stream_seq(pool, jobs, policy, window, MicrobatchConfig::default())
     }
 
     /// The serial batch loop with contiguous stage booking.
@@ -562,7 +469,8 @@ mod tests {
         let mut pool_fb = DevicePool::homogeneous(&Gpu::v100(), 2);
         let fused_batch = batch_seq(&mut pool_fb, &jobs, &MicrobatchConfig::default());
         let mut pool_fs = DevicePool::homogeneous(&Gpu::v100(), 2);
-        let fused_stream: Vec<JobOutcome> = solve_stream(&mut pool_fs, jobs).collect();
+        let fused_stream: Vec<JobOutcome> =
+            stream_with(&mut pool_fs, jobs, DispatchPolicy::LeastLoaded, 1).collect();
         for b in &fused_batch.outcomes {
             let s = fused_stream.iter().find(|s| s.job_id == b.job_id).unwrap();
             let u = streamed.iter().find(|u| u.job_id == b.job_id).unwrap();
@@ -577,7 +485,7 @@ mod tests {
         let jobs = power_flow_jobs(6, &mut rng);
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
         {
-            let mut stream = solve_stream(&mut pool, jobs);
+            let mut stream = stream_with(&mut pool, jobs, DispatchPolicy::LeastLoaded, 1);
             assert!(stream.next().is_some());
             assert!(stream.next().is_some());
             // four jobs never pulled, never solved
@@ -593,7 +501,7 @@ mod tests {
         let corrector_id = jobs[5].id;
         jobs[5].priority = 1;
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-        let order: Vec<u64> = solve_stream_with(&mut pool, jobs, DispatchPolicy::LeastLoaded, 8)
+        let order: Vec<u64> = stream_with(&mut pool, jobs, DispatchPolicy::LeastLoaded, 8)
             .map(|o| o.job_id)
             .collect();
         assert_eq!(
@@ -612,7 +520,7 @@ mod tests {
         jobs[3].deadline_ms = Some(6.0);
         let expect = vec![jobs[2].id, jobs[3].id, jobs[1].id, jobs[0].id];
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-        let order: Vec<u64> = solve_stream_with(&mut pool, jobs, DispatchPolicy::LeastLoaded, 4)
+        let order: Vec<u64> = stream_with(&mut pool, jobs, DispatchPolicy::LeastLoaded, 4)
             .map(|o| o.job_id)
             .collect();
         assert_eq!(order, expect, "not earliest-deadline-first");
@@ -627,7 +535,9 @@ mod tests {
         }
         let ids: Vec<u64> = jobs.iter().map(|j| j.id).collect();
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-        let order: Vec<u64> = solve_stream(&mut pool, jobs).map(|o| o.job_id).collect();
+        let order: Vec<u64> = stream_with(&mut pool, jobs, DispatchPolicy::LeastLoaded, 1)
+            .map(|o| o.job_id)
+            .collect();
         assert_eq!(order, ids, "window 1 must not reorder");
     }
 
@@ -700,7 +610,7 @@ mod tests {
         }
         let mut pool_u = DevicePool::homogeneous(&Gpu::v100(), 1);
         let unfused: Vec<u64> =
-            solve_stream_with(&mut pool_u, jobs.clone(), DispatchPolicy::LeastLoaded, 6)
+            stream_with(&mut pool_u, jobs.clone(), DispatchPolicy::LeastLoaded, 6)
                 .map(|o| o.job_id)
                 .collect();
         let mut pool_f = DevicePool::homogeneous(&Gpu::v100(), 1);
@@ -878,9 +788,10 @@ mod tests {
             j.priority = (i % 3) as i32;
         }
         let mut pool_f = DevicePool::homogeneous(&Gpu::v100(), 2);
-        let fifo: Vec<JobOutcome> = solve_stream(&mut pool_f, jobs.clone()).collect();
+        let fifo: Vec<JobOutcome> =
+            stream_with(&mut pool_f, jobs.clone(), DispatchPolicy::LeastLoaded, 1).collect();
         let mut pool_r = DevicePool::homogeneous(&Gpu::v100(), 2);
-        let reordered: Vec<JobOutcome> = solve_stream_with(
+        let reordered: Vec<JobOutcome> = stream_with(
             &mut pool_r,
             jobs,
             DispatchPolicy::ShortestExpectedCompletion,

@@ -12,10 +12,9 @@ use mdls_matrix::HostMat;
 use mdls_obs::{metrics::Metrics, Recorder};
 use mdls_pipeline::batch::Disposition;
 use mdls_pipeline::{
-    dispatch_group_staged, serve, solve_batch_resilient, solve_stream_admitted,
-    solve_stream_staged, AdmissionConfig, BreakerConfig, DevicePool, DispatchPolicy, ExecPlan, Job,
-    JobOutcome, JobShape, MicrobatchConfig, Planner, ResilienceConfig, ServiceConfig,
-    StageSchedConfig,
+    dispatch_group_staged, serve, solve_batch_resilient, solve_stream_staged, AdmissionConfig,
+    BreakerConfig, DevicePool, DispatchPolicy, ExecPlan, Job, JobOutcome, JobShape,
+    MicrobatchConfig, Planner, ResilienceConfig, ServiceConfig, StageSchedConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -68,6 +67,10 @@ fn recovery_leaves_surviving_device_spans_untouched() {
     // kill device 0 in the middle of its schedule and re-dispatch
     // everything the loss interrupted
     let t = pool.devices()[0].clock_ms() / 2.0;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test drives the pool's loss path"
+    )]
     let report = pool.fail_device(0, t);
     assert!(!report.interrupted.is_empty(), "loss interrupted nothing");
     assert!(report.lost_refund_ms > 0.0);
@@ -264,9 +267,9 @@ fn chaos_is_deterministic_end_to_end() {
 /// Regression: an admission verdict reached while a doomed device
 /// still counted is stale. Three deadline-free warm-ups (priority 5)
 /// drain first and spread over a 2×V100 pool; device 1 carries a
-/// sticky loss that comes due on the simulated clock after the first
-/// two dispatches. Two low-priority deadlined jobs wait in the reorder
-/// buffer behind them:
+/// sticky loss that the second warm-up's booking straddles, so that
+/// warm-up re-dispatches onto device 0. Two low-priority deadlined
+/// jobs wait in the reorder buffer behind them:
 ///
 /// * `victim` is meetable only via device 1 — the clean run completes
 ///   it there in time, but once the loss comes due the admitted stream
@@ -301,15 +304,15 @@ fn admitted_stream_re_previews_buffer_after_device_loss() {
         if let Some(f) = fault {
             pool.set_fault_plan(1, f);
         }
-        let outcomes: Vec<_> = solve_stream_admitted(
+        let outcomes: Vec<_> = solve_stream_staged(
             &mut pool,
             jobs(victim_deadline),
             DispatchPolicy::LeastLoaded,
             5,
             MicrobatchConfig::default(),
             StageSchedConfig::staged(),
-            AdmissionConfig::default(),
         )
+        .with_admission(AdmissionConfig::default())
         .collect();
         (outcomes, pool.devices()[1].is_lost())
     };
@@ -339,11 +342,16 @@ fn admitted_stream_re_previews_buffer_after_device_loss() {
     let (faulted, lost) = run(deadline, Some(loss()));
     assert!(lost, "the due sticky loss must actually fail the device");
     assert_eq!(faulted.len(), 5);
-    // warm-ups complete (device 1's finished work stands)
-    for id in 0..3 {
+    // warm-ups complete; warm-up 1's booking on device 1 straddles the
+    // loss, so it re-dispatches onto the survivor, after the loss
+    for id in [0, 2] {
         let o = faulted.iter().find(|o| o.job_id == id).unwrap();
         assert_eq!(o.disposition, Disposition::Ok, "warm-up {id}");
     }
+    let w = faulted.iter().find(|o| o.job_id == 1).unwrap();
+    assert_eq!(w.disposition, Disposition::Retried, "warm-up 1");
+    assert_eq!(w.device, 0, "warm-up 1 completed on the lost device");
+    assert!(w.end_ms > lost_at);
     // the eager re-preview tombstones `hopeless` the moment the loss
     // is applied: its shed outcome yields *before* the third warm-up
     assert_eq!(faulted[2].job_id, 4, "loss-time shed must yield eagerly");
@@ -453,4 +461,122 @@ fn stream_replays_transients_like_the_batch_loop() {
     }
     // and the stream, like the batch loop, finishes later for it
     assert!(streamed.last().unwrap().end_ms > quiet.last().unwrap().end_ms);
+}
+
+/// The identities every driver keeps under sticky losses: no completed
+/// outcome ends past its device's loss instant, and every loss before
+/// the run's makespan has been applied to the pool.
+fn assert_losses_respected(engine: &str, pool: &DevicePool, outcomes: &[JobOutcome]) {
+    let lost_at = |d: usize| pool.gpu(d).fault.lost_at_ms();
+    let mut makespan = 0.0f64;
+    for o in outcomes.iter().filter(|o| o.disposition.completed()) {
+        makespan = makespan.max(o.end_ms);
+        if let Some(t) = lost_at(o.device) {
+            assert!(
+                o.end_ms <= t,
+                "{engine}: job {} completed on device {} at {} ms, past its loss at {t} ms",
+                o.job_id,
+                o.device,
+                o.end_ms
+            );
+        }
+    }
+    for d in pool.devices() {
+        if lost_at(d.id).is_some_and(|t| t < makespan) {
+            assert!(
+                d.is_lost(),
+                "{engine}: device {}'s loss never applied",
+                d.id
+            );
+        }
+    }
+}
+
+/// The sticky-loss sibling of `stream_replays_transients_like_the_batch_loop`:
+/// a loss mid-solve, and a pool that loses one device at t = 0 and a
+/// second after two solves. The stream — plain and admitted — used to
+/// complete jobs on the dead device past its loss (the plain stream
+/// never applied a loss at all; the admitted one waited for the
+/// slowest device's clock, which a device lost at t = 0 held at 0
+/// forever). Every driver now recovers through one step: completed
+/// bits equal the quiet run's, nothing completes past a loss, and every
+/// loss before the makespan is applied.
+#[test]
+fn stream_recovers_sticky_losses_like_the_batch_loop() {
+    let solve_ms = Planner::new()
+        .plan_fused(&Gpu::v100(), 12, 12, 25, 1)
+        .1
+        .predicted_ms;
+    // (devices, (device, loss instant in solves), jobs): on 2×V100
+    // device 1 dies 0.3 of the way into a solve; on 3×V100 device 0 is
+    // dead from the start and device 1 dies after two solves
+    let pools = [(2, &[(1, 0.3)][..], 6), (3, &[(0, 0.0), (1, 2.5)][..], 12)];
+    let (micro, sched) = (MicrobatchConfig::off(), StageSchedConfig::staged());
+    let policy = DispatchPolicy::LeastLoaded;
+    for (devices, losses, count) in pools {
+        let jobs = diag_jobs(count, 12, 25, 0x10c5 + devices as u64);
+        let pool = |faulty: bool| {
+            let mut pool = DevicePool::homogeneous(&Gpu::v100(), devices);
+            for &(d, solves) in losses.iter().filter(|_| faulty) {
+                let t = solves * solve_ms;
+                pool.set_fault_plan(d, FaultPlan::none().with_device_lost(t));
+            }
+            pool
+        };
+        let mut quiet = pool(false);
+        let quiet = solve_stream_staged(&mut quiet, jobs.clone(), policy, 4, micro, sched);
+        let quiet: Vec<JobOutcome> = quiet.collect();
+
+        let mut runs: Vec<(&str, DevicePool, Vec<JobOutcome>)> = Vec::new();
+        for admitted in [false, true] {
+            let mut p = pool(true);
+            let stream = solve_stream_staged(&mut p, jobs.clone(), policy, 4, micro, sched);
+            let outcomes: Vec<JobOutcome> = if admitted {
+                stream.with_admission(AdmissionConfig::default()).collect()
+            } else {
+                stream.collect()
+            };
+            runs.push((
+                ["stream", "admitted stream"][admitted as usize],
+                p,
+                outcomes,
+            ));
+        }
+        let mut p = pool(true);
+        let cfg = ResilienceConfig::default();
+        let batch = solve_batch_resilient(&mut p, &jobs, policy, &micro, &sched, &cfg);
+        runs.push(("batch", p, batch.outcomes));
+        let mut p = pool(true);
+        let served = serve(&mut p, &jobs, &[], &ServiceConfig::default()).outcomes;
+        runs.push(("serve", p, served));
+
+        for (engine, pool, outcomes) in &runs {
+            let engine = format!("{devices} devices, {engine}");
+            assert_eq!(outcomes.len(), jobs.len(), "{engine}");
+            for o in outcomes {
+                assert!(o.disposition.completed(), "{engine}: job {}", o.job_id);
+                let q = quiet.iter().find(|q| q.job_id == o.job_id).unwrap();
+                assert_eq!(
+                    q.x, o.x,
+                    "{engine}: job {}: recovery changed the bits",
+                    o.job_id
+                );
+            }
+            assert_losses_respected(&engine, pool, outcomes);
+            assert!(
+                outcomes
+                    .iter()
+                    .any(|o| o.disposition == Disposition::Retried),
+                "{engine}: vacuous, no loss interrupted anything"
+            );
+        }
+    }
+    // a stream whose work never reaches a loss still applies it once
+    // drained, as the batch loop does
+    let mut p = DevicePool::homogeneous(&Gpu::v100(), 2);
+    p.set_fault_plan(1, FaultPlan::none().with_device_lost(0.3 * solve_ms));
+    let one = diag_jobs(1, 12, 25, 0x10c5);
+    let outs: Vec<JobOutcome> = solve_stream_staged(&mut p, one, policy, 4, micro, sched).collect();
+    assert_eq!((outs[0].device, outs[0].disposition), (0, Disposition::Ok));
+    assert_losses_respected("drained stream", &p, &outs);
 }

@@ -17,7 +17,7 @@ use gpusim::{FaultPlan, Gpu};
 use mdls_matrix::HostMat;
 use mdls_obs::{metrics::Metrics, Event, Recorder};
 use mdls_pipeline::{
-    digits_from_residual, latency_summary, serve, solve_batch_resilient, solve_stream_admitted,
+    digits_from_residual, latency_summary, serve, solve_batch_resilient, solve_stream_staged,
     AdmissionConfig, Backpressure, DevicePool, DispatchPolicy, Disposition, ExecutionMode, Job,
     JobOutcome, MicrobatchConfig, Precision, ResilienceConfig, ServiceConfig, ServicePolicy,
     SloClass, StageSchedConfig, SubmitError, TenantId, TenantSpec,
@@ -237,15 +237,15 @@ fn stream_refuses_malformed_jobs_and_runs_the_rest_unchanged() {
     let bad_jobs: Vec<Job> = bad.iter().map(|(j, _)| j.clone()).collect();
     let run = |jobs: Vec<Job>| {
         let (mut pool, rec) = recorded_pool();
-        let outcomes: Vec<JobOutcome> = solve_stream_admitted(
+        let outcomes: Vec<JobOutcome> = solve_stream_staged(
             &mut pool,
             jobs,
             DispatchPolicy::LeastLoaded,
             3,
             MicrobatchConfig::default(),
             StageSchedConfig::staged(),
-            AdmissionConfig::default(),
         )
+        .with_admission(AdmissionConfig::default())
         .collect();
         (outcomes, rec.events())
     };
@@ -309,8 +309,9 @@ fn serve_refuses_malformed_jobs_and_runs_the_rest_unchanged() {
 /// (model-only; every eighth seed functional, plus the batch loop and
 /// the stream under a drawn fusion, booking mode and reorder window).
 /// Nothing panics or hangs, every job ends in exactly one outcome,
-/// exactly the malformed ones end `Invalid`, and no completed square
-/// solve short of its target reads `Ok`. (It found that a job costing more
+/// exactly the malformed ones end `Invalid`, no completed square solve
+/// short of its target reads `Ok`, and no completed job ends past its
+/// device's sticky loss. (It found that a job costing more
 /// than its tenant's whole quota bucket parked `serve` forever.)
 #[test]
 fn seeded_malformed_mixes_never_panic_the_service() {
@@ -410,26 +411,38 @@ fn seeded_malformed_mixes_never_panic_the_service() {
             runs.push(("batch", batch.outcomes, batch.latency));
             let window = 1 + pick(&mut rng, 4);
             let adm = AdmissionConfig::default();
-            let mut streamed: Vec<JobOutcome> = solve_stream_admitted(
+            let mut streamed: Vec<JobOutcome> = solve_stream_staged(
                 &mut pool(),
                 jobs.clone(),
                 cfg.dispatch,
                 window,
                 micro,
                 sched,
-                adm,
             )
+            .with_admission(adm)
             .collect();
             // the stream yields in dispatch order; ids are submission order
             streamed.sort_by_key(|o| o.job_id);
             let latency = latency_summary(&streamed);
             runs.push(("stream", streamed, latency));
         }
+        let lost_at: Vec<Option<f64>> = pool()
+            .devices()
+            .iter()
+            .map(|d| d.gpu.fault.lost_at_ms())
+            .collect();
         for (engine, outcomes, latency) in runs {
             let at = format!("seed {seed}, {engine}");
             assert_eq!(outcomes.len(), jobs.len(), "{at}");
             for (job, o) in jobs.iter().zip(&outcomes) {
                 assert_eq!(o.job_id, job.id, "{at}: submission order");
+                if let (true, Some(t)) = (o.disposition.completed(), lost_at[o.device]) {
+                    assert!(
+                        o.end_ms <= t,
+                        "{at}: job {} completed past its device's loss",
+                        o.job_id
+                    );
+                }
                 let invalid = job.validate().is_err();
                 assert_eq!(o.disposition == Disposition::Invalid, invalid, "{at}");
                 if functional && o.disposition.completed() && job.rows() == job.cols() {
@@ -538,15 +551,15 @@ fn a_pool_with_no_survivors_ends_jobs_instead_of_panicking() {
         }
         pool
     };
-    let stream: Vec<JobOutcome> = solve_stream_admitted(
+    let stream: Vec<JobOutcome> = solve_stream_staged(
         &mut dying(),
         jobs.clone(),
         DispatchPolicy::LeastLoaded,
         2,
         MicrobatchConfig::default(),
         StageSchedConfig::staged(),
-        AdmissionConfig::default(),
     )
+    .with_admission(AdmissionConfig::default())
     .collect();
     let batch_on = |pool: &mut DevicePool| {
         solve_batch_resilient(

@@ -8,8 +8,8 @@
 //! ```
 
 use multidouble_ls::pipeline::{
-    power_flow_jobs, solve_batch, solve_batch_staged, solve_stream_with, tracker_jobs, DevicePool,
-    DispatchPolicy, JobOutcome, MicrobatchConfig, Precision, StageSchedConfig,
+    power_flow_jobs, solve_batch, solve_batch_staged, solve_stream_staged, tracker_jobs,
+    DevicePool, DispatchPolicy, JobOutcome, MicrobatchConfig, Precision, StageSchedConfig,
 };
 use multidouble_ls::sim::Gpu;
 use rand::rngs::StdRng;
@@ -187,11 +187,13 @@ fn main() {
         .map(|j| j.id)
         .collect();
     pool.reset();
-    let drained: Vec<JobOutcome> = solve_stream_with(
+    let drained: Vec<JobOutcome> = solve_stream_staged(
         &mut pool,
         tracker,
         DispatchPolicy::ShortestExpectedCompletion,
         16,
+        MicrobatchConfig::default(),
+        StageSchedConfig::sequential(),
     )
     .collect();
     let lead: Vec<bool> = drained

@@ -18,7 +18,7 @@
 //! * [`solver`] — the least squares solver combining the two;
 //! * [`pipeline`] — the batched multi-GPU solve service (cost-model
 //!   planner, device pool, policy-driven scheduler, priority-aware
-//!   `solve_batch`/`solve_stream`);
+//!   `solve_batch`/`solve_stream_staged`);
 //! * [`obs`] — the observability layer: typed pipeline events,
 //!   Chrome-trace export and latency/calibration metrics (attach a
 //!   recorder via `pipeline::DevicePool::attach_observer`).
@@ -56,7 +56,8 @@ pub use gpusim as sim;
 
 /// The batched multi-GPU solve pipeline: cost-model planner, device
 /// pool, policy-driven scheduler (`DispatchPolicy`), and the
-/// `solve_batch` / `solve_stream` API with priority-aware streaming.
+/// `solve_batch` / `solve_stream_staged` API with priority-aware
+/// streaming.
 pub use mdls_pipeline as pipeline;
 
 /// The observability layer: typed [`obs::Event`]s emitted from every

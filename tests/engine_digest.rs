@@ -21,10 +21,10 @@ use multidouble_ls::matrix::HostMat;
 use multidouble_ls::md::MdReal;
 use multidouble_ls::obs::{Event, Recorder};
 use multidouble_ls::pipeline::{
-    serve, solve_batch_resilient, solve_stream_admitted, solve_stream_staged, AdmissionConfig,
-    Backpressure, BreakerConfig, DevicePool, DispatchPolicy, Disposition, ExecutionMode, Job,
-    JobOutcome, MicrobatchConfig, OverloadConfig, Planner, ResilienceConfig, ServiceConfig,
-    SloClass, Solution, StageSchedConfig, TenantId, TenantSpec,
+    serve, solve_batch_resilient, solve_stream_staged, AdmissionConfig, Backpressure,
+    BreakerConfig, DevicePool, DispatchPolicy, Disposition, ExecutionMode, Job, JobOutcome,
+    MicrobatchConfig, OverloadConfig, Planner, ResilienceConfig, ServiceConfig, SloClass, Solution,
+    StageSchedConfig, TenantId, TenantSpec,
 };
 use multidouble_ls::sim::{FaultPlan, Gpu};
 use rand::rngs::StdRng;
@@ -364,7 +364,7 @@ const STREAM_QUIET: [[u64; 8]; 2] = [
         0xe220_865d_9351_2265,
     ],
 ];
-const STREAM_ADMITTED: [u64; 2] = [0xea3c_10b2_6dd3_b8ac, 0x1cf8_fdbd_feb7_3d08];
+const STREAM_ADMITTED: [u64; 2] = [0x25da_6e92_4b5b_3acb, 0xc40a_0b86_343a_68ab];
 
 #[test]
 fn stream_reproduces_the_recorded_runs() {
@@ -384,9 +384,9 @@ fn stream_reproduces_the_recorded_runs() {
         tables.check(&format!("stream, pool {pi}"), &got, &STREAM_QUIET[pi]);
     }
 
-    // the admitted stream with a sticky loss coming due mid-stream and
-    // deadlines the survivors cannot all keep: loss-time re-preview,
-    // pop-time shed and down-ladder
+    // the admitted stream with a sticky loss that interrupts a booked
+    // group mid-stream and deadlines the survivors cannot all keep:
+    // re-dispatch, loss-time re-preview, pop-time shed and down-ladder
     let planner = Planner::new();
     let v100 = Gpu::v100();
     let mut got = Vec::new();
@@ -416,15 +416,15 @@ fn stream_reproduces_the_recorded_runs() {
         pool.set_fault_plan(1, FaultPlan::none().with_device_lost(2.5 * unit));
         let recorder = Arc::new(Recorder::new());
         pool.attach_observer(recorder.clone());
-        let outcomes: Vec<JobOutcome> = solve_stream_admitted(
+        let outcomes: Vec<JobOutcome> = solve_stream_staged(
             &mut pool,
             jobs,
             DispatchPolicy::LeastLoaded,
             6,
             micro,
             sched,
-            AdmissionConfig::default(),
         )
+        .with_admission(AdmissionConfig::default())
         .collect();
         assert_eq!(outcomes.len(), 24);
         assert!(
@@ -438,6 +438,10 @@ fn stream_reproduces_the_recorded_runs() {
         assert!(
             count(&outcomes, Disposition::Degraded) > 0,
             "vacuous: nothing degraded"
+        );
+        assert!(
+            count(&outcomes, Disposition::Retried) > 0,
+            "vacuous: the loss interrupted nothing"
         );
         got.push(digest(&outcomes, &recorder.events()));
     }

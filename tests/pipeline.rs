@@ -2,10 +2,10 @@
 
 use multidouble_ls::matrix::HostMat;
 use multidouble_ls::pipeline::{
-    power_flow_jobs, schedule, solve_batch, solve_batch_staged, solve_batch_staged_with,
-    solve_planned_traced_with, solve_stream_staged, solve_stream_with, tracker_jobs, workload_mix,
-    BatchReport, DevicePool, DispatchPolicy, Job, JobOutcome, JobShape, MicrobatchConfig,
-    PlannedSolve, Planner, RebookMode, StageSchedConfig,
+    dispatch_group_staged, power_flow_jobs, solve_batch, solve_batch_staged,
+    solve_batch_staged_with, solve_planned_traced_with, solve_stream_staged, tracker_jobs,
+    workload_mix, BatchReport, DevicePool, DispatchPolicy, Job, JobOutcome, JobShape,
+    MicrobatchConfig, PlannedSolve, Planner, RebookMode, StageSchedConfig,
 };
 use multidouble_ls::sim::Gpu;
 use rand::rngs::StdRng;
@@ -20,6 +20,46 @@ fn batch_seq(
 ) -> BatchReport {
     let seq = StageSchedConfig::sequential();
     solve_batch_staged_with(pool, jobs, policy, cfg, &seq, false)
+}
+
+/// Book every shape alone and contiguously, model-only: in submission
+/// order under least-loaded, longest first (by Table 1 flops) under
+/// SECT — the batch loop's placement order with fusion off.
+fn book_each(
+    pool: &mut DevicePool,
+    planner: &Planner,
+    shapes: &[JobShape],
+    policy: DispatchPolicy,
+) {
+    let mut order: Vec<usize> = (0..shapes.len()).collect();
+    if policy == DispatchPolicy::ShortestExpectedCompletion {
+        let flops: Vec<f64> = shapes
+            .iter()
+            .map(|s| {
+                let gpu = pool.gpu(0);
+                planner
+                    .plan_fused(gpu, s.rows, s.cols, s.target_digits, 1)
+                    .1
+                    .flops_paper
+            })
+            .collect();
+        order.sort_by(|&a, &b| flops[b].total_cmp(&flops[a]));
+    }
+    let seq = StageSchedConfig::sequential();
+    for i in order {
+        dispatch_group_staged(pool, planner, vec![i], &shapes[i], policy, &seq, 0.0);
+    }
+}
+
+/// The stream with default micro-batching and contiguous stage booking.
+fn stream_with(
+    pool: &mut DevicePool,
+    jobs: Vec<Job>,
+    policy: DispatchPolicy,
+    window: usize,
+) -> Vec<JobOutcome> {
+    let (micro, seq) = (MicrobatchConfig::default(), StageSchedConfig::sequential());
+    solve_stream_staged(pool, jobs, policy, window, micro, seq).collect()
 }
 
 /// The headline property: `solve_batch` over ≥ 1000 mixed-shape jobs is
@@ -86,7 +126,7 @@ fn makespan_decreases_with_device_count() {
         let mut prev = f64::INFINITY;
         for devices in 1..=6 {
             let mut pool = DevicePool::homogeneous(&Gpu::v100(), devices);
-            schedule(&mut pool, &planner, &shapes, policy);
+            book_each(&mut pool, &planner, &shapes, policy);
             let makespan = pool.makespan_ms();
             assert!(
                 makespan < prev,
@@ -110,7 +150,7 @@ fn two_devices_give_1_8x_throughput() {
     let planner = Planner::new();
     let throughput = |devices: usize| {
         let mut pool = DevicePool::homogeneous(&Gpu::v100(), devices);
-        schedule(&mut pool, &planner, &shapes, DispatchPolicy::LeastLoaded);
+        book_each(&mut pool, &planner, &shapes, DispatchPolicy::LeastLoaded);
         pool.solves_per_sec()
     };
     let t1 = throughput(1);
@@ -136,7 +176,7 @@ fn sect_makespan_never_loses_to_greedy_on_heterogeneous_pools() {
     ];
     let makespan = |gpus: &[Gpu], shapes: &[JobShape], policy: DispatchPolicy| {
         let mut pool = DevicePool::new(gpus.to_vec());
-        schedule(&mut pool, &Planner::new(), shapes, policy);
+        book_each(&mut pool, &Planner::new(), shapes, policy);
         pool.makespan_ms()
     };
     for seed in 1u64..=6 {
@@ -223,13 +263,12 @@ fn late_corrector_overtakes_predictors_in_the_stream() {
     assert_eq!(corrector_ids.len(), 10);
 
     let mut pool = DevicePool::new(vec![Gpu::v100(), Gpu::p100()]);
-    let outcomes: Vec<JobOutcome> = solve_stream_with(
+    let outcomes = stream_with(
         &mut pool,
         jobs.clone(),
         DispatchPolicy::ShortestExpectedCompletion,
         16,
-    )
-    .collect();
+    );
     assert_eq!(outcomes.len(), jobs.len());
     // within the first reorder window every corrector beats every
     // predictor: the 10 correctors all drain in the first 10+16-1 slots
@@ -252,7 +291,7 @@ fn late_corrector_overtakes_predictors_in_the_stream() {
 
     // reordering never changes numerics: compare against a FIFO run
     let mut pool_f = DevicePool::new(vec![Gpu::v100(), Gpu::p100()]);
-    let fifo: Vec<JobOutcome> = multidouble_ls::pipeline::solve_stream(&mut pool_f, jobs).collect();
+    let fifo = stream_with(&mut pool_f, jobs, DispatchPolicy::LeastLoaded, 1);
     for f in &fifo {
         let r = outcomes.iter().find(|o| o.job_id == f.job_id).unwrap();
         assert_eq!(f.x, r.x, "job {}: reordering changed the bits", f.job_id);
@@ -369,13 +408,12 @@ fn fused_stream_preserves_tracker_ordering_and_bits() {
     let mut rng = StdRng::seed_from_u64(0x7ac3d);
     let jobs = tracker_jobs(36, &mut rng);
     let mut pool_u = DevicePool::new(vec![Gpu::v100(), Gpu::p100()]);
-    let unfused: Vec<JobOutcome> = solve_stream_with(
+    let unfused = stream_with(
         &mut pool_u,
         jobs.clone(),
         DispatchPolicy::ShortestExpectedCompletion,
         12,
-    )
-    .collect();
+    );
     let mut pool_f = DevicePool::new(vec![Gpu::v100(), Gpu::p100()]);
     let fused: Vec<JobOutcome> = solve_stream_staged(
         &mut pool_f,

@@ -804,6 +804,10 @@ mod timeline_props {
                     }
                     11 if pool.alive_count() > 1 => {
                         let dev = pick(n_dev);
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "the script drives the pool's loss path"
+                        )]
                         let report = pool.fail_device(dev, at_ms);
                         h.ms(report.at_ms);
                         h.ms(report.lost_refund_ms);
