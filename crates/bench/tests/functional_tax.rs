@@ -5,14 +5,15 @@
 //! plain host Householder loop on the same `f64` matrix, on the same
 //! machine, in the same process: the ratio was ≈ 80 while every element
 //! access paid an atomic counter update and the product kernels walked
-//! column-major operands by row, and reads ≈ 2 since. The bound is
+//! column-major operands by row, 1.3–2.6 while the WY bodies computed
+//! their zero trapezoid, and 1.1–1.3 since. The bound is
 //! generous on purpose — it catches the return of a per-element cost,
 //! not a few percent of drift.
 //!
-//! The second gate is on the arithmetic itself: the full-height WY
-//! products multiply the exact-zero rows above each panel, so most octo
-//! double products in a blocked QR have an all-zero operand. Those must
-//! skip the expansion.
+//! The other two gates are on the arithmetic itself: a product with an
+//! all-zero operand must skip the expansion, and one with an f64-widened
+//! operand (the refinement residual's promoted `A`) must take the
+//! by-double kernel.
 #![expect(clippy::disallowed_methods, reason = "a host-time gate")]
 
 use std::hint::black_box;
@@ -97,6 +98,37 @@ fn zero_operand_products_are_cheap() {
         ratio < 0.1,
         "od multiply by zero {:.1} ns vs dense {:.1} ns: ratio {ratio:.3} (gate 0.1)",
         zero / 4096.0 * 1e9,
+        dense / 4096.0 * 1e9
+    );
+}
+
+/// An od multiply by an f64-widened operand costs ≤ 0.3× a dense one. It
+/// read 0.57–0.75 while such products ran the dense 64-term expansion,
+/// and 0.14–0.19 since the `*` operator sends them to the by-double
+/// kernel.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "timing gate: run with `cargo test --release`"
+)]
+fn widened_operand_products_are_cheap() {
+    let mut rng = StdRng::seed_from_u64(2022);
+    let xs: Vec<Od> = (0..4096).map(|_| Od::rand(&mut rng)).collect();
+    let dense: Vec<Od> = (0..4096).map(|_| Od::rand(&mut rng)).collect();
+    let widened: Vec<Od> = dense.iter().map(|y| Od::from_f64(y.0[0])).collect();
+    let products = |ys: &[Od]| {
+        median_of_5(|| {
+            for (x, y) in xs.iter().zip(ys) {
+                black_box(*black_box(x) * *black_box(y));
+            }
+        })
+    };
+    let (widened, dense) = (products(&widened), products(&dense));
+    let ratio = widened / dense;
+    assert!(
+        ratio <= 0.3,
+        "od multiply by a widened double {:.1} ns vs dense {:.1} ns: ratio {ratio:.3} (gate 0.3)",
+        widened / 4096.0 * 1e9,
         dense / 4096.0 * 1e9
     );
 }

@@ -139,6 +139,32 @@ pub(crate) fn is_zero_product<F: Fp>(a: &[F], b: &[F]) -> bool {
     (zero(a) && finite(b)) || (zero(b) && finite(a))
 }
 
+/// The route of the `Od`/`Qd` `*` operators: `Some((x, d))` when both
+/// operands are finite and one of them has only limb 0 nonzero (a double
+/// `d` widened to the expansion), `x` being the other operand. An
+/// all-zero operand stays with the dense kernel's zero shortcut. The
+/// operator then multiplies by the double (`od_mul_f`/`qd_mul_f`), which
+/// pushes the same nonzero terms in the same order as the dense product
+/// (`od_mul`/`qd_mul`) minus its ±0 terms; [`renormalize`]'s stable sort
+/// moves those zeros last, where `two_sum(x, ±0) = (x, +0)` leaves the
+/// `VecSum` and `VecSumErrBranch` chains as they are. So every output
+/// bit is the dense product's. The dense kernels keep no such check: they
+/// are what the operation tallies count, and the Newton seeds of the
+/// square roots are one-limb operands.
+#[inline(always)]
+pub(crate) fn widened_operand<const N: usize>(a: [f64; N], b: [f64; N]) -> Option<([f64; N], f64)> {
+    let one_limb =
+        |x: &[f64; N]| x[1..].iter().all(|&v| v == 0.0) && x[0] != 0.0 && x[0].is_finite();
+    let finite = |x: &[f64; N]| x.iter().all(|v| v.is_finite());
+    if one_limb(&b) && finite(&a) {
+        Some((a, b[0]))
+    } else if one_limb(&a) && finite(&b) {
+        Some((b, a[0]))
+    } else {
+        None
+    }
+}
+
 /// Renormalize an intermediate expansion into `out.len()` components.
 ///
 /// The scratch terms are first sorted by decreasing magnitude — producers
@@ -459,6 +485,125 @@ mod tests {
                 want.map(f64::to_bits),
                 "trial {trial}, {n} limbs, input {input:?}: {got:?} vs {want:?}"
             );
+        }
+    }
+
+    /// A double for the route oracle: normal (now and then large enough
+    /// for the product to overflow), on the workloads' 2⁻²⁰ grid (whose
+    /// `two_prod` errors against grid doubles are exactly 0), subnormal
+    /// or ±0.
+    fn oracle_double(rng: &mut Mix) -> f64 {
+        match rng.below(6) {
+            0 | 1 => (rng.below(1 << 21) as f64 - (1 << 20) as f64) * 2f64.powi(-20),
+            2 => rng.sign() * f64::from_bits(1 + rng.below((1 << 52) - 1)),
+            3 => rng.sign() * 0.0,
+            4 if rng.below(8) == 0 => rng.sign() * 2f64.powi(rng.range(900, 1023)),
+            _ => {
+                rng.sign()
+                    * (1.0 + rng.below(1 << 52) as f64 * f64::EPSILON)
+                    * 2f64.powi(rng.range(-300, 300))
+            }
+        }
+    }
+
+    /// An operand for the route oracle: a widened double (its other limbs
+    /// ±0), or an expansion whose limbs step down 53–60 bits, with now
+    /// and then a ±0, grid or subnormal limb, or a deep start that runs
+    /// its tail into the subnormals, or a start near the overflow
+    /// threshold. One expansion in four keeps only its first 2..N limbs
+    /// (a widened double double or quad double: the dense path).
+    fn oracle_operand<const N: usize>(rng: &mut Mix, widened: bool) -> [f64; N] {
+        let mut x: [f64; N] = core::array::from_fn(|_| rng.sign() * 0.0);
+        if widened {
+            x[0] = oracle_double(rng);
+            return x;
+        }
+        let kept = if rng.below(4) == 0 {
+            2 + rng.below(N as u64 - 1) as usize
+        } else {
+            N
+        };
+        let mut exp = match rng.below(16) {
+            0 | 1 => rng.range(-1000, -700),
+            2 => rng.range(900, 1023),
+            _ => rng.range(-60, 60),
+        };
+        for limb in x.iter_mut().take(kept) {
+            *limb = match rng.below(12) {
+                0 => rng.sign() * 0.0,
+                1 => oracle_double(rng),
+                _ => rng.sign() * (1.0 + rng.below(1 << 52) as f64 * f64::EPSILON) * 2f64.powi(exp),
+            };
+            exp -= rng.range(53, 60);
+        }
+        x
+    }
+
+    /// 10⁶ seeded products through the `Od`/`Qd`/`Complex<Od>` `*`
+    /// operators against the dense kernels `od_mul`/`qd_mul`, compared by
+    /// `to_bits`. The widened operand sits on either side (or both);
+    /// one trial in 64 plants ±inf or NaN in a limb, which must keep
+    /// the dense path (zero times inf is NaN).
+    #[test]
+    fn operator_products_match_the_dense_kernels_bit_for_bit() {
+        use crate::complex::Complex;
+        use crate::od::{od_add, od_mul, od_sub, Od};
+        use crate::qd::{qd_mul, Qd};
+        fn pair<const N: usize>(rng: &mut Mix) -> ([f64; N], [f64; N]) {
+            let side = rng.below(4);
+            let mut a = oracle_operand::<N>(rng, side == 0 || side == 2);
+            let mut b = oracle_operand::<N>(rng, side == 1 || side == 2);
+            if rng.below(64) == 0 {
+                let bad = [f64::INFINITY, -f64::INFINITY, f64::NAN][rng.below(3) as usize];
+                let x = if rng.below(2) == 0 { &mut a } else { &mut b };
+                x[rng.below(N as u64) as usize] = bad;
+                assert!(
+                    widened_operand(a, b).is_none(),
+                    "{a:?} * {b:?} left the dense path"
+                );
+            }
+            (a, b)
+        }
+        let mut rng = Mix(2032);
+        for trial in 0..1_000_000 {
+            match trial % 8 {
+                0..=3 => {
+                    let (a, b) = pair::<8>(&mut rng);
+                    let (got, want) = ((Od(a) * Od(b)).0, od_mul(a, b));
+                    assert_eq!(
+                        got.map(f64::to_bits),
+                        want.map(f64::to_bits),
+                        "trial {trial}: od {a:?} * {b:?}: {got:?} vs {want:?}"
+                    );
+                }
+                4..=6 => {
+                    let (a, b) = pair::<4>(&mut rng);
+                    let (got, want) = ((Qd(a) * Qd(b)).0, qd_mul(a, b));
+                    assert_eq!(
+                        got.map(f64::to_bits),
+                        want.map(f64::to_bits),
+                        "trial {trial}: qd {a:?} * {b:?}: {got:?} vs {want:?}"
+                    );
+                }
+                _ => {
+                    let (are, bre) = pair::<8>(&mut rng);
+                    let (aim, bim) = pair::<8>(&mut rng);
+                    let got = Complex::new(Od(are), Od(aim)) * Complex::new(Od(bre), Od(bim));
+                    let want = [
+                        od_sub(od_mul(are, bre), od_mul(aim, bim)),
+                        od_add(od_mul(are, bim), od_mul(aim, bre)),
+                    ];
+                    assert_eq!(
+                        [got.re.0, got.im.0].map(|x| x.map(f64::to_bits)),
+                        want.map(|x| x.map(f64::to_bits)),
+                        "trial {trial}: complex od ({are:?}, {aim:?}) * ({bre:?}, {bim:?})"
+                    );
+                }
+            }
+        }
+        let inf = Od::from_f64(f64::INFINITY);
+        for p in [Od::ZERO * inf, inf * Od::ZERO] {
+            assert!(p.0.iter().all(|x| x.is_nan()), "0 * inf = {p:?}");
         }
     }
 

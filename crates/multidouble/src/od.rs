@@ -15,7 +15,7 @@
 
 use crate::dd::Dd;
 use crate::eft::two_prod;
-use crate::expansion::{is_zero_product, renormalize, Scratch};
+use crate::expansion::{is_zero_product, renormalize, widened_operand, Scratch};
 use crate::fp::Fp;
 use crate::qd::Qd;
 
@@ -281,8 +281,20 @@ macro_rules! od_binop {
 }
 od_binop!(Add, add, od_add);
 od_binop!(Sub, sub, od_sub);
-od_binop!(Mul, mul, od_mul);
 od_binop!(Div, div, od_div);
+
+/// A product with an f64-widened operand takes the by-double kernel,
+/// bit-identical to the dense one (`expansion::widened_operand`).
+impl core::ops::Mul for Od {
+    type Output = Od;
+    #[inline(always)]
+    fn mul(self, rhs: Od) -> Od {
+        Od(match widened_operand(self.0, rhs.0) {
+            Some((x, d)) => od_mul_f(x, d),
+            None => od_mul(self.0, rhs.0),
+        })
+    }
+}
 
 impl core::ops::Neg for Od {
     type Output = Od;

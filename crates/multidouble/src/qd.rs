@@ -7,7 +7,7 @@
 
 use crate::dd::Dd;
 use crate::eft::{quick_two_sum, three_sum, three_sum2, two_diff, two_prod, two_sum};
-use crate::expansion::{is_zero_product, renormalize, Scratch};
+use crate::expansion::{is_zero_product, renormalize, widened_operand, Scratch};
 use crate::fp::Fp;
 
 /// Generic quad double value, most significant limb first.
@@ -332,8 +332,20 @@ macro_rules! qd_binop {
 }
 qd_binop!(Add, add, qd_add);
 qd_binop!(Sub, sub, qd_sub);
-qd_binop!(Mul, mul, qd_mul);
 qd_binop!(Div, div, qd_div);
+
+/// A product with an f64-widened operand takes the by-double kernel,
+/// bit-identical to the dense one (`expansion::widened_operand`).
+impl core::ops::Mul for Qd {
+    type Output = Qd;
+    #[inline(always)]
+    fn mul(self, rhs: Qd) -> Qd {
+        Qd(match widened_operand(self.0, rhs.0) {
+            Some((x, d)) => qd_mul_f(x, d),
+            None => qd_mul(self.0, rhs.0),
+        })
+    }
+}
 
 impl core::ops::Neg for Qd {
     type Output = Qd;

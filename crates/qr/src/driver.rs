@@ -1,6 +1,6 @@
 //! The Algorithm 2 driver.
 
-use gpusim::{ExecMode, Gpu, Profile, Sim};
+use gpusim::{BlockCtx, DeviceBuf, DeviceMat, ExecMode, Gpu, Profile, Sim};
 use mdls_matrix::HostMat;
 use multidouble::MdScalar;
 
@@ -85,9 +85,40 @@ impl<S: MdScalar> QrDeviceState<S> {
     }
 }
 
+/// The bodies of the four WY product stages (the ones that skip the
+/// zero trapezoid), as the panel loop launches them. Production runs
+/// [`WyBodies::SKIP_TRAPEZOID`]; the tests swap in the full-height
+/// originals to check the skip bit for bit.
+struct WyBodies<S: MdScalar> {
+    compute_w: ComputeWBody<S>,
+    ywt: ProductBody<S>,
+    qwyt: fn(BlockCtx, &DeviceMat<S>, &DeviceMat<S>, &DeviceMat<S>, usize),
+    ywtc: ProductBody<S>,
+}
+
+/// `(ctx, y, w, betas, col0, l)` — the `compute W` body.
+type ComputeWBody<S> = fn(BlockCtx, &DeviceMat<S>, &DeviceMat<S>, &DeviceBuf<S>, usize, usize);
+
+/// `(ctx, lhs, rhs, out, col0, extent)` — the `ywt` and `ywtc` bodies.
+type ProductBody<S> = fn(BlockCtx, &DeviceMat<S>, &DeviceMat<S>, &DeviceMat<S>, usize, usize);
+
+impl<S: MdScalar> WyBodies<S> {
+    const SKIP_TRAPEZOID: Self = WyBodies {
+        compute_w: kernels::compute_w_block,
+        ywt: kernels::ywt_block,
+        qwyt: kernels::qwyt_block,
+        ywtc: kernels::ywtc_block,
+    };
+}
+
 /// Run Algorithm 2 on an existing session: reduce `st.r` in place and
 /// accumulate `st.q`.
 pub fn qr_on_sim<S: MdScalar>(sim: &Sim, st: &QrDeviceState<S>, opts: &QrOptions) {
+    panels(sim, st, opts, &WyBodies::SKIP_TRAPEZOID);
+}
+
+/// The panel loop of [`qr_on_sim`], launching the given WY bodies.
+fn panels<S: MdScalar>(sim: &Sim, st: &QrDeviceState<S>, opts: &QrOptions, wy: &WyBodies<S>) {
     let m = st.r.rows;
     let n = opts.tile_size;
     let nt = opts.tiles;
@@ -95,7 +126,6 @@ pub fn qr_on_sim<S: MdScalar>(sim: &Sim, st: &QrDeviceState<S>, opts: &QrOptions
 
     for k in 0..nt {
         let col0 = k * n;
-        let _h_k = m - col0;
 
         // --- stage 1: Householder columns of the panel -----------------
         for l in 0..n {
@@ -108,7 +138,7 @@ pub fn qr_on_sim<S: MdScalar>(sim: &Sim, st: &QrDeviceState<S>, opts: &QrOptions
                 h.div_ceil(n),
                 n,
                 cost::beta_v_cost::<S>(h),
-                |ctx| kernels::beta_v_block(ctx, &st.r, &st.y, &st.betas, col0, c, l),
+                |ctx| kernels::beta_v_block(ctx, &st.r, &st.y, &st.betas, c, l),
             );
 
             sim.launch(
@@ -129,28 +159,29 @@ pub fn qr_on_sim<S: MdScalar>(sim: &Sim, st: &QrDeviceState<S>, opts: &QrOptions
         }
 
         // --- stage 2: WY aggregation ------------------------------------
-        // full height M, as in the paper's kernels (the zero-padded rows
-        // above the panel are computed along; this is what the paper's
-        // flop counters tally and why `compute W` dominates small dims)
+        // priced and launched at full height M, as in the paper's kernels
+        // (the zero-padded rows above the panel are what the paper's flop
+        // counters tally and why `compute W` dominates small dims); the
+        // bodies skip that zero trapezoid on the host (see `kernels`)
         for l in 0..n {
             sim.launch(
                 STAGE_COMPUTE_W,
                 m.div_ceil(n),
                 n,
                 cost::compute_w_cost::<S>(m, l),
-                |ctx| kernels::compute_w_block(ctx, &st.y, &st.w, &st.betas, col0, l),
+                |ctx| (wy.compute_w)(ctx, &st.y, &st.w, &st.betas, col0, l),
             );
         }
 
         // --- stage 3: Q update ------------------------------------------
         sim.launch(STAGE_YWT, m, n, cost::gemm_cost::<S>(m, m, n, n), |ctx| {
-            kernels::ywt_block(ctx, &st.y, &st.w, &st.ywh, col0, n)
+            (wy.ywt)(ctx, &st.y, &st.w, &st.ywh, col0, n)
         });
         sim.launch(STAGE_QWYT, m, n, cost::gemm_cost::<S>(m, m, m, n), |ctx| {
-            kernels::qwyt_block(ctx, &st.q, &st.ywh, &st.qwy, col0)
+            (wy.qwyt)(ctx, &st.q, &st.ywh, &st.qwy, col0)
         });
         sim.launch(STAGE_Q_ADD, m, n, cost::add_cost::<S>(m, m), |ctx| {
-            kernels::q_add_block(ctx, &st.q, &st.qwy, col0)
+            kernels::q_add_block(ctx, &st.q, &st.qwy)
         });
 
         // --- stage 4: trailing-column update -----------------------------
@@ -162,10 +193,10 @@ pub fn qr_on_sim<S: MdScalar>(sim: &Sim, st: &QrDeviceState<S>, opts: &QrOptions
                 c_k,
                 n,
                 cost::gemm_cost::<S>(m, c_k, m, n),
-                |ctx| kernels::ywtc_block(ctx, &st.ywh, &st.r, &st.ywtc, col0, cstart),
+                |ctx| (wy.ywtc)(ctx, &st.ywh, &st.r, &st.ywtc, col0, cstart),
             );
             sim.launch(STAGE_R_ADD, c_k, n, cost::add_cost::<S>(m, c_k), |ctx| {
-                kernels::r_add_block(ctx, &st.r, &st.ywtc, col0, cstart)
+                kernels::r_add_block(ctx, &st.r, &st.ywtc, cstart)
             });
         }
     }
@@ -329,6 +360,99 @@ mod tests {
         );
         assert!(o < 1e-13);
         assert!(e < 1e-13);
+    }
+
+    /// Factor `a` through the panel loop with the given WY bodies.
+    fn factor_with<S: MdScalar>(
+        a: &HostMat<S>,
+        opts: &QrOptions,
+        mode: ExecMode,
+        wy: &WyBodies<S>,
+    ) -> [HostMat<S>; 2] {
+        let sim = Sim::new(Gpu::v100(), mode);
+        let st = QrDeviceState::<S>::alloc(&sim, a.rows, opts);
+        a.upload_to(&st.r);
+        st.init_q_identity();
+        panels(&sim, &st, opts, wy);
+        [HostMat::download_from(&st.q), HostMat::download_from(&st.r)]
+    }
+
+    /// Every limb of a matrix, column-major, as bits.
+    fn bits<S: MdScalar>(m: &HostMat<S>) -> Vec<u64> {
+        (0..m.cols)
+            .flat_map(|c| (0..m.rows).map(move |r| m.get(r, c)))
+            .flat_map(|v| (0..S::PLANES).map(move |p| v.plane(p).to_bits()))
+            .collect()
+    }
+
+    /// The trapezoid-skipping bodies give the full-height bodies' `Q` and
+    /// `R` bit for bit: square and tall shapes with 1–4 tiles, with and
+    /// without a zero column (the identity-reflector branch, in the first
+    /// and in a later column), in both functional execution modes.
+    fn skip_matches_full_height<S: MdScalar>(seed: u64) {
+        const SHAPES: [(usize, usize, usize); 6] = [
+            (6, 1, 6),
+            (10, 1, 6),
+            (12, 2, 6),
+            (13, 3, 4),
+            (16, 4, 4),
+            (19, 4, 3),
+        ];
+        let full_height = WyBodies {
+            compute_w: kernels::full_height::compute_w_block,
+            ywt: kernels::full_height::ywt_block,
+            qwyt: kernels::full_height::qwyt_block,
+            ywtc: kernels::full_height::ywtc_block,
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        for (rows, tiles, tile_size) in SHAPES {
+            let opts = QrOptions { tiles, tile_size };
+            let cols = opts.cols();
+            for zero_col in [None, Some(0), Some((tile_size + 1) % cols)] {
+                let mut a = HostMat::<S>::random(rows, cols, &mut rng);
+                if let Some(c) = zero_col {
+                    for r in 0..rows {
+                        a.set(r, c, S::zero());
+                    }
+                }
+                for mode in [ExecMode::Sequential, ExecMode::Parallel] {
+                    let got = factor_with(&a, &opts, mode, &WyBodies::SKIP_TRAPEZOID);
+                    let want = factor_with(&a, &opts, mode, &full_height);
+                    for (name, g, w) in [("Q", &got[0], &want[0]), ("R", &got[1], &want[1])] {
+                        assert!(
+                            bits(g) == bits(w),
+                            "{} {rows}x{cols} ({tiles} tiles), zero column {zero_col:?}, {mode:?}: {name} differs",
+                            S::TAG
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn trapezoid_skip_is_bit_identical_f64() {
+        skip_matches_full_height::<f64>(110);
+    }
+
+    #[test]
+    fn trapezoid_skip_is_bit_identical_dd() {
+        skip_matches_full_height::<Dd>(111);
+    }
+
+    #[test]
+    fn trapezoid_skip_is_bit_identical_qd() {
+        skip_matches_full_height::<Qd>(112);
+    }
+
+    #[test]
+    fn trapezoid_skip_is_bit_identical_od() {
+        skip_matches_full_height::<Od>(113);
+    }
+
+    #[test]
+    fn trapezoid_skip_is_bit_identical_complex_dd() {
+        skip_matches_full_height::<Complex<Dd>>(114);
     }
 
     #[test]

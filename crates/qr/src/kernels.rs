@@ -15,6 +15,23 @@
 //! every output element the same zero-started, `t`-ordered sum a
 //! per-element dot product would, while walking the column-major
 //! operands by column instead of by row.
+//!
+//! Trapezoid convention: the paper's WY kernels run at full height `M`,
+//! and the cost model ([`crate::cost`]) and the launch geometry price
+//! them that way, zero rows above each panel included. The bodies skip
+//! the terms whose result is known to be an exact zero: `Y` and `W` hold
+//! `±0` above row `col0` (`Y` is written as `+0` there), so `YWᴴ` is `+0`
+//! outside rows and columns `col0..M`. A skipped term is one that adds
+//! an exact-zero product to an accumulator that is still `+0` in every
+//! limb, which leaves that accumulator `+0`; an output whose every term
+//! is such a term is stored as `+0`. Trailing zero terms (rows
+//! `col0..col0 + t` of `Y[:, t]`) are still added: for multiple doubles
+//! `x + 0` need not return `x` bit for bit. Every output bit is the
+//! full-height body's (a test-only copy of those bodies checks it) as
+//! long as the data are finite. On non-finite data the skipped terms
+//! would have been NaN, not zero: the bits may differ there, and the
+//! solver's tests check that such an entry still poisons every limb of
+//! the solution.
 
 use gpusim::shared::{axmy, axpy, dot_conj};
 use gpusim::{BlockCtx, DeviceBuf, DeviceMat};
@@ -29,7 +46,6 @@ pub fn beta_v_block<S: MdScalar>(
     r: &DeviceMat<S>,
     y: &DeviceMat<S>,
     betas: &DeviceBuf<S>,
-    col0: usize,
     c: usize,
     l: usize,
 ) {
@@ -37,7 +53,6 @@ pub fn beta_v_block<S: MdScalar>(
         return;
     }
     let m = r.rows;
-    let _ = col0;
     let x = r.col_to_vec(c, c, m - c);
     let alpha = x[0];
     // sigma = sum of |R[i, c]|^2 below the diagonal
@@ -48,9 +63,9 @@ pub fn beta_v_block<S: MdScalar>(
     let alpha_sq = alpha.norm_sqr();
     let normx = (alpha_sq + sigma).sqrt();
 
-    // Y is reused across panels and the WY products run at full height
-    // (the paper's kernels do not exploit the trapezoid): the rows of
-    // column l above the reflector start are written as zeros.
+    // Y is reused across panels: the rows of column l above the
+    // reflector start are written as +0, the exact zeros the WY bodies
+    // skip (see the module doc).
     let mut v = vec![S::zero(); m];
     v[c] = S::one();
 
@@ -130,6 +145,11 @@ pub fn update_r_block<S: MdScalar>(
 
 /// One column of the WY aggregation:
 /// `u = Yᴴ v_l` over columns `0..l`, then `W[:, l] = −β (v_l + W u)`.
+///
+/// `v_l` is `+0` above row `col0 + l`, so the dots start there; `Y` and
+/// `W` are `±0` above row `col0`, so the W-axpys run over rows
+/// `col0..M`. The negation runs at full height, so the rows of the
+/// reused W buffer above the panel keep their `−0`.
 pub fn compute_w_block<S: MdScalar>(
     ctx: BlockCtx,
     y: &DeviceMat<S>,
@@ -141,23 +161,21 @@ pub fn compute_w_block<S: MdScalar>(
     if ctx.block != 0 {
         return;
     }
-    let _ = col0;
     let m = y.rows;
+    let c = col0 + l;
     let beta = betas.get(l);
-    // full height: rows above the panel hold zeros in Y, and W's column
-    // comes out zero there, so the reused W buffer refreshes itself
     let mut acc = y.col_to_vec(l, 0, m);
-    let mut col = vec![S::zero(); m];
+    let mut col = vec![S::zero(); m - col0];
     let u: Vec<S> = (0..l)
         .map(|t| {
-            y.load_col(t, 0, &mut col);
-            dot_conj(&col, &acc)
+            y.load_col(t, c, &mut col[..m - c]);
+            dot_conj(&col[..m - c], &acc[c..])
         })
         .collect();
     // acc starts at v_l and takes one W column per step
     for (t, ut) in u.iter().enumerate() {
-        wmat.load_col(t, 0, &mut col);
-        axpy(&mut acc, &col, *ut);
+        wmat.load_col(t, col0, &mut col);
+        axpy(&mut acc[col0..], &col, *ut);
     }
     for a in &mut acc {
         *a = -(*a * beta);
@@ -165,8 +183,9 @@ pub fn compute_w_block<S: MdScalar>(
     wmat.store_col(l, 0, &acc);
 }
 
-/// `YWH[r, c2] = Σ_t Y[r, t] conj(W[c2, t])` over the full `M × M`
-/// output (rows above the panel contribute zeros) — block `c2`.
+/// `YWH[r, c2] = Σ_t Y[r, t] conj(W[c2, t])` — block `c2` of the
+/// `M × M` output. Columns `c2 < col0` (`W`'s zero rows) are stored as
+/// `+0`; the others take rows `col0..M` (`Y`'s nonzero rows).
 pub fn ywt_block<S: MdScalar>(
     ctx: BlockCtx,
     y: &DeviceMat<S>,
@@ -175,23 +194,26 @@ pub fn ywt_block<S: MdScalar>(
     col0: usize,
     n: usize,
 ) {
-    let _ = col0;
     let m = y.rows;
     let c2 = ctx.block;
     if c2 >= m {
         return;
     }
     let mut acc = vec![S::zero(); m];
-    let mut col = vec![S::zero(); m];
-    for t in 0..n {
-        y.load_col(t, 0, &mut col);
-        axpy(&mut acc, &col, wmat.get(c2, t).conj());
+    if c2 >= col0 {
+        let mut col = vec![S::zero(); m - col0];
+        for t in 0..n {
+            y.load_col(t, col0, &mut col);
+            axpy(&mut acc[col0..], &col, wmat.get(c2, t).conj());
+        }
     }
     ywh.store_col(c2, 0, &acc);
 }
 
-/// `QWY[i, j] = Σ_t Q[i, t] conj(YWH[j, t])` over the full `M × M`
-/// product — block `j`.
+/// `QWY[i, j] = Σ_t Q[i, t] conj(YWH[j, t])` — block `j` of the
+/// `M × M` product. `YWH` is `+0` outside rows and columns `col0..M`:
+/// columns `j < col0` are stored as `+0`, the others sum from
+/// `t = col0`.
 pub fn qwyt_block<S: MdScalar>(
     ctx: BlockCtx,
     q: &DeviceMat<S>,
@@ -199,17 +221,18 @@ pub fn qwyt_block<S: MdScalar>(
     qwy: &DeviceMat<S>,
     col0: usize,
 ) {
-    let _ = col0;
     let m = q.rows;
     let j = ctx.block;
     if j >= m {
         return;
     }
     let mut acc = vec![S::zero(); m];
-    let mut col = vec![S::zero(); m];
-    for t in 0..m {
-        q.load_col(t, 0, &mut col);
-        axpy(&mut acc, &col, ywh.get(j, t).conj());
+    if j >= col0 {
+        let mut col = vec![S::zero(); m];
+        for t in col0..m {
+            q.load_col(t, 0, &mut col);
+            axpy(&mut acc, &col, ywh.get(j, t).conj());
+        }
     }
     qwy.store_col(j, 0, &acc);
 }
@@ -227,8 +250,7 @@ fn add_col<S: MdScalar>(dst: &DeviceMat<S>, c: usize, src: &DeviceMat<S>, c_src:
 }
 
 /// `Q[i, j] += QWY[i, j]` over the full `M × M` — block `j`.
-pub fn q_add_block<S: MdScalar>(ctx: BlockCtx, q: &DeviceMat<S>, qwy: &DeviceMat<S>, col0: usize) {
-    let _ = col0;
+pub fn q_add_block<S: MdScalar>(ctx: BlockCtx, q: &DeviceMat<S>, qwy: &DeviceMat<S>) {
     let j = ctx.block;
     if j >= q.rows {
         return;
@@ -236,8 +258,10 @@ pub fn q_add_block<S: MdScalar>(ctx: BlockCtx, q: &DeviceMat<S>, qwy: &DeviceMat
     add_col(q, j, qwy, j);
 }
 
-/// `YWTC[r, j] = Σ_t YWH[r, t] R[col0 + t, cstart + j]` — block `j`
-/// (the trailing-column update product).
+/// `YWTC[r, j] = Σ_t YWH[r, t] R[t, cstart + j]` — block `j` (the
+/// trailing-column update product). `YWH` is `+0` outside rows and
+/// columns `col0..M`, so the sum starts at `t = col0` and runs over rows
+/// `col0..M`.
 pub fn ywtc_block<S: MdScalar>(
     ctx: BlockCtx,
     ywh: &DeviceMat<S>,
@@ -246,34 +270,136 @@ pub fn ywtc_block<S: MdScalar>(
     col0: usize,
     cstart: usize,
 ) {
-    let _ = col0;
     let m = r.rows;
     let j = ctx.block;
     if cstart + j >= r.cols {
         return;
     }
-    let rj = r.col_to_vec(cstart + j, 0, m);
+    let rj = r.col_to_vec(cstart + j, col0, m - col0);
     let mut acc = vec![S::zero(); m];
-    let mut col = vec![S::zero(); m];
-    for (t, rt) in rj.iter().enumerate() {
-        ywh.load_col(t, 0, &mut col);
-        axpy(&mut acc, &col, *rt);
+    let mut col = vec![S::zero(); m - col0];
+    for (t, rt) in (col0..).zip(&rj) {
+        ywh.load_col(t, col0, &mut col);
+        axpy(&mut acc[col0..], &col, *rt);
     }
     ywtc.store_col(j, 0, &acc);
 }
 
-/// `R[col0 + r, cstart + j] += YWTC[r, j]` — block `j`.
+/// `R[r, cstart + j] += YWTC[r, j]` over the full height — block `j`.
 pub fn r_add_block<S: MdScalar>(
     ctx: BlockCtx,
     r: &DeviceMat<S>,
     ywtc: &DeviceMat<S>,
-    col0: usize,
     cstart: usize,
 ) {
-    let _ = col0;
     let j = ctx.block;
     if cstart + j >= r.cols {
         return;
     }
     add_col(r, cstart + j, ywtc, j);
+}
+
+/// The four WY product bodies as they ran before the trapezoid skip —
+/// every term at full height `M`. The oracle the driver's tests hold the
+/// skipping bodies to, bit for bit.
+#[cfg(test)]
+pub(crate) mod full_height {
+    use super::*;
+
+    pub(crate) fn compute_w_block<S: MdScalar>(
+        ctx: BlockCtx,
+        y: &DeviceMat<S>,
+        wmat: &DeviceMat<S>,
+        betas: &DeviceBuf<S>,
+        _col0: usize,
+        l: usize,
+    ) {
+        if ctx.block != 0 {
+            return;
+        }
+        let m = y.rows;
+        let beta = betas.get(l);
+        let mut acc = y.col_to_vec(l, 0, m);
+        let mut col = vec![S::zero(); m];
+        let u: Vec<S> = (0..l)
+            .map(|t| {
+                y.load_col(t, 0, &mut col);
+                dot_conj(&col, &acc)
+            })
+            .collect();
+        for (t, ut) in u.iter().enumerate() {
+            wmat.load_col(t, 0, &mut col);
+            axpy(&mut acc, &col, *ut);
+        }
+        for a in &mut acc {
+            *a = -(*a * beta);
+        }
+        wmat.store_col(l, 0, &acc);
+    }
+
+    pub(crate) fn ywt_block<S: MdScalar>(
+        ctx: BlockCtx,
+        y: &DeviceMat<S>,
+        wmat: &DeviceMat<S>,
+        ywh: &DeviceMat<S>,
+        _col0: usize,
+        n: usize,
+    ) {
+        let m = y.rows;
+        let c2 = ctx.block;
+        if c2 >= m {
+            return;
+        }
+        let mut acc = vec![S::zero(); m];
+        let mut col = vec![S::zero(); m];
+        for t in 0..n {
+            y.load_col(t, 0, &mut col);
+            axpy(&mut acc, &col, wmat.get(c2, t).conj());
+        }
+        ywh.store_col(c2, 0, &acc);
+    }
+
+    pub(crate) fn qwyt_block<S: MdScalar>(
+        ctx: BlockCtx,
+        q: &DeviceMat<S>,
+        ywh: &DeviceMat<S>,
+        qwy: &DeviceMat<S>,
+        _col0: usize,
+    ) {
+        let m = q.rows;
+        let j = ctx.block;
+        if j >= m {
+            return;
+        }
+        let mut acc = vec![S::zero(); m];
+        let mut col = vec![S::zero(); m];
+        for t in 0..m {
+            q.load_col(t, 0, &mut col);
+            axpy(&mut acc, &col, ywh.get(j, t).conj());
+        }
+        qwy.store_col(j, 0, &acc);
+    }
+
+    pub(crate) fn ywtc_block<S: MdScalar>(
+        ctx: BlockCtx,
+        ywh: &DeviceMat<S>,
+        r: &DeviceMat<S>,
+        ywtc: &DeviceMat<S>,
+        _col0: usize,
+        cstart: usize,
+    ) {
+        let m = r.rows;
+        let j = ctx.block;
+        if cstart + j >= r.cols {
+            return;
+        }
+        let rj = r.col_to_vec(cstart + j, 0, m);
+        let mut acc = vec![S::zero(); m];
+        let mut col = vec![S::zero(); m];
+        for (t, rt) in rj.iter().enumerate() {
+            ywh.load_col(t, 0, &mut col);
+            axpy(&mut acc, &col, *rt);
+        }
+        ywtc.store_col(j, 0, &acc);
+    }
 }
