@@ -12,7 +12,13 @@
 //! the execute and settle steps every engine shares (`execute_round`,
 //! `settle_group`), and the round that chains book → recover → execute
 //! → settle (`run_round`), which the batch loop runs once over every
-//! group and the stream once per pull. Three config axes select
+//! group and the stream once per pull. Settle owns the verdict: every
+//! completed job's `Ok`, `Retried` or `Degraded` is decided in
+//! `settle_group` and nowhere else, from what only a driver knows (did
+//! it retry the job after a sticky loss?) and what settlement sees (a
+//! down-laddered plan, a replay, a residual short of target). Reporting
+//! is one fold, too: every batch, stream and service summary is
+//! [`latency_summary`] over its outcomes. Three config axes select
 //! behaviour, never a different code path: [`MicrobatchConfig`] (what
 //! fuses), [`StageSchedConfig`]
 //! (how stages book and re-book — [`solve_batch`] is the loop at
@@ -105,21 +111,6 @@ impl Disposition {
         }
     }
 
-    /// The verdict to report when two layers each reached one for a
-    /// completed job: degraded outranks retried outranks ok.
-    fn outranking(self, other: Disposition) -> Disposition {
-        let rank = |d: Disposition| match d {
-            Disposition::Ok => 0,
-            Disposition::Retried => 1,
-            _ => 2,
-        };
-        if rank(other) > rank(self) {
-            other
-        } else {
-            self
-        }
-    }
-
     /// True when the job produced a solution (possibly degraded).
     pub fn completed(self) -> bool {
         matches!(
@@ -146,8 +137,9 @@ pub struct JobOutcome {
     pub residual: f64,
     /// Decimal digits the measured residual certifies
     /// (`−log₁₀ residual`; infinite for an exactly-zero residual, zero
-    /// for a NaN one). Below `plan.target_digits` on a square system the
-    /// job completes [`Disposition::Degraded`].
+    /// for a NaN one, and zero when nothing was solved — a tombstone or
+    /// a model-only run). Below `plan.target_digits` on a square system
+    /// the job completes [`Disposition::Degraded`].
     pub achieved_digits: f64,
     /// Simulated start time on the device, ms.
     pub start_ms: f64,
@@ -210,34 +202,6 @@ pub struct PlannedSolve {
 }
 
 impl JobOutcome {
-    /// Assemble a whole group's outcomes from its settled dispatch, the
-    /// interpreter's results and the per-job `(refunded, extended)`
-    /// shares settlement returned, one per member in group order.
-    fn assemble_group(
-        members: &[&Job],
-        g: &GroupDispatch,
-        solved: Vec<PlannedSolve>,
-        (refunded_ms, extended_ms): (f64, f64),
-    ) -> Vec<JobOutcome> {
-        assert_eq!(members.len(), solved.len());
-        members
-            .iter()
-            .zip(solved)
-            .map(|(&job, s)| JobOutcome {
-                achieved_digits: digits_from_residual(s.residual),
-                x: s.x,
-                residual: s.residual,
-                start_ms: g.start_ms,
-                fused_group: g.jobs.len(),
-                corrections_run: s.corrections_run,
-                refunded_ms,
-                extended_ms,
-                // the job's identity, on the group's device and end
-                ..tombstone_outcome(job, g.plan.clone(), g.device, Disposition::Ok, g.end_ms)
-            })
-            .collect()
-    }
-
     /// Turnaround latency: completion minus arrival, ms.
     pub fn turnaround_ms(&self) -> f64 {
         self.end_ms - self.release_ms
@@ -263,11 +227,32 @@ pub fn digits_from_residual(residual: f64) -> f64 {
     }
 }
 
-/// Turnaround-latency percentiles and deadline accounting over a set of
-/// outcomes — the one place the miss check lives (reports, streams and
-/// benches all summarize through here instead of re-deriving it).
+/// The one summary of a set of outcomes: what became of the jobs,
+/// turnaround percentiles, deadline misses and the makespan. Every
+/// report in the crate — [`BatchReport::latency`], the service's
+/// pool-wide, per-tenant and per-class summaries — is
+/// [`latency_summary`] over its outcomes, so each can be rechecked by
+/// folding them again.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LatencySummary {
+    /// Jobs summarized (one outcome each).
+    pub submitted: usize,
+    /// Jobs that produced a solution ([`Disposition::completed`]).
+    pub completed: usize,
+    /// Completed jobs that ended [`Disposition::Degraded`].
+    pub degraded: usize,
+    /// Completed jobs that ended [`Disposition::Retried`].
+    pub retried: usize,
+    /// Jobs turned away before they ran ([`Disposition::Shed`]: by
+    /// admission, a service queue, the overload ladder or starvation).
+    pub shed: usize,
+    /// Jobs that started but never completed ([`Disposition::Failed`]).
+    pub failed: usize,
+    /// Jobs refused at the front door ([`Disposition::Invalid`]).
+    pub invalid: usize,
+    /// Jobs that carried a deadline and completed past it. Shed jobs
+    /// are counted under `shed`, not conflated into this.
+    pub deadline_misses: usize,
     /// Median turnaround (`end_ms − release_ms`), ms, over *completed*
     /// jobs only — shed and failed jobs have no completion to time.
     pub p50_ms: f64,
@@ -275,50 +260,40 @@ pub struct LatencySummary {
     pub p99_ms: f64,
     /// 99.9th-percentile turnaround, ms.
     pub p999_ms: f64,
-    /// Jobs that carried a deadline and completed past it. Shed jobs
-    /// are counted separately below, not conflated into this.
-    pub deadline_misses: usize,
-    /// Jobs admission rejected at ingress ([`Disposition::Shed`]).
-    pub shed: usize,
-    /// Jobs that started but never completed ([`Disposition::Failed`]).
-    pub failed: usize,
-    /// Jobs refused at the front door ([`Disposition::Invalid`]).
-    pub invalid: usize,
+    /// Simulated completion of the last completed job, ms (0 when
+    /// nothing completed).
+    pub makespan_ms: f64,
 }
 
-/// Summarize turnaround latency and deadline misses over `outcomes`
-/// (nearest-rank percentiles; all zeros for an empty slice).
-/// Percentiles and misses cover completed jobs only; shed and failed
-/// jobs are tallied in their own counters.
-pub fn latency_summary(outcomes: &[JobOutcome]) -> LatencySummary {
-    let [p50_ms, p99_ms, p999_ms] = turnaround_percentiles(outcomes.iter());
-    let count = |d: Disposition| outcomes.iter().filter(|o| o.disposition == d).count();
-    LatencySummary {
-        p50_ms,
-        p99_ms,
-        p999_ms,
-        deadline_misses: outcomes.iter().filter(|o| o.missed_deadline()).count(),
-        shed: count(Disposition::Shed),
-        failed: count(Disposition::Failed),
-        invalid: count(Disposition::Invalid),
+/// Fold `outcomes` into their [`LatencySummary`]: one count per
+/// disposition, nearest-rank turnaround percentiles and the makespan
+/// over the completed jobs (all zeros for no outcomes).
+pub fn latency_summary<'o>(outcomes: impl IntoIterator<Item = &'o JobOutcome>) -> LatencySummary {
+    let mut s = LatencySummary::default();
+    let mut turn = Vec::new();
+    for o in outcomes {
+        s.submitted += 1;
+        match o.disposition {
+            Disposition::Ok => {}
+            Disposition::Retried => s.retried += 1,
+            Disposition::Degraded => s.degraded += 1,
+            Disposition::Shed => s.shed += 1,
+            Disposition::Failed => s.failed += 1,
+            Disposition::Invalid => s.invalid += 1,
+        }
+        if o.disposition.completed() {
+            s.completed += 1;
+            s.deadline_misses += usize::from(o.missed_deadline());
+            s.makespan_ms = s.makespan_ms.max(o.end_ms);
+            turn.push(o.turnaround_ms());
+        }
     }
-}
-
-/// Nearest-rank turnaround percentiles (p50, p99, p99.9; zeros when
-/// nothing completed) over the completed jobs of `outcomes` — the one
-/// percentile every report in the crate uses.
-pub(crate) fn turnaround_percentiles<'o>(
-    outcomes: impl Iterator<Item = &'o JobOutcome>,
-) -> [f64; 3] {
-    let mut turn: Vec<f64> = outcomes
-        .filter(|o| o.disposition.completed())
-        .map(JobOutcome::turnaround_ms)
-        .collect();
     turn.sort_by(f64::total_cmp);
-    [0.50, 0.99, 0.999].map(|q| match turn.len() {
+    [s.p50_ms, s.p99_ms, s.p999_ms] = [0.50, 0.99, 0.999].map(|q| match turn.len() {
         0 => 0.0,
         n => turn[((q * n as f64).ceil() as usize).clamp(1, n) - 1],
-    })
+    });
+    s
 }
 
 /// Outcomes plus aggregates for one batch.
@@ -333,7 +308,8 @@ pub(crate) fn turnaround_percentiles<'o>(
 pub struct BatchReport {
     /// Per-job outcomes, in submission order.
     pub outcomes: Vec<JobOutcome>,
-    /// Simulated completion time of this batch's last job, ms.
+    /// Simulated completion time of this batch's last job, ms
+    /// (`latency.makespan_ms`).
     pub makespan_ms: f64,
     /// This batch's jobs per simulated second of `makespan_ms`.
     pub solves_per_sec: f64,
@@ -345,8 +321,7 @@ pub struct BatchReport {
     /// Number of micro-batched fused groups (of ≥ 2 jobs) this batch
     /// ran.
     pub fused_groups: usize,
-    /// Turnaround percentiles and deadline misses over `outcomes`,
-    /// computed once via [`latency_summary`].
+    /// [`latency_summary`] of `outcomes`.
     pub latency: LatencySummary,
 }
 
@@ -358,24 +333,21 @@ impl BatchReport {
         pool: &DevicePool,
         planner: &Planner,
         outcomes: Vec<JobOutcome>,
-        makespan_ms: f64,
         fused_groups: usize,
     ) -> BatchReport {
-        let completed = outcomes
-            .iter()
-            .filter(|o| o.disposition.completed())
-            .count();
+        let latency = latency_summary(&outcomes);
+        let makespan_ms = latency.makespan_ms;
         BatchReport {
             makespan_ms,
             solves_per_sec: if makespan_ms > 0.0 {
-                completed as f64 / (makespan_ms * 1.0e-3)
+                latency.completed as f64 / (makespan_ms * 1.0e-3)
             } else {
                 0.0
             },
             device_stats: pool.stats(),
             distinct_plans: planner.cached_plans(),
             fused_groups,
-            latency: latency_summary(&outcomes),
+            latency,
             outcomes,
         }
     }
@@ -622,8 +594,8 @@ pub(crate) fn execute_round(
 
 /// Solve a batch of jobs over the pool under the default
 /// [`DispatchPolicy::LeastLoaded`] with contiguous stage booking
-/// ([`StageSchedConfig::sequential`]): [`solve_batch_staged`] at its
-/// simplest configuration.
+/// ([`StageSchedConfig::sequential`]): [`solve_batch_staged_with`] at
+/// its simplest configuration, on one host lane per device.
 ///
 /// Device micro-batching is **on by default**: jobs sharing a shape
 /// key fuse into batched launch sequences at the occupancy sweet spot
@@ -631,7 +603,7 @@ pub(crate) fn execute_round(
 /// never changes arithmetic).
 pub fn solve_batch(pool: &mut DevicePool, jobs: &[Job]) -> BatchReport {
     let (micro, seq) = (MicrobatchConfig::default(), StageSchedConfig::sequential());
-    solve_batch_staged(pool, jobs, DispatchPolicy::LeastLoaded, &micro, &seq)
+    solve_batch_staged_with(pool, jobs, DispatchPolicy::LeastLoaded, &micro, &seq, true)
 }
 
 /// Emit one [`Event::JobSettled`] per outcome, in submission order —
@@ -795,18 +767,27 @@ fn replay_transients(
     hits
 }
 
-/// The settle step of every engine, once per executed group: settle
-/// the booking against the passes execution actually ran
-/// (`settle_staged_dispatch` — refund or extend), replay the transient
-/// faults that hit the executed interval (`replay_transients`; no-op on
-/// a quiet device), and assemble the members' outcomes from the settled
-/// placement. Members of a group that replayed come back
-/// [`Disposition::Retried`]; members of a square system whose measured
-/// residual does not certify the plan's target (singular or
-/// ill-conditioned) come back [`Disposition::Degraded`], which outranks
-/// it. The caller layers its own admission and loss-recovery verdicts
-/// on top. Returns the outcomes in group order and the fault instants
-/// (the service shell strikes its breaker with them).
+/// The settle step of every engine, once per executed group, and the
+/// one owner of a completed job's verdict: settle the booking against
+/// the passes execution actually ran (`settle_staged_dispatch` — refund
+/// or extend), replay the transient faults that hit the executed
+/// interval (`replay_transients`; no-op on a quiet device), and assemble
+/// the members' outcomes from the settled placement. Each member comes
+/// back
+///
+/// * [`Disposition::Degraded`] when it ran a plan below its request
+///   (admission or the service's overload ladder down-laddered it), or
+///   when it is a square system whose measured residual does not
+///   certify the plan's target (singular or ill-conditioned);
+/// * otherwise [`Disposition::Retried`] when the driver `retried` it (a
+///   re-dispatch or re-queue after a sticky loss) or a transient replay
+///   hit the group;
+/// * otherwise [`Disposition::Ok`].
+///
+/// A member with no solution (a model-only run) certifies nothing and
+/// reports zero `achieved_digits`, as a tombstone does. Returns the
+/// outcomes in group order and the fault instants (the service shell
+/// strikes its breaker with them).
 pub(crate) fn settle_group(
     pool: &mut DevicePool,
     g: &mut GroupDispatch,
@@ -814,24 +795,50 @@ pub(crate) fn settle_group(
     members: &[&Job],
     solved: Vec<PlannedSolve>,
     sched: &StageSchedConfig,
+    retried: bool,
 ) -> (Vec<JobOutcome>, Vec<f64>) {
+    assert_eq!(members.len(), solved.len());
     let passes_run = solved.iter().map(|s| s.corrections_run).max().unwrap_or(0);
-    let shares = settle_staged_dispatch(pool, g, shape, passes_run, sched);
+    let (refunded_ms, extended_ms) = settle_staged_dispatch(pool, g, shape, passes_run, sched);
     let hits = replay_transients(pool, g, members[0].id, sched.overlap);
-    let mut outcomes = JobOutcome::assemble_group(members, g, solved, shares);
+    let retried = retried || !hits.is_empty();
     // a square system is consistent, so its residual certifies the
     // solve; a tall one's also holds the least squares residual itself,
     // which no solve can shrink, so it certifies nothing either way
-    let target = g.plan.target_digits as f64;
     let certifies = shape.rows == shape.cols;
-    for o in &mut outcomes {
-        if !hits.is_empty() {
-            o.disposition = Disposition::Retried;
-        }
-        if certifies && o.achieved_digits < target {
-            o.disposition = Disposition::Degraded;
-        }
-    }
+    let target = g.plan.target_digits;
+    let outcomes = members
+        .iter()
+        .zip(solved)
+        .map(|(&job, s)| {
+            let has_solution = !s.x.is_empty();
+            let achieved_digits = if has_solution {
+                digits_from_residual(s.residual)
+            } else {
+                0.0
+            };
+            let short = certifies && has_solution && achieved_digits < target as f64;
+            let disposition = if short || target < job.target_digits {
+                Disposition::Degraded
+            } else if retried {
+                Disposition::Retried
+            } else {
+                Disposition::Ok
+            };
+            JobOutcome {
+                achieved_digits,
+                x: s.x,
+                residual: s.residual,
+                start_ms: g.start_ms,
+                fused_group: g.jobs.len(),
+                corrections_run: s.corrections_run,
+                refunded_ms,
+                extended_ms,
+                // the job's identity, on the group's device and end
+                ..tombstone_outcome(job, g.plan.clone(), g.device, disposition, g.end_ms)
+            }
+        })
+        .collect();
     (outcomes, hits)
 }
 
@@ -845,26 +852,16 @@ pub(crate) fn settle_group(
 /// [`solve_batch_resilient`](crate::resilient::solve_batch_resilient)
 /// for the loop's phases.
 ///
-/// Outcomes are bit-identical across every `micro`/`sched`/`policy`
-/// whenever `max_extra_passes` matches (extension is the one knob that
-/// adds arithmetic, and it only fires on jobs that would otherwise
-/// return *under target*).
-pub fn solve_batch_staged(
-    pool: &mut DevicePool,
-    jobs: &[Job],
-    policy: DispatchPolicy,
-    micro: &MicrobatchConfig,
-    sched: &StageSchedConfig,
-) -> BatchReport {
-    solve_batch_staged_with(pool, jobs, policy, micro, sched, true)
-}
-
-/// [`solve_batch_staged`] with an explicit host-parallelism switch:
 /// `host_parallel` runs the executor with one host lane per pool
 /// device (lanes pull jobs; a lane has no device identity), and `false`
 /// runs every job on the calling thread in booking order — the serial
 /// reference the parallel executor is asserted bit-identical (and
 /// timing-identical) against.
+///
+/// Outcomes are bit-identical across every `micro`/`sched`/`policy`
+/// whenever `max_extra_passes` matches (extension is the one knob that
+/// adds arithmetic, and it only fires on jobs that would otherwise
+/// return *under target*).
 pub fn solve_batch_staged_with(
     pool: &mut DevicePool,
     jobs: &[Job],
@@ -993,19 +990,16 @@ pub(crate) fn run_round(
     let mut fused_groups = 0;
     for (mut slot, solved) in slots.into_iter().zip(solved) {
         fused_groups += usize::from(slot.members.len() > 1);
-        let (settled, _) =
-            settle_group(pool, &mut slot.g, &slot.shape, &slot.members, solved, sched);
-        for (&j, mut o) in slot.g.jobs.iter().zip(settled) {
-            // loss recovery's verdict, and admission's — a plan below
-            // the request was down-laddered — outrank a replay
-            if slot.retried {
-                o.disposition = o.disposition.outranking(Disposition::Retried);
-            }
-            if o.plan.target_digits < o.requested_digits {
-                o.disposition = Disposition::Degraded;
-            }
-            outcomes.push((j, o));
-        }
+        let (settled, _) = settle_group(
+            pool,
+            &mut slot.g,
+            &slot.shape,
+            &slot.members,
+            solved,
+            sched,
+            slot.retried,
+        );
+        outcomes.extend(slot.g.jobs.iter().copied().zip(settled));
     }
     Round {
         outcomes,
@@ -1050,8 +1044,9 @@ pub(crate) fn run_round(
 ///    and the event stream stay deterministic): refund each group's
 ///    unexecuted tail or book the extra passes execution ran
 ///    ([`settle_staged_dispatch`]), then replay the transient faults
-///    that hit the executed interval (no-op on a quiet pool).
-/// 5. **Report** in submission order.
+///    that hit the executed interval (no-op on a quiet pool); each
+///    member's verdict is [`settle_group`]'s.
+/// 5. **Report** in submission order, summarized by [`latency_summary`].
 pub(crate) fn run_batch(
     pool: &mut DevicePool,
     jobs: &[Job],
@@ -1131,12 +1126,7 @@ pub(crate) fn run_batch(
     {
         emit_settled(pool, std::slice::from_ref(o));
     }
-    let makespan_ms = outcomes
-        .iter()
-        .filter(|o| o.disposition.completed())
-        .map(|o| o.end_ms)
-        .fold(0.0, f64::max);
-    BatchReport::from_outcomes(pool, &planner, outcomes, makespan_ms, round.fused_groups)
+    BatchReport::from_outcomes(pool, &planner, outcomes, round.fused_groups)
 }
 
 #[cfg(test)]
@@ -1308,12 +1298,13 @@ mod tests {
         let report = solve_batch(&mut pool, &[]);
         assert!(report.outcomes.is_empty());
         assert_eq!(report.makespan_ms, 0.0);
-        let staged = solve_batch_staged(
+        let staged = solve_batch_staged_with(
             &mut pool,
             &[],
             DispatchPolicy::LeastLoaded,
             &MicrobatchConfig::default(),
             &StageSchedConfig::staged(),
+            true,
         );
         assert!(staged.outcomes.is_empty());
     }

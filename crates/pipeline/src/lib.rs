@@ -24,9 +24,9 @@
 //! never a silent `Ok`. (A tall system's residual also holds its least
 //! squares residual, so it certifies nothing and degrades nothing.)
 //!
-//! Every batch entry point ([`solve_batch`], [`solve_batch_staged`],
-//! [`solve_batch_staged_with`], [`solve_batch_resilient`]) is a wrapper
-//! of a few lines over that loop. The stream has one constructor,
+//! Every batch entry point ([`solve_batch`], [`solve_batch_staged_with`],
+//! [`solve_batch_resilient`]) is a wrapper of a few lines over that
+//! loop. The stream has one constructor,
 //! [`solve_stream_staged`] (ingress admission is
 //! [`BatchStream::with_admission`]), and each pull runs one round of
 //! the same loop — book → recover → execute → settle — over the one
@@ -44,8 +44,13 @@
 //! `microbatch::dispatch_group_where`, `resilient::recover`,
 //! `batch::execute_round`, `batch::settle_group`); the batch loop and
 //! the stream also share the round that chains them (`batch::run_round`).
-//! What stays per driver is what genuinely differs: whole-queue LPT
-//! booking (batch), the reorder window, drain-order fusion and loss-time
+//! Settle decides every completed job's verdict — `Degraded` for a plan
+//! below the request or a square residual short of target, else
+//! `Retried` when the driver retried it or a transient replay hit it,
+//! else `Ok` — and every report (batch, stream, service, tenant, SLO
+//! class) is one fold, [`latency_summary`], over its outcomes. What
+//! stays per driver is what genuinely differs: whole-queue LPT booking
+//! (batch), the reorder window, drain-order fusion and loss-time
 //! re-preview (stream), DRR, quotas, the overload ladder, breakers and
 //! re-queueing ([`serve`]).
 //!
@@ -92,8 +97,8 @@
 //!   backoff base, shared by batch, stream and [`serve`]). Every job
 //!   ends in an explicit [`Disposition`]; completed jobs are
 //!   bit-identical to the fault-free run. The one knob is
-//!   [`AdmissionConfig::enabled`]: [`solve_batch_staged`] passes it
-//!   off, [`solve_batch_resilient`] takes the config.
+//!   [`AdmissionConfig::enabled`]: [`solve_batch_staged_with`] passes
+//!   it off, [`solve_batch_resilient`] takes the config.
 //!
 //! Around the loop:
 //!
@@ -149,7 +154,7 @@
 //! | need | call |
 //! |---|---|
 //! | defaults (greedy, fused, contiguous booking) | `solve_batch(p, j)` / `solve_stream_staged(p, j, DispatchPolicy::LeastLoaded, 1, MicrobatchConfig::default(), StageSchedConfig::sequential())` |
-//! | explicit dispatch policy | `solve_batch_staged(p, j, pol, &MicrobatchConfig::default(), &StageSchedConfig::sequential())` |
+//! | explicit dispatch policy | `solve_batch_staged_with(p, j, pol, &MicrobatchConfig::default(), &StageSchedConfig::sequential(), true)` |
 //! | serial host execution (the bit-identity reference) | `solve_batch_staged_with(p, j, pol, &micro, &sched, false)` |
 //! | per-job launches (fusion A/B control) | pass `&MicrobatchConfig::off()` as `micro` |
 //! | overlap, expected-pass booking, online re-booking, extension | pass `&StageSchedConfig::staged()` as `sched` |
@@ -157,6 +162,7 @@
 //! | stream with a reorder window `w` | `solve_stream_staged(p, j, pol, w, micro, sched)` |
 //! | stream with ingress admission | `solve_stream_staged(..).with_admission(AdmissionConfig::default())` |
 //! | one model-only dispatch | `dispatch_group_staged(p, pl, jobs, s, pol, &sched, release)` (a schedule is one call per group, in your placement order) |
+//! | counts, percentiles and makespan of any set of outcomes (a stream's, one tenant's) | `latency_summary(outcomes.iter().filter(..))` — what every report holds |
 //! | interpret one plan yourself (fused or not, one job per call) | `solve_planned_traced_with(gpu, job, &plan, extra_passes)` |
 //! | a plan's per-stage predicted walls | `plan.stage_wall_ms` (the group of one); a fused group's: `planner.plan_fused(gpu, m, n, digits, k).1.stage_wall_ms` |
 //! | planner cache traffic | count `PlanCacheHit`/`PlanCacheMiss`/`FusedMemoHit`/`FusedMemoMiss` events from the pool's observer (`mdls_obs::Metrics` counts them) |
@@ -207,7 +213,7 @@ pub mod stream;
 pub mod workload;
 
 pub use batch::{
-    digits_from_residual, latency_summary, promoted_cache_stats, solve_batch, solve_batch_staged,
+    digits_from_residual, latency_summary, promoted_cache_stats, solve_batch,
     solve_batch_staged_with, solve_planned_traced_with, BatchReport, Disposition, JobOutcome,
     LatencySummary, PlannedSolve,
 };
@@ -222,9 +228,8 @@ pub use pool::{
 pub use resilient::{solve_batch_resilient, AdmissionConfig, ResilienceConfig};
 pub use scheduler::{dispatch_one, Dispatch, DispatchPolicy, JobShape, StageSchedConfig};
 pub use service::{
-    serve, Backpressure, BreakerConfig, BreakerSummary, ClassSummary, ExecutionMode,
-    OverloadConfig, QuotaSpec, ServiceConfig, ServicePolicy, ServiceReport, TenantSpec,
-    TenantSummary,
+    serve, Backpressure, BreakerConfig, BreakerSummary, ExecutionMode, OverloadConfig, QuotaSpec,
+    ServiceConfig, ServicePolicy, ServiceReport, TenantSpec, TenantSummary,
 };
 pub use stream::{solve_stream_staged, BatchStream};
 pub use workload::{

@@ -40,9 +40,12 @@
 //! staging workers feeding all N devices. Every prep interval books
 //! against a worker slot *and* the device's prep lane, so SECT
 //! previews stop pretending every device has a private free host. The
-//! default `k = N` reproduces the one-prep-lane-per-device model of
-//! the cursor timelines exactly (per-device prep is already serialized
-//! by the prep lane, so N workers never contend).
+//! default is `k = N`, but that is *not* one private worker per device:
+//! a prep takes the earliest-fitting worker (ties to the lowest id) in
+//! booking order, so one device's preps can sit on different workers
+//! and together block another device whose own prep lane is free. A
+//! prep then waits for a worker ([`Event::StagingWait`]) even at
+//! `k = N`.
 //!
 //! ## Online re-booking and compaction
 //!
@@ -1799,6 +1802,50 @@ mod tests {
         p.set_staging_workers(1);
         p.commit_stages(0, &reqs, 0.0, 0.0, 1, true, 0.0);
         assert_eq!(p.preview_stages(1, &reqs, true, 0.0), 10.0);
+    }
+
+    #[test]
+    fn default_staging_workers_can_contend() {
+        // k = N = 2: device 1's two preps land on different workers
+        // (first fit in booking order), so device 0's next prep finds
+        // its own lane free from 10 ms but no worker until 15 ms
+        let calls = [
+            (0, 10.0, 0.0),
+            (1, 10.0, 5.0),
+            (1, 10.0, 20.0),
+            (0, 12.0, 10.0),
+        ];
+        let mut pool = DevicePool::homogeneous(&Gpu::v100(), 2);
+        let recorder = Arc::new(mdls_obs::Recorder::new());
+        pool.attach_observer(recorder.clone());
+        assert_eq!(pool.staging().len(), 2);
+        let starts: Vec<f64> = calls
+            .iter()
+            .map(|&(d, host_ms, nb)| {
+                let reqs = [StageReq {
+                    host_ms,
+                    device_ms: 1.0,
+                }];
+                pool.commit_stages(d, &reqs, 0.0, 0.0, 1, true, nb).stages[0]
+                    .host
+                    .0
+            })
+            .collect();
+        assert_eq!(starts, [0.0, 5.0, 20.0, 15.0]);
+        let waits: Vec<(usize, f64, f64)> = recorder
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::StagingWait {
+                    device,
+                    wait_ms,
+                    at_ms,
+                    ..
+                } => Some((device, wait_ms, at_ms)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(waits, [(0, 5.0, 15.0)]);
     }
 
     #[test]

@@ -307,7 +307,7 @@ pub(crate) fn recover(
 /// device's [`Gpu::fault`](gpusim::Gpu) plan (attach one with
 /// [`DevicePool::set_fault_plan`]); with every plan quiet and no
 /// deadlines the extra phases do nothing and this *is*
-/// [`crate::batch::solve_batch_staged`], outcomes and timelines alike.
+/// [`crate::batch::solve_batch_staged_with`], outcomes and timelines alike.
 ///
 /// Every job ends in an explicit [`Disposition`] on its outcome, and
 /// every *completed* job's solution is bit-identical to the fault-free

@@ -35,7 +35,7 @@
 //!   then shed outright, before a standard job is touched —
 //!   [`SloClass::Premium`] is never down-laddered by load. Deadline
 //!   admission (always on here) still runs after the ladder, so every
-//!   decision ends in an explicit [`Disposition`].
+//!   decision ends in an explicit [`Disposition`](crate::batch::Disposition).
 //! * **Device circuit breakers.** Each device's transient-fault rate
 //!   (from its seeded [`gpusim::FaultPlan`]) is tracked over a sliding
 //!   window; a device exceeding [`BreakerConfig::max_faults`] is
@@ -50,7 +50,8 @@
 //! * **The front door.** Before anything queues, every job passes
 //!   [`Job::validate`]; a malformed one (degenerate or underdetermined
 //!   system, mis-sized data, a NaN or infinite entry, a target past the
-//!   od rung, a non-finite instant) ends [`Disposition::Invalid`] and
+//!   od rung, a non-finite instant) ends
+//!   [`Disposition::Invalid`](crate::batch::Disposition::Invalid) and
 //!   takes no queue slot, quota or planner call.
 //!
 //! Determinism: arrivals, queue decisions, the DRR cycle, breaker
@@ -62,12 +63,18 @@
 //! that order — the report is bit-identical across runs *and* across
 //! worker counts.
 //!
-//! The shell owns *which job, which devices are eligible, at what
-//! instant*; what happens to a dispatched job after that — admission
-//! preview, placement and booking, execution, settlement — is the path
+//! The shell keeps only what differs from the batch loop and the
+//! stream: the bounded queues, DRR, quotas, the overload ladder, the
+//! breakers and the re-queue after a sticky loss. It owns *which job,
+//! which devices are eligible, at what instant*; what happens to a
+//! dispatched job after that — admission preview, placement and
+//! booking, execution, settlement and the job's verdict — is the path
 //! the batch loop and the stream run too (`resilient::admit`,
 //! `microbatch::dispatch_group_where`, `batch::execute_round`,
-//! `batch::settle_group`): a job here is a group of one.
+//! `batch::settle_group`): a job here is a group of one, and a
+//! re-queued one settles as retried. The report is the same fold every
+//! driver reports with: [`latency_summary`] over all outcomes, over
+//! each tenant's, and over each of its SLO classes.
 
 mod bounded;
 
@@ -76,8 +83,8 @@ use std::collections::BTreeMap;
 use bounded::BoundedQueue;
 
 use crate::batch::{
-    emit_settled, execute_round, latency_summary, settle_group, turnaround_percentiles,
-    Disposition, JobOutcome, LatencySummary, PlannedSolve,
+    emit_settled, execute_round, latency_summary, settle_group, JobOutcome, LatencySummary,
+    PlannedSolve,
 };
 use crate::job::{Job, Precision, SloClass, Solution, TenantId};
 use crate::microbatch::{dispatch_group_where, GroupDispatch};
@@ -264,8 +271,10 @@ pub enum ExecutionMode {
     Functional,
     /// Model-only: book, settle and time every dispatch without
     /// executing the arithmetic — outcomes carry an empty solution,
-    /// infinite residual and zero achieved digits. For sustained-load
-    /// benches (10⁵-job scale) where only the schedule is under test.
+    /// infinite residual and zero achieved digits (nothing solved
+    /// certifies nothing, so only a down-laddered plan degrades one).
+    /// For sustained-load benches (10⁵-job scale) where only the
+    /// schedule is under test.
     ModelOnly,
 }
 
@@ -302,63 +311,28 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Per-SLO-class slice of one tenant's service.
-#[derive(Clone, Debug)]
-pub struct ClassSummary {
-    /// The class this row covers.
-    pub class: SloClass,
-    /// Jobs the tenant submitted in this class.
-    pub submitted: usize,
-    /// Jobs that completed (any completing disposition).
-    pub completed: usize,
-    /// Jobs shed for any reason (backpressure, overload, deadline,
-    /// starvation).
-    pub shed: usize,
-    /// Jobs that completed down-laddered.
-    pub degraded: usize,
-    /// Median turnaround over completed jobs, ms.
-    pub p50_ms: f64,
-    /// 99th-percentile turnaround, ms.
-    pub p99_ms: f64,
-    /// 99.9th-percentile turnaround, ms.
-    pub p999_ms: f64,
-}
-
-/// One tenant's service summary.
+/// One tenant's service summary: the fold of its outcomes, overall and
+/// per SLO class, plus the two counts only the shell itself sees.
 #[derive(Clone, Debug)]
 pub struct TenantSummary {
     /// The tenant.
     pub tenant: TenantId,
     /// Label from the spec ("tenant" for unspecified tenants).
     pub name: &'static str,
-    /// Jobs submitted.
-    pub submitted: usize,
-    /// Jobs completed.
-    pub completed: usize,
-    /// Jobs shed for any reason.
-    pub shed: usize,
-    /// Subset of `shed` dropped by the bounded queue itself
+    /// [`latency_summary`] of the tenant's outcomes: submitted,
+    /// completed, shed, invalid (refused at the front door — never
+    /// queued, never counted under `shed`), degraded, retried,
+    /// percentiles.
+    pub summary: LatencySummary,
+    /// [`latency_summary`] per SLO class, in ladder order (classes with
+    /// no submissions omitted).
+    pub classes: Vec<(SloClass, LatencySummary)>,
+    /// Subset of `summary.shed` dropped by the bounded queue itself
     /// (reject + evict).
     pub rejected: usize,
-    /// Jobs refused at the front door ([`Disposition::Invalid`]): never
-    /// queued, never counted under `shed`.
-    pub invalid: usize,
-    /// Jobs that completed down-laddered.
-    pub degraded: usize,
-    /// Jobs that completed only after transient replays or a
-    /// mid-dispatch device loss.
-    pub retried: usize,
     /// Dry spells: times the tenant's bucket could not cover its head
     /// job and the scheduler skipped it.
     pub quota_exhaustions: usize,
-    /// Median turnaround over completed jobs, ms.
-    pub p50_ms: f64,
-    /// 99th-percentile turnaround, ms.
-    pub p99_ms: f64,
-    /// 99.9th-percentile turnaround, ms.
-    pub p999_ms: f64,
-    /// Per-SLO-class slices (classes with no submissions omitted).
-    pub classes: Vec<ClassSummary>,
 }
 
 /// One device's circuit-breaker history.
@@ -380,13 +354,13 @@ pub struct BreakerSummary {
 pub struct ServiceReport {
     /// One outcome per submitted job, in submission order.
     pub outcomes: Vec<JobOutcome>,
-    /// Pool-wide latency summary over the outcomes.
+    /// [`latency_summary`] of the outcomes.
     pub latency: LatencySummary,
     /// Per-tenant summaries, ordered by tenant id.
     pub tenants: Vec<TenantSummary>,
     /// Per-device breaker histories.
     pub breakers: Vec<BreakerSummary>,
-    /// Simulated completion of the last job, ms.
+    /// Simulated completion of the last job, ms (`latency.makespan_ms`).
     pub makespan_ms: f64,
 }
 
@@ -454,7 +428,7 @@ struct Shell<'a> {
     /// Current target digits per job (down-laddered by the overload
     /// ladder or admission before dispatch).
     cur_digits: Vec<u32>,
-    degraded: Vec<bool>,
+    /// Re-queued after a sticky loss interrupted its dispatch.
     retried: Vec<bool>,
     outcomes: Vec<Option<JobOutcome>>,
     /// Queued backlog, predicted device-ms (the load detector's
@@ -665,7 +639,6 @@ impl<'a> Shell<'a> {
                         to_digits: to,
                     });
                     self.cur_digits[j] = to;
-                    self.degraded[j] = true;
                 }
             }
         }
@@ -680,7 +653,6 @@ impl<'a> Shell<'a> {
             &AdmissionConfig::default(),
         ) {
             Admitted::Run { digits } => {
-                self.degraded[j] |= digits != self.cur_digits[j];
                 self.cur_digits[j] = digits;
                 true
             }
@@ -830,7 +802,7 @@ impl<'a> Shell<'a> {
         // the shared settle step: refund or extend the booking, one
         // backed-off replay per transient kernel fault inside the
         // executed interval (time moves, bits do not) — and one breaker
-        // strike each, below
+        // strike each, below — and the job's verdict
         let (mut settled, hits) = settle_group(
             pool,
             &mut e.g,
@@ -838,9 +810,9 @@ impl<'a> Shell<'a> {
             &[&self.jobs[e.job_idx]],
             solved,
             &SCHED,
+            self.retried[e.job_idx],
         );
-        let mut outcome = settled.pop().expect("a group of one settles one outcome");
-        self.retried[e.job_idx] |= !hits.is_empty();
+        let outcome = settled.pop().expect("a group of one settles one outcome");
         let end = e.g.end_ms;
 
         // breaker bookkeeping
@@ -881,21 +853,6 @@ impl<'a> Shell<'a> {
         // reconcile the dispatch-time reservation: refunds return to
         // the bucket, extensions drain it further
         self.credit_quota(e.tenant_idx, outcome.refunded_ms - outcome.extended_ms);
-
-        // settle reports Degraded only for a residual short of the
-        // target, which a model-only run (nothing solved) never measures
-        let uncertified = self.cfg.mode == ExecutionMode::Functional
-            && outcome.disposition == Disposition::Degraded;
-        outcome.disposition = if self.degraded[e.job_idx] || uncertified {
-            Disposition::Degraded
-        } else if self.retried[e.job_idx] {
-            Disposition::Retried
-        } else {
-            Disposition::Ok
-        };
-        if self.cfg.mode == ExecutionMode::ModelOnly {
-            outcome.achieved_digits = 0.0;
-        }
         emit_settled(pool, std::slice::from_ref(&outcome));
         self.outcomes[e.job_idx] = Some(outcome);
     }
@@ -1040,7 +997,8 @@ impl<'a> Shell<'a> {
 /// jobs of an unspecified tenant run under an implicit default spec
 /// (weight 1, 64-slot rejecting queue, no quota). Every job ends with
 /// an outcome carrying an explicit disposition, in submission order; a
-/// job failing [`Job::validate`] ends [`Disposition::Invalid`] at once
+/// job failing [`Job::validate`] ends
+/// [`Disposition::Invalid`](crate::batch::Disposition::Invalid) at once
 /// and the service runs the rest exactly as if it had not been
 /// submitted.
 pub fn serve(
@@ -1122,7 +1080,6 @@ pub fn serve(
         seq: vec![u64::MAX; n],
         next_seq: 0,
         cur_digits: jobs.iter().map(|j| j.target_digits).collect(),
-        degraded: vec![false; n],
         retried: vec![false; n],
         outcomes,
         pending_ms: 0.0,
@@ -1149,72 +1106,39 @@ pub fn serve(
         .into_iter()
         .map(|o| o.expect("every job ends in an outcome"))
         .collect();
-    let latency = latency_summary(&outcomes);
-    let makespan_ms = outcomes
-        .iter()
-        .filter(|o| o.disposition.completed())
-        .map(|o| o.end_ms)
-        .fold(0.0, f64::max);
-
-    let count =
-        |outs: &[&JobOutcome], d: Disposition| outs.iter().filter(|o| o.disposition == d).count();
-    let completed =
-        |outs: &[&JobOutcome]| outs.iter().filter(|o| o.disposition.completed()).count();
-    // one pass over the outcomes: they are in submission order, so
-    // outcome i belongs to jobs[i] — bucket by the submitted job's
+    // outcome i belongs to jobs[i]: bucket by the submitted job's
     // tenant and SLO class (`SloClass` is declared in ladder order)
     let mut buckets: Vec<[Vec<&JobOutcome>; 3]> = vec![Default::default(); shell.tenants.len()];
     for (o, job) in outcomes.iter().zip(jobs) {
         buckets[by_id[&job.tenant.0]][job.slo as usize].push(o);
     }
-    let mut summaries = Vec::new();
-    for (ts, by_class) in shell.tenants.iter().zip(&buckets) {
-        let mine: Vec<&JobOutcome> = by_class.iter().flatten().copied().collect();
-        if mine.is_empty() {
-            continue;
-        }
-        let [p50_ms, p99_ms, p999_ms] = turnaround_percentiles(mine.iter().copied());
-        let mut classes = Vec::new();
-        for (class, slice) in SloClass::LADDER.into_iter().zip(by_class) {
-            if slice.is_empty() {
-                continue;
-            }
-            let [p50_ms, p99_ms, p999_ms] = turnaround_percentiles(slice.iter().copied());
-            classes.push(ClassSummary {
-                class,
-                submitted: slice.len(),
-                completed: completed(slice),
-                shed: count(slice, Disposition::Shed),
-                degraded: count(slice, Disposition::Degraded),
-                p50_ms,
-                p99_ms,
-                p999_ms,
-            });
-        }
-        summaries.push(TenantSummary {
+    let tenants = shell
+        .tenants
+        .iter()
+        .zip(&buckets)
+        .filter(|(_, by_class)| by_class.iter().any(|c| !c.is_empty()))
+        .map(|(ts, by_class)| TenantSummary {
             tenant: ts.spec.id,
             name: ts.spec.name,
-            submitted: mine.len(),
-            completed: completed(&mine),
-            shed: count(&mine, Disposition::Shed),
+            summary: latency_summary(by_class.iter().flatten().copied()),
+            classes: SloClass::LADDER
+                .into_iter()
+                .zip(by_class)
+                .filter(|(_, slice)| !slice.is_empty())
+                .map(|(class, slice)| (class, latency_summary(slice.iter().copied())))
+                .collect(),
             rejected: ts.rejected,
-            invalid: count(&mine, Disposition::Invalid),
-            degraded: count(&mine, Disposition::Degraded),
-            retried: count(&mine, Disposition::Retried),
             quota_exhaustions: ts.quota_exhaustions,
-            p50_ms,
-            p99_ms,
-            p999_ms,
-            classes,
-        });
-    }
+        })
+        .collect();
     let breakers = shell.breakers.iter().map(|b| b.summary).collect();
 
+    let latency = latency_summary(&outcomes);
     ServiceReport {
-        outcomes,
+        makespan_ms: latency.makespan_ms,
         latency,
-        tenants: summaries,
+        outcomes,
+        tenants,
         breakers,
-        makespan_ms,
     }
 }

@@ -19,8 +19,9 @@ use mdls_obs::{metrics::Metrics, Event, Recorder};
 use mdls_pipeline::{
     digits_from_residual, latency_summary, serve, solve_batch_resilient, solve_stream_staged,
     AdmissionConfig, Backpressure, DevicePool, DispatchPolicy, Disposition, ExecutionMode, Job,
-    JobOutcome, MicrobatchConfig, Precision, ResilienceConfig, ServiceConfig, ServicePolicy,
-    SloClass, StageSchedConfig, SubmitError, TenantId, TenantSpec,
+    JobOutcome, LatencySummary, MicrobatchConfig, OverloadConfig, Precision, ResilienceConfig,
+    ServiceConfig, ServicePolicy, ServiceReport, SloClass, StageSchedConfig, SubmitError, TenantId,
+    TenantSpec,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -299,20 +300,72 @@ fn serve_refuses_malformed_jobs_and_runs_the_rest_unchanged() {
     assert_eq!(mixed.makespan_ms.to_bits(), alone.makespan_ms.to_bits());
     // refusals are their own column: never queued, never shed
     let t0 = mixed.tenants.iter().find(|t| t.tenant == TenantId(0));
-    assert_eq!(t0.map(|t| (t.invalid, t.shed)), Some((bad.len(), 0)));
+    assert_eq!(
+        t0.map(|t| (t.summary.invalid, t.summary.shed)),
+        Some((bad.len(), 0))
+    );
     assert_eq!(mixed.latency.invalid, bad.len());
+}
+
+/// The counters of a summary, for partition checks.
+fn counters(s: &LatencySummary) -> [usize; 8] {
+    [
+        s.submitted,
+        s.completed,
+        s.degraded,
+        s.retried,
+        s.shed,
+        s.failed,
+        s.invalid,
+        s.deadline_misses,
+    ]
+}
+
+/// `serve`'s report is the fold of its outcomes: the pool-wide summary,
+/// every tenant's and every SLO class's are `latency_summary` over the
+/// matching outcomes, classes partition their tenant and tenants the
+/// pool, counter by counter, and the makespan is the summary's.
+fn assert_report_is_the_fold(report: &ServiceReport, jobs: &[Job], at: &str) {
+    assert_eq!(report.latency, latency_summary(&report.outcomes), "{at}");
+    assert_eq!(
+        report.makespan_ms.to_bits(),
+        report.latency.makespan_ms.to_bits(),
+        "{at}"
+    );
+    let sum = |parts: &mut dyn Iterator<Item = [usize; 8]>| {
+        parts.fold([0; 8], |acc, c| std::array::from_fn(|i| acc[i] + c[i]))
+    };
+    let tenants = &mut report.tenants.iter().map(|t| counters(&t.summary));
+    assert_eq!(sum(tenants), counters(&report.latency), "{at}: tenants");
+    for t in &report.tenants {
+        let mine = |slo: Option<SloClass>| {
+            let of = report.outcomes.iter().zip(jobs);
+            latency_summary(
+                of.filter(|(o, j)| o.tenant == t.tenant && slo.is_none_or(|c| j.slo == c))
+                    .map(|(o, _)| o),
+            )
+        };
+        assert_eq!(t.summary, mine(None), "{at}: tenant {:?}", t.tenant);
+        for &(class, summary) in &t.classes {
+            assert_eq!(summary, mine(Some(class)), "{at}: {:?} {class:?}", t.tenant);
+        }
+        let classes = &mut t.classes.iter().map(|(_, c)| counters(c));
+        assert_eq!(sum(classes), counters(&t.summary), "{at}: classes");
+    }
 }
 
 /// A seeded front-door fuzzer: random tenant specs (zero weights and
 /// capacities, tiny quota buckets), fault plans, service and placement
-/// policies, and a job mix that is one-third malformed, through `serve`
+/// policies, overload thresholds, and a job mix that is one-third malformed, through `serve`
 /// (model-only; every eighth seed functional, plus the batch loop and
 /// the stream under a drawn fusion, booking mode and reorder window).
 /// Nothing panics or hangs, every job ends in exactly one outcome,
 /// exactly the malformed ones end `Invalid`, no completed square solve
-/// short of its target reads `Ok`, and no completed job ends past its
-/// device's sticky loss. (It found that a job costing more
-/// than its tenant's whole quota bucket parked `serve` forever.)
+/// short of its target reads `Ok`, no completed job ends past its
+/// device's sticky loss, every report is the fold of its outcomes, and
+/// a model-only job degrades exactly when its plan was down-laddered.
+/// (It found that a job costing more than its tenant's whole quota
+/// bucket parked `serve` forever.)
 #[test]
 fn seeded_malformed_mixes_never_panic_the_service() {
     let pick = |rng: &mut StdRng, n: usize| (rng.next_u64() % n as u64) as usize;
@@ -390,11 +443,28 @@ fn seeded_malformed_mixes_never_panic_the_service() {
             } else {
                 ExecutionMode::ModelOnly
             },
+            // half the seeds load the ladder, so some jobs down-ladder
+            overload: if pick(&mut rng, 2) == 0 {
+                let degrade = rng.random_range(0.0..8.0);
+                OverloadConfig::thresholds(degrade, 2.0 * degrade)
+            } else {
+                OverloadConfig::default()
+            },
             ..ServiceConfig::default()
         };
         let report = serve(&mut pool(), &jobs, &specs, &cfg);
-        let per_tenant: usize = report.tenants.iter().map(|t| t.invalid).sum();
+        let per_tenant: usize = report.tenants.iter().map(|t| t.summary.invalid).sum();
         assert_eq!(per_tenant, want_invalid, "seed {seed}");
+        assert_report_is_the_fold(&report, &jobs, &format!("seed {seed}"));
+        if !functional {
+            // nothing solved certifies nothing: only a plan below the
+            // request degrades a model-only job
+            for o in report.outcomes.iter().filter(|o| o.disposition.completed()) {
+                assert_eq!(o.achieved_digits, 0.0, "seed {seed}: job {}", o.job_id);
+                let down = o.plan.target_digits < o.requested_digits;
+                assert_eq!(o.disposition == Disposition::Degraded, down, "seed {seed}");
+            }
+        }
         let mut runs = vec![("serve", report.outcomes, report.latency)];
         if functional {
             let micro = [MicrobatchConfig::default(), MicrobatchConfig::off()][pick(&mut rng, 2)];
@@ -407,6 +477,11 @@ fn seeded_malformed_mixes_never_panic_the_service() {
                 &micro,
                 &sched,
                 &ResilienceConfig::default(),
+            );
+            assert_eq!(
+                batch.latency,
+                latency_summary(&batch.outcomes),
+                "seed {seed}"
             );
             runs.push(("batch", batch.outcomes, batch.latency));
             let window = 1 + pick(&mut rng, 4);

@@ -86,30 +86,30 @@ fn weighted_fair_bounds_light_tenant_p99_under_burst() {
     let fair = run(&jobs, ServicePolicy::WeightedFair);
     let fifo = run(&jobs, ServicePolicy::Fifo);
 
-    let solo_p99 = tenant_summary(&solo, light_id).p99_ms;
+    let solo_p99 = tenant_summary(&solo, light_id).summary.p99_ms;
     let fair_light = tenant_summary(&fair, light_id);
     let fifo_light = tenant_summary(&fifo, light_id);
     assert_eq!(
-        fair_light.completed, 40,
+        fair_light.summary.completed, 40,
         "fair run completes the light tenant"
     );
     assert!(
-        fair_light.p99_ms < fifo_light.p99_ms,
+        fair_light.summary.p99_ms < fifo_light.summary.p99_ms,
         "weighted fair must strictly beat FIFO for the light tenant: \
          fair p99 {} vs fifo p99 {}",
-        fair_light.p99_ms,
-        fifo_light.p99_ms
+        fair_light.summary.p99_ms,
+        fifo_light.summary.p99_ms
     );
     // the SLO bound: a constant factor over the uncontended tail, not
     // proportional to the burster's backlog
     assert!(
-        fair_light.p99_ms <= solo_p99.max(1e-3) * 10.0,
+        fair_light.summary.p99_ms <= solo_p99.max(1e-3) * 10.0,
         "burst leaked into the light tenant's tail: p99 {} vs solo {}",
-        fair_light.p99_ms,
+        fair_light.summary.p99_ms,
         solo_p99
     );
     // the burster itself pays: its tail is far beyond the light one's
-    assert!(tenant_summary(&fair, burst_id).p99_ms > fair_light.p99_ms);
+    assert!(tenant_summary(&fair, burst_id).summary.p99_ms > fair_light.summary.p99_ms);
 
     // a bounded freshest-wins queue sheds the burst's overflow at the
     // door — counted as rejected, never queued — and starves no one
@@ -120,10 +120,13 @@ fn weighted_fair_bounds_light_tenant_p99_under_burst() {
     let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
     let shed = serve(&mut pool, &jobs, &bounded, &cfg);
     let burster = tenant_summary(&shed, burst_id);
-    assert!(burster.shed > 0, "the burst never overflowed its queue");
-    assert_eq!(burster.shed, burster.rejected);
-    assert_eq!(burster.shed + burster.completed, 400);
-    assert_eq!(tenant_summary(&shed, light_id).completed, 40);
+    assert!(
+        burster.summary.shed > 0,
+        "the burst never overflowed its queue"
+    );
+    assert_eq!(burster.summary.shed, burster.rejected);
+    assert_eq!(burster.summary.shed + burster.summary.completed, 400);
+    assert_eq!(tenant_summary(&shed, light_id).summary.completed, 40);
 }
 
 /// A zero-refill quota starves only its own tenant: the metered tenant
@@ -158,13 +161,16 @@ fn quota_exhaustion_sheds_only_the_exhausted_tenant() {
 
         let m = tenant_summary(&report, metered);
         let f = tenant_summary(&report, free);
-        assert_eq!(f.completed, 10, "unmetered tenant must be untouched");
-        assert_eq!(f.shed, 0);
         assert_eq!(
-            m.completed, 2,
+            f.summary.completed, 10,
+            "unmetered tenant must be untouched"
+        );
+        assert_eq!(f.summary.shed, 0);
+        assert_eq!(
+            m.summary.completed, 2,
             "{devices} devices: bucket covers exactly two jobs"
         );
-        assert_eq!(m.shed, 8, "the rest starve and shed");
+        assert_eq!(m.summary.shed, 8, "the rest starve and shed");
         assert_eq!(m.quota_exhaustions, 1, "one dry spell, counted once");
         for o in report.outcomes.iter().filter(|o| o.tenant == metered) {
             let expect = if o.job_id < 2 {
@@ -188,8 +194,8 @@ fn quota_exhaustion_sheds_only_the_exhausted_tenant() {
     let report = serve(&mut pool, &jobs, &refilling, &cfg);
     let m = tenant_summary(&report, metered);
     assert!(m.quota_exhaustions >= 1, "the metered tenant never ran dry");
-    assert_eq!((m.completed, m.shed), (10, 0));
-    assert_eq!(tenant_summary(&report, free).completed, 10);
+    assert_eq!((m.summary.completed, m.summary.shed), (10, 0));
+    assert_eq!(tenant_summary(&report, free).summary.completed, 10);
 }
 
 /// Regression: the quota check used to read the bucket at pick time
@@ -213,8 +219,8 @@ fn quota_never_overspends_within_a_round() {
     let mut pool = DevicePool::homogeneous(&Gpu::v100(), 4);
     let report = serve(&mut pool, &jobs, &specs, &cfg);
     let t = tenant_summary(&report, metered);
-    assert_eq!(t.completed, 1, "bucket covers exactly one job");
-    assert_eq!(t.shed, 7, "the rest starve and shed");
+    assert_eq!(t.summary.completed, 1, "bucket covers exactly one job");
+    assert_eq!(t.summary.shed, 7, "the rest starve and shed");
 }
 
 /// Regression: a job predicted to cost more than its tenant's whole

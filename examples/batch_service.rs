@@ -8,7 +8,7 @@
 //! ```
 
 use multidouble_ls::pipeline::{
-    power_flow_jobs, solve_batch, solve_batch_staged, solve_stream_staged, tracker_jobs,
+    power_flow_jobs, solve_batch, solve_batch_staged_with, solve_stream_staged, tracker_jobs,
     DevicePool, DispatchPolicy, JobOutcome, MicrobatchConfig, Precision, StageSchedConfig,
 };
 use multidouble_ls::sim::Gpu;
@@ -117,12 +117,13 @@ fn main() {
     // expected-completion policy stops parking long deep-precision
     // solves on whatever device happens to be idle
     pool.reset();
-    let sect = solve_batch_staged(
+    let sect = solve_batch_staged_with(
         &mut pool,
         &jobs,
         DispatchPolicy::ShortestExpectedCompletion,
         &MicrobatchConfig::default(),
         &StageSchedConfig::sequential(),
+        true,
     );
     println!(
         "\ndispatch policy A/B on this pool: greedy {:.1} ms vs sect {:.1} ms ({:+.1}%)",

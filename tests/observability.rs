@@ -10,9 +10,9 @@ use std::sync::Arc;
 
 use multidouble_ls::obs::{metrics::Metrics, trace, Event, Recorder};
 use multidouble_ls::pipeline::{
-    bursty_tracker_jobs, power_flow_jobs, serve, solve_batch_staged, solve_batch_staged_with,
-    solve_stream_staged, BatchReport, DevicePool, DispatchPolicy, Job, JobOutcome,
-    MicrobatchConfig, ServiceConfig, StageSchedConfig, TenantId, TenantSpec,
+    bursty_tracker_jobs, power_flow_jobs, serve, solve_batch_staged_with, solve_stream_staged,
+    BatchReport, DevicePool, DispatchPolicy, Job, JobOutcome, MicrobatchConfig, ServiceConfig,
+    StageSchedConfig, TenantId, TenantSpec,
 };
 use multidouble_ls::sim::Gpu;
 use rand::rngs::StdRng;
@@ -95,23 +95,25 @@ fn observer_is_inert_on_the_staged_path() {
     let micro = MicrobatchConfig::default();
     let sched = StageSchedConfig::staged();
     let mut pool_plain = pool2();
-    let plain = solve_batch_staged(
+    let plain = solve_batch_staged_with(
         &mut pool_plain,
         &jobs,
         DispatchPolicy::ShortestExpectedCompletion,
         &micro,
         &sched,
+        true,
     );
 
     let recorder = Arc::new(Recorder::new());
     let mut pool_obs = pool2();
     pool_obs.attach_observer(recorder.clone());
-    let observed = solve_batch_staged(
+    let observed = solve_batch_staged_with(
         &mut pool_obs,
         &jobs,
         DispatchPolicy::ShortestExpectedCompletion,
         &micro,
         &sched,
+        true,
     );
 
     assert_identical_reports(&plain, &observed);

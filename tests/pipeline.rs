@@ -2,10 +2,10 @@
 
 use multidouble_ls::matrix::HostMat;
 use multidouble_ls::pipeline::{
-    dispatch_group_staged, power_flow_jobs, solve_batch, solve_batch_staged,
-    solve_batch_staged_with, solve_planned_traced_with, solve_stream_staged, tracker_jobs,
-    workload_mix, BatchReport, DevicePool, DispatchPolicy, Job, JobOutcome, JobShape,
-    MicrobatchConfig, PlannedSolve, Planner, RebookMode, StageSchedConfig,
+    dispatch_group_staged, power_flow_jobs, solve_batch, solve_batch_staged_with,
+    solve_planned_traced_with, solve_stream_staged, tracker_jobs, workload_mix, BatchReport,
+    DevicePool, DispatchPolicy, Job, JobOutcome, JobShape, MicrobatchConfig, PlannedSolve, Planner,
+    RebookMode, StageSchedConfig,
 };
 use multidouble_ls::sim::Gpu;
 use rand::rngs::StdRng;
@@ -450,12 +450,13 @@ fn staged_scheduling_is_bit_identical_to_sequential_booking() {
     );
 
     let mut pool_staged = DevicePool::new(vec![Gpu::v100(), Gpu::p100()]);
-    let staged = solve_batch_staged(
+    let staged = solve_batch_staged_with(
         &mut pool_staged,
         &jobs,
         DispatchPolicy::ShortestExpectedCompletion,
         &MicrobatchConfig::default(),
         &StageSchedConfig::staged(),
+        true,
     );
     assert_eq!(staged.outcomes.len(), legacy.outcomes.len());
     for (l, s) in legacy.outcomes.iter().zip(&staged.outcomes) {
@@ -472,12 +473,13 @@ fn staged_scheduling_is_bit_identical_to_sequential_booking() {
     // placement invariance: a different pool under the same staged
     // config overlaps and re-books differently but returns the same bits
     let mut other = DevicePool::homogeneous(&Gpu::a100(), 3);
-    let again = solve_batch_staged(
+    let again = solve_batch_staged_with(
         &mut other,
         &jobs,
         DispatchPolicy::LeastLoaded,
         &MicrobatchConfig::default(),
         &StageSchedConfig::staged(),
+        true,
     );
     for (a, b) in staged.outcomes.iter().zip(&again.outcomes) {
         assert_eq!(a.x, b.x, "job {}: pool changed staged bits", a.job_id);
@@ -531,12 +533,13 @@ fn online_rebooking_never_worsens_makespan() {
         let jobs = refund_jobs(12, seed);
         let run = |sched: &StageSchedConfig| {
             let mut pool = DevicePool::new(vec![Gpu::v100(), Gpu::v100(), Gpu::p100()]);
-            solve_batch_staged(
+            solve_batch_staged_with(
                 &mut pool,
                 &jobs,
                 DispatchPolicy::ShortestExpectedCompletion,
                 &MicrobatchConfig::off(),
                 sched,
+                true,
             )
         };
         let post = run(&post);
@@ -623,12 +626,13 @@ fn stalled_job_extends_passes_to_reach_target() {
     // staged engine with extension: extra passes run (and are booked)
     // until the residual certifies the target
     let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
-    let staged = solve_batch_staged(
+    let staged = solve_batch_staged_with(
         &mut pool,
         &jobs,
         DispatchPolicy::LeastLoaded,
         &MicrobatchConfig::off(),
         &StageSchedConfig::staged(),
+        true,
     );
     let s = &staged.outcomes[0];
     assert!(
