@@ -15,9 +15,11 @@
 //! The other gates are on the arithmetic itself: a product with an
 //! all-zero operand must skip the expansion, one with an f64-widened
 //! operand (the refinement residual's promoted `A`) must take the
-//! by-double kernel, and on a CPU with AVX2 and FMA the double double
-//! QR must run the kernels' FMA instantiation (`gpusim::shared`), which
-//! keeps it within 9× of the `f64` one.
+//! by-double kernel, a dense product's renormalization must presort its
+//! magnitude classes and skip the insertion sort on an ordered scratch,
+//! and on a CPU with AVX2 and FMA the double double QR must run the
+//! kernels' FMA instantiation (`gpusim::shared`), which keeps it within 9×
+//! of the `f64` one.
 #![expect(clippy::disallowed_methods, reason = "a host-time gate")]
 
 use std::hint::black_box;
@@ -26,6 +28,8 @@ use std::time::Instant;
 use gpusim::{ExecMode, Gpu};
 use mdls_matrix::HostMat;
 use mdls_qr::{householder_qr_host, qr_decompose, QrOptions};
+use multidouble::eft::two_prod;
+use multidouble::expansion::{renormalize, sort_by_magnitude, Scratch};
 use multidouble::{Dd, MdScalar, Od};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,6 +45,15 @@ fn median_of_5(mut f: impl FnMut()) -> f64 {
         .collect();
     t.sort_by(f64::total_cmp);
     t[2]
+}
+
+/// Wall time of `f` over fresh copies of `inputs`, seconds; the copies
+/// are made outside the clock.
+fn time_fresh<T: Clone>(inputs: &[T], f: impl FnMut(&mut T)) -> f64 {
+    let mut copies = inputs.to_vec();
+    let t0 = Instant::now();
+    copies.iter_mut().for_each(f);
+    t0.elapsed().as_secs_f64()
 }
 
 /// Median wall time of the simulated blocked QR of `a`, 4 tiles of 32,
@@ -112,10 +125,14 @@ fn zero_operand_products_are_cheap() {
     );
 }
 
-/// An od multiply by an f64-widened operand costs ≤ 0.3× a dense one. It
-/// read 0.57–0.75 while such products ran the dense 64-term expansion,
-/// and 0.14–0.19 since the `*` operator sends them to the by-double
-/// kernel.
+/// An od multiply by an f64-widened operand costs ≤ 0.3× a dense one,
+/// the median of nine interleaved rounds, so that a slow stretch of the
+/// host hits both sides of a round. It read 0.57–0.75 while such products
+/// ran the dense 64-term expansion, 0.14–0.21 once the `*` operator sent
+/// them to the by-double kernel, and 0.17–0.22 since the dense product's
+/// presort got faster (≈ 0.09 while the other gates run beside it; timed
+/// one side after the other, five runs each, it read 0.16–0.27 and, under
+/// load, about one run in ten 0.30–0.35).
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -127,19 +144,172 @@ fn widened_operand_products_are_cheap() {
     let dense: Vec<Od> = (0..4096).map(|_| Od::rand(&mut rng)).collect();
     let widened: Vec<Od> = dense.iter().map(|y| Od::from_f64(y.0[0])).collect();
     let products = |ys: &[Od]| {
-        median_of_5(|| {
-            for (x, y) in xs.iter().zip(ys) {
-                black_box(*black_box(x) * *black_box(y));
-            }
-        })
+        let t0 = Instant::now();
+        for (x, y) in xs.iter().zip(ys) {
+            black_box(*black_box(x) * *black_box(y));
+        }
+        t0.elapsed().as_secs_f64()
     };
-    let (widened, dense) = (products(&widened), products(&dense));
+    let mut rounds: Vec<(f64, f64)> = (0..9)
+        .map(|_| (products(&widened), products(&dense)))
+        .collect();
+    rounds.sort_by(|a, b| (a.0 / a.1).total_cmp(&(b.0 / b.1)));
+    let (widened, dense) = rounds[4];
     let ratio = widened / dense;
     assert!(
         ratio <= 0.3,
         "od multiply by a widened double {:.1} ns vs dense {:.1} ns: ratio {ratio:.3} (gate 0.3)",
         widened / 4096.0 * 1e9,
         dense / 4096.0 * 1e9
+    );
+}
+
+/// The 64 terms `od_mul` pushes for `a * b`, in its order and magnitude
+/// classes: diagonal `k`'s products, then diagonal `(k - 1)`'s errors.
+fn od_product_scratch(a: &Od, b: &Od) -> Scratch<f64, 64> {
+    let (a, b) = (a.0, b.0);
+    let mut s = Scratch::new();
+    let mut prev_err = Vec::new();
+    for k in 0..8 {
+        let mut err = Vec::new();
+        for i in 0..=k {
+            if k == 7 {
+                s.push(a[i] * b[k - i]);
+            } else {
+                let (p, e) = two_prod(a[i], b[k - i]);
+                s.push(p);
+                err.push(e);
+            }
+        }
+        prev_err.iter().for_each(|&e| s.push(e));
+        s.close_class();
+        prev_err = err;
+    }
+    s
+}
+
+/// The presort `renormalize` ran before its networks were straight-line
+/// code, kept as the gate's yardstick: each class padded to 2, 4, 8 or
+/// 16 lanes and sorted by walking a comparator table, on the key
+/// `x.to_bits().rotate_left(1)`, then the insertion sort over the whole
+/// scratch. `classes` are the class lengths.
+fn table_presort_and_sort(x: &mut [f64], classes: &[usize]) {
+    const NET2: [(u8, u8); 1] = [(0, 1)];
+    const NET4: [(u8, u8); 5] = [(0, 1), (2, 3), (0, 2), (1, 3), (1, 2)];
+    #[rustfmt::skip]
+    const NET8: [(u8, u8); 19] = [
+        (0, 2), (1, 3), (4, 6), (5, 7), (0, 4), (1, 5), (2, 6), (3, 7),
+        (0, 1), (2, 3), (4, 5), (6, 7), (2, 4), (3, 5), (1, 4), (3, 6),
+        (1, 2), (3, 4), (5, 6),
+    ];
+    #[rustfmt::skip]
+    const NET16: [(u8, u8); 60] = [
+        (0, 13), (1, 12), (2, 15), (3, 14), (4, 8), (5, 6), (7, 11), (9, 10),
+        (0, 5), (1, 7), (2, 9), (3, 4), (6, 13), (8, 14), (10, 15), (11, 12),
+        (0, 1), (2, 3), (4, 5), (6, 8), (7, 9), (10, 11), (12, 13), (14, 15),
+        (0, 2), (1, 3), (4, 10), (5, 11), (6, 7), (8, 9), (12, 14), (13, 15),
+        (1, 2), (3, 12), (4, 6), (5, 7), (8, 10), (9, 11), (13, 14),
+        (1, 4), (2, 6), (5, 8), (7, 10), (9, 13), (11, 14),
+        (2, 4), (3, 6), (9, 12), (11, 13), (3, 5), (6, 8), (7, 9), (10, 12),
+        (3, 4), (5, 6), (7, 8), (9, 10), (11, 12), (6, 7), (8, 9),
+    ];
+    fn walk<const L: usize>(x: &mut [f64], net: &[(u8, u8)]) {
+        let mut k = [0u64; L];
+        for (ki, xi) in k.iter_mut().zip(x.iter()) {
+            *ki = xi.to_bits().rotate_left(1);
+        }
+        for &(hi, lo) in net {
+            let (a, b) = (k[hi as usize], k[lo as usize]);
+            k[hi as usize] = a.max(b);
+            k[lo as usize] = a.min(b);
+        }
+        let mut ordered = k[0] >> 1 <= 0x7ff0_0000_0000_0000;
+        for w in k.windows(2) {
+            ordered &= (w[0] == w[1]) | (w[0] >> 1 != w[1] >> 1);
+        }
+        if ordered {
+            for (xi, ki) in x.iter_mut().zip(k) {
+                *xi = f64::from_bits(ki.rotate_right(1));
+            }
+        }
+    }
+    let mut start = 0;
+    for &len in classes {
+        let class = &mut x[start..start + len];
+        match len {
+            2 => walk::<2>(class, &NET2),
+            3 | 4 => walk::<4>(class, &NET4),
+            5..=8 => walk::<8>(class, &NET8),
+            9..=16 => walk::<16>(class, &NET16),
+            _ => {}
+        }
+        start += len;
+    }
+    sort_by_magnitude(x);
+}
+
+/// Ordering a dense od product's 64 terms costs < 0.8× what it did with
+/// comparator tables. The ordering cost is `renormalize` on the terms in
+/// `od_mul`'s push order and classes, less `renormalize` on the same terms
+/// already in order (no classes: nothing to order, only the sums); the
+/// yardstick is `table_presort_and_sort` on the same terms. Both are
+/// ordering code, which another process on the core slows alike; the
+/// ratio is the median of 64 interleaved rounds of 512 products, short
+/// enough that most rounds see no preemption. It read 0.84–0.98 while
+/// `renormalize` ran the yardstick's code, and reads 0.54–0.77 since its
+/// presort is straight-line code at each class's exact size and an
+/// ordered scratch skips the insertion sort (both ranges with the other
+/// gates, a benchmark run or both sharing the host's two cores).
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "timing gate: run with `cargo test --release`"
+)]
+fn presorting_a_dense_product_is_cheap() {
+    const CLASSES: [usize; 8] = [1, 3, 5, 7, 9, 11, 13, 15];
+    let mut rng = StdRng::seed_from_u64(2022);
+    let classed: Vec<Scratch<f64, 64>> = (0..4096)
+        .map(|_| od_product_scratch(&Od::rand(&mut rng), &Od::rand(&mut rng)))
+        .collect();
+    let terms: Vec<Vec<f64>> = classed.iter().map(|s| s.terms().to_vec()).collect();
+    let ordered: Vec<Scratch<f64, 64>> = terms
+        .iter()
+        .map(|t| {
+            let mut t = t.clone();
+            sort_by_magnitude(&mut t);
+            let mut o = Scratch::new();
+            t.iter().for_each(|&x| o.push(x));
+            o
+        })
+        .collect();
+    let renormalized = |s: &mut Scratch<f64, 64>| {
+        let mut out = [0.0; 8];
+        renormalize(black_box(s), &mut out);
+        black_box(out);
+    };
+    let yardstick = |t: &mut Vec<f64>| table_presort_and_sort(black_box(t), &CLASSES);
+    let mut rounds: Vec<[f64; 3]> = (0..64)
+        .map(|r| {
+            let chunk = r % 8 * 512..(r % 8 + 1) * 512;
+            [
+                time_fresh(&classed[chunk.clone()], renormalized),
+                time_fresh(&ordered[chunk.clone()], renormalized),
+                time_fresh(&terms[chunk], yardstick),
+            ]
+        })
+        .collect();
+    let ratio = |r: &[f64; 3]| (r[0] - r[1]) / r[2];
+    rounds.sort_by(|a, b| ratio(a).total_cmp(&ratio(b)));
+    let median = rounds[32];
+    let ns = |t: f64| t / 512.0 * 1e9;
+    assert!(
+        ratio(&median) < 0.8,
+        "ordering a dense od product {:.1} ns ({:.1} - {:.1}) vs {:.1} ns with comparator tables: ratio {:.3} (gate 0.8)",
+        ns(median[0] - median[1]),
+        ns(median[0]),
+        ns(median[1]),
+        ns(median[2]),
+        ratio(&median)
     );
 }
 

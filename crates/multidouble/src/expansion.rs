@@ -21,21 +21,26 @@ const MAX_CLASSES: usize = 8;
 /// Products also mark *magnitude classes* with [`Scratch::close_class`]:
 /// runs of consecutive terms of about the same order (the diagonal-`k`
 /// products plus the diagonal-`(k-1)` errors). [`renormalize`] presorts
-/// each class on its own before the sort over the whole scratch.
-pub struct Scratch<F: Fp, const CAP: usize> {
+/// each class on its own, then sorts the whole scratch only where the
+/// classes still cross. `WIDEST` is the most terms a producer puts in one
+/// class (`od_mul`: 15, `qd_mul`: 7, the by-double products: 2, the sums
+/// and `od_div`, which close none: 0), so a `renormalize` instantiation
+/// carries only the sorting networks its classes can reach.
+#[derive(Clone)]
+pub struct Scratch<F: Fp, const CAP: usize, const WIDEST: usize = CAP> {
     buf: [F; CAP],
     len: usize,
     class_end: [u8; MAX_CLASSES],
     classes: usize,
 }
 
-impl<F: Fp, const CAP: usize> Default for Scratch<F, CAP> {
+impl<F: Fp, const CAP: usize, const WIDEST: usize> Default for Scratch<F, CAP, WIDEST> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<F: Fp, const CAP: usize> Scratch<F, CAP> {
+impl<F: Fp, const CAP: usize, const WIDEST: usize> Scratch<F, CAP, WIDEST> {
     /// An empty scratch expansion.
     #[inline]
     pub fn new() -> Self {
@@ -56,10 +61,16 @@ impl<F: Fp, const CAP: usize> Scratch<F, CAP> {
     }
 
     /// End the current magnitude class: the terms pushed since the last
-    /// `close_class` (or since `new`) form one. Terms after the last
-    /// closed class belong to none and are not presorted.
+    /// `close_class` (or since `new`) form one, of at most `WIDEST` terms.
+    /// Terms after the last closed class belong to none and are not
+    /// presorted.
     #[inline(always)]
     pub fn close_class(&mut self) {
+        let start = match self.classes {
+            0 => 0,
+            c => self.class_end[c - 1] as usize,
+        };
+        debug_assert!(self.len - start <= WIDEST, "a class wider than WIDEST");
         self.class_end[self.classes] = self.len as u8;
         self.classes += 1;
     }
@@ -175,40 +186,37 @@ pub(crate) fn widened_operand<const N: usize>(a: [f64; N], b: [f64; N]) -> Optio
 /// operation tallies. A second pass over the compact result tightens
 /// components that may still overlap after heavy cancellation.
 ///
-/// Two shortcuts leave every output bit as it was without them:
+/// Three shortcuts leave every output bit as it was without them:
 ///
 /// * an all-zero scratch (±0 terms only — a product with a zero operand,
 ///   0 + 0) yields `+0.0` limbs directly, as the full path would;
 /// * a scratch with no zero term has each closed magnitude class presorted
-///   by a branch-free sorting network (`presort_class`), so the stable
-///   insertion sort that follows only moves terms across class boundaries.
-///   The presort keeps tied terms in push order, so the permutation — and
-///   everything downstream — is the one the insertion sort alone produces.
-///   Scratches holding zeros (f64-widened operands) skip it: there most of
-///   the insertion sort's moves carry nonzero terms past the zeros of
-///   earlier classes, which a per-class presort does not remove.
+///   by a branch-free sorting network of the class's exact size
+///   (`presort_class`). The presort keeps tied terms in push order, so the
+///   permutation — and everything downstream — is the one the insertion
+///   sort alone produces;
+/// * on that path one linear check, `|t[i]| >= |t[i + 1]|` for every `i`,
+///   skips the insertion sort when it would move nothing. It fails where a
+///   class's tail out-ranks the next class's head (sparse limbs), where a
+///   class left as pushed is out of order, and on NaN; there the insertion
+///   sort runs, the one fallback.
+///
+/// Scratches holding zeros (f64-widened operands) skip the presort and the
+/// check: there most of the insertion sort's moves carry nonzero terms past
+/// the zeros of earlier classes, which a per-class presort does not remove.
 #[inline]
-pub fn renormalize<F: Fp, const CAP: usize>(scratch: &mut Scratch<F, CAP>, out: &mut [F]) {
+pub fn renormalize<F: Fp, const CAP: usize, const WIDEST: usize>(
+    scratch: &mut Scratch<F, CAP, WIDEST>,
+    out: &mut [F],
+) {
     let zeros = scratch.terms().iter().filter(|&&x| x == F::ZERO).count();
     if zeros == scratch.len {
         out.fill(F::ZERO);
         return;
     }
-    if zeros == 0 {
-        let mut start = 0;
-        for &end in &scratch.class_end[..scratch.classes] {
-            let class = &mut scratch.buf[start..end as usize];
-            match class.len() {
-                2 => presort_class::<F, 2>(class, &NET2),
-                3 | 4 => presort_class::<F, 4>(class, &NET4),
-                5..=8 => presort_class::<F, 8>(class, &NET8),
-                9..=16 => presort_class::<F, 16>(class, &NET16),
-                _ => {} // one term is sorted; longer classes are left to the insertion sort
-            }
-            start = end as usize;
-        }
+    if zeros != 0 || !presort_classes(scratch) {
+        sort_by_magnitude(scratch.terms_mut());
     }
-    sort_by_magnitude(scratch.terms_mut());
     vec_sum(scratch.terms_mut());
     vec_sum_err_branch(scratch.terms(), out);
     // Second normalization pass over the compact result: cheap (out is
@@ -221,38 +229,83 @@ pub fn renormalize<F: Fp, const CAP: usize>(scratch: &mut Scratch<F, CAP>, out: 
     vec_sum_err_branch(&tmp[..n], out);
 }
 
+/// Presort each closed magnitude class of a zero-free scratch
+/// ([`presort_class`]), then `true` when the whole scratch is in decreasing
+/// `|value|` order, ties allowed: the insertion sort would move nothing.
+/// NaN fails every comparison.
+#[inline(always)]
+fn presort_classes<F: Fp, const CAP: usize, const WIDEST: usize>(
+    scratch: &mut Scratch<F, CAP, WIDEST>,
+) -> bool {
+    let mut start = 0;
+    for &end in &scratch.class_end[..scratch.classes] {
+        presort_class::<F, WIDEST>(&mut scratch.buf[start..end as usize]);
+        start = end as usize;
+    }
+    scratch
+        .terms()
+        .windows(2)
+        .fold(true, |ok, w| ok & (w[0].fabs() >= w[1].fabs()))
+}
+
 /// Insertion sort by decreasing `|value|` (branch-efficient for the
-/// nearly sorted sequences the producers push; comparisons only).
+/// nearly sorted sequences the producers push; comparisons only). The
+/// last sorted key is carried in a register, so a term already in place
+/// costs one load and one comparison: loading it beside its predecessor
+/// let the compiler fuse the two into one 16-byte load over the 8-byte
+/// stores of the previous step, a store-forwarding stall per term.
 #[inline]
 pub fn sort_by_magnitude<F: Fp>(x: &mut [F]) {
+    let Some(&first) = x.first() else { return };
+    let mut last = first.fabs();
     for i in 1..x.len() {
         let v = x[i];
         let key = v.fabs();
+        if last >= key {
+            last = key;
+            continue;
+        }
         let mut j = i;
         while j > 0 && x[j - 1].fabs() < key {
             x[j] = x[j - 1];
             j -= 1;
         }
         x[j] = v;
+        last = x[i].fabs();
     }
 }
 
-/// Sorting networks as compare-exchange lane pairs `(hi, lo)`; each leaves
-/// the larger key in `hi`. Best-known comparator counts: 1, 5, 19, 60
-/// (`networks_sort_every_zero_one_input` proves each one sorts).
-const NET2: [(u8, u8); 1] = [(0, 1)];
-const NET4: [(u8, u8); 5] = [(0, 1), (2, 3), (0, 2), (1, 3), (1, 2)];
-#[rustfmt::skip]
-const NET8: [(u8, u8); 19] = [
+/// Straight-line sorting networks over `L` keys: each `(hi, lo)` is a
+/// compare-exchange that leaves the larger key in `hi`. The padded networks
+/// have 1, 5, 19 and 60 comparators (optimal for 2, 4 and 8 lanes; the
+/// best known for 16). [`presort`] runs them at a class's exact size, its
+/// missing lanes the constant key 0, so every comparator that touches a
+/// missing lane folds away: the sizes the products close, 3, 5, …, 15,
+/// run 3, 9, 16, 26, 36, 46 and 56 (`networks_sort_every_zero_one_input`
+/// proves each size sorts).
+macro_rules! network {
+    ($name:ident, $l:literal: $(($hi:literal, $lo:literal)),* $(,)?) => {
+        #[inline(always)]
+        fn $name(k: &mut [u64; $l]) {
+            $(
+                let (a, b) = (k[$hi], k[$lo]);
+                k[$hi] = a.max(b);
+                k[$lo] = a.min(b);
+            )*
+        }
+    };
+}
+network!(net2, 2: (0, 1));
+network!(net4, 4: (0, 1), (2, 3), (0, 2), (1, 3), (1, 2));
+network!(net8, 8:
     (0, 2), (1, 3), (4, 6), (5, 7),
     (0, 4), (1, 5), (2, 6), (3, 7),
     (0, 1), (2, 3), (4, 5), (6, 7),
     (2, 4), (3, 5),
     (1, 4), (3, 6),
     (1, 2), (3, 4), (5, 6),
-];
-#[rustfmt::skip]
-const NET16: [(u8, u8); 60] = [
+);
+network!(net16, 16:
     (0, 13), (1, 12), (2, 15), (3, 14), (4, 8), (5, 6), (7, 11), (9, 10),
     (0, 5), (1, 7), (2, 9), (3, 4), (6, 13), (8, 14), (10, 15), (11, 12),
     (0, 1), (2, 3), (4, 5), (6, 8), (7, 9), (10, 11), (12, 13), (14, 15),
@@ -263,30 +316,65 @@ const NET16: [(u8, u8); 60] = [
     (3, 5), (6, 8), (7, 9), (10, 12),
     (3, 4), (5, 6), (7, 8), (9, 10), (11, 12),
     (6, 7), (8, 9),
-];
+);
 
-/// Sort one magnitude class (at most `L` terms) by decreasing `|x|` with
-/// the network `net`, on the lossless key `x.to_bits().rotate_left(1)`:
-/// unsigned key order is `|x|` order with the sign as a tie breaker, and
-/// the missing lanes are padded with `+0.0` (key 0, last). A class holding
-/// a NaN (whose key sorts first) or two terms of equal `|x|` but opposite
-/// sign (adjacent lanes after the sort) is left as pushed: there the
-/// key order is not the insertion sort's order. Otherwise equal keys are
-/// equal bits, so the result is the class's stable sort by `|x|`.
+/// Presort one magnitude class of at most `WIDEST` terms by decreasing
+/// `|x|` with the network of its exact size ([`presort`]). A class of one
+/// term is sorted; wider classes than `WIDEST` or 16 are left to the
+/// insertion sort. Each arm is compiled only where `WIDEST` reaches it.
+/// The 16-lane sizes live out of line in [`presort_wide`]: only `od_mul`
+/// closes such classes, and inlined into its `renormalize` their code grew
+/// the benchmark binary by 15 % (its `ladder_direct` peak RSS by 6 %).
 #[inline(always)]
-fn presort_class<F: Fp, const L: usize>(x: &mut [F], net: &[(u8, u8)]) {
+fn presort_class<F: Fp, const WIDEST: usize>(class: &mut [F]) {
+    match class.len() {
+        2 if WIDEST >= 2 => presort::<F, 2, 2>(class, net2),
+        3 if WIDEST >= 3 => presort::<F, 3, 4>(class, net4),
+        4 if WIDEST >= 4 => presort::<F, 4, 4>(class, net4),
+        5 if WIDEST >= 5 => presort::<F, 5, 8>(class, net8),
+        6 if WIDEST >= 6 => presort::<F, 6, 8>(class, net8),
+        7 if WIDEST >= 7 => presort::<F, 7, 8>(class, net8),
+        8 if WIDEST >= 8 => presort::<F, 8, 8>(class, net8),
+        9..=16 if WIDEST >= 9 => presort_wide(class),
+        _ => {}
+    }
+}
+
+/// [`presort_class`] for 9 to 16 terms.
+#[inline(never)]
+fn presort_wide<F: Fp>(class: &mut [F]) {
+    match class.len() {
+        9 => presort::<F, 9, 16>(class, net16),
+        10 => presort::<F, 10, 16>(class, net16),
+        11 => presort::<F, 11, 16>(class, net16),
+        12 => presort::<F, 12, 16>(class, net16),
+        13 => presort::<F, 13, 16>(class, net16),
+        14 => presort::<F, 14, 16>(class, net16),
+        15 => presort::<F, 15, 16>(class, net16),
+        16 => presort::<F, 16, 16>(class, net16),
+        _ => {}
+    }
+}
+
+/// Sort the `S` terms of `x` by decreasing `|x|` with the `L`-lane network
+/// `net`, on the lossless key `x.to_bits().rotate_left(1)`: unsigned key
+/// order is `|x|` order with the sign as a tie breaker, and the lanes past
+/// `S` hold `+0.0` (key 0, last). A class holding a NaN (whose key sorts
+/// first) or two terms of equal `|x|` but opposite sign (adjacent lanes
+/// after the sort) is left as pushed: there the key order is not the
+/// insertion sort's order. Otherwise equal keys are equal bits, so the
+/// result is the class's stable sort by `|x|`.
+#[inline(always)]
+fn presort<F: Fp, const S: usize, const L: usize>(x: &mut [F], net: impl Fn(&mut [u64; L])) {
     const INF_BITS: u64 = 0x7ff0_0000_0000_0000;
+    let x = &mut x[..S];
     let mut k = [0u64; L];
     for (ki, xi) in k.iter_mut().zip(x.iter()) {
         *ki = xi.to_f64().to_bits().rotate_left(1);
     }
-    for &(hi, lo) in net {
-        let (a, b) = (k[hi as usize], k[lo as usize]);
-        k[hi as usize] = a.max(b);
-        k[lo as usize] = a.min(b);
-    }
+    net(&mut k);
     let mut ordered = k[0] >> 1 <= INF_BITS;
-    for w in k.windows(2) {
+    for w in k[..S].windows(2) {
         ordered &= (w[0] == w[1]) | (w[0] >> 1 != w[1] >> 1);
     }
     if ordered {
@@ -404,19 +492,88 @@ mod tests {
         }
     }
 
+    /// Every size 2..=16 through the exact-size presort `renormalize` runs:
+    /// each sorts all 2^S zero-one inputs (the 0-1 principle), and a class
+    /// holding a NaN or an equal-`|x|` pair of opposite signs is left as
+    /// pushed, in ascending order, where any reordering would show.
     #[test]
     fn networks_sort_every_zero_one_input() {
-        fn check<const L: usize>(net: &[(u8, u8)]) {
-            for bits in 0u32..1 << L {
-                let mut x: [f64; L] = core::array::from_fn(|i| 1.0 + ((bits >> i) & 1) as f64);
-                presort_class::<f64, L>(&mut x, net);
-                assert!(x.windows(2).all(|w| w[0] >= w[1]), "{L} lanes: {x:?}");
+        for size in 2..=16 {
+            for bits in 0u32..1 << size {
+                let mut x: Vec<f64> = (0..size).map(|i| 1.0 + ((bits >> i) & 1) as f64).collect();
+                presort_class::<f64, 16>(&mut x);
+                assert!(x.windows(2).all(|w| w[0] >= w[1]), "{size} terms: {x:?}");
+            }
+            let ascending: Vec<f64> = (1..=size).map(|i| i as f64).collect();
+            let mut sorted = ascending.clone();
+            presort_class::<f64, 16>(&mut sorted);
+            assert!(
+                sorted.windows(2).all(|w| w[0] > w[1]),
+                "{size} terms: {sorted:?}"
+            );
+            let mut nan = ascending.clone();
+            nan[size / 2] = f64::NAN;
+            let mut pair = ascending.clone();
+            pair[size - 1] = -pair[size - 2];
+            for pushed in [nan, pair] {
+                let mut x = pushed.clone();
+                presort_class::<f64, 16>(&mut x);
+                assert_eq!(
+                    x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    pushed.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "{size} terms: {pushed:?} became {x:?}"
+                );
             }
         }
-        check::<2>(&NET2);
-        check::<4>(&NET4);
-        check::<8>(&NET8);
-        check::<16>(&NET16);
+    }
+
+    /// `sort_by_magnitude` before it carried the last sorted key.
+    fn insertion_sort_reference(x: &mut [f64]) {
+        for i in 1..x.len() {
+            let v = x[i];
+            let key = v.fabs();
+            let mut j = i;
+            while j > 0 && x[j - 1].fabs() < key {
+                x[j] = x[j - 1];
+                j -= 1;
+            }
+            x[j] = v;
+        }
+    }
+
+    /// 2·10⁵ seeded slices of 0–64 terms through `sort_by_magnitude` and
+    /// the plain insertion sort, compared by `to_bits`: mostly decreasing
+    /// runs (terms already in place take the shortcut) with terms out of
+    /// place, ±0, ties of either sign, ±inf and NaN.
+    #[test]
+    fn sort_by_magnitude_matches_the_plain_insertion_sort() {
+        let mut rng = Mix(36);
+        for trial in 0..200_000 {
+            let n = rng.below(65) as usize;
+            let mut exp = rng.range(-20, 20);
+            let mut x: Vec<f64> = Vec::with_capacity(n);
+            for _ in 0..n {
+                exp -= rng.range(-2, 8);
+                let mut t = rng.sign() * (1.0 + rng.below(4) as f64 / 4.0) * 2f64.powi(exp);
+                match rng.below(24) {
+                    0 => t = rng.sign() * 0.0,
+                    1 => t = [f64::INFINITY, -f64::INFINITY, f64::NAN][rng.below(3) as usize],
+                    2 | 3 if !x.is_empty() => {
+                        t = rng.sign() * x[rng.below(x.len() as u64) as usize]
+                    }
+                    _ => {}
+                }
+                x.push(t);
+            }
+            let (mut got, mut want) = (x.clone(), x.clone());
+            sort_by_magnitude(&mut got);
+            insertion_sort_reference(&mut want);
+            assert_eq!(
+                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "trial {trial}, input {x:?}"
+            );
+        }
     }
 
     /// 10⁶ seeded scratches through `renormalize` and through the oracle,
@@ -484,6 +641,112 @@ mod tests {
                 got.map(f64::to_bits),
                 want.map(f64::to_bits),
                 "trial {trial}, {n} limbs, input {input:?}: {got:?} vs {want:?}"
+            );
+        }
+    }
+
+    /// The terms `od_mul` (`N` = 8) or `qd_mul` (`N` = 4) pushes for
+    /// `a * b`, by magnitude class: diagonal `k`'s products, then diagonal
+    /// `(k - 1)`'s errors — classes of 1, 3, …, 2N − 1 terms.
+    fn product_classes<const N: usize>(a: &[f64; N], b: &[f64; N]) -> Vec<Vec<f64>> {
+        let mut classes: Vec<Vec<f64>> = Vec::with_capacity(N);
+        let mut prev_err = Vec::new();
+        for k in 0..N {
+            let mut class = Vec::with_capacity(2 * k + 1);
+            let mut err = Vec::with_capacity(k + 1);
+            for i in 0..=k {
+                let (p, e) = crate::eft::two_prod(a[i], b[k - i]);
+                if k == N - 1 {
+                    class.push(a[i] * b[k - i]);
+                } else {
+                    class.push(p);
+                    err.push(e);
+                }
+            }
+            class.append(&mut prev_err);
+            prev_err = err;
+            classes.push(class);
+        }
+        classes
+    }
+
+    /// One dense product scratch of `N`-limb operands whose limbs step
+    /// down 53–60 bits, with one plant now and then: a term of a later
+    /// class copied, either sign, from the class before (a tie across the
+    /// boundary); a term of a later class scaled up past the class before,
+    /// or a term of that class scaled down past the later one (the classes
+    /// cross); or ±inf or NaN in a late class.
+    fn planted_product<const N: usize>(rng: &mut Mix) -> Vec<Vec<f64>> {
+        let mut operand = || -> [f64; N] {
+            let mut exp = rng.range(-60, 60);
+            core::array::from_fn(|_| {
+                let limb =
+                    rng.sign() * (1.0 + rng.below(1 << 52) as f64 * f64::EPSILON) * 2f64.powi(exp);
+                exp -= rng.range(53, 60);
+                limb
+            })
+        };
+        let (a, b) = (operand(), operand());
+        let mut classes = product_classes(&a, &b);
+        let late = 1 + rng.below(N as u64 - 1) as usize;
+        let at = rng.below(classes[late].len() as u64) as usize;
+        match rng.below(5) {
+            0 => {
+                let from = &classes[late - 1];
+                classes[late][at] = rng.sign() * from[rng.below(from.len() as u64) as usize];
+            }
+            1 => classes[late][at] *= 2f64.powi(rng.range(54, 130)),
+            2 => {
+                let early = &mut classes[late - 1];
+                let at = rng.below(early.len() as u64) as usize;
+                early[at] *= 2f64.powi(-rng.range(54, 130));
+            }
+            3 => {
+                classes[late][at] = [f64::INFINITY, -f64::INFINITY, f64::NAN][rng.below(3) as usize]
+            }
+            _ => {}
+        }
+        classes
+    }
+
+    /// 2·10⁵ seeded product scratches in `od_mul`'s and `qd_mul`'s exact
+    /// class layouts through `renormalize` and through the oracle, compared
+    /// by `to_bits`, with `planted_product`'s plants. Both sides of the
+    /// skipped insertion sort are hit: scratches the presort leaves in
+    /// order, and scratches it does not.
+    #[test]
+    fn product_layouts_match_the_reference_bit_for_bit() {
+        fn trial<const N: usize>(rng: &mut Mix, tally: &mut [usize; 2]) {
+            let classes = planted_product::<N>(rng);
+            let mut s = Scratch::<f64, 64>::new();
+            for class in &classes {
+                for &t in class {
+                    s.push(t);
+                }
+                s.close_class();
+            }
+            let mut terms: Vec<f64> = classes.concat();
+            let input = terms.clone();
+            tally[presort_classes(&mut s.clone()) as usize] += 1;
+            let (mut got, mut want) = ([0.0; N], [0.0; N]);
+            renormalize(&mut s, &mut got);
+            renormalize_reference(&mut terms, &mut want);
+            assert_eq!(
+                got.map(f64::to_bits),
+                want.map(f64::to_bits),
+                "{N} limbs, input {input:?}: {got:?} vs {want:?}"
+            );
+        }
+        let mut rng = Mix(2036);
+        let (mut od, mut qd) = ([0; 2], [0; 2]);
+        for _ in 0..100_000 {
+            trial::<8>(&mut rng, &mut od);
+            trial::<4>(&mut rng, &mut qd);
+        }
+        for (name, [ran, skipped]) in [("od", od), ("qd", qd)] {
+            assert!(
+                ran > 10_000 && skipped > 10_000,
+                "{name}: {skipped} skipped the insertion sort, {ran} ran it"
             );
         }
     }

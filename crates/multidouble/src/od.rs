@@ -26,7 +26,7 @@ const N: usize = 8;
 
 /// Merge two expansions by decreasing magnitude (comparisons only).
 #[inline]
-fn merge<F: Fp>(a: &Od8<F>, b: &Od8<F>, s: &mut Scratch<F, 16>) {
+fn merge<F: Fp>(a: &Od8<F>, b: &Od8<F>, s: &mut Scratch<F, 16, 0>) {
     let (mut i, mut j) = (0, 0);
     while i < N && j < N {
         if a[i].fabs() >= b[j].fabs() {
@@ -50,7 +50,7 @@ fn merge<F: Fp>(a: &Od8<F>, b: &Od8<F>, s: &mut Scratch<F, 16>) {
 /// Certified addition: merge + renormalize.
 #[inline]
 pub fn od_add<F: Fp>(a: Od8<F>, b: Od8<F>) -> Od8<F> {
-    let mut s = Scratch::<F, 16>::new();
+    let mut s = Scratch::<F, 16, 0>::new();
     merge(&a, &b, &mut s);
     let mut out = [F::ZERO; N];
     renormalize(&mut s, &mut out);
@@ -69,7 +69,7 @@ pub fn od_mul<F: Fp>(a: Od8<F>, b: Od8<F>) -> Od8<F> {
     if is_zero_product(&a, &b) {
         return [F::ZERO; N];
     }
-    let mut s = Scratch::<F, 64>::new();
+    let mut s = Scratch::<F, 64, 15>::new();
     // errors of diagonal k belong to magnitude class k+1, so class k is
     // diagonal k's products followed by diagonal (k-1)'s errors: 2k + 1
     // terms, 64 in all (the last diagonal keeps no errors).
@@ -107,7 +107,7 @@ pub fn od_mul<F: Fp>(a: Od8<F>, b: Od8<F>) -> Od8<F> {
 /// is the error of the exact product `p_i`; each bracket is one class.
 #[inline]
 pub fn od_mul_f<F: Fp>(a: Od8<F>, b: F) -> Od8<F> {
-    let mut s = Scratch::<F, 15>::new();
+    let mut s = Scratch::<F, 15, 2>::new();
     let mut prev_err: Option<F> = None;
     for (i, limb) in a.iter().enumerate() {
         if i < N - 1 {
@@ -134,7 +134,7 @@ pub fn od_mul_f<F: Fp>(a: Od8<F>, b: F) -> Od8<F> {
 /// then renormalization.
 #[inline]
 pub fn od_div<F: Fp>(a: Od8<F>, b: Od8<F>) -> Od8<F> {
-    let mut s = Scratch::<F, 9>::new();
+    let mut s = Scratch::<F, 9, 0>::new();
     let mut r = a;
     for _ in 0..N + 1 {
         let q = r[0] / b[0];

@@ -131,7 +131,7 @@ pub fn qd_mul<F: Fp>(a: Qd4<F>, b: Qd4<F>) -> Qd4<F> {
     if is_zero_product(&a, &b) {
         return [F::ZERO; 4];
     }
-    let mut s = Scratch::<F, 16>::new();
+    let mut s = Scratch::<F, 16, 7>::new();
     // diagonal 0
     let (p00, e00) = two_prod(a[0], b[0]);
     s.push(p00);
@@ -172,7 +172,7 @@ pub fn qd_mul<F: Fp>(a: Qd4<F>, b: Qd4<F>) -> Qd4<F> {
 /// the pairs `[p_i, e_{i-1}]`.
 #[inline]
 pub fn qd_mul_f<F: Fp>(a: Qd4<F>, b: F) -> Qd4<F> {
-    let mut s = Scratch::<F, 7>::new();
+    let mut s = Scratch::<F, 7, 2>::new();
     let (p0, e0) = two_prod(a[0], b);
     let (p1, e1) = two_prod(a[1], b);
     let (p2, e2) = two_prod(a[2], b);
