@@ -28,8 +28,7 @@ use std::time::Instant;
 use gpusim::{ExecMode, Gpu};
 use mdls_matrix::HostMat;
 use mdls_qr::{householder_qr_host, qr_decompose, QrOptions};
-use multidouble::eft::two_prod;
-use multidouble::expansion::{renormalize, sort_by_magnitude, Scratch};
+use multidouble::expansion::{renormalize, sort_by_magnitude, truncated_product, Scratch};
 use multidouble::{Dd, MdScalar, Od};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -164,30 +163,6 @@ fn widened_operand_products_are_cheap() {
     );
 }
 
-/// The 64 terms `od_mul` pushes for `a * b`, in its order and magnitude
-/// classes: diagonal `k`'s products, then diagonal `(k - 1)`'s errors.
-fn od_product_scratch(a: &Od, b: &Od) -> Scratch<f64, 64> {
-    let (a, b) = (a.0, b.0);
-    let mut s = Scratch::new();
-    let mut prev_err = Vec::new();
-    for k in 0..8 {
-        let mut err = Vec::new();
-        for i in 0..=k {
-            if k == 7 {
-                s.push(a[i] * b[k - i]);
-            } else {
-                let (p, e) = two_prod(a[i], b[k - i]);
-                s.push(p);
-                err.push(e);
-            }
-        }
-        prev_err.iter().for_each(|&e| s.push(e));
-        s.close_class();
-        prev_err = err;
-    }
-    s
-}
-
 /// The presort `renormalize` ran before its networks were straight-line
 /// code, kept as the gate's yardstick: each class padded to 2, 4, 8 or
 /// 16 lanes and sorted by walking a comparator table, on the key
@@ -248,14 +223,17 @@ fn table_presort_and_sort(x: &mut [f64], classes: &[usize]) {
     sort_by_magnitude(x);
 }
 
+/// The scratch `od_mul` renormalizes: 64 terms, classes of at most 15.
+type OdScratch = Scratch<f64, 64, 15>;
+
 /// Ordering a dense od product's 64 terms costs < 0.8× what it did with
-/// comparator tables. The ordering cost is `renormalize` on the terms in
-/// `od_mul`'s push order and classes, less `renormalize` on the same terms
-/// already in order (no classes: nothing to order, only the sums); the
-/// yardstick is `table_presort_and_sort` on the same terms. Both are
-/// ordering code, which another process on the core slows alike; the
-/// ratio is the median of 64 interleaved rounds of 512 products, short
-/// enough that most rounds see no preemption. It read 0.84–0.98 while
+/// comparator tables. The ordering cost is `renormalize` on the scratch
+/// `od_mul` fills (`truncated_product`, its push order and classes), less
+/// `renormalize` on the same terms already in order (no classes: nothing
+/// to order, only the sums); the yardstick is `table_presort_and_sort` on
+/// the same terms. Both are ordering code, which another process on the
+/// core slows alike; the ratio is the median of 64 interleaved rounds of
+/// 512 products, short enough that most rounds see no preemption. It read 0.84–0.98 while
 /// `renormalize` ran the yardstick's code, and reads 0.54–0.77 since its
 /// presort is straight-line code at each class's exact size and an
 /// ordered scratch skips the insertion sort (both ranges with the other
@@ -268,11 +246,11 @@ fn table_presort_and_sort(x: &mut [f64], classes: &[usize]) {
 fn presorting_a_dense_product_is_cheap() {
     const CLASSES: [usize; 8] = [1, 3, 5, 7, 9, 11, 13, 15];
     let mut rng = StdRng::seed_from_u64(2022);
-    let classed: Vec<Scratch<f64, 64>> = (0..4096)
-        .map(|_| od_product_scratch(&Od::rand(&mut rng), &Od::rand(&mut rng)))
+    let classed: Vec<OdScratch> = (0..4096)
+        .map(|_| truncated_product(&Od::rand(&mut rng).0, &Od::rand(&mut rng).0))
         .collect();
     let terms: Vec<Vec<f64>> = classed.iter().map(|s| s.terms().to_vec()).collect();
-    let ordered: Vec<Scratch<f64, 64>> = terms
+    let ordered: Vec<OdScratch> = terms
         .iter()
         .map(|t| {
             let mut t = t.clone();
@@ -282,7 +260,7 @@ fn presorting_a_dense_product_is_cheap() {
             o
         })
         .collect();
-    let renormalized = |s: &mut Scratch<f64, 64>| {
+    let renormalized = |s: &mut OdScratch| {
         let mut out = [0.0; 8];
         renormalize(black_box(s), &mut out);
         black_box(out);

@@ -6,11 +6,16 @@
 //! longer intermediate expansion and *renormalizing* it to the target
 //! length, following CAMPARY's `VecSum` / `VecSumErrBranch` pair
 //! (Joldes, Muller, Popescu; the paper's reference \[12\]).
+//!
+//! The two products are written once over the limb count `N`, as CAMPARY
+//! generates its kernels from one template: [`truncated_mul`] (`qd_mul`,
+//! `od_mul`) and [`mul_by_double`] (`qd_mul_f`, `od_mul_f`).
 
-use crate::eft::two_sum;
+use crate::eft::{two_prod, two_sum};
 use crate::fp::Fp;
 
-/// Most magnitude classes a producer closes (`od_mul`, `od_mul_f`: 8).
+/// Most magnitude classes a producer closes: one per limb of the widest
+/// product (octo double, 8).
 const MAX_CLASSES: usize = 8;
 
 /// A fixed-capacity scratch expansion, so renormalization never
@@ -23,9 +28,10 @@ const MAX_CLASSES: usize = 8;
 /// products plus the diagonal-`(k-1)` errors). [`renormalize`] presorts
 /// each class on its own, then sorts the whole scratch only where the
 /// classes still cross. `WIDEST` is the most terms a producer puts in one
-/// class (`od_mul`: 15, `qd_mul`: 7, the by-double products: 2, the sums
-/// and `od_div`, which close none: 0), so a `renormalize` instantiation
-/// carries only the sorting networks its classes can reach.
+/// class ([`truncated_mul`]: `2N - 1`, so 15 at octo and 7 at quad double;
+/// [`mul_by_double`]: 2; the sums and `od_div`, which close none: 0), so a
+/// `renormalize` instantiation carries only the sorting networks its
+/// classes can reach.
 #[derive(Clone)]
 pub struct Scratch<F: Fp, const CAP: usize, const WIDEST: usize = CAP> {
     buf: [F; CAP],
@@ -141,26 +147,26 @@ pub fn vec_sum_err_branch<F: Fp>(e: &[F], out: &mut [F]) {
 /// `true` when one operand is all (signed) zeros and the other all finite.
 /// Every partial product and every `two_prod` error of such a product is
 /// ±0, and [`renormalize`] maps an all-zero scratch to `+0.0` limbs, so
-/// `qd_mul`/`od_mul` return `[+0.0; N]` without forming the expansion.
+/// [`truncated_mul`] returns `[+0.0; N]` without forming the expansion.
 /// Zero times inf or NaN is NaN and still takes the full path.
 #[inline(always)]
-pub(crate) fn is_zero_product<F: Fp>(a: &[F], b: &[F]) -> bool {
+fn is_zero_product<F: Fp>(a: &[F], b: &[F]) -> bool {
     let zero = |x: &[F]| x.iter().all(|&v| v == F::ZERO);
     let finite = |x: &[F]| x.iter().all(|&v| v.to_f64().is_finite());
     (zero(a) && finite(b)) || (zero(b) && finite(a))
 }
 
-/// The route of the `Od`/`Qd` `*` operators: `Some((x, d))` when both
+/// The route of the `Qd`/`Od` `*` operators: `Some((x, d))` when both
 /// operands are finite and one of them has only limb 0 nonzero (a double
 /// `d` widened to the expansion), `x` being the other operand. An
 /// all-zero operand stays with the dense kernel's zero shortcut. The
-/// operator then multiplies by the double (`od_mul_f`/`qd_mul_f`), which
+/// operator then multiplies by the double ([`mul_by_double`]), which
 /// pushes the same nonzero terms in the same order as the dense product
-/// (`od_mul`/`qd_mul`) minus its ±0 terms; [`renormalize`]'s stable sort
+/// ([`truncated_mul`]) minus its ±0 terms; [`renormalize`]'s stable sort
 /// moves those zeros last, where `two_sum(x, ±0) = (x, +0)` leaves the
 /// `VecSum` and `VecSumErrBranch` chains as they are. So every output
-/// bit is the dense product's. The dense kernels keep no such check: they
-/// are what the operation tallies count, and the Newton seeds of the
+/// bit is the dense product's. The dense product keeps no such check: it
+/// is what the operation tallies count, and the Newton seeds of the
 /// square roots are one-limb operands.
 #[inline(always)]
 pub(crate) fn widened_operand<const N: usize>(a: [f64; N], b: [f64; N]) -> Option<([f64; N], f64)> {
@@ -174,6 +180,83 @@ pub(crate) fn widened_operand<const N: usize>(a: [f64; N], b: [f64; N]) -> Optio
     } else {
         None
     }
+}
+
+/// The scratch of the certified truncated product of two `N`-limb
+/// expansions: every partial product `a_i * b_j` with `i + j < N - 1` with
+/// its `two_prod` error, and the plain products of the last diagonal
+/// `i + j = N - 1` (their errors are below the `N`-limb unit roundoff).
+/// The errors of diagonal `k` are of the order of diagonal `k + 1`, so
+/// magnitude class `k` is diagonal `k`'s products followed by diagonal
+/// `k - 1`'s errors: `2k + 1` terms, `CAP = N·N` in all, the widest
+/// `WIDEST = 2N - 1`.
+#[inline(always)]
+pub fn truncated_product<F: Fp, const N: usize, const CAP: usize, const WIDEST: usize>(
+    a: &[F; N],
+    b: &[F; N],
+) -> Scratch<F, CAP, WIDEST> {
+    const { assert!(CAP == N * N && WIDEST + 1 == 2 * N && N <= MAX_CLASSES) };
+    let mut s = Scratch::new();
+    // class k fills slots k² .. (k + 1)²: diagonal k's k + 1 products,
+    // then diagonal k - 1's k errors
+    for k in 0..N {
+        for i in 0..=k {
+            if k == N - 1 {
+                s.buf[k * k + i] = a[i] * b[k - i];
+            } else {
+                let (p, e) = two_prod(a[i], b[k - i]);
+                s.buf[k * k + i] = p;
+                s.buf[(k + 1) * (k + 1) + k + 2 + i] = e;
+            }
+        }
+        s.class_end[k] = ((k + 1) * (k + 1)) as u8;
+    }
+    s.len = CAP;
+    s.classes = N;
+    s
+}
+
+/// Certified truncated multiplication of two `N`-limb expansions
+/// (CAMPARY's): [`truncated_product`], renormalized to `N` limbs. A product
+/// with an all-zero operand returns `+0.0` limbs (`is_zero_product`).
+/// `qd_mul` and `od_mul` are its instantiations at `N` = 4 and 8.
+#[inline]
+pub fn truncated_mul<F: Fp, const N: usize, const CAP: usize, const WIDEST: usize>(
+    a: [F; N],
+    b: [F; N],
+) -> [F; N] {
+    if is_zero_product(&a, &b) {
+        return [F::ZERO; N];
+    }
+    let mut s = truncated_product::<F, N, CAP, WIDEST>(&a, &b);
+    let mut out = [F::ZERO; N];
+    renormalize(&mut s, &mut out);
+    out
+}
+
+/// Multiply an `N`-limb expansion by a double. With `e_i` the error of the
+/// exact product `p_i = a_i * b`, the magnitude classes are `p_0`, then
+/// `[p_i, e_{i-1}]`: `CAP = 2N - 1` terms, the last product plain.
+/// `qd_mul_f` and `od_mul_f` are its instantiations at `N` = 4 and 8.
+#[inline]
+pub fn mul_by_double<F: Fp, const N: usize, const CAP: usize>(a: [F; N], b: F) -> [F; N] {
+    const { assert!(CAP + 1 == 2 * N && N <= MAX_CLASSES) };
+    let (mut p, mut e) = ([F::ZERO; N], [F::ZERO; N]);
+    for i in 0..N - 1 {
+        (p[i], e[i]) = two_prod(a[i], b);
+    }
+    p[N - 1] = a[N - 1] * b;
+    let mut s = Scratch::<F, CAP, 2>::new();
+    s.push(p[0]);
+    s.close_class();
+    for i in 1..N {
+        s.push(p[i]);
+        s.push(e[i - 1]);
+        s.close_class();
+    }
+    let mut out = [F::ZERO; N];
+    renormalize(&mut s, &mut out);
+    out
 }
 
 /// Renormalize an intermediate expansion into `out.len()` components.
@@ -898,5 +981,124 @@ mod tests {
             assert!(od_mul([0.0; 8], y)[0].is_nan());
             assert!(qd_mul(quad(y), [0.0; 4])[0].is_nan());
         }
+    }
+
+    /// A `pin_operand` limb: a full 53-bit mantissa times `2^exp`.
+    fn pin_limb(rng: &mut Mix, exp: i32) -> f64 {
+        rng.sign() * (1.0 + rng.below(1 << 52) as f64 * f64::EPSILON) * 2f64.powi(exp)
+    }
+
+    /// An operand for the bit pin: a dense expansion whose limbs step down
+    /// 53–60 bits, now and then with a ±0 limb, only limb 0 nonzero (an
+    /// f64 widened), sparse limbs (gaps of 54–120 bits), or ±inf or NaN in
+    /// one limb.
+    fn pin_operand<const N: usize>(rng: &mut Mix) -> [f64; N] {
+        let mut exp = rng.range(-60, 60);
+        let mut x: [f64; N] = core::array::from_fn(|_| {
+            let limb = pin_limb(rng, exp);
+            exp -= rng.range(53, 60);
+            limb
+        });
+        let at = rng.below(N as u64) as usize;
+        match rng.below(16) {
+            0 | 1 => x[at] = rng.sign() * 0.0,
+            2 | 3 => x[1..].iter_mut().for_each(|v| *v = rng.sign() * 0.0),
+            4 | 5 => {
+                let mut exp = rng.range(-60, 60);
+                for v in &mut x {
+                    *v = pin_limb(rng, exp);
+                    exp -= rng.range(54, 120);
+                }
+            }
+            6 => x[at] = [f64::INFINITY, -f64::INFINITY, f64::NAN][rng.below(3) as usize],
+            _ => {}
+        }
+        x
+    }
+
+    /// FNV-1a over the bits of every quad and octo double product,
+    /// by-double product, quotient and square root, the `Qd`/`Od` `*`
+    /// operators, `MdReal::{abs, floor, mul_pwr2, sqrt}` and `partial_cmp`,
+    /// on 4 096 seeded `pin_operand` pairs per width plus fixed ±0, ±inf,
+    /// NaN and widened operands. NaN is hashed as one canonical NaN (its
+    /// sign and payload are the compiler's choice). The digest was recorded
+    /// before the quad and octo double products were written once,
+    /// generically over the limb count: any change to an output bit fails it.
+    #[test]
+    fn product_bits_are_pinned() {
+        use crate::od::{od_div, od_mul, od_mul_f, od_sqrt, Od};
+        use crate::qd::{qd_div, qd_mul, qd_mul_f, qd_sqrt, Qd};
+        use crate::real::MdReal;
+        struct Fnv(u64);
+        impl Fnv {
+            fn eat(&mut self, xs: &[f64]) {
+                for &x in xs {
+                    let bits = if x.is_nan() { f64::NAN } else { x }.to_bits();
+                    for b in bits.to_le_bytes() {
+                        self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                    }
+                }
+            }
+        }
+        fn fixed<const N: usize>() -> Vec<[f64; N]> {
+            let mut widened = [0.0; N];
+            widened[0] = 1.5;
+            let mut nan_tail = [1.0; N];
+            nan_tail[N - 1] = f64::NAN;
+            vec![
+                [0.0; N],
+                [-0.0; N],
+                widened,
+                [f64::INFINITY; N],
+                [f64::NAN; N],
+                nan_tail,
+            ]
+        }
+        fn pairs<const N: usize>(rng: &mut Mix) -> Vec<([f64; N], [f64; N])> {
+            let mut out: Vec<_> = (0..4096)
+                .map(|_| (pin_operand::<N>(rng), pin_operand::<N>(rng)))
+                .collect();
+            let fixed = fixed::<N>();
+            for &a in &fixed {
+                for &b in &fixed {
+                    out.push((a, b));
+                }
+                out.push((a, pin_operand::<N>(rng)));
+                out.push((pin_operand::<N>(rng), a));
+            }
+            out
+        }
+        let order = |o: Option<core::cmp::Ordering>| [o.map_or(3.0, |o| o as i8 as f64)];
+        let mut rng = Mix(37);
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        for (a, b) in pairs::<4>(&mut rng) {
+            let (x, y) = (Qd(a), Qd(b));
+            let p = 2f64.powi(rng.range(-60, 60));
+            h.eat(&qd_mul(a, b));
+            h.eat(&qd_mul_f(a, b[0]));
+            h.eat(&qd_div(a, b));
+            h.eat(&qd_sqrt(x.abs().0));
+            h.eat(&(x * y).0);
+            h.eat(&MdReal::abs(x).0);
+            h.eat(&MdReal::floor(x).0);
+            h.eat(&MdReal::mul_pwr2(x, p).0);
+            h.eat(&MdReal::sqrt(x).0);
+            h.eat(&order(x.partial_cmp(&y)));
+        }
+        for (a, b) in pairs::<8>(&mut rng) {
+            let (x, y) = (Od(a), Od(b));
+            let p = 2f64.powi(rng.range(-60, 60));
+            h.eat(&od_mul(a, b));
+            h.eat(&od_mul_f(a, b[0]));
+            h.eat(&od_div(a, b));
+            h.eat(&od_sqrt(x.abs().0));
+            h.eat(&(x * y).0);
+            h.eat(&MdReal::abs(x).0);
+            h.eat(&MdReal::floor(x).0);
+            h.eat(&MdReal::mul_pwr2(x, p).0);
+            h.eat(&MdReal::sqrt(x).0);
+            h.eat(&order(x.partial_cmp(&y)));
+        }
+        assert_eq!(h.0, 0x92ba_e543_6395_7feb, "digest {:#018x}", h.0);
     }
 }

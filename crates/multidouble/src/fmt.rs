@@ -30,8 +30,9 @@ pub fn pow10<T: MdReal>(e: i32) -> T {
 }
 
 /// Render `x` with `ndigits` significant decimal digits in scientific
-/// notation (`-d.dddde±xx`).
+/// notation (`-d.dddde±xx`); `ndigits` 0 prints one, as `f64`'s `{:.0e}`.
 pub fn to_decimal<T: MdReal>(x: T, ndigits: usize) -> String {
+    let ndigits = ndigits.max(1);
     let hi = x.hi();
     if hi.is_nan() {
         return "NaN".into();
@@ -49,8 +50,14 @@ pub fn to_decimal<T: MdReal>(x: T, ndigits: usize) -> String {
     let neg = hi < 0.0 || (hi == 0.0 && x < T::zero());
     let mut r = x.abs();
     let mut e10 = hi.abs().log10().floor() as i32;
-    // normalize r into [1, 10)
-    r *= pow10::<T>(-e10);
+    // normalize r into [1, 10); 10^-e10 overflows below e10 = -308
+    // (subnormal x), so scale in two steps there
+    if e10 < -300 {
+        r *= pow10::<T>(300);
+        r *= pow10::<T>(-e10 - 300);
+    } else {
+        r *= pow10::<T>(-e10);
+    }
     let ten = T::from_f64(10.0);
     let one = T::one();
     while r >= ten {
@@ -175,11 +182,6 @@ pub fn parse_md<T: MdReal>(s: &str) -> Option<T> {
     Some(v)
 }
 
-/// Parse into octo double (used for high-precision constants).
-pub fn parse_od(s: &str) -> Option<Od> {
-    parse_md::<Od>(s)
-}
-
 macro_rules! display_impl {
     ($T:ty, $digits:expr) => {
         impl core::fmt::Display for $T {
@@ -243,6 +245,21 @@ mod tests {
         let y: Od = parse_md(&s).unwrap();
         let err = (x - y).abs().to_f64() / x.to_f64().abs();
         assert!(err < 1e-125, "err = {err:e}");
+    }
+
+    /// `{:.0}` prints one significant digit, and subnormals print their
+    /// digits (`f64`'s `{:.4e}` has the same five), in every precision.
+    #[test]
+    fn display_handles_zero_digits_and_subnormals() {
+        fn check<T: MdReal>() {
+            assert_eq!(format!("{:.0}", T::from_f64(3.7)), "4e+00");
+            for v in [1e-310, 2.5e-320, 5e-324] {
+                assert_eq!(format!("{:.5}", T::from_f64(v)), format!("{v:.4e}"));
+            }
+        }
+        check::<Dd>();
+        check::<Qd>();
+        check::<Od>();
     }
 
     #[test]

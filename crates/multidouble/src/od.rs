@@ -9,13 +9,16 @@
 //!   renormalize 16 → 8 (CAMPARY's `certifiedAdd`);
 //! * **multiplication** — accumulate the partial-product diagonals
 //!   `i + j = k` for `k < 8` with error terms for `k <= 6`, then
-//!   renormalize (CAMPARY's truncated certified multiplication);
+//!   renormalize (CAMPARY's truncated certified multiplication, written
+//!   once for quad and octo double: [`crate::expansion::truncated_mul`]);
 //! * **division** — nine-digit long division with exact remainder updates;
 //! * **square root** — Newton on the reciprocal square root.
+//!
+//! The operators, `PartialOrd` and [`MdReal`](crate::MdReal) impl that
+//! [`Od`] shares with [`Qd`] are emitted once, in [`crate::real`].
 
 use crate::dd::Dd;
-use crate::eft::two_prod;
-use crate::expansion::{is_zero_product, renormalize, widened_operand, Scratch};
+use crate::expansion::{mul_by_double, renormalize, truncated_mul, Scratch};
 use crate::fp::Fp;
 use crate::qd::Qd;
 
@@ -64,70 +67,15 @@ pub fn od_sub<F: Fp>(a: Od8<F>, b: Od8<F>) -> Od8<F> {
 }
 
 /// Certified truncated multiplication.
-#[inline]
+#[inline(always)]
 pub fn od_mul<F: Fp>(a: Od8<F>, b: Od8<F>) -> Od8<F> {
-    if is_zero_product(&a, &b) {
-        return [F::ZERO; N];
-    }
-    let mut s = Scratch::<F, 64, 15>::new();
-    // errors of diagonal k belong to magnitude class k+1, so class k is
-    // diagonal k's products followed by diagonal (k-1)'s errors: 2k + 1
-    // terms, 64 in all (the last diagonal keeps no errors).
-    let mut prev_err: [F; N] = [F::ZERO; N];
-    let mut prev_err_len = 0usize;
-    for k in 0..N {
-        let mut err: [F; N] = [F::ZERO; N];
-        let mut err_len = 0usize;
-        for i in 0..=k {
-            let j = k - i;
-            if k == N - 1 {
-                // last diagonal: plain products, errors below target eps
-                s.push(a[i] * b[j]);
-            } else {
-                let (p, e) = two_prod(a[i], b[j]);
-                s.push(p);
-                err[err_len] = e;
-                err_len += 1;
-            }
-        }
-        for e in prev_err.iter().take(prev_err_len) {
-            s.push(*e);
-        }
-        s.close_class();
-        prev_err = err;
-        prev_err_len = err_len;
-    }
-    let mut out = [F::ZERO; N];
-    renormalize(&mut s, &mut out);
-    out
+    truncated_mul::<F, 8, 64, 15>(a, b)
 }
 
-/// Multiply an octo double by a double. Terms are pushed in magnitude
-/// class order: `p_0, [p_1, e_0], [p_2, e_1], ..., [p_7, e_6]` where `e_i`
-/// is the error of the exact product `p_i`; each bracket is one class.
-#[inline]
+/// Multiply an octo double by a double.
+#[inline(always)]
 pub fn od_mul_f<F: Fp>(a: Od8<F>, b: F) -> Od8<F> {
-    let mut s = Scratch::<F, 15, 2>::new();
-    let mut prev_err: Option<F> = None;
-    for (i, limb) in a.iter().enumerate() {
-        if i < N - 1 {
-            let (p, e) = two_prod(*limb, b);
-            s.push(p);
-            if let Some(pe) = prev_err {
-                s.push(pe);
-            }
-            prev_err = Some(e);
-        } else {
-            s.push(*limb * b);
-            if let Some(pe) = prev_err {
-                s.push(pe);
-            }
-        }
-        s.close_class();
-    }
-    let mut out = [F::ZERO; N];
-    renormalize(&mut s, &mut out);
-    out
+    mul_by_double::<F, 8, 15>(a, b)
 }
 
 /// Long division: nine quotient digits with exact remainder updates,
@@ -218,131 +166,13 @@ impl Od {
     /// π to octo double accuracy (parsed from 135 decimal digits; see
     /// `fmt` tests for the round trip).
     pub fn pi() -> Self {
-        crate::fmt::parse_od(
+        crate::fmt::parse_md(
             "3.141592653589793238462643383279502884197169399375105820974944592307816406286208998628034825342117067982148086513282306647093844609550582",
         )
         .expect("pi literal parses")
     }
-
-    /// The limbs, most significant first.
-    #[inline]
-    pub const fn limbs(self) -> [f64; 8] {
-        self.0
-    }
-
-    /// Square root (NaN for negative input).
-    #[inline]
-    pub fn sqrt(self) -> Self {
-        if self.0[0] < 0.0 {
-            return Od([f64::NAN; 8]);
-        }
-        Od(od_sqrt(self.0))
-    }
-
-    /// Square.
-    #[inline]
-    pub fn sqr(self) -> Self {
-        self * self
-    }
-
-    /// Absolute value.
-    #[inline]
-    pub fn abs(self) -> Self {
-        if self.0[0] < 0.0 || (self.0[0] == 0.0 && self.0[1] < 0.0) {
-            -self
-        } else {
-            self
-        }
-    }
-
-    /// Reciprocal.
-    #[inline]
-    pub fn recip(self) -> Self {
-        Od::ONE / self
-    }
-
-    /// Nearest double.
-    #[inline]
-    pub fn to_f64(self) -> f64 {
-        self.0[0] + self.0[1]
-    }
 }
 
-macro_rules! od_binop {
-    ($trait:ident, $method:ident, $fn:path) => {
-        impl core::ops::$trait for Od {
-            type Output = Od;
-            #[inline(always)]
-            fn $method(self, rhs: Od) -> Od {
-                Od($fn(self.0, rhs.0))
-            }
-        }
-    };
-}
-od_binop!(Add, add, od_add);
-od_binop!(Sub, sub, od_sub);
-od_binop!(Div, div, od_div);
-
-/// A product with an f64-widened operand takes the by-double kernel,
-/// bit-identical to the dense one (`expansion::widened_operand`).
-impl core::ops::Mul for Od {
-    type Output = Od;
-    #[inline(always)]
-    fn mul(self, rhs: Od) -> Od {
-        Od(match widened_operand(self.0, rhs.0) {
-            Some((x, d)) => od_mul_f(x, d),
-            None => od_mul(self.0, rhs.0),
-        })
-    }
-}
-
-impl core::ops::Neg for Od {
-    type Output = Od;
-    #[inline(always)]
-    fn neg(self) -> Od {
-        Od(od_neg(self.0))
-    }
-}
-
-macro_rules! od_assign {
-    ($trait:ident, $method:ident, $op:tt) => {
-        impl core::ops::$trait for Od {
-            #[inline(always)]
-            fn $method(&mut self, rhs: Od) {
-                *self = *self $op rhs;
-            }
-        }
-    };
-}
-od_assign!(AddAssign, add_assign, +);
-od_assign!(SubAssign, sub_assign, -);
-od_assign!(MulAssign, mul_assign, *);
-od_assign!(DivAssign, div_assign, /);
-
-impl PartialOrd for Od {
-    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
-        for i in 0..8 {
-            match self.0[i].partial_cmp(&other.0[i]) {
-                Some(core::cmp::Ordering::Equal) => continue,
-                ord => return ord,
-            }
-        }
-        Some(core::cmp::Ordering::Equal)
-    }
-}
-
-impl From<f64> for Od {
-    #[inline]
-    fn from(x: f64) -> Self {
-        Od::from_f64(x)
-    }
-}
-impl From<Dd> for Od {
-    #[inline]
-    fn from(x: Dd) -> Self {
-        Od::from_dd(x)
-    }
-}
 impl From<Qd> for Od {
     #[inline]
     fn from(x: Qd) -> Self {

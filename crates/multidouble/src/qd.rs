@@ -1,13 +1,16 @@
 //! Quad double arithmetic (the paper's `4d`, ~64 decimal digits).
 //!
 //! Addition, renormalization and division follow QDlib's accurate
-//! (`ieee`) algorithms; multiplication uses the certified
+//! (`ieee`) algorithms; multiplication is the certified
 //! diagonal-accumulation + renormalize scheme of CAMPARY (all partial
-//! products of order `eps^3` or larger, with their error terms).
+//! products of order `eps^3` or larger, with their error terms), written
+//! once for quad and octo double in [`crate::expansion`]. The operators,
+//! `PartialOrd` and [`MdReal`](crate::MdReal) impl that [`Qd`] shares with
+//! [`Od`](crate::Od) are emitted once, in [`crate::real`].
 
 use crate::dd::Dd;
-use crate::eft::{quick_two_sum, three_sum, three_sum2, two_diff, two_prod, two_sum};
-use crate::expansion::{is_zero_product, renormalize, widened_operand, Scratch};
+use crate::eft::{quick_two_sum, three_sum, three_sum2, two_diff, two_sum};
+use crate::expansion::{mul_by_double, truncated_mul};
 use crate::fp::Fp;
 
 /// Generic quad double value, most significant limb first.
@@ -124,73 +127,16 @@ pub fn qd_sub<F: Fp>(a: Qd4<F>, b: Qd4<F>) -> Qd4<F> {
 
 /// Certified multiplication: all partial products `a_i * b_j` with
 /// `i + j <= 2` carry their error terms; the `i + j == 3` diagonal
-/// contributes plain products (their errors are below `eps^4`). Each
-/// diagonal with the previous one's errors is one magnitude class.
-#[inline]
+/// contributes plain products (their errors are below `eps^4`).
+#[inline(always)]
 pub fn qd_mul<F: Fp>(a: Qd4<F>, b: Qd4<F>) -> Qd4<F> {
-    if is_zero_product(&a, &b) {
-        return [F::ZERO; 4];
-    }
-    let mut s = Scratch::<F, 16, 7>::new();
-    // diagonal 0
-    let (p00, e00) = two_prod(a[0], b[0]);
-    s.push(p00);
-    s.close_class();
-    // diagonal 1 (+ errors of diagonal 0)
-    let (p01, e01) = two_prod(a[0], b[1]);
-    let (p10, e10) = two_prod(a[1], b[0]);
-    s.push(p01);
-    s.push(p10);
-    s.push(e00);
-    s.close_class();
-    // diagonal 2 (+ errors of diagonal 1)
-    let (p02, e02) = two_prod(a[0], b[2]);
-    let (p11, e11) = two_prod(a[1], b[1]);
-    let (p20, e20) = two_prod(a[2], b[0]);
-    s.push(p02);
-    s.push(p11);
-    s.push(p20);
-    s.push(e01);
-    s.push(e10);
-    s.close_class();
-    // diagonal 3 (+ errors of diagonal 2)
-    s.push(a[0] * b[3]);
-    s.push(a[1] * b[2]);
-    s.push(a[2] * b[1]);
-    s.push(a[3] * b[0]);
-    s.push(e02);
-    s.push(e11);
-    s.push(e20);
-    s.close_class();
-
-    let mut out = [F::ZERO; 4];
-    renormalize(&mut s, &mut out);
-    out
+    truncated_mul::<F, 4, 16, 7>(a, b)
 }
 
-/// Multiply a quad double by a double. Magnitude classes are `p_0`, then
-/// the pairs `[p_i, e_{i-1}]`.
-#[inline]
+/// Multiply a quad double by a double.
+#[inline(always)]
 pub fn qd_mul_f<F: Fp>(a: Qd4<F>, b: F) -> Qd4<F> {
-    let mut s = Scratch::<F, 7, 2>::new();
-    let (p0, e0) = two_prod(a[0], b);
-    let (p1, e1) = two_prod(a[1], b);
-    let (p2, e2) = two_prod(a[2], b);
-    let p3 = a[3] * b;
-    s.push(p0);
-    s.close_class();
-    s.push(p1);
-    s.push(e0);
-    s.close_class();
-    s.push(p2);
-    s.push(e1);
-    s.close_class();
-    s.push(p3);
-    s.push(e2);
-    s.close_class();
-    let mut out = [F::ZERO; 4];
-    renormalize(&mut s, &mut out);
-    out
+    mul_by_double::<F, 4, 7>(a, b)
 }
 
 /// Accurate division: five quotient digits by exact remainder updates
@@ -273,125 +219,6 @@ impl Qd {
     #[inline]
     pub const fn from_dd(x: Dd) -> Self {
         Qd([x.hi, x.lo, 0.0, 0.0])
-    }
-
-    /// The limbs, most significant first.
-    #[inline]
-    pub const fn limbs(self) -> [f64; 4] {
-        self.0
-    }
-
-    /// Square root (NaN for negative input).
-    #[inline]
-    pub fn sqrt(self) -> Self {
-        if self.0[0] < 0.0 {
-            return Qd([f64::NAN; 4]);
-        }
-        Qd(qd_sqrt(self.0))
-    }
-
-    /// Square.
-    #[inline]
-    pub fn sqr(self) -> Self {
-        self * self
-    }
-
-    /// Absolute value.
-    #[inline]
-    pub fn abs(self) -> Self {
-        if self.0[0] < 0.0 || (self.0[0] == 0.0 && self.0[1] < 0.0) {
-            -self
-        } else {
-            self
-        }
-    }
-
-    /// Reciprocal.
-    #[inline]
-    pub fn recip(self) -> Self {
-        Qd::ONE / self
-    }
-
-    /// Nearest double.
-    #[inline]
-    pub fn to_f64(self) -> f64 {
-        self.0[0] + self.0[1]
-    }
-}
-
-macro_rules! qd_binop {
-    ($trait:ident, $method:ident, $fn:path) => {
-        impl core::ops::$trait for Qd {
-            type Output = Qd;
-            #[inline(always)]
-            fn $method(self, rhs: Qd) -> Qd {
-                Qd($fn(self.0, rhs.0))
-            }
-        }
-    };
-}
-qd_binop!(Add, add, qd_add);
-qd_binop!(Sub, sub, qd_sub);
-qd_binop!(Div, div, qd_div);
-
-/// A product with an f64-widened operand takes the by-double kernel,
-/// bit-identical to the dense one (`expansion::widened_operand`).
-impl core::ops::Mul for Qd {
-    type Output = Qd;
-    #[inline(always)]
-    fn mul(self, rhs: Qd) -> Qd {
-        Qd(match widened_operand(self.0, rhs.0) {
-            Some((x, d)) => qd_mul_f(x, d),
-            None => qd_mul(self.0, rhs.0),
-        })
-    }
-}
-
-impl core::ops::Neg for Qd {
-    type Output = Qd;
-    #[inline(always)]
-    fn neg(self) -> Qd {
-        Qd(qd_neg(self.0))
-    }
-}
-
-macro_rules! qd_assign {
-    ($trait:ident, $method:ident, $op:tt) => {
-        impl core::ops::$trait for Qd {
-            #[inline(always)]
-            fn $method(&mut self, rhs: Qd) {
-                *self = *self $op rhs;
-            }
-        }
-    };
-}
-qd_assign!(AddAssign, add_assign, +);
-qd_assign!(SubAssign, sub_assign, -);
-qd_assign!(MulAssign, mul_assign, *);
-qd_assign!(DivAssign, div_assign, /);
-
-impl PartialOrd for Qd {
-    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
-        for i in 0..4 {
-            match self.0[i].partial_cmp(&other.0[i]) {
-                Some(core::cmp::Ordering::Equal) => continue,
-                ord => return ord,
-            }
-        }
-        Some(core::cmp::Ordering::Equal)
-    }
-}
-
-impl From<f64> for Qd {
-    #[inline]
-    fn from(x: f64) -> Self {
-        Qd::from_f64(x)
-    }
-}
-impl From<Dd> for Qd {
-    #[inline]
-    fn from(x: Dd) -> Self {
-        Qd::from_dd(x)
     }
 }
 

@@ -1,12 +1,13 @@
 //! [`MdReal`]: the unifying trait over the four real precisions
 //! `f64` (the paper's `1d`), [`Dd`] (`2d`), [`Qd`] (`4d`) and [`Od`] (`8d`).
 
+use core::cmp::Ordering;
 use core::fmt::{Debug, Display};
 use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 use crate::dd::Dd;
-use crate::od::Od;
-use crate::qd::Qd;
+use crate::od::{od_add, od_div, od_mul, od_mul_f, od_sqrt, od_sub, Od};
+use crate::qd::{qd_add, qd_div, qd_mul, qd_mul_f, qd_sqrt, qd_sub, Qd};
 
 /// A real multiple double scalar.
 ///
@@ -206,111 +207,184 @@ impl MdReal for Dd {
     }
 }
 
-impl MdReal for Qd {
-    const LIMBS: usize = 4;
-    const EPS: f64 = Qd::EPSILON;
-    const TAG: &'static str = "4d";
+/// The surface [`Qd`] and [`Od`] share, written once over the limb count
+/// `$n`: the inherent `limbs`, `sqrt`, `sqr`, `abs`, `recip` and `to_f64`;
+/// the arithmetic operators over the type's kernels, `*` taking the
+/// by-double kernel on an f64-widened operand (bit-identical to the dense
+/// one, `expansion::widened_operand`); `PartialOrd` (lexicographic over the
+/// limbs); the exact conversions from `f64` and [`Dd`]; and [`MdReal`].
+macro_rules! expansion_real {
+    ($T:ident, $n:literal, $tag:literal, $add:path, $sub:path, $mul:path, $mul_f:path, $div:path, $sqrt:path) => {
+        impl $T {
+            /// The limbs, most significant first.
+            #[inline]
+            pub const fn limbs(self) -> [f64; $n] {
+                self.0
+            }
 
-    #[inline(always)]
-    fn from_f64(x: f64) -> Self {
-        Qd::from_f64(x)
-    }
-    #[inline(always)]
-    fn to_f64(self) -> f64 {
-        Qd::to_f64(self)
-    }
-    #[inline(always)]
-    fn hi(self) -> f64 {
-        self.0[0]
-    }
-    #[inline(always)]
-    fn limb(self, i: usize) -> f64 {
-        self.0[i]
-    }
-    #[inline(always)]
-    fn from_limb_fn(f: impl FnMut(usize) -> f64) -> Self {
-        Qd(core::array::from_fn(f))
-    }
-    #[inline(always)]
-    fn zero() -> Self {
-        Qd::ZERO
-    }
-    #[inline(always)]
-    fn one() -> Self {
-        Qd::ONE
-    }
-    #[inline(always)]
-    fn abs(self) -> Self {
-        Qd::abs(self)
-    }
-    #[inline(always)]
-    fn sqrt(self) -> Self {
-        Qd::sqrt(self)
-    }
-    #[inline(always)]
-    fn mul_pwr2(self, p: f64) -> Self {
-        Qd([self.0[0] * p, self.0[1] * p, self.0[2] * p, self.0[3] * p])
-    }
-    #[inline]
-    fn floor(self) -> Self {
-        md_floor!(self, Qd)
-    }
-}
+            /// Square root (NaN for negative input).
+            #[inline]
+            pub fn sqrt(self) -> Self {
+                if self.0[0] < 0.0 {
+                    return $T([f64::NAN; $n]);
+                }
+                $T($sqrt(self.0))
+            }
 
-impl MdReal for Od {
-    const LIMBS: usize = 8;
-    const EPS: f64 = Od::EPSILON;
-    const TAG: &'static str = "8d";
+            /// Square.
+            #[inline]
+            pub fn sqr(self) -> Self {
+                self * self
+            }
 
-    #[inline(always)]
-    fn from_f64(x: f64) -> Self {
-        Od::from_f64(x)
-    }
-    #[inline(always)]
-    fn to_f64(self) -> f64 {
-        Od::to_f64(self)
-    }
-    #[inline(always)]
-    fn hi(self) -> f64 {
-        self.0[0]
-    }
-    #[inline(always)]
-    fn limb(self, i: usize) -> f64 {
-        self.0[i]
-    }
-    #[inline(always)]
-    fn from_limb_fn(f: impl FnMut(usize) -> f64) -> Self {
-        Od(core::array::from_fn(f))
-    }
-    #[inline(always)]
-    fn zero() -> Self {
-        Od::ZERO
-    }
-    #[inline(always)]
-    fn one() -> Self {
-        Od::ONE
-    }
-    #[inline(always)]
-    fn abs(self) -> Self {
-        Od::abs(self)
-    }
-    #[inline(always)]
-    fn sqrt(self) -> Self {
-        Od::sqrt(self)
-    }
-    #[inline(always)]
-    fn mul_pwr2(self, p: f64) -> Self {
-        let mut a = self.0;
-        for x in &mut a {
-            *x *= p;
+            /// Absolute value.
+            #[inline]
+            pub fn abs(self) -> Self {
+                if self.0[0] < 0.0 || (self.0[0] == 0.0 && self.0[1] < 0.0) {
+                    -self
+                } else {
+                    self
+                }
+            }
+
+            /// Reciprocal.
+            #[inline]
+            pub fn recip(self) -> Self {
+                $T::ONE / self
+            }
+
+            /// Nearest double.
+            #[inline]
+            pub fn to_f64(self) -> f64 {
+                self.0[0] + self.0[1]
+            }
         }
-        Od(a)
-    }
-    #[inline]
-    fn floor(self) -> Self {
-        md_floor!(self, Od)
-    }
+
+        expansion_real!(@binop $T, Add, add, $add);
+        expansion_real!(@binop $T, Sub, sub, $sub);
+        expansion_real!(@binop $T, Div, div, $div);
+        expansion_real!(@assign $T, AddAssign, add_assign, +);
+        expansion_real!(@assign $T, SubAssign, sub_assign, -);
+        expansion_real!(@assign $T, MulAssign, mul_assign, *);
+        expansion_real!(@assign $T, DivAssign, div_assign, /);
+
+        impl Mul for $T {
+            type Output = $T;
+            #[inline(always)]
+            fn mul(self, rhs: $T) -> $T {
+                $T(match crate::expansion::widened_operand(self.0, rhs.0) {
+                    Some((x, d)) => $mul_f(x, d),
+                    None => $mul(self.0, rhs.0),
+                })
+            }
+        }
+
+        impl Neg for $T {
+            type Output = $T;
+            #[inline(always)]
+            fn neg(self) -> $T {
+                $T(self.0.map(|x| -x))
+            }
+        }
+
+        impl PartialOrd for $T {
+            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+                for (x, y) in self.0.iter().zip(&other.0) {
+                    match x.partial_cmp(y) {
+                        Some(Ordering::Equal) => continue,
+                        ord => return ord,
+                    }
+                }
+                Some(Ordering::Equal)
+            }
+        }
+
+        impl From<f64> for $T {
+            #[inline]
+            fn from(x: f64) -> Self {
+                $T::from_f64(x)
+            }
+        }
+
+        impl From<Dd> for $T {
+            #[inline]
+            fn from(x: Dd) -> Self {
+                $T::from_dd(x)
+            }
+        }
+
+        impl MdReal for $T {
+            const LIMBS: usize = $n;
+            const EPS: f64 = $T::EPSILON;
+            const TAG: &'static str = $tag;
+
+            #[inline(always)]
+            fn from_f64(x: f64) -> Self {
+                $T::from_f64(x)
+            }
+            #[inline(always)]
+            fn to_f64(self) -> f64 {
+                $T::to_f64(self)
+            }
+            #[inline(always)]
+            fn hi(self) -> f64 {
+                self.0[0]
+            }
+            #[inline(always)]
+            fn limb(self, i: usize) -> f64 {
+                self.0[i]
+            }
+            #[inline(always)]
+            fn from_limb_fn(f: impl FnMut(usize) -> f64) -> Self {
+                $T(core::array::from_fn(f))
+            }
+            #[inline(always)]
+            fn zero() -> Self {
+                $T::ZERO
+            }
+            #[inline(always)]
+            fn one() -> Self {
+                $T::ONE
+            }
+            #[inline(always)]
+            fn abs(self) -> Self {
+                $T::abs(self)
+            }
+            #[inline(always)]
+            fn sqrt(self) -> Self {
+                $T::sqrt(self)
+            }
+            #[inline(always)]
+            fn mul_pwr2(self, p: f64) -> Self {
+                $T(self.0.map(|x| x * p))
+            }
+            #[inline]
+            fn floor(self) -> Self {
+                md_floor!(self, $T)
+            }
+        }
+    };
+    (@binop $T:ident, $trait:ident, $method:ident, $fn:path) => {
+        impl $trait for $T {
+            type Output = $T;
+            #[inline(always)]
+            fn $method(self, rhs: $T) -> $T {
+                $T($fn(self.0, rhs.0))
+            }
+        }
+    };
+    (@assign $T:ident, $trait:ident, $method:ident, $op:tt) => {
+        impl $trait for $T {
+            #[inline(always)]
+            fn $method(&mut self, rhs: $T) {
+                *self = *self $op rhs;
+            }
+        }
+    };
 }
+
+expansion_real!(Qd, 4, "4d", qd_add, qd_sub, qd_mul, qd_mul_f, qd_div, qd_sqrt);
+expansion_real!(Od, 8, "8d", od_add, od_sub, od_mul, od_mul_f, od_div, od_sqrt);
 
 /// Convert between precision rungs by limb transfer.
 ///
