@@ -1,9 +1,12 @@
 //! Pool operations stay logarithmic in schedule history, gated.
 //!
-//! `serve` books 10⁵–10⁶ spans per run, and every pool operation between
+//! `serve` books 10⁵–10⁶ spans per run, and every pool query between
 //! dispatch and refund enters its sorted list — a lane's intervals, the
-//! live registry — through a bisection. The gate times four entry points
-//! at a schedule of 1 024 spans and at one of 65 536:
+//! live registry — through a bisection, or not at all: a tail
+//! `earliest_fit` is one comparison, and a `Timeline::book` that starts
+//! after the lane's last stored start (nearly every booking) is an O(1)
+//! append. The gate times four entry points at a schedule of 1 024
+//! spans and at one of 65 536:
 //!
 //! * `Timeline::earliest_fit` near the tail of a lane;
 //! * `Timeline::is_free` at the middle of a lane (a scan from either end
@@ -14,7 +17,8 @@
 //! A bisection reads ≈ 1.6× (16 probes against 10), a scan 64×. The
 //! bound is generous on purpose — it catches the return of a linear
 //! scan, not cache effects. Mid-lane `book` and `free` are not timed:
-//! their `Vec` insert or remove is an O(n) memmove, not a scan.
+//! each is a bisection plus an O(n) memmove of the `Vec` tail, not a
+//! scan.
 #![expect(clippy::disallowed_methods, reason = "a host-time gate")]
 
 use std::hint::black_box;

@@ -43,6 +43,7 @@
 //! device time is unaffected.
 
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use gpusim::{ExecMode, Gpu, Sim};
 use mdls_core::{lstsq_factor_batched, residual_kernel};
@@ -128,8 +129,9 @@ pub struct JobOutcome {
     /// Pool id of the device that ran the solve.
     pub device: usize,
     /// The staged plan the solve ran under — `plan.stage_wall_ms` is the
-    /// per-stage predicted breakdown.
-    pub plan: ExecPlan,
+    /// per-stage predicted breakdown. Shared with the planner's memo and
+    /// every other job that ran the same plan.
+    pub plan: Arc<ExecPlan>,
     /// The minimizer, at the plan's solution precision.
     pub x: Solution,
     /// Relative residual `‖b − A x‖₂ / ‖b‖₂` (leading double),
@@ -751,7 +753,7 @@ fn replay_transients(
         });
         let mut reqs = g.fused.extension_reqs();
         if reqs.is_empty() {
-            reqs = g.fused.stage_reqs(usize::MAX);
+            reqs = g.fused.booking_reqs(usize::MAX);
         }
         let backoff_ms = RETRY_BACKOFF_MS * (1u64 << retry) as f64;
         let b = pool.commit_stages(device, &reqs, 0.0, 0.0, 0, overlap, g.end_ms + backoff_ms);
@@ -785,18 +787,21 @@ fn replay_transients(
 /// * otherwise [`Disposition::Ok`].
 ///
 /// A member with no solution (a model-only run) certifies nothing and
-/// reports zero `achieved_digits`, as a tombstone does. Returns the
-/// outcomes in group order and the fault instants (the service shell
+/// reports zero `achieved_digits`, as a tombstone does. Drains `solved`
+/// (the members' solves, in group order), appends the outcomes to
+/// `settled` in group order — both buffers are the caller's, reused
+/// across groups — and returns the fault instants (the service shell
 /// strikes its breaker with them).
 pub(crate) fn settle_group(
     pool: &mut DevicePool,
     g: &mut GroupDispatch,
     shape: &JobShape,
     members: &[&Job],
-    solved: Vec<PlannedSolve>,
+    solved: &mut Vec<PlannedSolve>,
     sched: &StageSchedConfig,
     retried: bool,
-) -> (Vec<JobOutcome>, Vec<f64>) {
+    settled: &mut Vec<JobOutcome>,
+) -> Vec<f64> {
     assert_eq!(members.len(), solved.len());
     let passes_run = solved.iter().map(|s| s.corrections_run).max().unwrap_or(0);
     let (refunded_ms, extended_ms) = settle_staged_dispatch(pool, g, shape, passes_run, sched);
@@ -807,39 +812,36 @@ pub(crate) fn settle_group(
     // which no solve can shrink, so it certifies nothing either way
     let certifies = shape.rows == shape.cols;
     let target = g.plan.target_digits;
-    let outcomes = members
-        .iter()
-        .zip(solved)
-        .map(|(&job, s)| {
-            let has_solution = !s.x.is_empty();
-            let achieved_digits = if has_solution {
-                digits_from_residual(s.residual)
-            } else {
-                0.0
-            };
-            let short = certifies && has_solution && achieved_digits < target as f64;
-            let disposition = if short || target < job.target_digits {
-                Disposition::Degraded
-            } else if retried {
-                Disposition::Retried
-            } else {
-                Disposition::Ok
-            };
-            JobOutcome {
-                achieved_digits,
-                x: s.x,
-                residual: s.residual,
-                start_ms: g.start_ms,
-                fused_group: g.jobs.len(),
-                corrections_run: s.corrections_run,
-                refunded_ms,
-                extended_ms,
-                // the job's identity, on the group's device and end
-                ..tombstone_outcome(job, g.plan.clone(), g.device, disposition, g.end_ms)
-            }
-        })
-        .collect();
-    (outcomes, hits)
+    let outcomes = members.iter().zip(solved.drain(..)).map(|(&job, s)| {
+        let has_solution = !s.x.is_empty();
+        let achieved_digits = if has_solution {
+            digits_from_residual(s.residual)
+        } else {
+            0.0
+        };
+        let short = certifies && has_solution && achieved_digits < target as f64;
+        let disposition = if short || target < job.target_digits {
+            Disposition::Degraded
+        } else if retried {
+            Disposition::Retried
+        } else {
+            Disposition::Ok
+        };
+        JobOutcome {
+            achieved_digits,
+            x: s.x,
+            residual: s.residual,
+            start_ms: g.start_ms,
+            fused_group: g.jobs.len(),
+            corrections_run: s.corrections_run,
+            refunded_ms,
+            extended_ms,
+            // the job's identity, on the group's device and end
+            ..tombstone_outcome(job, g.plan.clone(), g.device, disposition, g.end_ms)
+        }
+    });
+    settled.extend(outcomes);
+    hits
 }
 
 /// Solve a batch through the **one batch loop** with every fault phase
@@ -988,18 +990,20 @@ pub(crate) fn run_round(
 
     // ---- phase 4: settle in booking order, replay transients ---------
     let mut fused_groups = 0;
-    for (mut slot, solved) in slots.into_iter().zip(solved) {
+    let mut settled = Vec::new();
+    for (mut slot, mut solved) in slots.into_iter().zip(solved) {
         fused_groups += usize::from(slot.members.len() > 1);
-        let (settled, _) = settle_group(
+        settle_group(
             pool,
             &mut slot.g,
             &slot.shape,
             &slot.members,
-            solved,
+            &mut solved,
             sched,
             slot.retried,
+            &mut settled,
         );
-        outcomes.extend(slot.g.jobs.iter().copied().zip(settled));
+        outcomes.extend(slot.g.jobs.iter().copied().zip(settled.drain(..)));
     }
     Round {
         outcomes,

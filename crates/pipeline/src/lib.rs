@@ -223,7 +223,7 @@ pub use plan::{ExecPlan, FusedProfile, Stage};
 pub use planner::Planner;
 pub use pool::{
     DeviceLossReport, DevicePool, DeviceStats, HostStagingPool, PoolDevice, RebookMode,
-    StageBooking, StageInterval, StageRefund, StageReq, Timeline,
+    StageBooking, StageInterval, StageRefund, StageReq, StageVec, Timeline, MAX_STAGES,
 };
 pub use resilient::{solve_batch_resilient, AdmissionConfig, ResilienceConfig};
 pub use scheduler::{dispatch_one, Dispatch, DispatchPolicy, JobShape, StageSchedConfig};

@@ -32,9 +32,11 @@
 //!   bit-identical to the unfused path — fusing is launch packing,
 //!   never different arithmetic.
 
+use std::sync::Arc;
+
 use crate::plan::{ExecPlan, FusedProfile};
 use crate::planner::Planner;
-use crate::pool::{DevicePool, PoolDevice, StageBooking, StageReq};
+use crate::pool::{DevicePool, PoolDevice, StageBooking, StageReq, StageVec};
 use crate::scheduler::{place_by_end, DispatchPolicy, JobShape, StageSchedConfig};
 use mdls_obs::Event;
 
@@ -90,10 +92,11 @@ pub struct GroupDispatch {
     /// Pool id of the device the group runs on.
     pub device: usize,
     /// The plan structure every member runs (identical arithmetic to
-    /// an unfused dispatch of the same job).
-    pub plan: ExecPlan,
+    /// an unfused dispatch of the same job), shared with the planner's
+    /// memo.
+    pub plan: Arc<ExecPlan>,
     /// The fused pricing booked for the whole group.
-    pub fused: FusedProfile,
+    pub fused: Arc<FusedProfile>,
     /// Simulated start of the fused launch sequence, ms.
     pub start_ms: f64,
     /// Simulated completion of the whole group, ms (shared by every
@@ -172,7 +175,7 @@ pub fn plan_groups(
 /// and the lane-split stage requests `sched` books — the planner's
 /// *expected* pass count under [`StageSchedConfig::book_expected`], the
 /// structural worst case otherwise.
-type PricedGroup = (ExecPlan, FusedProfile, Vec<StageReq>);
+type PricedGroup = (Arc<ExecPlan>, Arc<FusedProfile>, StageVec<StageReq>);
 
 fn price_group(
     planner: &Planner,
@@ -187,7 +190,7 @@ fn price_group(
     } else {
         plan.corrections()
     };
-    let reqs = fused.stage_reqs(ExecPlan::booked_stages(passes));
+    let reqs = fused.booking_reqs(ExecPlan::booked_stages(passes));
     (plan, fused, reqs)
 }
 

@@ -36,7 +36,7 @@ use gpusim::ExecMode;
 use mdls_core::LstsqOptions;
 
 use crate::job::Precision;
-use crate::pool::StageReq;
+use crate::pool::{StageReq, StageVec};
 
 /// One step of an execution plan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -197,7 +197,7 @@ impl ExecPlan {
 
     /// Number of stages a scheduler books: the factor/initial-correct
     /// pair plus `passes` residual/correct pairs.
-    pub fn booked_stages(passes: usize) -> usize {
+    pub const fn booked_stages(passes: usize) -> usize {
         2 + 2 * passes
     }
 
@@ -314,6 +314,12 @@ impl FusedProfile {
     /// iterate, synchronous with the kernel stream — they book on the
     /// compute lane with their kernels.
     pub fn stage_reqs(&self, upto: usize) -> Vec<StageReq> {
+        self.booking_reqs(upto).to_vec()
+    }
+
+    /// [`FusedProfile::stage_reqs`], stored inline: what the engines
+    /// book and preview from.
+    pub(crate) fn booking_reqs(&self, upto: usize) -> StageVec<StageReq> {
         let upto = upto.min(self.stage_wall_ms.len());
         (0..upto)
             .map(|i| {
@@ -329,10 +335,10 @@ impl FusedProfile {
     /// the system upload), for online pass extension when conditioning
     /// stalls the residual above target. Pure compute-lane work, like
     /// every mid-sequence stage.
-    pub fn extension_reqs(&self) -> Vec<StageReq> {
+    pub fn extension_reqs(&self) -> StageVec<StageReq> {
         let n = self.stage_wall_ms.len();
         if n < 4 {
-            return Vec::new(); // direct plans have no pass to replay
+            return StageVec::new(); // direct plans have no pass to replay
         }
         (n - 2..n)
             .map(|i| StageReq::split(self.stage_wall_ms[i], 0.0))

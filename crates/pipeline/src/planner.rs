@@ -40,10 +40,11 @@
 //! worse.)
 //!
 //! Plans are memoized per `(device, rows, cols, target digits)`: a
-//! batch of thousands of same-shaped jobs plans once.
+//! batch of thousands of same-shaped jobs plans once, and every later
+//! request for the plan shares the memo's `Arc` instead of copying it.
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 use gpusim::{ExecMode, Gpu, Profile};
@@ -131,6 +132,46 @@ type FusedKey = (PlanKey, usize);
 /// the tolerance bits (callers may sweep tolerances).
 type GroupKey = (usize, usize, u32, usize, u64);
 
+/// The memos' hash: one multiply-rotate step per machine word
+/// (`FxHash`'s mix). Memo keys are job shapes and device names. Every
+/// new key costs a planner miss — model evaluations that dwarf any
+/// probe chain a colliding key set could lengthen — so SipHash's
+/// flooding protection buys nothing here, while its setup cost a
+/// measurable share of a warm hit. The hash is unseeded, but no memo is
+/// ever iterated, so it cannot move an order.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.write_u64(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.write_u64(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.0 = (self.0.rotate_left(5) ^ i).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
+    }
+}
+
 /// One get-or-compute table. Every planner memo follows the same
 /// discipline: clone the hit out under the lock, compute a miss
 /// *outside* it (model evaluation is the slow part — holding the mutex
@@ -146,7 +187,7 @@ struct Memo<K, V>(
         clippy::disallowed_types,
         reason = "a memo never hands its guard out, so no emit can run under it"
     )]
-    std::sync::Mutex<HashMap<K, V>>,
+    std::sync::Mutex<HashMap<K, V, BuildHasherDefault<WordHasher>>>,
 );
 
 /// A memo lock is never held across a computation, so only a panic
@@ -156,7 +197,7 @@ const POISONED: &str = "planner memo lock poisoned";
 impl<K: Eq + Hash, V: Clone> Memo<K, V> {
     #[expect(clippy::disallowed_types, reason = "builds the memo's lock")]
     fn new() -> Self {
-        Memo(std::sync::Mutex::new(HashMap::new()))
+        Memo(std::sync::Mutex::new(HashMap::default()))
     }
 
     fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> V {
@@ -180,14 +221,16 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
 }
 
 /// A memoizing planner. One planner is shared by a whole batch run.
+/// Plans and fused pricings are handed out as `Arc`s of the memo's
+/// entry: a warm hit copies no stage list.
 pub struct Planner {
-    cache: Memo<PlanKey, ExecPlan>,
+    cache: Memo<PlanKey, Arc<ExecPlan>>,
     /// Canonical tilings `(tiles, tile_size)` per `(rows, cols,
     /// precision)` — device-free, because the tiling fixes the
     /// arithmetic (see module docs).
     tilings: Memo<(usize, usize, Precision), (usize, usize)>,
     strategies: Memo<(usize, usize, u32), Strategy>,
-    fused: Memo<FusedKey, FusedProfile>,
+    fused: Memo<FusedKey, Arc<FusedProfile>>,
     group_sizes: Memo<GroupKey, usize>,
     /// The numerics reference model the plan structure is tuned on.
     reference: Gpu,
@@ -355,7 +398,7 @@ impl Planner {
     /// Plan a solve of a `rows × cols` system to `target_digits` on
     /// device `gpu`: the canonical (device-free) stage structure from
     /// the plan search, priced for `gpu`'s timing model.
-    pub fn plan(&self, gpu: &Gpu, rows: usize, cols: usize, target_digits: u32) -> ExecPlan {
+    pub fn plan(&self, gpu: &Gpu, rows: usize, cols: usize, target_digits: u32) -> Arc<ExecPlan> {
         self.plan_inner(gpu, rows, cols, target_digits, false)
     }
 
@@ -363,7 +406,13 @@ impl Planner {
     /// chose before refinement existed. The baseline of the
     /// direct-vs-refinement A/B; [`Planner::plan`] returns exactly this
     /// whenever the search finds no cheaper refinement structure.
-    pub fn plan_direct(&self, gpu: &Gpu, rows: usize, cols: usize, target_digits: u32) -> ExecPlan {
+    pub fn plan_direct(
+        &self,
+        gpu: &Gpu,
+        rows: usize,
+        cols: usize,
+        target_digits: u32,
+    ) -> Arc<ExecPlan> {
         self.plan_inner(gpu, rows, cols, target_digits, true)
     }
 
@@ -374,7 +423,7 @@ impl Planner {
         cols: usize,
         target_digits: u32,
         direct_only: bool,
-    ) -> ExecPlan {
+    ) -> Arc<ExecPlan> {
         assert!(cols > 0, "cannot plan an empty system");
         assert!(rows >= cols, "least squares needs rows >= cols");
         let key = PlanKey::new(gpu, rows, cols, target_digits, direct_only);
@@ -391,8 +440,10 @@ impl Planner {
             // both memo layers make that a one-time cost per key)
             let (stages, digits, expected) = self.strategy(rows, cols, target_digits, direct_only);
             let priced = self.price_fused(gpu, rows, cols, &stages, 1);
-            ExecPlan::from_stages(stages, priced, target_digits, digits)
-                .with_expected_corrections(expected)
+            Arc::new(
+                ExecPlan::from_stages(stages, priced, target_digits, digits)
+                    .with_expected_corrections(expected),
+            )
         });
         if hit {
             self.emit(|| Event::PlanCacheHit {
@@ -559,7 +610,7 @@ impl Planner {
         cols: usize,
         target_digits: u32,
         k: usize,
-    ) -> (ExecPlan, FusedProfile) {
+    ) -> (Arc<ExecPlan>, Arc<FusedProfile>) {
         assert!(k > 0, "a fused group needs at least one instance");
         let plan = self.plan(gpu, rows, cols, target_digits);
         let key = (PlanKey::new(gpu, rows, cols, target_digits, false), k);
@@ -572,7 +623,7 @@ impl Planner {
                 digits: target_digits,
                 group: k,
             });
-            self.price_fused(gpu, rows, cols, &plan.stages, k)
+            Arc::new(self.price_fused(gpu, rows, cols, &plan.stages, k))
         });
         if hit {
             self.emit(|| Event::FusedMemoHit {

@@ -68,11 +68,89 @@ use std::sync::Arc;
 use gpusim::Gpu;
 use mdls_obs::{Event, Observer};
 
+use crate::plan::ExecPlan;
+use crate::planner::MAX_CORRECTIONS;
+
 /// Exact span identity: both endpoints bit-equal. Timelines only ever
 /// compare spans against values they themselves stored, so bit identity
 /// — not tolerance — is the correct test.
 fn span_eq(a: (f64, f64), b: (f64, f64)) -> bool {
     a.0.to_bits() == b.0.to_bits() && a.1.to_bits() == b.1.to_bits()
+}
+
+/// Most stages one booking holds: a plan's factor/initial-correct pair
+/// plus [`MAX_CORRECTIONS`] residual/correct pairs. Every booking the
+/// engines make — a plan's stages, a pass extension, a transient
+/// replay — fits.
+pub const MAX_STAGES: usize = ExecPlan::booked_stages(MAX_CORRECTIONS);
+
+/// The per-stage values of one booking (requests, intervals, staging
+/// workers), stored inline: at most [`MAX_STAGES`] of them, so booking,
+/// previewing and re-reading a placement never touch the heap. Reads
+/// as a slice.
+#[derive(Clone, Copy)]
+pub struct StageVec<T> {
+    len: usize,
+    items: [T; MAX_STAGES],
+}
+
+impl<T: Copy + Default> StageVec<T> {
+    /// An empty list.
+    pub(crate) fn new() -> Self {
+        StageVec {
+            len: 0,
+            items: [T::default(); MAX_STAGES],
+        }
+    }
+
+    /// Append `value`. Panics past [`MAX_STAGES`] values.
+    pub(crate) fn push(&mut self, value: T) {
+        assert!(
+            self.len < MAX_STAGES,
+            "a booking holds at most {MAX_STAGES} stages"
+        );
+        self.items[self.len] = value;
+        self.len += 1;
+    }
+}
+
+impl<T: Copy + Default> Default for StageVec<T> {
+    fn default() -> Self {
+        StageVec::new()
+    }
+}
+
+impl<T> std::ops::Deref for StageVec<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.items[..self.len]
+    }
+}
+
+impl<'a, T> IntoIterator for &'a StageVec<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<T: Copy + Default> FromIterator<T> for StageVec<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut v = StageVec::new();
+        for x in iter {
+            v.push(x);
+        }
+        v
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for StageVec<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// A sorted, disjoint list of booked `(start, end)` intervals on one
@@ -145,6 +223,10 @@ impl Timeline {
     /// checked in debug builds). Zero-width spans are skipped (they
     /// carry no time and would break the disjointness invariant's
     /// usefulness).
+    ///
+    /// A span starting after the last stored start — nearly every
+    /// booking on a lane's live edge — is appended in O(1). Only a
+    /// mid-lane gap fill bisects and shifts the tail (O(log n + n)).
     pub fn book(&mut self, start: f64, end: f64) {
         if end <= start {
             return;
@@ -154,6 +236,12 @@ impl Timeline {
             "timeline double-booking: [{start}, {end}) vs {:?}",
             self.intervals
         );
+        // the bisection below returns `len` exactly when every stored
+        // start sorts before `start`, i.e. when the last one does
+        if self.intervals.last().is_none_or(|iv| iv.0 < start) {
+            self.intervals.push((start, end));
+            return;
+        }
         let at = self.intervals.partition_point(|iv| iv.0 < start);
         self.intervals.insert(at, (start, end));
     }
@@ -240,13 +328,20 @@ impl HostStagingPool {
         let lane_only = lane.earliest_fit(dur_ms, not_before);
         let mut t = lane_only;
         loop {
-            let (w, wt) = self
-                .workers
-                .iter()
-                .enumerate()
-                .map(|(w, tl)| (w, tl.earliest_fit(dur_ms, t)))
-                .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
-                .expect("staging pool has at least one worker");
+            // `earliest_fit` returns `t` itself or something later, so
+            // the first worker that fits at `t` is the lowest-id
+            // minimum: stop scanning there
+            let mut best = (0, self.workers[0].earliest_fit(dur_ms, t));
+            for (w, tl) in self.workers.iter().enumerate().skip(1) {
+                if best.1 <= t {
+                    break;
+                }
+                let wt = tl.earliest_fit(dur_ms, t);
+                if wt.total_cmp(&best.1).is_lt() {
+                    best = (w, wt);
+                }
+            }
+            let (w, wt) = best;
             if wt <= t {
                 return (t, w, t - lane_only);
             }
@@ -290,7 +385,7 @@ impl StageReq {
 }
 
 /// One stage's booked intervals on a device timeline.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct StageInterval {
     /// Prep-lane interval `(start, end)`, ms.
     pub host: (f64, f64),
@@ -322,14 +417,14 @@ impl StageInterval {
 /// the pool's live-booking registry: compaction may move this
 /// booking's intervals after the fact, and
 /// [`DevicePool::live_booking`] returns the current placement.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct StageBooking {
     /// Pool-unique booking id (monotone in booking order).
     pub id: u64,
     /// Pool id of the booked device.
     pub device: usize,
     /// Per-stage intervals, aligned with the booked stage requests.
-    pub stages: Vec<StageInterval>,
+    pub stages: StageVec<StageInterval>,
 }
 
 impl StageBooking {
@@ -513,12 +608,12 @@ pub struct DeviceStats {
 struct LiveBooking {
     id: u64,
     device: usize,
-    reqs: Vec<StageReq>,
+    reqs: StageVec<StageReq>,
     overlap: bool,
     not_before: f64,
-    stages: Vec<StageInterval>,
+    stages: StageVec<StageInterval>,
     /// Staging worker per stage (None for stages with no prep).
-    workers: Vec<Option<usize>>,
+    workers: StageVec<Option<usize>>,
     settled: bool,
     /// Aggregate contributions folded in at commit, unwound if the
     /// booking is interrupted by a device loss (the member solves then
@@ -532,8 +627,8 @@ struct LiveBooking {
 /// intervals would land, which staging worker each prep uses, and how
 /// much of the start was staging contention rather than device load.
 struct PlannedBooking {
-    stages: Vec<StageInterval>,
-    workers: Vec<Option<usize>>,
+    stages: StageVec<StageInterval>,
+    workers: StageVec<Option<usize>>,
     /// Start delay attributable to staging-worker contention, ms.
     wait_ms: f64,
 }
@@ -720,8 +815,8 @@ impl DevicePool {
     /// compute-lane fit. Gap-aware on every lane.
     fn plan_overlapped(&self, device: usize, reqs: &[StageReq], not_before: f64) -> PlannedBooking {
         let d = &self.devices[device];
-        let mut stages = Vec::with_capacity(reqs.len());
-        let mut workers = Vec::with_capacity(reqs.len());
+        let mut stages = StageVec::new();
+        let mut workers = StageVec::new();
         let mut wait_ms = 0.0;
         let mut prev_end = not_before;
         for r in reqs {
@@ -765,8 +860,8 @@ impl DevicePool {
         let base = joint_fit(&[&d.host, &d.device], total, not_before);
         let mut t = base;
         'place: loop {
-            let mut stages = Vec::with_capacity(reqs.len());
-            let mut workers = Vec::with_capacity(reqs.len());
+            let mut stages = StageVec::new();
+            let mut workers = StageVec::new();
             let mut cur = joint_fit(&[&d.host, &d.device], total, t);
             t = cur;
             for r in reqs {
@@ -850,7 +945,9 @@ impl DevicePool {
     /// for the whole booking. `not_before` is the earliest admissible
     /// start (a job's simulated release time); `overlap = false` books
     /// the stages as one contiguous interval. Every prep part also
-    /// books a host staging worker.
+    /// books a host staging worker. `reqs` holds at most
+    /// [`MAX_STAGES`] stages, as every plan does (panics otherwise; so
+    /// does [`DevicePool::preview_stages`]).
     ///
     /// The busy aggregate counts every lane's booked time, so a device
     /// whose prep lane hides under its compute lane can report
@@ -928,10 +1025,10 @@ impl DevicePool {
         self.live.push_back(LiveBooking {
             id: booking_id,
             device: id,
-            reqs: reqs.to_vec(),
+            reqs: reqs.iter().copied().collect(),
             overlap,
             not_before,
-            stages: plan.stages.clone(),
+            stages: plan.stages,
             workers: plan.workers,
             settled: false,
             solves,
@@ -955,7 +1052,7 @@ impl DevicePool {
             StageBooking {
                 id: b.id,
                 device: b.device,
-                stages: b.stages.clone(),
+                stages: b.stages,
             }
         })
     }
@@ -1020,8 +1117,11 @@ impl DevicePool {
         // compaction may have moved this booking: operate on the
         // pool's current placement, not the caller's stale copy
         let (stages, workers) = match self.live_index(booking.id) {
-            Some(at) => (self.live[at].stages.clone(), self.live[at].workers.clone()),
-            None => (booking.stages.clone(), vec![None; booking.stages.len()]),
+            Some(at) => (self.live[at].stages, self.live[at].workers),
+            None => (
+                booking.stages,
+                booking.stages.iter().map(|_| None).collect(),
+            ),
         };
         let mut refund = StageRefund::default();
         let from = from_stage.min(stages.len());
@@ -1119,7 +1219,7 @@ impl DevicePool {
                 .stages
                 .iter()
                 .any(|s| started(s.device) || started(s.host));
-            let movable: Vec<bool> = b
+            let movable: StageVec<bool> = b
                 .stages
                 .iter()
                 .map(|s| s.device.1 > s.device.0 && s.device.0 >= at_ms)
@@ -1140,7 +1240,7 @@ impl DevicePool {
                         d.device.free(s.device);
                     }
                 }
-                let mut stages = Vec::with_capacity(old_stages.len());
+                let mut stages = StageVec::new();
                 let mut prev_end = 0.0f64;
                 for (s, &m) in old_stages.iter().zip(&movable) {
                     if !m {
@@ -1598,6 +1698,86 @@ mod tests {
         assert!(tl.free((10.0, 20.0)));
         assert!(tl.is_free(4.0, 30.0));
         assert!(!tl.free((10.0, 20.0)));
+    }
+
+    #[test]
+    fn tail_booking_matches_bisect_and_insert() {
+        use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
+        // the lane `Timeline::book` must equal: every span bisected to
+        // where its start sorts and inserted there
+        fn reference_book(lane: &mut Vec<(f64, f64)>, start: f64, end: f64) {
+            if end > start {
+                let at = lane.partition_point(|iv| iv.0 < start);
+                lane.insert(at, (start, end));
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(0x7a11_b00c);
+        let (mut tails, mut fills) = (0, 0);
+        for _ in 0..64 {
+            let mut tl = Timeline::default();
+            let mut lane: Vec<(f64, f64)> = Vec::new();
+            for _ in 0..256 {
+                let cursor = tl.cursor_ms();
+                let (start, end) = match rng.next_u64() % 6 {
+                    // at the tail: past the cursor or touching it
+                    0 => {
+                        let s = cursor + rng.random_range(0.0..2.0);
+                        (s, s + rng.random_range(0.0..3.0))
+                    }
+                    1 => (cursor, cursor + rng.random_range(0.0..3.0)),
+                    // a mid-lane gap fill: inside the gap before span
+                    // `i`, touching either end half the time
+                    2 | 3 => {
+                        let i = (rng.next_u64() as usize) % (lane.len() + 1);
+                        let lo = if i == 0 { 0.0 } else { lane[i - 1].1 };
+                        let hi = lane.get(i).map_or(lo + 2.0, |iv| iv.0);
+                        let s = if rng.next_u64() % 2 == 0 {
+                            lo
+                        } else {
+                            rng.random_range(lo..hi)
+                        };
+                        let e = if rng.next_u64() % 2 == 0 {
+                            hi
+                        } else {
+                            rng.random_range(s..hi)
+                        };
+                        (s, e)
+                    }
+                    // zero width, anywhere
+                    4 => {
+                        let t = rng.random_range(0.0..cursor + 1.0);
+                        (t, t)
+                    }
+                    // free a stored span, or miss one
+                    _ => {
+                        if !lane.is_empty() {
+                            let i = (rng.next_u64() as usize) % lane.len();
+                            let span = lane[i];
+                            if rng.next_u64() % 4 == 0 {
+                                assert!(!tl.free((span.0, span.1 + 0.5)));
+                            } else {
+                                assert!(tl.free(span));
+                                lane.remove(i);
+                            }
+                        }
+                        assert_eq!(tl.intervals(), &lane[..]);
+                        continue;
+                    }
+                };
+                if end > start {
+                    if lane.last().is_none_or(|iv| iv.0 < start) {
+                        tails += 1;
+                    } else {
+                        fills += 1;
+                    }
+                }
+                tl.book(start, end);
+                reference_book(&mut lane, start, end);
+                assert_eq!(tl.intervals(), &lane[..], "book({start}, {end})");
+            }
+        }
+        // both paths were driven, many times over
+        assert!(tails > 1000 && fills > 1000, "{tails} tails, {fills} fills");
     }
 
     #[test]

@@ -42,6 +42,8 @@
 //! whole run — losses, retries, down-ladders, sheds — replays
 //! bit-identically from the same seeds.
 
+use std::sync::Arc;
+
 use crate::batch::{run_batch, BatchReport, Disposition, JobOutcome};
 use crate::job::{Job, Precision, Solution, SubmitError};
 use crate::microbatch::MicrobatchConfig;
@@ -141,7 +143,7 @@ fn earliest_end(
     let mut best = f64::INFINITY;
     for d in pool.devices().iter().filter(|d| !d.is_lost()) {
         let (plan, fused) = planner.plan_fused(&d.gpu, job.rows(), job.cols(), digits, 1);
-        let reqs = fused.stage_reqs(ExecPlan::booked_stages(plan.corrections()));
+        let reqs = fused.booking_reqs(ExecPlan::booked_stages(plan.corrections()));
         best = best.min(pool.preview_stages(d.id, &reqs, overlap, release));
     }
     best
@@ -194,7 +196,7 @@ fn admit_job(
 /// time for a failed one.
 pub(crate) fn tombstone_outcome(
     job: &Job,
-    plan: ExecPlan,
+    plan: Arc<ExecPlan>,
     device: usize,
     disposition: Disposition,
     end_ms: f64,
@@ -258,7 +260,7 @@ pub(crate) fn invalid_tombstone(pool: &DevicePool, job: &Job, err: SubmitError) 
     let at_ms = Some(job.release()).filter(|t| t.is_finite()).unwrap_or(0.0);
     let mut o = tombstone_outcome(
         job,
-        ExecPlan::unpriced(job.target_digits),
+        Arc::new(ExecPlan::unpriced(job.target_digits)),
         0,
         Disposition::Invalid,
         at_ms,

@@ -29,6 +29,8 @@
 //! policy only chooses *placement*, never solver options beyond the
 //! per-device plan, solutions are bit-identical across policies.
 
+use std::sync::Arc;
+
 use crate::job::Job;
 use crate::microbatch::{dispatch_group_staged, GroupDispatch};
 use crate::plan::ExecPlan;
@@ -156,7 +158,7 @@ pub struct Dispatch {
     pub device: usize,
     /// The staged plan chosen for this job on that device; the
     /// executor interprets its stages.
-    pub plan: ExecPlan,
+    pub plan: Arc<ExecPlan>,
     /// Simulated start time on the device, ms.
     pub start_ms: f64,
     /// Simulated completion time on the device, ms.

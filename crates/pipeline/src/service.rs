@@ -434,6 +434,13 @@ struct Shell<'a> {
     /// Queued backlog, predicted device-ms (the load detector's
     /// numerator).
     pending_ms: f64,
+    /// Per-round buffers, reused so a round allocates nothing once they
+    /// have grown: the tenants a pick may visit, the round's dispatches,
+    /// one dispatch's solves and its settled outcome.
+    eligible: Vec<usize>,
+    round: Vec<RoundEntry>,
+    solved: Vec<PlannedSolve>,
+    settled: Vec<JobOutcome>,
 }
 
 impl<'a> Shell<'a> {
@@ -581,16 +588,13 @@ impl<'a> Shell<'a> {
                 Some((t, j))
             }
             ServicePolicy::WeightedFair => {
-                let eligible: Vec<usize> = (0..n)
-                    .filter(|&t| self.quota_covers_head(pool, t, now))
-                    .collect();
-                if eligible.is_empty() {
-                    return None;
-                }
+                let mut eligible = std::mem::take(&mut self.eligible);
+                eligible.clear();
+                eligible.extend((0..n).filter(|&t| self.quota_covers_head(pool, t, now)));
                 // deficit round robin: a visit grants quantum × weight;
                 // the head dispatches once the deficit covers its cost.
                 // Deficits grow every sweep, so this terminates.
-                loop {
+                let picked = (!eligible.is_empty()).then(|| loop {
                     let t = eligible[*rr % eligible.len()];
                     let head = *self.tenants[t]
                         .queue
@@ -603,12 +607,14 @@ impl<'a> Shell<'a> {
                         self.pending_ms -= cost;
                         // cursor stays: the tenant keeps serving while
                         // its deficit lasts (classic DRR)
-                        return Some((t, head));
+                        break (t, head);
                     }
                     let grant = DRR_QUANTUM_MS * self.tenants[t].spec.weight.max(1) as f64;
                     self.tenants[t].deficit_ms += grant;
                     *rr += 1;
-                }
+                });
+                self.eligible = eligible;
+                picked
             }
         }
     }
@@ -786,12 +792,13 @@ impl<'a> Shell<'a> {
         &mut self,
         pool: &mut DevicePool,
         mut e: RoundEntry,
-        solved: Vec<PlannedSolve>,
+        solved: &mut Vec<PlannedSolve>,
     ) {
         let device = e.g.device;
         // a sticky loss inside the booked interval interrupts the
         // dispatch: quarantine, refund the live booking, re-queue
         if self.recover_losses(pool, f64::NEG_INFINITY, Some(device)) {
+            solved.clear();
             self.retried[e.job_idx] = true;
             let t = e.tenant_idx;
             self.tenants[t].queue.requeue_front(e.job_idx);
@@ -803,7 +810,7 @@ impl<'a> Shell<'a> {
         // backed-off replay per transient kernel fault inside the
         // executed interval (time moves, bits do not) — and one breaker
         // strike each, below — and the job's verdict
-        let (mut settled, hits) = settle_group(
+        let hits = settle_group(
             pool,
             &mut e.g,
             &e.shape,
@@ -811,8 +818,12 @@ impl<'a> Shell<'a> {
             solved,
             &SCHED,
             self.retried[e.job_idx],
+            &mut self.settled,
         );
-        let outcome = settled.pop().expect("a group of one settles one outcome");
+        let outcome = self
+            .settled
+            .pop()
+            .expect("a group of one settles one outcome");
         let end = e.g.end_ms;
 
         // breaker bookkeeping
@@ -862,7 +873,7 @@ impl<'a> Shell<'a> {
     /// settle in dispatch order. Returns whether anything progressed.
     fn dispatch_round(&mut self, pool: &mut DevicePool, now: f64, rr: &mut usize) -> bool {
         let ndev = pool.devices().len();
-        let mut round: Vec<RoundEntry> = Vec::new();
+        let mut round = std::mem::take(&mut self.round);
         let mut progressed = false;
 
         // probe dispatches: each restored device gets the next
@@ -903,32 +914,38 @@ impl<'a> Shell<'a> {
         }
 
         if round.is_empty() {
+            self.round = round;
             return progressed;
         }
-        // execute: the shared executor across `host_workers` lanes, or
-        // the model-only stub (every booked pass "ran", nothing solved)
-        let solved: Vec<Vec<PlannedSolve>> = match self.cfg.mode {
-            ExecutionMode::ModelOnly => round
-                .iter()
-                .map(|e| {
-                    vec![PlannedSolve {
+        // execute, then settle in dispatch order: the shared executor
+        // across `host_workers` lanes, or the model-only stub (every
+        // booked pass "ran", nothing solved)
+        match self.cfg.mode {
+            ExecutionMode::ModelOnly => {
+                let mut solved = std::mem::take(&mut self.solved);
+                for e in round.drain(..) {
+                    solved.push(PlannedSolve {
                         x: Solution::D1(Vec::new()),
                         residual: f64::INFINITY,
                         corrections_run: e.g.booked_passes(),
-                    }]
-                })
-                .collect(),
+                    });
+                    self.settle_entry(pool, e, &mut solved);
+                }
+                self.solved = solved;
+            }
             ExecutionMode::Functional => {
                 let groups: Vec<(&GroupDispatch, Vec<&Job>)> = round
                     .iter()
                     .map(|e| (&e.g, vec![&self.jobs[e.job_idx]]))
                     .collect();
-                execute_round(pool, &groups, self.cfg.host_workers, SCHED.max_extra_passes)
+                let solved =
+                    execute_round(pool, &groups, self.cfg.host_workers, SCHED.max_extra_passes);
+                for (e, mut s) in round.drain(..).zip(solved) {
+                    self.settle_entry(pool, e, &mut s);
+                }
             }
-        };
-        for (e, s) in round.into_iter().zip(solved) {
-            self.settle_entry(pool, e, s);
         }
+        self.round = round;
         // slots freed: blocked arrivals may enter now
         self.process_all_arrivals(pool, now);
         true
@@ -1083,6 +1100,10 @@ pub fn serve(
         retried: vec![false; n],
         outcomes,
         pending_ms: 0.0,
+        eligible: Vec::new(),
+        round: Vec::new(),
+        solved: Vec::new(),
+        settled: Vec::new(),
     };
 
     let mut now = 0.0;
