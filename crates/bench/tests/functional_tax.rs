@@ -17,14 +17,16 @@
 //! operand (the refinement residual's promoted `A`) must take the
 //! by-double kernel, a dense product's renormalization must presort its
 //! magnitude classes and skip the insertion sort on an ordered scratch,
-//! and on a CPU with AVX2 and FMA the double double QR must run the
+//! on a CPU with AVX2 and FMA the double double QR must run the
 //! kernels' FMA instantiation (`gpusim::shared`), which keeps it within 9×
-//! of the `f64` one.
+//! of the `f64` one, and on a CPU with AVX-512 the octo double `axpy` must
+//! form its products eight at a time (`gpusim::shared`'s lane path).
 #![expect(clippy::disallowed_methods, reason = "a host-time gate")]
 
 use std::hint::black_box;
 use std::time::Instant;
 
+use gpusim::shared::{axpy, axpy_without_lanes, lanes_available};
 use gpusim::{ExecMode, Gpu};
 use mdls_matrix::HostMat;
 use mdls_qr::{householder_qr_host, qr_decompose, QrOptions};
@@ -323,5 +325,49 @@ fn dd_qr_stays_within_9x_of_f64() {
         "simulated QR at dd {:.3} ms vs f64 {:.3} ms: ratio {ratio:.1}x (gate 9x)",
         dd * 1e3,
         d * 1e3
+    );
+}
+
+/// A 64-long dense `Od` `axpy` on the lane path costs ≤ 0.6× the same
+/// call without it (`axpy_without_lanes`: the AVX2+FMA instantiation on
+/// such a CPU), the median of nine interleaved rounds of 200 calls. Both
+/// add the products one element at a time with the scalar `od_add`; the
+/// lane path forms them eight per AVX-512 instruction. It reads 0.36–0.45
+/// (AVX-512 Xeon, two cores). Without AVX-512 there is no lane path to
+/// gate.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "timing gate: run with `cargo test --release`"
+)]
+fn od_axpy_forms_its_products_in_lanes() {
+    if !lanes_available() {
+        println!("no AVX-512 on this CPU: the od axpy has no lane path, nothing to gate");
+        return;
+    }
+    let mut rng = StdRng::seed_from_u64(2022);
+    let x: Vec<Od> = (0..64).map(|_| Od::rand(&mut rng)).collect();
+    let acc: Vec<Od> = (0..64).map(|_| Od::rand(&mut rng)).collect();
+    let a = Od::rand(&mut rng);
+    let time = |f: fn(&mut [Od], &[Od], Od)| {
+        let mut y = acc.clone();
+        let t0 = Instant::now();
+        for _ in 0..200 {
+            f(black_box(&mut y), black_box(&x), black_box(a));
+        }
+        t0.elapsed().as_secs_f64()
+    };
+    let mut rounds: Vec<(f64, f64)> = (0..9)
+        .map(|_| (time(axpy), time(axpy_without_lanes)))
+        .collect();
+    rounds.sort_by(|p, q| (p.0 / p.1).total_cmp(&(q.0 / q.1)));
+    let (lanes, scalar) = rounds[4];
+    let ratio = lanes / scalar;
+    let ns = |t: f64| t / (200.0 * 64.0) * 1e9;
+    assert!(
+        ratio <= 0.6,
+        "od axpy {:.1} ns/element on the lane path vs {:.1} without: ratio {ratio:.3} (gate 0.6)",
+        ns(lanes),
+        ns(scalar)
     );
 }

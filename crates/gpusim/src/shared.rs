@@ -19,15 +19,66 @@
 //! `vfmadd` and the double double loops vectorize. The two copies
 //! cannot differ in a bit: Rust never contracts `a * b + c` into an fma,
 //! floating-point operations are never reassociated, and an IEEE fma is
-//! correctly rounded whichever instruction computes it. The quad and
-//! octo double products and renormalization are outlined, so they keep
-//! their baseline code on both paths.
+//! correctly rounded whichever instruction computes it. The scalar quad
+//! and octo double products and renormalization are outlined, so they
+//! keep their baseline code on both paths.
+//!
+//! Real [`multidouble::Qd`] and [`multidouble::Od`] take a third path
+//! when the CPU has AVX-512F/DQ/VL and FMA, as every GPU thread of the
+//! paper's CAMPARY kernels runs one straight-line product on its own
+//! element: the loops go in chunks of eight, and a chunk whose operands
+//! are all dense (every limb nonzero and finite) forms its eight products
+//! in [`multidouble::expansion::truncated_mul_lanes`], one lane per
+//! element. A lane the kernel hands back (a zero term, an unordered
+//! class, …) is recomputed with the scalar `*`, so every product is the
+//! operator's to the bit. The sums stay scalar and in element order:
+//! each `+=`/`-=` and the dot's running sum see the same operands in the
+//! same order as on the other paths. Other chunks, the tail, every other
+//! scalar type and a CPU without AVX-512 run the bodies above. The
+//! operation tallies that price the simulated clock count the scalar
+//! functions, so no `sim_*` number depends on the path.
 
 use multidouble::MdScalar;
 
 /// `acc[i] += x[i] * a` — one column-axpy step of a product kernel.
 #[inline(never)]
 pub fn axpy<S: MdScalar>(acc: &mut [S], x: &[S], a: S) {
+    assert_eq!(acc.len(), x.len(), "axpy length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if lanes::update::<S, false>(acc, x, a) {
+        return;
+    }
+    axpy_without_lanes(acc, x, a);
+}
+
+/// `acc[i] -= x[i] * a` — the downdating counterpart of [`axpy`].
+#[inline(never)]
+pub fn axmy<S: MdScalar>(acc: &mut [S], x: &[S], a: S) {
+    assert_eq!(acc.len(), x.len(), "axmy length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if lanes::update::<S, true>(acc, x, a) {
+        return;
+    }
+    axmy_without_lanes(acc, x, a);
+}
+
+/// `Σ_i conj(a[i]) * b[i]`, accumulated from zero in index order.
+#[inline(never)]
+pub fn dot_conj<S: MdScalar>(a: &[S], b: &[S]) -> S {
+    assert_eq!(a.len(), b.len(), "dot_conj length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if let Some(dot) = lanes::dot_conj(a, b) {
+        return dot;
+    }
+    dot_conj_without_lanes(S::zero(), a, b)
+}
+
+/// [`axpy`] without the lane path: what a CPU without AVX-512 runs (the
+/// AVX2+FMA instantiation where the CPU has both, baseline code
+/// otherwise). Bit-identical to [`axpy`]; it exists to time the lane path
+/// against, and the lane path runs it on the chunks it does not take.
+#[inline(never)]
+pub fn axpy_without_lanes<S: MdScalar>(acc: &mut [S], x: &[S], a: S) {
     assert_eq!(acc.len(), x.len(), "axpy length mismatch");
     #[cfg(target_arch = "x86_64")]
     if fma::available() {
@@ -38,10 +89,9 @@ pub fn axpy<S: MdScalar>(acc: &mut [S], x: &[S], a: S) {
     axpy_body(acc, x, a);
 }
 
-/// `acc[i] -= x[i] * a` — the downdating counterpart of [`axpy`].
+/// [`axmy`] without the lane path, as [`axpy_without_lanes`].
 #[inline(never)]
-pub fn axmy<S: MdScalar>(acc: &mut [S], x: &[S], a: S) {
-    assert_eq!(acc.len(), x.len(), "axmy length mismatch");
+fn axmy_without_lanes<S: MdScalar>(acc: &mut [S], x: &[S], a: S) {
     #[cfg(target_arch = "x86_64")]
     if fma::available() {
         // Safety: `available` saw AVX2 and FMA on this CPU, the
@@ -51,17 +101,25 @@ pub fn axmy<S: MdScalar>(acc: &mut [S], x: &[S], a: S) {
     axmy_body(acc, x, a);
 }
 
-/// `Σ_i conj(a[i]) * b[i]`, accumulated from zero in index order.
+/// [`dot_conj`] without the lane path, continuing the running sum `acc`.
 #[inline(never)]
-pub fn dot_conj<S: MdScalar>(a: &[S], b: &[S]) -> S {
-    assert_eq!(a.len(), b.len(), "dot_conj length mismatch");
+fn dot_conj_without_lanes<S: MdScalar>(acc: S, a: &[S], b: &[S]) -> S {
     #[cfg(target_arch = "x86_64")]
     if fma::available() {
         // Safety: `available` saw AVX2 and FMA on this CPU, the
         // instantiation's only requirement.
-        return unsafe { fma::dot_conj(a, b) };
+        return unsafe { fma::dot_conj_onto(acc, a, b) };
     }
-    dot_conj_body(a, b)
+    dot_conj_onto(acc, a, b)
+}
+
+/// `true` if this CPU runs the lane path of [`axpy`], [`axmy`] and
+/// [`dot_conj`] on real quad and octo doubles (AVX-512F/DQ/VL and FMA).
+pub fn lanes_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return lanes::available();
+    #[cfg(not(target_arch = "x86_64"))]
+    false
 }
 
 #[inline(always)]
@@ -78,13 +136,186 @@ fn axmy_body<S: MdScalar>(acc: &mut [S], x: &[S], a: S) {
     }
 }
 
+/// The [`dot_conj`] body, continuing the running sum `acc`.
 #[inline(always)]
-fn dot_conj_body<S: MdScalar>(a: &[S], b: &[S]) -> S {
-    let mut acc = S::zero();
+fn dot_conj_onto<S: MdScalar>(mut acc: S, a: &[S], b: &[S]) -> S {
     for (x, y) in a.iter().zip(b) {
         acc += x.conj() * *y;
     }
     acc
+}
+
+/// The loops on real quad and octo doubles again, eight products per
+/// AVX-512 instruction ([`multidouble::expansion::truncated_mul_lanes`]),
+/// taken when the CPU has AVX-512F/DQ/VL and FMA.
+#[cfg(target_arch = "x86_64")]
+mod lanes {
+    use core::any::TypeId;
+    use multidouble::expansion::{truncated_mul_lanes, LANES};
+    use multidouble::{MdScalar, Od, Qd};
+
+    /// `true` if this CPU runs the lane kernel (std caches the probe).
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "the one owner of CPU feature dispatch for kernel arithmetic"
+    )]
+    pub(super) fn available() -> bool {
+        std::is_x86_feature_detected!("avx512f")
+            && std::is_x86_feature_detected!("avx512dq")
+            && std::is_x86_feature_detected!("avx512vl")
+            && std::is_x86_feature_detected!("fma")
+    }
+
+    /// The limb count of `S` when the lane path takes it on this CPU: 4 for
+    /// [`Qd`], 8 for [`Od`], 0 for every other scalar or CPU.
+    #[inline(always)]
+    fn width<S: MdScalar>() -> usize {
+        let limbs = if TypeId::of::<S>() == TypeId::of::<Qd>() {
+            4
+        } else if TypeId::of::<S>() == TypeId::of::<Od>() {
+            8
+        } else {
+            return 0;
+        };
+        if available() {
+            limbs
+        } else {
+            0
+        }
+    }
+
+    /// [`super::axpy`] (`SUB` false) or [`super::axmy`] (`SUB` true) on the
+    /// lane path; `false`, touching nothing, where `S` or the CPU does not
+    /// take it.
+    #[inline(always)]
+    pub(super) fn update<S: MdScalar, const SUB: bool>(acc: &mut [S], x: &[S], a: S) -> bool {
+        match width::<S>() {
+            // Safety: `width` saw AVX-512F/DQ/VL and FMA on this CPU.
+            4 => unsafe { update_chunks::<S, 4, 16>(acc, x, a, SUB) },
+            // Safety: as above.
+            8 => unsafe { update_chunks::<S, 8, 64>(acc, x, a, SUB) },
+            _ => return false,
+        }
+        true
+    }
+
+    /// [`super::dot_conj`] on the lane path; `None` where `S` or the CPU
+    /// does not take it.
+    #[inline(always)]
+    pub(super) fn dot_conj<S: MdScalar>(a: &[S], b: &[S]) -> Option<S> {
+        match width::<S>() {
+            // Safety: `width` saw AVX-512F/DQ/VL and FMA on this CPU.
+            4 => Some(unsafe { dot_chunks::<S, 4, 16>(a, b) }),
+            // Safety: as above.
+            8 => Some(unsafe { dot_chunks::<S, 8, 64>(a, b) }),
+            _ => None,
+        }
+    }
+
+    /// The limbs of eight scalars, limb-major (`[p][l]` is limb `p` of
+    /// `x[l]`); `None` unless every limb is nonzero and finite (dense).
+    #[inline(always)]
+    fn dense<S: MdScalar, const N: usize>(x: &[S]) -> Option<[[f64; LANES]; N]> {
+        let mut soa = [[0.0; LANES]; N];
+        let mut dense = true;
+        for (l, s) in x.iter().enumerate() {
+            for (p, limbs) in soa.iter_mut().enumerate() {
+                let v = s.plane(p);
+                dense &= v != 0.0 && v.is_finite();
+                limbs[l] = v;
+            }
+        }
+        dense.then_some(soa)
+    }
+
+    /// `x[l] * y[l]` for a dense chunk of eight, given also limb-major
+    /// (`xs`, `ys`): the lane kernel's limbs where it took the lane, the
+    /// scalar `*` where it did not. Either way, every bit is the `*`
+    /// operator's.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl,fma")]
+    fn products<S: MdScalar, const N: usize, const CAP: usize>(
+        x: &[S],
+        y: &[S],
+        xs: &[[f64; LANES]; N],
+        ys: &[[f64; LANES]; N],
+    ) -> [S; LANES] {
+        let mut out = [[0.0; LANES]; N];
+        // Safety: this function's features are the kernel's.
+        let took = unsafe { truncated_mul_lanes::<N, CAP>(xs, ys, &mut out) };
+        core::array::from_fn(|l| {
+            if took >> l & 1 == 1 {
+                S::from_plane_fn(|p| out[p][l])
+            } else {
+                handed_back(x[l], y[l])
+            }
+        })
+    }
+
+    /// The scalar `*` for a lane the kernel handed back, out of line: it
+    /// is rare on dense operands.
+    #[cold]
+    #[inline(never)]
+    fn handed_back<S: MdScalar>(x: S, y: S) -> S {
+        x * y
+    }
+
+    /// `acc[i] += x[i] * a` (or `-=`) in chunks of eight: a dense chunk
+    /// forms its products in the lane kernel, then adds them in element
+    /// order; every other chunk, the tail and a call whose `a` is not dense
+    /// run the path without lanes. Each element sees the one `+=`/`-=` it
+    /// sees there, of the same product.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl,fma")]
+    fn update_chunks<S: MdScalar, const N: usize, const CAP: usize>(
+        acc: &mut [S],
+        x: &[S],
+        a: S,
+        sub: bool,
+    ) {
+        let body = if sub {
+            super::axmy_without_lanes::<S>
+        } else {
+            super::axpy_without_lanes::<S>
+        };
+        let a8 = [a; LANES];
+        let Some(av) = dense::<S, N>(&a8) else {
+            return body(acc, x, a);
+        };
+        let (mut ys, mut xs) = (acc.chunks_exact_mut(LANES), x.chunks_exact(LANES));
+        for (y, x) in (&mut ys).zip(&mut xs) {
+            let Some(xv) = dense::<S, N>(x) else {
+                body(y, x, a);
+                continue;
+            };
+            for (y, p) in y.iter_mut().zip(products::<S, N, CAP>(x, &a8, &xv, &av)) {
+                if sub {
+                    *y -= p;
+                } else {
+                    *y += p;
+                }
+            }
+        }
+        body(ys.into_remainder(), xs.remainder(), a);
+    }
+
+    /// `Σ_i conj(a[i]) * b[i]` in chunks of eight: a chunk dense in both
+    /// operands forms its products in the lane kernel; the running sum adds
+    /// every product in index order, as the scalar body does.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl,fma")]
+    fn dot_chunks<S: MdScalar, const N: usize, const CAP: usize>(a: &[S], b: &[S]) -> S {
+        let mut acc = S::zero();
+        let (mut xs, mut ys) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
+        for (x, y) in (&mut xs).zip(&mut ys) {
+            match (dense::<S, N>(x), dense::<S, N>(y)) {
+                (Some(xv), Some(yv)) => {
+                    for p in products::<S, N, CAP>(x, y, &xv, &yv) {
+                        acc += p;
+                    }
+                }
+                _ => acc = super::dot_conj_without_lanes(acc, x, y),
+            }
+        }
+        super::dot_conj_without_lanes(acc, xs.remainder(), ys.remainder())
+    }
 }
 
 /// The bodies again, compiled with AVX2 and FMA enabled.
@@ -113,8 +344,8 @@ mod fma {
     }
 
     #[target_feature(enable = "avx2,fma")]
-    pub(super) fn dot_conj<S: MdScalar>(a: &[S], b: &[S]) -> S {
-        super::dot_conj_body(a, b)
+    pub(super) fn dot_conj_onto<S: MdScalar>(acc: S, a: &[S], b: &[S]) -> S {
+        super::dot_conj_onto(acc, a, b)
     }
 }
 
@@ -160,11 +391,38 @@ mod tests {
         })
     }
 
-    /// The dispatched helpers against the baseline bodies on seeded
-    /// slices of every length in `LENS`, once dense and once with ±0,
-    /// subnormals, ±inf and NaN planted, for a dense and each planted `a`.
+    /// `x` with its limb `from` and later scaled by `2^60`: still dense,
+    /// but its product's magnitude classes cross (a later class out-ranks
+    /// the one before), so the lane kernel hands the lane back.
+    fn crossed<S: MdScalar>(x: S, from: usize) -> S {
+        S::from_plane_fn(|p| {
+            let v = x.plane(p);
+            if p % <S::Real as MdReal>::LIMBS >= from {
+                v * 2f64.powi(60)
+            } else {
+                v
+            }
+        })
+    }
+
+    /// `x` with limb 1 negated: `x * y` for `y` = `x` has two terms of equal
+    /// `|x|` and opposite sign in class 1, another lane kernel hand-back.
+    fn tied<S: MdScalar>(x: S) -> S {
+        S::from_plane_fn(|p| if p == 1 { -x.plane(p) } else { x.plane(p) })
+    }
+
+    /// The dispatched helpers (and `axpy_without_lanes`, the path of a CPU
+    /// without AVX-512) against the baseline bodies on seeded slices of
+    /// every length in `LENS` (on real `Qd`/`Od` with AVX-512, the lane
+    /// path: no chunk, one chunk with and without a tail, eight chunks),
+    /// for a dense and each planted `a`, in three plantings:
+    /// * dense: every chunk goes to the lane kernel;
+    /// * ±0, subnormals, ±inf and NaN at every third element: those
+    ///   chunks run the scalar body;
+    /// * a tie with `a` or crossing classes at every fifth element: dense
+    ///   chunks whose planted lanes the kernel hands back.
     fn dispatched_matches_baseline<S: MdScalar>(seed: u64) {
-        const LENS: [usize; 4] = [0, 1, 7, 64];
+        const LENS: [usize; 6] = [0, 1, 7, 8, 9, 64];
         let mut rng = StdRng::seed_from_u64(seed);
         let planted: Vec<S> = [
             0.0,
@@ -180,36 +438,52 @@ mod tests {
         .chain([S::rand(&mut rng).scale(MdReal::from_f64(1e-300))])
         .collect();
         for n in LENS {
-            for plant in [false, true] {
+            for plant in 0..3 {
+                let dense = S::rand(&mut rng);
                 let mut x: Vec<S> = (0..n).map(|_| S::rand(&mut rng)).collect();
                 let mut acc: Vec<S> = (0..n).map(|_| S::rand(&mut rng)).collect();
-                if plant {
-                    for i in (0..n).step_by(3) {
-                        x[i] = planted[(i / 3) % planted.len()];
-                        acc[i] = planted[(i / 3 + 2) % planted.len()];
+                match plant {
+                    1 => {
+                        for i in (0..n).step_by(3) {
+                            x[i] = planted[(i / 3) % planted.len()];
+                            acc[i] = planted[(i / 3 + 2) % planted.len()];
+                        }
                     }
+                    2 => {
+                        for i in (0..n).step_by(5) {
+                            x[i] = match i / 5 % 3 {
+                                0 => tied(dense),
+                                1 => crossed(x[i], 2),
+                                _ => crossed(x[i], 1),
+                            };
+                        }
+                    }
+                    _ => {}
                 }
-                let scalars = [S::rand(&mut rng)].into_iter().chain(planted.clone());
+                let scalars = [dense].into_iter().chain(planted.clone());
                 for a in scalars {
                     let (mut got, mut want) = (acc.clone(), acc.clone());
+                    let mut unlaned = acc.clone();
                     axpy(&mut got, &x, a);
+                    axpy_without_lanes(&mut unlaned, &x, a);
                     axpy_body(&mut want, &x, a);
                     assert!(
-                        got.iter().zip(&want).all(|(&u, &v)| same(u, v)),
-                        "axpy {} n={n}",
+                        got.iter().zip(&want).all(|(&u, &v)| same(u, v))
+                            && unlaned.iter().zip(&want).all(|(&u, &v)| same(u, v)),
+                        "axpy {} n={n} plant={plant}",
                         S::TAG
                     );
                     axmy(&mut got, &x, a);
                     axmy_body(&mut want, &x, a);
                     assert!(
                         got.iter().zip(&want).all(|(&u, &v)| same(u, v)),
-                        "axmy {} n={n}",
+                        "axmy {} n={n} plant={plant}",
                         S::TAG
                     );
                 }
                 assert!(
-                    same(dot_conj(&x, &acc), dot_conj_body(&x, &acc)),
-                    "dot_conj {} n={n}",
+                    same(dot_conj(&x, &acc), dot_conj_onto(S::zero(), &x, &acc)),
+                    "dot_conj {} n={n} plant={plant}",
                     S::TAG
                 );
             }
@@ -225,12 +499,101 @@ mod tests {
         if !two_paths {
             println!("no AVX2+FMA instantiation on this CPU: compared baseline with baseline");
         }
+        if !lanes_available() {
+            println!("no AVX-512 on this CPU: Qd/Od compared without the lane path");
+        }
         dispatched_matches_baseline::<f64>(1);
         dispatched_matches_baseline::<Dd>(2);
         dispatched_matches_baseline::<Qd>(3);
         dispatched_matches_baseline::<Od>(4);
         dispatched_matches_baseline::<Complex<Dd>>(5);
         dispatched_matches_baseline::<Complex<Od>>(6);
+    }
+
+    /// The lane kernel against `qd_mul`/`od_mul` by `to_bits`: 4 096 seeded
+    /// chunks of eight dense products per width, one lane of each planted
+    /// at every chunk position in turn with ±0 and subnormal limbs, ±inf
+    /// and NaN, a one-limb operand, a tie of equal `|x|` and opposite sign
+    /// or crossing classes. Every lane the kernel takes must carry the
+    /// scalar product's bits; every planted lane but the subnormal one
+    /// (whose product may be dense and in order) must be handed back; and
+    /// the kernel must take nearly every unplanted lane.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn lane_kernel_matches_the_scalar_products_bit_for_bit() {
+        use multidouble::expansion::{truncated_mul_lanes, LANES};
+        use multidouble::od::od_mul;
+        use multidouble::qd::qd_mul;
+
+        fn check<T: MdReal, const N: usize, const CAP: usize>(
+            seed: u64,
+            scalar: fn([f64; N], [f64; N]) -> [f64; N],
+        ) {
+            const KINDS: usize = 9;
+            let limbs = |x: T| -> [f64; N] { core::array::from_fn(|p| x.limb(p)) };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut clean, mut taken) = (0, 0);
+            for trial in 0..4096 {
+                let mut x: [[f64; N]; LANES] = core::array::from_fn(|_| limbs(T::rand(&mut rng)));
+                let mut y: [[f64; N]; LANES] = core::array::from_fn(|_| limbs(T::rand(&mut rng)));
+                let (at, kind) = (trial % LANES, trial / LANES % KINDS);
+                let limb = trial / (LANES * KINDS) % N;
+                let (xa, ya) = (&mut x[at], &mut y[at]);
+                match kind {
+                    0 => xa[limb] = 0.0,
+                    1 => ya[limb] = -0.0,
+                    2 => xa[limb] = f64::MIN_POSITIVE / 8.0,
+                    3 => ya[limb] = f64::INFINITY,
+                    4 => xa[limb] = -f64::INFINITY,
+                    5 => ya[limb] = f64::NAN,
+                    6 => xa[1..].fill(0.0),
+                    7 => {
+                        *ya = *xa;
+                        ya[1] = -ya[1];
+                    }
+                    _ => xa[2.min(N - 1)..]
+                        .iter_mut()
+                        .for_each(|v| *v *= 2f64.powi(60)),
+                }
+                let soa = |v: &[[f64; N]; LANES]| -> [[f64; LANES]; N] {
+                    core::array::from_fn(|p| core::array::from_fn(|l| v[l][p]))
+                };
+                let mut out = [[0.0; LANES]; N];
+                // Safety: `lanes_available` saw the kernel's features.
+                let took = unsafe { truncated_mul_lanes::<N, CAP>(&soa(&x), &soa(&y), &mut out) };
+                for l in 0..LANES {
+                    if l != at {
+                        clean += 1;
+                    }
+                    if took >> l & 1 == 0 {
+                        continue;
+                    }
+                    taken += usize::from(l != at);
+                    assert!(
+                        l != at || kind == 2,
+                        "{N} limbs, trial {trial}: kind {kind} planted in lane {l} was taken"
+                    );
+                    let got: [f64; N] = core::array::from_fn(|p| out[p][l]);
+                    assert_eq!(
+                        got.map(f64::to_bits),
+                        scalar(x[l], y[l]).map(f64::to_bits),
+                        "{N} limbs, trial {trial}, lane {l}: {:?} * {:?}",
+                        x[l],
+                        y[l]
+                    );
+                }
+            }
+            assert!(
+                taken * 100 >= clean * 99,
+                "{N} limbs: {taken} of {clean} clean lanes taken"
+            );
+        }
+        if !lanes_available() {
+            println!("no AVX-512 on this CPU: no lane kernel to check");
+            return;
+        }
+        check::<Qd, 4, 16>(7, qd_mul);
+        check::<Od, 8, 64>(8, od_mul);
     }
 
     #[test]

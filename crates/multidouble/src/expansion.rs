@@ -9,7 +9,10 @@
 //!
 //! The two products are written once over the limb count `N`, as CAMPARY
 //! generates its kernels from one template: [`truncated_mul`] (`qd_mul`,
-//! `od_mul`) and [`mul_by_double`] (`qd_mul_f`, `od_mul_f`).
+//! `od_mul`) and [`mul_by_double`] (`qd_mul_f`, `od_mul_f`). On x86-64,
+//! `truncated_mul_lanes` replays `truncated_mul` on eight operand pairs
+//! at once, one per AVX-512 lane, for the kernels' inner loops; a lane it
+//! cannot replay to the bit it hands back to the scalar product.
 
 use crate::eft::{two_prod, two_sum};
 use crate::fp::Fp;
@@ -17,6 +20,10 @@ use crate::fp::Fp;
 /// Most magnitude classes a producer closes: one per limb of the widest
 /// product (octo double, 8).
 const MAX_CLASSES: usize = 8;
+
+/// The bits of `+inf`: a presort key `k` (a double's bits rotated left by
+/// one) is finite when `k >> 1 < INF_BITS`.
+const INF_BITS: u64 = 0x7ff0_0000_0000_0000;
 
 /// A fixed-capacity scratch expansion, so renormalization never
 /// allocates. Each producer sizes `CAP` to the number of terms it pushes
@@ -358,6 +365,31 @@ pub fn sort_by_magnitude<F: Fp>(x: &mut [F]) {
     }
 }
 
+/// A sorting-network key: the presort's `u64`, or on x86-64 eight of them
+/// side by side (the lane kernel's `__m512i`).
+trait Key: Copy {
+    /// The larger of two keys.
+    fn hi(self, other: Self) -> Self;
+    /// The smaller of two keys.
+    fn lo(self, other: Self) -> Self;
+}
+
+impl Key for u64 {
+    #[inline(always)]
+    fn hi(self, other: Self) -> Self {
+        self.max(other)
+    }
+    #[inline(always)]
+    fn lo(self, other: Self) -> Self {
+        self.min(other)
+    }
+}
+
+/// A straight-line sorting network over an array of keys, largest first.
+trait Network {
+    fn sort(&mut self);
+}
+
 /// Straight-line sorting networks over `L` keys: each `(hi, lo)` is a
 /// compare-exchange that leaves the larger key in `hi`. The padded networks
 /// have 1, 5, 19 and 60 comparators (optimal for 2, 4 and 8 lanes; the
@@ -365,22 +397,28 @@ pub fn sort_by_magnitude<F: Fp>(x: &mut [F]) {
 /// missing lanes the constant key 0, so every comparator that touches a
 /// missing lane folds away: the sizes the products close, 3, 5, …, 15,
 /// run 3, 9, 16, 26, 36, 46 and 56 (`networks_sort_every_zero_one_input`
-/// proves each size sorts).
+/// proves each size sorts). The network is a trait method, not a value
+/// passed in, so it is always inlined where the lane count is known: passed
+/// as an `impl Fn`, the 16-lane network ran through an outlined `Fn::call`
+/// shim that compared all 16 lanes whatever the class size.
 macro_rules! network {
-    ($name:ident, $l:literal: $(($hi:literal, $lo:literal)),* $(,)?) => {
-        #[inline(always)]
-        fn $name(k: &mut [u64; $l]) {
-            $(
-                let (a, b) = (k[$hi], k[$lo]);
-                k[$hi] = a.max(b);
-                k[$lo] = a.min(b);
-            )*
+    ($l:literal: $(($hi:literal, $lo:literal)),* $(,)?) => {
+        impl<K: Key> Network for [K; $l] {
+            #[inline(always)]
+            fn sort(&mut self) {
+                $(
+                    let (a, b) = (self[$hi], self[$lo]);
+                    self[$hi] = a.hi(b);
+                    self[$lo] = a.lo(b);
+                )*
+            }
         }
     };
 }
-network!(net2, 2: (0, 1));
-network!(net4, 4: (0, 1), (2, 3), (0, 2), (1, 3), (1, 2));
-network!(net8, 8:
+network!(1:);
+network!(2: (0, 1));
+network!(4: (0, 1), (2, 3), (0, 2), (1, 3), (1, 2));
+network!(8:
     (0, 2), (1, 3), (4, 6), (5, 7),
     (0, 4), (1, 5), (2, 6), (3, 7),
     (0, 1), (2, 3), (4, 5), (6, 7),
@@ -388,7 +426,7 @@ network!(net8, 8:
     (1, 4), (3, 6),
     (1, 2), (3, 4), (5, 6),
 );
-network!(net16, 16:
+network!(16:
     (0, 13), (1, 12), (2, 15), (3, 14), (4, 8), (5, 6), (7, 11), (9, 10),
     (0, 5), (1, 7), (2, 9), (3, 4), (6, 13), (8, 14), (10, 15), (11, 12),
     (0, 1), (2, 3), (4, 5), (6, 8), (7, 9), (10, 11), (12, 13), (14, 15),
@@ -401,6 +439,19 @@ network!(net16, 16:
     (6, 7), (8, 9),
 );
 
+/// The first `S` of `keys` sorted, largest first, by the `L`-lane network,
+/// the lanes past `S` holding the constant `zero`: the exact-size network.
+#[inline(always)]
+fn sort_exact<K: Key, const S: usize, const L: usize>(keys: &mut [K], zero: K)
+where
+    [K; L]: Network,
+{
+    let mut k = [zero; L];
+    k[..S].copy_from_slice(&keys[..S]);
+    k.sort();
+    keys[..S].copy_from_slice(&k[..S]);
+}
+
 /// Presort one magnitude class of at most `WIDEST` terms by decreasing
 /// `|x|` with the network of its exact size ([`presort`]). A class of one
 /// term is sorted; wider classes than `WIDEST` or 16 are left to the
@@ -411,13 +462,13 @@ network!(net16, 16:
 #[inline(always)]
 fn presort_class<F: Fp, const WIDEST: usize>(class: &mut [F]) {
     match class.len() {
-        2 if WIDEST >= 2 => presort::<F, 2, 2>(class, net2),
-        3 if WIDEST >= 3 => presort::<F, 3, 4>(class, net4),
-        4 if WIDEST >= 4 => presort::<F, 4, 4>(class, net4),
-        5 if WIDEST >= 5 => presort::<F, 5, 8>(class, net8),
-        6 if WIDEST >= 6 => presort::<F, 6, 8>(class, net8),
-        7 if WIDEST >= 7 => presort::<F, 7, 8>(class, net8),
-        8 if WIDEST >= 8 => presort::<F, 8, 8>(class, net8),
+        2 if WIDEST >= 2 => presort::<F, 2, 2>(class),
+        3 if WIDEST >= 3 => presort::<F, 3, 4>(class),
+        4 if WIDEST >= 4 => presort::<F, 4, 4>(class),
+        5 if WIDEST >= 5 => presort::<F, 5, 8>(class),
+        6 if WIDEST >= 6 => presort::<F, 6, 8>(class),
+        7 if WIDEST >= 7 => presort::<F, 7, 8>(class),
+        8 if WIDEST >= 8 => presort::<F, 8, 8>(class),
         9..=16 if WIDEST >= 9 => presort_wide(class),
         _ => {}
     }
@@ -427,37 +478,40 @@ fn presort_class<F: Fp, const WIDEST: usize>(class: &mut [F]) {
 #[inline(never)]
 fn presort_wide<F: Fp>(class: &mut [F]) {
     match class.len() {
-        9 => presort::<F, 9, 16>(class, net16),
-        10 => presort::<F, 10, 16>(class, net16),
-        11 => presort::<F, 11, 16>(class, net16),
-        12 => presort::<F, 12, 16>(class, net16),
-        13 => presort::<F, 13, 16>(class, net16),
-        14 => presort::<F, 14, 16>(class, net16),
-        15 => presort::<F, 15, 16>(class, net16),
-        16 => presort::<F, 16, 16>(class, net16),
+        9 => presort::<F, 9, 16>(class),
+        10 => presort::<F, 10, 16>(class),
+        11 => presort::<F, 11, 16>(class),
+        12 => presort::<F, 12, 16>(class),
+        13 => presort::<F, 13, 16>(class),
+        14 => presort::<F, 14, 16>(class),
+        15 => presort::<F, 15, 16>(class),
+        16 => presort::<F, 16, 16>(class),
         _ => {}
     }
 }
 
 /// Sort the `S` terms of `x` by decreasing `|x|` with the `L`-lane network
-/// `net`, on the lossless key `x.to_bits().rotate_left(1)`: unsigned key
-/// order is `|x|` order with the sign as a tie breaker, and the lanes past
-/// `S` hold `+0.0` (key 0, last). A class holding a NaN (whose key sorts
+/// at its exact size ([`sort_exact`]), on the lossless key
+/// `x.to_bits().rotate_left(1)`: unsigned key order is `|x|` order with
+/// the sign as a tie breaker, and the lanes past `S` hold `+0.0` (key 0,
+/// last). A class holding a NaN (whose key sorts
 /// first) or two terms of equal `|x|` but opposite sign (adjacent lanes
 /// after the sort) is left as pushed: there the key order is not the
 /// insertion sort's order. Otherwise equal keys are equal bits, so the
 /// result is the class's stable sort by `|x|`.
 #[inline(always)]
-fn presort<F: Fp, const S: usize, const L: usize>(x: &mut [F], net: impl Fn(&mut [u64; L])) {
-    const INF_BITS: u64 = 0x7ff0_0000_0000_0000;
+fn presort<F: Fp, const S: usize, const L: usize>(x: &mut [F])
+where
+    [u64; L]: Network,
+{
     let x = &mut x[..S];
-    let mut k = [0u64; L];
+    let mut k = [0u64; S];
     for (ki, xi) in k.iter_mut().zip(x.iter()) {
         *ki = xi.to_f64().to_bits().rotate_left(1);
     }
-    net(&mut k);
+    sort_exact::<u64, S, L>(&mut k, 0);
     let mut ordered = k[0] >> 1 <= INF_BITS;
-    for w in k[..S].windows(2) {
+    for w in k.windows(2) {
         ordered &= (w[0] == w[1]) | (w[0] >> 1 != w[1] >> 1);
     }
     if ordered {
@@ -466,6 +520,246 @@ fn presort<F: Fp, const S: usize, const L: usize>(x: &mut [F], net: impl Fn(&mut
         }
     }
 }
+
+/// The eight-lane AVX-512 replay of [`truncated_mul`], for the kernels'
+/// inner loops (`gpusim::shared`): as every GPU thread of a CAMPARY kernel
+/// runs the same straight-line product on its own element, each lane of
+/// one instruction forms one element's product.
+#[cfg(target_arch = "x86_64")]
+mod lanes {
+    use super::{sort_exact, Key, Network, INF_BITS};
+    use core::arch::x86_64::*;
+
+    /// Products per call: the doubles of one `__m512d`.
+    pub const LANES: usize = 8;
+
+    /// Eight presort keys side by side, each a double's bits rotated left
+    /// by one, held in a `__m512d` so that the scratch is one array.
+    impl Key for __m512d {
+        #[inline(always)]
+        fn hi(self, other: Self) -> Self {
+            // Safety: `Key` is private to `expansion`, and its one user of
+            // `__m512d` keys is `truncated_mul_lanes`, whose caller
+            // guarantees AVX-512F.
+            unsafe {
+                _mm512_castsi512_pd(_mm512_max_epu64(
+                    _mm512_castpd_si512(self),
+                    _mm512_castpd_si512(other),
+                ))
+            }
+        }
+        #[inline(always)]
+        fn lo(self, other: Self) -> Self {
+            // Safety: as in `hi`.
+            unsafe {
+                _mm512_castsi512_pd(_mm512_min_epu64(
+                    _mm512_castpd_si512(self),
+                    _mm512_castpd_si512(other),
+                ))
+            }
+        }
+    }
+
+    /// Eight lanes of `a + b` with their exact errors ([`super::two_sum`]).
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn two_sum(a: __m512d, b: __m512d) -> (__m512d, __m512d) {
+        let s = _mm512_add_pd(a, b);
+        let bb = _mm512_sub_pd(s, a);
+        let e = _mm512_add_pd(_mm512_sub_pd(a, _mm512_sub_pd(s, bb)), _mm512_sub_pd(b, bb));
+        (s, e)
+    }
+
+    /// [`super::vec_sum`] on eight lanes.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn vec_sum(x: &mut [__m512d]) {
+        let n = x.len();
+        let mut s = x[n - 1];
+        for i in (0..n - 1).rev() {
+            let (si, ei) = two_sum(x[i], s);
+            s = si;
+            x[i + 1] = ei;
+        }
+        x[0] = s;
+    }
+
+    /// Eight lanes of `a + b` and its error, with the error exact only
+    /// where it is nonzero: Fast2Sum (Dekker) on the operands ordered by
+    /// magnitude, two dependent operations after the sum where
+    /// [`two_sum`] has four. `a + b` is the same sum, and a nonzero error
+    /// is the exact `(a + b) - fl(a + b)`, so it is `two_sum`'s to the
+    /// bit; a zero error may differ from `two_sum`'s in its sign, which
+    /// `vec_sum_err_branch` never reads. Where `a + b` overflows, both
+    /// errors are non-finite and the overflow reaches the lane's limbs,
+    /// which hands the lane back.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn fast_two_sum(a: __m512d, b: __m512d) -> (__m512d, __m512d) {
+        let s = _mm512_add_pd(a, b);
+        let a_first = _mm512_cmp_pd_mask::<_CMP_GE_OQ>(_mm512_abs_pd(a), _mm512_abs_pd(b));
+        let hi = _mm512_mask_blend_pd(a_first, b, a);
+        let lo = _mm512_mask_blend_pd(a_first, a, b);
+        (s, _mm512_sub_pd(lo, _mm512_sub_pd(s, hi)))
+    }
+
+    /// `out[j] = v` in the lanes of `at`, `j` each lane's own index.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn put<const M: usize>(out: &mut [__m512d; M], j: __m512i, at: __mmask8, v: __m512d) {
+        for (p, slot) in out.iter_mut().enumerate() {
+            let here = _mm512_mask_cmpeq_epi64_mask(at, j, _mm512_set1_epi64(p as i64));
+            *slot = _mm512_mask_blend_pd(here, *slot, v);
+        }
+    }
+
+    /// [`super::vec_sum_err_branch`] on eight lanes, without a branch per
+    /// lane: each lane keeps its own output index `j`, a lane that
+    /// would `return` is marked done and left as it is, and a write to
+    /// `out[j]` is a masked blend into every slot. The sweep stops once
+    /// every lane of `live` is done.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn vec_sum_err_branch<const M: usize>(e: &[__m512d], out: &mut [__m512d; M], live: __mmask8) {
+        let zero = _mm512_setzero_pd();
+        *out = [zero; M];
+        let (one, m) = (_mm512_set1_epi64(1), _mm512_set1_epi64(M as i64));
+        let mut j = _mm512_setzero_si512();
+        let mut done: __mmask8 = !live;
+        let mut eps = e[0];
+        for &next in &e[1..] {
+            let (r, new_eps) = fast_two_sum(eps, next);
+            let nonzero = _mm512_cmp_pd_mask::<_CMP_NEQ_UQ>(new_eps, zero);
+            let full = _mm512_cmpge_epu64_mask(j, m);
+            let write = !done & nonzero & !full;
+            done |= nonzero & full;
+            put(out, j, write, r);
+            j = _mm512_mask_add_epi64(j, write, j, one);
+            // a lane that wrote takes the error, one that did not the sum
+            // (a done lane's `eps` is never read again)
+            eps = _mm512_mask_blend_pd(nonzero, r, new_eps);
+            if done == 0xff {
+                return;
+            }
+        }
+        let last =
+            !done & _mm512_cmplt_epu64_mask(j, m) & _mm512_cmp_pd_mask::<_CMP_NEQ_UQ>(eps, zero);
+        put(out, j, last, eps);
+    }
+
+    /// Presort magnitude class `t[at..at + S]` of keys with the `L`-lane
+    /// network at its exact size, and the lanes where it leaves
+    /// `renormalize` on its presort path: every key finite and nonzero, no
+    /// two of equal `|x|` and opposite sign, and none above the smallest
+    /// of the class before (`t[at - 1]`, already sorted).
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn presort<const S: usize, const L: usize>(t: &mut [__m512d], at: usize) -> __mmask8
+    where
+        [__m512d; L]: Network,
+    {
+        let class = &mut t[at..at + S];
+        sort_exact::<_, S, L>(class, _mm512_setzero_pd());
+        let key: [__m512i; S] = core::array::from_fn(|i| _mm512_castpd_si512(class[i]));
+        let one = _mm512_set1_epi64(1);
+        // the largest key finite, the smallest nonzero (±0 are keys 0, 1)
+        let mut ok = _mm512_cmplt_epu64_mask(
+            _mm512_srli_epi64::<1>(key[0]),
+            _mm512_set1_epi64(INF_BITS as i64),
+        ) & _mm512_cmpgt_epu64_mask(key[S - 1], one);
+        // sorted keys that differ only in bit 0, the sign: a tie
+        for w in key.windows(2) {
+            ok &= _mm512_cmpneq_epu64_mask(_mm512_xor_si512(w[0], w[1]), one);
+        }
+        if at > 0 {
+            ok &= _mm512_cmpge_epu64_mask(
+                _mm512_srli_epi64::<1>(_mm512_castpd_si512(t[at - 1])),
+                _mm512_srli_epi64::<1>(key[0]),
+            );
+        }
+        ok
+    }
+
+    /// Eight certified truncated products of `N`-limb expansions at once:
+    /// lane `l` multiplies `a[·][l]` by `b[·][l]` (structure of arrays,
+    /// limb `p` of lane `l` at `[p][l]`) into `out[·][l]`. It replays
+    /// [`super::truncated_mul`] step for step: the
+    /// [`super::truncated_product`] fill (`two_prod`'s error as one
+    /// `vfmsub`), the rotate-left keys presorted class by class with
+    /// exact-size `vpmaxuq`/`vpminuq` networks, `vec_sum`,
+    /// `vec_sum_err_branch` and the second pass. `N` is 4 or 8, `CAP` is
+    /// `N²`.
+    ///
+    /// Returns the mask of the lanes that took this path; their limbs are
+    /// `truncated_mul`'s, bit for bit. A lane whose scratch holds a zero
+    /// term, a NaN or an infinity, two terms of one class of equal `|x|` and
+    /// opposite sign, or two classes out of order — every place where
+    /// `renormalize` would leave the presort for the insertion sort — or
+    /// whose limbs come out non-finite, is not in the mask, and its `out` is
+    /// meaningless: the caller recomputes it with the scalar product.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, AVX-512DQ, AVX-512VL and FMA.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl,fma")]
+    pub unsafe fn truncated_mul_lanes<const N: usize, const CAP: usize>(
+        a: &[[f64; LANES]; N],
+        b: &[[f64; LANES]; N],
+        out: &mut [[f64; LANES]; N],
+    ) -> u8 {
+        const { assert!((N == 4 || N == 8) && CAP == N * N) };
+        let load = |x: &[f64; LANES]| {
+            // Safety: `x` is eight readable doubles; the load is unaligned.
+            unsafe { _mm512_loadu_pd(x.as_ptr()) }
+        };
+        let (a, b): ([__m512d; N], [__m512d; N]) = (a.map(|x| load(&x)), b.map(|x| load(&x)));
+        // the fill: class k in slots k² .. (k + 1)², diagonal k's products
+        // then diagonal k - 1's errors; the last diagonal's products plain
+        let mut t = [_mm512_setzero_pd(); CAP];
+        for k in 0..N {
+            for i in 0..=k {
+                let p = _mm512_mul_pd(a[i], b[k - i]);
+                t[k * k + i] = p;
+                if k + 1 < N {
+                    t[(k + 1) * (k + 1) + k + 2 + i] = _mm512_fmsub_pd(a[i], b[k - i], p);
+                }
+            }
+        }
+        for x in t.iter_mut() {
+            *x = _mm512_castsi512_pd(_mm512_rol_epi64::<1>(_mm512_castpd_si512(*x)));
+        }
+        let mut ok = presort::<1, 1>(&mut t, 0)
+            & presort::<3, 4>(&mut t, 1)
+            & presort::<5, 8>(&mut t, 4)
+            & presort::<7, 8>(&mut t, 9);
+        if N == 8 {
+            ok &= presort::<9, 16>(&mut t, 16)
+                & presort::<11, 16>(&mut t, 25)
+                & presort::<13, 16>(&mut t, 36)
+                & presort::<15, 16>(&mut t, 49);
+        }
+        for x in t.iter_mut() {
+            *x = _mm512_castsi512_pd(_mm512_ror_epi64::<1>(_mm512_castpd_si512(*x)));
+        }
+        vec_sum(&mut t);
+        let mut limbs = [_mm512_setzero_pd(); N];
+        vec_sum_err_branch(&t, &mut limbs, ok);
+        // the second pass over the compact result
+        vec_sum(&mut limbs);
+        let tmp = limbs;
+        vec_sum_err_branch(&tmp, &mut limbs, ok);
+        let huge = _mm512_set1_pd(f64::MAX);
+        for (o, x) in out.iter_mut().zip(&limbs) {
+            ok &= _mm512_cmp_pd_mask::<_CMP_LE_OQ>(_mm512_abs_pd(*x), huge);
+            // Safety: `o` is eight writable doubles; the store is unaligned.
+            unsafe { _mm512_storeu_pd(o.as_mut_ptr(), *x) };
+        }
+        ok
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+pub use lanes::{truncated_mul_lanes, LANES};
 
 #[cfg(test)]
 mod tests {

@@ -52,7 +52,7 @@ use multidouble::{convert_real, Dd, MdReal, Od, Qd};
 
 use crate::job::{Job, Precision, Solution, TenantId};
 use crate::microbatch::{
-    dispatch_group_where, placement_order, plan_groups, GroupDispatch, MicrobatchConfig,
+    dispatch_group_where, placement_order, plan_groups, GroupDispatch, Members, MicrobatchConfig,
 };
 use crate::plan::ExecPlan;
 use crate::planner::Planner;
@@ -884,7 +884,7 @@ pub fn solve_batch_staged_with(
 /// members themselves, in group order.
 pub(crate) struct Group<'j> {
     pub(crate) shape: JobShape,
-    pub(crate) idxs: Vec<usize>,
+    pub(crate) idxs: Members,
     pub(crate) members: Vec<&'j Job>,
 }
 
@@ -951,7 +951,7 @@ pub(crate) fn run_round(
         // a pool that lost every device books nothing
         let (rows, cols, digits) = (shape.rows, shape.cols, shape.target_digits);
         let (plan, _) = planner.plan_fused(pool.gpu(0), rows, cols, digits, 1);
-        for (j, job) in idxs.into_iter().zip(members) {
+        for (&j, job) in idxs.iter().zip(members) {
             let o = tombstone_outcome(job, plan.clone(), 0, Disposition::Failed, job.release());
             outcomes.push((j, o));
         }
@@ -1106,7 +1106,7 @@ pub(crate) fn run_batch(
             Group {
                 shape: shapes[groups[gi][0]],
                 members: idxs.iter().map(|&j| &jobs[j]).collect(),
-                idxs,
+                idxs: idxs.into(),
             }
         })
         .collect();

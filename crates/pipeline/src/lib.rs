@@ -218,7 +218,9 @@ pub use batch::{
     LatencySummary, PlannedSolve,
 };
 pub use job::{Job, Precision, SloClass, Solution, SubmitError, TenantId};
-pub use microbatch::{dispatch_group_staged, plan_groups, GroupDispatch, MicrobatchConfig};
+pub use microbatch::{
+    dispatch_group_staged, plan_groups, GroupDispatch, Members, MicrobatchConfig,
+};
 pub use plan::{ExecPlan, FusedProfile, Stage};
 pub use planner::Planner;
 pub use pool::{

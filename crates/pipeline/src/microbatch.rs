@@ -32,6 +32,7 @@
 //!   bit-identical to the unfused path — fusing is launch packing,
 //!   never different arithmetic.
 
+use std::ops::Deref;
 use std::sync::Arc;
 
 use crate::plan::{ExecPlan, FusedProfile};
@@ -78,6 +79,44 @@ impl MicrobatchConfig {
     }
 }
 
+/// The member job slots of a dispatch, in dispatch order: a singleton's
+/// one slot is stored inline (most dispatches — every `serve` launch —
+/// are singletons, and a `Vec` of one is a heap allocation each), a fused
+/// group's in a `Vec`. Reads as a `[usize]`.
+#[derive(Clone, Debug)]
+pub enum Members {
+    /// A singleton dispatch's one slot.
+    One([usize; 1]),
+    /// A fused group's slots.
+    Many(Vec<usize>),
+}
+
+impl Members {
+    /// A singleton dispatch of slot `j`.
+    pub fn one(j: usize) -> Self {
+        Members::One([j])
+    }
+}
+
+impl Deref for Members {
+    type Target = [usize];
+    fn deref(&self) -> &[usize] {
+        match self {
+            Members::One(j) => j,
+            Members::Many(v) => v,
+        }
+    }
+}
+
+impl From<Vec<usize>> for Members {
+    fn from(v: Vec<usize>) -> Self {
+        match v[..] {
+            [j] => Members::one(j),
+            _ => Members::Many(v),
+        }
+    }
+}
+
 /// One scheduled fused group: the member job slots, the shared
 /// singleton plan, the fused pricing the pool booked, and the group's
 /// simulated interval. A group of one is an ordinary singleton
@@ -88,7 +127,7 @@ pub struct GroupDispatch {
     /// are indices into the submitted job slice; on the stream path —
     /// where jobs come from an iterator, not a slice — they are running
     /// dispatch sequence numbers and index nothing.
-    pub jobs: Vec<usize>,
+    pub jobs: Members,
     /// Pool id of the device the group runs on.
     pub device: usize,
     /// The plan structure every member runs (identical arithmetic to
@@ -206,7 +245,7 @@ fn price_group(
 pub fn dispatch_group_staged(
     pool: &mut DevicePool,
     planner: &Planner,
-    jobs: Vec<usize>,
+    jobs: impl Into<Members>,
     shape: &JobShape,
     policy: DispatchPolicy,
     sched: &StageSchedConfig,
@@ -215,7 +254,7 @@ pub fn dispatch_group_staged(
     dispatch_group_where(
         pool,
         planner,
-        jobs,
+        jobs.into(),
         shape,
         policy,
         sched,
@@ -232,7 +271,7 @@ pub fn dispatch_group_staged(
 pub(crate) fn dispatch_group_where(
     pool: &mut DevicePool,
     planner: &Planner,
-    jobs: Vec<usize>,
+    jobs: Members,
     shape: &JobShape,
     policy: DispatchPolicy,
     sched: &StageSchedConfig,

@@ -87,7 +87,7 @@ use crate::batch::{
     PlannedSolve,
 };
 use crate::job::{Job, Precision, SloClass, Solution, TenantId};
-use crate::microbatch::{dispatch_group_where, GroupDispatch};
+use crate::microbatch::{dispatch_group_where, GroupDispatch, Members};
 use crate::planner::Planner;
 use crate::pool::{DevicePool, PoolDevice};
 use crate::resilient::{
@@ -710,7 +710,7 @@ impl<'a> Shell<'a> {
         let g = dispatch_group_where(
             pool,
             &self.planner,
-            vec![job.id as usize],
+            Members::one(job.id as usize),
             &shape,
             self.cfg.dispatch,
             &SCHED,
@@ -1059,20 +1059,17 @@ pub fn serve(
     // the front door: a malformed job is tombstoned here and never
     // arrives — it takes no queue slot, no quota and no planner call
     let mut outcomes: Vec<Option<JobOutcome>> = (0..n).map(|_| None).collect();
-    let mut order: Vec<usize> = Vec::with_capacity(n);
+    // arrival order: by release, then submission index; the keys are
+    // read once
+    let mut order: Vec<(f64, usize)> = Vec::with_capacity(n);
     for (j, job) in jobs.iter().enumerate() {
         match job.validate() {
-            Ok(()) => order.push(j),
+            Ok(()) => order.push((job.release(), j)),
             Err(e) => outcomes[j] = Some(invalid_tombstone(pool, job, e)),
         }
     }
-    order.sort_by(|&a, &b| {
-        jobs[a]
-            .release()
-            .total_cmp(&jobs[b].release())
-            .then(a.cmp(&b))
-    });
-    for j in order {
+    order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    for (_, j) in order {
         let t = by_id[&jobs[j].tenant.0];
         states[t].arrivals.push(j);
     }

@@ -360,7 +360,7 @@ where
         let members = group.iter().collect();
         let group = Group {
             shape,
-            idxs,
+            idxs: idxs.into(),
             members,
         };
         let round = self.round(vec![group], f64::NEG_INFINITY);
