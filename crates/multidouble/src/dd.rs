@@ -112,9 +112,16 @@ pub fn dd_sqrt<F: Fp>(a: Dd2<F>) -> Dd2<F> {
 /// A double double number: the unevaluated sum `hi + lo` of two doubles,
 /// with about 32 significant decimal digits (106 bits).
 ///
-/// This is the paper's `2d` precision. Stored as two named fields — the
-/// paper customizes the CAMPARY code so an *m*-double is *m* separate
-/// variables rather than an array; the named fields mirror that layout.
+/// This is the paper's `2d` precision. Its operators, conversions and
+/// [`MdReal`](crate::MdReal) impl are emitted in [`crate::real`], by the
+/// macro that also emits [`Qd`](crate::Qd)'s and [`Od`](crate::Od)'s.
+///
+/// Unlike those two, `Dd` is two named fields, not an array. The paper
+/// customizes the CAMPARY code so an *m*-double is *m* separate variables,
+/// and on x86-64 the calling convention agrees: a struct of two `f64`s is
+/// passed and returned in two `xmm` registers, while a by-value `[f64; 2]`
+/// (or a tuple struct around one) goes through memory whenever a call is
+/// not inlined.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Dd {
     /// Most significant double.
@@ -127,10 +134,6 @@ impl Dd {
     /// Unit roundoff of double double: `2^-106`.
     pub const EPSILON: f64 = 1.232595164407831e-32;
 
-    /// The value zero.
-    pub const ZERO: Dd = Dd { hi: 0.0, lo: 0.0 };
-    /// The value one.
-    pub const ONE: Dd = Dd { hi: 1.0, lo: 0.0 };
     /// π to double double accuracy (QDlib constant).
     #[allow(clippy::approx_constant)]
     pub const PI: Dd = Dd {
@@ -151,118 +154,16 @@ impl Dd {
         Dd { hi, lo }
     }
 
-    /// Convert a double exactly.
+    /// Build from the limbs, most significant first, without renormalizing.
     #[inline]
-    pub const fn from_f64(x: f64) -> Self {
-        Dd { hi: x, lo: 0.0 }
+    pub(crate) const fn from_array(l: [f64; 2]) -> Self {
+        Dd { hi: l[0], lo: l[1] }
     }
 
     /// The limbs as an array, most significant first.
     #[inline]
     pub const fn limbs(self) -> [f64; 2] {
         [self.hi, self.lo]
-    }
-
-    /// Square.
-    #[inline]
-    pub fn sqr(self) -> Self {
-        let r = dd_sqr(self.limbs());
-        Dd { hi: r[0], lo: r[1] }
-    }
-
-    /// Square root (NaN limbs for negative input, like `f64::sqrt`).
-    #[inline]
-    pub fn sqrt(self) -> Self {
-        if self.hi < 0.0 {
-            return Dd {
-                hi: f64::NAN,
-                lo: f64::NAN,
-            };
-        }
-        let r = dd_sqrt(self.limbs());
-        Dd { hi: r[0], lo: r[1] }
-    }
-
-    /// Absolute value.
-    #[inline]
-    pub fn abs(self) -> Self {
-        if self.hi < 0.0 || (self.hi == 0.0 && self.lo < 0.0) {
-            -self
-        } else {
-            self
-        }
-    }
-
-    /// Reciprocal.
-    #[inline]
-    pub fn recip(self) -> Self {
-        Dd::ONE / self
-    }
-
-    /// Nearest double.
-    #[inline]
-    pub fn to_f64(self) -> f64 {
-        self.hi + self.lo
-    }
-}
-
-macro_rules! dd_binop {
-    ($trait:ident, $method:ident, $fn:path) => {
-        impl core::ops::$trait for Dd {
-            type Output = Dd;
-            #[inline(always)]
-            fn $method(self, rhs: Dd) -> Dd {
-                let r = $fn(self.limbs(), rhs.limbs());
-                Dd { hi: r[0], lo: r[1] }
-            }
-        }
-    };
-}
-dd_binop!(Add, add, dd_add);
-dd_binop!(Sub, sub, dd_sub);
-dd_binop!(Mul, mul, dd_mul);
-dd_binop!(Div, div, dd_div);
-
-impl core::ops::Neg for Dd {
-    type Output = Dd;
-    #[inline(always)]
-    fn neg(self) -> Dd {
-        Dd {
-            hi: -self.hi,
-            lo: -self.lo,
-        }
-    }
-}
-
-macro_rules! dd_assign {
-    ($trait:ident, $method:ident, $op:tt) => {
-        impl core::ops::$trait for Dd {
-            #[inline(always)]
-            fn $method(&mut self, rhs: Dd) {
-                *self = *self $op rhs;
-            }
-        }
-    };
-}
-dd_assign!(AddAssign, add_assign, +);
-dd_assign!(SubAssign, sub_assign, -);
-dd_assign!(MulAssign, mul_assign, *);
-dd_assign!(DivAssign, div_assign, /);
-
-impl PartialOrd for Dd {
-    #[inline]
-    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
-        match self.hi.partial_cmp(&other.hi) {
-            Some(core::cmp::Ordering::Equal) => self.lo.partial_cmp(&other.lo),
-            ord => ord,
-        }
-    }
-}
-
-impl From<f64> for Dd {
-    #[inline]
-    fn from(x: f64) -> Self {
-        Dd::from_f64(x)
     }
 }
 
@@ -307,7 +208,7 @@ mod tests {
     fn sqrt_squares_back() {
         let a = Dd::from_f64(2.0);
         let r = a.sqrt();
-        assert!(ulp_close(r.sqr(), a, 4.0), "r^2 = {:?}", r.sqr());
+        assert!(ulp_close(r * r, a, 4.0), "r^2 = {:?}", r * r);
     }
 
     #[test]

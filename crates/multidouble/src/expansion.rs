@@ -266,6 +266,34 @@ pub fn mul_by_double<F: Fp, const N: usize, const CAP: usize>(a: [F; N], b: F) -
     out
 }
 
+/// Square root by Newton's iteration on the reciprocal square root,
+/// `x <- x + x (1 - a x^2) / 2`, seeded by the hardware root and finished
+/// with `sqrt(a) = a x`, over the width's own `add`, `sub`, `mul` and
+/// `mul_f`. Each step doubles the correct bits (53, 106, 212, ...), so
+/// `log2(N) + 1` steps pass the width's `53 N`: 3 for `qd_sqrt`, 4 for
+/// `od_sqrt`.
+#[inline]
+pub fn newton_sqrt<F: Fp, const N: usize>(
+    a: [F; N],
+    add: impl Fn([F; N], [F; N]) -> [F; N],
+    sub: impl Fn([F; N], [F; N]) -> [F; N],
+    mul: impl Fn([F; N], [F; N]) -> [F; N],
+    mul_f: impl Fn([F; N], F) -> [F; N],
+) -> [F; N] {
+    if a.iter().all(|&x| x == F::ZERO) {
+        return [F::ZERO; N];
+    }
+    let half = F::from_f64(0.5);
+    let (mut one, mut x) = ([F::ZERO; N], [F::ZERO; N]);
+    one[0] = F::ONE;
+    x[0] = F::ONE / a[0].fsqrt();
+    for _ in 0..=N.ilog2() {
+        let ax2 = mul(a, mul(x, x));
+        x = add(x, mul_f(mul(x, sub(one, ax2)), half));
+    }
+    mul(a, x)
+}
+
 /// Renormalize an intermediate expansion into `out.len()` components.
 ///
 /// The scratch terms are first sorted by decreasing magnitude — producers
@@ -1394,5 +1422,90 @@ mod tests {
             h.eat(&order(x.partial_cmp(&y)));
         }
         assert_eq!(h.0, 0x92ba_e543_6395_7feb, "digest {:#018x}", h.0);
+    }
+
+    /// FNV-1a over the bits of `Dd`'s `+ − × ÷`, `Neg`, `abs`, `sqrt`,
+    /// `recip`, `to_f64`, `floor`, `mul_pwr2` and `partial_cmp`, the
+    /// inherent methods and their `MdReal` forms both, and of the
+    /// `from_limb_fn`/`limbs` round trip, on 4 096 seeded `pin_operand`
+    /// pairs plus fixed ±0, subnormal, ±inf, NaN and one-limb operands.
+    /// NaN is hashed as one canonical NaN. The digest was recorded while
+    /// `Dd` still had its own hand-written operators: any change to an
+    /// output bit of its surface fails it.
+    #[test]
+    fn dd_surface_bits_are_pinned() {
+        use crate::dd::Dd;
+        use crate::real::MdReal;
+        struct Fnv(u64);
+        impl Fnv {
+            fn eat(&mut self, xs: &[f64]) {
+                for &x in xs {
+                    let bits = if x.is_nan() { f64::NAN } else { x }.to_bits();
+                    for b in bits.to_le_bytes() {
+                        self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                    }
+                }
+            }
+        }
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let fixed: [[f64; 2]; 14] = [
+            [0.0, 0.0],
+            [-0.0, -0.0],
+            [0.0, -0.0],
+            [5e-324, 0.0],
+            [-1e-310, 2.5e-320],
+            [inf, 0.0],
+            [-inf, 0.0],
+            [nan, 0.0],
+            [1.0, nan],
+            [2.0, inf],
+            [1.5, 0.0],
+            [-3.0, 0.0],
+            [7.0, -0.0],
+            [2.75, 1e-20],
+        ];
+        let mut rng = Mix(41);
+        let mut ops: Vec<([f64; 2], [f64; 2])> = (0..4096)
+            .map(|_| (pin_operand::<2>(&mut rng), pin_operand::<2>(&mut rng)))
+            .collect();
+        for &a in &fixed {
+            for &b in &fixed {
+                ops.push((a, b));
+            }
+            ops.push((a, pin_operand::<2>(&mut rng)));
+            ops.push((pin_operand::<2>(&mut rng), a));
+        }
+        let order = |o: Option<core::cmp::Ordering>| [o.map_or(3.0, |o| o as i8 as f64)];
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        for (a, b) in ops {
+            let x = <Dd as MdReal>::from_limb_fn(|i| a[i]);
+            let y = <Dd as MdReal>::from_limb_fn(|i| b[i]);
+            let p = 2f64.powi(rng.range(-60, 60));
+            h.eat(&x.limbs());
+            h.eat(&(x + y).limbs());
+            h.eat(&(x - y).limbs());
+            h.eat(&(x * y).limbs());
+            h.eat(&(x / y).limbs());
+            h.eat(&(-x).limbs());
+            h.eat(&x.abs().limbs());
+            h.eat(&x.sqrt().limbs());
+            h.eat(&x.abs().sqrt().limbs());
+            h.eat(&x.recip().limbs());
+            h.eat(&[x.to_f64()]);
+            h.eat(&MdReal::abs(x).limbs());
+            h.eat(&MdReal::sqrt(x).limbs());
+            h.eat(&MdReal::recip(x).limbs());
+            h.eat(&[MdReal::to_f64(x), MdReal::hi(x), MdReal::limb(x, 1)]);
+            h.eat(&MdReal::floor(x).limbs());
+            h.eat(&MdReal::mul_pwr2(x, p).limbs());
+            h.eat(&order(x.partial_cmp(&y)));
+            let mut z = x;
+            z += y;
+            z -= x;
+            z *= y;
+            z /= x;
+            h.eat(&z.limbs());
+        }
+        assert_eq!(h.0, 0x1f87_1485_2084_3f6c, "digest {:#018x}", h.0);
     }
 }

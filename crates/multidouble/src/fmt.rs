@@ -5,9 +5,6 @@
 //! working precision — enough to round-trip values and to define
 //! high-precision constants from decimal literals (see [`crate::Od::pi`]).
 
-use crate::dd::Dd;
-use crate::od::Od;
-use crate::qd::Qd;
 use crate::real::MdReal;
 
 /// `10^e` in precision `T` by repeated squaring (exact for small `e`).
@@ -33,17 +30,19 @@ pub fn pow10<T: MdReal>(e: i32) -> T {
 /// notation (`-d.dddde±xx`); `ndigits` 0 prints one, as `f64`'s `{:.0e}`.
 pub fn to_decimal<T: MdReal>(x: T, ndigits: usize) -> String {
     let ndigits = ndigits.max(1);
-    let hi = x.hi();
-    if hi.is_nan() {
+    // a NaN or infinite limb anywhere makes the value so, not only limb 0
+    let sum: f64 = (0..T::LIMBS).map(|i| x.limb(i)).sum();
+    if sum.is_nan() {
         return "NaN".into();
     }
-    if hi.is_infinite() {
-        return if hi > 0.0 {
+    if sum.is_infinite() {
+        return if sum > 0.0 {
             "inf".into()
         } else {
             "-inf".into()
         };
     }
+    let hi = x.hi();
     if x == T::zero() {
         return format!("{:.*}e+00", ndigits.saturating_sub(1), 0.0);
     }
@@ -182,23 +181,10 @@ pub fn parse_md<T: MdReal>(s: &str) -> Option<T> {
     Some(v)
 }
 
-macro_rules! display_impl {
-    ($T:ty, $digits:expr) => {
-        impl core::fmt::Display for $T {
-            fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-                let nd = f.precision().unwrap_or($digits);
-                f.write_str(&to_decimal(*self, nd))
-            }
-        }
-    };
-}
-display_impl!(Dd, 32);
-display_impl!(Qd, 64);
-display_impl!(Od, 128);
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Dd, Od, Qd};
 
     #[test]
     fn print_simple_values() {
@@ -255,6 +241,31 @@ mod tests {
             assert_eq!(format!("{:.0}", T::from_f64(3.7)), "4e+00");
             for v in [1e-310, 2.5e-320, 5e-324] {
                 assert_eq!(format!("{:.5}", T::from_f64(v)), format!("{v:.4e}"));
+            }
+        }
+        check::<Dd>();
+        check::<Qd>();
+        check::<Od>();
+    }
+
+    /// NaN or ±inf in a lower limb prints as the value it makes, in every
+    /// precision, not as the digits of the finite leading limbs.
+    #[test]
+    fn display_sees_non_finite_lower_limbs() {
+        fn check<T: MdReal>() {
+            for at in 1..T::LIMBS {
+                for (bad, want) in [
+                    (f64::NAN, "NaN"),
+                    (f64::INFINITY, "inf"),
+                    (-f64::INFINITY, "-inf"),
+                ] {
+                    let x = T::from_limb_fn(|i| match i {
+                        0 => 2.0,
+                        _ if i == at => bad,
+                        _ => 0.0,
+                    });
+                    assert_eq!(format!("{x}"), want, "{}: limb {at} = {bad}", T::TAG);
+                }
             }
         }
         check::<Dd>();

@@ -25,7 +25,11 @@
 //! All algorithms are written once, generically over the [`fp::Fp`] trait,
 //! and instantiated with plain `f64` for production use and with counting
 //! floats for instrumentation, so the measured counts are guaranteed to
-//! describe the very code that runs.
+//! describe the very code that runs. The type surface is written once
+//! too: one macro in [`real`] emits the operators, conversions, `Display`
+//! and [`MdReal`] impl of all three types over their `dd_*`, `qd_*` and
+//! `od_*` kernels, so `dd.rs`, `qd.rs` and `od.rs` hold only the kernels,
+//! the structs and what differs between them.
 
 pub mod complex;
 pub mod cost;

@@ -12,13 +12,15 @@
 //!   renormalize (CAMPARY's truncated certified multiplication, written
 //!   once for quad and octo double: [`crate::expansion::truncated_mul`]);
 //! * **division** — nine-digit long division with exact remainder updates;
-//! * **square root** — Newton on the reciprocal square root.
+//! * **square root** — Newton on the reciprocal square root, written once
+//!   for quad and octo double: [`crate::expansion::newton_sqrt`].
 //!
-//! The operators, `PartialOrd` and [`MdReal`](crate::MdReal) impl that
-//! [`Od`] shares with [`Qd`] are emitted once, in [`crate::real`].
+//! The operators, conversions and [`MdReal`](crate::MdReal) impl that
+//! [`Od`] shares with [`Dd`] and [`Qd`] are emitted once, in
+//! [`crate::real`].
 
 use crate::dd::Dd;
-use crate::expansion::{mul_by_double, renormalize, truncated_mul, Scratch};
+use crate::expansion::{mul_by_double, newton_sqrt, renormalize, truncated_mul, Scratch};
 use crate::fp::Fp;
 use crate::qd::Qd;
 
@@ -100,31 +102,10 @@ pub fn od_neg<F: Fp>(a: Od8<F>) -> Od8<F> {
     [-a[0], -a[1], -a[2], -a[3], -a[4], -a[5], -a[6], -a[7]]
 }
 
-/// Square root: Newton on the reciprocal square root, seeded by the
-/// hardware square root; four iterations exceed octo double's 424 bits.
+/// Square root: [`newton_sqrt`] over the octo double kernels.
 #[inline]
 pub fn od_sqrt<F: Fp>(a: Od8<F>) -> Od8<F> {
-    if a.iter().all(|&x| x == F::ZERO) {
-        return [F::ZERO; N];
-    }
-    let half = F::from_f64(0.5);
-    let one: Od8<F> = {
-        let mut o = [F::ZERO; N];
-        o[0] = F::ONE;
-        o
-    };
-    let x0 = F::ONE / a[0].fsqrt();
-    let mut x: Od8<F> = {
-        let mut o = [F::ZERO; N];
-        o[0] = x0;
-        o
-    };
-    for _ in 0..4 {
-        let ax2 = od_mul(a, od_mul(x, x));
-        let corr = od_mul_f(od_mul(x, od_sub(one, ax2)), half);
-        x = od_add(x, corr);
-    }
-    od_mul(a, x)
+    newton_sqrt(a, od_add, od_sub, od_mul, od_mul_f)
 }
 
 // ---------------------------------------------------------------------------
@@ -140,15 +121,10 @@ impl Od {
     /// Unit roundoff of octo double: `2^-424`.
     pub const EPSILON: f64 = 1.443_722_900_443_09e-128;
 
-    /// The value zero.
-    pub const ZERO: Od = Od([0.0; 8]);
-    /// The value one.
-    pub const ONE: Od = Od([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
-
-    /// Convert a double exactly.
+    /// The limbs, most significant first.
     #[inline]
-    pub const fn from_f64(x: f64) -> Self {
-        Od([x, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    pub const fn limbs(self) -> [f64; 8] {
+        self.0
     }
 
     /// Widen a double double exactly.
@@ -170,6 +146,13 @@ impl Od {
             "3.141592653589793238462643383279502884197169399375105820974944592307816406286208998628034825342117067982148086513282306647093844609550582",
         )
         .expect("pi literal parses")
+    }
+}
+
+impl From<Dd> for Od {
+    #[inline]
+    fn from(x: Dd) -> Self {
+        Od::from_dd(x)
     }
 }
 

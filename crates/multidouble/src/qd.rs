@@ -4,13 +4,14 @@
 //! (`ieee`) algorithms; multiplication is the certified
 //! diagonal-accumulation + renormalize scheme of CAMPARY (all partial
 //! products of order `eps^3` or larger, with their error terms), written
-//! once for quad and octo double in [`crate::expansion`]. The operators,
-//! `PartialOrd` and [`MdReal`](crate::MdReal) impl that [`Qd`] shares with
-//! [`Od`](crate::Od) are emitted once, in [`crate::real`].
+//! once for quad and octo double in [`crate::expansion`], as is the Newton
+//! square root. The operators, conversions and [`MdReal`](crate::MdReal)
+//! impl that [`Qd`] shares with [`Dd`] and [`Od`](crate::Od) are emitted
+//! once, in [`crate::real`].
 
 use crate::dd::Dd;
 use crate::eft::{quick_two_sum, three_sum, three_sum2, two_diff, two_sum};
-use crate::expansion::{mul_by_double, truncated_mul};
+use crate::expansion::{mul_by_double, newton_sqrt, truncated_mul};
 use crate::fp::Fp;
 
 /// Generic quad double value, most significant limb first.
@@ -155,32 +156,10 @@ pub fn qd_div<F: Fp>(a: Qd4<F>, b: Qd4<F>) -> Qd4<F> {
     qd_renorm5(q0, q1, q2, q3, q4)
 }
 
-/// Negate.
-#[inline(always)]
-pub fn qd_neg<F: Fp>(a: Qd4<F>) -> Qd4<F> {
-    [-a[0], -a[1], -a[2], -a[3]]
-}
-
-/// Square root: Newton iteration on the reciprocal square root
-/// (`x <- x + x*(1 - a*x^2)/2`, quadratically convergent), seeded from the
-/// hardware square root, finished with `sqrt(a) = a * x`.
+/// Square root: [`newton_sqrt`] over the quad double kernels.
 #[inline]
 pub fn qd_sqrt<F: Fp>(a: Qd4<F>) -> Qd4<F> {
-    if a[0] == F::ZERO && a[1] == F::ZERO && a[2] == F::ZERO && a[3] == F::ZERO {
-        return [F::ZERO; 4];
-    }
-    let half = F::from_f64(0.5);
-    let x0 = F::ONE / a[0].fsqrt();
-    let mut x: Qd4<F> = [x0, F::ZERO, F::ZERO, F::ZERO];
-    // 53 -> 106 -> 212 -> 424 bits; three iterations exceed qd's 212.
-    for _ in 0..3 {
-        let ax2 = qd_mul(a, qd_mul(x, x));
-        let one_minus = qd_sub([F::ONE, F::ZERO, F::ZERO, F::ZERO], ax2);
-        let corr = qd_mul(x, one_minus);
-        let corr = qd_mul_f(corr, half);
-        x = qd_add(x, corr);
-    }
-    qd_mul(a, x)
+    newton_sqrt(a, qd_add, qd_sub, qd_mul, qd_mul_f)
 }
 
 // ---------------------------------------------------------------------------
@@ -196,10 +175,6 @@ impl Qd {
     /// Unit roundoff of quad double: `2^-212`.
     pub const EPSILON: f64 = 1.215432671457254e-64;
 
-    /// The value zero.
-    pub const ZERO: Qd = Qd([0.0; 4]);
-    /// The value one.
-    pub const ONE: Qd = Qd([1.0, 0.0, 0.0, 0.0]);
     /// π to quad double accuracy (QDlib constant).
     #[allow(clippy::approx_constant)]
     pub const PI: Qd = Qd([
@@ -209,16 +184,23 @@ impl Qd {
         1.112_454_220_863_365_3e-49,
     ]);
 
-    /// Convert a double exactly.
+    /// The limbs, most significant first.
     #[inline]
-    pub const fn from_f64(x: f64) -> Self {
-        Qd([x, 0.0, 0.0, 0.0])
+    pub const fn limbs(self) -> [f64; 4] {
+        self.0
     }
 
     /// Widen a double double exactly.
     #[inline]
     pub const fn from_dd(x: Dd) -> Self {
         Qd([x.hi, x.lo, 0.0, 0.0])
+    }
+}
+
+impl From<Dd> for Qd {
+    #[inline]
+    fn from(x: Dd) -> Self {
+        Qd::from_dd(x)
     }
 }
 

@@ -5,7 +5,7 @@ use core::cmp::Ordering;
 use core::fmt::{Debug, Display};
 use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use crate::dd::Dd;
+use crate::dd::{dd_add, dd_div, dd_mul, dd_sqrt, dd_sub, Dd};
 use crate::od::{od_add, od_div, od_mul, od_mul_f, od_sqrt, od_sub, Od};
 use crate::qd::{qd_add, qd_div, qd_mul, qd_mul_f, qd_sqrt, qd_sub, Qd};
 
@@ -133,114 +133,49 @@ impl MdReal for f64 {
     }
 }
 
-/// Limb-cascading floor shared by the multi-limb types: floor the leading
-/// limb; when it is already integral, recurse into the next limb.
-macro_rules! md_floor {
-    ($x:expr, $T:ty) => {{
-        let l = $x.limbs();
-        let mut out = [0.0f64; <$T as MdReal>::LIMBS];
-        let f0 = l[0].floor();
-        out[0] = f0;
-        if f0 == l[0] {
-            for i in 1..<$T as MdReal>::LIMBS {
-                let fi = l[i].floor();
-                out[i] = fi;
-                if fi != l[i] {
-                    break;
-                }
-            }
-        }
-        // re-normalize via the type's own addition with zero
-        <$T as MdReal>::from_limbs(&out) + <$T as MdReal>::zero()
-    }};
-}
-
-impl MdReal for Dd {
-    const LIMBS: usize = 2;
-    const EPS: f64 = Dd::EPSILON;
-    const TAG: &'static str = "2d";
-
-    #[inline(always)]
-    fn from_f64(x: f64) -> Self {
-        Dd::from_f64(x)
-    }
-    #[inline(always)]
-    fn to_f64(self) -> f64 {
-        Dd::to_f64(self)
-    }
-    #[inline(always)]
-    fn hi(self) -> f64 {
-        self.hi
-    }
-    #[inline(always)]
-    fn limb(self, i: usize) -> f64 {
-        self.limbs()[i]
-    }
-    #[inline(always)]
-    fn from_limb_fn(mut f: impl FnMut(usize) -> f64) -> Self {
-        let hi = f(0);
-        Dd::from_parts(hi, f(1))
-    }
-    #[inline(always)]
-    fn zero() -> Self {
-        Dd::ZERO
-    }
-    #[inline(always)]
-    fn one() -> Self {
-        Dd::ONE
-    }
-    #[inline(always)]
-    fn abs(self) -> Self {
-        Dd::abs(self)
-    }
-    #[inline(always)]
-    fn sqrt(self) -> Self {
-        Dd::sqrt(self)
-    }
-    #[inline(always)]
-    fn mul_pwr2(self, p: f64) -> Self {
-        Dd::from_parts(self.hi * p, self.lo * p)
-    }
-    #[inline]
-    fn floor(self) -> Self {
-        md_floor!(self, Dd)
-    }
-}
-
-/// The surface [`Qd`] and [`Od`] share, written once over the limb count
-/// `$n`: the inherent `limbs`, `sqrt`, `sqr`, `abs`, `recip` and `to_f64`;
-/// the arithmetic operators over the type's kernels, `*` taking the
-/// by-double kernel on an f64-widened operand (bit-identical to the dense
-/// one, `expansion::widened_operand`); `PartialOrd` (lexicographic over the
-/// limbs); the exact conversions from `f64` and [`Dd`]; and [`MdReal`].
+/// The type surface [`Dd`], [`Qd`] and [`Od`] share, written once over the
+/// limb count `$n`, as CAMPARY generates its 2d, 4d and 8d kernels from one
+/// template. The macro reads limbs through the type's own `limbs()` and
+/// rebuilds through `$new`, its `const fn` constructor from a limb array.
+/// It emits `ZERO`, `ONE` and the exact `from_f64`; the inherent `sqrt`,
+/// `abs`, `recip` and `to_f64`; the arithmetic operators over the type's
+/// kernels and their `*Assign` forms; `Neg`; `PartialOrd` (lexicographic
+/// over the limbs); `From<f64>`; `Display` (16 digits per limb unless a
+/// precision is given); and [`MdReal`], with the limb-cascading floor.
+///
+/// With `$mul_f`, `*` takes the by-double kernel on an f64-widened operand
+/// (bit-identical to the dense one, `expansion::widened_operand`); without
+/// it (`Dd`), `*` is the plain `$mul`.
 macro_rules! expansion_real {
-    ($T:ident, $n:literal, $tag:literal, $add:path, $sub:path, $mul:path, $mul_f:path, $div:path, $sqrt:path) => {
+    ($T:ident, $n:literal, $new:path, $add:path, $sub:path, $mul:path, $div:path, $sqrt:path $(, $mul_f:path)?) => {
         impl $T {
-            /// The limbs, most significant first.
+            /// The value zero.
+            pub const ZERO: $T = $new([0.0; $n]);
+            /// The value one.
+            pub const ONE: $T = $T::from_f64(1.0);
+
+            /// Convert a double exactly.
             #[inline]
-            pub const fn limbs(self) -> [f64; $n] {
-                self.0
+            pub const fn from_f64(x: f64) -> Self {
+                let mut l = [0.0; $n];
+                l[0] = x;
+                $new(l)
             }
 
-            /// Square root (NaN for negative input).
+            /// Square root (NaN limbs for negative input, like `f64::sqrt`).
             #[inline]
             pub fn sqrt(self) -> Self {
-                if self.0[0] < 0.0 {
-                    return $T([f64::NAN; $n]);
+                if self.limbs()[0] < 0.0 {
+                    return $new([f64::NAN; $n]);
                 }
-                $T($sqrt(self.0))
-            }
-
-            /// Square.
-            #[inline]
-            pub fn sqr(self) -> Self {
-                self * self
+                $new($sqrt(self.limbs()))
             }
 
             /// Absolute value.
             #[inline]
             pub fn abs(self) -> Self {
-                if self.0[0] < 0.0 || (self.0[0] == 0.0 && self.0[1] < 0.0) {
+                let l = self.limbs();
+                if l[0] < 0.0 || (l[0] == 0.0 && l[1] < 0.0) {
                     -self
                 } else {
                     self
@@ -256,13 +191,14 @@ macro_rules! expansion_real {
             /// Nearest double.
             #[inline]
             pub fn to_f64(self) -> f64 {
-                self.0[0] + self.0[1]
+                let l = self.limbs();
+                l[0] + l[1]
             }
         }
 
-        expansion_real!(@binop $T, Add, add, $add);
-        expansion_real!(@binop $T, Sub, sub, $sub);
-        expansion_real!(@binop $T, Div, div, $div);
+        expansion_real!(@binop $T, $new, Add, add, $add);
+        expansion_real!(@binop $T, $new, Sub, sub, $sub);
+        expansion_real!(@binop $T, $new, Div, div, $div);
         expansion_real!(@assign $T, AddAssign, add_assign, +);
         expansion_real!(@assign $T, SubAssign, sub_assign, -);
         expansion_real!(@assign $T, MulAssign, mul_assign, *);
@@ -272,10 +208,13 @@ macro_rules! expansion_real {
             type Output = $T;
             #[inline(always)]
             fn mul(self, rhs: $T) -> $T {
-                $T(match crate::expansion::widened_operand(self.0, rhs.0) {
-                    Some((x, d)) => $mul_f(x, d),
-                    None => $mul(self.0, rhs.0),
-                })
+                let (a, b) = (self.limbs(), rhs.limbs());
+                $(
+                    if let Some((x, d)) = crate::expansion::widened_operand(a, b) {
+                        return $new($mul_f(x, d));
+                    }
+                )?
+                $new($mul(a, b))
             }
         }
 
@@ -283,13 +222,14 @@ macro_rules! expansion_real {
             type Output = $T;
             #[inline(always)]
             fn neg(self) -> $T {
-                $T(self.0.map(|x| -x))
+                $new(self.limbs().map(|x| -x))
             }
         }
 
         impl PartialOrd for $T {
+            #[inline]
             fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-                for (x, y) in self.0.iter().zip(&other.0) {
+                for (x, y) in self.limbs().iter().zip(&other.limbs()) {
                     match x.partial_cmp(y) {
                         Some(Ordering::Equal) => continue,
                         ord => return ord,
@@ -306,17 +246,17 @@ macro_rules! expansion_real {
             }
         }
 
-        impl From<Dd> for $T {
-            #[inline]
-            fn from(x: Dd) -> Self {
-                $T::from_dd(x)
+        impl Display for $T {
+            fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+                let digits = f.precision().unwrap_or(16 * $n);
+                f.write_str(&crate::fmt::to_decimal(*self, digits))
             }
         }
 
         impl MdReal for $T {
             const LIMBS: usize = $n;
             const EPS: f64 = $T::EPSILON;
-            const TAG: &'static str = $tag;
+            const TAG: &'static str = concat!($n, "d");
 
             #[inline(always)]
             fn from_f64(x: f64) -> Self {
@@ -328,15 +268,15 @@ macro_rules! expansion_real {
             }
             #[inline(always)]
             fn hi(self) -> f64 {
-                self.0[0]
+                self.limbs()[0]
             }
             #[inline(always)]
             fn limb(self, i: usize) -> f64 {
-                self.0[i]
+                self.limbs()[i]
             }
             #[inline(always)]
             fn from_limb_fn(f: impl FnMut(usize) -> f64) -> Self {
-                $T(core::array::from_fn(f))
+                $new(core::array::from_fn(f))
             }
             #[inline(always)]
             fn zero() -> Self {
@@ -356,20 +296,34 @@ macro_rules! expansion_real {
             }
             #[inline(always)]
             fn mul_pwr2(self, p: f64) -> Self {
-                $T(self.0.map(|x| x * p))
+                $new(self.limbs().map(|x| x * p))
             }
+            /// Floor the leading limb; while a limb is already integral,
+            /// floor the next one too.
             #[inline]
             fn floor(self) -> Self {
-                md_floor!(self, $T)
+                let l = self.limbs();
+                let mut out = [0.0; $n];
+                out[0] = l[0].floor();
+                if out[0] == l[0] {
+                    for i in 1..$n {
+                        out[i] = l[i].floor();
+                        if out[i] != l[i] {
+                            break;
+                        }
+                    }
+                }
+                // renormalize through the type's own addition
+                $new(out) + $T::ZERO
             }
         }
     };
-    (@binop $T:ident, $trait:ident, $method:ident, $fn:path) => {
+    (@binop $T:ident, $new:path, $trait:ident, $method:ident, $fn:path) => {
         impl $trait for $T {
             type Output = $T;
             #[inline(always)]
             fn $method(self, rhs: $T) -> $T {
-                $T($fn(self.0, rhs.0))
+                $new($fn(self.limbs(), rhs.limbs()))
             }
         }
     };
@@ -383,8 +337,18 @@ macro_rules! expansion_real {
     };
 }
 
-expansion_real!(Qd, 4, "4d", qd_add, qd_sub, qd_mul, qd_mul_f, qd_div, qd_sqrt);
-expansion_real!(Od, 8, "8d", od_add, od_sub, od_mul, od_mul_f, od_div, od_sqrt);
+expansion_real!(
+    Dd,
+    2,
+    Dd::from_array,
+    dd_add,
+    dd_sub,
+    dd_mul,
+    dd_div,
+    dd_sqrt
+);
+expansion_real!(Qd, 4, Qd, qd_add, qd_sub, qd_mul, qd_div, qd_sqrt, qd_mul_f);
+expansion_real!(Od, 8, Od, od_add, od_sub, od_mul, od_div, od_sqrt, od_mul_f);
 
 /// Convert between precision rungs by limb transfer.
 ///
