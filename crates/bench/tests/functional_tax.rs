@@ -19,19 +19,20 @@
 //! magnitude classes and skip the insertion sort on an ordered scratch,
 //! on a CPU with AVX2 and FMA the double double QR must run the
 //! kernels' FMA instantiation (`gpusim::shared`), which keeps it within 9×
-//! of the `f64` one, and on a CPU with AVX-512 the octo double `axpy` must
-//! form its products eight at a time (`gpusim::shared`'s lane path).
+//! of the `f64` one, and on a CPU with AVX-512 the quad and octo double
+//! `axpy` and the octo double residual step must form their products and
+//! sums eight at a time (`gpusim::shared`'s lane path).
 #![expect(clippy::disallowed_methods, reason = "a host-time gate")]
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use gpusim::shared::{axpy, axpy_without_lanes, lanes_available};
+use gpusim::shared::{axmy, axpy, axpy_without_lanes, lanes_available};
 use gpusim::{ExecMode, Gpu};
 use mdls_matrix::HostMat;
 use mdls_qr::{householder_qr_host, qr_decompose, QrOptions};
 use multidouble::expansion::{renormalize, sort_by_magnitude, truncated_product, Scratch};
-use multidouble::{Dd, MdScalar, Od};
+use multidouble::{Dd, MdScalar, Od, Qd};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -328,13 +329,47 @@ fn dd_qr_stays_within_9x_of_f64() {
     );
 }
 
-/// A 64-long dense `Od` `axpy` on the lane path costs ≤ 0.6× the same
+/// The lane path against the path without lanes on 64-long slices: the
+/// median of nine interleaved rounds of 200 calls of `lanes` and of
+/// `axpy_without_lanes`, as `(ratio, lane ns/element, ns/element
+/// without)`.
+fn lane_ratio<S: MdScalar>(
+    name: &str,
+    lanes: fn(&mut [S], &[S], S),
+    x: &[S],
+    acc: &[S],
+    a: S,
+) -> (f64, f64, f64) {
+    let time = |f: fn(&mut [S], &[S], S)| {
+        let mut y = acc.to_vec();
+        let t0 = Instant::now();
+        for _ in 0..200 {
+            f(black_box(&mut y), black_box(x), black_box(a));
+        }
+        t0.elapsed().as_secs_f64()
+    };
+    let mut rounds: Vec<(f64, f64)> = (0..9)
+        .map(|_| (time(lanes), time(axpy_without_lanes)))
+        .collect();
+    rounds.sort_by(|p, q| (p.0 / p.1).total_cmp(&(q.0 / q.1)));
+    let (lane, scalar) = rounds[4];
+    let ns = |t: f64| t / (200.0 * x.len() as f64) * 1e9;
+    println!(
+        "{name}: {:.1} ns/element on the lane path, {:.1} without, ratio {:.3}",
+        ns(lane),
+        ns(scalar),
+        lane / scalar
+    );
+    (lane / scalar, ns(lane), ns(scalar))
+}
+
+/// A 64-long dense `Od` `axpy` on the lane path costs ≤ 0.4× the same
 /// call without it (`axpy_without_lanes`: the AVX2+FMA instantiation on
-/// such a CPU), the median of nine interleaved rounds of 200 calls. Both
-/// add the products one element at a time with the scalar `od_add`; the
-/// lane path forms them eight per AVX-512 instruction. It reads 0.36–0.45
-/// (AVX-512 Xeon, two cores). Without AVX-512 there is no lane path to
-/// gate.
+/// such a CPU), the median of nine interleaved rounds of 200 calls: the
+/// lane path forms the products and their sums eight per AVX-512
+/// instruction. It reads 0.20–0.28 (AVX-512 Xeon, two cores; 0.36–0.45
+/// while the sums were scalar, when the bound was 0.6). Without AVX-512
+/// there is no lane path to gate.
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -348,26 +383,53 @@ fn od_axpy_forms_its_products_in_lanes() {
     let mut rng = StdRng::seed_from_u64(2022);
     let x: Vec<Od> = (0..64).map(|_| Od::rand(&mut rng)).collect();
     let acc: Vec<Od> = (0..64).map(|_| Od::rand(&mut rng)).collect();
-    let a = Od::rand(&mut rng);
-    let time = |f: fn(&mut [Od], &[Od], Od)| {
-        let mut y = acc.clone();
-        let t0 = Instant::now();
-        for _ in 0..200 {
-            f(black_box(&mut y), black_box(&x), black_box(a));
-        }
-        t0.elapsed().as_secs_f64()
-    };
-    let mut rounds: Vec<(f64, f64)> = (0..9)
-        .map(|_| (time(axpy), time(axpy_without_lanes)))
-        .collect();
-    rounds.sort_by(|p, q| (p.0 / p.1).total_cmp(&(q.0 / q.1)));
-    let (lanes, scalar) = rounds[4];
-    let ratio = lanes / scalar;
-    let ns = |t: f64| t / (200.0 * 64.0) * 1e9;
+    let (ratio, ..) = lane_ratio("od axpy", axpy, &x, &acc, Od::rand(&mut rng));
+    assert!(ratio <= 0.4, "od axpy: ratio {ratio:.3} (gate 0.4)");
+}
+
+/// A 64-long dense `Qd` `axpy` on the lane path costs ≤ 0.4× the same
+/// call without it, as the od gate above. It reads 0.24–0.31 (≈ 0.32
+/// while the sums were scalar). Without AVX-512 there is no lane path to
+/// gate.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "timing gate: run with `cargo test --release`"
+)]
+fn qd_axpy_runs_in_lanes() {
+    if !lanes_available() {
+        println!("no AVX-512 on this CPU: the qd axpy has no lane path, nothing to gate");
+        return;
+    }
+    let mut rng = StdRng::seed_from_u64(2022);
+    let x: Vec<Qd> = (0..64).map(|_| Qd::rand(&mut rng)).collect();
+    let acc: Vec<Qd> = (0..64).map(|_| Qd::rand(&mut rng)).collect();
+    let (ratio, ..) = lane_ratio("qd axpy", axpy, &x, &acc, Qd::rand(&mut rng));
+    assert!(ratio <= 0.4, "qd axpy: ratio {ratio:.3} (gate 0.4)");
+}
+
+/// The refinement residual's step in octo double, `axmy` of an
+/// f64-widened column (a promoted column of `A`) by a dense `a` into a
+/// dense accumulator, costs ≤ 0.5× `axpy_without_lanes` on the same
+/// operands: its by-double products and its sums run in lanes. It reads
+/// 0.28–0.34 (≈ 1.05 while widened chunks ran without lanes). Without
+/// AVX-512 there is no lane path to gate.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "timing gate: run with `cargo test --release`"
+)]
+fn residual_step_runs_in_lanes() {
+    if !lanes_available() {
+        println!("no AVX-512 on this CPU: the od axmy has no lane path, nothing to gate");
+        return;
+    }
+    let mut rng = StdRng::seed_from_u64(2022);
+    let x: Vec<Od> = (0..64).map(|_| Od::from_f64(f64::rand(&mut rng))).collect();
+    let acc: Vec<Od> = (0..64).map(|_| Od::rand(&mut rng)).collect();
+    let (ratio, ..) = lane_ratio("od residual step", axmy, &x, &acc, Od::rand(&mut rng));
     assert!(
-        ratio <= 0.6,
-        "od axpy {:.1} ns/element on the lane path vs {:.1} without: ratio {ratio:.3} (gate 0.6)",
-        ns(lanes),
-        ns(scalar)
+        ratio <= 0.5,
+        "od residual step: ratio {ratio:.3} (gate 0.5)"
     );
 }

@@ -18,6 +18,8 @@
 //!   reproduces the paper's large dimensions (a 20,480² octo double
 //!   matrix would not fit in this machine's RAM, let alone its patience).
 
+use std::sync::OnceLock;
+
 use multidouble::MdScalar;
 
 use crate::buffer::{DeviceBuf, DeviceMat};
@@ -65,6 +67,18 @@ pub struct Sim {
     /// but nothing is accounted — the group's entire cost lives on the
     /// primary batched session.
     accounting: bool,
+}
+
+/// The host threads an [`ExecMode::Parallel`] launch may use, read once
+/// per process: `available_parallelism` reads cgroup files on every call
+/// (≈ 19 µs on a cgroup-limited Linux container).
+fn host_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    })
 }
 
 impl Sim {
@@ -188,10 +202,7 @@ impl Sim {
                 }
             }
             ExecMode::Parallel => {
-                let workers = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-                    .min(grid.max(1));
+                let workers = host_workers().min(grid.max(1));
                 if workers <= 1 || grid <= 1 {
                     for b in 0..grid {
                         body(BlockCtx {

@@ -25,15 +25,21 @@
 //!
 //! Real [`multidouble::Qd`] and [`multidouble::Od`] take a third path
 //! when the CPU has AVX-512F/DQ/VL and FMA, as every GPU thread of the
-//! paper's CAMPARY kernels runs one straight-line product on its own
-//! element: the loops go in chunks of eight, and a chunk whose operands
-//! are all dense (every limb nonzero and finite) forms its eight products
-//! in [`multidouble::expansion::truncated_mul_lanes`], one lane per
-//! element. A lane the kernel hands back (a zero term, an unordered
-//! class, …) is recomputed with the scalar `*`, so every product is the
-//! operator's to the bit. The sums stay scalar and in element order:
-//! each `+=`/`-=` and the dot's running sum see the same operands in the
-//! same order as on the other paths. Other chunks, the tail, every other
+//! paper's CAMPARY kernels runs one straight-line operation on its own
+//! element: the loops go in chunks of eight, one lane per element.
+//! `axpy`/`axmy` with a dense `a` (every limb nonzero and finite) form a
+//! chunk's products in [`multidouble::expansion::truncated_mul_lanes`]
+//! when its `x` is dense, or in
+//! [`multidouble::expansion::mul_by_double_lanes`] when every `x` is an
+//! f64 widened (the refinement residual's promoted columns) or zero, and
+//! add them into the accumulators in
+//! [`multidouble::expansion::add_lanes`]. Each
+//! element still sees one `+=`/`-=`, of the same product, as on the other
+//! paths. `dot_conj` forms dense chunks' products in lanes too, but its
+//! running sum stays scalar and in index order (each step needs the
+//! last). A lane a kernel hands back (a zero term, an unordered class, a
+//! tie, …) is recomputed with the scalar operator, so every product and
+//! sum is the operator's to the bit. Other chunks, the tail, every other
 //! scalar type and a CPU without AVX-512 run the bodies above. The
 //! operation tallies that price the simulated clock count the scalar
 //! functions, so no `sim_*` number depends on the path.
@@ -145,13 +151,13 @@ fn dot_conj_onto<S: MdScalar>(mut acc: S, a: &[S], b: &[S]) -> S {
     acc
 }
 
-/// The loops on real quad and octo doubles again, eight products per
-/// AVX-512 instruction ([`multidouble::expansion::truncated_mul_lanes`]),
+/// The loops on real quad and octo doubles again, eight products and sums
+/// per AVX-512 instruction (`multidouble::expansion`'s lane kernels),
 /// taken when the CPU has AVX-512F/DQ/VL and FMA.
 #[cfg(target_arch = "x86_64")]
 mod lanes {
     use core::any::TypeId;
-    use multidouble::expansion::{truncated_mul_lanes, LANES};
+    use multidouble::expansion::{add_lanes, mul_by_double_lanes, truncated_mul_lanes, LANES};
     use multidouble::{MdScalar, Od, Qd};
 
     /// `true` if this CPU runs the lane kernel (std caches the probe).
@@ -191,9 +197,9 @@ mod lanes {
     pub(super) fn update<S: MdScalar, const SUB: bool>(acc: &mut [S], x: &[S], a: S) -> bool {
         match width::<S>() {
             // Safety: `width` saw AVX-512F/DQ/VL and FMA on this CPU.
-            4 => unsafe { update_chunks::<S, 4, 16>(acc, x, a, SUB) },
+            4 => unsafe { update_chunks::<S, 4, 16, 7>(acc, x, a, SUB) },
             // Safety: as above.
-            8 => unsafe { update_chunks::<S, 8, 64>(acc, x, a, SUB) },
+            8 => unsafe { update_chunks::<S, 8, 64, 15>(acc, x, a, SUB) },
             _ => return false,
         }
         true
@@ -212,43 +218,52 @@ mod lanes {
         }
     }
 
-    /// The limbs of eight scalars, limb-major (`[p][l]` is limb `p` of
-    /// `x[l]`); `None` unless every limb is nonzero and finite (dense).
+    /// Eight scalars limb-major (`[p][l]` is limb `p` of `x[l]`).
+    type Planes<const N: usize> = [[f64; LANES]; N];
+
+    /// The limbs of eight scalars, limb-major.
     #[inline(always)]
-    fn dense<S: MdScalar, const N: usize>(x: &[S]) -> Option<[[f64; LANES]; N]> {
-        let mut soa = [[0.0; LANES]; N];
-        let mut dense = true;
-        for (l, s) in x.iter().enumerate() {
-            for (p, limbs) in soa.iter_mut().enumerate() {
-                let v = s.plane(p);
-                dense &= v != 0.0 && v.is_finite();
-                limbs[l] = v;
-            }
-        }
-        dense.then_some(soa)
+    fn planes<S: MdScalar, const N: usize>(x: &[S]) -> Planes<N> {
+        core::array::from_fn(|p| core::array::from_fn(|l| x[l].plane(p)))
     }
 
-    /// `x[l] * y[l]` for a dense chunk of eight, given also limb-major
-    /// (`xs`, `ys`): the lane kernel's limbs where it took the lane, the
-    /// scalar `*` where it did not. Either way, every bit is the `*`
-    /// operator's.
-    #[target_feature(enable = "avx512f,avx512dq,avx512vl,fma")]
-    fn products<S: MdScalar, const N: usize, const CAP: usize>(
-        x: &[S],
-        y: &[S],
-        xs: &[[f64; LANES]; N],
-        ys: &[[f64; LANES]; N],
-    ) -> [S; LANES] {
-        let mut out = [[0.0; LANES]; N];
-        // Safety: this function's features are the kernel's.
-        let took = unsafe { truncated_mul_lanes::<N, CAP>(xs, ys, &mut out) };
-        core::array::from_fn(|l| {
-            if took >> l & 1 == 1 {
-                S::from_plane_fn(|p| out[p][l])
-            } else {
-                handed_back(x[l], y[l])
+    /// Scalar `l` of eight held limb-major.
+    #[inline(always)]
+    fn lane<S: MdScalar, const N: usize>(v: &Planes<N>, l: usize) -> S {
+        S::from_plane_fn(|p| v[p][l])
+    }
+
+    /// The limbs of eight scalars, limb-major; `None` unless every limb is
+    /// nonzero and finite (dense).
+    #[inline(always)]
+    fn dense<S: MdScalar, const N: usize>(x: &[S]) -> Option<Planes<N>> {
+        let soa = planes::<S, N>(x);
+        soa.iter()
+            .flatten()
+            .all(|v| *v != 0.0 && v.is_finite())
+            .then_some(soa)
+    }
+
+    /// The leading limbs of eight scalars when each passes the `*`
+    /// operator's one-limb test on its lower limbs (all `== 0.0`): an f64
+    /// widened, or zero.
+    #[inline(always)]
+    fn widened<S: MdScalar, const N: usize>(x: &[S]) -> Option<[f64; LANES]> {
+        x.iter()
+            .all(|s| (1..N).all(|p| s.plane(p) == 0.0))
+            .then(|| core::array::from_fn(|l| x[l].plane(0)))
+    }
+
+    /// `out`'s lanes outside `took` recomputed as `x[l] * y[l]` with the
+    /// scalar `*`, so that every lane of `out` is the operator's product.
+    #[inline(always)]
+    fn mend<S: MdScalar, const N: usize>(took: u8, x: &[S], y: &[S], out: &mut Planes<N>) {
+        for l in (0..LANES).filter(|l| took >> l & 1 == 0) {
+            let p = handed_back(x[l], y[l]);
+            for (q, limbs) in out.iter_mut().enumerate() {
+                limbs[l] = p.plane(q);
             }
-        })
+        }
     }
 
     /// The scalar `*` for a lane the kernel handed back, out of line: it
@@ -259,13 +274,28 @@ mod lanes {
         x * y
     }
 
-    /// `acc[i] += x[i] * a` (or `-=`) in chunks of eight: a dense chunk
-    /// forms its products in the lane kernel, then adds them in element
-    /// order; every other chunk, the tail and a call whose `a` is not dense
-    /// run the path without lanes. Each element sees the one `+=`/`-=` it
-    /// sees there, of the same product.
+    /// The scalar `y + p` or `y - p` for a sum the kernel handed back.
+    #[cold]
+    #[inline(never)]
+    fn sum_handed_back<S: MdScalar>(y: S, p: S, sub: bool) -> S {
+        if sub {
+            y - p
+        } else {
+            y + p
+        }
+    }
+
+    /// `acc[i] += x[i] * a` (or `-=`) in chunks of eight, for a dense `a`:
+    /// a chunk whose `x` is dense forms its products in
+    /// [`truncated_mul_lanes`], one whose `x` is f64-widened or zero (the
+    /// residual's promoted columns) in [`mul_by_double_lanes`], and either
+    /// adds them into its accumulators in [`add_lanes`]. Lanes a kernel
+    /// hands back run the scalar operator. Every other chunk, the tail and
+    /// a call whose `a` is not dense run the path without lanes. Each
+    /// element sees the one `+=`/`-=` it sees there, of the same product,
+    /// to the bit.
     #[target_feature(enable = "avx512f,avx512dq,avx512vl,fma")]
-    fn update_chunks<S: MdScalar, const N: usize, const CAP: usize>(
+    fn update_chunks<S: MdScalar, const N: usize, const CAP: usize, const CAP_F: usize>(
         acc: &mut [S],
         x: &[S],
         a: S,
@@ -282,16 +312,27 @@ mod lanes {
         };
         let (mut ys, mut xs) = (acc.chunks_exact_mut(LANES), x.chunks_exact(LANES));
         for (y, x) in (&mut ys).zip(&mut xs) {
-            let Some(xv) = dense::<S, N>(x) else {
+            let mut prod = [[0.0; LANES]; N];
+            let took = if let Some(xv) = dense::<S, N>(x) {
+                // Safety: this function's features are the kernel's.
+                unsafe { truncated_mul_lanes::<N, CAP>(&xv, &av, &mut prod) }
+            } else if let Some(d) = widened::<S, N>(x) {
+                // Safety: as above.
+                unsafe { mul_by_double_lanes::<N, CAP_F>(&av, &d, &mut prod) }
+            } else {
                 body(y, x, a);
                 continue;
             };
-            for (y, p) in y.iter_mut().zip(products::<S, N, CAP>(x, &a8, &xv, &av)) {
-                if sub {
-                    *y -= p;
+            mend(took, x, &a8, &mut prod);
+            let mut sum = [[0.0; LANES]; N];
+            // Safety: this function's features are the kernel's.
+            let summed = unsafe { add_lanes::<N>(&planes(y), &prod, sub, &mut sum) };
+            for (l, y) in y.iter_mut().enumerate() {
+                *y = if summed >> l & 1 == 1 {
+                    lane(&sum, l)
                 } else {
-                    *y += p;
-                }
+                    sum_handed_back(*y, lane(&prod, l), sub)
+                };
             }
         }
         body(ys.into_remainder(), xs.remainder(), a);
@@ -307,8 +348,12 @@ mod lanes {
         for (x, y) in (&mut xs).zip(&mut ys) {
             match (dense::<S, N>(x), dense::<S, N>(y)) {
                 (Some(xv), Some(yv)) => {
-                    for p in products::<S, N, CAP>(x, y, &xv, &yv) {
-                        acc += p;
+                    let mut prod = [[0.0; LANES]; N];
+                    // Safety: this function's features are the kernel's.
+                    let took = unsafe { truncated_mul_lanes::<N, CAP>(&xv, &yv, &mut prod) };
+                    mend(took, x, y, &mut prod);
+                    for l in 0..LANES {
+                        acc += lane(&prod, l);
                     }
                 }
                 _ => acc = super::dot_conj_without_lanes(acc, x, y),
@@ -415,12 +460,22 @@ mod tests {
     /// without AVX-512) against the baseline bodies on seeded slices of
     /// every length in `LENS` (on real `Qd`/`Od` with AVX-512, the lane
     /// path: no chunk, one chunk with and without a tail, eight chunks),
-    /// for a dense and each planted `a`, in three plantings:
-    /// * dense: every chunk goes to the lane kernel;
+    /// for a dense and each planted `a`, in seven plantings:
+    /// * dense: every chunk goes to the lane kernels;
     /// * ±0, subnormals, ±inf and NaN at every third element: those
     ///   chunks run the scalar body;
     /// * a tie with `a` or crossing classes at every fifth element: dense
-    ///   chunks whose planted lanes the kernel hands back.
+    ///   chunks whose planted lanes the product kernel hands back;
+    /// * a zero-started accumulator (`HostMat::matvec`'s): every sum adds a
+    ///   product to an all-`+0` operand;
+    /// * f64-widened `x` (the residual's promoted columns of `A`), with
+    ///   exact products (`x` of 0, 1 or 0.5) planted at every seventh
+    ///   element: chunks for the by-double kernel;
+    /// * widened `x` into a widened accumulator (the residual's first
+    ///   column, whose accumulator is `b` promoted);
+    /// * a chunk of zero `x` (a zero trapezoid of `Y`) and widened `x`
+    ///   after it, into an accumulator zero-started in that chunk and at
+    ///   odd elements after it: sums of a `+0` product, some onto `+0`.
     fn dispatched_matches_baseline<S: MdScalar>(seed: u64) {
         const LENS: [usize; 6] = [0, 1, 7, 8, 9, 64];
         let mut rng = StdRng::seed_from_u64(seed);
@@ -438,11 +493,31 @@ mod tests {
         .chain([S::rand(&mut rng).scale(MdReal::from_f64(1e-300))])
         .collect();
         for n in LENS {
-            for plant in 0..3 {
+            for plant in 0..7 {
                 let dense = S::rand(&mut rng);
                 let mut x: Vec<S> = (0..n).map(|_| S::rand(&mut rng)).collect();
                 let mut acc: Vec<S> = (0..n).map(|_| S::rand(&mut rng)).collect();
+                let mut widened = || S::from_f64(f64::rand(&mut rng));
+                let exact = [0.0, 1.0, 0.5].map(S::from_f64);
                 match plant {
+                    3 => acc.fill(S::zero()),
+                    4 | 5 => {
+                        x = (0..n).map(|_| widened()).collect();
+                        for i in (0..n).step_by(7) {
+                            x[i] = exact[i / 7 % exact.len()];
+                        }
+                        if plant == 5 {
+                            acc = (0..n).map(|_| widened()).collect();
+                        }
+                    }
+                    6 => {
+                        x = (0..n)
+                            .map(|i| if i < 8 { S::zero() } else { widened() })
+                            .collect();
+                        for i in (0..n).filter(|&i| i < 8 || i % 2 == 1) {
+                            acc[i] = S::zero();
+                        }
+                    }
                     1 => {
                         for i in (0..n).step_by(3) {
                             x[i] = planted[(i / 3) % planted.len()];
@@ -594,6 +669,297 @@ mod tests {
         }
         check::<Qd, 4, 16>(7, qd_mul);
         check::<Od, 8, 64>(8, od_mul);
+    }
+
+    /// The lane sums and by-double products against their scalar
+    /// operators by `to_bits`, one table row per operator: `od_add`,
+    /// `od_sub`, `qd_add`, `qd_sub` ([`multidouble::expansion::add_lanes`])
+    /// and `od_mul_f`, `qd_mul_f` (`mul_by_double_lanes`, whose double is
+    /// limb 0 of `b`). 4 096 seeded chunks of eight per row, one lane of
+    /// each planted at every chunk position in turn (`Plant`). Every lane a
+    /// kernel takes must carry the scalar operator's bits; every lane
+    /// planted with a kind the row lists must be handed back; the kernel
+    /// must take nearly every unplanted lane; and each kind a row may take
+    /// (say, the all-`+0` operand of a sum, or two zero operands, which
+    /// `renormalize` maps to `+0` limbs) must be taken at least once.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn lane_sums_and_by_double_products_match_the_scalar_ops_bit_for_bit() {
+        use multidouble::expansion::{add_lanes, mul_by_double_lanes, LANES};
+        use multidouble::od::{od_add, od_mul_f, od_sub};
+        use multidouble::qd::{qd_add, qd_mul_f, qd_sub};
+
+        /// What lane `at` of a chunk gets in place of a seeded pair.
+        #[derive(Clone, Copy, Debug, PartialEq)]
+        enum Plant {
+            /// `a`'s limb `limb` is `+0`.
+            Zero,
+            /// `b`'s limb `limb` is `-0`.
+            NegZero,
+            /// `a`'s limb `limb` is subnormal.
+            Subnormal,
+            /// `b` is all `+0`.
+            ZeroOperand,
+            /// `a` is all `-0`.
+            NegZeroOperand,
+            /// `a` and `b` both all `+0`.
+            BothZero,
+            /// `a` and what `b` is added as both all `-0`: their sum's
+            /// terms come out of the merge as `-0`, its limbs `+0`.
+            BothNegZero,
+            /// `a`'s limb `limb` is `+inf`.
+            Inf,
+            /// `a`'s limb `limb` is `+inf` and `b` is all `+0`.
+            InfTimesZero,
+            /// `b`'s limb `limb` is `-inf`.
+            NegInf,
+            /// `a`'s limb `limb` is NaN.
+            Nan,
+            /// `b`'s limb `limb` added as `-a`'s: equal `|x|`, opposite
+            /// sign.
+            Tie,
+            /// `b`'s limb `limb` added as `a`'s: equal bits, no tie.
+            Twin,
+            /// `a`'s limbs `limb` and `limb + 1` swapped (wrapping).
+            Unsorted,
+            /// `b` added as `-a`.
+            Cancel,
+            /// `a`'s limbs after 0 kept where bit `limb` of `trial / 8`'s
+            /// pattern is set, `+0` elsewhere, and `b` all `+0`: a
+            /// `qd_renorm5` branch per pattern.
+            Sparse,
+        }
+        use Plant::*;
+        const KINDS: [Plant; 16] = [
+            Zero,
+            NegZero,
+            Subnormal,
+            ZeroOperand,
+            NegZeroOperand,
+            BothZero,
+            BothNegZero,
+            Inf,
+            InfTimesZero,
+            NegInf,
+            Nan,
+            Tie,
+            Twin,
+            Unsorted,
+            Cancel,
+            Sparse,
+        ];
+
+        struct Row<const N: usize> {
+            name: &'static str,
+            /// `Some(sub)`: `add_lanes`; `None`: `mul_by_double_lanes` by
+            /// `b`'s limb 0.
+            sum: Option<bool>,
+            scalar: fn([f64; N], [f64; N]) -> [f64; N],
+            /// Kinds the kernel must hand back.
+            back: &'static [Plant],
+            /// Kinds the kernel must take at least once.
+            taken: &'static [Plant],
+        }
+
+        fn check<T: MdReal, const N: usize, const CAP_F: usize>(seed: u64, row: &Row<N>) {
+            let limbs = |x: T| -> [f64; N] { core::array::from_fn(|p| x.limb(p)) };
+            // what `b` is added as: `-b` in a difference
+            let sign = if row.sum == Some(true) { -1.0 } else { 1.0 };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut clean, mut took_clean) = (0, 0);
+            let mut took_kind = [0usize; KINDS.len()];
+            for trial in 0..4096 {
+                let mut a: [[f64; N]; LANES] = core::array::from_fn(|_| limbs(T::rand(&mut rng)));
+                let mut b: [[f64; N]; LANES] = core::array::from_fn(|_| limbs(T::rand(&mut rng)));
+                if row.sum.is_none() {
+                    for b in b.iter_mut() {
+                        b[1..].fill(0.0);
+                    }
+                }
+                let (at, k) = (trial % LANES, trial / LANES % KINDS.len());
+                let kind = KINDS[k];
+                let limb = trial / (LANES * KINDS.len()) % N;
+                let (x, y) = (&mut a[at], &mut b[at]);
+                match kind {
+                    Zero => x[limb] = 0.0,
+                    NegZero => y[limb] = -0.0,
+                    Subnormal => x[limb] = f64::MIN_POSITIVE / 8.0,
+                    ZeroOperand => y.fill(0.0),
+                    NegZeroOperand => x.fill(-0.0),
+                    BothZero => {
+                        x.fill(0.0);
+                        y.fill(0.0);
+                    }
+                    BothNegZero => {
+                        x.fill(-0.0);
+                        y.fill(-sign * 0.0);
+                    }
+                    Inf => x[limb] = f64::INFINITY,
+                    InfTimesZero => {
+                        x[limb] = f64::INFINITY;
+                        y.fill(0.0);
+                    }
+                    NegInf => y[limb] = f64::NEG_INFINITY,
+                    Nan => x[limb] = f64::NAN,
+                    Tie => y[limb] = -sign * x[limb],
+                    Twin => y[limb] = sign * x[limb],
+                    Unsorted => x.swap(limb, (limb + 1) % N),
+                    Cancel => *y = x.map(|v| -sign * v),
+                    Sparse => {
+                        for (p, v) in x.iter_mut().enumerate().skip(1) {
+                            if (trial / 8) >> p & 1 == 0 {
+                                *v = 0.0;
+                            }
+                        }
+                        y.fill(0.0);
+                    }
+                }
+                let soa = |v: &[[f64; N]; LANES]| -> [[f64; LANES]; N] {
+                    core::array::from_fn(|p| core::array::from_fn(|l| v[l][p]))
+                };
+                let mut out = [[0.0; LANES]; N];
+                let (a_soa, b_soa) = (soa(&a), soa(&b));
+                // Safety: `lanes_available` saw the kernels' features.
+                let took = unsafe {
+                    match row.sum {
+                        Some(sub) => add_lanes::<N>(&a_soa, &b_soa, sub, &mut out),
+                        None => mul_by_double_lanes::<N, CAP_F>(&a_soa, &b_soa[0], &mut out),
+                    }
+                };
+                if kind == Sparse && N == 4 && row.sum.is_some() {
+                    // `qd_add(a, 0)` is `qd_renorm5(a, 0)`, which takes its
+                    // all-nonzero path exactly when `a` has no zero limb;
+                    // each of the other seven zero patterns is one of its
+                    // other branches
+                    assert_eq!(
+                        took >> at & 1 == 1,
+                        (1..N).all(|p| (trial / 8) >> p & 1 == 1),
+                        "{}, trial {trial}: {:?}",
+                        row.name,
+                        a[at]
+                    );
+                }
+                for l in 0..LANES {
+                    clean += usize::from(l != at);
+                    if took >> l & 1 == 0 {
+                        continue;
+                    }
+                    if l == at {
+                        took_kind[k] += 1;
+                    } else {
+                        took_clean += 1;
+                    }
+                    assert!(
+                        l != at || !row.back.contains(&kind),
+                        "{}, trial {trial}: {kind:?} planted in lane {l} was taken: {:?}, {:?}",
+                        row.name,
+                        a[l],
+                        b[l]
+                    );
+                    let got: [f64; N] = core::array::from_fn(|p| out[p][l]);
+                    assert_eq!(
+                        got.map(f64::to_bits),
+                        (row.scalar)(a[l], b[l]).map(f64::to_bits),
+                        "{}, trial {trial}, lane {l} ({kind:?} in lane {at}): {:?}, {:?}",
+                        row.name,
+                        a[l],
+                        b[l]
+                    );
+                }
+            }
+            assert!(
+                took_clean * 100 >= clean * 99,
+                "{}: {took_clean} of {clean} clean lanes taken",
+                row.name
+            );
+            for kind in row.taken {
+                let k = KINDS.iter().position(|x| x == kind).unwrap();
+                assert!(took_kind[k] > 0, "{}: no {kind:?} lane taken", row.name);
+            }
+        }
+
+        if !lanes_available() {
+            println!("no AVX-512 on this CPU: no lane kernels to check");
+            return;
+        }
+        // a non-finite operand goes back everywhere; a sum whose
+        // normalization leaves `qd_renorm5`'s all-nonzero path goes back
+        // at quad double; at octo double a zero limb in a nonzero operand,
+        // an opposite-sign tie, unsorted limbs and a cancellation go back,
+        // while an all-zero operand (of either sign) and two of them are
+        // taken; a product by a zero double is taken
+        const QD: &[Plant] = &[Inf, InfTimesZero, NegInf, Nan, Cancel, BothZero];
+        const OD: &[Plant] = &[
+            Zero,
+            NegZero,
+            Inf,
+            InfTimesZero,
+            NegInf,
+            Nan,
+            Tie,
+            Unsorted,
+            Cancel,
+        ];
+        const OD_TAKEN: &[Plant] = &[ZeroOperand, NegZeroOperand, BothZero, BothNegZero, Twin];
+        const MUL_F: &[Plant] = &[Inf, InfTimesZero, Nan];
+        const MUL_F_TAKEN: &[Plant] = &[ZeroOperand, BothZero, BothNegZero];
+        let qd_taken = &[ZeroOperand, Tie, Unsorted, Sparse];
+        for (seed, row) in [
+            Row {
+                name: "qd_add",
+                sum: Some(false),
+                scalar: qd_add,
+                back: QD,
+                taken: qd_taken,
+            },
+            Row {
+                name: "qd_sub",
+                sum: Some(true),
+                scalar: qd_sub,
+                back: QD,
+                taken: qd_taken,
+            },
+            Row {
+                name: "qd_mul_f",
+                sum: None,
+                scalar: |a, b| qd_mul_f(a, b[0]),
+                back: MUL_F,
+                taken: MUL_F_TAKEN,
+            },
+        ]
+        .iter()
+        .enumerate()
+        {
+            check::<Qd, 4, 7>(11 + seed as u64, row);
+        }
+        for (seed, row) in [
+            Row {
+                name: "od_add",
+                sum: Some(false),
+                scalar: od_add,
+                back: OD,
+                taken: OD_TAKEN,
+            },
+            Row {
+                name: "od_sub",
+                sum: Some(true),
+                scalar: od_sub,
+                back: OD,
+                taken: OD_TAKEN,
+            },
+            Row {
+                name: "od_mul_f",
+                sum: None,
+                scalar: |a, b| od_mul_f(a, b[0]),
+                back: MUL_F,
+                taken: MUL_F_TAKEN,
+            },
+        ]
+        .iter()
+        .enumerate()
+        {
+            check::<Od, 8, 15>(14 + seed as u64, row);
+        }
     }
 
     #[test]

@@ -70,7 +70,9 @@ impl<S: MdScalar> HostMat<S> {
         self.data[c * self.rows + r] = v;
     }
 
-    /// Matrix-vector product `A x`.
+    /// Matrix-vector product `A x`, element at a time on purpose: the
+    /// reference the kernels' column steps (`gpusim::shared::axpy`, with
+    /// its lane path) are checked against, so it shares none of their code.
     pub fn matvec(&self, x: &[S]) -> Vec<S> {
         assert_eq!(x.len(), self.cols);
         let mut y = vec![S::zero(); self.rows];

@@ -10,9 +10,13 @@
 //! The two products are written once over the limb count `N`, as CAMPARY
 //! generates its kernels from one template: [`truncated_mul`] (`qd_mul`,
 //! `od_mul`) and [`mul_by_double`] (`qd_mul_f`, `od_mul_f`). On x86-64,
-//! `truncated_mul_lanes` replays `truncated_mul` on eight operand pairs
-//! at once, one per AVX-512 lane, for the kernels' inner loops; a lane it
-//! cannot replay to the bit it hands back to the scalar product.
+//! the kernels' inner loops run eight operations at once, one per AVX-512
+//! lane: `truncated_mul_lanes` replays `truncated_mul`,
+//! `mul_by_double_lanes` replays `mul_by_double`, and `add_lanes` replays
+//! `od_add`/`od_sub` (a merge network) and QDlib's straight-line
+//! `qd_add`/`qd_sub`. The octo double sum and both products end in one
+//! lane tail, as their scalar forms end in [`renormalize`]. A lane a
+//! kernel cannot replay to the bit it hands back to the scalar operator.
 
 use crate::eft::{two_prod, two_sum};
 use crate::fp::Fp;
@@ -430,17 +434,24 @@ trait Network {
 /// as an `impl Fn`, the 16-lane network ran through an outlined `Fn::call`
 /// shim that compared all 16 lanes whatever the class size.
 macro_rules! network {
-    ($l:literal: $(($hi:literal, $lo:literal)),* $(,)?) => {
+    ($l:literal: $($pair:tt),* $(,)?) => {
         impl<K: Key> Network for [K; $l] {
             #[inline(always)]
             fn sort(&mut self) {
-                $(
-                    let (a, b) = (self[$hi], self[$lo]);
-                    self[$hi] = a.hi(b);
-                    self[$lo] = a.lo(b);
-                )*
+                compare_exchange!(self: $($pair),*);
             }
         }
+    };
+}
+
+/// The compare-exchanges `(hi, lo)` on the keys `$k`, in order.
+macro_rules! compare_exchange {
+    ($k:ident: $(($hi:literal, $lo:literal)),*) => {
+        $(
+            let (a, b) = ($k[$hi], $k[$lo]);
+            $k[$hi] = a.hi(b);
+            $k[$lo] = a.lo(b);
+        )*
     };
 }
 network!(1:);
@@ -466,6 +477,21 @@ network!(16:
     (3, 4), (5, 6), (7, 8), (9, 10), (11, 12),
     (6, 7), (8, 9),
 );
+
+/// Merge two sorted runs of eight keys, `k[..8]` and `k[8..]`, largest
+/// first: Batcher's odd-even merge, 25 comparators
+/// (`merge_sorts_every_zero_one_pair_of_runs` proves it merges). The octo
+/// double sum's comparison merge on the lane path (`od_add`'s `merge`).
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+#[inline(always)]
+fn merge_runs<K: Key>(k: &mut [K; 16]) {
+    compare_exchange!(k:
+        (0, 8), (4, 12), (2, 10), (6, 14), (1, 9), (5, 13), (3, 11), (7, 15),
+        (4, 8), (6, 10), (5, 9), (7, 11),
+        (2, 4), (6, 8), (10, 12), (3, 5), (7, 9), (11, 13),
+        (1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12), (13, 14)
+    );
+}
 
 /// The first `S` of `keys` sorted, largest first, by the `L`-lane network,
 /// the lanes past `S` holding the constant `zero`: the exact-size network.
@@ -549,13 +575,14 @@ where
     }
 }
 
-/// The eight-lane AVX-512 replay of [`truncated_mul`], for the kernels'
-/// inner loops (`gpusim::shared`): as every GPU thread of a CAMPARY kernel
-/// runs the same straight-line product on its own element, each lane of
-/// one instruction forms one element's product.
+/// The eight-lane AVX-512 replays of [`truncated_mul`], [`mul_by_double`]
+/// and the quad and octo double sums, for the kernels' inner loops
+/// (`gpusim::shared`): as every GPU thread of a CAMPARY kernel runs the
+/// same straight-line operation on its own element, each lane of one
+/// instruction forms one element's product or sum.
 #[cfg(target_arch = "x86_64")]
 mod lanes {
-    use super::{sort_exact, Key, Network, INF_BITS};
+    use super::{merge_runs, sort_exact, Key, Network, INF_BITS};
     use core::arch::x86_64::*;
 
     /// Products per call: the doubles of one `__m512d`.
@@ -566,9 +593,10 @@ mod lanes {
     impl Key for __m512d {
         #[inline(always)]
         fn hi(self, other: Self) -> Self {
-            // Safety: `Key` is private to `expansion`, and its one user of
-            // `__m512d` keys is `truncated_mul_lanes`, whose caller
-            // guarantees AVX-512F.
+            // Safety: `Key` is private to `expansion`, and its users of
+            // `__m512d` keys are `truncated_mul_lanes`,
+            // `mul_by_double_lanes` and `add_lanes`, whose callers
+            // guarantee AVX-512F.
             unsafe {
                 _mm512_castsi512_pd(_mm512_max_epu64(
                     _mm512_castpd_si512(self),
@@ -596,6 +624,25 @@ mod lanes {
         let bb = _mm512_sub_pd(s, a);
         let e = _mm512_add_pd(_mm512_sub_pd(a, _mm512_sub_pd(s, bb)), _mm512_sub_pd(b, bb));
         (s, e)
+    }
+
+    /// Eight lanes of `a - b` with their exact errors
+    /// ([`crate::eft::two_diff`]).
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn two_diff(a: __m512d, b: __m512d) -> (__m512d, __m512d) {
+        let s = _mm512_sub_pd(a, b);
+        let bb = _mm512_sub_pd(s, a);
+        let e = _mm512_sub_pd(_mm512_sub_pd(a, _mm512_sub_pd(s, bb)), _mm512_add_pd(b, bb));
+        (s, e)
+    }
+
+    /// Eight lanes of [`crate::eft::quick_two_sum`].
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn quick_two_sum(a: __m512d, b: __m512d) -> (__m512d, __m512d) {
+        let s = _mm512_add_pd(a, b);
+        (s, _mm512_sub_pd(b, _mm512_sub_pd(s, a)))
     }
 
     /// [`super::vec_sum`] on eight lanes.
@@ -708,15 +755,77 @@ mod lanes {
         ok
     }
 
+    /// `x` as presort keys: each lane's bits rotated left by one.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn key(x: __m512d) -> __m512d {
+        _mm512_castsi512_pd(_mm512_rol_epi64::<1>(_mm512_castpd_si512(x)))
+    }
+
+    /// The doubles of presort keys: [`key`] undone.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn unkey(k: __m512d) -> __m512d {
+        _mm512_castsi512_pd(_mm512_ror_epi64::<1>(_mm512_castpd_si512(k)))
+    }
+
+    /// The lanes of `x` that are finite.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn finite(x: __m512d) -> __mmask8 {
+        _mm512_cmp_pd_mask::<_CMP_LE_OQ>(_mm512_abs_pd(x), _mm512_set1_pd(f64::MAX))
+    }
+
+    /// Eight expansions, structure of arrays, as `__m512d` limbs.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn load<const N: usize>(x: &[[f64; LANES]; N]) -> [__m512d; N] {
+        x.map(|x| {
+            // Safety: `x` is eight readable doubles; the load is unaligned.
+            unsafe { _mm512_loadu_pd(x.as_ptr()) }
+        })
+    }
+
+    /// [`super::renormalize`] after its sort, on eight lanes: `vec_sum`
+    /// over the terms `t`, `vec_sum_err_branch` into `N` limbs, and the
+    /// second pass, stored to `out`. Every producer on the lane path ends
+    /// here, as `truncated_mul`, `mul_by_double` and `od_add` end in
+    /// `renormalize`. Returns `ok` less the lanes whose limbs came out
+    /// non-finite (where [`fast_two_sum`] may differ from `two_sum`), plus
+    /// `zero`: lanes whose terms are all ±0, where `vec_sum_err_branch`
+    /// writes no limb and leaves the `+0` that `renormalize`'s all-zero
+    /// shortcut returns.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn compress<const M: usize, const N: usize>(
+        t: &mut [__m512d; M],
+        mut ok: __mmask8,
+        zero: __mmask8,
+        out: &mut [[f64; LANES]; N],
+    ) -> __mmask8 {
+        vec_sum(t);
+        let mut limbs = [_mm512_setzero_pd(); N];
+        vec_sum_err_branch(t, &mut limbs, ok);
+        // the second pass over the compact result
+        vec_sum(&mut limbs);
+        let tmp = limbs;
+        vec_sum_err_branch(&tmp, &mut limbs, ok);
+        for (o, x) in out.iter_mut().zip(&limbs) {
+            ok &= finite(*x);
+            // Safety: `o` is eight writable doubles; the store is unaligned.
+            unsafe { _mm512_storeu_pd(o.as_mut_ptr(), *x) };
+        }
+        ok | zero
+    }
+
     /// Eight certified truncated products of `N`-limb expansions at once:
     /// lane `l` multiplies `a[·][l]` by `b[·][l]` (structure of arrays,
     /// limb `p` of lane `l` at `[p][l]`) into `out[·][l]`. It replays
     /// [`super::truncated_mul`] step for step: the
     /// [`super::truncated_product`] fill (`two_prod`'s error as one
     /// `vfmsub`), the rotate-left keys presorted class by class with
-    /// exact-size `vpmaxuq`/`vpminuq` networks, `vec_sum`,
-    /// `vec_sum_err_branch` and the second pass. `N` is 4 or 8, `CAP` is
-    /// `N²`.
+    /// exact-size `vpmaxuq`/`vpminuq` networks, then `compress`. `N` is 4
+    /// or 8, `CAP` is `N²`.
     ///
     /// Returns the mask of the lanes that took this path; their limbs are
     /// `truncated_mul`'s, bit for bit. A lane whose scratch holds a zero
@@ -736,11 +845,7 @@ mod lanes {
         out: &mut [[f64; LANES]; N],
     ) -> u8 {
         const { assert!((N == 4 || N == 8) && CAP == N * N) };
-        let load = |x: &[f64; LANES]| {
-            // Safety: `x` is eight readable doubles; the load is unaligned.
-            unsafe { _mm512_loadu_pd(x.as_ptr()) }
-        };
-        let (a, b): ([__m512d; N], [__m512d; N]) = (a.map(|x| load(&x)), b.map(|x| load(&x)));
+        let (a, b) = (load(a), load(b));
         // the fill: class k in slots k² .. (k + 1)², diagonal k's products
         // then diagonal k - 1's errors; the last diagonal's products plain
         let mut t = [_mm512_setzero_pd(); CAP];
@@ -754,7 +859,7 @@ mod lanes {
             }
         }
         for x in t.iter_mut() {
-            *x = _mm512_castsi512_pd(_mm512_rol_epi64::<1>(_mm512_castpd_si512(*x)));
+            *x = key(*x);
         }
         let mut ok = presort::<1, 1>(&mut t, 0)
             & presort::<3, 4>(&mut t, 1)
@@ -767,27 +872,213 @@ mod lanes {
                 & presort::<15, 16>(&mut t, 49);
         }
         for x in t.iter_mut() {
-            *x = _mm512_castsi512_pd(_mm512_ror_epi64::<1>(_mm512_castpd_si512(*x)));
+            *x = unkey(*x);
         }
-        vec_sum(&mut t);
-        let mut limbs = [_mm512_setzero_pd(); N];
-        vec_sum_err_branch(&t, &mut limbs, ok);
-        // the second pass over the compact result
-        vec_sum(&mut limbs);
-        let tmp = limbs;
-        vec_sum_err_branch(&tmp, &mut limbs, ok);
-        let huge = _mm512_set1_pd(f64::MAX);
-        for (o, x) in out.iter_mut().zip(&limbs) {
-            ok &= _mm512_cmp_pd_mask::<_CMP_LE_OQ>(_mm512_abs_pd(*x), huge);
+        compress(&mut t, ok, 0, out)
+    }
+
+    /// Eight products of an `N`-limb expansion by a double at once: lane
+    /// `l` multiplies `a[·][l]` by `b[l]` into `out[·][l]`, replaying
+    /// [`super::mul_by_double`]: the fill `p_0`, then `[p_i, e_{i-1}]`, each
+    /// class presorted at its exact size, then `compress`. `N` is 4 or
+    /// 8, `CAP` is `2N - 1`.
+    ///
+    /// Returns the mask of the lanes that took this path, with
+    /// `mul_by_double`'s limbs, bit for bit. A `b` of ±0 times a finite `a`
+    /// is taken with `+0` limbs (every term is ±0); otherwise, as in
+    /// [`truncated_mul_lanes`], a lane with a zero term (an exact partial
+    /// product), a NaN or an infinity, a tie or classes out of order is
+    /// handed back, its `out` meaningless.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, AVX-512DQ, AVX-512VL and FMA.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl,fma")]
+    pub unsafe fn mul_by_double_lanes<const N: usize, const CAP: usize>(
+        a: &[[f64; LANES]; N],
+        b: &[f64; LANES],
+        out: &mut [[f64; LANES]; N],
+    ) -> u8 {
+        const { assert!((N == 4 || N == 8) && CAP + 1 == 2 * N) };
+        let ([b], a) = (load(&[*b]), load(a));
+        // a `b` of ±0 times a finite `a`: every term is ±0
+        let zero = a.iter().fold(
+            _mm512_cmp_pd_mask::<_CMP_EQ_OQ>(b, _mm512_setzero_pd()),
+            |m, x| m & finite(*x),
+        );
+        if zero == 0xff {
+            *out = [[0.0; LANES]; N];
+            return zero;
+        }
+        // class 0 is `p_0` in slot 0; class i is `p_i, e_{i-1}` in slots
+        // 2i - 1, 2i
+        let mut t = [_mm512_setzero_pd(); CAP];
+        for i in 0..N {
+            let p = _mm512_mul_pd(a[i], b);
+            t[(2 * i).max(1) - 1] = p;
+            if i + 1 < N {
+                t[2 * i + 2] = _mm512_fmsub_pd(a[i], b, p);
+            }
+        }
+        for x in t.iter_mut() {
+            *x = key(*x);
+        }
+        let mut ok = presort::<1, 1>(&mut t, 0);
+        for i in 1..N {
+            ok &= presort::<2, 2>(&mut t, 2 * i - 1);
+        }
+        for x in t.iter_mut() {
+            *x = unkey(*x);
+        }
+        compress(&mut t, ok, zero, out)
+    }
+
+    /// Eight sums of `N`-limb expansions at once: lane `l` adds `b[·][l]`
+    /// to `a[·][l]` (`sub` false) or subtracts it (`sub` true) into
+    /// `out[·][l]`, replaying the width's scalar operator:
+    ///
+    /// * at `N` = 4, QDlib's straight-line `qd_add`/`qd_sub`, whose
+    ///   `qd_renorm5` runs its all-nonzero path: a lane where that
+    ///   normalization would take another branch is handed back;
+    /// * at `N` = 8, `od_add`/`od_sub` (`od_add` of `-b`): the comparison
+    ///   merge as an odd-even merge network on the presort keys, then
+    ///   `compress`. A lane is taken when each operand is finite and
+    ///   either nonzero with its limbs in decreasing key order, or all one
+    ///   signed zero (then the scalar `renormalize` skips its insertion
+    ///   sort, or runs it without a move), and no two merged terms are of
+    ///   equal `|x|` and opposite sign (there the merge takes `a`'s term
+    ///   first, the keys the negative one). A lane whose 16 terms are all
+    ///   ±0 is taken with `+0` limbs, `renormalize`'s all-zero shortcut.
+    ///
+    /// A taken lane also has finite operands and limbs. Returns the mask of
+    /// the taken lanes, with the scalar operator's limbs, bit for bit; the
+    /// `out` of any other lane is meaningless.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, AVX-512DQ, AVX-512VL and FMA.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl,fma")]
+    pub unsafe fn add_lanes<const N: usize>(
+        a: &[[f64; LANES]; N],
+        b: &[[f64; LANES]; N],
+        sub: bool,
+        out: &mut [[f64; LANES]; N],
+    ) -> u8 {
+        const { assert!(N == 4 || N == 8) };
+        let (a, b) = (load(a), load(b));
+        if N == 4 {
+            qd_add(&a, &b, sub, out)
+        } else {
+            od_add(&a, &b, sub, out)
+        }
+    }
+
+    /// [`add_lanes`] at four limbs: `qd_add` (`sub` false) or `qd_sub`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn qd_add<const N: usize>(
+        a: &[__m512d; N],
+        b: &[__m512d; N],
+        sub: bool,
+        out: &mut [[f64; LANES]; N],
+    ) -> __mmask8 {
+        let mut ok = 0xff;
+        for x in a.iter().chain(b) {
+            ok &= finite(*x);
+        }
+        let first = |x, y| if sub { two_diff(x, y) } else { two_sum(x, y) };
+        let (s0, t0) = first(a[0], b[0]);
+        let (s1, t1) = first(a[1], b[1]);
+        let (s2, t2) = first(a[2], b[2]);
+        let (s3, t3) = first(a[3], b[3]);
+        let (s1, t0) = two_sum(s1, t0);
+        // three_sum(s2, t0, t1)
+        let (u1, u2) = two_sum(s2, t0);
+        let (s2, u3) = two_sum(t1, u1);
+        let (t0, t1) = two_sum(u2, u3);
+        // three_sum2(s3, t0, t2)
+        let (u1, u2) = two_sum(s3, t0);
+        let (s3, u3) = two_sum(t2, u1);
+        let t0 = _mm512_add_pd(u2, u3);
+        let t0 = _mm512_add_pd(_mm512_add_pd(t0, t1), t3);
+        // qd_renorm5(s0, s1, s2, s3, t0) on its all-nonzero path
+        let (s, c4) = quick_two_sum(s3, t0);
+        let (s, c3) = quick_two_sum(s2, s);
+        let (s, c2) = quick_two_sum(s1, s);
+        let (c0, c1) = quick_two_sum(s0, s);
+        let zero = _mm512_setzero_pd();
+        ok &= _mm512_cmp_pd_mask::<_CMP_NEQ_UQ>(c1, zero);
+        let (s1, s2) = quick_two_sum(c1, c2);
+        ok &= _mm512_cmp_pd_mask::<_CMP_NEQ_UQ>(s2, zero);
+        let (s2, s3) = quick_two_sum(s2, c3);
+        ok &= _mm512_cmp_pd_mask::<_CMP_NEQ_UQ>(s3, zero);
+        let s3 = _mm512_add_pd(s3, c4);
+        for (o, x) in out.iter_mut().zip([c0, s1, s2, s3]) {
+            ok &= finite(x);
             // Safety: `o` is eight writable doubles; the store is unaligned.
-            unsafe { _mm512_storeu_pd(o.as_mut_ptr(), *x) };
+            unsafe { _mm512_storeu_pd(o.as_mut_ptr(), x) };
         }
         ok
+    }
+
+    /// [`add_lanes`] at eight limbs: `od_add` (`sub` false) or `od_sub`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn od_add<const N: usize>(
+        a: &[__m512d; N],
+        b: &[__m512d; N],
+        sub: bool,
+        out: &mut [[f64; LANES]; N],
+    ) -> __mmask8 {
+        let bits = |k: __m512d| _mm512_castpd_si512(k);
+        // `-b` flips each limb's sign bit, bit 0 of its key
+        let flip = _mm512_set1_epi64(i64::from(sub));
+        let ka = a.map(|x| key(x));
+        let kb = b.map(|x| _mm512_castsi512_pd(_mm512_xor_si512(bits(key(x)), flip)));
+        let one = _mm512_set1_epi64(1);
+        let ored = ka
+            .iter()
+            .chain(&kb)
+            .fold(_mm512_setzero_si512(), |m, k| _mm512_or_si512(m, bits(*k)));
+        // every one of the 16 terms ±0
+        let zero = _mm512_cmple_epu64_mask(ored, one);
+        if zero == 0xff {
+            *out = [[0.0; LANES]; N];
+            return zero;
+        }
+        // per operand: keys in decreasing order, the largest finite, and
+        // the smallest nonzero (±0 are keys 0, 1) or the smallest equal to
+        // the largest, a zero (all `+0` or all `-0`)
+        let operand = |k: &[__m512d; N]| {
+            let mut sorted = 0xff;
+            for w in k.windows(2) {
+                sorted &= _mm512_cmpge_epu64_mask(bits(w[0]), bits(w[1]));
+            }
+            let (top, last) = (bits(k[0]), bits(k[N - 1]));
+            let zero = _mm512_cmple_epu64_mask(top, one) & _mm512_cmpeq_epu64_mask(top, last);
+            let dense = _mm512_cmpgt_epu64_mask(last, one);
+            let finite = _mm512_cmplt_epu64_mask(
+                _mm512_srli_epi64::<1>(top),
+                _mm512_set1_epi64(INF_BITS as i64),
+            );
+            sorted & finite & (dense | zero)
+        };
+        let mut ok = operand(&ka) & operand(&kb);
+        let mut k: [__m512d; 16] = core::array::from_fn(|i| if i < 8 { ka[i] } else { kb[i - 8] });
+        merge_runs(&mut k);
+        // merged keys that differ only in bit 0, the sign: a tie
+        for w in k.windows(2) {
+            ok &= _mm512_cmpneq_epu64_mask(_mm512_xor_si512(bits(w[0]), bits(w[1])), one);
+        }
+        for x in k.iter_mut() {
+            *x = unkey(*x);
+        }
+        compress(&mut k, ok, zero, out)
     }
 }
 
 #[cfg(target_arch = "x86_64")]
-pub use lanes::{truncated_mul_lanes, LANES};
+pub use lanes::{add_lanes, mul_by_double_lanes, truncated_mul_lanes, LANES};
 
 #[cfg(test)]
 mod tests {
@@ -927,6 +1218,24 @@ mod tests {
                     x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     pushed.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     "{size} terms: {pushed:?} became {x:?}"
+                );
+            }
+        }
+    }
+
+    /// `merge_runs` merges every pair of sorted runs of eight zero-one keys
+    /// (the 0-1 principle for merging networks: 9 × 9 pairs).
+    #[test]
+    fn merge_sorts_every_zero_one_pair_of_runs() {
+        for ones_a in 0..=8 {
+            for ones_b in 0..=8 {
+                let mut k: [u64; 16] = core::array::from_fn(|i| {
+                    u64::from(i % 8 < if i < 8 { ones_a } else { ones_b })
+                });
+                merge_runs(&mut k);
+                assert!(
+                    k.windows(2).all(|w| w[0] >= w[1]),
+                    "{ones_a} and {ones_b} ones: {k:?}"
                 );
             }
         }
