@@ -20,14 +20,16 @@
 //! on a CPU with AVX2 and FMA the double double QR must run the
 //! kernels' FMA instantiation (`gpusim::shared`), which keeps it within 9×
 //! of the `f64` one, and on a CPU with AVX-512 the quad and octo double
-//! `axpy` and the octo double residual step must form their products and
-//! sums eight at a time (`gpusim::shared`'s lane path).
+//! `axpy` and the octo double residual step (with a dense iterate and
+//! with the few-limb iterates refinement produces) must form their
+//! products and sums eight at a time (`gpusim::shared`'s lane path), and
+//! the double double `axpy` must run its AVX-512 instantiation.
 #![expect(clippy::disallowed_methods, reason = "a host-time gate")]
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use gpusim::shared::{axmy, axpy, axpy_without_lanes, lanes_available};
+use gpusim::shared::{axmy, axmy_without_lanes, axpy, axpy_without_lanes, lanes_available};
 use gpusim::{ExecMode, Gpu};
 use mdls_matrix::HostMat;
 use mdls_qr::{householder_qr_host, qr_decompose, QrOptions};
@@ -296,8 +298,10 @@ fn presorting_a_dense_product_is_cheap() {
 
 /// The 128² simulated QR at `Dd` costs < 9× the same at `f64`. It read
 /// 11.4–14.9 while every error-free product called the run-time `fma`
-/// routine, and 6.4–8.4 since the kernels' inner loops have an AVX2+FMA
-/// instantiation. Without those features there is no such path to gate.
+/// routine, 6.4–8.4 once the kernels' inner loops had an AVX2+FMA
+/// instantiation, and 3.5–4.7 (ten reads) since the `axpy`/`axmy` of 16
+/// elements and more run an AVX-512 one on a CPU with AVX-512. Without
+/// AVX2 and FMA there is no such path to gate.
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -321,6 +325,11 @@ fn dd_qr_stays_within_9x_of_f64() {
     let a_dd = HostMat::<Dd>::random(128, 128, &mut rng);
     let (d, dd) = (sim_qr(&a), sim_qr(&a_dd));
     let ratio = dd / d;
+    println!(
+        "simulated QR at dd {:.3} ms vs f64 {:.3} ms: ratio {ratio:.2}",
+        dd * 1e3,
+        d * 1e3
+    );
     assert!(
         ratio < 9.0,
         "simulated QR at dd {:.3} ms vs f64 {:.3} ms: ratio {ratio:.1}x (gate 9x)",
@@ -329,28 +338,28 @@ fn dd_qr_stays_within_9x_of_f64() {
     );
 }
 
-/// The lane path against the path without lanes on 64-long slices: the
-/// median of nine interleaved rounds of 200 calls of `lanes` and of
-/// `axpy_without_lanes`, as `(ratio, lane ns/element, ns/element
-/// without)`.
-fn lane_ratio<S: MdScalar>(
-    name: &str,
-    lanes: fn(&mut [S], &[S], S),
-    x: &[S],
-    acc: &[S],
-    a: S,
-) -> (f64, f64, f64) {
-    let time = |f: fn(&mut [S], &[S], S)| {
+/// `axpy` (`sub` false) or `axmy` against the same loop without the
+/// AVX-512 paths (`axpy_without_lanes`, `axmy_without_lanes`: the AVX2+FMA
+/// instantiation on such a CPU) on 64-long slices: the median of nine
+/// interleaved rounds of 200 calls of each, every call on a fresh copy of
+/// `acc`, as `(ratio, ns/element with, ns/element without)`.
+fn lane_ratio<S: MdScalar>(name: &str, sub: bool, x: &[S], acc: &[S], a: S) -> (f64, f64, f64) {
+    type Step<S> = fn(&mut [S], &[S], S);
+    let (with, without): (Step<S>, Step<S>) = if sub {
+        (axmy, axmy_without_lanes)
+    } else {
+        (axpy, axpy_without_lanes)
+    };
+    let time = |f: Step<S>| {
         let mut y = acc.to_vec();
         let t0 = Instant::now();
         for _ in 0..200 {
+            y.copy_from_slice(acc);
             f(black_box(&mut y), black_box(x), black_box(a));
         }
         t0.elapsed().as_secs_f64()
     };
-    let mut rounds: Vec<(f64, f64)> = (0..9)
-        .map(|_| (time(lanes), time(axpy_without_lanes)))
-        .collect();
+    let mut rounds: Vec<(f64, f64)> = (0..9).map(|_| (time(with), time(without))).collect();
     rounds.sort_by(|p, q| (p.0 / p.1).total_cmp(&(q.0 / q.1)));
     let (lane, scalar) = rounds[4];
     let ns = |t: f64| t / (200.0 * x.len() as f64) * 1e9;
@@ -383,7 +392,7 @@ fn od_axpy_forms_its_products_in_lanes() {
     let mut rng = StdRng::seed_from_u64(2022);
     let x: Vec<Od> = (0..64).map(|_| Od::rand(&mut rng)).collect();
     let acc: Vec<Od> = (0..64).map(|_| Od::rand(&mut rng)).collect();
-    let (ratio, ..) = lane_ratio("od axpy", axpy, &x, &acc, Od::rand(&mut rng));
+    let (ratio, ..) = lane_ratio("od axpy", false, &x, &acc, Od::rand(&mut rng));
     assert!(ratio <= 0.4, "od axpy: ratio {ratio:.3} (gate 0.4)");
 }
 
@@ -404,16 +413,22 @@ fn qd_axpy_runs_in_lanes() {
     let mut rng = StdRng::seed_from_u64(2022);
     let x: Vec<Qd> = (0..64).map(|_| Qd::rand(&mut rng)).collect();
     let acc: Vec<Qd> = (0..64).map(|_| Qd::rand(&mut rng)).collect();
-    let (ratio, ..) = lane_ratio("qd axpy", axpy, &x, &acc, Qd::rand(&mut rng));
+    let (ratio, ..) = lane_ratio("qd axpy", false, &x, &acc, Qd::rand(&mut rng));
     assert!(ratio <= 0.4, "qd axpy: ratio {ratio:.3} (gate 0.4)");
 }
 
 /// The refinement residual's step in octo double, `axmy` of an
-/// f64-widened column (a promoted column of `A`) by a dense `a` into a
-/// dense accumulator, costs ≤ 0.5× `axpy_without_lanes` on the same
-/// operands: its by-double products and its sums run in lanes. It reads
-/// 0.28–0.34 (≈ 1.05 while widened chunks ran without lanes). Without
-/// AVX-512 there is no lane path to gate.
+/// f64-widened column (a promoted column of `A`) by the iterate's
+/// component `a`, costs ≤ 0.5× `axmy_without_lanes` in two shapes: a
+/// dense `a` into a dense accumulator, and the shape the workloads
+/// produce, an `a` of two nonzero limbs (their iterates converge to the
+/// integers of an integral solution) into a widened accumulator (`b`
+/// promoted). Both form their by-double products and sums in lanes. Ten
+/// reads (AVX-512 Xeon, two cores): dense 0.355–0.363 (≈ 1.05 while
+/// widened chunks ran without lanes), sparse 0.336–0.449 (≈ 1.0 while a
+/// call whose `a` was not dense ran without lanes), both ≈ 86 ns per
+/// element on the lane path. Without AVX-512 there is no lane path to
+/// gate.
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -425,11 +440,47 @@ fn residual_step_runs_in_lanes() {
         return;
     }
     let mut rng = StdRng::seed_from_u64(2022);
-    let x: Vec<Od> = (0..64).map(|_| Od::from_f64(f64::rand(&mut rng))).collect();
+    let mut widened =
+        || -> Vec<Od> { (0..64).map(|_| Od::from_f64(f64::rand(&mut rng))).collect() };
+    let (x, b) = (widened(), widened());
     let acc: Vec<Od> = (0..64).map(|_| Od::rand(&mut rng)).collect();
-    let (ratio, ..) = lane_ratio("od residual step", axmy, &x, &acc, Od::rand(&mut rng));
-    assert!(
-        ratio <= 0.5,
-        "od residual step: ratio {ratio:.3} (gate 0.5)"
+    let (dense, ..) = lane_ratio(
+        "od residual step, dense",
+        true,
+        &x,
+        &acc,
+        Od::rand(&mut rng),
     );
+    let iterate = Od::from_f64(3.0) + Od::from_f64(f64::rand(&mut rng) * 2f64.powi(-60));
+    assert_eq!(iterate.0[2..], [0.0; 6]);
+    let (sparse, ..) = lane_ratio("od residual step, 2-limb iterate", true, &x, &b, iterate);
+    assert!(
+        dense <= 0.5 && sparse <= 0.5,
+        "od residual step: ratio {dense:.3} dense, {sparse:.3} sparse (gate 0.5)"
+    );
+}
+
+/// A 64-long `Dd` `axpy`, the double double factor's inner loop, costs
+/// ≤ 0.85× the same call without the AVX-512 paths: from 16 elements up
+/// it runs the AVX-512 instantiation of its body, which vectorizes eight
+/// wide, against AVX2's four. Ten reads: 0.519–0.750 (1.0–1.8 ns per
+/// element against 2.0–2.4). Without AVX-512 there is no such
+/// instantiation to gate.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "timing gate: run with `cargo test --release`"
+)]
+fn dd_axpy_runs_eight_wide() {
+    if !lanes_available() {
+        println!(
+            "no AVX-512 on this CPU: the dd axpy has no AVX-512 instantiation, nothing to gate"
+        );
+        return;
+    }
+    let mut rng = StdRng::seed_from_u64(2022);
+    let x: Vec<Dd> = (0..64).map(|_| Dd::rand(&mut rng)).collect();
+    let acc: Vec<Dd> = (0..64).map(|_| Dd::rand(&mut rng)).collect();
+    let (ratio, ..) = lane_ratio("dd axpy", false, &x, &acc, Dd::rand(&mut rng));
+    assert!(ratio <= 0.85, "dd axpy: ratio {ratio:.3} (gate 0.85)");
 }

@@ -11,7 +11,7 @@
 //! The helpers are outlined (`inline(never)`): a call is paid per
 //! column, not per element, and the multiple double arithmetic they
 //! inline is not duplicated into every kernel body. Each scalar type
-//! gets two instantiations of one body: the baseline x86-64 (or other
+//! gets instantiations of one body: the baseline x86-64 (or other
 //! target) code, and on x86-64 a copy compiled with AVX2 and FMA enabled,
 //! picked per call when the CPU has both. On the baseline,
 //! `f64::mul_add` — every error-free product's second half — is a call
@@ -23,26 +23,32 @@
 //! and octo double products and renormalization are outlined, so they
 //! keep their baseline code on both paths.
 //!
-//! Real [`multidouble::Qd`] and [`multidouble::Od`] take a third path
-//! when the CPU has AVX-512F/DQ/VL and FMA, as every GPU thread of the
-//! paper's CAMPARY kernels runs one straight-line operation on its own
-//! element: the loops go in chunks of eight, one lane per element.
-//! `axpy`/`axmy` with a dense `a` (every limb nonzero and finite) form a
+//! On a CPU with AVX-512F/DQ/VL and FMA the loops take the AVX-512
+//! paths. Real [`multidouble::Qd`] and [`multidouble::Od`] run in lanes,
+//! as every GPU thread of the paper's CAMPARY kernels runs one
+//! straight-line operation on its own element: the loops go in chunks of
+//! eight, one lane per element. `axpy`/`axmy` with a finite `a` form a
 //! chunk's products in [`multidouble::expansion::truncated_mul_lanes`]
-//! when its `x` is dense, or in
+//! when both `a` and the chunk's `x` are dense (every limb nonzero), or in
 //! [`multidouble::expansion::mul_by_double_lanes`] when every `x` is an
-//! f64 widened (the refinement residual's promoted columns) or zero, and
-//! add them into the accumulators in
-//! [`multidouble::expansion::add_lanes`]. Each
-//! element still sees one `+=`/`-=`, of the same product, as on the other
-//! paths. `dot_conj` forms dense chunks' products in lanes too, but its
-//! running sum stays scalar and in index order (each step needs the
-//! last). A lane a kernel hands back (a zero term, an unordered class, a
-//! tie, …) is recomputed with the scalar operator, so every product and
-//! sum is the operator's to the bit. Other chunks, the tail, every other
-//! scalar type and a CPU without AVX-512 run the bodies above. The
-//! operation tallies that price the simulated clock count the scalar
-//! functions, so no `sim_*` number depends on the path.
+//! f64 widened (the refinement residual's promoted columns) or zero,
+//! whatever the limbs of `a` (the residual's iterate, whose components
+//! converge to the integers of an integral solution and carry a few
+//! nonzero limbs), and add them into the accumulators in
+//! [`multidouble::expansion::add_lanes`]. Each element still sees one
+//! `+=`/`-=`, of the same product, as on the other paths. `dot_conj` forms
+//! dense chunks' products in lanes too, but its running sum stays scalar
+//! and in index order (each step needs the last). A lane a kernel hands
+//! back (a non-finite term, an unordered class, a tie, …) is recomputed
+//! with the scalar operator, so every product and sum is the operator's
+//! to the bit. Other chunks and the tail run the bodies above. Every other
+//! scalar (`f64`, `Dd`, complex) runs a third instantiation of the
+//! `axpy`/`axmy` bodies, compiled with the lane path's features, from 16
+//! elements up (the double double loops vectorize eight wide; below 16
+//! the AVX2 one is faster); `dot_conj` keeps the AVX2 one. A CPU without
+//! AVX-512 runs the bodies above. The operation tallies that price the
+//! simulated clock count the scalar functions, so no `sim_*` number
+//! depends on the path.
 
 use multidouble::MdScalar;
 
@@ -97,7 +103,8 @@ pub fn axpy_without_lanes<S: MdScalar>(acc: &mut [S], x: &[S], a: S) {
 
 /// [`axmy`] without the lane path, as [`axpy_without_lanes`].
 #[inline(never)]
-fn axmy_without_lanes<S: MdScalar>(acc: &mut [S], x: &[S], a: S) {
+pub fn axmy_without_lanes<S: MdScalar>(acc: &mut [S], x: &[S], a: S) {
+    assert_eq!(acc.len(), x.len(), "axmy length mismatch");
     #[cfg(target_arch = "x86_64")]
     if fma::available() {
         // Safety: `available` saw AVX2 and FMA on this CPU, the
@@ -120,7 +127,9 @@ fn dot_conj_without_lanes<S: MdScalar>(acc: S, a: &[S], b: &[S]) -> S {
 }
 
 /// `true` if this CPU runs the lane path of [`axpy`], [`axmy`] and
-/// [`dot_conj`] on real quad and octo doubles (AVX-512F/DQ/VL and FMA).
+/// [`dot_conj`] on real quad and octo doubles, and the AVX-512
+/// instantiation of `axpy`/`axmy` on other scalars (AVX-512F/DQ/VL and
+/// FMA).
 pub fn lanes_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     return lanes::available();
@@ -152,8 +161,9 @@ fn dot_conj_onto<S: MdScalar>(mut acc: S, a: &[S], b: &[S]) -> S {
 }
 
 /// The loops on real quad and octo doubles again, eight products and sums
-/// per AVX-512 instruction (`multidouble::expansion`'s lane kernels),
-/// taken when the CPU has AVX-512F/DQ/VL and FMA.
+/// per AVX-512 instruction (`multidouble::expansion`'s lane kernels), and
+/// the `axpy`/`axmy` bodies compiled with the same features for every
+/// other scalar, taken when the CPU has AVX-512F/DQ/VL and FMA.
 #[cfg(target_arch = "x86_64")]
 mod lanes {
     use core::any::TypeId;
@@ -175,7 +185,7 @@ mod lanes {
     /// The limb count of `S` when the lane path takes it on this CPU: 4 for
     /// [`Qd`], 8 for [`Od`], 0 for every other scalar or CPU.
     #[inline(always)]
-    fn width<S: MdScalar>() -> usize {
+    pub(super) fn width<S: MdScalar>() -> usize {
         let limbs = if TypeId::of::<S>() == TypeId::of::<Qd>() {
             4
         } else if TypeId::of::<S>() == TypeId::of::<Od>() {
@@ -190,9 +200,26 @@ mod lanes {
         }
     }
 
+    /// `true` if [`super::axpy`]/[`super::axmy`] on `len` elements of a
+    /// scalar the lane kernels do not take run the AVX-512 instantiation
+    /// of their body: from [`WIDE_FROM`] elements up, on a CPU with the
+    /// lane path's features.
+    #[inline(always)]
+    pub(super) fn wide(len: usize) -> bool {
+        len >= WIDE_FROM && available()
+    }
+
+    /// The fewest elements for which `axpy`/`axmy` take the AVX-512
+    /// instantiation of their body. Below it the AVX2 one is faster: the
+    /// double double loop runs 8 wide, and a shorter call spends most of
+    /// its time in the remainder. A `Dd` `axpy` reads 2.9–4.3 ns per
+    /// element at lengths 8–15 against AVX2's 2.4–3.8, and 1.0–1.5
+    /// against 1.9–2.3 at 16–224 (best of nine runs, AVX-512 Xeon).
+    pub(super) const WIDE_FROM: usize = 16;
+
     /// [`super::axpy`] (`SUB` false) or [`super::axmy`] (`SUB` true) on the
-    /// lane path; `false`, touching nothing, where `S` or the CPU does not
-    /// take it.
+    /// lane path, or for another scalar in the AVX-512 instantiation of the
+    /// body ([`wide`]); `false`, touching nothing, where neither runs.
     #[inline(always)]
     pub(super) fn update<S: MdScalar, const SUB: bool>(acc: &mut [S], x: &[S], a: S) -> bool {
         match width::<S>() {
@@ -200,9 +227,29 @@ mod lanes {
             4 => unsafe { update_chunks::<S, 4, 16, 7>(acc, x, a, SUB) },
             // Safety: as above.
             8 => unsafe { update_chunks::<S, 8, 64, 15>(acc, x, a, SUB) },
+            // Safety: `wide` saw AVX-512F/DQ/VL and FMA on this CPU.
+            _ if wide(acc.len()) => unsafe {
+                if SUB {
+                    axmy_wide(acc, x, a)
+                } else {
+                    axpy_wide(acc, x, a)
+                }
+            },
             _ => return false,
         }
         true
+    }
+
+    /// [`super::axpy`]'s body compiled with the lane path's features.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl,fma")]
+    fn axpy_wide<S: MdScalar>(acc: &mut [S], x: &[S], a: S) {
+        super::axpy_body(acc, x, a);
+    }
+
+    /// [`super::axmy`]'s body compiled with the lane path's features.
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl,fma")]
+    fn axmy_wide<S: MdScalar>(acc: &mut [S], x: &[S], a: S) {
+        super::axmy_body(acc, x, a);
     }
 
     /// [`super::dot_conj`] on the lane path; `None` where `S` or the CPU
@@ -285,15 +332,16 @@ mod lanes {
         }
     }
 
-    /// `acc[i] += x[i] * a` (or `-=`) in chunks of eight, for a dense `a`:
-    /// a chunk whose `x` is dense forms its products in
-    /// [`truncated_mul_lanes`], one whose `x` is f64-widened or zero (the
-    /// residual's promoted columns) in [`mul_by_double_lanes`], and either
-    /// adds them into its accumulators in [`add_lanes`]. Lanes a kernel
-    /// hands back run the scalar operator. Every other chunk, the tail and
-    /// a call whose `a` is not dense run the path without lanes. Each
-    /// element sees the one `+=`/`-=` it sees there, of the same product,
-    /// to the bit.
+    /// `acc[i] += x[i] * a` (or `-=`) in chunks of eight, for a finite `a`:
+    /// where `a` is dense, a chunk whose `x` is dense forms its products in
+    /// [`truncated_mul_lanes`]; for any finite `a` (an iterate of a few
+    /// nonzero limbs, zero), a chunk whose `x` is f64-widened or zero (the
+    /// residual's promoted columns) forms them in [`mul_by_double_lanes`];
+    /// and either adds them into its accumulators in [`add_lanes`]. Lanes a
+    /// kernel hands back run the scalar operator. Every other chunk, the
+    /// tail and a call whose `a` is not finite run the path without lanes.
+    /// Each element sees the one `+=`/`-=` it sees there, of the same
+    /// product, to the bit.
     #[target_feature(enable = "avx512f,avx512dq,avx512vl,fma")]
     fn update_chunks<S: MdScalar, const N: usize, const CAP: usize, const CAP_F: usize>(
         acc: &mut [S],
@@ -307,13 +355,16 @@ mod lanes {
             super::axpy_without_lanes::<S>
         };
         let a8 = [a; LANES];
-        let Some(av) = dense::<S, N>(&a8) else {
+        let av = planes::<S, N>(&a8);
+        if !av.iter().all(|v| v[0].is_finite()) {
             return body(acc, x, a);
-        };
+        }
+        let a_dense = av.iter().all(|v| v[0] != 0.0);
         let (mut ys, mut xs) = (acc.chunks_exact_mut(LANES), x.chunks_exact(LANES));
         for (y, x) in (&mut ys).zip(&mut xs) {
             let mut prod = [[0.0; LANES]; N];
-            let took = if let Some(xv) = dense::<S, N>(x) {
+            let dense_x = if a_dense { dense::<S, N>(x) } else { None };
+            let took = if let Some(xv) = dense_x {
                 // Safety: this function's features are the kernel's.
                 unsafe { truncated_mul_lanes::<N, CAP>(&xv, &av, &mut prod) }
             } else if let Some(d) = widened::<S, N>(x) {
@@ -456,11 +507,34 @@ mod tests {
         S::from_plane_fn(|p| if p == 1 { -x.plane(p) } else { x.plane(p) })
     }
 
+    /// The instantiation [`axpy`] and [`axmy`] run on `len` elements of
+    /// `S`, by the predicates they dispatch on.
+    fn instantiation<S: MdScalar>(len: usize) -> &'static str {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if lanes::width::<S>() != 0 {
+                return "AVX-512 lanes";
+            }
+            if lanes::wide(len) {
+                return "AVX-512";
+            }
+            if fma::available() {
+                return "AVX2+FMA";
+            }
+        }
+        let _ = len;
+        "baseline"
+    }
+
     /// The dispatched helpers (and `axpy_without_lanes`, the path of a CPU
     /// without AVX-512) against the baseline bodies on seeded slices of
     /// every length in `LENS` (on real `Qd`/`Od` with AVX-512, the lane
-    /// path: no chunk, one chunk with and without a tail, eight chunks),
-    /// for a dense and each planted `a`, in seven plantings:
+    /// path: no chunk, one chunk with and without a tail, eight chunks;
+    /// on other scalars, the AVX2+FMA instantiation below 16 elements and
+    /// the AVX-512 one from 16 up, which the failure message and the
+    /// printed table name), for a dense, each planted and each few-limb
+    /// `a` (1 to `LIMBS - 1` nonzero limbs, then `-0`: an iterate), in
+    /// seven plantings:
     /// * dense: every chunk goes to the lane kernels;
     /// * ±0, subnormals, ±inf and NaN at every third element: those
     ///   chunks run the scalar body;
@@ -477,7 +551,7 @@ mod tests {
     ///   after it, into an accumulator zero-started in that chunk and at
     ///   odd elements after it: sums of a `+0` product, some onto `+0`.
     fn dispatched_matches_baseline<S: MdScalar>(seed: u64) {
-        const LENS: [usize; 6] = [0, 1, 7, 8, 9, 64];
+        const LENS: [usize; 10] = [0, 1, 7, 8, 9, 15, 16, 17, 24, 64];
         let mut rng = StdRng::seed_from_u64(seed);
         let planted: Vec<S> = [
             0.0,
@@ -493,6 +567,8 @@ mod tests {
         .chain([S::rand(&mut rng).scale(MdReal::from_f64(1e-300))])
         .collect();
         for n in LENS {
+            let path = instantiation::<S>(n);
+            println!("{} n={n}: {path}", S::TAG);
             for plant in 0..7 {
                 let dense = S::rand(&mut rng);
                 let mut x: Vec<S> = (0..n).map(|_| S::rand(&mut rng)).collect();
@@ -535,7 +611,13 @@ mod tests {
                     }
                     _ => {}
                 }
-                let scalars = [dense].into_iter().chain(planted.clone());
+                // `a` dense, planted, or an iterate of 1..LIMBS nonzero
+                // limbs and a `-0` tail
+                let limbs = <S::Real as MdReal>::LIMBS;
+                let iterates = (1..limbs).map(|k| {
+                    S::from_plane_fn(|p| if p % limbs < k { dense.plane(p) } else { -0.0 })
+                });
+                let scalars = [dense].into_iter().chain(planted.clone()).chain(iterates);
                 for a in scalars {
                     let (mut got, mut want) = (acc.clone(), acc.clone());
                     let mut unlaned = acc.clone();
@@ -545,14 +627,14 @@ mod tests {
                     assert!(
                         got.iter().zip(&want).all(|(&u, &v)| same(u, v))
                             && unlaned.iter().zip(&want).all(|(&u, &v)| same(u, v)),
-                        "axpy {} n={n} plant={plant}",
+                        "axpy {} n={n} ({path}) plant={plant}",
                         S::TAG
                     );
                     axmy(&mut got, &x, a);
                     axmy_body(&mut want, &x, a);
                     assert!(
                         got.iter().zip(&want).all(|(&u, &v)| same(u, v)),
-                        "axmy {} n={n} plant={plant}",
+                        "axmy {} n={n} ({path}) plant={plant}",
                         S::TAG
                     );
                 }
@@ -680,8 +762,12 @@ mod tests {
     /// kernel takes must carry the scalar operator's bits; every lane
     /// planted with a kind the row lists must be handed back; the kernel
     /// must take nearly every unplanted lane; and each kind a row may take
-    /// (say, the all-`+0` operand of a sum, or two zero operands, which
-    /// `renormalize` maps to `+0` limbs) must be taken at least once.
+    /// (say, an iterate of a few nonzero limbs and a `-0` tail, or two zero
+    /// operands, which `renormalize` maps to `+0` limbs) must be taken at
+    /// least once. A `Sparse` lane must be taken exactly where the row
+    /// replays its zero pattern: every pattern at quad double (each one a
+    /// branch of `qd_renorm5`), the patterns whose zeros trail at octo
+    /// double, every pattern in a product by a double.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn lane_sums_and_by_double_products_match_the_scalar_ops_bit_for_bit() {
@@ -692,10 +778,17 @@ mod tests {
         /// What lane `at` of a chunk gets in place of a seeded pair.
         #[derive(Clone, Copy, Debug, PartialEq)]
         enum Plant {
-            /// `a`'s limb `limb` is `+0`.
+            /// `a`'s limb `limb % (N - 1)` is `+0`: an interior zero.
             Zero,
-            /// `b`'s limb `limb` is `-0`.
+            /// `b`'s limb `limb % (N - 1)` is `-0`: an interior zero.
             NegZero,
+            /// `a` keeps its first `limb` limbs, the rest `-0`: an iterate
+            /// of `limb` nonzero limbs (none for `limb` 0).
+            Prefix,
+            /// `a` keeps its first `1 + limb % 2` limbs, the rest `+0` (a
+            /// widened or 2-limb accumulator), and `b` its first `limb`,
+            /// the rest `-0`.
+            BothPrefix,
             /// `a`'s limb `limb` is subnormal.
             Subnormal,
             /// `b` is all `+0`.
@@ -724,15 +817,22 @@ mod tests {
             Unsorted,
             /// `b` added as `-a`.
             Cancel,
-            /// `a`'s limbs after 0 kept where bit `limb` of `trial / 8`'s
-            /// pattern is set, `+0` elsewhere, and `b` all `+0`: a
-            /// `qd_renorm5` branch per pattern.
+            /// `b`'s limb 0 in `[0.75, 0.875)` and `a`'s limb `i` (1 to
+            /// `N - 1`) such that `a_i * b` rounds to minus the error of
+            /// `a_{i-1} * b`: two terms of equal `|x|` and opposite sign in
+            /// class `i` of the by-double product (a trial where no such
+            /// `a_i` is found is skipped).
+            ClassTie,
+            /// `a`'s limbs after 0 kept where bit `p` of an odd pattern is
+            /// set, `+0` elsewhere; in a sum `b` is all `+0`.
             Sparse,
         }
         use Plant::*;
-        const KINDS: [Plant; 16] = [
+        const KINDS: [Plant; 19] = [
             Zero,
             NegZero,
+            Prefix,
+            BothPrefix,
             Subnormal,
             ZeroOperand,
             NegZeroOperand,
@@ -746,6 +846,7 @@ mod tests {
             Twin,
             Unsorted,
             Cancel,
+            ClassTie,
             Sparse,
         ];
 
@@ -768,6 +869,8 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let (mut clean, mut took_clean) = (0, 0);
             let mut took_kind = [0usize; KINDS.len()];
+            let mut sparse_seen = [0usize; 1 << 8];
+            let mut ties = 0;
             for trial in 0..4096 {
                 let mut a: [[f64; N]; LANES] = core::array::from_fn(|_| limbs(T::rand(&mut rng)));
                 let mut b: [[f64; N]; LANES] = core::array::from_fn(|_| limbs(T::rand(&mut rng)));
@@ -779,10 +882,18 @@ mod tests {
                 let (at, k) = (trial % LANES, trial / LANES % KINDS.len());
                 let kind = KINDS[k];
                 let limb = trial / (LANES * KINDS.len()) % N;
+                // limb 0 and, across the trials that plant it, every
+                // pattern of the others
+                let pattern = (trial / (LANES * KINDS.len()) * LANES + at) % (1 << (N - 1)) * 2 + 1;
                 let (x, y) = (&mut a[at], &mut b[at]);
                 match kind {
-                    Zero => x[limb] = 0.0,
-                    NegZero => y[limb] = -0.0,
+                    Zero => x[limb % (N - 1)] = 0.0,
+                    NegZero => y[limb % (N - 1)] = -0.0,
+                    Prefix => x[limb..].fill(-0.0),
+                    BothPrefix => {
+                        x[1 + limb % 2..].fill(0.0);
+                        y[limb..].fill(-0.0);
+                    }
                     Subnormal => x[limb] = f64::MIN_POSITIVE / 8.0,
                     ZeroOperand => y.fill(0.0),
                     NegZeroOperand => x.fill(-0.0),
@@ -805,13 +916,33 @@ mod tests {
                     Twin => y[limb] = sign * x[limb],
                     Unsorted => x.swap(limb, (limb + 1) % N),
                     Cancel => *y = x.map(|v| -sign * v),
+                    ClassTie => {
+                        let (i, d) = (1 + limb % (N - 1), 0.75 + y[0].abs() / 8.0);
+                        y[0] = d;
+                        let target = -x[i - 1].mul_add(d, -(x[i - 1] * d));
+                        // the doubles around `target / d`, for one whose
+                        // product rounds to `target`
+                        let mut v = (target / d).next_down().next_down();
+                        let hit = (0..5).find_map(|_| {
+                            let hit = (target != 0.0 && v * d == target).then_some(v);
+                            v = v.next_up();
+                            hit
+                        });
+                        match hit {
+                            Some(v) => x[i] = v,
+                            None => continue,
+                        }
+                        ties += 1;
+                    }
                     Sparse => {
-                        for (p, v) in x.iter_mut().enumerate().skip(1) {
-                            if (trial / 8) >> p & 1 == 0 {
+                        for (p, v) in x.iter_mut().enumerate() {
+                            if pattern >> p & 1 == 0 {
                                 *v = 0.0;
                             }
                         }
-                        y.fill(0.0);
+                        if row.sum.is_some() {
+                            y.fill(0.0);
+                        }
                     }
                 }
                 let soa = |v: &[[f64; N]; LANES]| -> [[f64; LANES]; N] {
@@ -826,15 +957,16 @@ mod tests {
                         None => mul_by_double_lanes::<N, CAP_F>(&a_soa, &b_soa[0], &mut out),
                     }
                 };
-                if kind == Sparse && N == 4 && row.sum.is_some() {
-                    // `qd_add(a, 0)` is `qd_renorm5(a, 0)`, which takes its
-                    // all-nonzero path exactly when `a` has no zero limb;
-                    // each of the other seven zero patterns is one of its
-                    // other branches
+                if kind == Sparse {
+                    let taken = took >> at & 1 == 1;
+                    sparse_seen[pattern] += 1;
+                    // at octo double a sum takes a zero pattern only where
+                    // its zeros trail
+                    let trailing = (pattern + 1).is_power_of_two();
                     assert_eq!(
-                        took >> at & 1 == 1,
-                        (1..N).all(|p| (trial / 8) >> p & 1 == 1),
-                        "{}, trial {trial}: {:?}",
+                        taken,
+                        trailing || N == 4 || row.sum.is_none(),
+                        "{}, trial {trial}: {kind:?} pattern {pattern:b}: {:?}",
                         row.name,
                         a[at]
                     );
@@ -876,19 +1008,42 @@ mod tests {
                 let k = KINDS.iter().position(|x| x == kind).unwrap();
                 assert!(took_kind[k] > 0, "{}: no {kind:?} lane taken", row.name);
             }
+            assert!(ties >= 64, "{}: {ties} class ties planted", row.name);
+            // every zero pattern of the limbs after limb 0 was planted (at
+            // quad double, one per branch of `qd_renorm5`)
+            for pattern in (1..1 << N).step_by(2) {
+                assert!(
+                    sparse_seen[pattern] > 0,
+                    "{}: pattern {pattern:b} never planted",
+                    row.name
+                );
+            }
         }
 
         if !lanes_available() {
             println!("no AVX-512 on this CPU: no lane kernels to check");
             return;
         }
-        // a non-finite operand goes back everywhere; a sum whose
-        // normalization leaves `qd_renorm5`'s all-nonzero path goes back
-        // at quad double; at octo double a zero limb in a nonzero operand,
-        // an opposite-sign tie, unsorted limbs and a cancellation go back,
-        // while an all-zero operand (of either sign) and two of them are
-        // taken; a product by a zero double is taken
-        const QD: &[Plant] = &[Inf, InfTimesZero, NegInf, Nan, Cancel, BothZero];
+        // a non-finite operand goes back everywhere; every finite quad
+        // double sum is taken (`qd_renorm5`'s whole branch tree); at octo
+        // double an interior zero limb, an opposite-sign tie, unsorted limbs
+        // and a cancellation go back, while zero tails (an iterate of a few
+        // limbs, a widened accumulator), an all-zero operand (of either
+        // sign) and two of them are taken; a product by a double takes any
+        // finite operand, zero limbs and zero doubles included
+        const QD: &[Plant] = &[Inf, InfTimesZero, NegInf, Nan];
+        const QD_TAKEN: &[Plant] = &[
+            Zero,
+            NegZero,
+            Prefix,
+            BothPrefix,
+            ZeroOperand,
+            BothZero,
+            Tie,
+            Unsorted,
+            Cancel,
+            Sparse,
+        ];
         const OD: &[Plant] = &[
             Zero,
             NegZero,
@@ -900,24 +1055,41 @@ mod tests {
             Unsorted,
             Cancel,
         ];
-        const OD_TAKEN: &[Plant] = &[ZeroOperand, NegZeroOperand, BothZero, BothNegZero, Twin];
-        const MUL_F: &[Plant] = &[Inf, InfTimesZero, Nan];
-        const MUL_F_TAKEN: &[Plant] = &[ZeroOperand, BothZero, BothNegZero];
-        let qd_taken = &[ZeroOperand, Tie, Unsorted, Sparse];
+        const OD_TAKEN: &[Plant] = &[
+            Prefix,
+            BothPrefix,
+            ZeroOperand,
+            NegZeroOperand,
+            BothZero,
+            BothNegZero,
+            Twin,
+            Sparse,
+        ];
+        const MUL_F: &[Plant] = &[Inf, InfTimesZero, Nan, ClassTie];
+        const MUL_F_TAKEN: &[Plant] = &[
+            Zero,
+            NegZero,
+            Prefix,
+            BothPrefix,
+            ZeroOperand,
+            BothZero,
+            BothNegZero,
+            Sparse,
+        ];
         for (seed, row) in [
             Row {
                 name: "qd_add",
                 sum: Some(false),
                 scalar: qd_add,
                 back: QD,
-                taken: qd_taken,
+                taken: QD_TAKEN,
             },
             Row {
                 name: "qd_sub",
                 sum: Some(true),
                 scalar: qd_sub,
                 back: QD,
-                taken: qd_taken,
+                taken: QD_TAKEN,
             },
             Row {
                 name: "qd_mul_f",
@@ -959,6 +1131,99 @@ mod tests {
         .enumerate()
         {
             check::<Od, 8, 15>(14 + seed as u64, row);
+        }
+    }
+
+    /// The quad double lane sums on operands whose limbs are small
+    /// integers times powers of two (many exact sums, so many zero errors)
+    /// against `qd_add`/`qd_sub` by `to_bits`: every lane must be taken
+    /// with the scalar sum's bits, and the sums must reach each of the
+    /// eight leaves of `qd_renorm5`'s branch tree (its three zero tests,
+    /// read off the scalar sweep by `leaf`).
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn qd_lane_sums_take_every_renorm5_branch() {
+        use multidouble::eft::{quick_two_sum, three_sum, three_sum2, two_diff, two_sum};
+        use multidouble::expansion::{add_lanes, LANES};
+        use multidouble::qd::{qd_add, qd_sub};
+        use rand::RngCore;
+
+        /// The leaf of `qd_renorm5`'s tree that `qd_add(a, b)` (`sub`
+        /// false) or `qd_sub` reaches, its three zero tests as bits.
+        fn leaf(a: [f64; 4], b: [f64; 4], sub: bool) -> usize {
+            let first = |x, y| if sub { two_diff(x, y) } else { two_sum(x, y) };
+            let (s0, t0) = first(a[0], b[0]);
+            let (s1, t1) = first(a[1], b[1]);
+            let (s2, t2) = first(a[2], b[2]);
+            let (s3, t3) = first(a[3], b[3]);
+            let (s1, t0) = two_sum(s1, t0);
+            let (s2, t0, t1) = three_sum(s2, t0, t1);
+            let (s3, t0) = three_sum2(s3, t0, t2);
+            let t0 = t0 + t1 + t3;
+            let (s, _) = quick_two_sum(s3, t0);
+            let (s, c3) = quick_two_sum(s2, s);
+            let (s, c2) = quick_two_sum(s1, s);
+            let (c0, c1) = quick_two_sum(s0, s);
+            let (mut leaf, mut cur) = if c1 != 0.0 { (1, c1) } else { (0, c0) };
+            for c in [c2, c3] {
+                let (r, e) = quick_two_sum(cur, c);
+                leaf = 2 * leaf + usize::from(e != 0.0);
+                cur = if e != 0.0 { e } else { r };
+            }
+            leaf
+        }
+
+        if !lanes_available() {
+            println!("no AVX-512 on this CPU: no lane kernels to check");
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(19);
+        // limb p: a small integer (-3..=3) or a full 53-bit one, scaled
+        // down by p random gaps of 0..=60 bits
+        let mut operand = || -> [f64; 4] {
+            let mut scale = 1.0;
+            core::array::from_fn(|_| {
+                let w = rng.next_u64();
+                let k = if w & 1 == 0 { (w >> 1) % 7 } else { w >> 11 };
+                let v = (k as f64 - if w & 1 == 0 { 3.0 } else { 0.0 }) * scale;
+                scale *= 2f64.powi(-(((w >> 4) % 61) as i32));
+                v
+            })
+        };
+        for sub in [false, true] {
+            let mut leaves = [0usize; 8];
+            for trial in 0..4096 {
+                let a: [[f64; 4]; LANES] = core::array::from_fn(|_| operand());
+                let b: [[f64; 4]; LANES] = core::array::from_fn(|_| operand());
+                let soa = |v: &[[f64; 4]; LANES]| -> [[f64; LANES]; 4] {
+                    core::array::from_fn(|p| core::array::from_fn(|l| v[l][p]))
+                };
+                let mut out = [[0.0; LANES]; 4];
+                // Safety: `lanes_available` saw the kernel's features.
+                let took = unsafe { add_lanes::<4>(&soa(&a), &soa(&b), sub, &mut out) };
+                assert_eq!(took, 0xff, "trial {trial}: finite lanes handed back");
+                for l in 0..LANES {
+                    leaves[leaf(a[l], b[l], sub)] += 1;
+                    let want = if sub {
+                        qd_sub(a[l], b[l])
+                    } else {
+                        qd_add(a[l], b[l])
+                    };
+                    let got: [f64; 4] = core::array::from_fn(|p| out[p][l]);
+                    assert_eq!(
+                        got.map(f64::to_bits),
+                        want.map(f64::to_bits),
+                        "sub {sub}, trial {trial}, lane {l}: {:?}, {:?}",
+                        a[l],
+                        b[l]
+                    );
+                }
+            }
+            println!("sub {sub}: leaves {leaves:?}");
+            assert!(
+                leaves.iter().all(|&n| n > 0),
+                "sub {sub}: leaves {leaves:?}"
+            );
         }
     }
 

@@ -13,10 +13,15 @@
 //! the kernels' inner loops run eight operations at once, one per AVX-512
 //! lane: `truncated_mul_lanes` replays `truncated_mul`,
 //! `mul_by_double_lanes` replays `mul_by_double`, and `add_lanes` replays
-//! `od_add`/`od_sub` (a merge network) and QDlib's straight-line
-//! `qd_add`/`qd_sub`. The octo double sum and both products end in one
-//! lane tail, as their scalar forms end in [`renormalize`]. A lane a
-//! kernel cannot replay to the bit it hands back to the scalar operator.
+//! `od_add`/`od_sub` (a merge network) and QDlib's `qd_add`/`qd_sub`
+//! (`qd_renorm5`'s branch tree as a masked compaction). The octo double
+//! sum and both products end in one lane tail, as their scalar forms end
+//! in [`renormalize`]. That tail reads only the order of a lane's nonzero
+//! terms (its stable sort moves the zeros last, where they change
+//! nothing), so the by-double product and the octo double sum take the
+//! zero terms of operands with few nonzero limbs: the refinement
+//! residual's iterates and accumulators. A lane a kernel cannot replay to
+//! the bit it hands back to the scalar operator.
 
 use crate::eft::{two_prod, two_sum};
 use crate::fp::Fp;
@@ -791,16 +796,24 @@ mod lanes {
     /// second pass, stored to `out`. Every producer on the lane path ends
     /// here, as `truncated_mul`, `mul_by_double` and `od_add` end in
     /// `renormalize`. Returns `ok` less the lanes whose limbs came out
-    /// non-finite (where [`fast_two_sum`] may differ from `two_sum`), plus
-    /// `zero`: lanes whose terms are all ±0, where `vec_sum_err_branch`
-    /// writes no limb and leaves the `+0` that `renormalize`'s all-zero
+    /// non-finite (where [`fast_two_sum`] may differ from `two_sum`). That
+    /// also hands back every lane with a NaN or an infinity among its
+    /// terms: the `vec_sum` total is then one of them, and the first step
+    /// of `vec_sum_err_branch` writes it to limb 0.
+    ///
+    /// A lane's nonzero terms must come in the order `renormalize`'s
+    /// stable sort gives them; its ±0 terms may sit anywhere. The sort
+    /// moves them last, and `two_sum(x, ±0) = (x, +0)`: a zero passes the
+    /// `vec_sum` sweep as a `+0` error and leaves the running sum as it
+    /// is, and `vec_sum_err_branch` writes nothing for it, so the limbs
+    /// are those of the nonzero terms alone. A lane of ±0 terms only
+    /// writes no limb and keeps the `+0` that `renormalize`'s all-zero
     /// shortcut returns.
     #[target_feature(enable = "avx512f")]
     #[inline]
     fn compress<const M: usize, const N: usize>(
         t: &mut [__m512d; M],
         mut ok: __mmask8,
-        zero: __mmask8,
         out: &mut [[f64; LANES]; N],
     ) -> __mmask8 {
         vec_sum(t);
@@ -815,7 +828,7 @@ mod lanes {
             // Safety: `o` is eight writable doubles; the store is unaligned.
             unsafe { _mm512_storeu_pd(o.as_mut_ptr(), *x) };
         }
-        ok | zero
+        ok
     }
 
     /// Eight certified truncated products of `N`-limb expansions at once:
@@ -874,21 +887,44 @@ mod lanes {
         for x in t.iter_mut() {
             *x = unkey(*x);
         }
-        compress(&mut t, ok, 0, out)
+        compress(&mut t, ok, out)
+    }
+
+    /// The lanes of presort keys `t` whose nonzero terms come in
+    /// decreasing order of `|x|`, ties allowed: each nonzero key's
+    /// magnitude is at most that of the nonzero key before it. A ±0 term
+    /// (key 0 or 1) may sit anywhere ([`compress`]).
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn nonzero_in_order(t: &[__m512d]) -> __mmask8 {
+        let one = _mm512_set1_epi64(1);
+        let mut floor = _mm512_set1_epi64(-1);
+        let mut ok = 0xff;
+        for k in t {
+            let k = _mm512_castpd_si512(*k);
+            let nonzero = _mm512_cmpgt_epu64_mask(k, one);
+            let size = _mm512_srli_epi64::<1>(k);
+            ok &= !_mm512_mask_cmplt_epu64_mask(nonzero, floor, size);
+            floor = _mm512_mask_mov_epi64(floor, nonzero, size);
+        }
+        ok
     }
 
     /// Eight products of an `N`-limb expansion by a double at once: lane
     /// `l` multiplies `a[·][l]` by `b[l]` into `out[·][l]`, replaying
     /// [`super::mul_by_double`]: the fill `p_0`, then `[p_i, e_{i-1}]`, each
-    /// class presorted at its exact size, then `compress`. `N` is 4 or
-    /// 8, `CAP` is `2N - 1`.
+    /// class of two sorted by one compare-exchange, then `compress`. `N` is
+    /// 4 or 8, `CAP` is `2N - 1`.
     ///
     /// Returns the mask of the lanes that took this path, with
-    /// `mul_by_double`'s limbs, bit for bit. A `b` of ±0 times a finite `a`
-    /// is taken with `+0` limbs (every term is ±0); otherwise, as in
-    /// [`truncated_mul_lanes`], a lane with a zero term (an exact partial
-    /// product), a NaN or an infinity, a tie or classes out of order is
-    /// handed back, its `out` meaningless.
+    /// `mul_by_double`'s limbs, bit for bit. Zero terms (a zero limb of
+    /// `a`, a zero `b`, an exact partial product) are taken wherever they
+    /// fall: `renormalize`'s stable sort moves them last, and `compress`
+    /// reads only the order of the nonzero terms, which must already be
+    /// the sort's: a lane with two terms of one class of equal `|x|` and
+    /// opposite sign, a nonzero term above the nonzero term before it, or
+    /// a NaN or an infinity (`compress`) is handed back, its `out`
+    /// meaningless.
     ///
     /// # Safety
     ///
@@ -901,7 +937,7 @@ mod lanes {
     ) -> u8 {
         const { assert!((N == 4 || N == 8) && CAP + 1 == 2 * N) };
         let ([b], a) = (load(&[*b]), load(a));
-        // a `b` of ±0 times a finite `a`: every term is ±0
+        // a `b` of ±0 times a finite `a` in every lane: every term is ±0
         let zero = a.iter().fold(
             _mm512_cmp_pd_mask::<_CMP_EQ_OQ>(b, _mm512_setzero_pd()),
             |m, x| m & finite(*x),
@@ -923,32 +959,42 @@ mod lanes {
         for x in t.iter_mut() {
             *x = key(*x);
         }
-        let mut ok = presort::<1, 1>(&mut t, 0);
+        let one = _mm512_set1_epi64(1);
+        let mut ok = 0xff;
         for i in 1..N {
-            ok &= presort::<2, 2>(&mut t, 2 * i - 1);
+            sort_exact::<_, 2, 2>(&mut t[2 * i - 1..], _mm512_setzero_pd());
+            // sorted nonzero keys that differ only in bit 0, the sign: a tie
+            let (hi, lo) = (
+                _mm512_castpd_si512(t[2 * i - 1]),
+                _mm512_castpd_si512(t[2 * i]),
+            );
+            ok &= !(_mm512_cmpeq_epu64_mask(_mm512_xor_si512(hi, lo), one)
+                & _mm512_cmpgt_epu64_mask(lo, one));
         }
+        ok &= nonzero_in_order(&t);
         for x in t.iter_mut() {
             *x = unkey(*x);
         }
-        compress(&mut t, ok, zero, out)
+        compress(&mut t, ok, out)
     }
 
     /// Eight sums of `N`-limb expansions at once: lane `l` adds `b[·][l]`
     /// to `a[·][l]` (`sub` false) or subtracts it (`sub` true) into
     /// `out[·][l]`, replaying the width's scalar operator:
     ///
-    /// * at `N` = 4, QDlib's straight-line `qd_add`/`qd_sub`, whose
-    ///   `qd_renorm5` runs its all-nonzero path: a lane where that
-    ///   normalization would take another branch is handed back;
+    /// * at `N` = 4, QDlib's straight-line `qd_add`/`qd_sub` and the whole
+    ///   branch tree of its `qd_renorm5`, as a masked compaction: every
+    ///   lane with finite operands and limbs is taken;
     /// * at `N` = 8, `od_add`/`od_sub` (`od_add` of `-b`): the comparison
     ///   merge as an odd-even merge network on the presort keys, then
-    ///   `compress`. A lane is taken when each operand is finite and
-    ///   either nonzero with its limbs in decreasing key order, or all one
-    ///   signed zero (then the scalar `renormalize` skips its insertion
-    ///   sort, or runs it without a move), and no two merged terms are of
-    ///   equal `|x|` and opposite sign (there the merge takes `a`'s term
-    ///   first, the keys the negative one). A lane whose 16 terms are all
-    ///   ±0 is taken with `+0` limbs, `renormalize`'s all-zero shortcut.
+    ///   `compress`. A lane is taken when each operand's nonzero limbs
+    ///   come first and in decreasing key order, and only ±0 limbs follow
+    ///   them (a dense operand, an f64 widened, an all-zero one), and no
+    ///   two merged nonzero terms are of equal `|x|` and opposite sign
+    ///   (there the merge takes `a`'s term first, the keys the negative
+    ///   one). Then the scalar merge pushes the nonzero terms in that
+    ///   merged order and every zero after them, and its `renormalize`
+    ///   moves nothing; the zeros enter `compress` as `+0`.
     ///
     /// A taken lane also has finite operands and limbs. Returns the mask of
     /// the taken lanes, with the scalar operator's limbs, bit for bit; the
@@ -982,10 +1028,6 @@ mod lanes {
         sub: bool,
         out: &mut [[f64; LANES]; N],
     ) -> __mmask8 {
-        let mut ok = 0xff;
-        for x in a.iter().chain(b) {
-            ok &= finite(*x);
-        }
         let first = |x, y| if sub { two_diff(x, y) } else { two_sum(x, y) };
         let (s0, t0) = first(a[0], b[0]);
         let (s1, t1) = first(a[1], b[1]);
@@ -1001,19 +1043,39 @@ mod lanes {
         let (s3, u3) = two_sum(t2, u1);
         let t0 = _mm512_add_pd(u2, u3);
         let t0 = _mm512_add_pd(_mm512_add_pd(t0, t1), t3);
-        // qd_renorm5(s0, s1, s2, s3, t0) on its all-nonzero path
+        // qd_renorm5(s0, s1, s2, s3, t0): its straight-line sweep, then its
+        // branch tree. Each lane holds the index `j` of its current limb,
+        // 1 where `c1` is nonzero and 0 elsewhere; each of `c2`, `c3`, `c4`
+        // folds into limb `j` by `quick_two_sum`, its error going to limb
+        // `j + 1`, and `j` moves on where that error is nonzero. A lane on
+        // limb 3 adds `c4` plainly, the sum `quick_two_sum` forms.
         let (s, c4) = quick_two_sum(s3, t0);
         let (s, c3) = quick_two_sum(s2, s);
         let (s, c2) = quick_two_sum(s1, s);
         let (c0, c1) = quick_two_sum(s0, s);
         let zero = _mm512_setzero_pd();
-        ok &= _mm512_cmp_pd_mask::<_CMP_NEQ_UQ>(c1, zero);
-        let (s1, s2) = quick_two_sum(c1, c2);
-        ok &= _mm512_cmp_pd_mask::<_CMP_NEQ_UQ>(s2, zero);
-        let (s2, s3) = quick_two_sum(s2, c3);
-        ok &= _mm512_cmp_pd_mask::<_CMP_NEQ_UQ>(s3, zero);
-        let s3 = _mm512_add_pd(s3, c4);
-        for (o, x) in out.iter_mut().zip([c0, s1, s2, s3]) {
+        let nonzero = |x| _mm512_cmp_pd_mask::<_CMP_NEQ_UQ>(x, zero);
+        let mut limb = [c0, c1, zero, zero];
+        // at[k]: the lanes whose `j` is k
+        let mut at: [__mmask8; 4] = [!nonzero(c1), nonzero(c1), 0, 0];
+        for c in [c2, c3, c4] {
+            let cur = (1..4).fold(limb[0], |v, k| _mm512_mask_blend_pd(at[k], v, limb[k]));
+            let (s, e) = quick_two_sum(cur, c);
+            let moved = nonzero(e);
+            let mut next = [0; 4];
+            for k in 0..4 {
+                limb[k] = _mm512_mask_blend_pd(at[k], limb[k], s);
+                if k < 3 {
+                    limb[k + 1] = _mm512_mask_blend_pd(at[k], limb[k + 1], e);
+                    next[k] |= at[k] & !moved;
+                    next[k + 1] |= at[k] & moved;
+                }
+            }
+            at = next;
+        }
+        // a non-finite operand or sum reaches `c0`, and so limb 0
+        let mut ok = 0xff;
+        for (o, x) in out.iter_mut().zip(limb) {
             ok &= finite(x);
             // Safety: `o` is eight writable doubles; the store is unaligned.
             unsafe { _mm512_storeu_pd(o.as_mut_ptr(), x) };
@@ -1031,49 +1093,45 @@ mod lanes {
         out: &mut [[f64; LANES]; N],
     ) -> __mmask8 {
         let bits = |k: __m512d| _mm512_castpd_si512(k);
-        // `-b` flips each limb's sign bit, bit 0 of its key
-        let flip = _mm512_set1_epi64(i64::from(sub));
-        let ka = a.map(|x| key(x));
-        let kb = b.map(|x| _mm512_castsi512_pd(_mm512_xor_si512(bits(key(x)), flip)));
         let one = _mm512_set1_epi64(1);
+        // the keys of `x`, each sign flipped by `flip` (bit 0 of a key),
+        // and ±0 (keys 0, 1) as key 0, so that a zero tail is in key order
+        let keys = |x: &[__m512d; N], flip: i64| {
+            x.map(|x| {
+                let k = _mm512_xor_si512(bits(key(x)), _mm512_set1_epi64(flip));
+                _mm512_castsi512_pd(_mm512_maskz_mov_epi64(_mm512_cmpgt_epu64_mask(k, one), k))
+            })
+        };
+        // `-b` flips each limb's sign
+        let (ka, kb) = (keys(a, 0), keys(b, i64::from(sub)));
         let ored = ka
             .iter()
             .chain(&kb)
             .fold(_mm512_setzero_si512(), |m, k| _mm512_or_si512(m, bits(*k)));
         // every one of the 16 terms ±0
-        let zero = _mm512_cmple_epu64_mask(ored, one);
-        if zero == 0xff {
+        if _mm512_test_epi64_mask(ored, ored) == 0 {
             *out = [[0.0; LANES]; N];
-            return zero;
+            return 0xff;
         }
-        // per operand: keys in decreasing order, the largest finite, and
-        // the smallest nonzero (±0 are keys 0, 1) or the smallest equal to
-        // the largest, a zero (all `+0` or all `-0`)
-        let operand = |k: &[__m512d; N]| {
-            let mut sorted = 0xff;
-            for w in k.windows(2) {
-                sorted &= _mm512_cmpge_epu64_mask(bits(w[0]), bits(w[1]));
-            }
-            let (top, last) = (bits(k[0]), bits(k[N - 1]));
-            let zero = _mm512_cmple_epu64_mask(top, one) & _mm512_cmpeq_epu64_mask(top, last);
-            let dense = _mm512_cmpgt_epu64_mask(last, one);
-            let finite = _mm512_cmplt_epu64_mask(
-                _mm512_srli_epi64::<1>(top),
-                _mm512_set1_epi64(INF_BITS as i64),
-            );
-            sorted & finite & (dense | zero)
+        // per operand: keys in decreasing order, the zeros last (a
+        // non-finite operand is handed back by `compress`)
+        let sorted = |k: &[__m512d; N]| {
+            k.windows(2).fold(0xff, |m, w| {
+                m & _mm512_cmpge_epu64_mask(bits(w[0]), bits(w[1]))
+            })
         };
-        let mut ok = operand(&ka) & operand(&kb);
+        let mut ok = sorted(&ka) & sorted(&kb);
         let mut k: [__m512d; 16] = core::array::from_fn(|i| if i < 8 { ka[i] } else { kb[i - 8] });
         merge_runs(&mut k);
-        // merged keys that differ only in bit 0, the sign: a tie
+        // merged keys that differ only in bit 0, the sign: a tie (a zero
+        // is key 0, never one of them)
         for w in k.windows(2) {
             ok &= _mm512_cmpneq_epu64_mask(_mm512_xor_si512(bits(w[0]), bits(w[1])), one);
         }
         for x in k.iter_mut() {
             *x = unkey(*x);
         }
-        compress(&mut k, ok, zero, out)
+        compress(&mut k, ok, out)
     }
 }
 
