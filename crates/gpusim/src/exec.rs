@@ -69,10 +69,12 @@ pub struct Sim {
     accounting: bool,
 }
 
-/// The host threads an [`ExecMode::Parallel`] launch may use, read once
-/// per process: `available_parallelism` reads cgroup files on every call
-/// (≈ 19 µs on a cgroup-limited Linux container).
-fn host_workers() -> usize {
+/// The host threads the process can run at once — what an
+/// [`ExecMode::Parallel`] launch may use, and what decides whether the
+/// pipeline's stream gets a solve-ahead lane — read once per process:
+/// `available_parallelism` reads cgroup files on every call (≈ 19 µs on
+/// a cgroup-limited Linux container).
+pub fn host_workers() -> usize {
     static WORKERS: OnceLock<usize> = OnceLock::new();
     *WORKERS.get_or_init(|| {
         std::thread::available_parallelism()

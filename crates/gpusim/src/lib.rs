@@ -41,7 +41,7 @@ pub mod shared;
 
 pub use buffer::{DeviceBuf, DeviceMat};
 pub use device::Gpu;
-pub use exec::{ExecMode, Sim};
+pub use exec::{host_workers, ExecMode, Sim};
 pub use fault::FaultPlan;
 pub use launch::{BlockCtx, KernelCost};
 pub use profile::{Profile, StageStats};

@@ -10,7 +10,8 @@
 //! settles bookings against what execution actually ran, and returns
 //! per-job outcomes plus pool-level throughput. This module also owns
 //! the execute and settle steps every engine shares (`execute_round`,
-//! `settle_group`), and the round that chains book → recover → execute
+//! `settle_group`), the stream's second execute lane (`SolveAhead`),
+//! and the round that chains book → recover → execute
 //! → settle (`run_round`), which the batch loop runs once over every
 //! group and the stream once per pull. Settle owns the verdict: every
 //! completed job's `Ok`, `Retried` or `Degraded` is decided in
@@ -42,8 +43,11 @@
 //! Host-side worker threads only shorten *our* wall clock; simulated
 //! device time is unaffected.
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 
 use gpusim::{ExecMode, Gpu, Sim};
 use mdls_core::{lstsq_factor_batched, residual_kernel};
@@ -62,6 +66,7 @@ use crate::resilient::{
     ResilienceConfig,
 };
 use crate::scheduler::{DispatchPolicy, JobShape, StageSchedConfig};
+use crate::stream::Urgency;
 use mdls_obs::Event;
 
 /// How one job's service terminated. Every [`JobOutcome`] carries
@@ -546,12 +551,14 @@ pub fn solve_planned_traced_with(
 /// members can run side by side. Execution is purely functional against
 /// an immutable device model and results are slotted back by task
 /// index, so host parallelism cannot perturb placements, events or
-/// bits.
+/// bits. With a [`SolveAhead`] (the stream's), a lane takes each job's
+/// solve from it — finished ahead, or solved here ([`SolveAhead::solve`]).
 pub(crate) fn execute_round(
     pool: &DevicePool,
     groups: &[(&GroupDispatch, Vec<&Job>)],
     lanes: usize,
     extra_passes: usize,
+    ahead: Option<&SolveAhead>,
 ) -> Vec<Vec<PlannedSolve>> {
     let tasks: Vec<(&GroupDispatch, &Job)> = groups
         .iter()
@@ -567,10 +574,11 @@ pub(crate) fn execute_round(
                 return done;
             };
             let gpu = pool.gpu(g.device);
-            done.push((
-                t,
-                solve_planned_traced_with(gpu, job, &g.plan, extra_passes),
-            ));
+            let solved = match ahead {
+                Some(ahead) => ahead.solve(gpu, job, &g.plan, extra_passes),
+                None => solve_planned_traced_with(gpu, job, &g.plan, extra_passes),
+            };
+            done.push((t, solved));
         }
     };
     let lanes = lanes.clamp(1, tasks.len().max(1));
@@ -592,6 +600,349 @@ pub(crate) fn execute_round(
         .iter()
         .map(|(_, members)| solved.by_ref().take(members.len()).collect())
         .collect()
+}
+
+// ---------------------------------------------------------------------
+// the stream's solve-ahead lane
+// ---------------------------------------------------------------------
+
+/// How long a solve-ahead thread watches the queue before it parks:
+/// `AHEAD_SPINS` spin-loop hints (≈ 20–25 ns each on x86-64), then
+/// `AHEAD_YIELDS` yields of its core (≈ 0.3 µs each when nothing else
+/// wants it), ≈ 1.2 ms in all — longer than most stream pulls and most
+/// tracker solves, so an idle worker sees the next registration, and a
+/// waiting caller the worker's result, without a futex round trip (a
+/// caller whose watch runs out solves the job itself: about 10 times
+/// per 8 000-job tracker stream). On a 2-core KVM guest
+/// a 0.1 ms pure spin parked ≈ 900 times per 8 000-job tracker stream
+/// and kept about half the host-time gain. Yielding rather than
+/// spinning on matters when the host is oversubscribed: with a third
+/// busy thread a pure spin starved the thread it waited for, and the
+/// stream ran ≈ 1.5× slower than on one lane.
+const AHEAD_SPINS: u32 = 1 << 8;
+const AHEAD_YIELDS: u32 = 1 << 12;
+
+/// Where a registered solve stands.
+enum AheadState {
+    Queued,
+    Running,
+    Done(PlannedSolve),
+    /// The solve panicked: the payload resumes on the thread that
+    /// executes the job.
+    Panicked(Box<dyn Any + Send>),
+}
+
+/// One buffered job registered for solving ahead of its dispatch.
+struct AheadTask {
+    id: u64,
+    urgency: Urgency,
+    job: Arc<Job>,
+    plan: Arc<ExecPlan>,
+    state: AheadState,
+}
+
+/// The lock-guarded half of a [`SolveAhead`].
+struct AheadQueue {
+    /// In dispatch order, most urgent first.
+    tasks: Vec<AheadTask>,
+    next_id: u64,
+    stop: bool,
+    /// Threads waiting on [`AheadShared::wake`].
+    parked: usize,
+}
+
+impl AheadQueue {
+    /// The first queued task, in dispatch order.
+    fn most_urgent(&self) -> Option<usize> {
+        self.tasks
+            .iter()
+            .position(|t| matches!(t.state, AheadState::Queued))
+    }
+}
+
+type AheadGuard<'a> = MutexGuard<'a, AheadQueue>;
+
+/// What the stream's thread and its worker share.
+struct AheadShared {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the solve-ahead queue: execution emits nothing, so no guard is held across an emit"
+    )]
+    queue: std::sync::Mutex<AheadQueue>,
+    wake: Condvar,
+    /// Bumped under the lock on every registration, completion and
+    /// stop: a spinning thread watches it without taking the lock (the
+    /// bump's `Release` pairs with the spinner's `Acquire`; the queue
+    /// itself is only read under the lock).
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the solve-ahead queue's change counter, on no element path"
+    )]
+    epoch: std::sync::atomic::AtomicU64,
+    /// Solves the worker finished.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a count of the worker's solves, on no element path"
+    )]
+    worker_solves: std::sync::atomic::AtomicUsize,
+    /// The device model solves run on: a solve reads only its plan's
+    /// structure, which is device-free, so any pool device's will do.
+    gpu: Gpu,
+    extra_passes: usize,
+}
+
+impl AheadShared {
+    fn lock(&self) -> AheadGuard<'_> {
+        // no code panics while it holds the guard (solves run with the
+        // lock released), so a poisoned queue is still consistent
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Announce a queue change; called with the guard held.
+    fn changed(&self, q: &AheadQueue) {
+        self.epoch.fetch_add(1, Ordering::Release);
+        if q.parked > 0 {
+            self.wake.notify_all();
+        }
+    }
+
+    /// Wait for the next queue change: spin on the epoch, then yield,
+    /// then — with `park` — sleep until it comes. `false` when the watch
+    /// ran out unparked with no change.
+    fn wait<'a>(&'a self, q: AheadGuard<'a>, park: bool) -> (AheadGuard<'a>, bool) {
+        let seen = self.epoch.load(Ordering::Relaxed);
+        drop(q);
+        for i in 0..AHEAD_SPINS + AHEAD_YIELDS {
+            if self.epoch.load(Ordering::Acquire) != seen {
+                return (self.lock(), true);
+            }
+            if i < AHEAD_SPINS {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        let mut q = self.lock();
+        if !park {
+            return (q, false);
+        }
+        // the epoch only moves under the lock, so this check cannot
+        // miss a change
+        q.parked += 1;
+        while self.epoch.load(Ordering::Relaxed) == seen {
+            q = self.wake.wait(q).unwrap_or_else(PoisonError::into_inner);
+        }
+        q.parked -= 1;
+        (q, true)
+    }
+
+    /// Claim queued task `i`, solve it with the lock released, and store
+    /// the result — dropped if the task was withdrawn meanwhile.
+    fn run<'a>(&'a self, mut q: AheadGuard<'a>, i: usize) -> AheadGuard<'a> {
+        let t = &mut q.tasks[i];
+        t.state = AheadState::Running;
+        let (id, job, plan) = (t.id, Arc::clone(&t.job), Arc::clone(&t.plan));
+        drop(q);
+        let solved = catch_unwind(AssertUnwindSafe(|| {
+            solve_planned_traced_with(&self.gpu, &job, &plan, self.extra_passes)
+        }));
+        let mut q = self.lock();
+        if let Some(t) = q.tasks.iter_mut().find(|t| t.id == id) {
+            t.state = match solved {
+                Ok(s) => AheadState::Done(s),
+                Err(payload) => AheadState::Panicked(payload),
+            };
+        }
+        self.changed(&q);
+        q
+    }
+
+    /// The worker: solve the most urgent queued task, until stopped.
+    fn work(&self) {
+        let mut q = self.lock();
+        while !q.stop {
+            q = match q.most_urgent() {
+                Some(i) => {
+                    let q = self.run(q, i);
+                    self.worker_solves.fetch_add(1, Ordering::Relaxed);
+                    q
+                }
+                None => self.wait(q, true).0,
+            };
+        }
+    }
+}
+
+/// The stream's **solve-ahead lane**: a queue of buffered jobs whose
+/// plans are already known, kept in dispatch order, and — when the host
+/// runs two or more threads at once ([`gpusim::host_workers`]) — one
+/// persistent worker that solves the most urgent queued job while the
+/// stream's own thread books, executes and settles the group at the
+/// head. A job's [`PlannedSolve`] depends only on the job and its plan
+/// structure, never on the device, the group or the timing, and
+/// execution emits no events, so outcomes and the event stream are
+/// bit-identical with or without the worker. On one core nothing runs
+/// ahead and the execute step claims every task itself: one code path.
+/// Dropping it stops and joins the worker.
+pub(crate) struct SolveAhead {
+    shared: Arc<AheadShared>,
+    worker: Option<JoinHandle<()>>,
+}
+
+impl SolveAhead {
+    /// A solve-ahead lane solving on `gpu`'s model with `extra_passes`
+    /// pass extensions, with a worker when the host has a second thread.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "builds the lane's lock and counters"
+    )]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the execute step owns the engines' host threads; this is the stream's second lane"
+    )]
+    pub(crate) fn new(gpu: Gpu, extra_passes: usize) -> Self {
+        let shared = Arc::new(AheadShared {
+            queue: std::sync::Mutex::new(AheadQueue {
+                tasks: Vec::new(),
+                next_id: 0,
+                stop: false,
+                parked: 0,
+            }),
+            wake: Condvar::new(),
+            epoch: std::sync::atomic::AtomicU64::new(0),
+            worker_solves: std::sync::atomic::AtomicUsize::new(0),
+            gpu,
+            extra_passes,
+        });
+        let worker = (gpusim::host_workers() >= 2).then(|| {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("solve-ahead".into())
+                .spawn(move || shared.work())
+                .expect("spawn the solve-ahead worker")
+        });
+        SolveAhead { shared, worker }
+    }
+
+    /// Queue `job` for solving under `plan` at its place in the dispatch
+    /// order; returns the task's id.
+    pub(crate) fn register(&self, urgency: Urgency, job: &Arc<Job>, plan: Arc<ExecPlan>) -> u64 {
+        let mut q = self.shared.lock();
+        let id = q.next_id;
+        q.next_id += 1;
+        let at = q.tasks.partition_point(|t| t.urgency > urgency);
+        let task = AheadTask {
+            id,
+            urgency,
+            job: Arc::clone(job),
+            plan,
+            state: AheadState::Queued,
+        };
+        q.tasks.insert(at, task);
+        self.shared.changed(&q);
+        id
+    }
+
+    /// Drop the tasks `ids` whatever their state (a running solve
+    /// finishes and its result is dropped); a task already executed is
+    /// gone.
+    pub(crate) fn withdraw(&self, ids: impl IntoIterator<Item = u64>) {
+        let mut q = self.shared.lock();
+        for id in ids {
+            if let Some(i) = q.tasks.iter().position(|t| t.id == id) {
+                q.tasks.remove(i);
+            }
+        }
+    }
+
+    /// The execute step's solve of `job` under `plan`: the result solved
+    /// ahead, or — when its task is still queued, or `job` has none under
+    /// this plan structure — a solve on the calling thread. While the
+    /// worker runs the job's task, the caller solves other queued tasks,
+    /// most urgent first, and waits only when none is left — for one
+    /// watch: a worker that has not finished by then has lost its core,
+    /// so the caller solves the job itself. A panic of the job's solve
+    /// resumes here.
+    pub(crate) fn solve(
+        &self,
+        gpu: &Gpu,
+        job: &Job,
+        plan: &ExecPlan,
+        extra_passes: usize,
+    ) -> PlannedSolve {
+        let shared = &*self.shared;
+        let mut q = shared.lock();
+        let mut stalled = false;
+        loop {
+            let found = q.tasks.iter().position(|t| {
+                std::ptr::eq(&*t.job, job)
+                    && t.plan.stages == plan.stages
+                    && t.plan.target_digits == plan.target_digits
+            });
+            let Some(i) = found.filter(|_| extra_passes == shared.extra_passes) else {
+                drop(q);
+                return solve_planned_traced_with(gpu, job, plan, extra_passes);
+            };
+            q = match q.tasks[i].state {
+                AheadState::Running if !stalled => match q.most_urgent() {
+                    Some(k) => shared.run(q, k),
+                    None => {
+                        let (q, changed) = shared.wait(q, false);
+                        stalled = !changed;
+                        q
+                    }
+                },
+                // a queued task, or one the worker did not finish through
+                // a whole watch (its core was taken away): solve it here,
+                // and the worker's late result is dropped
+                AheadState::Queued | AheadState::Running => {
+                    q.tasks.remove(i);
+                    drop(q);
+                    return solve_planned_traced_with(gpu, job, plan, extra_passes);
+                }
+                AheadState::Done(_) | AheadState::Panicked(_) => {
+                    let state = q.tasks.remove(i).state;
+                    drop(q);
+                    match state {
+                        AheadState::Done(s) => return s,
+                        AheadState::Panicked(payload) => resume_unwind(payload),
+                        AheadState::Queued | AheadState::Running => unreachable!(),
+                    }
+                }
+            };
+        }
+    }
+
+    /// Solves the worker has finished so far.
+    #[cfg(test)]
+    pub(crate) fn worker_solves(&self) -> usize {
+        self.shared.worker_solves.load(Ordering::Relaxed)
+    }
+
+    /// Another handle on the state the worker shares: once the lane is
+    /// dropped, it is the last one exactly when the worker was joined.
+    #[cfg(test)]
+    pub(crate) fn shared_handle(&self) -> Arc<dyn Any + Send + Sync> {
+        self.shared.clone()
+    }
+}
+
+impl Drop for SolveAhead {
+    fn drop(&mut self) {
+        let Some(worker) = self.worker.take() else {
+            return;
+        };
+        {
+            let mut q = self.shared.lock();
+            q.stop = true;
+            self.shared.changed(&q);
+        }
+        // a worker mid-solve finishes that solve, then sees the stop. It
+        // catches every solve's panic for the caller, so only a bug in
+        // the queue code could end it in `Err`: the panic hook has
+        // reported that already, and a drop must not panic
+        let _ = worker.join();
+    }
 }
 
 /// Solve a batch of jobs over the pool under the default
@@ -923,6 +1274,7 @@ pub(crate) fn run_round(
     policy: DispatchPolicy,
     sched: &StageSchedConfig,
     lanes: usize,
+    ahead: Option<&SolveAhead>,
     until_ms: f64,
 ) -> Round {
     let book = |pool: &mut DevicePool, idxs, shape: &JobShape, release| {
@@ -986,7 +1338,7 @@ pub(crate) fn run_round(
     // ---- phase 3: execute — lanes pull jobs ---------------------------
     let round: Vec<(&GroupDispatch, Vec<&Job>)> =
         slots.iter().map(|s| (&s.g, s.members.clone())).collect();
-    let solved = execute_round(pool, &round, lanes, sched.max_extra_passes);
+    let solved = execute_round(pool, &round, lanes, sched.max_extra_passes, ahead);
 
     // ---- phase 4: settle in booking order, replay transients ---------
     let mut fused_groups = 0;
@@ -1112,7 +1464,16 @@ pub(crate) fn run_batch(
         .collect();
     // one lane per device, or a single lane when serial
     let lanes = if host_parallel { pool.len() } else { 1 };
-    let round = run_round(pool, &planner, round, policy, sched, lanes, f64::INFINITY);
+    let round = run_round(
+        pool,
+        &planner,
+        round,
+        policy,
+        sched,
+        lanes,
+        None,
+        f64::INFINITY,
+    );
     for (j, o) in round.outcomes {
         outcomes[j] = Some(o);
     }
@@ -1423,10 +1784,10 @@ mod tests {
             .iter()
             .map(|g| (g, g.jobs.iter().map(|&j| &jobs[j]).collect()))
             .collect();
-        let serial = execute_round(&pool, &round, 1, 2);
+        let serial = execute_round(&pool, &round, 1, 2, None);
         assert_eq!(serial.iter().map(Vec::len).collect::<Vec<_>>(), [2, 1, 1]);
         for lanes in [2, 3, 8] {
-            let parallel = execute_round(&pool, &round, lanes, 2);
+            let parallel = execute_round(&pool, &round, lanes, 2, None);
             for (s, p) in serial.iter().flatten().zip(parallel.iter().flatten()) {
                 assert_eq!(s.x, p.x, "{lanes} lanes changed the bits");
                 assert_eq!(s.residual.to_bits(), p.residual.to_bits());
@@ -1435,7 +1796,7 @@ mod tests {
         }
         // member 0 rides in the group and alone: same solve either way
         assert_eq!(serial[0][0].x, serial[2][0].x);
-        assert!(execute_round(&pool, &[], 4, 2).is_empty());
+        assert!(execute_round(&pool, &[], 4, 2, None).is_empty());
     }
 
     #[test]
@@ -1505,5 +1866,59 @@ mod tests {
         let refunded: f64 = report.outcomes.iter().map(|o| o.refunded_ms).sum();
         let stats_refund: f64 = report.device_stats.iter().map(|s| s.refunded_ms).sum();
         assert!((refunded - stats_refund).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_panicking_solve_ahead_resurfaces_on_the_caller() {
+        // a plan for a wider system than the job's: interpreting it panics
+        let job = Arc::new(little_jobs(1, 0xbad).remove(0));
+        let gpu = Gpu::v100();
+        let wrong = Planner::new().plan(&gpu, 12, 12, job.target_digits);
+        let ahead = SolveAhead::new(gpu.clone(), 0);
+        let urgency = Urgency {
+            priority: 0,
+            deadline_ms: f64::INFINITY,
+            arrival: 0,
+        };
+        ahead.register(urgency, &job, wrong.clone());
+        if gpusim::host_workers() >= 2 {
+            // let the worker take the task and catch its panic
+            while ahead.worker_solves() == 0 {
+                std::thread::yield_now();
+            }
+        }
+        let solved = catch_unwind(AssertUnwindSafe(|| ahead.solve(&gpu, &job, &wrong, 0)));
+        assert!(solved.is_err(), "the mismatched plan solved");
+        // the lane still works, and drops cleanly
+        let plan = Planner::new().plan(&gpu, job.rows(), job.cols(), job.target_digits);
+        ahead.register(urgency, &job, plan.clone());
+        let s = ahead.solve(&gpu, &job, &plan, 0);
+        assert_eq!(s.x, solve_planned_traced_with(&gpu, &job, &plan, 0).x);
+    }
+
+    #[test]
+    fn a_result_solved_under_another_plan_is_never_taken() {
+        // a job down-laddered after its task was solved: the execute
+        // step must solve it again under the plan it was booked with
+        let job = Arc::new(little_jobs(3, 0x1add).remove(2));
+        let gpu = Gpu::v100();
+        let planner = Planner::new();
+        let asked = planner.plan(&gpu, job.rows(), job.cols(), job.target_digits);
+        let booked = planner.plan(&gpu, job.rows(), job.cols(), 12);
+        assert_ne!(asked.stages, booked.stages, "the rungs must differ");
+        let ahead = SolveAhead::new(gpu.clone(), 0);
+        let urgency = Urgency {
+            priority: 0,
+            deadline_ms: f64::INFINITY,
+            arrival: 0,
+        };
+        ahead.register(urgency, &job, asked);
+        if gpusim::host_workers() >= 2 {
+            while ahead.worker_solves() == 0 {
+                std::thread::yield_now();
+            }
+        }
+        let s = ahead.solve(&gpu, &job, &booked, 0);
+        assert_eq!(s.x, solve_planned_traced_with(&gpu, &job, &booked, 0).x);
     }
 }

@@ -201,9 +201,7 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
     }
 
     fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> V {
-        // the guard is dropped at the end of this statement
-        let cached = self.0.lock().expect(POISONED).get(&key).cloned();
-        if let Some(v) = cached {
+        if let Some(v) = self.get(&key) {
             return v;
         }
         let v = compute();
@@ -213,6 +211,12 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
             .entry(key)
             .or_insert(v)
             .clone()
+    }
+
+    /// The stored value, if any: a read that never computes or inserts
+    /// (the guard is dropped before it returns).
+    fn get(&self, key: &K) -> Option<V> {
+        self.0.lock().expect(POISONED).get(key).cloned()
     }
 
     fn len(&self) -> usize {
@@ -400,6 +404,22 @@ impl Planner {
     /// the plan search, priced for `gpu`'s timing model.
     pub fn plan(&self, gpu: &Gpu, rows: usize, cols: usize, target_digits: u32) -> Arc<ExecPlan> {
         self.plan_inner(gpu, rows, cols, target_digits, false)
+    }
+
+    /// The plan [`Planner::plan`] has already memoized for this job on
+    /// `gpu`, if any — a *silent* read: it neither plans on a miss nor
+    /// emits a cache event, so probing it moves no `planner.*` count.
+    /// Structures are device-free, so any device's hit carries the
+    /// arithmetic every device would run.
+    pub(crate) fn memoized_plan(
+        &self,
+        gpu: &Gpu,
+        rows: usize,
+        cols: usize,
+        target_digits: u32,
+    ) -> Option<Arc<ExecPlan>> {
+        self.cache
+            .get(&PlanKey::new(gpu, rows, cols, target_digits, false))
     }
 
     /// The cheapest *direct* plan for the same job — what the planner

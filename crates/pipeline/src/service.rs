@@ -938,8 +938,13 @@ impl<'a> Shell<'a> {
                     .iter()
                     .map(|e| (&e.g, vec![&self.jobs[e.job_idx]]))
                     .collect();
-                let solved =
-                    execute_round(pool, &groups, self.cfg.host_workers, SCHED.max_extra_passes);
+                let solved = execute_round(
+                    pool,
+                    &groups,
+                    self.cfg.host_workers,
+                    SCHED.max_extra_passes,
+                    None,
+                );
                 for (e, mut s) in round.drain(..).zip(solved) {
                     self.settle_entry(pool, e, &mut s);
                 }

@@ -25,11 +25,25 @@
 //! the one constructor. Numerics per job are identical to
 //! [`crate::batch::solve_batch`] — the solution never depends on which
 //! device a job lands on or when, only the simulated timing does.
+//!
+//! **Solving ahead.** Because a job's solve depends only on the job and
+//! its plan structure, the stream need not wait for a dispatch to start
+//! it. Every buffered job whose plan the planner has already memoized
+//! (a silent read: no insert, no event) is registered with the stream's
+//! solve-ahead lane (`batch::SolveAhead`) at its place in the dispatch
+//! order. On a host with two or more threads one persistent worker
+//! solves those jobs, most urgent first, while the calling thread books,
+//! executes and settles the group at the head; the execute step takes
+//! a finished result, or solves the job itself. A job down-laddered or
+//! shed by admission has its task withdrawn. Outcomes and the recorded
+//! event stream are bit-identical with or without the worker, which
+//! dropping the stream stops and joins.
 
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::Arc;
 
-use crate::batch::{emit_settled, run_round, Group, JobOutcome, Round};
+use crate::batch::{emit_settled, run_round, Group, JobOutcome, Round, SolveAhead};
 use crate::job::Job;
 use crate::microbatch::MicrobatchConfig;
 use crate::planner::Planner;
@@ -38,30 +52,69 @@ use crate::resilient::{admit, invalid_tombstone, AdmissionConfig, Admitted};
 use crate::scheduler::{DispatchPolicy, JobShape, StageSchedConfig};
 use mdls_obs::Event;
 
-/// A job waiting in the reorder buffer, ordered so the heap's max is
-/// the next job to dispatch: higher priority first, then earlier
-/// deadline (no deadline sorts last), then earlier arrival (FIFO among
-/// equals — equal-priority streams drain in submission order).
+/// A buffered job's place in the dispatch order, the greater first:
+/// higher priority first, then earlier deadline (no deadline sorts
+/// last), then earlier arrival (FIFO among equals — equal-priority
+/// streams drain in submission order). Arrivals are unique, so the
+/// order is total. The reorder buffer and the solve-ahead queue share
+/// it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Urgency {
+    pub(crate) priority: i32,
+    pub(crate) deadline_ms: f64,
+    pub(crate) arrival: usize,
+}
+
+impl PartialEq for Urgency {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == std::cmp::Ordering::Equal
+    }
+}
+
+impl Eq for Urgency {}
+
+impl PartialOrd for Urgency {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Urgency {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.priority
+            .cmp(&other.priority)
+            .then(other.deadline_ms.total_cmp(&self.deadline_ms))
+            .then(other.arrival.cmp(&self.arrival))
+    }
+}
+
+/// A job waiting in the reorder buffer, ordered by its [`Urgency`] so
+/// the heap's max is the next job to dispatch.
 struct QueuedJob {
-    job: Job,
+    /// Shared with the solve-ahead lane while a task for it is queued.
+    job: Arc<Job>,
     arrival: usize,
     /// The digits the job runs at: its request, unless admission
     /// down-laddered it.
     digits: u32,
+    /// Its task on the solve-ahead lane, once registered.
+    task: Option<u64>,
 }
 
 impl QueuedJob {
-    /// Deadline as a totally ordered key: missing deadlines sort after
-    /// any finite one.
-    fn deadline(&self) -> f64 {
-        self.job.deadline_ms.unwrap_or(f64::INFINITY)
+    fn urgency(&self) -> Urgency {
+        Urgency {
+            priority: self.job.priority,
+            deadline_ms: self.job.deadline_ms.unwrap_or(f64::INFINITY),
+            arrival: self.arrival,
+        }
     }
 
     /// The shape key the job runs under.
     fn shape(&self) -> JobShape {
         JobShape {
             target_digits: self.digits,
-            ..JobShape::from(&self.job)
+            ..JobShape::from(&*self.job)
         }
     }
 }
@@ -82,11 +135,7 @@ impl PartialOrd for QueuedJob {
 
 impl Ord for QueuedJob {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.job
-            .priority
-            .cmp(&other.job.priority)
-            .then(other.deadline().total_cmp(&self.deadline()))
-            .then(other.arrival.cmp(&self.arrival))
+        self.urgency().cmp(&other.urgency())
     }
 }
 
@@ -120,6 +169,13 @@ pub struct BatchStream<'p, I> {
     ready: VecDeque<JobOutcome>,
     admitted: usize,
     dispatched: usize,
+    /// Solves buffered jobs ahead of their dispatch (see
+    /// [`SolveAhead`]); dropping the stream joins its worker.
+    ahead: SolveAhead,
+    /// The planner's memo size when the buffer was last offered to the
+    /// solve-ahead lane: a buffered job whose plan was unknown then is
+    /// offered again once the memo grows.
+    plans_seen: usize,
 }
 
 /// Stream `jobs` through `pool` under dispatch `policy` and reorder
@@ -159,6 +215,7 @@ where
 {
     BatchStream {
         planner: Planner::for_pool(pool),
+        ahead: SolveAhead::new(pool.gpu(0).clone(), sched.max_extra_passes),
         pool,
         jobs: jobs.into_iter(),
         policy,
@@ -170,6 +227,7 @@ where
         ready: VecDeque::new(),
         admitted: 0,
         dispatched: 0,
+        plans_seen: 0,
     }
 }
 
@@ -213,20 +271,71 @@ where
                 self.ready.push_back(invalid_tombstone(self.pool, &job, e));
                 continue;
             }
-            self.buffer.push(QueuedJob {
+            let mut q = QueuedJob {
                 digits: job.target_digits,
-                job,
+                job: Arc::new(job),
                 arrival: self.admitted,
-            });
+                task: None,
+            };
+            self.register_ahead(&mut q);
+            self.buffer.push(q);
             self.admitted += 1;
         }
     }
 
+    /// Offer a buffered job to the solve-ahead lane: registered when its
+    /// plan is already memoized, found by a silent planner read (no
+    /// insert, no event) under any device's key — structures are
+    /// device-free.
+    fn register_ahead(&self, q: &mut QueuedJob) {
+        if q.task.is_some() {
+            return;
+        }
+        let shape = q.shape();
+        let (rows, cols, digits) = (shape.rows, shape.cols, shape.target_digits);
+        let plan = (0..self.pool.len()).find_map(|d| {
+            self.planner
+                .memoized_plan(self.pool.gpu(d), rows, cols, digits)
+        });
+        if let Some(plan) = plan {
+            q.task = Some(self.ahead.register(q.urgency(), &q.job, plan));
+        }
+    }
+
+    /// Offer the buffered jobs not yet registered to the solve-ahead
+    /// lane again, once the planner has memoized a plan since the last
+    /// offer.
+    fn register_buffered(&mut self) {
+        let plans = self.planner.cached_plans();
+        if plans == self.plans_seen {
+            return;
+        }
+        self.plans_seen = plans;
+        if self.buffer.iter().all(|q| q.task.is_some()) {
+            return;
+        }
+        // arrivals are unique, so the rebuilt heap pops in the same order
+        let mut queued = std::mem::take(&mut self.buffer).into_vec();
+        for q in &mut queued {
+            self.register_ahead(q);
+        }
+        self.buffer = BinaryHeap::from(queued);
+    }
+
     /// One round of the batch loop over `groups`, on the calling thread
-    /// (see `batch::run_round`).
+    /// with the solve-ahead lane (see `batch::run_round`).
     fn round(&mut self, groups: Vec<Group<'_>>, until_ms: f64) -> Round {
-        let (policy, sched) = (self.policy, &self.sched);
-        run_round(self.pool, &self.planner, groups, policy, sched, 1, until_ms)
+        let (policy, sched, ahead) = (self.policy, &self.sched, Some(&self.ahead));
+        run_round(
+            self.pool,
+            &self.planner,
+            groups,
+            policy,
+            sched,
+            1,
+            ahead,
+            until_ms,
+        )
     }
 
     /// The admit step on one queued job, no earlier than the soonest a
@@ -250,11 +359,16 @@ where
             tomb_at,
             &adm,
         ) {
+            Admitted::Run { digits } if digits == q.digits => true,
             Admitted::Run { digits } => {
+                // down-laddered: its task solves the requested plan
+                self.ahead.withdraw(q.task.take());
                 q.digits = digits;
+                self.register_ahead(q);
                 true
             }
             Admitted::Shed(tombstone) => {
+                self.ahead.withdraw(q.task.take());
                 self.dispatched += 1;
                 self.ready.push_back(*tombstone);
                 false
@@ -303,7 +417,7 @@ where
         // late-arriving higher-priority job still overtakes exactly
         // where it would have — so fusion can never violate priority or
         // deadline ordering.
-        let mut group = vec![queued.job];
+        let mut group = vec![queued];
         if !self.micro.is_off() {
             let cfg = self.micro;
             let mut preferred = self.planner.preferred_group_size(
@@ -317,7 +431,7 @@ where
             // so when the front (most urgent) member's deadline is
             // tight, shrink the group until its fused wall clock fits
             // the remaining slack
-            if let Some(deadline) = group[0].deadline_ms {
+            if let Some(deadline) = group[0].job.deadline_ms {
                 let slack = (deadline - floor).max(0.0);
                 let cap = self.planner.deadline_group_cap(
                     shape.rows,
@@ -342,7 +456,7 @@ where
                     // earliest feasible start would delay the whole
                     // group (and its front deadline) — leave it queued
                     Some(q) if q.shape() == shape && q.job.release() <= floor => {
-                        group.push(PeekMut::pop(q).job);
+                        group.push(PeekMut::pop(q));
                     }
                     _ => break,
                 }
@@ -357,13 +471,15 @@ where
         }
         let idxs: Vec<usize> = (self.dispatched..self.dispatched + group.len()).collect();
         self.dispatched += group.len();
-        let members = group.iter().collect();
-        let group = Group {
+        let members = group.iter().map(|q| &*q.job).collect();
+        let head = Group {
             shape,
             idxs: idxs.into(),
             members,
         };
-        let round = self.round(vec![group], f64::NEG_INFINITY);
+        let round = self.round(vec![head], f64::NEG_INFINITY);
+        // a group no device could take never executed its tasks
+        self.ahead.withdraw(group.iter().filter_map(|q| q.task));
         let outcomes: Vec<JobOutcome> = round.outcomes.into_iter().map(|(_, o)| o).collect();
         emit_settled(self.pool, &outcomes);
         self.ready.extend(outcomes);
@@ -375,13 +491,17 @@ where
                 }
             }
         }
+        self.register_buffered();
         self.ready.pop_front()
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         let (lo, hi) = self.jobs.size_hint();
         let pending = self.buffer.len() + self.ready.len();
-        (lo.saturating_add(pending), hi.map(|h| h + pending))
+        (
+            lo.saturating_add(pending),
+            hi.and_then(|h| h.checked_add(pending)),
+        )
     }
 }
 
@@ -778,6 +898,120 @@ mod tests {
         .collect();
         assert_eq!(fused[0].fused_group, 1, "job 0 fused with unarrived jobs");
         assert_eq!(fused[0].start_ms, 0.0);
+    }
+
+    /// A bursty tracker stream as the benchmark runs it: 4×V100, SECT,
+    /// a reorder window of one burst, fused, staged booking.
+    fn tracker_stream(
+        pool: &mut DevicePool,
+        jobs: Vec<Job>,
+    ) -> BatchStream<'_, std::vec::IntoIter<Job>> {
+        solve_stream_staged(
+            pool,
+            jobs,
+            DispatchPolicy::ShortestExpectedCompletion,
+            12,
+            MicrobatchConfig::default(),
+            StageSchedConfig::staged(),
+        )
+    }
+
+    fn bursty_jobs(count: usize, seed: u64) -> Vec<Job> {
+        crate::workload::bursty_tracker_jobs(count, 12, 2.0, &mut StdRng::seed_from_u64(seed))
+    }
+
+    #[test]
+    fn solved_ahead_outcomes_match_per_job_interpretation() {
+        // a job's solve reads only the job and its plan structure, so
+        // whichever thread solved it, and however early, every outcome
+        // is the lone interpretation of its plan, bit for bit
+        let jobs = bursty_jobs(96, 0x5a1e);
+        let mut pool = DevicePool::homogeneous(&Gpu::v100(), 4);
+        let outcomes: Vec<JobOutcome> = tracker_stream(&mut pool, jobs.clone()).collect();
+        assert_eq!(outcomes.len(), jobs.len());
+        let extra = StageSchedConfig::staged().max_extra_passes;
+        for o in &outcomes {
+            let job = jobs.iter().find(|j| j.id == o.job_id).unwrap();
+            let lone = crate::batch::solve_planned_traced_with(&Gpu::v100(), job, &o.plan, extra);
+            assert_eq!(o.x, lone.x, "job {}: solution bits", o.job_id);
+            assert_eq!(o.residual.to_bits(), lone.residual.to_bits());
+            assert_eq!(o.corrections_run, lone.corrections_run);
+        }
+    }
+
+    #[test]
+    fn the_worker_solves_ahead_on_two_cores() {
+        // vacuity guard: the bit-equality above says nothing if no job
+        // was ever solved ahead. Parallel tests may keep the worker off
+        // a core for one short stream, so it gets a few.
+        let solved_ahead = |seed: u64| {
+            let mut pool = DevicePool::homogeneous(&Gpu::v100(), 4);
+            let mut stream = tracker_stream(&mut pool, bursty_jobs(96, seed));
+            stream.by_ref().for_each(drop);
+            stream.ahead.worker_solves()
+        };
+        if gpusim::host_workers() < 2 {
+            assert_eq!(solved_ahead(0xa4ead), 0, "one core runs no worker");
+        } else {
+            assert!(
+                (0..5).any(|k| solved_ahead(0xa4ead + k) > 0),
+                "the worker solved nothing on a 2-core host"
+            );
+        }
+    }
+
+    #[test]
+    fn dropping_a_stream_joins_its_worker() {
+        let mut pool = DevicePool::homogeneous(&Gpu::v100(), 4);
+        let shared = {
+            let mut stream = tracker_stream(&mut pool, bursty_jobs(120, 0xd20f));
+            assert_eq!(stream.by_ref().take(3).count(), 3);
+            stream.ahead.shared_handle()
+            // dropped with tasks still queued, maybe one mid-solve
+        };
+        assert_eq!(
+            Arc::strong_count(&shared),
+            1,
+            "the worker still holds the queue after the stream dropped"
+        );
+    }
+
+    /// An input whose upper bound stays at `usize::MAX` however much
+    /// of it is consumed — loose, but a valid `size_hint`.
+    struct LooseBound<I>(I);
+
+    impl<I: Iterator> Iterator for LooseBound<I> {
+        type Item = I::Item;
+
+        fn next(&mut self) -> Option<I::Item> {
+            self.0.next()
+        }
+
+        fn size_hint(&self) -> (usize, Option<usize>) {
+            (0, Some(usize::MAX))
+        }
+    }
+
+    #[test]
+    fn size_hint_never_overflows_near_usize_max() {
+        let job = same_shape_jobs(1, 6, 12, 0x512e).remove(0);
+        let input = || std::iter::repeat_n(job.clone(), usize::MAX);
+        let mut pool = DevicePool::homogeneous(&Gpu::v100(), 1);
+        // an exact input keeps an exact hint: one job yielded
+        let mut stream = stream_with(&mut pool, input(), DispatchPolicy::LeastLoaded, 2);
+        assert!(stream.next().is_some());
+        assert_eq!(stream.size_hint(), (usize::MAX - 1, Some(usize::MAX - 1)));
+        // buffered jobs on top of a bound already at `usize::MAX`: no
+        // upper bound, not an overflow
+        let mut stream = stream_with(
+            &mut pool,
+            LooseBound(input()),
+            DispatchPolicy::LeastLoaded,
+            2,
+        );
+        assert!(stream.next().is_some());
+        let (lo, hi) = stream.size_hint();
+        assert!(lo >= 1 && hi.is_none(), "hint ({lo}, {hi:?})");
     }
 
     #[test]
