@@ -40,6 +40,14 @@ pub struct BacksubRun<S> {
 /// Launch sequence (matching the paper's count of `1 + N(N+1)/2`):
 /// one inversion launch, then per step `i = N-1..0` one multiply launch
 /// and (for `i > 0`) one update launch of `i` blocks.
+///
+/// The inversion overwrites `u`'s diagonal tiles with their inverses, and
+/// the later launches only read `u`. A caller that solves against one
+/// matrix more than once can therefore keep the inverted `u`: it runs
+/// [`invert_diagonal_tiles`] once and [`backsub_inverted_on_sim`] per
+/// right hand side, pricing each later inversion with
+/// `invert_diagonal_tiles(sim, None, ..)` (what `mdls-core`'s
+/// factorization does).
 pub fn backsub_on_sim<S: MdScalar>(
     sim: &Sim,
     u: &gpusim::DeviceMat<S>,
@@ -47,18 +55,48 @@ pub fn backsub_on_sim<S: MdScalar>(
     x: &gpusim::DeviceBuf<S>,
     opts: &BacksubOptions,
 ) {
+    invert_diagonal_tiles(sim, Some(u), opts);
+    backsub_inverted_on_sim(sim, u, b, x, opts);
+}
+
+/// Step 1 of Algorithm 1: invert all diagonal tiles of `u` in place, one
+/// launch of `N` blocks of `n` threads. With `u = None` the launch is
+/// priced and counted exactly the same, but no body runs: the caller's
+/// operand already holds these inverses from an earlier run
+/// ([`Sim::launch_cached`]).
+pub fn invert_diagonal_tiles<S: MdScalar>(
+    sim: &Sim,
+    u: Option<&gpusim::DeviceMat<S>>,
+    opts: &BacksubOptions,
+) {
     let (nt, n) = (opts.tiles, opts.tile_size);
-    assert_eq!(u.rows, opts.dim(), "matrix does not match tiling");
-    assert_eq!(u.rows, u.cols, "back substitution needs a square matrix");
+    let cost = cost::invert_cost::<S>(nt, n);
+    match u {
+        Some(u) => {
+            check_square(u, opts);
+            sim.launch(STAGE_INVERT, nt, n, cost, |ctx| {
+                kernels::invert_tile_block(ctx, u, n)
+            });
+        }
+        None => sim.launch_cached(STAGE_INVERT, nt, n, cost),
+    }
+}
+
+/// Step 2 of Algorithm 1 — alternating multiplies and updates — against
+/// a `u` whose diagonal tiles already hold their inverses
+/// ([`invert_diagonal_tiles`]). Reads `u`, never writes it.
+pub fn backsub_inverted_on_sim<S: MdScalar>(
+    sim: &Sim,
+    u: &gpusim::DeviceMat<S>,
+    b: &gpusim::DeviceBuf<S>,
+    x: &gpusim::DeviceBuf<S>,
+    opts: &BacksubOptions,
+) {
+    let (nt, n) = (opts.tiles, opts.tile_size);
+    check_square(u, opts);
     assert_eq!(b.len(), opts.dim());
     assert_eq!(x.len(), opts.dim());
 
-    // 1. invert all diagonal tiles: N blocks of n threads
-    sim.launch(STAGE_INVERT, nt, n, cost::invert_cost::<S>(nt, n), |ctx| {
-        kernels::invert_tile_block(ctx, u, n)
-    });
-
-    // 2. alternate multiplies and updates
     for i in (0..nt).rev() {
         sim.launch(STAGE_MULTIPLY, 1, n, cost::multiply_cost::<S>(n), |ctx| {
             kernels::multiply_inverse_block(ctx, u, b, x, i, n)
@@ -76,6 +114,11 @@ pub fn backsub_on_sim<S: MdScalar>(
             );
         }
     }
+}
+
+fn check_square<S: MdScalar>(u: &gpusim::DeviceMat<S>, opts: &BacksubOptions) {
+    assert_eq!(u.rows, opts.dim(), "matrix does not match tiling");
+    assert_eq!(u.rows, u.cols, "back substitution needs a square matrix");
 }
 
 /// Standalone back substitution: creates a session, uploads `u` and `b`

@@ -23,7 +23,10 @@ pub mod cost;
 pub mod driver;
 pub mod kernels;
 
-pub use driver::{backsub, backsub_model_profile, backsub_on_sim, BacksubOptions, BacksubRun};
+pub use driver::{
+    backsub, backsub_inverted_on_sim, backsub_model_profile, backsub_on_sim, invert_diagonal_tiles,
+    BacksubOptions, BacksubRun,
+};
 
 /// Stage label: inversion of the diagonal tiles.
 pub const STAGE_INVERT: &str = "invert diagonal tiles";

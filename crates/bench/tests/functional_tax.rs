@@ -24,6 +24,12 @@
 //! with the few-limb iterates refinement produces) must form their
 //! products and sums eight at a time (`gpusim::shared`'s lane path), and
 //! the double double `axpy` must run its AVX-512 instantiation.
+//!
+//! Two gates are on work a refinement pass must not repeat: a second
+//! solve through one factorization must reuse the back substitution
+//! operand (R's block with its diagonal tiles inverted) its first solve
+//! built, and an octo double residual norm must round to `f64` from a
+//! double double root, not an octo double one.
 #![expect(clippy::disallowed_methods, reason = "a host-time gate")]
 
 use std::hint::black_box;
@@ -31,7 +37,8 @@ use std::time::Instant;
 
 use gpusim::shared::{axmy, axmy_without_lanes, axpy, axpy_without_lanes, lanes_available};
 use gpusim::{ExecMode, Gpu};
-use mdls_matrix::HostMat;
+use mdls_core::{lstsq_factor_batched, LstsqOptions};
+use mdls_matrix::{vec_norm2, vec_norm2_f64, HostMat};
 use mdls_qr::{householder_qr_host, qr_decompose, QrOptions};
 use multidouble::expansion::{renormalize, sort_by_magnitude, truncated_product, Scratch};
 use multidouble::{Dd, MdScalar, Od, Qd};
@@ -483,4 +490,104 @@ fn dd_axpy_runs_eight_wide() {
     let acc: Vec<Dd> = (0..64).map(|_| Dd::rand(&mut rng)).collect();
     let (ratio, ..) = lane_ratio("dd axpy", false, &x, &acc, Dd::rand(&mut rng));
     assert!(ratio <= 0.85, "dd axpy: ratio {ratio:.3} (gate 0.85)");
+}
+
+/// The median of `rounds` interleaved `(a, b)` reads, by their ratio.
+fn median_ratio(rounds: usize, mut read: impl FnMut() -> (f64, f64)) -> (f64, f64) {
+    let mut reads: Vec<(f64, f64)> = (0..rounds).map(|_| read()).collect();
+    reads.sort_by(|p, q| (p.0 / p.1).total_cmp(&(q.0 / q.1)));
+    reads[rounds / 2]
+}
+
+/// A second dd solve through one 24-column factorization (one tile of
+/// 24) costs ≤ 0.25× its first: the first solve copies R's block and
+/// inverts its diagonal tile, and the factorization keeps that operand,
+/// so later solves only price those two launches. The median of 15
+/// rounds, each timing the first and then the second solve of 16 fresh
+/// factorizations. Reads (AVX-512 Xeon, two cores): 0.066–0.069 alone,
+/// 0.064–0.077 beside the other gates; first solves 92–138 µs, second
+/// 6.0–10.7 µs. While every solve re-ran the inversion, the ratio read
+/// 0.99–1.00.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "timing gate: run with `cargo test --release`"
+)]
+fn later_solves_reuse_the_inverted_tiles() {
+    let mut rng = StdRng::seed_from_u64(2022);
+    let opts = LstsqOptions::tiled(1, 24, ExecMode::Sequential);
+    let gpu = Gpu::v100();
+    let a = HostMat::<Dd>::random(28, 24, &mut rng);
+    let b: Vec<Dd> = mdls_matrix::random_vector(28, &mut rng);
+    let (first, second) = median_ratio(15, || {
+        let facts: Vec<_> = (0..16)
+            .map(|_| lstsq_factor_batched(&gpu, &[&a], &opts))
+            .collect();
+        let time = || {
+            let t0 = Instant::now();
+            for f in &facts {
+                black_box(f.instances()[0].solve(black_box(&b)));
+            }
+            t0.elapsed().as_secs_f64() / 16.0
+        };
+        (time(), time())
+    });
+    let ratio = second / first;
+    println!(
+        "dd 24-column solves: first {:.1} µs, second {:.1} µs, ratio {ratio:.3}",
+        first * 1e6,
+        second * 1e6
+    );
+    assert!(
+        ratio <= 0.25,
+        "second / first dd solve: ratio {ratio:.3} (gate 0.25)"
+    );
+}
+
+/// The `f64` norm of a 28-long octo double residual, `vec_norm2_f64`,
+/// costs ≤ 0.6× `vec_norm2(..).to_f64()`, whose octo double square root
+/// (four Newton steps) is most of the norm. The residual is
+/// refinement-shaped: entries of one nonzero limb near `1e-40` (a
+/// corrector's residual against its double double iterate is exact in
+/// one limb, so its squares take the by-double product). The median of
+/// 15 interleaved rounds of 64 norms each. Reads (AVX-512 Xeon, two
+/// cores): 0.372–0.387 alone, 4.5–7.0 µs against 11.9–19.0 µs; 0.12–0.45
+/// beside the other gates.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "timing gate: run with `cargo test --release`"
+)]
+fn certified_od_norm_skips_the_wide_root() {
+    let mut rng = StdRng::seed_from_u64(2022);
+    let r: Vec<Od> = (0..28)
+        .map(|_| Od::from_f64(f64::rand(&mut rng) * 1e-40))
+        .collect();
+    assert_eq!(
+        vec_norm2_f64(&r).to_bits(),
+        vec_norm2(&r).to_f64().to_bits()
+    );
+    let time = |f: &dyn Fn(&[Od]) -> f64| {
+        let t0 = Instant::now();
+        for _ in 0..64 {
+            black_box(f(black_box(&r)));
+        }
+        t0.elapsed().as_secs_f64() / 64.0
+    };
+    let (certified, wide) = median_ratio(15, || {
+        (
+            time(&|x| vec_norm2_f64(x)),
+            time(&|x| vec_norm2(x).to_f64()),
+        )
+    });
+    let ratio = certified / wide;
+    println!(
+        "od 28-vector norm: certified {:.2} µs, wide root {:.2} µs, ratio {ratio:.3}",
+        certified * 1e6,
+        wide * 1e6
+    );
+    assert!(
+        ratio <= 0.6,
+        "certified / wide od norm: ratio {ratio:.3} (gate 0.6)"
+    );
 }

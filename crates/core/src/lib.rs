@@ -25,9 +25,11 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
+use std::sync::OnceLock;
+
 use gpusim::shared::{axmy, dot_conj};
 use gpusim::{BlockCtx, ExecMode, Gpu, KernelCost, Profile, Sim};
-use mdls_backsub::{backsub_on_sim, BacksubOptions};
+use mdls_backsub::{backsub_inverted_on_sim, invert_diagonal_tiles, BacksubOptions};
 use mdls_matrix::HostMat;
 use mdls_qr::{qr_on_sim, QrDeviceState, QrOptions};
 use multidouble::{MdScalar, OpCounts};
@@ -132,34 +134,37 @@ fn qtb_kernel<S: MdScalar>(
     );
 }
 
-/// Copy the top `cols × cols` block of `R` into a square matrix for the
-/// back substitution (only needed for tall systems).
+/// Copy the top `cols × cols` block of `R` into the square operand of
+/// the back substitution, which inverts that operand's diagonal tiles in
+/// place (so it never runs on `R` itself). Every solve launches it; with
+/// `u = None` the launch is priced and counted but its body does not run,
+/// because the factorization already keeps the operand (see
+/// [`LstsqFactorization::solve`]).
 fn copy_r_square<S: MdScalar>(
     sim: &Sim,
     r: &gpusim::DeviceMat<S>,
-    u: &gpusim::DeviceMat<S>,
+    u: Option<&gpusim::DeviceMat<S>>,
     cols: usize,
     block: usize,
 ) {
     let elems = (cols * (cols + 1) / 2) as u64;
     let cost = KernelCost::of::<S>(OpCounts::ZERO, elems, elems);
-    sim.launch(
-        "copy R",
-        cols.div_ceil(block).max(1),
-        block,
-        cost,
-        |ctx: BlockCtx| {
-            let mut col = vec![S::zero(); cols];
-            for t in ctx.thread_ids() {
-                let c = ctx.global_tid(t);
-                if c >= cols {
-                    continue;
-                }
-                r.load_col(c, 0, &mut col[..=c]);
-                u.store_col(c, 0, &col[..=c]);
+    let grid = cols.div_ceil(block).max(1);
+    let Some(u) = u else {
+        sim.launch_cached("copy R", grid, block, cost);
+        return;
+    };
+    sim.launch("copy R", grid, block, cost, |ctx: BlockCtx| {
+        let mut col = vec![S::zero(); cols];
+        for t in ctx.thread_ids() {
+            let c = ctx.global_tid(t);
+            if c >= cols {
+                continue;
             }
-        },
-    );
+            r.load_col(c, 0, &mut col[..=c]);
+            u.store_col(c, 0, &col[..=c]);
+        }
+    });
 }
 
 /// A reusable QR factorization: the device-resident `Q`/`R` of one
@@ -170,17 +175,24 @@ fn copy_r_square<S: MdScalar>(
 /// [`LstsqFactorization::solve`] then runs the paper's phase 2 —
 /// `Qᴴ rhs` followed by tiled back substitution — against any right hand
 /// side without re-factoring. Each solve repeats phase 2's full launch
-/// sequence — `Qᴴ b`, a copy of `R`'s upper block to scratch (the tiled
-/// back substitution inverts diagonal tiles in place, so it runs on a
-/// copy to keep the factorization reusable), back substitution — so its
-/// per-solve profile is exactly the `bs_profile` a standalone [`lstsq`]
-/// records and the two compose bit-identically.
+/// sequence — `Qᴴ b`, a copy of `R`'s upper block to a square operand,
+/// the inversion of that operand's diagonal tiles, back substitution —
+/// so its per-solve profile is exactly the `bs_profile` a standalone
+/// [`lstsq`] records and the two compose bit-identically.
+///
+/// The copy and the inversion produce the same bits on every solve, so
+/// a functional factorization keeps the operand its first solve builds
+/// (`R`'s block with its diagonal tiles inverted; the multiply and update
+/// launches only read it) and later solves price those two launches
+/// without running them. Model-only factorizations keep nothing.
 pub struct LstsqFactorization<S: MdScalar> {
     sim: Sim,
     st: QrDeviceState<S>,
     opts: LstsqOptions,
     rows: usize,
     factor_profile: Profile,
+    /// The back substitution operand, set by the first functional solve.
+    inverted: OnceLock<gpusim::DeviceMat<S>>,
 }
 
 /// Factor on a caller-built session — the seam the batched entry
@@ -222,6 +234,7 @@ fn factor_with_sim<S: MdScalar>(
         opts: *opts,
         rows,
         factor_profile,
+        inverted: OnceLock::new(),
     }
 }
 
@@ -388,6 +401,11 @@ impl<S: MdScalar> LstsqFactorization<S> {
     ///
     /// Returns the solution (empty in model-only sessions, where `b` is
     /// ignored and may be empty) and the profile of exactly this solve.
+    /// Every solve records the same profile: the launches of `copy R` and
+    /// `invert diagonal tiles` and the operand's device footprint are
+    /// charged each time, though only the first functional solve runs
+    /// their bodies (the kept operand then serves every later solve; see
+    /// [`LstsqFactorization`]).
     pub fn solve(&self, b: &[S]) -> (Vec<S>, Profile) {
         let (m, cols) = (self.rows, self.opts.cols());
         self.sim.reset_profile();
@@ -408,16 +426,32 @@ impl<S: MdScalar> LstsqFactorization<S> {
             tiles: self.opts.tiles,
             tile_size: self.opts.tile_size,
         };
-        // The tiled back substitution inverts the diagonal tiles of its
-        // input *in place*, so it must never run on `R` itself — the
-        // factorization would be corrupted for every later solve. Each
-        // solve therefore works on a fresh copy of the upper block (the
-        // tall path always needed the copy; square systems now pay the
-        // same cheap copy launch for re-solvability). The copied values
-        // are identical, so solutions are bit-identical either way.
-        let u = self.sim.alloc_mat::<S>(cols, cols);
-        copy_r_square(&self.sim, &self.st.r, &u, cols, self.opts.tile_size);
-        backsub_on_sim(&self.sim, &u, &dqtb, &dx, &bs_opts);
+        let built;
+        let u = match self.inverted.get() {
+            Some(u) => {
+                self.sim.reserve_mat::<S>(cols, cols);
+                copy_r_square(&self.sim, &self.st.r, None, cols, self.opts.tile_size);
+                invert_diagonal_tiles::<S>(&self.sim, None, &bs_opts);
+                u
+            }
+            None => {
+                built = self.sim.alloc_mat::<S>(cols, cols);
+                copy_r_square(
+                    &self.sim,
+                    &self.st.r,
+                    Some(&built),
+                    cols,
+                    self.opts.tile_size,
+                );
+                invert_diagonal_tiles(&self.sim, Some(&built), &bs_opts);
+                if self.sim.is_functional() {
+                    self.inverted.get_or_init(|| built)
+                } else {
+                    &built
+                }
+            }
+        };
+        backsub_inverted_on_sim(&self.sim, u, &dqtb, &dx, &bs_opts);
         self.sim.record_transfer((cols * S::BYTES) as u64);
         let x = if self.sim.is_functional() {
             dx.download()
@@ -676,40 +710,105 @@ mod tests {
         assert_eq!(bs.wall_ms(), run.bs_profile.wall_ms());
     }
 
+    /// Every limb of every entry, as bits.
+    fn bits<S: MdScalar>(x: &[S]) -> Vec<u64> {
+        x.iter()
+            .flat_map(|v| (0..S::PLANES).map(move |p| v.plane(p).to_bits()))
+            .collect()
+    }
+
+    /// Five solves through one factorization against fresh `lstsq` runs
+    /// of the same system: the kept operand must change no bit of any
+    /// solution and no entry of any solve's profile.
+    fn repeated_solves_match_lstsq<S: MdScalar>(rows: usize, opts: LstsqOptions, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a = HostMat::<S>::random(rows, opts.cols(), &mut rng);
+        let group = lstsq_factor_batched(&Gpu::v100(), &[&a], &opts);
+        let f = &group.instances()[0];
+        let mut first: Option<Profile> = None;
+        let mut footprints = Vec::new();
+        for solve in 0..5 {
+            let b: Vec<S> = mdls_matrix::random_vector(rows, &mut rng);
+            let before = f.sim.footprint_bytes();
+            let (x, p) = f.solve(&b);
+            footprints.push(f.sim.footprint_bytes() - before);
+            let fresh = lstsq(&Gpu::v100(), &a, &b, &opts);
+            assert_eq!(
+                bits(&x),
+                bits(&fresh.x),
+                "{} solve {solve} diverged from lstsq",
+                S::TAG
+            );
+            // launches, per-stage kernel ms, flops, bytes, transfers, gaps
+            let first = first.get_or_insert_with(|| p.clone());
+            assert_eq!(
+                format!("{p:?}"),
+                format!("{first:?}"),
+                "{} solve {solve}",
+                S::TAG
+            );
+            assert_eq!(format!("{p:?}"), format!("{:?}", fresh.bs_profile));
+            assert_eq!(p.wall_ms().to_bits(), first.wall_ms().to_bits());
+        }
+        // every solve charges its buffers and the operand to the device
+        assert!(
+            footprints.iter().all(|&b| b == footprints[0]),
+            "{footprints:?}"
+        );
+        assert_eq!(
+            f.factor_profile().all_kernels_ms(),
+            lstsq(&Gpu::v100(), &a, &vec![S::zero(); rows], &opts)
+                .qr_profile
+                .all_kernels_ms()
+        );
+    }
+
     #[test]
     fn factorization_solve_is_bit_identical_to_lstsq() {
         // the split must not change a single bit of a one-shot solve,
-        // and re-solving against a second rhs must match a fresh lstsq
-        // of the same system (the factorization is stateless across
-        // solves)
-        let mut rng = StdRng::seed_from_u64(310);
-        let opts = LstsqOptions {
-            tiles: 3,
-            tile_size: 4,
-            mode: ExecMode::Sequential,
-        };
-        let n = opts.cols();
-        let a = HostMat::<Dd>::random(n, n, &mut rng);
-        let b1: Vec<Dd> = mdls_matrix::random_vector(n, &mut rng);
-        let b2: Vec<Dd> = mdls_matrix::random_vector(n, &mut rng);
+        // and every later solve through the kept back substitution
+        // operand must match a fresh lstsq of the same system, profile
+        // and all
+        let seq = |tiles, tile_size| LstsqOptions::tiled(tiles, tile_size, ExecMode::Sequential);
+        repeated_solves_match_lstsq::<f64>(12, seq(3, 4), 310);
+        repeated_solves_match_lstsq::<Dd>(12, seq(3, 4), 311);
+        repeated_solves_match_lstsq::<Dd>(20, seq(2, 4), 312);
+        repeated_solves_match_lstsq::<Qd>(16, seq(2, 4), 313);
+        repeated_solves_match_lstsq::<Od>(8, seq(2, 3), 314);
+        repeated_solves_match_lstsq::<Od>(11, seq(2, 3), 315);
+        repeated_solves_match_lstsq::<Complex<Dd>>(12, seq(3, 4), 316);
+        repeated_solves_match_lstsq::<Complex<Dd>>(14, seq(2, 5), 317);
+        repeated_solves_match_lstsq::<Dd>(12, LstsqOptions::tiled(3, 4, ExecMode::Parallel), 318);
+    }
 
-        let group = lstsq_factor_batched(&Gpu::v100(), &[&a], &opts);
-        let f = &group.instances()[0];
-        let (x1, p1) = f.solve(&b1);
-        let (x2, p2) = f.solve(&b2);
-
-        let r1 = lstsq(&Gpu::v100(), &a, &b1, &opts);
-        let r2 = lstsq(&Gpu::v100(), &a, &b2, &opts);
-        assert_eq!(x1, r1.x, "first solve diverged from lstsq");
-        assert_eq!(x2, r2.x, "reused factorization diverged from lstsq");
-        // per-solve profiles repeat phase 2 exactly
-        assert_eq!(p1.all_kernels_ms(), r1.bs_profile.all_kernels_ms());
-        assert_eq!(p2.all_kernels_ms(), p1.all_kernels_ms());
-        assert_eq!(p1.total_launches(), r1.bs_profile.total_launches());
-        assert_eq!(
-            f.factor_profile().all_kernels_ms(),
-            r1.qr_profile.all_kernels_ms()
-        );
+    #[test]
+    fn fused_instances_keep_their_own_operands() {
+        // k = 3: instance 0 on the accounting session, 1 and 2 on shadow
+        // sessions, five fused solve passes
+        let mut rng = StdRng::seed_from_u64(319);
+        let opts = LstsqOptions::tiled(3, 4, ExecMode::Sequential);
+        let rows = 14;
+        let systems: Vec<HostMat<Qd>> = (0..3)
+            .map(|_| HostMat::random(rows, opts.cols(), &mut rng))
+            .collect();
+        let refs: Vec<&HostMat<Qd>> = systems.iter().collect();
+        let fact = lstsq_factor_batched(&Gpu::v100(), &refs, &opts);
+        let mut first: Option<Profile> = None;
+        for pass in 0..5 {
+            let rhs: Vec<Vec<Qd>> = (0..3)
+                .map(|_| mdls_matrix::random_vector(rows, &mut rng))
+                .collect();
+            let (xs, p) = fact.solve_all(&rhs);
+            for i in 0..3 {
+                let run = lstsq(&Gpu::v100(), &systems[i], &rhs[i], &opts);
+                assert_eq!(bits(&xs[i]), bits(&run.x), "pass {pass}, instance {i}");
+            }
+            let first = first.get_or_insert_with(|| p.clone());
+            assert_eq!(format!("{p:?}"), format!("{first:?}"), "pass {pass}");
+        }
+        // the model-only oracle prices the same fused pass
+        let (_, bs) = lstsq_batched_model_profiles::<Qd>(&Gpu::v100(), 3, rows, &opts);
+        assert_eq!(format!("{bs:?}"), format!("{:?}", first.unwrap()));
     }
 
     #[test]

@@ -156,12 +156,19 @@ impl Sim {
 
     /// Allocate a device matrix (footprint rules as [`Sim::alloc_vec`]).
     pub fn alloc_mat<S: MdScalar>(&self, rows: usize, cols: usize) -> DeviceMat<S> {
-        *self.footprint.lock() += (self.instances * rows * cols * S::BYTES) as u64;
+        self.reserve_mat::<S>(rows, cols);
         if self.is_functional() {
             DeviceMat::zeroed(rows, cols)
         } else {
             DeviceMat::unmaterialized(rows, cols)
         }
+    }
+
+    /// Charge the footprint of a `rows × cols` matrix allocation without
+    /// allocating host storage: [`Sim::alloc_mat`]'s accounting, for a
+    /// caller that reuses a matrix it keeps from an earlier allocation.
+    pub fn reserve_mat<S: MdScalar>(&self, rows: usize, cols: usize) {
+        *self.footprint.lock() += (self.instances * rows * cols * S::BYTES) as u64;
     }
 
     /// Launch a kernel: `grid` blocks of `threads` threads, attributed to
@@ -242,6 +249,26 @@ impl Sim {
                 }
             }
         }
+        self.account_launch(stage, grid, threads, &cost, count_as);
+    }
+
+    /// Price and count a launch whose output is already in place — the
+    /// same kernel ran before on operands that have not changed since,
+    /// so running its body again would rewrite the same bits. The
+    /// profile records exactly what [`Sim::launch`] records; no body
+    /// runs.
+    pub fn launch_cached(&self, stage: &str, grid: usize, threads: usize, cost: KernelCost) {
+        self.account_launch(stage, grid, threads, &cost, 1);
+    }
+
+    fn account_launch(
+        &self,
+        stage: &str,
+        grid: usize,
+        threads: usize,
+        cost: &KernelCost,
+        count_as: u64,
+    ) {
         if !self.accounting {
             return; // shadow session: the primary accounts the group
         }
@@ -251,7 +278,7 @@ impl Sim {
         // base — like the launch count and gap below — is paid once per
         // fused launch, not once per instance
         let fused = cost.scaled(self.instances as u64);
-        let ms = model::fused_kernel_ms(&self.gpu, self.instances, grid, threads, &cost);
+        let ms = model::fused_kernel_ms(&self.gpu, self.instances, grid, threads, cost);
         let mut p = self.profile.lock();
         // the batched launch stands for `count_as` logical launches
         p.record(
@@ -380,6 +407,23 @@ mod tests {
         ran |= false;
         assert!(!ran);
         assert_eq!(sim.profile().total_launches(), 1);
+    }
+
+    #[test]
+    fn cached_launch_records_what_the_launch_records() {
+        let ran = Sim::batched(Gpu::v100(), ExecMode::Sequential, 3);
+        let cached = Sim::batched(Gpu::v100(), ExecMode::Sequential, 3);
+        let buf = ran.alloc_vec::<Dd>(64);
+        fill_kernel(&ran, &buf, 2, 32);
+        cached.reserve_mat::<Dd>(8, 8);
+        let ops = OpCounts {
+            add: 64,
+            ..OpCounts::ZERO
+        };
+        cached.launch_cached("fill", 2, 32, KernelCost::of::<Dd>(ops, 0, 64));
+        let (p, q) = (ran.profile(), cached.profile());
+        assert_eq!(format!("{q:?}"), format!("{p:?}"));
+        assert_eq!(cached.footprint_bytes(), ran.footprint_bytes());
     }
 
     #[test]

@@ -15,4 +15,4 @@ pub mod norms;
 pub use gen::{hilbert, random_matrix, random_vector, well_conditioned_upper};
 pub use hostmat::HostMat;
 pub use lu::{lu_decompose, LuError};
-pub use norms::{vec_norm2, vec_norm_inf};
+pub use norms::{vec_diff_norm2_f64, vec_norm2, vec_norm2_f64, vec_norm_inf};

@@ -50,7 +50,7 @@ pub use cost::{OpCounts, ScalarCost};
 pub use dd::Dd;
 pub use od::Od;
 pub use qd::Qd;
-pub use real::{convert_real, MdReal};
+pub use real::{convert_real, sqrt_to_f64, MdReal};
 pub use scalar::MdScalar;
 
 /// Complex double double.

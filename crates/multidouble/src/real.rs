@@ -370,9 +370,93 @@ pub fn convert_real<A: MdReal, B: MdReal>(x: A) -> B {
     B::from_limbs(&limbs[..B::LIMBS]) + B::zero()
 }
 
+/// `2^e` for a normal exponent `e`.
+const fn pow2(e: i32) -> f64 {
+    f64::from_bits(((1023 + e) as u64) << 52)
+}
+
+/// How close, relative to the root, [`certified_sqrt_f64`]'s double
+/// double root may come to an `f64` rounding midpoint: `2^-80`.
+const SQRT_MIDPOINT_MARGIN: f64 = pow2(-80);
+
+/// `x.sqrt().to_f64()`, bit for bit, for every `x`, without the wide
+/// square root where a double double one certifies the double. A quad or
+/// octo double root is a 3- or 4-step Newton iteration at the full width
+/// (at `Od`, most of what a short residual's norm costs); the double
+/// double root is a few dozen flops.
+///
+/// `x.sqrt().to_f64()` is `s0 + s1` rounded, the two leading limbs of the
+/// wide root `s`. When `s` is farther than its own tail from every `f64`
+/// rounding midpoint, that is the double nearest `s`, and so the double
+/// nearest `sqrt(x)` and the double nearest any other root close enough.
+/// The double double root of `x`'s two leading limbs, `d = r + e` (`r` =
+/// `d` rounded, as `dd_sqrt`'s last step leaves it), gives `r` when it
+/// lies farther than `2^-80 · r` from the midpoint between `r` and its
+/// neighbour on `e`'s side.
+/// Relative to `sqrt(x)`, the errors this margin must dominate are:
+///
+/// * the dropped limbs: the fast path asks `|x2| + … ≤ 2^-100 x0`, so
+///   `sqrt(x0 + x1)` is within `2^-101` of `sqrt(x)`;
+/// * the double double root of the pair, asked to be normalized
+///   (`|x1| ≤ 2^-52 x0`): its seed `x0 · (1 / √x0)` is within `2^-50`,
+///   and one Karp correction leaves about `(2^-50)² / 2` plus its own
+///   rounding, under `2^-98`;
+/// * the wide root: Newton's 3 (`Qd`) or 4 (`Od`) steps from the 53-bit
+///   seed pass `2^-200`, and its tail past `s0 + s1` is under `2^-104`;
+/// * the margin test itself, whose one rounding is under `2^-105`.
+///
+/// Together they are under `2^-97`, so the margin dominates them by
+/// `2^17`: `d`, `sqrt(x)` and `s0 + s1` lie on one side of every
+/// midpoint, and `r` is the answer.
+///
+/// The full root runs for `f64` and [`Dd`], whose roots are already
+/// cheap; for a leading limb that is zero, negative, non-finite or
+/// outside `[2^-900, 2^1000]` (subnormal products in the double double
+/// root, an overflowing square near `f64::MAX`); for a pair that is not
+/// normalized or a tail that is not small; and within the margin.
+#[inline]
+pub fn sqrt_to_f64<T: MdReal>(x: T) -> f64 {
+    match certified_sqrt_f64(x) {
+        Some(r) => r,
+        None => x.sqrt().to_f64(),
+    }
+}
+
+/// [`sqrt_to_f64`]'s fast path: the double the double double root
+/// certifies, or `None` where the full root must run.
+#[inline]
+fn certified_sqrt_f64<T: MdReal>(x: T) -> Option<f64> {
+    if T::LIMBS < 4 {
+        return None;
+    }
+    let (x0, x1) = (x.limb(0), x.limb(1));
+    let tail: f64 = (2..T::LIMBS).map(|i| x.limb(i).abs()).sum();
+    // written so that a NaN anywhere fails a comparison
+    let usable = (pow2(-900)..=pow2(1000)).contains(&x0)
+        && x1.abs() <= x0 * pow2(-52)
+        && tail <= x0 * pow2(-100);
+    if !usable {
+        return None;
+    }
+    let [r, e] = dd_sqrt([x0, x1]);
+    // d lies between r and the midpoint on e's side, half the gap to the
+    // next double that way (the gap below a power of two is half the one
+    // above)
+    let toward = if e < 0.0 {
+        r.to_bits() - 1
+    } else {
+        r.to_bits() + 1
+    };
+    let half_gap = (f64::from_bits(toward) - r).abs() * 0.5;
+    (e.abs() < half_gap - r * SQRT_MIDPOINT_MARGIN).then_some(r)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::random::rand_real;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn floor_cases<T: MdReal>() {
         assert_eq!(T::from_f64(2.75).floor(), T::from_f64(2.0));
@@ -435,6 +519,183 @@ mod tests {
         let x = Qd::PI;
         let y = x.mul_pwr2(8.0);
         assert_eq!(y.mul_pwr2(0.125), x);
+    }
+
+    /// Assert `sqrt_to_f64(x)` is `x.sqrt().to_f64()` bit for bit (both
+    /// NaN counts as equal) and report whether the certified path took it.
+    fn certified_agrees<T: MdReal>(x: T) -> bool {
+        let (got, want) = (sqrt_to_f64(x), x.sqrt().to_f64());
+        assert!(
+            got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+            "{}: sqrt_to_f64 {got:e} against {want:e} for limbs {:?}",
+            T::TAG,
+            (0..T::LIMBS).map(|i| x.limb(i)).collect::<Vec<_>>()
+        );
+        certified_sqrt_f64(x).is_some()
+    }
+
+    /// A sum of `n` squares of random values, scaled by `2^e`.
+    fn sum_of_squares<T: MdReal>(rng: &mut StdRng, n: usize, e: i32) -> T {
+        let mut acc = T::zero();
+        for _ in 0..n {
+            let v: T = rand_real(rng);
+            acc += v * v;
+        }
+        // two steps keep each factor a normal or subnormal double
+        acc.mul_pwr2(2f64.powi(e / 2))
+            .mul_pwr2(2f64.powi(e - e / 2))
+    }
+
+    fn exponent_range<T: MdReal>() {
+        let mut rng = StdRng::seed_from_u64(44);
+        let (mut fast, mut total) = (0, 0);
+        for e in (-1080..=1020).step_by(3) {
+            for n in [1, 3, 28] {
+                let x: T = sum_of_squares(&mut rng, n, e);
+                fast += certified_agrees(x) as usize;
+                total += 1;
+            }
+        }
+        // [2^-900, 2^1000] is most of the range
+        assert!(
+            fast * 100 > total * 85,
+            "{}: fast path {fast} of {total}",
+            T::TAG
+        );
+    }
+
+    #[test]
+    fn certified_root_matches_the_wide_root_over_the_exponent_range() {
+        exponent_range::<Qd>();
+        exponent_range::<Od>();
+    }
+
+    /// Residuals as a refinement pass meets them: an f64 right hand side
+    /// promoted, and iterates' residuals shrinking pass by pass.
+    fn refinement_shaped<T: MdReal>() {
+        let mut rng = StdRng::seed_from_u64(45);
+        let (mut fast, mut total) = (0, 0);
+        for scale in [0, -40, -60, -90, -120, -150, -200] {
+            for _ in 0..200 {
+                let mut acc = T::zero();
+                for _ in 0..28 {
+                    let v = if scale == 0 {
+                        T::from_f64(rand_real::<f64, _>(&mut rng))
+                    } else {
+                        rand_real::<T, _>(&mut rng).mul_pwr2(2f64.powi(scale))
+                    };
+                    acc += v * v;
+                }
+                fast += certified_agrees(acc) as usize;
+                total += 1;
+            }
+        }
+        // the vacuity guard: the fast path is what refinement takes
+        assert_eq!(fast, total, "{}: fast path {fast} of {total}", T::TAG);
+    }
+
+    #[test]
+    fn certified_root_takes_the_fast_path_on_refinement_residuals() {
+        refinement_shaped::<Qd>();
+        refinement_shaped::<Od>();
+    }
+
+    /// `(m (1 + δ))²` for a rounding midpoint `m`: its root lies `m δ`
+    /// from `m`, inside the margin for `δ < 2^-80` (the fallback must
+    /// run), outside it for larger `δ`.
+    fn near_midpoints<T: MdReal>() {
+        let mut rng = StdRng::seed_from_u64(46);
+        for i in 0..400 {
+            // every eighth a power of two, whose gap below is half the
+            // gap above
+            let r = match i % 8 {
+                0 => 1.0,
+                _ => 1.0 + rand_real::<f64, _>(&mut rng).abs(),
+            };
+            let e = [-440, -3, 0, 5, 480][i % 5];
+            // the midpoint above r, and the one below
+            let half_up = (f64::from_bits(r.to_bits() + 1) - r) * 0.5;
+            let half_down = (r - f64::from_bits(r.to_bits() - 1)) * 0.5;
+            for m in [
+                T::from_f64(r) + T::from_f64(half_up),
+                T::from_f64(r) - T::from_f64(half_down),
+            ] {
+                let m = m.mul_pwr2(2f64.powi(e));
+                for (k, inside) in [
+                    (60, false),
+                    (84, true),
+                    (90, true),
+                    (120, true),
+                    (200, true),
+                ] {
+                    for sign in [1.0, -1.0] {
+                        let delta = T::from_f64(sign).mul_pwr2(2f64.powi(-k));
+                        let root = m + m * delta;
+                        let x = root * root;
+                        let fast = certified_agrees(x);
+                        assert_eq!(fast, !inside, "{}: δ = {sign} 2^-{k}, root {root}", T::TAG);
+                    }
+                }
+                // the midpoint itself: the wide root decides the tie
+                assert!(!certified_agrees(m * m));
+            }
+        }
+    }
+
+    #[test]
+    fn certified_root_falls_back_within_the_margin_of_a_midpoint() {
+        near_midpoints::<Qd>();
+        near_midpoints::<Od>();
+    }
+
+    /// `lead` with limb `i` set to `v`, the other limbs zero.
+    fn lead_and<T: MdReal>(lead: f64, i: usize, v: f64) -> T {
+        T::from_limb_fn(|j| match j {
+            0 => lead,
+            _ if j == i => v,
+            _ => 0.0,
+        })
+    }
+
+    fn special_values<T: MdReal>() {
+        let tiny = f64::from_bits(1); // the least subnormal
+        let unusable = [
+            T::zero(),
+            -T::zero(),
+            T::from_f64(tiny),
+            T::from_f64(f64::MIN_POSITIVE),
+            T::from_f64(pow2(-901)),
+            T::from_f64(f64::MAX),
+            T::from_f64(pow2(1001)),
+            T::from_f64(f64::NAN),
+            T::from_f64(f64::INFINITY),
+            T::from_f64(f64::NEG_INFINITY),
+            T::from_f64(-4.0),
+            // a NaN or an infinity below the lead
+            lead_and(4.0, 1, f64::NAN),
+            lead_and(4.0, 3, f64::INFINITY),
+            // not normalized: a second limb as large as the first, or a
+            // third one past the checked tail
+            lead_and(4.0, 1, 4.0),
+            lead_and(4.0, 2, 1e-29),
+        ];
+        for x in unusable {
+            assert!(!certified_agrees(x), "{}: {:?}", T::TAG, x);
+        }
+        for x in [pow2(-900), pow2(1000), 4.0, 2.0] {
+            assert!(certified_agrees(T::from_f64(x)), "{}: {x:e}", T::TAG);
+        }
+    }
+
+    #[test]
+    fn certified_root_falls_back_on_special_values() {
+        special_values::<Qd>();
+        special_values::<Od>();
+        // f64 and Dd always take their own (cheap) roots
+        for x in [0.0, 2.0, 1e-310, f64::NAN] {
+            assert!(!certified_agrees(x));
+            assert!(!certified_agrees(Dd::from_f64(x) + Dd::from_f64(x * 1e-20)));
+        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ use std::thread::JoinHandle;
 
 use gpusim::{ExecMode, Gpu, Sim};
 use mdls_core::{lstsq_factor_batched, residual_kernel};
-use mdls_matrix::{vec_norm2, HostMat};
+use mdls_matrix::{vec_diff_norm2_f64, vec_norm2_f64, HostMat};
 use multidouble::{convert_real, Dd, MdReal, Od, Qd};
 
 use crate::job::{Job, Precision, Solution, TenantId};
@@ -382,10 +382,12 @@ fn promote_vec<S: MdReal>(v: &[f64]) -> Vec<S> {
 // the stage interpreter
 // ---------------------------------------------------------------------
 
-/// Relative residual of `x` against the promoted system.
+/// Relative residual of `x` against the promoted system. The norms
+/// round to `f64` by `multidouble::sqrt_to_f64`: the bits of
+/// `a.residual(x, b).to_f64()` and `vec_norm2(b).to_f64()`.
 fn relative_residual<S: MdReal>(a: &HostMat<S>, x: &[S], b: &[S]) -> f64 {
-    let r = a.residual(x, b).to_f64();
-    let bn = vec_norm2(b).to_f64();
+    let r = vec_diff_norm2_f64(b, &a.matvec(x));
+    let bn = vec_norm2_f64(b);
     if bn > 0.0 {
         r / bn
     } else {
@@ -465,7 +467,7 @@ fn refine_job<F: MdReal, H: MdReal>(
     db.upload(&b_h);
 
     let good_enough = 10f64.powi(-(plan.target_digits.min(i32::MAX as u32) as i32));
-    let bn = vec_norm2(&b_h).to_f64();
+    let bn = vec_norm2_f64(&b_h);
     let mut x: Vec<H> = x0.iter().map(|&v| convert_real::<F, H>(v)).collect();
     let mut passes = 0;
     let mut prev_rel = f64::INFINITY;
@@ -478,7 +480,7 @@ fn refine_job<F: MdReal, H: MdReal>(
         dx.upload(&x);
         residual_kernel(&sim, &da, &dx, &db, &dr, opts.tile_size);
         let r_h = dr.download();
-        let rn = vec_norm2(&r_h).to_f64();
+        let rn = vec_norm2_f64(&r_h);
         let rel = if bn > 0.0 { rn / bn } else { rn };
         if rel < good_enough {
             break rel;
