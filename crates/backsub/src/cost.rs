@@ -28,7 +28,10 @@ pub mod eff {
 /// multiply-subtract pairs and `n` divisions per thread), rather than
 /// exploiting the sparsity of the unit right hand side — branch-free
 /// kernels keep the warps converged, and this is the operation count the
-/// paper's accumulators tally.
+/// paper's accumulators tally. The host body
+/// ([`crate::kernels::invert_tile_block`]) computes only the stored
+/// triangle, rows `0..=k` of column `k`, with the same bits; the price
+/// stays the full loop's.
 pub fn invert_cost<S: MdScalar>(tiles: usize, n: usize) -> KernelCost {
     let (t, n64) = (tiles as u64, n as u64);
     let tri = n64 * (n64 + 1) / 2;

@@ -20,6 +20,14 @@ use multidouble::MdScalar;
 /// Phase 1 stages the tile's upper triangle into shared memory (all
 /// threads cooperate, then barrier); phase 2 lets each thread back-solve
 /// its unit vector independently and write its column to global memory.
+///
+/// The paper's kernel, and [`crate::cost::invert_cost`], walk all `n`
+/// rows for every `k` (a divergence-free full loop). Rows below `k` of
+/// `v` are exact zeros that are never stored, and the terms they add to
+/// the stored rows subtract exact-zero products, which leave a finite
+/// accumulator's bits as they are. The host body therefore solves rows
+/// `0..=k` only; a test-only copy of the full loop checks every stored
+/// bit on finite data.
 pub fn invert_tile_block<S: MdScalar>(ctx: BlockCtx, u: &DeviceMat<S>, n: usize) {
     let t = ctx.block; // tile index
     let base = t * n;
@@ -31,22 +39,20 @@ pub fn invert_tile_block<S: MdScalar>(ctx: BlockCtx, u: &DeviceMat<S>, n: usize)
     }
     // __syncthreads()
 
-    // phase 2: thread k computes column k of the inverse with a
-    // divergence-free full back substitution (rows below k produce
-    // exact zeros; every warp lane walks the same loop bounds)
+    // phase 2: thread k computes the stored rows 0..=k of column k
     for k in ctx.thread_ids() {
         if k >= n {
             continue;
         }
-        let mut v = vec![S::zero(); n];
-        for i in (0..n).rev() {
+        let mut v = vec![S::zero(); k + 1];
+        for i in (0..=k).rev() {
             let mut acc = if i == k { S::one() } else { S::zero() };
             for (j, vj) in v.iter().enumerate().skip(i + 1) {
                 acc -= shared[j * n + i] * *vj;
             }
             v[i] = acc / shared[i * n + i];
         }
-        u.store_col(base + k, base, &v[..=k]);
+        u.store_col(base + k, base, &v);
     }
 }
 
@@ -106,14 +112,120 @@ pub fn update_rhs_block<S: MdScalar>(
     b.store_run(row_base, &bv);
 }
 
+/// [`invert_tile_block`] as the paper's kernel runs it: every thread
+/// walks all `n` rows. The oracle the stored-triangle body is held to,
+/// bit for bit.
+#[cfg(test)]
+pub(crate) fn invert_tile_block_full_loop<S: MdScalar>(ctx: BlockCtx, u: &DeviceMat<S>, n: usize) {
+    let base = ctx.block * n;
+    let mut shared = vec![S::zero(); n * n];
+    for c in 0..n {
+        u.load_col(base + c, base, &mut shared[c * n..=c * n + c]);
+    }
+    for k in ctx.thread_ids() {
+        if k >= n {
+            continue;
+        }
+        let mut v = vec![S::zero(); n];
+        for i in (0..n).rev() {
+            let mut acc = if i == k { S::one() } else { S::zero() };
+            for (j, vj) in v.iter().enumerate().skip(i + 1) {
+                acc -= shared[j * n + i] * *vj;
+            }
+            v[i] = acc / shared[i * n + i];
+        }
+        u.store_col(base + k, base, &v[..=k]);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use gpusim::{ExecMode, Gpu, Sim};
     use mdls_matrix::HostMat;
-    use multidouble::Qd;
+    use multidouble::{Complex, Dd, MdReal, Od, Qd};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Every limb of a matrix, column-major, as bits.
+    fn bits<S: MdScalar>(m: &HostMat<S>) -> Vec<u64> {
+        (0..m.cols)
+            .flat_map(|c| (0..m.rows).map(move |r| m.get(r, c)))
+            .flat_map(|v| (0..S::PLANES).map(move |p| v.plane(p).to_bits()))
+            .collect()
+    }
+
+    /// `u` with its diagonal tiles inverted by `body`, launched as the
+    /// driver launches it.
+    fn inverted<S: MdScalar>(
+        u: &HostMat<S>,
+        n: usize,
+        mode: ExecMode,
+        body: fn(BlockCtx, &DeviceMat<S>, usize),
+    ) -> HostMat<S> {
+        let sim = Sim::new(Gpu::v100(), mode);
+        let dev = sim.alloc_mat::<S>(u.rows, u.cols);
+        u.upload_to(&dev);
+        let tiles = u.rows / n;
+        let cost = crate::cost::invert_cost::<S>(tiles, n);
+        sim.launch(crate::STAGE_INVERT, tiles, n, cost, |ctx| {
+            body(ctx, &dev, n)
+        });
+        HostMat::download_from(&dev)
+    }
+
+    /// The stored-triangle body gives the full loop's inverse bit for
+    /// bit: two tiles of every size 1–24, random entries, entries
+    /// quantized to `2^-20` in the leading limb, and a diagonal matrix
+    /// with negative entries (whose inverse holds exact zeros), in both
+    /// functional execution modes.
+    fn stored_triangle_matches_full_loop<S: MdScalar>(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let limbs = <S::Real as MdReal>::LIMBS;
+        for n in 1..=24 {
+            let dense = mdls_matrix::well_conditioned_upper::<S, _>(2 * n, &mut rng);
+            let quantized = HostMat::from_fn(2 * n, 2 * n, |r, c| {
+                let x = dense.get(r, c);
+                S::from_plane_fn(|p| match p % limbs {
+                    0 => (x.plane(p) * 2f64.powi(20)).round() * 2f64.powi(-20),
+                    _ => 0.0,
+                })
+            });
+            let diagonal = HostMat::from_fn(2 * n, 2 * n, |r, c| {
+                if r != c {
+                    S::zero()
+                } else if r % 2 == 1 {
+                    -dense.get(r, c) - S::from_f64(2.0)
+                } else {
+                    dense.get(r, c) + S::from_f64(2.0)
+                }
+            });
+            for (label, u) in [
+                ("dense", dense),
+                ("quantized", quantized),
+                ("diagonal", diagonal),
+            ] {
+                for mode in [ExecMode::Sequential, ExecMode::Parallel] {
+                    let got = inverted(&u, n, mode, invert_tile_block);
+                    let want = inverted(&u, n, mode, invert_tile_block_full_loop);
+                    assert!(
+                        bits(&got) == bits(&want),
+                        "{} n = {n}, {label}, {mode:?}: the inverse differs",
+                        S::TAG
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stored_triangle_inverse_is_bit_identical() {
+        stored_triangle_matches_full_loop::<f64>(41);
+        stored_triangle_matches_full_loop::<Dd>(42);
+        stored_triangle_matches_full_loop::<Qd>(43);
+        stored_triangle_matches_full_loop::<Od>(44);
+        stored_triangle_matches_full_loop::<Complex<Dd>>(45);
+    }
 
     #[test]
     fn invert_block_produces_tile_inverse() {

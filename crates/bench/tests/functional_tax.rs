@@ -30,16 +30,20 @@
 //! operand (R's block with its diagonal tiles inverted) its first solve
 //! built, and an octo double residual norm must round to `f64` from a
 //! double double root, not an octo double one.
+//!
+//! One gate is on work the first panel of a QR must not do: while `Q` is
+//! exactly the identity, its `Q*WYᵀ` update must form one term per entry,
+//! not the full `M³` product.
 #![expect(clippy::disallowed_methods, reason = "a host-time gate")]
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use gpusim::shared::{axmy, axmy_without_lanes, axpy, axpy_without_lanes, lanes_available};
-use gpusim::{ExecMode, Gpu};
+use gpusim::{ExecMode, Gpu, Sim};
 use mdls_core::{lstsq_factor_batched, LstsqOptions};
 use mdls_matrix::{vec_norm2, vec_norm2_f64, HostMat};
-use mdls_qr::{householder_qr_host, qr_decompose, QrOptions};
+use mdls_qr::{householder_qr_host, qr_decompose, qr_on_sim, QrDeviceState, QrOptions};
 use multidouble::expansion::{renormalize, sort_by_magnitude, truncated_product, Scratch};
 use multidouble::{Dd, MdScalar, Od, Qd};
 use rand::rngs::StdRng;
@@ -504,10 +508,12 @@ fn median_ratio(rounds: usize, mut read: impl FnMut() -> (f64, f64)) -> (f64, f6
 /// inverts its diagonal tile, and the factorization keeps that operand,
 /// so later solves only price those two launches. The median of 15
 /// rounds, each timing the first and then the second solve of 16 fresh
-/// factorizations. Reads (AVX-512 Xeon, two cores): 0.066–0.069 alone,
-/// 0.064–0.077 beside the other gates; first solves 92–138 µs, second
-/// 6.0–10.7 µs. While every solve re-ran the inversion, the ratio read
-/// 0.99–1.00.
+/// factorizations. Reads (AVX-512 Xeon, two cores): 0.143–0.158 alone,
+/// 0.144–0.148 beside the other gates; first solves 49–62 µs, second
+/// 7.1–9.8 µs, since the inversion solves only the stored triangle of
+/// each tile inverse. While it walked every row, the ratio read
+/// 0.064–0.077 (first solves 92–138 µs); while every solve re-ran the
+/// inversion, 0.99–1.00.
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -589,5 +595,53 @@ fn certified_od_norm_skips_the_wide_root() {
     assert!(
         ratio <= 0.6,
         "certified / wide od norm: ratio {ratio:.3} (gate 0.6)"
+    );
+}
+
+/// A one-panel 96×96 dd `qr_on_sim` from `Q = I` costs ≤ 0.95× the same
+/// factorization from a `Q` one low limb away from the identity: the
+/// first runs the identity body of the `Q*WYᵀ` launch (one term per
+/// entry), the second the full `M³` product, as every panel did before
+/// the identity body. The median of 15 interleaved rounds; the setup
+/// (allocation, upload, `Q`) is outside the clock. Reads (AVX-512 Xeon,
+/// two cores): 0.836–0.860 alone, 0.853–0.895 beside the other gates; a
+/// build whose identity check always failed read 1.000. The product is
+/// only ≈ 15 % of a one-panel factorization, whose column-by-column
+/// Householder stage dominates.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "timing gate: run with `cargo test --release`"
+)]
+fn first_panel_skips_the_identity_product() {
+    let mut rng = StdRng::seed_from_u64(2022);
+    let a = HostMat::<Dd>::random(96, 96, &mut rng);
+    let opts = QrOptions {
+        tiles: 1,
+        tile_size: 96,
+    };
+    let gpu = Gpu::v100();
+    let time = |q_off_by_a_limb: bool| {
+        let sim = Sim::new(gpu.clone(), ExecMode::Sequential);
+        let st = QrDeviceState::<Dd>::alloc(&sim, a.rows, &opts);
+        a.upload_to(&st.r);
+        st.init_q_identity();
+        if q_off_by_a_limb {
+            st.q.set(48, 48, Dd::from_parts(1.0, 2f64.powi(-60)));
+        }
+        let t0 = Instant::now();
+        qr_on_sim(&sim, &st, black_box(&opts));
+        t0.elapsed().as_secs_f64()
+    };
+    let (identity, full) = median_ratio(15, || (time(false), time(true)));
+    let ratio = identity / full;
+    println!(
+        "dd 96x96 one-panel QR: Q = I {:.2} ms, Q off by a limb {:.2} ms, ratio {ratio:.3}",
+        identity * 1e3,
+        full * 1e3
+    );
+    assert!(
+        ratio <= 0.95,
+        "Q = I / Q off by a limb: ratio {ratio:.3} (gate 0.95)"
     );
 }

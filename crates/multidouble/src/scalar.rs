@@ -282,4 +282,77 @@ mod tests {
         assert_eq!(<Complex<Dd> as MdScalar>::TAG, "complex 2d");
         assert_eq!(<Qd as MdScalar>::TAG, "4d");
     }
+
+    /// Every plane of a scalar, as bits.
+    fn bits<S: MdScalar>(x: S) -> Vec<u64> {
+        (0..S::PLANES).map(|p| x.plane(p).to_bits()).collect()
+    }
+
+    /// Seeded values plus planted traps: signed zeros, ±0 lower limbs, a
+    /// single nonzero limb, negative leading limbs and exponents near
+    /// 2^±1000.
+    fn trap_reals<T: MdReal>(seed: u64) -> Vec<T> {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut out = vec![T::zero(), -T::zero()];
+        for _ in 0..6 {
+            let x: T = crate::random::rand_real(&mut rng);
+            let hi = x.hi();
+            for k in 1..T::LIMBS {
+                out.push(T::from_limb_fn(|i| if i < k { x.limb(i) } else { 0.0 }));
+                out.push(T::from_limb_fn(|i| if i < k { x.limb(i) } else { -0.0 }));
+            }
+            out.push(T::from_f64(hi));
+            out.push(T::from_limb_fn(|i| if i == 0 { hi } else { -0.0 }));
+            for p in [1.0, 2f64.powi(1000), 2f64.powi(-1000)] {
+                out.push(x.mul_pwr2(p));
+                out.push((-x).mul_pwr2(p));
+            }
+        }
+        out
+    }
+
+    /// The rule the blocked QR's identity body rests on
+    /// (`mdls_qr::kernels`): a zero-started `+0 + 1·a` leaves every later
+    /// `+ 0·b` a no-op bit for bit, and `+0 + 0·b` stays `+0`.
+    fn zero_terms_are_no_ops<S: MdScalar>(values: &[S]) {
+        let (zero, one) = (S::zero(), S::one());
+        for &b in values {
+            assert_eq!(bits(zero + zero * b), bits(zero), "{} +0 + 0*{b:?}", S::TAG);
+            for &a in values {
+                let s = zero + one * a;
+                assert_eq!(
+                    bits(s + zero * b),
+                    bits(s),
+                    "{} a = {a:?}, b = {b:?}",
+                    S::TAG
+                );
+            }
+        }
+    }
+
+    fn zero_terms_real_and_complex<T: MdReal>(seed: u64) {
+        let reals = trap_reals::<T>(seed);
+        zero_terms_are_no_ops(&reals);
+        let step = reals.len() / 7 + 1;
+        let complex: Vec<Complex<T>> = reals
+            .iter()
+            .flat_map(|&re| {
+                reals
+                    .iter()
+                    .step_by(step)
+                    .map(move |&im| Complex::new(re, im))
+            })
+            .collect();
+        zero_terms_are_no_ops(&complex);
+    }
+
+    #[test]
+    fn zero_terms_after_a_unit_product_are_no_ops() {
+        zero_terms_real_and_complex::<f64>(61);
+        zero_terms_real_and_complex::<Dd>(62);
+        zero_terms_real_and_complex::<Qd>(63);
+        zero_terms_real_and_complex::<Od>(64);
+    }
 }

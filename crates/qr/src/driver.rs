@@ -85,16 +85,37 @@ impl<S: MdScalar> QrDeviceState<S> {
     }
 }
 
+/// `true` if `q` holds exactly the identity, every plane bit for bit
+/// (`+0` off the diagonal); `false` for a model-only buffer.
+fn is_identity<S: MdScalar>(q: &DeviceMat<S>) -> bool {
+    if !q.buf.is_materialized() {
+        return false;
+    }
+    let same = |x: S, y: S| (0..S::PLANES).all(|p| x.plane(p).to_bits() == y.plane(p).to_bits());
+    let mut col = vec![S::zero(); q.rows];
+    (0..q.cols).all(|j| {
+        q.load_col(j, 0, &mut col);
+        col.iter()
+            .enumerate()
+            .all(|(i, &x)| same(x, if i == j { S::one() } else { S::zero() }))
+    })
+}
+
 /// The bodies of the four WY product stages (the ones that skip the
-/// zero trapezoid), as the panel loop launches them. Production runs
+/// zero trapezoid), as the panel loop launches them, and the `Q*WYᵀ` body
+/// it runs while `Q` is exactly the identity. Production runs
 /// [`WyBodies::SKIP_TRAPEZOID`]; the tests swap in the full-height
-/// originals to check the skip bit for bit.
+/// originals to check both shortcuts bit for bit.
 struct WyBodies<S: MdScalar> {
     compute_w: ComputeWBody<S>,
     ywt: ProductBody<S>,
-    qwyt: fn(BlockCtx, &DeviceMat<S>, &DeviceMat<S>, &DeviceMat<S>, usize),
+    qwyt: QwytBody<S>,
+    qwyt_identity: QwytBody<S>,
     ywtc: ProductBody<S>,
 }
+
+/// `(ctx, q, ywh, qwy, col0)` — the `Q*WY^T` bodies.
+type QwytBody<S> = fn(BlockCtx, &DeviceMat<S>, &DeviceMat<S>, &DeviceMat<S>, usize);
 
 /// `(ctx, y, w, betas, col0, l)` — the `compute W` body.
 type ComputeWBody<S> = fn(BlockCtx, &DeviceMat<S>, &DeviceMat<S>, &DeviceBuf<S>, usize, usize);
@@ -107,6 +128,7 @@ impl<S: MdScalar> WyBodies<S> {
         compute_w: kernels::compute_w_block,
         ywt: kernels::ywt_block,
         qwyt: kernels::qwyt_block,
+        qwyt_identity: kernels::qwyt_identity_block,
         ywtc: kernels::ywtc_block,
     };
 }
@@ -177,8 +199,16 @@ fn panels<S: MdScalar>(sim: &Sim, st: &QrDeviceState<S>, opts: &QrOptions, wy: &
         sim.launch(STAGE_YWT, m, n, cost::gemm_cost::<S>(m, m, n, n), |ctx| {
             (wy.ywt)(ctx, &st.y, &st.w, &st.ywh, col0, n)
         });
+        // priced as the full product, but while Q is still exactly the
+        // identity (panel 0) the body forms one term per entry (see
+        // `kernels`)
+        let qwyt = if is_identity(&st.q) {
+            wy.qwyt_identity
+        } else {
+            wy.qwyt
+        };
         sim.launch(STAGE_QWYT, m, n, cost::gemm_cost::<S>(m, m, m, n), |ctx| {
-            (wy.qwyt)(ctx, &st.q, &st.ywh, &st.qwy, col0)
+            qwyt(ctx, &st.q, &st.ywh, &st.qwy, col0)
         });
         sim.launch(STAGE_Q_ADD, m, n, cost::add_cost::<S>(m, m), |ctx| {
             kernels::q_add_block(ctx, &st.q, &st.qwy)
@@ -362,19 +392,39 @@ mod tests {
         assert!(e < 1e-13);
     }
 
-    /// Factor `a` through the panel loop with the given WY bodies.
+    /// Factor `a` through the panel loop with the given WY bodies, from
+    /// `Q = I`, or from `Q = I` but for one low limb of a diagonal entry.
     fn factor_with<S: MdScalar>(
         a: &HostMat<S>,
         opts: &QrOptions,
         mode: ExecMode,
         wy: &WyBodies<S>,
+        near_identity: bool,
     ) -> [HostMat<S>; 2] {
         let sim = Sim::new(Gpu::v100(), mode);
         let st = QrDeviceState::<S>::alloc(&sim, a.rows, opts);
         a.upload_to(&st.r);
         st.init_q_identity();
+        assert!(is_identity(&st.q));
+        if near_identity {
+            let k = a.rows / 2;
+            st.q.set(k, k, one_low_limb_off::<S>());
+            assert!(!is_identity(&st.q));
+        }
         panels(&sim, &st, opts, wy);
         [HostMat::download_from(&st.q), HostMat::download_from(&st.r)]
+    }
+
+    /// `1` with its last real limb (or, for one-limb scalars, its last
+    /// bit) changed.
+    fn one_low_limb_off<S: MdScalar>() -> S {
+        let limbs = <S::Real as MdReal>::LIMBS;
+        S::from_plane_fn(|p| match p {
+            0 if limbs == 1 => 1.0 + f64::EPSILON,
+            0 => 1.0,
+            p if p + 1 == limbs => 2f64.powi(-60 * p as i32),
+            _ => 0.0,
+        })
     }
 
     /// Every limb of a matrix, column-major, as bits.
@@ -385,25 +435,63 @@ mod tests {
             .collect()
     }
 
-    /// The trapezoid-skipping bodies give the full-height bodies' `Q` and
-    /// `R` bit for bit: square and tall shapes with 1–4 tiles, with and
-    /// without a zero column (the identity-reflector branch, in the first
-    /// and in a later column), in both functional execution modes.
+    /// Every real and imaginary part rounded to a multiple of `2^-20` in
+    /// its leading limb, the lower limbs `+0`.
+    fn quantized<S: MdScalar>(a: &HostMat<S>) -> HostMat<S> {
+        let limbs = <S::Real as MdReal>::LIMBS;
+        HostMat::from_fn(a.rows, a.cols, |r, c| {
+            let x = a.get(r, c);
+            S::from_plane_fn(|p| match p % limbs {
+                0 => (x.plane(p) * 2f64.powi(20)).round() * 2f64.powi(-20),
+                _ => 0.0,
+            })
+        })
+    }
+
+    /// The bodies as the tests swap them in: every WY body at full height,
+    /// and the trapezoid-skipping bodies without the identity shortcut.
+    fn full_height<S: MdScalar>() -> WyBodies<S> {
+        WyBodies {
+            compute_w: kernels::full_height::compute_w_block,
+            ywt: kernels::full_height::ywt_block,
+            qwyt: kernels::full_height::qwyt_block,
+            qwyt_identity: kernels::full_height::qwyt_block,
+            ywtc: kernels::full_height::ywtc_block,
+        }
+    }
+
+    fn skip_without_identity<S: MdScalar>() -> WyBodies<S> {
+        WyBodies {
+            qwyt_identity: kernels::qwyt_block,
+            ..WyBodies::SKIP_TRAPEZOID
+        }
+    }
+
+    /// The trapezoid-skipping bodies, with and without the identity body
+    /// on panel 0, give the full-height bodies' `Q` and `R` bit for bit:
+    /// square and tall shapes with 1–4 tiles (the 1-tile ones from 6×6
+    /// to 32×24, where the identity body is the whole `Q` update), random
+    /// and quantized entries, with and without a zero column (the
+    /// identity-reflector branch, in the first and in a later column), in
+    /// both functional execution modes.
     fn skip_matches_full_height<S: MdScalar>(seed: u64) {
-        const SHAPES: [(usize, usize, usize); 6] = [
+        const SHAPES: [(usize, usize, usize); 10] = [
             (6, 1, 6),
             (10, 1, 6),
+            (16, 1, 12),
+            (24, 1, 24),
+            (32, 1, 24),
             (12, 2, 6),
             (13, 3, 4),
             (16, 4, 4),
             (19, 4, 3),
+            (20, 2, 8),
         ];
-        let full_height = WyBodies {
-            compute_w: kernels::full_height::compute_w_block,
-            ywt: kernels::full_height::ywt_block,
-            qwyt: kernels::full_height::qwyt_block,
-            ywtc: kernels::full_height::ywtc_block,
-        };
+        let bodies = [
+            ("skip", WyBodies::SKIP_TRAPEZOID),
+            ("skip without identity", skip_without_identity()),
+        ];
+        let full_height = full_height();
         let mut rng = StdRng::seed_from_u64(seed);
         for (rows, tiles, tile_size) in SHAPES {
             let opts = QrOptions { tiles, tile_size };
@@ -415,44 +503,92 @@ mod tests {
                         a.set(r, c, S::zero());
                     }
                 }
-                for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-                    let got = factor_with(&a, &opts, mode, &WyBodies::SKIP_TRAPEZOID);
-                    let want = factor_with(&a, &opts, mode, &full_height);
-                    for (name, g, w) in [("Q", &got[0], &want[0]), ("R", &got[1], &want[1])] {
-                        assert!(
-                            bits(g) == bits(w),
-                            "{} {rows}x{cols} ({tiles} tiles), zero column {zero_col:?}, {mode:?}: {name} differs",
-                            S::TAG
-                        );
+                for a in [quantized(&a), a] {
+                    for mode in [ExecMode::Sequential, ExecMode::Parallel] {
+                        let want = factor_with(&a, &opts, mode, &full_height, false);
+                        for (label, wy) in &bodies {
+                            let got = factor_with(&a, &opts, mode, wy, false);
+                            for (name, g, w) in [("Q", &got[0], &want[0]), ("R", &got[1], &want[1])]
+                            {
+                                assert!(
+                                    bits(g) == bits(w),
+                                    "{} {rows}x{cols} ({tiles} tiles), zero column {zero_col:?}, {mode:?}, {label}: {name} differs",
+                                    S::TAG
+                                );
+                            }
+                        }
                     }
                 }
             }
         }
     }
 
+    /// A `Q` one low limb away from the identity takes the full product:
+    /// the production bodies match the full-height ones on it, while the
+    /// identity body forced onto it would not.
+    fn near_identity_takes_the_full_body<S: MdScalar>(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let opts = QrOptions {
+            tiles: 2,
+            tile_size: 6,
+        };
+        let a = HostMat::<S>::random(14, opts.cols(), &mut rng);
+        let forced = WyBodies {
+            qwyt: kernels::qwyt_identity_block,
+            ..WyBodies::SKIP_TRAPEZOID
+        };
+        for mode in [ExecMode::Sequential, ExecMode::Parallel] {
+            let want = factor_with(&a, &opts, mode, &full_height(), true);
+            let got = factor_with(&a, &opts, mode, &WyBodies::SKIP_TRAPEZOID, true);
+            assert!(
+                bits(&got[0]) == bits(&want[0]),
+                "{} {mode:?}: Q differs",
+                S::TAG
+            );
+            assert!(
+                bits(&got[1]) == bits(&want[1]),
+                "{} {mode:?}: R differs",
+                S::TAG
+            );
+            let wrong = factor_with(&a, &opts, mode, &forced, true);
+            assert!(bits(&wrong[0]) != bits(&want[0]), "{} {mode:?}", S::TAG);
+        }
+    }
+
     #[test]
     fn trapezoid_skip_is_bit_identical_f64() {
         skip_matches_full_height::<f64>(110);
+        near_identity_takes_the_full_body::<f64>(120);
     }
 
     #[test]
     fn trapezoid_skip_is_bit_identical_dd() {
         skip_matches_full_height::<Dd>(111);
+        near_identity_takes_the_full_body::<Dd>(121);
     }
 
     #[test]
     fn trapezoid_skip_is_bit_identical_qd() {
         skip_matches_full_height::<Qd>(112);
+        near_identity_takes_the_full_body::<Qd>(122);
     }
 
     #[test]
     fn trapezoid_skip_is_bit_identical_od() {
         skip_matches_full_height::<Od>(113);
+        near_identity_takes_the_full_body::<Od>(123);
     }
 
     #[test]
     fn trapezoid_skip_is_bit_identical_complex_dd() {
         skip_matches_full_height::<Complex<Dd>>(114);
+        near_identity_takes_the_full_body::<Complex<Dd>>(124);
+    }
+
+    #[test]
+    fn trapezoid_skip_is_bit_identical_complex_qd() {
+        skip_matches_full_height::<Complex<Qd>>(115);
+        near_identity_takes_the_full_body::<Complex<Qd>>(125);
     }
 
     #[test]

@@ -32,6 +32,18 @@
 //! would have been NaN, not zero: the bits may differ there, and the
 //! solver's tests check that such an entry still poisons every limb of
 //! the solution.
+//!
+//! Identity convention: the `Q*WYᵀ` launch is priced and launched as the
+//! full `M × M × (M − col0)` product on every panel, but while `Q` is
+//! exactly the identity (panel 0 of every factorization that starts from
+//! `init_q_identity`) the driver runs [`qwyt_identity_block`], which forms
+//! only the term of each entry whose `Q` factor is `1`. The zero terms
+//! before it are skipped under the rule above. The ones after it are
+//! dropped too: each adds `0·b` to `s = +0 + 1·a`, and unlike a general
+//! `x + 0`, that returns `s` bit for bit for every scalar type
+//! (`multidouble`'s scalar tests pin the rule on seeded values and planted
+//! traps). The body stores [`qwyt_block`]'s bits on finite data, and the
+//! driver's tests check it against both product bodies.
 
 use gpusim::shared::{axmy, axpy, dot_conj};
 use gpusim::{BlockCtx, DeviceBuf, DeviceMat};
@@ -232,6 +244,30 @@ pub fn qwyt_block<S: MdScalar>(
         for t in col0..m {
             q.load_col(t, 0, &mut col);
             axpy(&mut acc, &col, ywh.get(j, t).conj());
+        }
+    }
+    qwy.store_col(j, 0, &acc);
+}
+
+/// [`qwyt_block`] when `Q` is exactly the identity (see the module doc):
+/// entry `(i, j)` is `+0 + 1·conj(YWH[j, i])` for `i, j >= col0` and `+0`
+/// elsewhere; `q` is not read.
+pub fn qwyt_identity_block<S: MdScalar>(
+    ctx: BlockCtx,
+    _q: &DeviceMat<S>,
+    ywh: &DeviceMat<S>,
+    qwy: &DeviceMat<S>,
+    col0: usize,
+) {
+    let m = ywh.rows;
+    let j = ctx.block;
+    if j >= m {
+        return;
+    }
+    let mut acc = vec![S::zero(); m];
+    if j >= col0 {
+        for (i, a) in acc.iter_mut().enumerate().skip(col0) {
+            *a += S::one() * ywh.get(j, i).conj();
         }
     }
     qwy.store_col(j, 0, &acc);
