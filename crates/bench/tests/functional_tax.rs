@@ -34,15 +34,24 @@
 //! One gate is on work the first panel of a QR must not do: while `Q` is
 //! exactly the identity, its `Q*WYᵀ` update must form one term per entry,
 //! not the full `M³` product.
+//!
+//! Two gates are on how the QR's kernels read and reduce: a launch's dot
+//! products must run side by side (`shared::dots_by_rows`), not as one
+//! index-ordered chain each, and a `Q*WYᵀ` launch must read the `Q` every
+//! block multiplies by from one copy staged per launch, not gather it
+//! again in every block.
 #![expect(clippy::disallowed_methods, reason = "a host-time gate")]
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use gpusim::shared::{axmy, axmy_without_lanes, axpy, axpy_without_lanes, lanes_available};
-use gpusim::{ExecMode, Gpu, Sim};
+use gpusim::shared::{
+    axmy, axmy_without_lanes, axpy, axpy_without_lanes, dots_by_rows, lanes_available,
+};
+use gpusim::{BlockCtx, DeviceMat, ExecMode, Gpu, Sim};
 use mdls_core::{lstsq_factor_batched, LstsqOptions};
 use mdls_matrix::{vec_norm2, vec_norm2_f64, HostMat};
+use mdls_qr::kernels::{qwyt_block, Staged};
 use mdls_qr::{householder_qr_host, qr_decompose, qr_on_sim, QrDeviceState, QrOptions};
 use multidouble::expansion::{renormalize, sort_by_magnitude, truncated_product, Scratch};
 use multidouble::{Dd, MdScalar, Od, Qd};
@@ -643,5 +652,161 @@ fn first_panel_skips_the_identity_product() {
     assert!(
         ratio <= 0.95,
         "Q = I / Q off by a limb: ratio {ratio:.3} (gate 0.95)"
+    );
+}
+
+/// Every limb of every entry, as bits.
+fn bits(x: &[Dd]) -> Vec<u64> {
+    x.iter()
+        .flat_map(|v| (0..2).map(move |p| v.plane(p).to_bits()))
+        .collect()
+}
+
+/// 24 dd dots of length 200 (a `beta*R^T*v` launch's shape on a 224-row
+/// panel) run side by side, `dots_by_rows` on the columns staged as
+/// conjugated rows, cost ≤ 0.2× the same dots as an index-ordered loop
+/// of one output at a time, the median of 15 interleaved rounds of 20
+/// calls each. Each index-ordered dot is one latency-bound chain of dd
+/// sums; side by side, one `axpy` per row advances all 24 together (its
+/// AVX-512 instantiation from 16 outputs up), while the loop here is
+/// baseline code. Reads (AMD EPYC, two vCPUs, AVX-512): 0.073–0.086
+/// alone and beside the other gates, 2.2–2.8 µs against 30.4–32.1 µs.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "timing gate: run with `cargo test --release`"
+)]
+fn dots_run_side_by_side() {
+    let (h, k) = (200, 24);
+    let mut rng = StdRng::seed_from_u64(2022);
+    let cols: Vec<Vec<Dd>> = (0..k)
+        .map(|_| (0..h).map(|_| Dd::rand(&mut rng)).collect())
+        .collect();
+    let v: Vec<Dd> = (0..h).map(|_| Dd::rand(&mut rng)).collect();
+    let xt: Vec<Dd> = (0..h)
+        .flat_map(|i| cols.iter().map(move |c| c[i].conj()))
+        .collect();
+    let index_ordered = |out: &mut [Dd]| {
+        for (o, col) in out.iter_mut().zip(&cols) {
+            let mut acc = Dd::ZERO;
+            for (x, vi) in col.iter().zip(&v) {
+                acc += x.conj() * *vi;
+            }
+            *o = acc;
+        }
+    };
+    let (mut got, mut want) = (vec![Dd::ZERO; k], vec![Dd::ZERO; k]);
+    dots_by_rows(&mut got, &xt, &v);
+    index_ordered(&mut want);
+    assert_eq!(bits(&got), bits(&want));
+    let time = |f: &dyn Fn(&mut [Dd])| {
+        let mut out = vec![Dd::ZERO; k];
+        let t0 = Instant::now();
+        for _ in 0..20 {
+            f(black_box(&mut out));
+        }
+        t0.elapsed().as_secs_f64() / 20.0
+    };
+    let (side_by_side, ordered) = median_ratio(15, || {
+        (
+            time(&|out| dots_by_rows(out, black_box(&xt), black_box(&v))),
+            time(&index_ordered),
+        )
+    });
+    let ratio = side_by_side / ordered;
+    println!(
+        "24 dd dots of 200: side by side {:.1} µs, index-ordered {:.1} µs, ratio {ratio:.3}",
+        side_by_side * 1e6,
+        ordered * 1e6
+    );
+    assert!(
+        ratio <= 0.2,
+        "side by side / index-ordered dd dots: ratio {ratio:.3} (gate 0.2)"
+    );
+}
+
+/// Block `j` of a `Q*WYᵀ` launch as it ran before `Q` was staged: every
+/// block gathers columns `col0..M` of `Q` from the plane-major device
+/// buffer again.
+fn qwyt_regathering(
+    ctx: BlockCtx,
+    q: &DeviceMat<Dd>,
+    ywh: &DeviceMat<Dd>,
+    qwy: &DeviceMat<Dd>,
+    col0: usize,
+) {
+    let m = q.rows;
+    let j = ctx.block;
+    let mut acc = vec![Dd::ZERO; m];
+    if j >= col0 {
+        let mut col = vec![Dd::ZERO; m];
+        for t in col0..m {
+            q.load_col(t, 0, &mut col);
+            axpy(&mut acc, &col, ywh.get(j, t).conj());
+        }
+    }
+    qwy.store_col(j, 0, &acc);
+}
+
+/// One 224×224 dd `Q*WYᵀ` launch at `col0 = 24` (the second panel of a
+/// 224-row factorization in tiles of 24), its `M` blocks run in order:
+/// staging `Q`'s columns `col0..M` once and running `qwyt_block` on the
+/// copy costs ≤ 0.8× the same launch whose every block gathers them
+/// again (a copy of the body before the staging), the median of 15
+/// interleaved rounds; the staging is inside the clock. Both store the
+/// same bits. Reads (AMD EPYC, two vCPUs, AVX-512): 0.645–0.687 alone
+/// and beside the other gates, 3.5–3.7 ms against 5.2–5.7 ms.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "timing gate: run with `cargo test --release`"
+)]
+fn qwyt_stages_q_once_per_launch() {
+    let (m, col0) = (224, 24);
+    let mut rng = StdRng::seed_from_u64(2022);
+    let sim = Sim::new(Gpu::v100(), ExecMode::Sequential);
+    let (q, ywh) = (sim.alloc_mat::<Dd>(m, m), sim.alloc_mat::<Dd>(m, m));
+    HostMat::<Dd>::random(m, m, &mut rng).upload_to(&q);
+    // `YWᴴ` is +0 outside rows and columns col0..M
+    HostMat::<Dd>::from_fn(m, m, |r, c| {
+        if r >= col0 && c >= col0 {
+            Dd::rand(&mut rng)
+        } else {
+            Dd::ZERO
+        }
+    })
+    .upload_to(&ywh);
+    let (staged_out, regathered_out) = (sim.alloc_mat::<Dd>(m, m), sim.alloc_mat::<Dd>(m, m));
+    let blocks = |body: &dyn Fn(BlockCtx)| {
+        let t0 = Instant::now();
+        for block in 0..m {
+            body(BlockCtx {
+                block,
+                grid: m,
+                threads: 24,
+            });
+        }
+        t0.elapsed().as_secs_f64()
+    };
+    let staged = || {
+        let t0 = Instant::now();
+        let qs = Staged::new(&q, col0..m, 0..m);
+        t0.elapsed().as_secs_f64() + blocks(&|ctx| qwyt_block(ctx, &qs, &ywh, &staged_out, col0))
+    };
+    let regathered = || blocks(&|ctx| qwyt_regathering(ctx, &q, &ywh, &regathered_out, col0));
+    let (once, every_block) = median_ratio(15, || (staged(), regathered()));
+    assert_eq!(
+        bits(&staged_out.download_col_major()),
+        bits(&regathered_out.download_col_major())
+    );
+    let ratio = once / every_block;
+    println!(
+        "dd 224x224 Q*WY^T at col0 = 24: Q staged once {:.2} ms, gathered in every block {:.2} ms, ratio {ratio:.3}",
+        once * 1e3,
+        every_block * 1e3
+    );
+    assert!(
+        ratio <= 0.8,
+        "staged / re-gathered Q*WY^T: ratio {ratio:.3} (gate 0.8)"
     );
 }

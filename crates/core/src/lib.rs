@@ -27,7 +27,7 @@
 
 use std::sync::OnceLock;
 
-use gpusim::shared::{axmy, dot_conj};
+use gpusim::shared::{axmy, dots_by_rows};
 use gpusim::{BlockCtx, ExecMode, Gpu, KernelCost, Profile, Sim};
 use mdls_backsub::{backsub_inverted_on_sim, invert_diagonal_tiles, BacksubOptions};
 use mdls_matrix::HostMat;
@@ -97,7 +97,8 @@ impl<S> LstsqRun<S> {
     }
 }
 
-/// `qtb[j] = Σ_i conj(Q[i, j]) b[i]` — block per output element group.
+/// `qtb[j] = Σ_i conj(Q[i, j]) b[i]` — block per output element group,
+/// whose dots run side by side.
 fn qtb_kernel<S: MdScalar>(
     sim: &Sim,
     q: &gpusim::DeviceMat<S>,
@@ -119,17 +120,18 @@ fn qtb_kernel<S: MdScalar>(
         block,
         cost,
         |ctx: BlockCtx| {
-            // b is staged once per block, each Q column once per thread
-            let bv = b.run_to_vec(0, m);
-            let mut col = vec![S::zero(); m];
-            for t in ctx.thread_ids() {
-                let j = ctx.global_tid(t);
-                if j >= cols {
-                    continue;
-                }
-                q.load_col(j, 0, &mut col);
-                out.set(j, dot_conj(&col, &bv));
+            // b is staged once per block, the block's Q columns once, as
+            // conjugated rows: one axpy per row of Q takes every dot a step
+            let j0 = ctx.global_tid(0);
+            if j0 >= cols {
+                return;
             }
+            let k = ctx.threads.min(cols - j0);
+            let bv = b.run_to_vec(0, m);
+            let qt = q.conj_rows_to_vec(j0, k, 0, m);
+            let mut dots = vec![S::zero(); k];
+            dots_by_rows(&mut dots, &qt, &bv);
+            out.store_run(j0, &dots);
         },
     );
 }
@@ -715,6 +717,52 @@ mod tests {
         x.iter()
             .flat_map(|v| (0..S::PLANES).map(move |p| v.plane(p).to_bits()))
             .collect()
+    }
+
+    /// `Qᴴb` against a test-only copy of the kernel as it ran before its
+    /// dots went side by side (one index-ordered dot per output), bit for
+    /// bit: `cols` a multiple of the block, one short of it (a partial last
+    /// block) and below one block, in both functional modes.
+    fn qtb_matches_the_per_column_dots<S: MdScalar>(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let m = 13;
+        for (cols, block) in [(12, 4), (11, 4), (3, 4), (13, 5)] {
+            let q = HostMat::<S>::random(m, m, &mut rng);
+            let b: Vec<S> = mdls_matrix::random_vector(m, &mut rng);
+            let want: Vec<S> = (0..cols)
+                .map(|j| {
+                    let mut acc = S::zero();
+                    for (i, bi) in b.iter().enumerate() {
+                        acc += q.get(i, j).conj() * *bi;
+                    }
+                    acc
+                })
+                .collect();
+            for mode in [ExecMode::Sequential, ExecMode::Parallel] {
+                let sim = Sim::new(Gpu::v100(), mode);
+                let (dq, db) = (sim.alloc_mat::<S>(m, m), sim.alloc_vec::<S>(m));
+                let out = sim.alloc_vec::<S>(cols);
+                q.upload_to(&dq);
+                db.upload(&b);
+                qtb_kernel(&sim, &dq, &db, &out, cols, block);
+                assert_eq!(
+                    bits(&out.download()),
+                    bits(&want),
+                    "{} {cols} columns, block {block}, {mode:?}",
+                    S::TAG
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn qtb_dots_are_bit_identical() {
+        qtb_matches_the_per_column_dots::<f64>(330);
+        qtb_matches_the_per_column_dots::<Dd>(331);
+        qtb_matches_the_per_column_dots::<Qd>(332);
+        qtb_matches_the_per_column_dots::<Od>(333);
+        qtb_matches_the_per_column_dots::<Complex<Dd>>(334);
+        qtb_matches_the_per_column_dots::<Complex<Qd>>(335);
     }
 
     /// Five solves through one factorization against fresh `lstsq` runs

@@ -305,6 +305,21 @@ impl<S: MdScalar> DeviceMat<S> {
         self.buf.run_to_vec(self.col_run(c, r0, n), n)
     }
 
+    /// Rows `r0..r0 + h` of columns `c0..c0 + k`, conjugated, as a fresh
+    /// block-local row-major `h × k` array: `conj((r0 + i, c0 + j))` at
+    /// `i·k + j`. The operand of [`crate::shared::dots_by_rows`].
+    pub fn conj_rows_to_vec(&self, c0: usize, k: usize, r0: usize, h: usize) -> Vec<S> {
+        let mut rows = vec![S::zero(); h * k];
+        let mut col = vec![S::zero(); h];
+        for j in 0..k {
+            self.load_col(c0 + j, r0, &mut col);
+            for (x, c) in rows.iter_mut().skip(j).step_by(k).zip(&col) {
+                *x = c.conj();
+            }
+        }
+        rows
+    }
+
     /// Store the block-local `src` to rows `r0..r0 + src.len()` of
     /// column `c` (one range check for the whole run).
     #[inline]
@@ -388,6 +403,25 @@ mod tests {
             Complex::new(Qd::from_f64(0.25), Qd::PI),
             Complex::new(Qd::ONE, Qd::from_f64(7.0)),
         ]);
+    }
+
+    #[test]
+    fn conj_rows_are_row_major_and_conjugated() {
+        let m = DeviceMat::<Complex<Dd>>::zeroed(3, 3);
+        for c in 0..3 {
+            for r in 0..3 {
+                let re = Dd::from_f64((3 * r + c) as f64);
+                m.set(r, c, Complex::new(re, Dd::from_f64(1.0 + c as f64)));
+            }
+        }
+        let at = |r, c| m.get(r, c).conj();
+        // rows 1..3 of columns 1..3
+        assert_eq!(
+            m.conj_rows_to_vec(1, 2, 1, 2),
+            [at(1, 1), at(1, 2), at(2, 1), at(2, 2)]
+        );
+        assert!(m.conj_rows_to_vec(0, 0, 0, 3).is_empty());
+        assert!(m.conj_rows_to_vec(0, 3, 3, 0).is_empty());
     }
 
     #[test]

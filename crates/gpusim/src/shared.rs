@@ -6,7 +6,10 @@
 //! operations an output element sees — one `+=`/`-=` per call, in call
 //! order — so a kernel written as a sequence of calls over `t` gives
 //! every element the same `t`-ordered sum an element-at-a-time loop
-//! would, bit for bit.
+//! would, bit for bit. Reductions take the same form: [`dots_by_rows`]
+//! runs a launch's dot products side by side, one `axpy` per row of
+//! their staged, conjugated columns, so each output is the zero-started,
+//! index-ordered sum an element-at-a-time dot would form.
 //!
 //! The helpers are outlined (`inline(never)`): a call is paid per
 //! column, not per element, and the multiple double arithmetic they
@@ -36,16 +39,14 @@
 //! converge to the integers of an integral solution and carry a few
 //! nonzero limbs), and add them into the accumulators in
 //! [`multidouble::expansion::add_lanes`]. Each element still sees one
-//! `+=`/`-=`, of the same product, as on the other paths. `dot_conj` forms
-//! dense chunks' products in lanes too, but its running sum stays scalar
-//! and in index order (each step needs the last). A lane a kernel hands
-//! back (a non-finite term, an unordered class, a tie, …) is recomputed
-//! with the scalar operator, so every product and sum is the operator's
-//! to the bit. Other chunks and the tail run the bodies above. Every other
-//! scalar (`f64`, `Dd`, complex) runs a third instantiation of the
-//! `axpy`/`axmy` bodies, compiled with the lane path's features, from 16
-//! elements up (the double double loops vectorize eight wide; below 16
-//! the AVX2 one is faster); `dot_conj` keeps the AVX2 one. A CPU without
+//! `+=`/`-=`, of the same product, as on the other paths. A lane a
+//! kernel hands back (a non-finite term, an unordered class, a tie, …)
+//! is recomputed with the scalar operator, so every product and sum is
+//! the operator's to the bit. Other chunks and the tail run the bodies
+//! above. Every other scalar (`f64`, `Dd`, complex) runs a third
+//! instantiation of the `axpy`/`axmy` bodies, compiled with the lane
+//! path's features, from 16 elements up (the double double loops
+//! vectorize eight wide; below 16 the AVX2 one is faster). A CPU without
 //! AVX-512 runs the bodies above. The operation tallies that price the
 //! simulated clock count the scalar functions, so no `sim_*` number
 //! depends on the path.
@@ -74,15 +75,23 @@ pub fn axmy<S: MdScalar>(acc: &mut [S], x: &[S], a: S) {
     axmy_without_lanes(acc, x, a);
 }
 
-/// `Σ_i conj(a[i]) * b[i]`, accumulated from zero in index order.
-#[inline(never)]
-pub fn dot_conj<S: MdScalar>(a: &[S], b: &[S]) -> S {
-    assert_eq!(a.len(), b.len(), "dot_conj length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if let Some(dot) = lanes::dot_conj(a, b) {
-        return dot;
+/// `out[j] = Σ_i xt[i·k + j] * v[i]` for `k = out.len()`: `k` dot
+/// products side by side, one [`axpy`] per row `i` of the row-major
+/// `v.len() × k` operand `xt`. A kernel stages the columns it dots,
+/// conjugated, as the rows of `xt` ([`crate::DeviceMat::conj_rows_to_vec`]),
+/// so output `j` sums `conj(x_j[i]) * v[i]` from zero in index order, as
+/// an index-ordered dot would, while the `k` sums advance together
+/// instead of each running as one latency-bound chain.
+pub fn dots_by_rows<S: MdScalar>(out: &mut [S], xt: &[S], v: &[S]) {
+    let k = out.len();
+    assert_eq!(xt.len(), k * v.len(), "dots_by_rows length mismatch");
+    out.fill(S::zero());
+    if k == 0 {
+        return;
     }
-    dot_conj_without_lanes(S::zero(), a, b)
+    for (row, &vi) in xt.chunks_exact(k).zip(v) {
+        axpy(out, row, vi);
+    }
 }
 
 /// [`axpy`] without the lane path: what a CPU without AVX-512 runs (the
@@ -114,22 +123,9 @@ pub fn axmy_without_lanes<S: MdScalar>(acc: &mut [S], x: &[S], a: S) {
     axmy_body(acc, x, a);
 }
 
-/// [`dot_conj`] without the lane path, continuing the running sum `acc`.
-#[inline(never)]
-fn dot_conj_without_lanes<S: MdScalar>(acc: S, a: &[S], b: &[S]) -> S {
-    #[cfg(target_arch = "x86_64")]
-    if fma::available() {
-        // Safety: `available` saw AVX2 and FMA on this CPU, the
-        // instantiation's only requirement.
-        return unsafe { fma::dot_conj_onto(acc, a, b) };
-    }
-    dot_conj_onto(acc, a, b)
-}
-
-/// `true` if this CPU runs the lane path of [`axpy`], [`axmy`] and
-/// [`dot_conj`] on real quad and octo doubles, and the AVX-512
-/// instantiation of `axpy`/`axmy` on other scalars (AVX-512F/DQ/VL and
-/// FMA).
+/// `true` if this CPU runs the lane path of [`axpy`] and [`axmy`] on real
+/// quad and octo doubles, and the AVX-512 instantiation of their bodies
+/// on other scalars (AVX-512F/DQ/VL and FMA).
 pub fn lanes_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     return lanes::available();
@@ -149,15 +145,6 @@ fn axmy_body<S: MdScalar>(acc: &mut [S], x: &[S], a: S) {
     for (y, x) in acc.iter_mut().zip(x) {
         *y -= *x * a;
     }
-}
-
-/// The [`dot_conj`] body, continuing the running sum `acc`.
-#[inline(always)]
-fn dot_conj_onto<S: MdScalar>(mut acc: S, a: &[S], b: &[S]) -> S {
-    for (x, y) in a.iter().zip(b) {
-        acc += x.conj() * *y;
-    }
-    acc
 }
 
 /// The loops on real quad and octo doubles again, eight products and sums
@@ -250,19 +237,6 @@ mod lanes {
     #[target_feature(enable = "avx512f,avx512dq,avx512vl,fma")]
     fn axmy_wide<S: MdScalar>(acc: &mut [S], x: &[S], a: S) {
         super::axmy_body(acc, x, a);
-    }
-
-    /// [`super::dot_conj`] on the lane path; `None` where `S` or the CPU
-    /// does not take it.
-    #[inline(always)]
-    pub(super) fn dot_conj<S: MdScalar>(a: &[S], b: &[S]) -> Option<S> {
-        match width::<S>() {
-            // Safety: `width` saw AVX-512F/DQ/VL and FMA on this CPU.
-            4 => Some(unsafe { dot_chunks::<S, 4, 16>(a, b) }),
-            // Safety: as above.
-            8 => Some(unsafe { dot_chunks::<S, 8, 64>(a, b) }),
-            _ => None,
-        }
     }
 
     /// Eight scalars limb-major (`[p][l]` is limb `p` of `x[l]`).
@@ -388,30 +362,6 @@ mod lanes {
         }
         body(ys.into_remainder(), xs.remainder(), a);
     }
-
-    /// `Σ_i conj(a[i]) * b[i]` in chunks of eight: a chunk dense in both
-    /// operands forms its products in the lane kernel; the running sum adds
-    /// every product in index order, as the scalar body does.
-    #[target_feature(enable = "avx512f,avx512dq,avx512vl,fma")]
-    fn dot_chunks<S: MdScalar, const N: usize, const CAP: usize>(a: &[S], b: &[S]) -> S {
-        let mut acc = S::zero();
-        let (mut xs, mut ys) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
-        for (x, y) in (&mut xs).zip(&mut ys) {
-            match (dense::<S, N>(x), dense::<S, N>(y)) {
-                (Some(xv), Some(yv)) => {
-                    let mut prod = [[0.0; LANES]; N];
-                    // Safety: this function's features are the kernel's.
-                    let took = unsafe { truncated_mul_lanes::<N, CAP>(&xv, &yv, &mut prod) };
-                    mend(took, x, y, &mut prod);
-                    for l in 0..LANES {
-                        acc += lane(&prod, l);
-                    }
-                }
-                _ => acc = super::dot_conj_without_lanes(acc, x, y),
-            }
-        }
-        super::dot_conj_without_lanes(acc, xs.remainder(), ys.remainder())
-    }
 }
 
 /// The bodies again, compiled with AVX2 and FMA enabled.
@@ -438,11 +388,6 @@ mod fma {
     pub(super) fn axmy<S: MdScalar>(acc: &mut [S], x: &[S], a: S) {
         super::axmy_body(acc, x, a);
     }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) fn dot_conj_onto<S: MdScalar>(acc: S, a: &[S], b: &[S]) -> S {
-        super::dot_conj_onto(acc, a, b)
-    }
 }
 
 #[cfg(test)]
@@ -466,13 +411,97 @@ mod tests {
     }
 
     #[test]
-    fn dot_conjugates_its_left_operand() {
+    fn dots_by_rows_sum_each_column_of_their_rows() {
         let i = Complex::new(Dd::ZERO, Dd::ONE);
-        // conj(i) * i = 1
+        let one = Complex::from_real(Dd::ONE);
+        // rows [conj(i), 1] and [conj(i), i] against v = [i, i]:
+        // conj(i) * i + conj(i) * i = 2, 1 * i + i * i = -1 + i
+        let mut out = [Complex::from_real(Dd::from_f64(7.0)); 2];
+        dots_by_rows(&mut out, &[i.conj(), one, i.conj(), i], &[i, i]);
         assert_eq!(
-            dot_conj(&[i, i], &[i, i]),
-            Complex::from_real(Dd::from_f64(2.0))
+            out,
+            [
+                Complex::from_real(Dd::from_f64(2.0)),
+                Complex::new(Dd::from_f64(-1.0), Dd::ONE)
+            ]
         );
+        // no rows: every output is +0
+        dots_by_rows(&mut out, &[], &[]);
+        assert_eq!(out, [Complex::from_real(Dd::ZERO); 2]);
+    }
+
+    /// `Σ_i conj(x[i]) * v[i]` from zero in index order: the dot the
+    /// kernels ran, one output at a time, before their dots went side by
+    /// side.
+    fn index_ordered_dot<S: MdScalar>(x: &[S], v: &[S]) -> S {
+        let mut acc = S::zero();
+        for (x, v) in x.iter().zip(v) {
+            acc += x.conj() * *v;
+        }
+        acc
+    }
+
+    /// [`dots_by_rows`] on the conjugated rows of `k` columns against
+    /// [`index_ordered_dot`] on each column, bit for bit (a NaN plane only
+    /// needs a NaN opposite), for `k` 1–17 (one output, under and over an
+    /// eight-lane chunk, across `WIDE_FROM` = 16) and `h` 0–33 rows, in
+    /// four plantings: dense; `±0` limbs at every third element of `x` and
+    /// `v`; f64-widened `x` and `v` with exact zeros between; NaN and
+    /// `±inf` planted in one column and one row.
+    fn side_by_side_dots_match_the_index_ordered_dot<S: MdScalar>(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let limbs = <S::Real as MdReal>::LIMBS;
+        // limb 1 and the last limb of every part zeroed, the last as -0
+        let holed = |x: S| {
+            S::from_plane_fn(|p| match p % limbs {
+                0 => x.plane(p),
+                q if q + 1 == limbs => -0.0,
+                1 => 0.0,
+                _ => x.plane(p),
+            })
+        };
+        for k in 1..=17 {
+            for h in 0..=33 {
+                for plant in 0..4 {
+                    let mut draw = |i: usize| match plant {
+                        1 if i.is_multiple_of(3) => holed(S::rand(&mut rng)),
+                        2 if i % 5 == 4 => S::zero(),
+                        2 => S::from_f64(f64::rand(&mut rng)),
+                        _ => S::rand(&mut rng),
+                    };
+                    let mut cols: Vec<Vec<S>> =
+                        (0..k).map(|_| (0..h).map(&mut draw).collect()).collect();
+                    let mut v: Vec<S> = (0..h).map(&mut draw).collect();
+                    if plant == 3 && h > 0 {
+                        cols[k / 2][h / 2] = S::from_f64(f64::NAN);
+                        cols[k - 1][0] = S::from_f64(f64::INFINITY);
+                        v[h - 1] = S::from_f64(f64::NEG_INFINITY);
+                    }
+                    let xt: Vec<S> = (0..h)
+                        .flat_map(|i| cols.iter().map(move |c| c[i].conj()))
+                        .collect();
+                    let mut got = vec![S::rand(&mut rng); k];
+                    dots_by_rows(&mut got, &xt, &v);
+                    for (j, col) in cols.iter().enumerate() {
+                        assert!(
+                            same(got[j], index_ordered_dot(col, &v)),
+                            "{} k={k} h={h} plant={plant}: output {j} differs",
+                            S::TAG
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn side_by_side_dots_are_bit_identical() {
+        side_by_side_dots_match_the_index_ordered_dot::<f64>(21);
+        side_by_side_dots_match_the_index_ordered_dot::<Dd>(22);
+        side_by_side_dots_match_the_index_ordered_dot::<Qd>(23);
+        side_by_side_dots_match_the_index_ordered_dot::<Od>(24);
+        side_by_side_dots_match_the_index_ordered_dot::<Complex<Dd>>(25);
+        side_by_side_dots_match_the_index_ordered_dot::<Complex<Qd>>(26);
     }
 
     /// Bit-equal plane by plane; a NaN plane only needs a NaN opposite.
@@ -638,9 +667,12 @@ mod tests {
                         S::TAG
                     );
                 }
+                let xt: Vec<S> = x.iter().map(|v| v.conj()).collect();
+                let mut dot = [S::zero()];
+                dots_by_rows(&mut dot, &xt, &acc);
                 assert!(
-                    same(dot_conj(&x, &acc), dot_conj_onto(S::zero(), &x, &acc)),
-                    "dot_conj {} n={n} plant={plant}",
+                    same(dot[0], index_ordered_dot(&x, &acc)),
+                    "dots_by_rows {} n={n} plant={plant}",
                     S::TAG
                 );
             }

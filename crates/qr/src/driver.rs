@@ -5,7 +5,7 @@ use mdls_matrix::HostMat;
 use multidouble::MdScalar;
 
 use crate::cost;
-use crate::kernels;
+use crate::kernels::{self, Staged};
 use crate::{
     STAGE_BETA_RTV, STAGE_BETA_V, STAGE_COMPUTE_W, STAGE_QWYT, STAGE_Q_ADD, STAGE_R_ADD,
     STAGE_UPDATE_R, STAGE_YWT, STAGE_YWTC,
@@ -101,34 +101,48 @@ fn is_identity<S: MdScalar>(q: &DeviceMat<S>) -> bool {
     })
 }
 
-/// The bodies of the four WY product stages (the ones that skip the
-/// zero trapezoid), as the panel loop launches them, and the `Q*WYᵀ` body
-/// it runs while `Q` is exactly the identity. Production runs
-/// [`WyBodies::SKIP_TRAPEZOID`]; the tests swap in the full-height
-/// originals to check both shortcuts bit for bit.
-struct WyBodies<S: MdScalar> {
+/// The bodies the panel loop launches for the two Householder stages
+/// after `β, v`, the WY aggregation and the three products, plus the
+/// `Q*WYᵀ` body it runs while `Q` is exactly the identity (`None`: never).
+/// Production runs [`Bodies::PRODUCTION`]; the tests swap in the oracle
+/// bodies (full height, unstaged, index-ordered dots) to check every
+/// shortcut bit for bit.
+struct Bodies<S: MdScalar> {
+    beta_rtv: BetaRtvBody<S>,
+    update_r: UpdateRBody<S>,
     compute_w: ComputeWBody<S>,
     ywt: ProductBody<S>,
     qwyt: QwytBody<S>,
-    qwyt_identity: QwytBody<S>,
+    qwyt_identity: Option<QwytBody<S>>,
     ywtc: ProductBody<S>,
 }
 
-/// `(ctx, q, ywh, qwy, col0)` — the `Q*WY^T` bodies.
-type QwytBody<S> = fn(BlockCtx, &DeviceMat<S>, &DeviceMat<S>, &DeviceMat<S>, usize);
+/// `(ctx, r, y, betas, w, col0, l, n)` — the `beta*R^T*v` body.
+type BetaRtvBody<S> =
+    fn(BlockCtx, &DeviceMat<S>, &DeviceMat<S>, &DeviceBuf<S>, &DeviceBuf<S>, usize, usize, usize);
+
+/// `(ctx, r, v, w, col0, l)` — the `update R` body, `v` the staged
+/// reflector.
+type UpdateRBody<S> = fn(BlockCtx, &DeviceMat<S>, &Staged<S>, &DeviceBuf<S>, usize, usize);
+
+/// `(ctx, q, ywh, qwy, col0)` — the `Q*WY^T` bodies, `q` staged.
+type QwytBody<S> = fn(BlockCtx, &Staged<S>, &DeviceMat<S>, &DeviceMat<S>, usize);
 
 /// `(ctx, y, w, betas, col0, l)` — the `compute W` body.
 type ComputeWBody<S> = fn(BlockCtx, &DeviceMat<S>, &DeviceMat<S>, &DeviceBuf<S>, usize, usize);
 
-/// `(ctx, lhs, rhs, out, col0, extent)` — the `ywt` and `ywtc` bodies.
-type ProductBody<S> = fn(BlockCtx, &DeviceMat<S>, &DeviceMat<S>, &DeviceMat<S>, usize, usize);
+/// `(ctx, lhs, rhs, out, col0, extent)` — the `ywt` and `ywtc` bodies,
+/// `lhs` staged.
+type ProductBody<S> = fn(BlockCtx, &Staged<S>, &DeviceMat<S>, &DeviceMat<S>, usize, usize);
 
-impl<S: MdScalar> WyBodies<S> {
-    const SKIP_TRAPEZOID: Self = WyBodies {
+impl<S: MdScalar> Bodies<S> {
+    const PRODUCTION: Self = Bodies {
+        beta_rtv: kernels::beta_rtv_block,
+        update_r: kernels::update_r_block,
         compute_w: kernels::compute_w_block,
         ywt: kernels::ywt_block,
         qwyt: kernels::qwyt_block,
-        qwyt_identity: kernels::qwyt_identity_block,
+        qwyt_identity: Some(kernels::qwyt_identity_block),
         ywtc: kernels::ywtc_block,
     };
 }
@@ -136,11 +150,13 @@ impl<S: MdScalar> WyBodies<S> {
 /// Run Algorithm 2 on an existing session: reduce `st.r` in place and
 /// accumulate `st.q`.
 pub fn qr_on_sim<S: MdScalar>(sim: &Sim, st: &QrDeviceState<S>, opts: &QrOptions) {
-    panels(sim, st, opts, &WyBodies::SKIP_TRAPEZOID);
+    panels(sim, st, opts, &Bodies::PRODUCTION);
 }
 
-/// The panel loop of [`qr_on_sim`], launching the given WY bodies.
-fn panels<S: MdScalar>(sim: &Sim, st: &QrDeviceState<S>, opts: &QrOptions, wy: &WyBodies<S>) {
+/// The panel loop of [`qr_on_sim`], launching the given bodies. An
+/// operand every block of a launch reads is staged once, just before the
+/// launch (see `kernels`).
+fn panels<S: MdScalar>(sim: &Sim, st: &QrDeviceState<S>, opts: &QrOptions, b: &Bodies<S>) {
     let m = st.r.rows;
     let n = opts.tile_size;
     let nt = opts.tiles;
@@ -168,15 +184,16 @@ fn panels<S: MdScalar>(sim: &Sim, st: &QrDeviceState<S>, opts: &QrOptions, wy: &
                 mcols,
                 n,
                 cost::beta_rtv_cost::<S>(h, mcols, n),
-                |ctx| kernels::beta_rtv_block(ctx, &st.r, &st.y, &st.betas, &st.wvec, col0, l, n),
+                |ctx| (b.beta_rtv)(ctx, &st.r, &st.y, &st.betas, &st.wvec, col0, l, n),
             );
 
+            let v = Staged::new(&st.y, l..l + 1, c..m);
             sim.launch(
                 STAGE_UPDATE_R,
                 mcols,
                 n,
                 cost::update_r_cost::<S>(h, mcols),
-                |ctx| kernels::update_r_block(ctx, &st.r, &st.y, &st.wvec, col0, l),
+                |ctx| (b.update_r)(ctx, &st.r, &v, &st.wvec, col0, l),
             );
         }
 
@@ -191,24 +208,24 @@ fn panels<S: MdScalar>(sim: &Sim, st: &QrDeviceState<S>, opts: &QrOptions, wy: &
                 m.div_ceil(n),
                 n,
                 cost::compute_w_cost::<S>(m, l),
-                |ctx| (wy.compute_w)(ctx, &st.y, &st.w, &st.betas, col0, l),
+                |ctx| (b.compute_w)(ctx, &st.y, &st.w, &st.betas, col0, l),
             );
         }
 
         // --- stage 3: Q update ------------------------------------------
+        let y = Staged::new(&st.y, 0..n, col0..m);
         sim.launch(STAGE_YWT, m, n, cost::gemm_cost::<S>(m, m, n, n), |ctx| {
-            (wy.ywt)(ctx, &st.y, &st.w, &st.ywh, col0, n)
+            (b.ywt)(ctx, &y, &st.w, &st.ywh, col0, n)
         });
         // priced as the full product, but while Q is still exactly the
-        // identity (panel 0) the body forms one term per entry (see
-        // `kernels`)
-        let qwyt = if is_identity(&st.q) {
-            wy.qwyt_identity
-        } else {
-            wy.qwyt
+        // identity (panel 0) the body forms one term per entry and Q is
+        // not staged (see `kernels`)
+        let (qwyt, q) = match b.qwyt_identity {
+            Some(identity) if is_identity(&st.q) => (identity, Staged::none(&st.q)),
+            _ => (b.qwyt, Staged::new(&st.q, col0..m, 0..m)),
         };
         sim.launch(STAGE_QWYT, m, n, cost::gemm_cost::<S>(m, m, m, n), |ctx| {
-            qwyt(ctx, &st.q, &st.ywh, &st.qwy, col0)
+            qwyt(ctx, &q, &st.ywh, &st.qwy, col0)
         });
         sim.launch(STAGE_Q_ADD, m, n, cost::add_cost::<S>(m, m), |ctx| {
             kernels::q_add_block(ctx, &st.q, &st.qwy)
@@ -218,12 +235,13 @@ fn panels<S: MdScalar>(sim: &Sim, st: &QrDeviceState<S>, opts: &QrOptions, wy: &
         if k + 1 < nt {
             let cstart = (k + 1) * n;
             let c_k = opts.cols() - cstart;
+            let ywh = Staged::new(&st.ywh, col0..m, col0..m);
             sim.launch(
                 STAGE_YWTC,
                 c_k,
                 n,
                 cost::gemm_cost::<S>(m, c_k, m, n),
-                |ctx| (wy.ywtc)(ctx, &st.ywh, &st.r, &st.ywtc, col0, cstart),
+                |ctx| (b.ywtc)(ctx, &ywh, &st.r, &st.ywtc, col0, cstart),
             );
             sim.launch(STAGE_R_ADD, c_k, n, cost::add_cost::<S>(m, c_k), |ctx| {
                 kernels::r_add_block(ctx, &st.r, &st.ywtc, cstart)
@@ -398,7 +416,7 @@ mod tests {
         a: &HostMat<S>,
         opts: &QrOptions,
         mode: ExecMode,
-        wy: &WyBodies<S>,
+        bodies: &Bodies<S>,
         near_identity: bool,
     ) -> [HostMat<S>; 2] {
         let sim = Sim::new(Gpu::v100(), mode);
@@ -411,7 +429,7 @@ mod tests {
             st.q.set(k, k, one_low_limb_off::<S>());
             assert!(!is_identity(&st.q));
         }
-        panels(&sim, &st, opts, wy);
+        panels(&sim, &st, opts, bodies);
         [HostMat::download_from(&st.q), HostMat::download_from(&st.r)]
     }
 
@@ -448,27 +466,32 @@ mod tests {
         })
     }
 
-    /// The bodies as the tests swap them in: every WY body at full height,
-    /// and the trapezoid-skipping bodies without the identity shortcut.
-    fn full_height<S: MdScalar>() -> WyBodies<S> {
-        WyBodies {
-            compute_w: kernels::full_height::compute_w_block,
-            ywt: kernels::full_height::ywt_block,
-            qwyt: kernels::full_height::qwyt_block,
-            qwyt_identity: kernels::full_height::qwyt_block,
-            ywtc: kernels::full_height::ywtc_block,
+    /// The bodies as the tests swap them in: the oracle (every WY body at
+    /// full height, every operand read from the device matrices, every
+    /// dot index-ordered), and the production bodies without the
+    /// identity shortcut.
+    fn oracle<S: MdScalar>() -> Bodies<S> {
+        Bodies {
+            beta_rtv: kernels::oracle::beta_rtv_block,
+            update_r: kernels::oracle::update_r_block,
+            compute_w: kernels::oracle::compute_w_block,
+            ywt: kernels::oracle::ywt_block,
+            qwyt: kernels::oracle::qwyt_block,
+            qwyt_identity: None,
+            ywtc: kernels::oracle::ywtc_block,
         }
     }
 
-    fn skip_without_identity<S: MdScalar>() -> WyBodies<S> {
-        WyBodies {
-            qwyt_identity: kernels::qwyt_block,
-            ..WyBodies::SKIP_TRAPEZOID
+    fn without_identity<S: MdScalar>() -> Bodies<S> {
+        Bodies {
+            qwyt_identity: None,
+            ..Bodies::PRODUCTION
         }
     }
 
-    /// The trapezoid-skipping bodies, with and without the identity body
-    /// on panel 0, give the full-height bodies' `Q` and `R` bit for bit:
+    /// The production bodies (trapezoid skip, staged operands,
+    /// side-by-side dots), with and without the identity body on panel 0,
+    /// give the oracle bodies' `Q` and `R` bit for bit:
     /// square and tall shapes with 1–4 tiles (the 1-tile ones from 6×6
     /// to 32×24, where the identity body is the whole `Q` update), random
     /// and quantized entries, with and without a zero column (the
@@ -488,10 +511,10 @@ mod tests {
             (20, 2, 8),
         ];
         let bodies = [
-            ("skip", WyBodies::SKIP_TRAPEZOID),
-            ("skip without identity", skip_without_identity()),
+            ("production", Bodies::PRODUCTION),
+            ("production without identity", without_identity()),
         ];
-        let full_height = full_height();
+        let oracle = oracle();
         let mut rng = StdRng::seed_from_u64(seed);
         for (rows, tiles, tile_size) in SHAPES {
             let opts = QrOptions { tiles, tile_size };
@@ -505,9 +528,9 @@ mod tests {
                 }
                 for a in [quantized(&a), a] {
                     for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-                        let want = factor_with(&a, &opts, mode, &full_height, false);
-                        for (label, wy) in &bodies {
-                            let got = factor_with(&a, &opts, mode, wy, false);
+                        let want = factor_with(&a, &opts, mode, &oracle, false);
+                        for (label, bodies) in &bodies {
+                            let got = factor_with(&a, &opts, mode, bodies, false);
                             for (name, g, w) in [("Q", &got[0], &want[0]), ("R", &got[1], &want[1])]
                             {
                                 assert!(
@@ -524,8 +547,8 @@ mod tests {
     }
 
     /// A `Q` one low limb away from the identity takes the full product:
-    /// the production bodies match the full-height ones on it, while the
-    /// identity body forced onto it would not.
+    /// the production bodies match the oracle on it, while the identity
+    /// body forced onto it would not.
     fn near_identity_takes_the_full_body<S: MdScalar>(seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let opts = QrOptions {
@@ -533,13 +556,13 @@ mod tests {
             tile_size: 6,
         };
         let a = HostMat::<S>::random(14, opts.cols(), &mut rng);
-        let forced = WyBodies {
+        let forced = Bodies {
             qwyt: kernels::qwyt_identity_block,
-            ..WyBodies::SKIP_TRAPEZOID
+            ..Bodies::PRODUCTION
         };
         for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-            let want = factor_with(&a, &opts, mode, &full_height(), true);
-            let got = factor_with(&a, &opts, mode, &WyBodies::SKIP_TRAPEZOID, true);
+            let want = factor_with(&a, &opts, mode, &oracle(), true);
+            let got = factor_with(&a, &opts, mode, &Bodies::PRODUCTION, true);
             assert!(
                 bits(&got[0]) == bits(&want[0]),
                 "{} {mode:?}: Q differs",
